@@ -6,6 +6,13 @@
 //! outputs if such a set exists, the party's own input otherwise); the `Π_ABA`
 //! output is the overall output. The combination is a perfectly-secure SBA in
 //! a synchronous network and a perfectly-secure ABA in an asynchronous one.
+//!
+//! The `n` broadcasts all start in [`Ba::init`], so they run as one
+//! lock-step [`Bc`] group: `n` A-casts, one `n`-slot SBA.
+//!
+//! Child segments: `0` is the broadcast group, `n` is the `Π_ABA`
+//! (kept where it was when the broadcasts occupied `0..n`: the common coin
+//! is derived from the instance path).
 
 use std::any::Any;
 
@@ -16,6 +23,7 @@ use crate::bc::Bc;
 use crate::msg::{BcValue, Msg};
 use crate::params::Params;
 
+const SEG_BCS: u32 = 0;
 const TIMER_START_ABA: u64 = 1;
 
 /// One instance of `Π_BA` over a single input bit.
@@ -24,7 +32,8 @@ pub struct Ba {
     t: usize,
     params: Params,
     my_input: Option<bool>,
-    bcs: Vec<Bc>,
+    /// The input broadcasts (slot `j` = party `j`).
+    bcs: Bc,
     aba: Option<Aba>,
     pending_aba: Vec<(PartyId, Msg)>,
     r_majority: Option<bool>,
@@ -44,7 +53,7 @@ impl Ba {
             t,
             params,
             my_input: input,
-            bcs: Vec::new(),
+            bcs: Bc::new_group(t, params),
             aba: None,
             pending_aba: Vec::new(),
             r_majority: None,
@@ -64,11 +73,14 @@ impl Ba {
     pub fn provide_input(&mut self, ctx: &mut Context<'_, Msg>, input: bool) {
         if self.my_input.is_none() {
             self.my_input = Some(input);
-            let me = ctx.me;
-            let bc = &mut self.bcs[me];
-            ctx.scoped(me as u32, |ctx| bc.provide_input(ctx, BcValue::Bit(input)));
+            self.broadcast_input(ctx, input);
         }
         self.maybe_feed_aba(ctx);
+    }
+
+    fn broadcast_input(&mut self, ctx: &mut Context<'_, Msg>, input: bool) {
+        let bcs = &mut self.bcs;
+        ctx.scoped(SEG_BCS, |ctx| bcs.provide_input(ctx, BcValue::Bit(input)));
     }
 
     /// Whether an input has been supplied.
@@ -102,18 +114,10 @@ impl Ba {
 
 impl Protocol<Msg> for Ba {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
-        let me = ctx.me;
-        for j in 0..self.params.n {
-            let mut bc = if j == me {
-                match self.my_input {
-                    Some(b) => Bc::new_sender(j, self.t, self.params, BcValue::Bit(b)),
-                    None => Bc::new(j, self.t, self.params),
-                }
-            } else {
-                Bc::new(j, self.t, self.params)
-            };
-            ctx.scoped(j as u32, |ctx| bc.init(ctx));
-            self.bcs.push(bc);
+        let bcs = &mut self.bcs;
+        ctx.scoped(SEG_BCS, |ctx| bcs.init(ctx));
+        if let Some(input) = self.my_input {
+            self.broadcast_input(ctx, input);
         }
         ctx.set_timer(self.params.t_bc(), TIMER_START_ABA);
     }
@@ -126,9 +130,9 @@ impl Protocol<Msg> for Ba {
         msg: Msg,
     ) {
         let Some(&seg) = path.first() else { return };
-        if (seg as usize) < self.params.n {
-            let bc = &mut self.bcs[seg as usize];
-            ctx.scoped(seg, |ctx| bc.on_message(ctx, from, &path[1..], msg));
+        if seg == SEG_BCS {
+            let bcs = &mut self.bcs;
+            ctx.scoped(seg, |ctx| bcs.on_message(ctx, from, &path[1..], msg));
         } else if seg == self.aba_segment() {
             if let Some(aba) = self.aba.as_mut() {
                 ctx.scoped(seg, |ctx| aba.on_message(ctx, from, &path[1..], msg));
@@ -141,9 +145,9 @@ impl Protocol<Msg> for Ba {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
         match path.first() {
-            Some(&seg) if (seg as usize) < self.params.n => {
-                let bc = &mut self.bcs[seg as usize];
-                ctx.scoped(seg, |ctx| bc.on_timer(ctx, &path[1..], id));
+            Some(&SEG_BCS) => {
+                let bcs = &mut self.bcs;
+                ctx.scoped(SEG_BCS, |ctx| bcs.on_timer(ctx, &path[1..], id));
             }
             Some(&seg) if seg == self.aba_segment() => {
                 if let Some(aba) = self.aba.as_mut() {
@@ -154,10 +158,8 @@ impl Protocol<Msg> for Ba {
             None if id == TIMER_START_ABA => {
                 // Determine the set R of senders whose broadcast produced a
                 // bit through regular mode, and the derived ABA input.
-                let r_bits: Vec<bool> = self
-                    .bcs
-                    .iter()
-                    .filter_map(|bc| match bc.regular_value() {
+                let r_bits: Vec<bool> = (0..self.params.n)
+                    .filter_map(|j| match self.bcs.slot(j)?.regular_value() {
                         Some(BcValue::Bit(b)) => Some(*b),
                         _ => None,
                     })

@@ -178,10 +178,8 @@ mod tests {
         sim.run_to_quiescence(params.t_bc() * 4);
         let regular: Vec<Option<Option<BcValue>>> = (1..params.n)
             .map(|i| {
-                sim.party_as::<crate::bc::Bc>(i)
-                    .unwrap()
-                    .regular_output
-                    .clone()
+                let bc = sim.party_as::<crate::bc::Bc>(i).unwrap();
+                bc.slot(0).unwrap().regular_output.clone()
             })
             .collect();
         assert!(regular.iter().all(|o| o.is_some()), "liveness at T_BC");
@@ -218,9 +216,9 @@ mod tests {
             .map(|i| {
                 sim.party_as::<crate::sba::Sba>(i)
                     .unwrap()
-                    .output
+                    .outputs()
+                    .unwrap()[0]
                     .clone()
-                    .unwrap()
             })
             .collect();
         assert!(

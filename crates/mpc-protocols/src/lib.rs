@@ -2,12 +2,13 @@
 //!
 //! * [`acast`] — Bracha's asynchronous reliable broadcast `Π_ACast`.
 //! * [`sba`] — the synchronous phase-king Byzantine agreement used as
-//!   `Π_BGP` (DESIGN.md substitution S2).
+//!   `Π_BGP` (DESIGN.md substitution S2), slot-wise over `k ≥ 1` values.
 //! * [`aba`] — asynchronous Byzantine agreement with an ideal common coin
 //!   (DESIGN.md substitution S1), providing the `Π_ABA` interface of
 //!   Lemma 3.3.
 //! * [`bc`] — the synchronous broadcast with asynchronous guarantees `Π_BC`
-//!   (Fig 1), with regular and fallback output modes.
+//!   (Fig 1), with regular and fallback output modes; one instance runs a
+//!   lone broadcast or a lock-step group of `n` sharing one SBA.
 //! * [`ba`] — the best-of-both-worlds Byzantine agreement `Π_BA` (Fig 2).
 //! * [`star`] — the `(n,t)`-star finding algorithm `AlgStar` of \[13\].
 //! * [`voteboard`] — reliable dissemination of the OK/NOK pairwise

@@ -75,6 +75,10 @@ pub enum AcastMsg {
 pub type SbaValue = Option<BcValue>;
 
 /// Phase-king SBA messages (one phase = three rounds).
+///
+/// The scalar forms are what a one-slot instance (the SBA of a lone `Π_BC`)
+/// sends; the `…Slots` forms are the same three round messages of a `k`-slot
+/// instance (a lock-step broadcast group), one entry per slot in slot order.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SbaMsg {
     /// Round 1 of a phase: every party sends its current value.
@@ -98,6 +102,27 @@ pub enum SbaMsg {
         phase: u32,
         /// The king's proposal.
         value: SbaValue,
+    },
+    /// [`SbaMsg::Round1`] of a `k`-slot instance.
+    Round1Slots {
+        /// Phase index.
+        phase: u32,
+        /// The sender's current value of every slot.
+        values: Vec<SbaValue>,
+    },
+    /// [`SbaMsg::Round2`] of a `k`-slot instance.
+    Round2Slots {
+        /// Phase index.
+        phase: u32,
+        /// Every slot's candidate, if any.
+        candidates: Vec<Option<SbaValue>>,
+    },
+    /// [`SbaMsg::King`] of a `k`-slot instance.
+    KingSlots {
+        /// Phase index.
+        phase: u32,
+        /// The king's proposal for every slot.
+        values: Vec<SbaValue>,
     },
 }
 
@@ -349,6 +374,21 @@ impl WireEncode for SbaMsg {
                 phase.encode_into(out);
                 value.encode_into(out);
             }
+            SbaMsg::Round1Slots { phase, values } => {
+                out.push(3);
+                phase.encode_into(out);
+                values.encode_into(out);
+            }
+            SbaMsg::Round2Slots { phase, candidates } => {
+                out.push(4);
+                phase.encode_into(out);
+                candidates.encode_into(out);
+            }
+            SbaMsg::KingSlots { phase, values } => {
+                out.push(5);
+                phase.encode_into(out);
+                values.encode_into(out);
+            }
         }
     }
 
@@ -359,6 +399,10 @@ impl WireEncode for SbaMsg {
                     value.encoded_len_hint()
                 }
                 SbaMsg::Round2 { candidate, .. } => candidate.encoded_len_hint(),
+                SbaMsg::Round1Slots { values, .. } | SbaMsg::KingSlots { values, .. } => {
+                    values.encoded_len_hint()
+                }
+                SbaMsg::Round2Slots { candidates, .. } => candidates.encoded_len_hint(),
             }
     }
 }
@@ -377,6 +421,18 @@ impl WireDecode for SbaMsg {
             2 => Ok(SbaMsg::King {
                 phase: r.u32()?,
                 value: Option::decode_from(r)?,
+            }),
+            3 => Ok(SbaMsg::Round1Slots {
+                phase: r.u32()?,
+                values: Vec::decode_from(r)?,
+            }),
+            4 => Ok(SbaMsg::Round2Slots {
+                phase: r.u32()?,
+                candidates: Vec::decode_from(r)?,
+            }),
+            5 => Ok(SbaMsg::KingSlots {
+                phase: r.u32()?,
+                values: Vec::decode_from(r)?,
             }),
             tag => invalid_tag(tag, "SbaMsg"),
         }
@@ -562,6 +618,18 @@ mod tests {
         roundtrip(Msg::Sba(SbaMsg::King {
             phase: 1,
             value: Some(BcValue::Value(vec![Fp::from_u64(5)])),
+        }));
+        roundtrip(Msg::Sba(SbaMsg::Round1Slots {
+            phase: 0,
+            values: vec![None, Some(BcValue::Bit(true))],
+        }));
+        roundtrip(Msg::Sba(SbaMsg::Round2Slots {
+            phase: 2,
+            candidates: vec![None, Some(None), Some(Some(BcValue::Bit(false)))],
+        }));
+        roundtrip(Msg::Sba(SbaMsg::KingSlots {
+            phase: 1,
+            values: vec![],
         }));
         roundtrip(Msg::Aba(AbaMsg::Est {
             round: 9,

@@ -11,52 +11,88 @@
 //! * in an asynchronous network it still has guaranteed liveness at local
 //!   time `T_BGP` (the output value may be arbitrary — `Π_BC` only needs
 //!   liveness there, see footnote 4 of the paper).
+//!
+//! One instance agrees on `k` values at once, **slot-wise**: the `k` slots
+//! share the round timers and ride in one Round1/Round2/King envelope per
+//! party per round, but every slot keeps its own tallies, its own `D` value
+//! and its own king adoption, so its output is exactly that of a one-slot
+//! instance fed the same per-slot messages (running phase-king on the vector
+//! as a single value would let one disputed slot void validity for the other
+//! `k − 1`). `k = 1` is the SBA of a lone `Π_BC` and speaks the scalar
+//! [`SbaMsg`] forms; `k > 1` is the SBA of a lock-step broadcast group (see
+//! DESIGN.md "Lock-step broadcast groups").
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
 
 use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
 
 use crate::msg::{Msg, SbaMsg, SbaValue};
 
-/// One instance of the phase-king SBA.
+/// Support counts of one (phase, round, slot): the distinct values seen and
+/// how many parties sent each. At most one entry per sender, so at most `n`.
+type Tally = Vec<(SbaValue, usize)>;
+
+fn tally(tally: &mut Tally, value: SbaValue) {
+    match tally.iter_mut().find(|(v, _)| *v == value) {
+        Some((_, count)) => *count += 1,
+        None => tally.push((value, 1)),
+    }
+}
+
+/// One instance of the phase-king SBA over `k` slots.
 #[derive(Debug)]
 pub struct Sba {
     n: usize,
     t: usize,
-    value: SbaValue,
-    start: Option<Time>,
-    // per-phase bookkeeping
-    round1: HashMap<u32, HashMap<SbaValue, HashSet<PartyId>>>,
-    round1_seen: HashSet<(u32, PartyId)>,
-    round2: HashMap<u32, HashMap<SbaValue, HashSet<PartyId>>>,
-    round2_seen: HashSet<(u32, PartyId)>,
-    king_value: HashMap<u32, SbaValue>,
-    phase_d: HashMap<u32, (SbaValue, usize)>,
-    /// The agreed value, set at local time `T_BGP` after the final phase.
-    pub output: Option<SbaValue>,
-    /// Local time at which the output was fixed.
+    /// Current value of every slot (its length is the slot count `k`).
+    values: Vec<SbaValue>,
+    /// Round-1 values, indexed `[phase · k + slot]`.
+    round1: Vec<Tally>,
+    /// Round-2 candidates, indexed `[phase · k + slot]`.
+    round2: Vec<Tally>,
+    /// Whether a round message was already accepted, indexed
+    /// `[(2 · phase + round) · n + sender]`.
+    seen: Vec<bool>,
+    /// The phase king's proposal (one value per slot), indexed `[phase]`.
+    king_values: Vec<Option<Vec<SbaValue>>>,
+    /// Per slot, the current phase's most supported round-2 candidate with
+    /// more than `t` supporters, and its support.
+    phase_d: Vec<Option<(SbaValue, usize)>>,
+    /// Local time at which the outputs were fixed.
     pub output_at: Option<Time>,
 }
 
 impl Sba {
-    /// Creates an SBA instance with the party's input value (`None` encodes
-    /// the paper's `⊥`/default input).
+    /// Creates a one-slot SBA instance with the party's input value (`None`
+    /// encodes the paper's `⊥`/default input).
     pub fn new(n: usize, t: usize, input: SbaValue) -> Self {
+        Self::with_slots(n, t, vec![input])
+    }
+
+    /// Creates an SBA instance agreeing slot-wise on `inputs.len() ≥ 1`
+    /// values.
+    pub fn with_slots(n: usize, t: usize, inputs: Vec<SbaValue>) -> Self {
+        let k = inputs.len();
+        assert!(k >= 1, "an SBA instance has at least one slot");
         Sba {
             n,
             t,
-            value: input,
-            start: None,
-            round1: HashMap::new(),
-            round1_seen: HashSet::new(),
-            round2: HashMap::new(),
-            round2_seen: HashSet::new(),
-            king_value: HashMap::new(),
-            phase_d: HashMap::new(),
-            output: None,
+            values: inputs,
+            round1: vec![Tally::new(); (t + 1) * k],
+            round2: vec![Tally::new(); (t + 1) * k],
+            seen: vec![false; 2 * (t + 1) * n],
+            king_values: vec![None; t + 1],
+            phase_d: vec![None; k],
             output_at: None,
         }
+    }
+
+    /// Replaces the party's inputs. Meant for a parent that creates the
+    /// instance early so that round messages of faster peers are tallied as
+    /// they arrive, and learns its own inputs only when the protocol starts.
+    pub fn set_inputs(&mut self, inputs: Vec<SbaValue>) {
+        assert_eq!(inputs.len(), self.values.len(), "slot count is fixed");
+        self.values = inputs;
     }
 
     /// Total running time of the protocol: `3(t+1)Δ`.
@@ -64,37 +100,158 @@ impl Sba {
         3 * (t as Time + 1) * delta
     }
 
-    fn king(&self, phase: u32) -> PartyId {
-        phase as usize % self.n
+    /// The agreed values, one per slot, from local time `T_BGP` on.
+    pub fn outputs(&self) -> Option<&[SbaValue]> {
+        self.output_at.map(|_| self.values.as_slice())
     }
 
-    /// Applies the end-of-phase update rule to `self.value`.
-    fn finish_phase(&mut self, phase: u32) {
-        if let Some((d_val, d_count)) = self.phase_d.get(&phase).cloned() {
-            if d_count >= self.n - self.t {
-                self.value = d_val;
-                return;
+    fn king(&self, phase: usize) -> PartyId {
+        phase % self.n
+    }
+
+    /// Admits one round-1/round-2 envelope: the wire's `phase` must name one
+    /// of the `t + 1` phases, the sender must be a party, the envelope must
+    /// carry exactly one entry per slot, and it must be the sender's first
+    /// for this (phase, round). Anything else is dropped whole — silence in
+    /// that round, which a corrupt sender could always choose.
+    fn admit(&mut self, from: PartyId, phase: u32, round: usize, len: usize) -> Option<usize> {
+        let phase = phase as usize;
+        if phase > self.t || from >= self.n || len != self.values.len() {
+            return None;
+        }
+        let seen = &mut self.seen[(2 * phase + round) * self.n + from];
+        (!std::mem::replace(seen, true)).then_some(phase)
+    }
+
+    /// Round 1 (`round = 0`, every entry `Some`) and round 2 (`round = 1`,
+    /// `None` = no candidate for that slot) differ only in the tally they
+    /// feed.
+    fn on_round(
+        &mut self,
+        from: PartyId,
+        phase: u32,
+        round: usize,
+        entries: impl ExactSizeIterator<Item = Option<SbaValue>>,
+    ) {
+        let Some(phase) = self.admit(from, phase, round, entries.len()) else {
+            return;
+        };
+        let k = self.values.len();
+        let tallies = if round == 0 {
+            &mut self.round1
+        } else {
+            &mut self.round2
+        };
+        for (slot, entry) in tallies[phase * k..][..k].iter_mut().zip(entries) {
+            if let Some(value) = entry {
+                tally(slot, value);
             }
         }
-        if let Some(kv) = self.king_value.get(&phase).cloned() {
-            self.value = kv;
+    }
+
+    fn on_king(&mut self, from: PartyId, phase: u32, values: Vec<SbaValue>) {
+        let phase = phase as usize;
+        if phase > self.t || from != self.king(phase) || values.len() != self.values.len() {
+            return;
         }
+        self.king_values[phase].get_or_insert(values);
+    }
+
+    /// Applies the end-of-phase update rule to every slot's value.
+    fn finish_phase(&mut self, phase: usize) {
+        let mut king = self.king_values[phase].take().map(Vec::into_iter);
+        for (value, d) in self.values.iter_mut().zip(&mut self.phase_d) {
+            let proposal = king.as_mut().and_then(Iterator::next);
+            match d.take() {
+                Some((d, support)) if support >= self.n - self.t => *value = d,
+                _ => {
+                    if let Some(proposal) = proposal {
+                        *value = proposal;
+                    }
+                }
+            }
+        }
+    }
+
+    fn send_round1(&self, ctx: &mut Context<'_, Msg>, phase: u32) {
+        ctx.broadcast(Msg::Sba(match self.values.as_slice() {
+            [value] => SbaMsg::Round1 {
+                phase,
+                value: value.clone(),
+            },
+            values => SbaMsg::Round1Slots {
+                phase,
+                values: values.to_vec(),
+            },
+        }));
+    }
+
+    /// Round 2: per slot, the value seen at least `n − t` times in round 1.
+    fn send_round2(&self, ctx: &mut Context<'_, Msg>, phase: usize) {
+        let k = self.values.len();
+        let mut candidates: Vec<Option<SbaValue>> = self.round1[phase * k..][..k]
+            .iter()
+            .map(|slot| {
+                slot.iter()
+                    .find(|(_, support)| *support >= self.n - self.t)
+                    .map(|(v, _)| v.clone())
+            })
+            .collect();
+        let phase = phase as u32;
+        ctx.broadcast(Msg::Sba(if k == 1 {
+            SbaMsg::Round2 {
+                phase,
+                candidate: candidates.pop().expect("k = 1"),
+            }
+        } else {
+            SbaMsg::Round2Slots { phase, candidates }
+        }));
+    }
+
+    /// Round 3: fix every slot's `D` (the most supported round-2 candidate
+    /// with more than `t` supporters; honest candidates of one phase never
+    /// differ, so at most one value qualifies) and, as the phase king,
+    /// propose `D` where it exists and the own value elsewhere.
+    fn send_king(&mut self, ctx: &mut Context<'_, Msg>, phase: usize) {
+        let k = self.values.len();
+        for (d, slot) in self.phase_d.iter_mut().zip(&self.round2[phase * k..][..k]) {
+            *d = None;
+            for (value, support) in slot {
+                if *support > self.t && d.as_ref().is_none_or(|(_, best)| support > best) {
+                    *d = Some((value.clone(), *support));
+                }
+            }
+        }
+        if ctx.me != self.king(phase) {
+            return;
+        }
+        let mut proposal: Vec<SbaValue> = self
+            .phase_d
+            .iter()
+            .zip(&self.values)
+            .map(|(d, value)| d.as_ref().map_or(value, |(v, _)| v).clone())
+            .collect();
+        let phase = phase as u32;
+        ctx.broadcast(Msg::Sba(if k == 1 {
+            SbaMsg::King {
+                phase,
+                value: proposal.pop().expect("k = 1"),
+            }
+        } else {
+            SbaMsg::KingSlots {
+                phase,
+                values: proposal,
+            }
+        }));
     }
 }
 
 impl Protocol<Msg> for Sba {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.start = Some(ctx.now);
         // schedule every round of every phase plus the final output point
-        for phase in 0..=(self.t as u64) {
-            for round in 0..3u64 {
-                ctx.set_timer((3 * phase + round) * ctx.delta, 3 * phase + round);
-            }
+        for id in 0..=3 * (self.t as u64 + 1) {
+            ctx.set_timer(id * ctx.delta, id);
         }
-        ctx.set_timer(
-            3 * (self.t as Time + 1) * ctx.delta,
-            3 * (self.t as u64 + 1),
-        );
     }
 
     fn on_message(
@@ -107,89 +264,41 @@ impl Protocol<Msg> for Sba {
         let Msg::Sba(sm) = msg else { return };
         match sm {
             SbaMsg::Round1 { phase, value } => {
-                if self.round1_seen.insert((phase, from)) {
-                    self.round1
-                        .entry(phase)
-                        .or_default()
-                        .entry(value)
-                        .or_default()
-                        .insert(from);
-                }
+                self.on_round(from, phase, 0, std::iter::once(Some(value)))
+            }
+            SbaMsg::Round1Slots { phase, values } => {
+                self.on_round(from, phase, 0, values.into_iter().map(Some))
             }
             SbaMsg::Round2 { phase, candidate } => {
-                if self.round2_seen.insert((phase, from)) {
-                    if let Some(c) = candidate {
-                        self.round2
-                            .entry(phase)
-                            .or_default()
-                            .entry(c)
-                            .or_default()
-                            .insert(from);
-                    }
-                }
+                self.on_round(from, phase, 1, std::iter::once(candidate))
             }
-            SbaMsg::King { phase, value } => {
-                if from == self.king(phase) {
-                    self.king_value.entry(phase).or_insert(value);
-                }
+            SbaMsg::Round2Slots { phase, candidates } => {
+                self.on_round(from, phase, 1, candidates.into_iter())
             }
+            SbaMsg::King { phase, value } => self.on_king(from, phase, vec![value]),
+            SbaMsg::KingSlots { phase, values } => self.on_king(from, phase, values),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _path: PathSlice<'_>, id: u64) {
-        let phase = (id / 3) as u32;
-        let round = id % 3;
-        if id == 3 * (self.t as u64 + 1) {
-            // end of the final phase: fix the output
-            self.finish_phase(phase - 1);
-            if self.output.is_none() {
-                self.output = Some(self.value.clone());
-                self.output_at = Some(ctx.now);
-            }
+        if id > 3 * (self.t as u64 + 1) || self.output_at.is_some() {
             return;
         }
-        match round {
+        let phase = (id / 3) as usize;
+        match id % 3 {
             0 => {
                 if phase > 0 {
                     self.finish_phase(phase - 1);
                 }
-                ctx.broadcast(Msg::Sba(SbaMsg::Round1 {
-                    phase,
-                    value: self.value.clone(),
-                }));
-            }
-            1 => {
-                // candidate: a value seen at least n - t times in round 1
-                let candidate = self.round1.get(&phase).and_then(|m| {
-                    m.iter()
-                        .find(|(_, s)| s.len() >= self.n - self.t)
-                        .map(|(v, _)| v.clone())
-                });
-                ctx.broadcast(Msg::Sba(SbaMsg::Round2 { phase, candidate }));
-            }
-            _ => {
-                // determine D (most supported candidate with >= t+1 support)
-                let d = self.round2.get(&phase).and_then(|m| {
-                    m.iter()
-                        .filter(|(_, s)| s.len() > self.t)
-                        .max_by_key(|(_, s)| s.len())
-                        .map(|(v, s)| (v.clone(), s.len()))
-                });
-                if let Some(d) = d {
-                    self.phase_d.insert(phase, d);
-                }
-                if ctx.me == self.king(phase) {
-                    let proposal = self
-                        .phase_d
-                        .get(&phase)
-                        .map(|(v, _)| v.clone())
-                        .unwrap_or_else(|| self.value.clone());
-                    ctx.broadcast(Msg::Sba(SbaMsg::King {
-                        phase,
-                        value: proposal,
-                    }));
+                if phase > self.t {
+                    // end of the final phase: the outputs are fixed
+                    self.output_at = Some(ctx.now);
+                } else {
+                    self.send_round1(ctx, phase as u32);
                 }
             }
+            1 => self.send_round2(ctx, phase),
+            _ => self.send_king(ctx, phase),
         }
     }
 
@@ -202,11 +311,24 @@ impl Protocol<Msg> for Sba {
 }
 
 #[cfg(test)]
+impl Sba {
+    /// Heap entries held for round messages: tally entries plus stored king
+    /// proposals (what a flooding sender could hope to grow).
+    pub(crate) fn stored_entries(&self) -> usize {
+        let tallies = self.round1.iter().chain(&self.round2);
+        tallies.map(Vec::len).sum::<usize>() + self.king_values.iter().flatten().count()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::byzantine::SilentParty;
     use crate::msg::BcValue;
     use mpc_algebra::Fp;
-    use mpc_net::{party_as, CorruptionSet, NetConfig, PartyView, Simulation};
+    use mpc_net::{party_as, CorruptionSet, Effects, NetConfig, PartyView, Simulation};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn value(x: u64) -> SbaValue {
         Some(BcValue::Value(vec![Fp::from_u64(x)]))
@@ -226,19 +348,13 @@ mod tests {
         let cfg = NetConfig::synchronous(n).with_seed(seed);
         let mut net = crate::testnet::transport_for(cfg, corrupt.clone(), parties);
         let done = net.run_until_done(100_000, &mut |view| {
-            (0..n).all(|i| party_as::<Sba, Msg>(view, i).unwrap().output.is_some())
+            (0..n).all(|i| party_as::<Sba, Msg>(view, i).unwrap().outputs().is_some())
         });
         assert!(done, "SBA must have guaranteed liveness");
         let view: &dyn PartyView<Msg> = net.as_ref();
         (0..n)
             .filter(|&i| corrupt.is_honest(i))
-            .map(|i| {
-                party_as::<Sba, Msg>(view, i)
-                    .unwrap()
-                    .output
-                    .clone()
-                    .unwrap()
-            })
+            .map(|i| party_as::<Sba, Msg>(view, i).unwrap().outputs().unwrap()[0].clone())
             .collect()
     }
 
@@ -303,5 +419,178 @@ mod tests {
             let p = sim.party_as::<Sba>(i).unwrap();
             assert_eq!(p.output_at.unwrap(), Sba::duration(t, delta));
         }
+    }
+
+    /// Every message a corrupt party can send that the handler must drop
+    /// whole, for a `k`-slot instance in which `from` is never the king:
+    /// phases past `t` (up to `u32::MAX`), vectors one short / one long /
+    /// empty, the scalar form when `k > 1`, and `King` from a non-king.
+    fn hostile_messages(t: usize, k: usize) -> Vec<Msg> {
+        let mut out = Vec::new();
+        for phase in [t as u32 + 1, 1 << 20, u32::MAX] {
+            out.push(SbaMsg::Round1Slots {
+                phase,
+                values: vec![value(66); k],
+            });
+            out.push(SbaMsg::Round2Slots {
+                phase,
+                candidates: vec![Some(value(66)); k],
+            });
+            out.push(SbaMsg::KingSlots {
+                phase,
+                values: vec![value(66); k],
+            });
+            out.push(SbaMsg::Round1 {
+                phase,
+                value: value(66),
+            });
+            out.push(SbaMsg::Round2 {
+                phase,
+                candidate: Some(value(66)),
+            });
+            out.push(SbaMsg::King {
+                phase,
+                value: value(66),
+            });
+        }
+        for phase in 0..=t as u32 {
+            for len in [0, k - 1, k + 1, 64 * k] {
+                out.push(SbaMsg::Round1Slots {
+                    phase,
+                    values: vec![value(66); len],
+                });
+                out.push(SbaMsg::Round2Slots {
+                    phase,
+                    candidates: vec![Some(value(66)); len],
+                });
+            }
+            if k > 1 {
+                out.push(SbaMsg::Round1 {
+                    phase,
+                    value: value(66),
+                });
+                out.push(SbaMsg::Round2 {
+                    phase,
+                    candidate: Some(value(66)),
+                });
+            }
+            // right length, but the sender is not this phase's king
+            out.push(SbaMsg::KingSlots {
+                phase,
+                values: vec![value(66); k],
+            });
+        }
+        out.into_iter().map(Msg::Sba).collect()
+    }
+
+    fn feed(sba: &mut Sba, from: PartyId, msg: Msg) {
+        let mut effects = Effects::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(0, sba.n, 0, 10, &mut effects, &mut rng, 0);
+        sba.on_message(&mut ctx, from, &[], msg);
+    }
+
+    #[test]
+    fn hostile_messages_are_dropped_without_state_growth() {
+        let (n, t) = (7, 2);
+        for k in [1usize, 3, n] {
+            let mut sba = Sba::with_slots(n, t, vec![value(1); k]);
+            for msg in hostile_messages(t, k) {
+                feed(&mut sba, n - 1, msg.clone());
+                // a sender id outside the party set is dropped as well
+                feed(&mut sba, n, msg.clone());
+                feed(&mut sba, usize::MAX, msg);
+            }
+            assert_eq!(sba.stored_entries(), 0, "k = {k}");
+            assert!(sba.seen.iter().all(|&s| !s), "k = {k}");
+            let sizes = (sba.round1.len(), sba.round2.len(), sba.seen.len());
+            assert_eq!(sizes, ((t + 1) * k, (t + 1) * k, 2 * (t + 1) * n));
+
+            // A well-formed round message counts once; its repeats (same or
+            // different value) and a second king proposal do not.
+            let round1 = |x| {
+                Msg::Sba(SbaMsg::Round1Slots {
+                    phase: 1,
+                    values: vec![value(x); k],
+                })
+            };
+            let round2 = |x| {
+                Msg::Sba(SbaMsg::Round2Slots {
+                    phase: 1,
+                    candidates: vec![Some(value(x)); k],
+                })
+            };
+            let king = |x| {
+                Msg::Sba(SbaMsg::KingSlots {
+                    phase: 1,
+                    values: vec![value(x); k],
+                })
+            };
+            for x in [5, 5, 6, 7] {
+                feed(&mut sba, 3, round1(x));
+                feed(&mut sba, 3, round2(x));
+                feed(&mut sba, 1, king(x)); // party 1 is the king of phase 1
+            }
+            assert_eq!(sba.stored_entries(), 2 * k + 1, "k = {k}");
+            assert_eq!(sba.round1[k], vec![(value(5), 1)]);
+            assert_eq!(sba.king_values[1], Some(vec![value(5); k]));
+        }
+    }
+
+    /// A corrupt party that broadcasts [`hostile_messages`] at every round.
+    struct HostileSender {
+        t: usize,
+        k: usize,
+    }
+
+    impl Protocol<Msg> for HostileSender {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            for id in 0..=3 * (self.t as u64 + 1) {
+                ctx.set_timer(id * ctx.delta, id);
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: PartyId, _: PathSlice<'_>, _: Msg) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, _: u64) {
+            for msg in hostile_messages(self.t, self.k) {
+                ctx.broadcast(msg);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn hostile_sender_changes_nothing_compared_to_a_silent_one() {
+        let (n, t, k) = (7, 2, 3);
+        // slot 0 unanimous, slot 1 split 3/3 among the honest, slot 2 ⊥
+        let inputs = |i: usize| vec![value(4), value(i as u64 % 2), None];
+        let run = |hostile: bool| {
+            let mut parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
+                .map(|i| Box::new(Sba::with_slots(n, t, inputs(i))) as Box<dyn Protocol<Msg>>)
+                .collect();
+            parties[n - 1] = if hostile {
+                Box::new(HostileSender { t, k })
+            } else {
+                Box::new(SilentParty)
+            };
+            let corrupt = CorruptionSet::new(vec![n - 1]);
+            let mut sim = Simulation::new(NetConfig::synchronous(n).with_seed(9), corrupt, parties);
+            sim.run_to_quiescence(100_000);
+            (0..n - 1)
+                .map(|i| {
+                    let sba = sim.party_as::<Sba>(i).unwrap();
+                    (sba.outputs().unwrap().to_vec(), sba.output_at)
+                })
+                .collect::<Vec<_>>()
+        };
+        let silent = run(false);
+        assert_eq!(run(true), silent);
+        assert!(silent.windows(2).all(|w| w[0] == w[1]), "agreement");
+        assert_eq!(silent[0].0[0], value(4), "validity of the unanimous slot");
+        assert_eq!(silent[0].0[2], None, "validity of the ⊥ slot");
     }
 }

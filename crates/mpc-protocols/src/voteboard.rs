@@ -8,7 +8,9 @@
 //!
 //! * a **scheduled `Π_BC` broadcast per party** at the phase time fixed by the
 //!   parent protocol — its *regular-mode* output is what the timed
-//!   `(W, E, F)` acceptance checks look at;
+//!   `(W, E, F)` acceptance checks look at. All `n` start in
+//!   [`VoteBoard::start`], so they run as one lock-step [`Bc`] group (`n`
+//!   A-casts, one `n`-slot SBA);
 //! * **incremental A-casts** for votes a party only establishes later (slow
 //!   counterparts in an asynchronous network) — these only feed the
 //!   *eventual* consistency graph used by the `(n, t_a)`-star fallback path.
@@ -21,7 +23,7 @@ use std::collections::BTreeMap;
 use mpc_net::{Context, PartyId, PathSlice, Protocol};
 
 use crate::acast::Acast;
-use crate::bc::Bc;
+use crate::bc::{Bc, BcSlot};
 use crate::msg::{BcValue, Msg, Vote};
 use crate::params::Params;
 use crate::star::ConsistencyGraph;
@@ -34,29 +36,30 @@ pub struct VoteBoard {
     t: usize,
     params: Params,
     my_votes: BTreeMap<PartyId, Vote>,
-    started: bool,
-    scheduled: Vec<Bc>,
+    /// The scheduled broadcasts (slot `j` = party `j`), once started.
+    scheduled: Option<Bc>,
     updates: BTreeMap<u32, Acast>,
 }
 
 impl VoteBoard {
     /// Creates a vote board whose children occupy the segment range
-    /// `[base, base + n + n²)` of the parent protocol.
+    /// `[base, base + 1 + n²)` of the parent protocol: `base` is the
+    /// scheduled broadcast group and `base + 1 + sender · n + counterpart`
+    /// the incremental A-cast of `sender`'s vote about `counterpart`.
     pub fn new(base: u32, t: usize, params: Params) -> Self {
         VoteBoard {
             base,
             t,
             params,
             my_votes: BTreeMap::new(),
-            started: false,
-            scheduled: Vec::new(),
+            scheduled: None,
             updates: BTreeMap::new(),
         }
     }
 
     /// Number of child segments occupied by a vote board.
     pub fn segment_span(n: usize) -> u32 {
-        (n + n * n) as u32
+        (1 + n * n) as u32
     }
 
     /// Is `seg` one of this board's child segments?
@@ -79,7 +82,7 @@ impl VoteBoard {
             return;
         }
         self.my_votes.insert(counterpart, vote.clone());
-        if self.started {
+        if self.scheduled.is_some() {
             let seg = self.update_segment(ctx.me, counterpart);
             let payload = BcValue::Votes(vec![(counterpart as u32, vote)]);
             let mut acast = Acast::new_sender(ctx.me, self.params.n, self.t, payload);
@@ -91,34 +94,27 @@ impl VoteBoard {
     /// Starts the scheduled per-party vote broadcasts (called by the parent at
     /// the phase time it fixes, e.g. `2Δ` for `Π_WPS`).
     pub fn start(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.started {
+        if self.scheduled.is_some() {
             return;
         }
-        self.started = true;
-        let me = ctx.me;
-        for j in 0..self.params.n {
-            let seg = self.base + j as u32;
-            let mut bc = if j == me {
-                let votes: Vec<(u32, Vote)> = self
-                    .my_votes
-                    .iter()
-                    .map(|(&k, v)| (k as u32, v.clone()))
-                    .collect();
-                Bc::new_sender(j, self.t, self.params, BcValue::Votes(votes))
-            } else {
-                Bc::new(j, self.t, self.params)
-            };
-            ctx.scoped(seg, |ctx| bc.init(ctx));
-            self.scheduled.push(bc);
-        }
+        let votes: Vec<(u32, Vote)> = self
+            .my_votes
+            .iter()
+            .map(|(&k, v)| (k as u32, v.clone()))
+            .collect();
+        let bcs = self.scheduled.insert(Bc::new_group(self.t, self.params));
+        ctx.scoped(self.base, |ctx| {
+            bcs.init(ctx);
+            bcs.provide_input(ctx, BcValue::Votes(votes));
+        });
     }
 
     fn update_segment(&self, sender: PartyId, counterpart: PartyId) -> u32 {
-        self.base + self.params.n as u32 + (sender * self.params.n + counterpart) as u32
+        self.base + 1 + (sender * self.params.n + counterpart) as u32
     }
 
     fn update_sender(&self, seg: u32) -> PartyId {
-        ((seg - self.base) as usize - self.params.n) / self.params.n
+        (seg - self.base - 1) as usize / self.params.n
     }
 
     /// Routes a message addressed to one of this board's children.
@@ -130,14 +126,14 @@ impl VoteBoard {
         msg: Msg,
     ) {
         let Some(&seg) = path.first() else { return };
-        let idx = (seg - self.base) as usize;
-        if idx < self.params.n {
-            if let Some(bc) = self.scheduled.get_mut(idx) {
-                ctx.scoped(seg, |ctx| bc.on_message(ctx, from, &path[1..], msg));
+        if seg == self.base {
+            if let Some(bcs) = self.scheduled.as_mut() {
+                ctx.scoped(seg, |ctx| bcs.on_message(ctx, from, &path[1..], msg));
             }
-            // messages for a not-yet-started scheduled BC cannot occur: all
-            // parties start the boards at the same local time and message
-            // delays between distinct parties are positive.
+            // messages for the not-yet-started scheduled group cannot occur
+            // in a synchronous network: all parties start the boards at the
+            // same local time and message delays between distinct parties
+            // are positive.
         } else {
             let sender = self.update_sender(seg);
             let n = self.params.n;
@@ -153,14 +149,17 @@ impl VoteBoard {
     /// Routes a timer event addressed to one of this board's children.
     pub fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
         let Some(&seg) = path.first() else { return };
-        let idx = (seg - self.base) as usize;
-        if idx < self.params.n {
-            if let Some(bc) = self.scheduled.get_mut(idx) {
-                ctx.scoped(seg, |ctx| bc.on_timer(ctx, &path[1..], id));
+        if seg == self.base {
+            if let Some(bcs) = self.scheduled.as_mut() {
+                ctx.scoped(seg, |ctx| bcs.on_timer(ctx, &path[1..], id));
             }
         } else if let Some(acast) = self.updates.get_mut(&seg) {
             ctx.scoped(seg, |ctx| acast.on_timer(ctx, &path[1..], id));
         }
+    }
+
+    fn scheduled_slot(&self, j: PartyId) -> Option<&BcSlot> {
+        self.scheduled.as_ref().and_then(|bcs| bcs.slot(j))
     }
 
     fn votes_in(value: Option<&BcValue>) -> Vec<(PartyId, Vote)> {
@@ -176,13 +175,13 @@ impl VoteBoard {
     /// Votes of party `j` received through the *regular mode* of its scheduled
     /// broadcast (empty until that broadcast's `T_BC`).
     pub fn regular_votes_of(&self, j: PartyId) -> Vec<(PartyId, Vote)> {
-        Self::votes_in(self.scheduled.get(j).and_then(|bc| bc.regular_value()))
+        Self::votes_in(self.scheduled_slot(j).and_then(BcSlot::regular_value))
     }
 
     /// All votes of party `j` visible so far, through any mode (scheduled
     /// broadcast regular/fallback output plus incremental A-casts).
     pub fn all_votes_of(&self, j: PartyId) -> Vec<(PartyId, Vote)> {
-        let mut votes = Self::votes_in(self.scheduled.get(j).and_then(|bc| bc.value()));
+        let mut votes = Self::votes_in(self.scheduled_slot(j).and_then(BcSlot::value));
         for (seg, acast) in &self.updates {
             if self.update_sender(*seg) == j {
                 votes.extend(Self::votes_in(acast.output.as_ref()));

@@ -120,7 +120,7 @@ fn crashed_king_on_the_wire_preserves_sba_agreement() {
     sim.set_strategy(Box::new(Crash));
     sim.run_to_quiescence(100_000);
     let outs: Vec<_> = (1..n)
-        .map(|i| sim.party_as::<Sba>(i).unwrap().output.clone().unwrap())
+        .map(|i| sim.party_as::<Sba>(i).unwrap().outputs().unwrap()[0].clone())
         .collect();
     assert!(outs.windows(2).all(|w| w[0] == w[1]));
     assert!(sim.metrics().adversary_drops > 0);

@@ -69,6 +69,19 @@ fn arb_sba_value(rng: &mut StdRng) -> Option<BcValue> {
     }
 }
 
+fn arb_sba_candidate(rng: &mut StdRng) -> Option<Option<BcValue>> {
+    if rng.gen_range(0..3u8) == 0 {
+        None
+    } else {
+        Some(arb_sba_value(rng))
+    }
+}
+
+fn arb_slots<T>(rng: &mut StdRng, entry: fn(&mut StdRng) -> T) -> Vec<T> {
+    let k = rng.gen_range(0..=10usize);
+    (0..k).map(|_| entry(rng)).collect()
+}
+
 /// Draws one message, with the top-level variant chosen uniformly so a few
 /// hundred cases cover the whole `Msg` tree many times over.
 fn arb_msg(rng: &mut StdRng) -> Msg {
@@ -76,22 +89,31 @@ fn arb_msg(rng: &mut StdRng) -> Msg {
         0 => Msg::Acast(AcastMsg::Send(arb_bc_value(rng))),
         1 => Msg::Acast(AcastMsg::Echo(arb_bc_value(rng))),
         2 => Msg::Acast(AcastMsg::Ready(arb_bc_value(rng))),
-        3 => match rng.gen_range(0..3u8) {
+        3 => match rng.gen_range(0..6u8) {
             0 => Msg::Sba(SbaMsg::Round1 {
                 phase: rng.gen_range(0..8),
                 value: arb_sba_value(rng),
             }),
             1 => Msg::Sba(SbaMsg::Round2 {
                 phase: rng.gen_range(0..8),
-                candidate: if rng.gen_range(0..3u8) == 0 {
-                    None
-                } else {
-                    Some(arb_sba_value(rng))
-                },
+                candidate: arb_sba_candidate(rng),
             }),
-            _ => Msg::Sba(SbaMsg::King {
+            2 => Msg::Sba(SbaMsg::King {
                 phase: rng.gen_range(0..8),
                 value: arb_sba_value(rng),
+            }),
+            // the k-slot forms of a lock-step broadcast group
+            3 => Msg::Sba(SbaMsg::Round1Slots {
+                phase: rng.gen_range(0..8),
+                values: arb_slots(rng, arb_sba_value),
+            }),
+            4 => Msg::Sba(SbaMsg::Round2Slots {
+                phase: rng.gen_range(0..8),
+                candidates: arb_slots(rng, arb_sba_candidate),
+            }),
+            _ => Msg::Sba(SbaMsg::KingSlots {
+                phase: rng.gen_range(0..8),
+                values: arb_slots(rng, arb_sba_value),
             }),
         },
         4 => match rng.gen_range(0..3u8) {
@@ -138,6 +160,27 @@ proptest! {
         // any result is fine — the property is "no panic, no unbounded alloc"
         let _ = Msg::decode(&bytes);
         let _ = bobw_mpc::net::Frame::decode::<Msg>(&bytes);
+    }
+
+    /// Random bytes almost never get past the first tags, so the nested
+    /// length prefixes (the `k`-slot SBA vectors above all) are reached by
+    /// damaging a valid encoding instead: flip a byte, cut the tail, or
+    /// both. Whatever comes out, decoding must not panic, and what does
+    /// decode must re-encode to exactly the bytes it was decoded from.
+    #[test]
+    fn decoding_damaged_messages_never_panics(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bytes = arb_msg(&mut rng).encode();
+        if rng.gen() {
+            let victim = rng.gen_range(0..bytes.len());
+            bytes[victim] ^= rng.gen_range(1..=255u8);
+        }
+        if rng.gen() {
+            bytes.truncate(rng.gen_range(0..=bytes.len()));
+        }
+        if let Ok(msg) = Msg::decode(&bytes) {
+            prop_assert_eq!(msg.encode(), bytes);
+        }
     }
 }
 
@@ -335,4 +378,49 @@ fn honest_bits_equals_sum_of_encoded_lengths() {
         })
         .sum();
     assert_eq!(delivered, expected);
+}
+
+/// The same exactness for a `k`-slot SBA (the SBA of a lock-step broadcast
+/// group): with unanimous inputs every party broadcasts one `Round1Slots` and
+/// one `Round2Slots` envelope per phase and the phase king one `KingSlots`.
+#[test]
+fn honest_bits_equals_sum_of_encoded_lengths_for_a_slot_sba() {
+    use bobw_mpc::protocols::sba::Sba;
+    let (n, t) = (4usize, 1usize);
+    let values = vec![
+        Some(BcValue::Bit(true)),
+        None,
+        Some(BcValue::Votes(vec![(2, Vote::Ok)])),
+    ];
+    let parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
+        .map(|_| Box::new(Sba::with_slots(n, t, values.clone())) as Box<dyn Protocol<Msg>>)
+        .collect();
+    let mut sim = Simulation::new(NetConfig::synchronous(n), CorruptionSet::none(), parties);
+    sim.run_to_quiescence(10_000);
+    for i in 0..n {
+        assert_eq!(sim.party_as::<Sba>(i).unwrap().outputs(), Some(&values[..]));
+    }
+    let n = n as u64;
+    let mut expected = 0;
+    for phase in 0..=t as u32 {
+        let round1 = Msg::Sba(SbaMsg::Round1Slots {
+            phase,
+            values: values.clone(),
+        });
+        let round2 = Msg::Sba(SbaMsg::Round2Slots {
+            phase,
+            candidates: values.iter().cloned().map(Some).collect(),
+        });
+        let king = Msg::Sba(SbaMsg::KingSlots {
+            phase,
+            values: values.clone(),
+        });
+        expected += n * n * (round1.encoded_bits() + round2.encoded_bits());
+        expected += n * king.encoded_bits();
+    }
+    assert_eq!(sim.metrics().honest_bits, expected);
+    assert_eq!(
+        sim.metrics().honest_messages,
+        (2 * n + 1) * n * (t as u64 + 1)
+    );
 }

@@ -299,22 +299,32 @@ fn full_mpc_metrics_bit_identical_to_pre_refactor_golden() {
     // Draining the full tick processes them; they emit nothing, so every
     // observable of the run — output, completion time, honest bits and
     // messages — is still bit-identical to the seed implementation.
+    //
+    // Re-pinned for lock-step broadcast groups (DESIGN.md): the n same-tick
+    // `Π_BC` instances of every `Π_BA` and vote board now share ONE slot-wise
+    // SBA, so n round envelopes per party per round became one. Old → new:
+    // sync bits 8 775 040 → 8 065 408, messages 47 856 → 28 848, events
+    // 62 808 → 34 296; async bits 5 721 504 → 5 015 712, messages 69 412 →
+    // 50 468, events 84 360 → 55 914. The output (33) and the synchronous
+    // completion tick (960) did not move — all SBA timing is timer-driven.
+    // The asynchronous tick moved 3001 → 3211 only because the scheduler
+    // draws one random delay per message, and there are fewer messages.
     let golden = [
         (
             NetworkKind::Synchronous,
             33u64,
             960u64,
-            8_775_040u64,
-            47_856u64,
-            62_808u64,
+            8_065_408u64,
+            28_848u64,
+            34_296u64,
         ),
         (
             NetworkKind::Asynchronous,
             33,
-            3001,
-            5_721_504,
-            69_412,
-            84_360,
+            3211,
+            5_015_712,
+            50_468,
+            55_914,
         ),
     ];
     let c = golden_circuit();
@@ -355,8 +365,14 @@ fn full_mpc_metrics_bit_identical_to_pre_refactor_golden() {
 
 /// Golden fingerprint of the default engine (frames on, layer-batched
 /// openings) on the same full-MPC run: the same output at the same simulated
-/// time, with the synchronous event count reduced 62 808 → 27 822 (2.26×)
+/// time, with the synchronous event count reduced 34 296 → 13 566 (2.5×)
 /// and identical paper-level bit accounting.
+///
+/// Re-pinned for lock-step broadcast groups like the golden above. Old →
+/// new: sync bits 8 775 040 → 8 065 408, messages 47 856 → 28 848, events
+/// 27 822 → 13 566; async bits 5 703 232 → 4 993 600, messages 68 952 →
+/// 49 944, events 37 351 → 23 095. Output, both completion ticks (960 /
+/// 2956) and both frame counts (906 / 5 163) did not move.
 #[test]
 fn full_mpc_metrics_golden_batched() {
     let golden = [
@@ -364,18 +380,18 @@ fn full_mpc_metrics_golden_batched() {
             NetworkKind::Synchronous,
             33u64,
             960u64,
-            8_775_040u64,
-            47_856u64,
-            27_822u64,
+            8_065_408u64,
+            28_848u64,
+            13_566u64,
             906u64,
         ),
         (
             NetworkKind::Asynchronous,
             33,
             2956,
-            5_703_232,
-            68_952,
-            37_351,
+            4_993_600,
+            49_944,
+            23_095,
             5_163,
         ),
     ];
