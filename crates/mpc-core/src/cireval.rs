@@ -30,6 +30,17 @@
 //!    reconstructed; `(ready, y)` messages à la Bracha ensure every honest
 //!    party terminates with the same output.
 //!
+//! **Openings are batched per wave.** Every set of reconstructions the paper
+//! runs in parallel is ONE `Msg::Open` per party and one OEC batch decode:
+//! `TAG_TRANSFORM`, `TAG_VERIFY`, `TAG_GAMMA`, `TAG_EXTRACT`, the suspect
+//! wave (`TAG_SUSPECT`, three values per non-zero γ — empty, hence off the
+//! wire, in every honest run), one batch per multiplication layer and the
+//! output. A value is identified by its *position* in the batch, derived
+//! from public data only (`CS₂`, batch count, `t_s`, the opened γ vector)
+//! by one layout iterator per wave shared by issue and resolve. Wrong-length
+//! batches and tags outside the run's static set are ignored
+//! ([`crate::openings`]; DESIGN.md, "Phase-batched openings").
+//!
 //! `CirEval` is `Send` (asserted below): under the simulator's deterministic
 //! parallel engine a whole party — this state machine included — is handed
 //! to a worker thread for the duration of one time slice, and its per-event
@@ -46,7 +57,7 @@ use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
 use mpc_protocols::acs::Acs;
 use mpc_protocols::{Msg, Params};
 
-use crate::circuit::{Circuit, Gate};
+use crate::circuit::{Circuit, Gate, Wire};
 use crate::openings::OpeningManager;
 use crate::packing::{point, BasisElem, LinComb, PackedPlan, Pos};
 use crate::triples::{
@@ -67,6 +78,8 @@ const TAG_OUTPUT: u32 = 7 << 28;
 const TAG_PACKED: u32 = 8 << 28;
 /// Public degree-probe openings of the packed deals, one tag per dealer.
 const TAG_PROBE: u32 = 9 << 28;
+/// The low bits of a tag: the layer / gate / dealer index inside its space.
+const TAG_INDEX_MASK: u32 = (1 << 28) - 1;
 
 /// Root-path timer id: the packed-deal phase deadline, after which dealers
 /// still unresolved at this party are publicly reported
@@ -123,6 +136,9 @@ pub struct CirEval {
     supervisors: Vec<PartyId>,
     raw: HashMap<(usize, usize, usize), TripleShare>,
     z_high: HashMap<(usize, usize, usize), Fp>,
+    /// `(dpos, batch, spos)` of every supervised check whose opened γ is
+    /// non-zero, in verify order — the layout of the suspect batch.
+    suspects: Vec<(usize, usize, usize)>,
     flagged: HashSet<(usize, usize)>,
     verified: BTreeMap<(usize, usize), TripleShare>,
     ext_z: HashMap<(usize, usize), Fp>,
@@ -205,6 +221,23 @@ pub struct CirEval {
     pub output_at: Option<Time>,
     /// The common subset whose inputs were used (set once known).
     pub input_subset: Option<Vec<PartyId>>,
+    /// Test hook: deal every raw triple with `c = a·b + 1` (a corrupt
+    /// dealer that is otherwise honest), to reach [`Phase::Suspect`].
+    #[cfg(test)]
+    deal_bad_triples: bool,
+}
+
+/// `(a, b, c)` for `a < outer`, `b < mid`, `c ∈ inner`, `a` slowest — the
+/// loop order of every phase batch.
+fn grid(
+    outer: usize,
+    mid: usize,
+    inner: std::ops::Range<usize>,
+) -> impl Iterator<Item = (usize, usize, usize)> {
+    (0..outer).flat_map(move |a| {
+        let inner = inner.clone();
+        (0..mid).flat_map(move |b| inner.clone().map(move |c| (a, b, c)))
+    })
 }
 
 impl CirEval {
@@ -246,6 +279,7 @@ impl CirEval {
             supervisors: Vec::new(),
             raw: HashMap::new(),
             z_high: HashMap::new(),
+            suspects: Vec::new(),
             flagged: HashSet::new(),
             verified: BTreeMap::new(),
             ext_z: HashMap::new(),
@@ -281,6 +315,8 @@ impl CirEval {
             output: None,
             output_at: None,
             input_subset: None,
+            #[cfg(test)]
+            deal_bad_triples: false,
         }
     }
 
@@ -355,18 +391,53 @@ impl CirEval {
         self.verif_base() + self.batches * self.params.n * 3
     }
 
-    fn transform_idx(&self, dpos: usize, batch: usize, i: usize) -> u32 {
-        ((dpos * self.batches.max(1) + batch) * self.raw_per_dealer() + i) as u32
+    // Phase-batch layouts: the position of a value inside a phase's single
+    // `Open` replaces a per-value tag, so issue and resolve of a phase walk
+    // the SAME iterator. Every bound is public (`CS₂`, `batches`, `t_s`).
+
+    /// `(dpos, batch, i)` of the `Π_TripTrans` re-multiplications.
+    fn transform_layout(&self) -> impl Iterator<Item = (usize, usize, usize)> {
+        let high = self.ts() + 1..self.raw_per_dealer();
+        grid(self.dealers.len(), self.batches, high)
     }
-    fn verify_idx(&self, dpos: usize, batch: usize, sup: usize) -> u32 {
-        ((dpos * self.batches.max(1) + batch) * self.params.n + sup) as u32
+    /// `(dpos, batch, spos)` of the supervised checks (Verify and γ waves).
+    fn verify_layout(&self) -> impl Iterator<Item = (usize, usize, usize)> {
+        grid(self.dealers.len(), self.batches, 0..self.supervisors.len())
     }
-    fn extract_idx(&self, batch: usize, p: usize) -> u32 {
-        (batch * (2 * self.d_ext + 1) + p) as u32
+    /// `(batch, p)` of the `Π_TripExt` re-multiplications.
+    fn extract_layout(&self) -> impl Iterator<Item = (usize, usize)> {
+        let high = self.d_ext + 1..2 * self.d_ext + 1;
+        (0..self.batches).flat_map(move |batch| high.clone().map(move |p| (batch, p)))
+    }
+
+    /// Resolves one phase batch of `count` `t_s`-shared values.
+    fn resolve_batch(&mut self, tag: u32, count: usize) -> Option<Vec<Fp>> {
+        let ts = self.ts();
+        self.openings
+            .try_reconstruct(tag, count, ts, ts)
+            .map(<[Fp]>::to_vec)
     }
 
     fn ts(&self) -> usize {
         self.params.ts
+    }
+
+    /// Whether `tag` can name an opening of this run. The set is small and
+    /// static — the five phase batches, one batch per multiplication layer
+    /// (per gate in the reference mode), the output and one probe per packed
+    /// dealer — so `Open`s outside it are dropped unread instead of letting a
+    /// corrupt sender grow the opening state by 2³² keys.
+    fn legal_open_tag(&self, tag: u32) -> bool {
+        let index = (tag & TAG_INDEX_MASK) as usize;
+        match tag & !TAG_INDEX_MASK {
+            TAG_TRANSFORM | TAG_VERIFY | TAG_GAMMA | TAG_SUSPECT | TAG_EXTRACT | TAG_OUTPUT => {
+                index == 0
+            }
+            TAG_CIRCUIT if self.per_gate_openings => index < self.circuit.gates().len(),
+            TAG_CIRCUIT | TAG_PACKED => index < self.mul_layers.len(),
+            TAG_PROBE => index < self.params.n,
+            _ => false,
+        }
     }
 
     fn raw_triple(&self, dpos: usize, batch: usize, k: usize) -> TripleShare {
@@ -416,6 +487,8 @@ impl CirEval {
                 let a = Fp::random(ctx.rng());
                 let b = Fp::random(ctx.rng());
                 let c = a * b;
+                #[cfg(test)]
+                let c = c + Fp::from_u64(self.deal_bad_triples as u64);
                 for v in [a, b, c] {
                     polys.push(Polynomial::random_with_constant_term(ctx.rng(), ts, v));
                 }
@@ -478,44 +551,16 @@ impl CirEval {
     }
 
     fn drive_await_acs(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.packing > 0 {
-            // Packed mode runs on ACS #1 alone: triples arrive as
-            // slot-positioned point-to-point deals, so the whole
-            // transform/verify/extract pipeline (and its ACS) is skipped.
-            let Some(acs1) = &self.acs_input else { return };
-            if !acs1.ready() {
-                return;
-            }
-            let mut cs1 = acs1.common_subset.clone().expect("ready implies CS");
-            cs1.sort_unstable();
-            self.input_subset = Some(cs1.clone());
-            self.input_shares = (0..self.params.n)
-                .map(|j| {
-                    if cs1.contains(&j) {
-                        acs1.shares_from(j).expect("in CS")[0]
-                    } else {
-                        Fp::ZERO
-                    }
-                })
-                .collect();
-            self.cs1_sorted = cs1;
-            self.phase = Phase::PackedDeal;
-            // Deadline for every assigned dealer's deal to arrive and pass
-            // its degree probe. `T_ACS` is generous (deals + probes need two
-            // message hops), so in honest runs — synchronous or not — the
-            // phase completes long before the timer fires.
-            ctx.set_timer(self.params.t_acs(), TIMER_PACKED_DEAL);
-            self.issue_packed_deals(ctx);
+        // Packed mode runs on ACS #1 alone: triples arrive as
+        // slot-positioned point-to-point deals, so the whole
+        // transform/verify/extract pipeline (and its ACS) is skipped.
+        let Some(acs1) = &self.acs_input else { return };
+        let acs2_ready = self.packing > 0 || self.acs_triples.as_ref().is_some_and(Acs::ready);
+        if !acs1.ready() || !acs2_ready {
             return;
         }
-        let (Some(acs1), Some(acs2)) = (&self.acs_input, &self.acs_triples) else {
-            return;
-        };
-        if !acs1.ready() || !acs2.ready() {
-            return;
-        }
+        // `CS₁` is ascending (`Π_ACS` builds it in party order).
         let cs1 = acs1.common_subset.clone().expect("ready implies CS");
-        let cs2 = acs2.common_subset.clone().expect("ready implies CS");
         self.input_subset = Some(cs1.clone());
         // input shares: default 0-sharing for parties outside CS1
         self.input_shares = (0..self.params.n)
@@ -527,17 +572,24 @@ impl CirEval {
                 }
             })
             .collect();
-        self.supervisors = cs2.clone();
-        self.dealers = cs2.iter().copied().take(2 * self.d_ext + 1).collect();
+        if self.packing > 0 {
+            self.cs1_sorted = cs1;
+            self.phase = Phase::PackedDeal;
+            // Deadline for every assigned dealer's deal to arrive and pass
+            // its degree probe. `T_ACS` is generous (deals + probes need two
+            // message hops), so in honest runs — synchronous or not — the
+            // phase completes long before the timer fires.
+            ctx.set_timer(self.params.t_acs(), TIMER_PACKED_DEAL);
+            self.issue_packed_deals(ctx);
+            return;
+        }
+        let acs2 = self.acs_triples.as_ref().expect("scalar mode runs ACS #2");
+        self.supervisors = acs2.common_subset.clone().expect("ready implies CS");
+        // 2·d + 1 ≤ n − t_s ≤ |CS₂| dealers
+        self.dealers = self.supervisors[..2 * self.d_ext + 1].to_vec();
         // cache my shares of every dealer's raw triples
         for (dpos, &dealer) in self.dealers.iter().enumerate() {
-            let shares = self
-                .acs_triples
-                .as_ref()
-                .unwrap()
-                .shares_from(dealer)
-                .unwrap()
-                .clone();
+            let shares = acs2.shares_from(dealer).expect("dealer is in CS2");
             for batch in 0..self.batches {
                 for k in 0..self.raw_per_dealer() {
                     let t = TripleShare::new(
@@ -782,9 +834,10 @@ impl CirEval {
         acc
     }
 
-    /// Packed circuit driver: one `[D, E]` opening per ℓ-gate block per
-    /// layer. `D(x) = Σ_k L_k(x)·(X_k(x) − A_k(x))` over the slot Lagrange
-    /// basis has degree `t_s + ℓ − 1` and carries `d_k = x_k − a_k` at slot
+    /// Packed circuit driver: one opening per layer, carrying one `[D, E]`
+    /// pair per ℓ-gate block (all blocks share degree `t_s + ℓ − 1`, so the
+    /// layer decodes as one batch). `D(x) = Σ_k L_k(x)·(X_k(x) − A_k(x))`
+    /// over the slot Lagrange basis has degree `t_s + ℓ − 1` and carries `d_k = x_k − a_k` at slot
     /// point `e_k`; one robust opening therefore unpacks all `ℓ` masked
     /// differences at once. Outputs are re-positioned locally at degree
     /// `t_s` via the z-form identity, so the opened degree never compounds.
@@ -803,11 +856,13 @@ impl CirEval {
                 return;
             }
             let blocks = &plan.layers[self.packed_layer];
+            let tag = TAG_PACKED + self.packed_layer as u32;
             if !self.packed_issued {
                 self.packed_issued = true;
                 self.values_opened_by_layer.push(2 * blocks.len() as u64);
+                let row = pdom.pack_row(me);
+                let mut values = Vec::with_capacity(2 * blocks.len());
                 for blk in blocks {
-                    let row = pdom.pack_row(me).to_vec();
                     let (mut d_sh, mut e_sh) = (Fp::ZERO, Fp::ZERO);
                     for (k, &lk) in row.iter().enumerate() {
                         let (x, y) = match blk.slots[k] {
@@ -828,23 +883,19 @@ impl CirEval {
                         d_sh += lk * (x - fa);
                         e_sh += lk * (y - fb);
                     }
-                    self.openings
-                        .open(ctx, TAG_PACKED + blk.index as u32, vec![d_sh, e_sh]);
+                    values.extend([d_sh, e_sh]);
                 }
+                self.openings.open(ctx, tag, values);
             }
-            let degree = ts + ell - 1;
-            let mut opened = Vec::with_capacity(blocks.len());
-            for blk in blocks {
-                let Some(de) = self
-                    .openings
-                    .try_reconstruct_at(TAG_PACKED + blk.index as u32, 2, degree, ts, pdom.slots())
-                    .map(<[Fp]>::to_vec)
-                else {
-                    return;
-                };
-                opened.push(de);
-            }
-            for (blk, de) in blocks.iter().zip(&opened) {
+            let Some(opened) = self
+                .openings
+                .try_reconstruct_at(tag, 2 * blocks.len(), ts + ell - 1, ts, pdom.slots())
+                .map(<[Fp]>::to_vec)
+            else {
+                return;
+            };
+            // Value-major: block `b` unpacks to `[d_0..d_ℓ, e_0..e_ℓ]`.
+            for (blk, de) in blocks.iter().zip(opened.chunks_exact(2 * ell)) {
                 for k in 0..ell {
                     let Some(g) = blk.slots[k] else { continue };
                     let (d, e) = (de[k], de[ell + k]);
@@ -861,129 +912,92 @@ impl CirEval {
     }
 
     fn issue_transform(&mut self, ctx: &mut Context<'_, Msg>) {
-        let ts = self.ts();
-        for dpos in 0..self.dealers.len() {
-            for batch in 0..self.batches {
-                for i in ts + 1..self.raw_per_dealer() {
-                    let (x, y) = self.dealer_xy_share(dpos, batch, alpha(i));
-                    let triple = self.raw_triple(dpos, batch, i);
-                    let (d, e) = beaver_masked_shares(x, y, &triple);
-                    let tag = TAG_TRANSFORM + self.transform_idx(dpos, batch, i);
-                    self.openings.open(ctx, tag, vec![d, e]);
-                }
-            }
+        let mut values = Vec::new();
+        for (dpos, batch, i) in self.transform_layout() {
+            let (x, y) = self.dealer_xy_share(dpos, batch, alpha(i));
+            let (d, e) = beaver_masked_shares(x, y, &self.raw_triple(dpos, batch, i));
+            values.extend([d, e]);
         }
+        self.openings.open(ctx, TAG_TRANSFORM, values);
     }
 
     fn drive_transform(&mut self, ctx: &mut Context<'_, Msg>) {
-        let ts = self.ts();
-        // collect all transform openings
-        for dpos in 0..self.dealers.len() {
-            for batch in 0..self.batches {
-                for i in ts + 1..self.raw_per_dealer() {
-                    let tag = TAG_TRANSFORM + self.transform_idx(dpos, batch, i);
-                    let Some(&[d, e]) = self.openings.try_reconstruct(tag, 2, ts, ts) else {
-                        return;
-                    };
-                    let triple = self.raw_triple(dpos, batch, i);
-                    self.z_high
-                        .entry((dpos, batch, i))
-                        .or_insert_with(|| beaver_output_share(d, e, &triple));
-                }
-            }
+        let count = 2 * self.transform_layout().count();
+        let Some(opened) = self.resolve_batch(TAG_TRANSFORM, count) else {
+            return;
+        };
+        for ((dpos, batch, i), de) in self.transform_layout().zip(opened.chunks_exact(2)) {
+            let z = beaver_output_share(de[0], de[1], &self.raw_triple(dpos, batch, i));
+            self.z_high.insert((dpos, batch, i), z);
         }
         self.phase = Phase::VerifyBeaver;
         self.issue_verify(ctx);
     }
 
     fn issue_verify(&mut self, ctx: &mut Context<'_, Msg>) {
-        for dpos in 0..self.dealers.len() {
-            let dealer_party = self.dealers[dpos];
-            for batch in 0..self.batches {
-                for (spos, &sup) in self.supervisors.clone().iter().enumerate() {
-                    let (x, y) = self.dealer_xy_share(dpos, batch, alpha(sup));
-                    let vt = self.verification_triple(sup, batch, dealer_party);
-                    let (d, e) = beaver_masked_shares(x, y, &vt);
-                    let tag = TAG_VERIFY + self.verify_idx(dpos, batch, spos);
-                    self.openings.open(ctx, tag, vec![d, e]);
-                }
-            }
+        let mut values = Vec::new();
+        for (dpos, batch, spos) in self.verify_layout() {
+            let sup = self.supervisors[spos];
+            let (x, y) = self.dealer_xy_share(dpos, batch, alpha(sup));
+            let vt = self.verification_triple(sup, batch, self.dealers[dpos]);
+            let (d, e) = beaver_masked_shares(x, y, &vt);
+            values.extend([d, e]);
         }
+        self.openings.open(ctx, TAG_VERIFY, values);
     }
 
     fn drive_verify(&mut self, ctx: &mut Context<'_, Msg>) {
-        let ts = self.ts();
-        let mut gammas = Vec::new();
-        for dpos in 0..self.dealers.len() {
-            let dealer_party = self.dealers[dpos];
-            for batch in 0..self.batches {
-                for (spos, &sup) in self.supervisors.clone().iter().enumerate() {
-                    let tag = TAG_VERIFY + self.verify_idx(dpos, batch, spos);
-                    let Some(&[d, e]) = self.openings.try_reconstruct(tag, 2, ts, ts) else {
-                        return;
-                    };
-                    let vt = self.verification_triple(sup, batch, dealer_party);
-                    let z_prime = beaver_output_share(d, e, &vt);
-                    let z = self.dealer_z_share(dpos, batch, alpha(sup));
-                    gammas.push((dpos, batch, spos, z - z_prime));
-                }
-            }
-        }
+        let count = 2 * self.verify_layout().count();
+        let Some(opened) = self.resolve_batch(TAG_VERIFY, count) else {
+            return;
+        };
+        // γ is a linear combination of t_s-shared values, hence itself
+        // t_s-shared (the degree 2·t_s of Z(·) lives in the evaluation-point
+        // variable, not the sharing polynomial).
+        let gammas = self
+            .verify_layout()
+            .zip(opened.chunks_exact(2))
+            .map(|((dpos, batch, spos), de)| {
+                let sup = self.supervisors[spos];
+                let vt = self.verification_triple(sup, batch, self.dealers[dpos]);
+                let z_prime = beaver_output_share(de[0], de[1], &vt);
+                self.dealer_z_share(dpos, batch, alpha(sup)) - z_prime
+            })
+            .collect();
         self.phase = Phase::Gamma;
-        for (dpos, batch, spos, gamma) in gammas {
-            let tag = TAG_GAMMA + self.verify_idx(dpos, batch, spos);
-            self.openings.open(ctx, tag, vec![gamma]);
-        }
+        self.openings.open(ctx, TAG_GAMMA, gammas);
     }
 
     fn drive_gamma(&mut self, ctx: &mut Context<'_, Msg>) {
-        let ts = self.ts();
-        let mut suspects = Vec::new();
-        for dpos in 0..self.dealers.len() {
-            for batch in 0..self.batches {
-                for spos in 0..self.supervisors.len() {
-                    let tag = TAG_GAMMA + self.verify_idx(dpos, batch, spos);
-                    // γ is a linear combination of t_s-shared values, hence
-                    // itself t_s-shared (the degree 2·t_s of Z(·) lives in the
-                    // evaluation-point variable, not the sharing polynomial).
-                    let Some(&[g]) = self.openings.try_reconstruct(tag, 1, ts, ts) else {
-                        return;
-                    };
-                    if !g.is_zero() {
-                        suspects.push((dpos, batch, spos));
-                    }
-                }
-            }
+        let count = self.verify_layout().count();
+        let Some(gammas) = self.resolve_batch(TAG_GAMMA, count) else {
+            return;
+        };
+        // The suspect batch's layout: the checks whose (public, agreed) γ is
+        // non-zero, in verify order, three values each.
+        self.suspects = self
+            .verify_layout()
+            .zip(&gammas)
+            .filter(|(_, g)| !g.is_zero())
+            .map(|(slot, _)| slot)
+            .collect();
+        let mut values = Vec::with_capacity(3 * self.suspects.len());
+        for &(dpos, batch, spos) in &self.suspects {
+            let target = alpha(self.supervisors[spos]);
+            let (x, y) = self.dealer_xy_share(dpos, batch, target);
+            values.extend([x, y, self.dealer_z_share(dpos, batch, target)]);
         }
         self.phase = Phase::Suspect;
-        for (dpos, batch, spos) in suspects {
-            let sup = self.supervisors[spos];
-            let (x, y) = self.dealer_xy_share(dpos, batch, alpha(sup));
-            let z = self.dealer_z_share(dpos, batch, alpha(sup));
-            let tag = TAG_SUSPECT + self.verify_idx(dpos, batch, spos);
-            self.openings.open(ctx, tag, vec![x, y, z]);
-        }
+        self.openings.open(ctx, TAG_SUSPECT, values);
     }
 
     fn drive_suspect(&mut self, ctx: &mut Context<'_, Msg>) {
-        let ts = self.ts();
-        // re-derive the suspect list from the (public, agreed) gamma values
-        for dpos in 0..self.dealers.len() {
-            for batch in 0..self.batches {
-                for spos in 0..self.supervisors.len() {
-                    let gtag = TAG_GAMMA + self.verify_idx(dpos, batch, spos);
-                    let gamma = self.openings.get(gtag).expect("gamma phase completed")[0];
-                    if gamma.is_zero() {
-                        continue;
-                    }
-                    let tag = TAG_SUSPECT + self.verify_idx(dpos, batch, spos);
-                    let Some(&[x, y, z]) = self.openings.try_reconstruct(tag, 3, ts, ts) else {
-                        return;
-                    };
-                    if x * y != z {
-                        self.flagged.insert((dpos, batch));
-                    }
-                }
+        let Some(opened) = self.resolve_batch(TAG_SUSPECT, 3 * self.suspects.len()) else {
+            return;
+        };
+        for (&(dpos, batch, _), xyz) in self.suspects.iter().zip(opened.chunks_exact(3)) {
+            if xyz[0] * xyz[1] != xyz[2] {
+                self.flagged.insert((dpos, batch));
             }
         }
         // fix the per-dealer verified triples
@@ -1034,30 +1048,24 @@ impl CirEval {
     }
 
     fn issue_extract(&mut self, ctx: &mut Context<'_, Msg>) {
-        for batch in 0..self.batches {
-            for p in self.d_ext + 1..2 * self.d_ext + 1 {
-                let (x, y) = self.ext_xy_share(batch, alpha(p));
-                let triple = self.verified[&(p, batch)];
-                let (d, e) = beaver_masked_shares(x, y, &triple);
-                let tag = TAG_EXTRACT + self.extract_idx(batch, p);
-                self.openings.open(ctx, tag, vec![d, e]);
-            }
+        let mut values = Vec::new();
+        for (batch, p) in self.extract_layout() {
+            let (x, y) = self.ext_xy_share(batch, alpha(p));
+            let (d, e) = beaver_masked_shares(x, y, &self.verified[&(p, batch)]);
+            values.extend([d, e]);
         }
+        self.openings.open(ctx, TAG_EXTRACT, values);
     }
 
     fn drive_extract(&mut self, ctx: &mut Context<'_, Msg>) {
         let ts = self.ts();
-        for batch in 0..self.batches {
-            for p in self.d_ext + 1..2 * self.d_ext + 1 {
-                let tag = TAG_EXTRACT + self.extract_idx(batch, p);
-                let Some(&[d, e]) = self.openings.try_reconstruct(tag, 2, ts, ts) else {
-                    return;
-                };
-                let triple = self.verified[&(p, batch)];
-                self.ext_z
-                    .entry((batch, p))
-                    .or_insert_with(|| beaver_output_share(d, e, &triple));
-            }
+        let count = 2 * self.extract_layout().count();
+        let Some(opened) = self.resolve_batch(TAG_EXTRACT, count) else {
+            return;
+        };
+        for ((batch, p), de) in self.extract_layout().zip(opened.chunks_exact(2)) {
+            let z = beaver_output_share(de[0], de[1], &self.verified[&(p, batch)]);
+            self.ext_z.insert((batch, p), z);
         }
         // extract d + 1 - t_s fresh triples per batch
         for batch in 0..self.batches {
@@ -1076,33 +1084,30 @@ impl CirEval {
         self.drive_circuit(ctx);
     }
 
+    /// My share of gate `g`'s output if it is computable locally from the
+    /// wires resolved so far (`None` for multiplications: they resolve
+    /// through an opening).
+    fn local_gate_share(&self, g: usize) -> Option<Fp> {
+        let wire = |w: Wire| self.wire_shares[w.0];
+        match self.circuit.gates()[g] {
+            Gate::Input(i) => Some(self.input_shares[i]),
+            Gate::Constant(c) => Some(c),
+            Gate::Add(a, b) => Some(wire(a)? + wire(b)?),
+            Gate::Sub(a, b) => Some(wire(a)? - wire(b)?),
+            Gate::MulConst(a, c) => Some(wire(a)? * c),
+            Gate::AddConst(a, c) => Some(wire(a)? + c),
+            Gate::Mul(_, _) => None,
+        }
+    }
+
     /// One topological pass filling every wire computable from inputs,
     /// constants, linear gates and already-resolved multiplications. Gates
     /// are stored in topological order, so a single pass resolves the entire
     /// linear region exposed by the multiplication layers opened so far.
     fn propagate_linear(&mut self) {
         for g in 0..self.circuit.gates().len() {
-            if self.wire_shares[g].is_some() {
-                continue;
-            }
-            let value = match self.circuit.gates()[g] {
-                Gate::Input(i) => Some(self.input_shares[i]),
-                Gate::Constant(c) => Some(c),
-                Gate::Add(a, b) => match (self.wire_shares[a.0], self.wire_shares[b.0]) {
-                    (Some(x), Some(y)) => Some(x + y),
-                    _ => None,
-                },
-                Gate::Sub(a, b) => match (self.wire_shares[a.0], self.wire_shares[b.0]) {
-                    (Some(x), Some(y)) => Some(x - y),
-                    _ => None,
-                },
-                Gate::MulConst(a, c) => self.wire_shares[a.0].map(|x| x * c),
-                Gate::AddConst(a, c) => self.wire_shares[a.0].map(|x| x + c),
-                // Multiplications resolve through their layer's opening.
-                Gate::Mul(_, _) => None,
-            };
-            if value.is_some() {
-                self.wire_shares[g] = value;
+            if self.wire_shares[g].is_none() {
+                self.wire_shares[g] = self.local_gate_share(g);
             }
         }
     }
@@ -1180,18 +1185,6 @@ impl CirEval {
                     continue;
                 }
                 let value = match self.circuit.gates()[g] {
-                    Gate::Input(i) => Some(self.input_shares[i]),
-                    Gate::Constant(c) => Some(c),
-                    Gate::Add(a, b) => match (self.wire_shares[a.0], self.wire_shares[b.0]) {
-                        (Some(x), Some(y)) => Some(x + y),
-                        _ => None,
-                    },
-                    Gate::Sub(a, b) => match (self.wire_shares[a.0], self.wire_shares[b.0]) {
-                        (Some(x), Some(y)) => Some(x - y),
-                        _ => None,
-                    },
-                    Gate::MulConst(a, c) => self.wire_shares[a.0].map(|x| x * c),
-                    Gate::AddConst(a, c) => self.wire_shares[a.0].map(|x| x + c),
                     Gate::Mul(a, b) => {
                         let (Some(x), Some(y)) = (self.wire_shares[a.0], self.wire_shares[b.0])
                         else {
@@ -1208,6 +1201,7 @@ impl CirEval {
                             .try_reconstruct(tag, 2, ts, ts)
                             .map(|de| beaver_output_share(de[0], de[1], &triple))
                     }
+                    _ => self.local_gate_share(g),
                 };
                 if let Some(v) = value {
                     self.wire_shares[g] = Some(v);
@@ -1311,7 +1305,10 @@ impl Protocol<Msg> for CirEval {
                 }
             }
             None => match msg {
-                Msg::Open { tag, values } => self.openings.on_open(from, tag, values),
+                // Anything outside the run's legal tag set is dropped unread.
+                Msg::Open { tag, values } if from < self.params.n && self.legal_open_tag(tag) => {
+                    self.openings.on_open(from, tag, values);
+                }
                 // Buffered raw until CS₁ fixes the expected layout; parsed
                 // by `drive_packed_deal`. First payload per sender wins
                 // (honest dealers send exactly one).
@@ -1696,6 +1693,207 @@ mod tests {
             assert_eq!(p.packed_width, 0);
             assert!(p.input_subset.as_ref().unwrap().contains(&4));
         }
+    }
+
+    /// Runs hand-built parties on the synchronous simulator until nothing
+    /// is left to deliver.
+    fn run_sync_to_quiescence(
+        params: Params,
+        circuit: &Circuit,
+        parties: Vec<Box<dyn Protocol<Msg>>>,
+        corrupt: CorruptionSet,
+        seed: u64,
+    ) -> Simulation<Msg> {
+        let cfg = NetConfig::synchronous(params.n).with_seed(seed);
+        let mut sim = Simulation::new(cfg, corrupt, parties);
+        sim.run_to_quiescence(params.horizon_for_depth(circuit.mult_depth()) * 8);
+        sim
+    }
+
+    /// `in_0·in_1 + in_2·in_3`: two multiplications in one layer, i.e. two
+    /// preprocessing batches at (4, 1) and (7, 2).
+    fn two_products(n: usize) -> Circuit {
+        let mut c = Circuit::new(n);
+        let p = c.mul(c.input(0), c.input(1));
+        let q = c.mul(c.input(2), c.input(3));
+        let out = c.add(p, q);
+        c.set_output(out);
+        c
+    }
+
+    #[test]
+    fn bad_dealer_is_suspected_flagged_and_neutralised() {
+        // Party 0 deals every raw triple with c = a·b + 1 and is honest
+        // otherwise. Its transformed Z(·) is then X·Y + 1 everywhere, so
+        // every supervisor's γ is 1: all its checks are opened in the
+        // suspect batch, every one of its batches is flagged and replaced by
+        // the default sharing, and the output is still the cleartext one.
+        for (n, ts, ta) in [(4, 1, 0), (7, 2, 0)] {
+            let params = Params::new(n, ts, ta, 10);
+            let circuit = two_products(n);
+            let inputs: Vec<Fp> = (0..n as u64).map(|i| Fp::from_u64(3 + 2 * i)).collect();
+            let parties = inputs
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    let mut p = CirEval::new(params, circuit.clone(), x);
+                    p.deal_bad_triples = i == 0;
+                    Box::new(p) as Box<dyn Protocol<Msg>>
+                })
+                .collect();
+            let corrupt = CorruptionSet::new(vec![0]);
+            let sim = run_sync_to_quiescence(params, &circuit, parties, corrupt, 80 + n as u64);
+            for i in 1..n {
+                let p = sim.party_as::<CirEval>(i).unwrap();
+                assert_eq!(
+                    p.output,
+                    Some(circuit.evaluate_clear(&inputs)),
+                    "n={n} i={i}"
+                );
+                let dpos = p.dealers.iter().position(|&d| d == 0).expect("0 deals");
+                assert_eq!(p.batches, 2);
+                let checks: Vec<_> = p.verify_layout().filter(|s| s.0 == dpos).collect();
+                assert_eq!(checks.len(), 2 * p.supervisors.len());
+                assert_eq!(
+                    p.suspects, checks,
+                    "n={n} i={i}: every check of 0, no other"
+                );
+                let flagged: HashSet<_> = [(dpos, 0), (dpos, 1)].into();
+                assert_eq!(p.flagged, flagged, "n={n} i={i}");
+            }
+        }
+    }
+
+    /// A corrupt party whose only traffic is a flood of `Open`s: tags no
+    /// run can use, and one wrong-length batch under a legal tag.
+    #[derive(Debug)]
+    struct FloodOpens;
+
+    impl Protocol<Msg> for FloodOpens {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            let junk = |tag| Msg::Open {
+                tag,
+                values: vec![Fp::ONE],
+            };
+            for i in 0..200 {
+                ctx.broadcast(junk(TAG_TRANSFORM + 1 + i)); // phase tags have no index
+                ctx.broadcast(junk(TAG_CIRCUIT + 1 + i)); // D_M = 1 layer
+                ctx.broadcast(junk(TAG_PACKED + 1 + i));
+                ctx.broadcast(junk(TAG_PROBE + 4 + i)); // n = 4 dealers
+                ctx.broadcast(junk((10 << 28) + i)); // no such tag space
+                ctx.broadcast(junk(i)); // below the first tag space
+            }
+            ctx.broadcast(junk(TAG_VERIFY)); // legal tag, wrong length
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: PartyId, _: PathSlice<'_>, _: Msg) {}
+        fn on_timer(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: u64) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn flood_of_illegal_open_tags_is_dropped_without_state_growth() {
+        let params = Params::new(4, 1, 0, 10);
+        let circuit = two_products(4);
+        let run = |flood: bool| {
+            let parties = (0..4u64)
+                .map(|i| match (i, flood) {
+                    (3, true) => Box::new(FloodOpens) as Box<dyn Protocol<Msg>>,
+                    (3, false) => Box::new(mpc_protocols::byzantine::SilentParty) as _,
+                    _ => Box::new(CirEval::new(params, circuit.clone(), Fp::from_u64(2 + i))) as _,
+                })
+                .collect();
+            let corrupt = CorruptionSet::new(vec![3]);
+            run_sync_to_quiescence(params, &circuit, parties, corrupt, 90)
+        };
+        let (flooded, silent) = (run(true), run(false));
+        for i in 0..3 {
+            let (f, s) = (
+                flooded.party_as::<CirEval>(i).unwrap(),
+                silent.party_as::<CirEval>(i).unwrap(),
+            );
+            assert!(s.output.is_some());
+            assert_eq!(f.output, s.output, "party {i}");
+            assert_eq!(f.output_at, s.output_at, "party {i}");
+            assert_eq!(f.input_subset, s.input_subset, "party {i}");
+            // transform, verify, γ, extract, one layer, output — no suspect
+            // batch, and not one tag more under the flood.
+            assert_eq!(s.openings.tracked_tags(), 6, "party {i}");
+            assert_eq!(f.openings.tracked_tags(), 6, "party {i}");
+        }
+    }
+
+    /// Counts the root-path `Open`s delivered to one honest party.
+    #[derive(Debug)]
+    struct CountOpens {
+        inner: CirEval,
+        opens: usize,
+    }
+
+    impl Protocol<Msg> for CountOpens {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.inner.init(ctx);
+        }
+        fn on_message(
+            &mut self,
+            ctx: &mut Context<'_, Msg>,
+            from: PartyId,
+            path: PathSlice<'_>,
+            msg: Msg,
+        ) {
+            if path.is_empty() && matches!(msg, Msg::Open { .. }) {
+                self.opens += 1;
+            }
+            self.inner.on_message(ctx, from, path, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
+            self.inner.on_timer(ctx, path, id);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Total `Open` deliveries of an honest synchronous run at n = 4.
+    fn opens_delivered(circuit: &Circuit) -> usize {
+        let params = Params::new(4, 1, 0, 10);
+        let parties = [3u64, 5, 7, 11]
+            .iter()
+            .map(|&x| {
+                let inner = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                Box::new(CountOpens { inner, opens: 0 }) as Box<dyn Protocol<Msg>>
+            })
+            .collect();
+        let sim = run_sync_to_quiescence(params, circuit, parties, CorruptionSet::none(), 77);
+        (0..4)
+            .map(|i| {
+                let p = sim.party_as::<CountOpens>(i).unwrap();
+                assert!(p.inner.output.is_some());
+                p.opens
+            })
+            .sum()
+    }
+
+    #[test]
+    fn honest_run_delivers_one_open_per_phase_layer_and_output() {
+        // The `tests/determinism.rs` golden circuit: transform, verify, γ
+        // and extract are each non-empty, D_M = 1, no suspect batch.
+        let mut golden = Circuit::new(4);
+        let prod = golden.mul(golden.input(0), golden.input(1));
+        let sum = golden.add(golden.input(2), golden.input(3));
+        let out = golden.add(prod, sum);
+        golden.set_output(out);
+        assert_eq!(opens_delivered(&golden), 16 * (4 + 1 + 1));
+        // No multiplication ⇒ batches = 0 ⇒ every preprocessing batch is
+        // empty and stays off the wire: the output opening alone.
+        assert_eq!(opens_delivered(&Circuit::sum_of_inputs(4)), 16);
     }
 
     #[test]

@@ -3,16 +3,25 @@
 //! Beaver's protocol, the triple-verification steps of `Π_TripSh` and the
 //! output phase of `Π_CirEval` all publicly reconstruct shared values: every
 //! party sends its share to everyone and applies `OEC(t_s, t_s, P)` on what it
-//! receives. [`OpeningManager`] tracks any number of such reconstructions in
-//! parallel, keyed by a deterministic tag agreed implicitly by all parties.
+//! receives. [`OpeningManager`] tracks such reconstructions in parallel, keyed
+//! by a tag agreed implicitly by all parties. A tag carries a whole *batch* —
+//! everything opened at one protocol instant (a preprocessing wave, a
+//! multiplication layer) is one `Msg::Open`, decoded over one shared OEC
+//! basis; a value's position in the batch is part of the same agreement.
 //!
-//! Two reconstruction flavours share the machinery: the classic
-//! [`OpeningManager::try_reconstruct`] recovers each value's secret at `0`
-//! (constant term), while [`OpeningManager::try_reconstruct_at`] recovers the
-//! full decoded polynomials evaluated at an arbitrary public point set — the
-//! packed engine uses it to read all `ℓ` slot values out of one opening.
-//! A given tag must only ever be used with one flavour (the result cache is
-//! shared).
+//! **Wrong length = silent.** Honest parties send exactly `count` values and
+//! `count` is public by the time anyone decodes, so any other length proves
+//! the sender corrupt: it is ignored for the tag (at decode time — early
+//! arrivals can precede the local `count`) and does not count towards the
+//! `degree + t + 1` gate. Honest points alone always suffice, so this is
+//! silence the sender could have chosen anyway. **Empty batches never touch
+//! the wire.** The caller drops tags outside the run's legal set before
+//! [`OpeningManager::on_open`], which bounds the state here.
+//!
+//! [`OpeningManager::try_reconstruct`] recovers each value's secret at `0`;
+//! [`OpeningManager::try_reconstruct_at`] evaluates the decoded polynomials
+//! at an arbitrary public point set (the packed engine reads all `ℓ` slot
+//! values out of one opening). One flavour per tag — the cache is shared.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -27,43 +36,26 @@ pub struct OpeningManager {
     received: HashMap<u32, BTreeMap<PartyId, Vec<Fp>>>,
     opened: HashMap<u32, Vec<Fp>>,
     my_batches: HashMap<u32, usize>,
-    /// Sender count at the last *failed* decode attempt per tag. `on_open`
-    /// only ever adds senders, so an unchanged count means no new
-    /// information — the retry (openings are re-attempted on every message
-    /// delivery) is skipped without rebuilding columns.
+    /// Well-formed sender count at the last *failed* decode attempt per tag.
+    /// `on_open` only ever adds senders, so an unchanged count means no new
+    /// information and the retry is skipped without rebuilding columns.
     last_attempt: HashMap<u32, usize>,
 }
 
-/// Decodes every value of a batch to its full sharing polynomial.
-///
-/// When every sender supplied a full batch (the honest-sender common case)
-/// all `count` values share one evaluation-point vector, so the OEC
-/// interpolate-and-verify basis is built once for the whole batch
-/// ([`rs::oec_decode_batch`]); ragged (Byzantine-shortened) batches fall
-/// back to the per-value loop.
+/// Decodes every value of a batch to its full sharing polynomial. All
+/// `count` values share the senders' evaluation points, so the OEC
+/// interpolate-and-verify basis is built once ([`rs::oec_decode_batch`]).
 fn decode_polys(
-    received: &BTreeMap<PartyId, Vec<Fp>>,
+    senders: &[(&PartyId, &Vec<Fp>)],
     count: usize,
     degree: usize,
     t: usize,
 ) -> Option<Vec<Polynomial>> {
-    if count > 0 && received.values().all(|v| v.len() >= count) {
-        let xs: Vec<Fp> = received.keys().map(|&p| alpha(p)).collect();
-        let columns: Vec<Vec<Fp>> = (0..count)
-            .map(|idx| received.values().map(|v| v[idx]).collect())
-            .collect();
-        rs::oec_decode_batch(degree, t, &xs, &columns)
-    } else {
-        let mut out = Vec::with_capacity(count);
-        for idx in 0..count {
-            let pts: Vec<(Fp, Fp)> = received
-                .iter()
-                .filter_map(|(&p, v)| v.get(idx).map(|&s| (alpha(p), s)))
-                .collect();
-            out.push(rs::oec_decode(degree, t, &pts)?);
-        }
-        Some(out)
-    }
+    let xs: Vec<Fp> = senders.iter().map(|(&p, _)| alpha(p)).collect();
+    let columns: Vec<Vec<Fp>> = (0..count)
+        .map(|idx| senders.iter().map(|(_, v)| v[idx]).collect())
+        .collect();
+    rs::oec_decode_batch(degree, t, &xs, &columns)
 }
 
 impl OpeningManager {
@@ -73,9 +65,10 @@ impl OpeningManager {
     }
 
     /// Starts the public reconstruction of a batch of values by sending this
-    /// party's shares to everyone under the given tag.
+    /// party's shares to everyone under the given tag. An empty batch sends
+    /// nothing (it reconstructs to the empty slice without any message).
     pub fn open(&mut self, ctx: &mut Context<'_, Msg>, tag: u32, my_shares: Vec<Fp>) {
-        if self.my_batches.contains_key(&tag) {
+        if my_shares.is_empty() || self.my_batches.contains_key(&tag) {
             return;
         }
         self.my_batches.insert(tag, my_shares.len());
@@ -85,7 +78,8 @@ impl OpeningManager {
         });
     }
 
-    /// Records a received `Open` message.
+    /// Records a received `Open` message (first batch per sender and tag
+    /// wins). The caller has already dropped illegal tags and senders.
     pub fn on_open(&mut self, from: PartyId, tag: u32, values: Vec<Fp>) {
         self.received
             .entry(tag)
@@ -94,7 +88,7 @@ impl OpeningManager {
             .or_insert(values);
     }
 
-    /// Runs the shared decode pipeline for `tag` (early-outs, failed-attempt
+    /// Runs the shared decode pipeline for `tag` (sender gate, failed-attempt
     /// memo) and returns the decoded polynomials on first success.
     fn decode(
         &mut self,
@@ -103,33 +97,31 @@ impl OpeningManager {
         degree: usize,
         t: usize,
     ) -> Option<Vec<Polynomial>> {
-        let received = self.received.get(&tag)?;
+        if count == 0 {
+            return Some(Vec::new());
+        }
+        // Wrong length = silent: only exact-`count` batches are senders.
+        let received = self.received.get(&tag)?.iter();
+        let senders: Vec<_> = received.filter(|(_, v)| v.len() == count).collect();
         // `OEC(d, t, ·)` cannot succeed on fewer than `d + t + 1` points
-        // (see `rs::oec_decode`); bail out before building the per-value
-        // columns — reconstruction is re-attempted on every delivery, so
-        // this early exit runs on the hot path of every opening round.
-        if received.len() < degree + t + 1 {
+        // (see `rs::oec_decode`); bail out before building the columns.
+        let k = senders.len();
+        if k < degree + t + 1 || self.last_attempt.get(&tag) == Some(&k) {
             return None;
         }
-        if self.last_attempt.get(&tag) == Some(&received.len()) {
-            return None;
-        }
-        match decode_polys(received, count, degree, t) {
-            Some(polys) => {
-                self.last_attempt.remove(&tag);
-                Some(polys)
-            }
-            None => {
-                self.last_attempt.insert(tag, received.len());
-                None
-            }
-        }
+        let polys = decode_polys(&senders, count, degree, t);
+        match polys {
+            Some(_) => self.last_attempt.remove(&tag),
+            None => self.last_attempt.insert(tag, k),
+        };
+        polys
     }
 
     /// Attempts to reconstruct the batch under `tag` (containing `count`
     /// values, each shared with degree `degree` and at most `t` corrupt
     /// shares). Returns the secrets (the value of each sharing polynomial at
-    /// `0`). Results are cached once successful.
+    /// `0`); `count = 0` is the empty slice without waiting for anyone.
+    /// Results are cached once successful.
     pub fn try_reconstruct(
         &mut self,
         tag: u32,
@@ -147,8 +139,8 @@ impl OpeningManager {
 
     /// Attempts to reconstruct the batch under `tag` and evaluate every
     /// decoded polynomial at each of the given public `points` — the packed
-    /// opening: one tag carries a whole ℓ-block, and the slot points unpack
-    /// it into `count · points.len()` public values.
+    /// opening: every value of the batch carries a whole ℓ-block, and the
+    /// slot points unpack it into `count · points.len()` public values.
     ///
     /// The result is flattened value-major: entry `v · points.len() + k` is
     /// value `v` evaluated at `points[k]`. Cached once successful (under the
@@ -173,9 +165,10 @@ impl OpeningManager {
         self.opened.get(&tag).map(Vec::as_slice)
     }
 
-    /// The reconstructed batch, if already available.
-    pub fn get(&self, tag: u32) -> Option<&[Fp]> {
-        self.opened.get(&tag).map(Vec::as_slice)
+    /// Number of tags with buffered batches (state-growth probe for tests).
+    #[cfg(test)]
+    pub(crate) fn tracked_tags(&self) -> usize {
+        self.received.len()
     }
 }
 
@@ -246,6 +239,68 @@ mod tests {
         assert_eq!(out[ell..], vb[..]);
     }
 
+    /// Shares `secrets` among `n` parties as one batch per party.
+    fn share_batch(seed: u64, secrets: &[u64], t: usize, n: usize) -> Vec<Vec<Fp>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sharings: Vec<_> = secrets
+            .iter()
+            .map(|&s| shamir::share(&mut rng, Fp::from_u64(s), t, n))
+            .collect();
+        (0..n)
+            .map(|p| sharings.iter().map(|s| s.shares[p]).collect())
+            .collect()
+    }
+
+    #[test]
+    fn wrong_length_batches_decode_like_absent_senders() {
+        let (n, t) = (7, 2);
+        let secrets = [11u64, 22, 33];
+        let batches = share_batch(5, &secrets, t, n);
+        let malformations: [fn(&mut Vec<Fp>); 3] = [
+            |v| v.truncate(2),
+            |v| v.push(Fp::from_u64(9)),
+            |v| v.clear(),
+        ];
+        for malform in malformations {
+            let (mut with, mut without) = (OpeningManager::new(), OpeningManager::new());
+            for (p, batch) in batches.iter().enumerate() {
+                let mut batch = batch.clone();
+                if p == 1 || p == 4 {
+                    // ≤ t_s malformed senders, arriving before anyone decodes
+                    malform(&mut batch);
+                } else {
+                    without.on_open(p, 7, batch.clone());
+                }
+                with.on_open(p, 7, batch);
+            }
+            let expected: Vec<Fp> = secrets.iter().map(|&s| Fp::from_u64(s)).collect();
+            assert_eq!(with.try_reconstruct(7, 3, t, t), Some(&expected[..]));
+            assert_eq!(without.try_reconstruct(7, 3, t, t), Some(&expected[..]));
+        }
+    }
+
+    #[test]
+    fn wrong_length_senders_do_not_count_towards_the_quorum() {
+        // A 2·t_s + 1 quorum in which t_s + 1 batches are short leaves t_s
+        // well-formed points: below the d + t + 1 gate, no decode, no memo.
+        let (n, t) = (7, 2);
+        let batches = share_batch(6, &[11, 22, 33], t, n);
+        let mut mgr = OpeningManager::new();
+        for (p, batch) in batches.iter().enumerate().take(2 * t + 1) {
+            let len = if p <= t { 2 } else { 3 };
+            mgr.on_open(p, 7, batch[..len].to_vec());
+        }
+        assert!(mgr.try_reconstruct(7, 3, t, t).is_none());
+        assert!(mgr.last_attempt.is_empty());
+    }
+
+    #[test]
+    fn empty_batch_reconstructs_without_waiting_for_anyone() {
+        let mut mgr = OpeningManager::new();
+        assert_eq!(mgr.try_reconstruct(3, 0, 2, 2), Some(&[][..]));
+        assert!(mgr.received.is_empty());
+    }
+
     #[test]
     fn failed_attempts_are_memoised_until_new_senders_arrive() {
         let mut rng = StdRng::seed_from_u64(4);
@@ -265,6 +320,11 @@ mod tests {
         assert_eq!(mgr.last_attempt.get(&11), Some(&5));
         // Same sender set → memoised early-out (no state change).
         assert!(mgr.try_reconstruct(11, 1, t, t).is_none());
+        // A wrong-length batch is no new sender: the memo still holds.
+        mgr.on_open(5, 11, vec![s.shares[5]; 2]);
+        assert!(mgr.try_reconstruct(11, 1, t, t).is_none());
+        assert_eq!(mgr.last_attempt.get(&11), Some(&5));
+        mgr.received.get_mut(&11).unwrap().remove(&5);
         // Two more honest senders → retry succeeds.
         for p in 5..7 {
             mgr.on_open(p, 11, vec![s.shares[p]]);

@@ -309,22 +309,34 @@ fn full_mpc_metrics_bit_identical_to_pre_refactor_golden() {
     // completion tick (960) did not move — all SBA timing is timer-driven.
     // The asynchronous tick moved 3001 → 3211 only because the scheduler
     // draws one random delay per message, and there are fewer messages.
+    //
+    // Re-pinned for phase-batched openings (DESIGN.md): each preprocessing
+    // wave is ONE `Open` per party instead of one per (dealer, batch,
+    // supervisor). On this circuit 28 preprocessing tags (3 transform + 12
+    // verify + 12 γ + 1 extract) became 4, i.e. 24·n² = 384 `Open`s and
+    // their 9-byte headers (384·72 = 27 648 bits) less; the payload is
+    // identical. Old → new: sync bits 8 065 408 → 8 037 760, messages
+    // 28 848 → 28 464, events 34 296 → 33 912; async bits 5 015 712 →
+    // 4 988 064, messages 50 468 → 50 084, events 55 914 → 55 526. Output
+    // (33) and the synchronous tick (960) did not move; the unframed
+    // asynchronous tick moved 3211 → 2874 for the same one-delay-per-message
+    // reason as above.
     let golden = [
         (
             NetworkKind::Synchronous,
             33u64,
             960u64,
-            8_065_408u64,
-            28_848u64,
-            34_296u64,
+            8_037_760u64,
+            28_464u64,
+            33_912u64,
         ),
         (
             NetworkKind::Asynchronous,
             33,
-            3211,
-            5_015_712,
-            50_468,
-            55_914,
+            2874,
+            4_988_064,
+            50_084,
+            55_526,
         ),
     ];
     let c = golden_circuit();
@@ -365,7 +377,7 @@ fn full_mpc_metrics_bit_identical_to_pre_refactor_golden() {
 
 /// Golden fingerprint of the default engine (frames on, layer-batched
 /// openings) on the same full-MPC run: the same output at the same simulated
-/// time, with the synchronous event count reduced 34 296 → 13 566 (2.5×)
+/// time, with the synchronous event count reduced 33 912 → 13 470 (2.5×)
 /// and identical paper-level bit accounting.
 ///
 /// Re-pinned for lock-step broadcast groups like the golden above. Old →
@@ -373,6 +385,12 @@ fn full_mpc_metrics_bit_identical_to_pre_refactor_golden() {
 /// 27 822 → 13 566; async bits 5 703 232 → 4 993 600, messages 68 952 →
 /// 49 944, events 37 351 → 23 095. Output, both completion ticks (960 /
 /// 2956) and both frame counts (906 / 5 163) did not move.
+///
+/// Re-pinned for phase-batched openings, same 384 `Open`s / 27 648 header
+/// bits as the golden above. Old → new: sync bits 8 065 408 → 8 037 760,
+/// messages 28 848 → 28 464, events 13 566 → 13 470; async bits 4 993 600 →
+/// 4 965 952, messages 49 944 → 49 560, events 23 095 → 22 999. Output, both
+/// completion ticks (960 / 2956) and both frame counts did not move.
 #[test]
 fn full_mpc_metrics_golden_batched() {
     let golden = [
@@ -380,18 +398,18 @@ fn full_mpc_metrics_golden_batched() {
             NetworkKind::Synchronous,
             33u64,
             960u64,
-            8_065_408u64,
-            28_848u64,
-            13_566u64,
+            8_037_760u64,
+            28_464u64,
+            13_470u64,
             906u64,
         ),
         (
             NetworkKind::Asynchronous,
             33,
             2956,
-            4_993_600,
-            49_944,
-            23_095,
+            4_965_952,
+            49_560,
+            22_999,
             5_163,
         ),
     ];
@@ -569,7 +587,14 @@ fn batching_preserves_outputs_for_all_strategies() {
                     let r = run(frames, per_gate, threads)
                         .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
                     assert_eq!(r.output, base.output, "{label}: output");
-                    assert_eq!(r.outputs, base.outputs, "{label}: per-party outputs");
+                    // Honest slots only: party 3 is corrupt and owed no
+                    // output — whether it happens to hold one depends on
+                    // when the honest-completion predicate stopped the run.
+                    assert_eq!(
+                        r.outputs[..3],
+                        base.outputs[..3],
+                        "{label}: honest per-party outputs"
+                    );
                     assert_eq!(
                         r.metrics.decode_failures == 0,
                         base.metrics.decode_failures == 0,
