@@ -7,6 +7,11 @@
 //! hierarchical *instance path*: every message carries the path of the
 //! instance it is addressed to, and [`Context::scoped`] makes the routing
 //! transparent to the child code.
+//!
+//! A [`Context`] is built once per handler call, so what it costs is paid
+//! per delivered message: the path it accumulates while `scoped` descends is
+//! an [`InlinePath`] (no heap allocation at the depths the tower reaches),
+//! and the shared [`Path`] form is only interned when an effect is emitted.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -14,6 +19,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::path::InlinePath;
 use crate::transport::{PartyId, Time};
 
 /// Hierarchical instance path identifying one protocol instance within the
@@ -102,7 +108,7 @@ pub struct Context<'a, M> {
     pub now: Time,
     /// The publicly known synchronous delay bound `Δ`.
     pub delta: Time,
-    path: Vec<u32>,
+    path: InlinePath,
     /// Interned `Arc` of the current `path`, built lazily on the first
     /// effect and reused until [`Context::scoped`] changes the path — a
     /// handler emitting many sends/timers from one instance allocates the
@@ -130,7 +136,7 @@ impl<'a, M> Context<'a, M> {
             n,
             now,
             delta,
-            path: Vec::new(),
+            path: InlinePath::new(),
             path_arc: None,
             effects,
             rng,
@@ -147,7 +153,7 @@ impl<'a, M> Context<'a, M> {
     /// per scope level per event).
     fn current_path(&mut self) -> Path {
         self.path_arc
-            .get_or_insert_with(|| Arc::from(self.path.as_slice()))
+            .get_or_insert_with(|| Arc::from(&self.path[..]))
             .clone()
     }
 
@@ -213,7 +219,7 @@ impl<'a, M> Context<'a, M> {
     /// substitution S1).
     pub fn common_coin(&self, round: u64) -> bool {
         let mut h = self.coin_seed ^ 0x9e37_79b9_7f4a_7c15;
-        for &seg in &self.path {
+        for &seg in self.path.iter() {
             h = splitmix64(h ^ seg as u64);
         }
         h = splitmix64(h ^ round.wrapping_mul(0xbf58_476d_1ce4_e5b9));
@@ -319,5 +325,49 @@ mod tests {
             .map(|r| c1.scoped(3, |c| c.common_coin(r)))
             .collect();
         assert!(coins.iter().any(|&c| c) && coins.iter().any(|&c| !c));
+    }
+
+    /// Runs `f` scoped down `segs`, one `scoped` call per segment.
+    fn descend<R>(
+        ctx: &mut Context<'_, u32>,
+        segs: &[u32],
+        f: &mut dyn FnMut(&mut Context<'_, u32>) -> R,
+    ) -> R {
+        match segs.split_first() {
+            None => f(ctx),
+            Some((&seg, rest)) => ctx.scoped(seg, |ctx| descend(ctx, rest, f)),
+        }
+    }
+
+    #[test]
+    fn scoping_past_the_inline_capacity_keeps_the_full_path() {
+        let mut effects: Effects<u32> = Effects::new();
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut ctx = Context::new(0, 4, 0, 10, &mut effects, &mut rng, 42);
+        // Far deeper than any inline buffer; the two paths differ only in
+        // their very last segment.
+        let deep: Vec<u32> = (100..140).collect();
+        let mut sibling = deep.clone();
+        *sibling.last_mut().unwrap() += 1;
+
+        let coins = |ctx: &mut Context<'_, u32>, path: &[u32]| -> Vec<bool> {
+            descend(ctx, path, &mut |ctx| {
+                assert_eq!(ctx.path(), path);
+                ctx.send(1, 7);
+                (0..64).map(|round| ctx.common_coin(round)).collect()
+            })
+        };
+        let a = coins(&mut ctx, &deep);
+        assert_eq!(ctx.path(), &[] as &[u32], "restored after the spill");
+        let b = coins(&mut ctx, &sibling);
+        assert_eq!(coins(&mut ctx, &deep), a, "a function of the path");
+        // The coin is path-derived: a truncated path would hand two sibling
+        // instances the same coin sequence.
+        assert_ne!(a, b);
+        // ... and still scopes correctly below the capacity afterwards.
+        ctx.scoped(5, |ctx| ctx.send(2, 8));
+        assert_eq!(&effects.sends[0].1[..], &deep[..]);
+        assert_eq!(&effects.sends[1].1[..], &sibling[..]);
+        assert_eq!(&effects.sends[3].1[..], &[5]);
     }
 }

@@ -33,6 +33,7 @@ pub mod adversary;
 pub mod context;
 pub mod faults;
 pub mod metrics;
+pub mod path;
 pub mod scheduler;
 pub mod simulation;
 pub mod transport;
@@ -46,6 +47,7 @@ pub use adversary::{
 pub use context::{Context, Effects, Path, PathSlice, Protocol};
 pub use faults::{FaultOutcome, FaultPlan, FaultRule};
 pub use metrics::Metrics;
+pub use path::InlinePath;
 pub use scheduler::{
     AsyncScheduler, FixedDelay, LinkDelays, Scheduler, SkewedAsyncScheduler, UniformDelay,
 };

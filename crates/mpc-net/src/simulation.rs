@@ -930,7 +930,7 @@ pub(crate) fn run_party_batch<M: WireEncode + WireDecode + 'static>(
                                 party,
                                 event: TranscriptEvent::Deliver {
                                     from,
-                                    path: item.path.clone(),
+                                    path: Path::from(&item.path[..]),
                                     bits: item.msg_bits,
                                 },
                             });
@@ -1238,7 +1238,7 @@ pub(crate) fn run_corrupt_batch<M: WireEncode + WireDecode + 'static>(
                                     party,
                                     event: TranscriptEvent::Deliver {
                                         from,
-                                        path: item.path.clone(),
+                                        path: Path::from(&item.path[..]),
                                         bits: item.msg_bits,
                                     },
                                 });
@@ -2053,7 +2053,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
                                     party: to,
                                     event: TranscriptEvent::Deliver {
                                         from,
-                                        path: item.path.clone(),
+                                        path: Path::from(&item.path[..]),
                                         bits: item.msg_bits,
                                     },
                                 });

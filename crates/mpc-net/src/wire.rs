@@ -27,7 +27,8 @@
 //! (the message is dropped and counted, never a panic).
 
 use core::fmt;
-use std::sync::Arc;
+
+use crate::path::InlinePath;
 
 /// Why a byte string failed to decode as a message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -375,8 +376,10 @@ impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
 /// engine accounts).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrameItem<M> {
-    /// Instance path the message is addressed to.
-    pub path: Arc<[u32]>,
+    /// Instance path the message is addressed to. Handlers take it as a
+    /// [`crate::PathSlice`]; only a recorded transcript needs the shared
+    /// [`crate::Path`] form, built by whoever records.
+    pub path: InlinePath,
     /// The decoded payload.
     pub msg: M,
     /// Exact size of the payload's canonical encoding, in bits.
@@ -405,12 +408,15 @@ impl Frame {
         let count = r.seq_len(5)?;
         let mut items = Vec::with_capacity(count);
         for _ in 0..count {
-            let path: Vec<u32> = Vec::decode_from(&mut r)?;
+            let mut path = InlinePath::new();
+            for _ in 0..r.seq_len(4)? {
+                path.push(r.u32()?);
+            }
             let before = r.remaining();
             let msg = M::decode_from(&mut r)?;
             let msg_bits = (before - r.remaining()) as u64 * 8;
             items.push(FrameItem {
-                path: Arc::from(path.as_slice()),
+                path,
                 msg,
                 msg_bits,
             });
@@ -578,6 +584,32 @@ mod tests {
         assert_eq!(&items[1].path[..], &[] as &[u32]);
         assert_eq!(items[1].msg, 8);
         let _ = (r2, r3);
+    }
+
+    #[test]
+    fn frame_paths_deeper_than_the_inline_capacity_round_trip() {
+        let deep: Vec<u32> = (0..100).map(|seg| seg * 3 + 1).collect();
+        let mut b = FrameBuilder::new();
+        b.push(&deep, &7u64);
+        b.push(&[4], &8u64);
+        b.push(&deep[..50], &9u64);
+        let items = Frame::decode::<u64>(&b.finish()).unwrap();
+        let paths: Vec<&[u32]> = items.iter().map(|item| &item.path[..]).collect();
+        assert_eq!(paths, [&deep[..], &[4], &deep[..50]]);
+        let msgs: Vec<u64> = items.iter().map(|item| item.msg).collect();
+        assert_eq!(msgs, [7, 8, 9]);
+    }
+
+    #[test]
+    fn frame_path_length_prefix_bounded_before_allocation() {
+        // One item whose path claims u32::MAX segments in a 6-byte body.
+        let mut bytes = 1u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0, 0]);
+        assert!(matches!(
+            Frame::decode::<u8>(&bytes),
+            Err(WireError::LengthOverflow { .. })
+        ));
     }
 
     #[test]

@@ -7,13 +7,21 @@
 //! one; in a synchronous network an honest sender's value is output by every
 //! honest party within `3Δ`, and for a corrupt sender any two honest outputs
 //! are equal and appear within `2Δ` of each other.
+//!
+//! Every layer of the tower bottoms out here, so an `Echo`/`Ready` delivery
+//! is the unit the whole evaluation's cost is a multiple of. Support is
+//! therefore counted by comparison (the `tally` module): a delivery naming a
+//! known value hashes nothing, clones nothing and allocates nothing. Only a
+//! party's *first* `Echo` and first `Ready` count — an honest party sends one
+//! of each — so an instance holds at most `2n` candidate values whatever the
+//! corrupt parties send.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
 
 use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
 
 use crate::msg::{AcastMsg, BcValue, Msg};
+use crate::tally::{tally, Tally};
 
 /// One instance of Bracha's A-cast.
 #[derive(Debug)]
@@ -25,9 +33,11 @@ pub struct Acast {
     sent_send: bool,
     sent_echo: bool,
     sent_ready: bool,
-    accepted_send: Option<BcValue>,
-    echoes: HashMap<BcValue, HashSet<PartyId>>,
-    readies: HashMap<BcValue, HashSet<PartyId>>,
+    /// Whether a party's `Echo` (index `from`) or `Ready` (index `n + from`)
+    /// was already counted.
+    seen: Vec<bool>,
+    echoes: Tally<BcValue>,
+    readies: Tally<BcValue>,
     /// The delivered value, if any.
     pub output: Option<BcValue>,
     /// Local time at which the value was delivered.
@@ -46,9 +56,9 @@ impl Acast {
             sent_send: false,
             sent_echo: false,
             sent_ready: false,
-            accepted_send: None,
-            echoes: HashMap::new(),
-            readies: HashMap::new(),
+            seen: vec![false; 2 * n],
+            echoes: Tally::new(),
+            readies: Tally::new(),
             output: None,
             output_at: None,
         }
@@ -82,26 +92,12 @@ impl Acast {
         }
     }
 
-    fn maybe_send_ready(&mut self, ctx: &mut Context<'_, Msg>, value: &BcValue) {
-        if !self.sent_ready {
-            self.sent_ready = true;
-            ctx.broadcast(Msg::Acast(AcastMsg::Ready(value.clone())));
-        }
-    }
-
-    fn check_thresholds(&mut self, ctx: &mut Context<'_, Msg>, value: &BcValue) {
-        let echo_count = self.echoes.get(value).map_or(0, HashSet::len);
-        if echo_count >= self.echo_threshold() {
-            self.maybe_send_ready(ctx, value);
-        }
-        let ready_count = self.readies.get(value).map_or(0, HashSet::len);
-        if ready_count > self.t {
-            self.maybe_send_ready(ctx, value);
-        }
-        if ready_count > 2 * self.t && self.output.is_none() {
-            self.output = Some(value.clone());
-            self.output_at = Some(ctx.now);
-        }
+    /// Admits `from`'s `Echo` (`stage = 0`) or `Ready` (`stage = 1`): the
+    /// sender must be a party and this must be its first message of that
+    /// stage. Anything else is dropped — a repeat is a duplicate delivery or
+    /// a corrupt party's second opinion, and neither may count twice.
+    fn admit(&mut self, from: PartyId, stage: usize) -> bool {
+        from < self.n && !std::mem::replace(&mut self.seen[stage * self.n + from], true)
     }
 }
 
@@ -122,21 +118,35 @@ impl Protocol<Msg> for Acast {
         let Msg::Acast(am) = msg else { return };
         match am {
             AcastMsg::Send(v) => {
-                if from == self.sender && self.accepted_send.is_none() {
-                    self.accepted_send = Some(v.clone());
-                    if !self.sent_echo {
-                        self.sent_echo = true;
-                        ctx.broadcast(Msg::Acast(AcastMsg::Echo(v)));
-                    }
+                if from == self.sender && !self.sent_echo {
+                    self.sent_echo = true;
+                    ctx.broadcast(Msg::Acast(AcastMsg::Echo(v)));
                 }
             }
             AcastMsg::Echo(v) => {
-                self.echoes.entry(v.clone()).or_default().insert(from);
-                self.check_thresholds(ctx, &v);
+                if !self.admit(from, 0) {
+                    return;
+                }
+                let echo_threshold = self.echo_threshold();
+                let (value, support) = tally(&mut self.echoes, v);
+                if *support >= echo_threshold && !self.sent_ready {
+                    self.sent_ready = true;
+                    ctx.broadcast(Msg::Acast(AcastMsg::Ready(value.clone())));
+                }
             }
             AcastMsg::Ready(v) => {
-                self.readies.entry(v.clone()).or_default().insert(from);
-                self.check_thresholds(ctx, &v);
+                if !self.admit(from, 1) {
+                    return;
+                }
+                let (value, support) = tally(&mut self.readies, v);
+                if *support > self.t && !self.sent_ready {
+                    self.sent_ready = true;
+                    ctx.broadcast(Msg::Acast(AcastMsg::Ready(value.clone())));
+                }
+                if *support > 2 * self.t && self.output.is_none() {
+                    self.output = Some(value.clone());
+                    self.output_at = Some(ctx.now);
+                }
             }
         }
     }
@@ -155,7 +165,9 @@ impl Protocol<Msg> for Acast {
 mod tests {
     use super::*;
     use mpc_algebra::Fp;
-    use mpc_net::{CorruptionSet, NetConfig, Simulation};
+    use mpc_net::{CorruptionSet, Effects, NetConfig, Simulation};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn value(x: u64) -> BcValue {
         BcValue::Value(vec![Fp::from_u64(x)])
@@ -247,5 +259,98 @@ mod tests {
         let msgs = sim.metrics().honest_messages;
         assert!(msgs as usize <= n + 2 * n * n);
         assert!(msgs as usize >= 2 * n * (n - t));
+    }
+
+    /// Delivers `msg` from `from` to a lone instance and returns what the
+    /// instance broadcast in response.
+    fn feed(acast: &mut Acast, from: PartyId, msg: AcastMsg) -> Vec<Msg> {
+        let mut effects = Effects::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(1, acast.n, 0, 10, &mut effects, &mut rng, 0);
+        acast.on_message(&mut ctx, from, &[], Msg::Acast(msg));
+        assert!(effects.sends.is_empty() && effects.timers.is_empty());
+        effects.broadcasts.into_iter().map(|(_, m)| m).collect()
+    }
+
+    fn stored_candidates(acast: &Acast) -> usize {
+        acast.echoes.len() + acast.readies.len()
+    }
+
+    #[test]
+    fn hostile_echo_flood_is_bounded_per_sender() {
+        let (n, t) = (7, 2);
+        let mut acast = Acast::new(0, n, t);
+        // Two corrupt parties name a fresh value in every message; senders
+        // outside the party set do the same.
+        for x in 0..1000 {
+            for (k, from) in [n - 2, n - 1, n, usize::MAX].into_iter().enumerate() {
+                let fresh = value(100 + 4 * x + k as u64);
+                assert!(feed(&mut acast, from, AcastMsg::Echo(fresh.clone())).is_empty());
+                assert!(feed(&mut acast, from, AcastMsg::Ready(fresh)).is_empty());
+            }
+        }
+        // Each corrupt party's first Echo and first Ready, nothing else.
+        assert_eq!(stored_candidates(&acast), 2 * t);
+        assert_eq!(acast.seen.len(), 2 * n);
+        assert_eq!(acast.seen.iter().filter(|&&s| s).count(), 2 * t);
+        assert!(acast.output.is_none());
+
+        // The flood bought no support: the honest parties' value still needs
+        // its own ⌈(n+t+1)/2⌉ = 5 echoes and 2t+1 = 5 readies.
+        for from in 0..4 {
+            assert!(feed(&mut acast, from, AcastMsg::Echo(value(9))).is_empty());
+        }
+        let ready = vec![Msg::Acast(AcastMsg::Ready(value(9)))];
+        assert_eq!(feed(&mut acast, 4, AcastMsg::Echo(value(9))), ready);
+        for from in 0..4 {
+            assert!(feed(&mut acast, from, AcastMsg::Ready(value(9))).is_empty());
+            assert!(acast.output.is_none());
+        }
+        assert!(feed(&mut acast, 4, AcastMsg::Ready(value(9))).is_empty());
+        assert_eq!(acast.output, Some(value(9)));
+        // Every party was heard once per stage: at most 2n candidates ever.
+        assert!(stored_candidates(&acast) <= 2 * n);
+    }
+
+    #[test]
+    fn duplicate_echo_and_ready_are_idempotent() {
+        let (n, t) = (4, 1);
+        let burst = 3;
+        let mut acast = Acast::new(0, n, t);
+        // A repeated Send is echoed once, and only the sender's counts.
+        assert!(feed(&mut acast, 2, AcastMsg::Send(value(5))).is_empty());
+        let echo = vec![Msg::Acast(AcastMsg::Echo(value(5)))];
+        assert_eq!(feed(&mut acast, 0, AcastMsg::Send(value(5))), echo);
+        for _ in 0..burst {
+            assert!(feed(&mut acast, 0, AcastMsg::Send(value(5))).is_empty());
+        }
+        // Two echoers, each delivered `burst` times, stay below the echo
+        // threshold ⌈(n+t+1)/2⌉ = 3; the third distinct echoer reaches it.
+        for from in [0, 1] {
+            for _ in 0..burst {
+                assert!(feed(&mut acast, from, AcastMsg::Echo(value(5))).is_empty());
+            }
+        }
+        assert_eq!(acast.echoes, vec![(value(5), 2)]);
+        let ready = vec![Msg::Acast(AcastMsg::Ready(value(5)))];
+        assert_eq!(feed(&mut acast, 2, AcastMsg::Echo(value(5))), ready);
+        // Likewise 2t = 2 distinct readies, however often repeated, deliver
+        // nothing; the third does, and further repeats change nothing.
+        for from in [0, 1] {
+            for _ in 0..burst {
+                assert!(feed(&mut acast, from, AcastMsg::Ready(value(5))).is_empty());
+            }
+        }
+        assert_eq!(acast.readies, vec![(value(5), 2)]);
+        assert!(acast.output.is_none());
+        assert!(feed(&mut acast, 3, AcastMsg::Ready(value(5))).is_empty());
+        assert_eq!(acast.output, Some(value(5)));
+        for from in 0..n {
+            assert!(feed(&mut acast, from, AcastMsg::Echo(value(5))).is_empty());
+            assert!(feed(&mut acast, from, AcastMsg::Ready(value(5))).is_empty());
+        }
+        // In the end every party was counted exactly once per stage.
+        assert_eq!(acast.echoes, vec![(value(5), n)]);
+        assert_eq!(acast.readies, vec![(value(5), n)]);
     }
 }

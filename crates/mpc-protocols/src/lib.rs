@@ -35,6 +35,7 @@ pub mod msg;
 pub mod params;
 pub mod sba;
 pub mod star;
+pub(crate) mod tally;
 #[cfg(test)]
 pub(crate) mod testnet;
 pub mod voteboard;

@@ -27,17 +27,11 @@ use std::any::Any;
 use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
 
 use crate::msg::{Msg, SbaMsg, SbaValue};
+use crate::tally::tally;
 
-/// Support counts of one (phase, round, slot): the distinct values seen and
-/// how many parties sent each. At most one entry per sender, so at most `n`.
-type Tally = Vec<(SbaValue, usize)>;
-
-fn tally(tally: &mut Tally, value: SbaValue) {
-    match tally.iter_mut().find(|(v, _)| *v == value) {
-        Some((_, count)) => *count += 1,
-        None => tally.push((value, 1)),
-    }
-}
+/// Support counts of one (phase, round, slot). At most one entry per sender,
+/// so at most `n`.
+type Tally = crate::tally::Tally<SbaValue>;
 
 /// One instance of the phase-king SBA over `k` slots.
 #[derive(Debug)]

@@ -182,10 +182,10 @@ impl VoteBoard {
     /// broadcast regular/fallback output plus incremental A-casts).
     pub fn all_votes_of(&self, j: PartyId) -> Vec<(PartyId, Vote)> {
         let mut votes = Self::votes_in(self.scheduled_slot(j).and_then(BcSlot::value));
-        for (seg, acast) in &self.updates {
-            if self.update_sender(*seg) == j {
-                votes.extend(Self::votes_in(acast.output.as_ref()));
-            }
+        // Sender `j`'s update segments are contiguous (see `update_segment`).
+        let segs = self.update_segment(j, 0)..self.update_segment(j + 1, 0);
+        for acast in self.updates.range(segs).map(|(_, acast)| acast) {
+            votes.extend(Self::votes_in(acast.output.as_ref()));
         }
         votes
     }
@@ -259,5 +259,67 @@ impl VoteBoard {
             }
         }
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpc_algebra::Fp;
+
+    /// What `all_votes_of` computed before it used the segment range: a scan
+    /// of every update A-cast, filtered by sender.
+    fn all_votes_by_full_scan(board: &VoteBoard, j: PartyId) -> Vec<(PartyId, Vote)> {
+        let mut votes = VoteBoard::votes_in(board.scheduled_slot(j).and_then(BcSlot::value));
+        for (seg, acast) in &board.updates {
+            if board.update_sender(*seg) == j {
+                votes.extend(VoteBoard::votes_in(acast.output.as_ref()));
+            }
+        }
+        votes
+    }
+
+    #[test]
+    fn all_votes_of_reads_exactly_the_senders_segment_range() {
+        let params = Params::new(5, 1, 1, 10);
+        let n = params.n;
+        let mut board = VoteBoard::new(40, 1, params);
+        // Delivered updates from several senders — including the first and
+        // last segment of a sender's range and the board's last segment —
+        // plus one that has not delivered yet.
+        let nok = Vote::Nok {
+            ell: 2,
+            value: Fp::from_u64(77),
+        };
+        let delivered = [
+            (0, 0, Vote::Ok),
+            (0, n - 1, nok.clone()),
+            (1, 0, Vote::Ok),
+            (3, 2, nok),
+            (3, 1, Vote::Ok),
+            (n - 1, n - 1, Vote::Ok),
+        ];
+        for (sender, counterpart, vote) in delivered.clone() {
+            let mut acast = Acast::new(sender, n, 1);
+            acast.output = Some(BcValue::Votes(vec![(counterpart as u32, vote)]));
+            board
+                .updates
+                .insert(board.update_segment(sender, counterpart), acast);
+        }
+        let pending = board.update_segment(1, 3);
+        board.updates.insert(pending, Acast::new(1, n, 1));
+
+        let mut total = 0;
+        for j in 0..n {
+            let votes = board.all_votes_of(j);
+            assert_eq!(votes, all_votes_by_full_scan(&board, j), "sender {j}");
+            total += votes.len();
+        }
+        assert_eq!(total, delivered.len());
+        assert_eq!(
+            board.all_votes_of(3),
+            vec![(1, Vote::Ok), (2, delivered[3].2.clone())],
+            "in segment order"
+        );
     }
 }
