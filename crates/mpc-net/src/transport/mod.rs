@@ -1,16 +1,16 @@
 //! Transport abstraction: the party runtime behind [`crate::Simulation`],
 //! factored into a trait so the deterministic discrete-event simulator is
-//! *one* backend and the real threaded runtime
-//! ([`threaded::ThreadedNet`]) is a second, conformant one.
+//! *one* backend and the real thread-per-party runtime
+//! ([`threaded::RealNet`], over channels as [`threaded::ThreadedNet`] or
+//! over sockets as [`tcp::TcpNet`]) is a second, conformant one.
 //!
-//! Both backends execute the same protocol state machines over the same
-//! canonical wire bytes ([`crate::wire`]) with the same per-party seeded
-//! randomness ([`crate::NetConfig::party_rng_seed`]); the simulator advances
-//! a virtual clock event by event, while the threaded backend runs each
-//! party as an OS thread exchanging bytes over in-memory channels, paced
-//! against the *wall clock* — its timers are real `recv_timeout` deadlines,
-//! so the synchronous→asynchronous fallback path is driven by genuine
-//! timeouts rather than simulated `Δ` ticks.
+//! Both execute the same protocol state machines over the same canonical
+//! wire bytes ([`crate::wire`]) with the same per-party seeded randomness
+//! ([`crate::NetConfig::party_rng_seed`]); the simulator advances a virtual
+//! clock event by event, while the real runtime runs each party as an OS
+//! thread paced against the *wall clock* — its timers are real receive
+//! deadlines, so the synchronous→asynchronous fallback path is driven by
+//! genuine timeouts rather than simulated `Δ` ticks.
 //!
 //! The conformance contract (see DESIGN.md, "Transport abstraction &
 //! conformance oracle", and `tests/transport_conformance.rs`): for any seed
@@ -52,8 +52,9 @@ pub enum Backend {
     Threaded,
     /// The socket runtime ([`tcp::TcpNet`]): the threaded party runtime with
     /// every inter-party channel replaced by a supervised loopback
-    /// `TcpStream` — retry/backoff dialing, reconnect-with-replay, and an
-    /// incremental decoder that resyncs after torn frames.
+    /// `TcpStream`, all of a party's sockets driven from its own thread —
+    /// retry/backoff dialing, reconnect-with-replay, and an incremental
+    /// decoder that resyncs after torn frames.
     Tcp,
 }
 

@@ -1,7 +1,12 @@
-//! Connection supervision for the TCP transport ([`crate::transport::tcp`]):
-//! the per-link stream codec, the exponential-backoff dial policy, the
-//! bounded replay buffer behind reconnect-with-replay, and the chaos shim
-//! that maps [`FaultPlan`] coordinates onto raw byte streams.
+//! Connection supervision for the TCP transport ([`crate::transport::tcp`])
+//! as pure state machines with no socket in them: the per-link stream codec,
+//! the exponential-backoff dial policy, the dialer side of a link
+//! ([`LinkWriter`]: bounded replay buffer, write cursor, chaos verdicts) over
+//! any `Write`, the listener's accept set ([`Handshakes`]) over any `Read`,
+//! and the chaos shim mapping [`FaultPlan`] coordinates onto byte streams.
+//! `tcp.rs` plugs in non-blocking `TcpStream`s; `tests/link_supervision.rs`
+//! sinks that take three bytes at a time and peers that never say who they
+//! are.
 //!
 //! # Stream protocol
 //!
@@ -27,7 +32,9 @@
 //! of a record boundary. Teardown-and-replay *is* the resync mechanism.
 
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::io::{ErrorKind, Read, Write};
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use crate::faults::{FaultOutcome, FaultPlan};
 use crate::transport::{PartyId, Time};
@@ -123,8 +130,14 @@ pub fn decode_handshake(bytes: &[u8; 12]) -> Option<(PartyId, PartyId)> {
 /// Encodes one record as its stream bytes: `u32` body length, body, with
 /// the trailing FNV-1a checksum inside the body.
 pub fn encode_record(rec: &LinkRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    match rec {
+    let mut out = Vec::with_capacity(64);
+    encode_record_into(&mut out, rec);
+    out
+}
+
+/// Appends the stream bytes of `rec` to `out`.
+pub fn encode_record_into(out: &mut Vec<u8>, rec: &LinkRecord) {
+    let (tag, fields, count) = match rec {
         LinkRecord::Data {
             seq,
             send_tick,
@@ -133,35 +146,54 @@ pub fn encode_record(rec: &LinkRecord) -> Vec<u8> {
             framed,
             payload,
         } => {
-            body.push(TAG_DATA);
-            body.extend_from_slice(&seq.to_le_bytes());
-            body.extend_from_slice(&send_tick.to_le_bytes());
-            body.extend_from_slice(&order.to_le_bytes());
-            body.extend_from_slice(&deliver_tick.to_le_bytes());
-            body.push(u8::from(*framed));
-            body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            body.extend_from_slice(payload);
+            let stamp = (*send_tick, *order, *deliver_tick);
+            return encode_data_into(out, *seq, stamp, *framed, payload);
         }
-        LinkRecord::Floor { seq, floor } => {
-            body.push(TAG_FLOOR);
-            body.extend_from_slice(&seq.to_le_bytes());
-            body.extend_from_slice(&floor.to_le_bytes());
-        }
-        LinkRecord::Probe { floor } => {
-            body.push(TAG_PROBE);
-            body.extend_from_slice(&floor.to_le_bytes());
-        }
-        LinkRecord::Ack { next_seq } => {
-            body.push(TAG_ACK);
-            body.extend_from_slice(&next_seq.to_le_bytes());
-        }
+        LinkRecord::Floor { seq, floor } => (TAG_FLOOR, [*seq, *floor], 2),
+        LinkRecord::Probe { floor } => (TAG_PROBE, [*floor, 0], 1),
+        LinkRecord::Ack { next_seq } => (TAG_ACK, [*next_seq, 0], 1),
+    };
+    let start = begin_record(out, tag);
+    for f in &fields[..count] {
+        out.extend_from_slice(&f.to_le_bytes());
     }
-    let sum = fnv1a(&body);
-    body.extend_from_slice(&sum.to_le_bytes());
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    end_record(out, start);
+}
+
+/// Appends the stream bytes of a [`LinkRecord::Data`] straight from a
+/// borrowed payload — the write path's encoder: no owned record, no
+/// intermediate body buffer. `stamp` is `(send_tick, order, deliver_tick)`.
+pub fn encode_data_into(
+    out: &mut Vec<u8>,
+    seq: u64,
+    stamp: (Time, u32, Time),
+    framed: bool,
+    payload: &[u8],
+) {
+    let start = begin_record(out, TAG_DATA);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&stamp.0.to_le_bytes());
+    out.extend_from_slice(&stamp.1.to_le_bytes());
+    out.extend_from_slice(&stamp.2.to_le_bytes());
+    out.push(u8::from(framed));
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    end_record(out, start);
+}
+
+fn begin_record(out: &mut Vec<u8>, tag: u8) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0, 0, 0, 0, tag]);
+    start
+}
+
+/// Seals the record begun at `start`: checksum over the body, then the
+/// length prefix patched in.
+fn end_record(out: &mut Vec<u8>, start: usize) {
+    let sum = fnv1a(&out[start + 4..]);
+    out.extend_from_slice(&sum.to_le_bytes());
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Why the incremental decoder gave up on a stream. Any fault means the
@@ -340,67 +372,259 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The bounded resend buffer behind reconnect-with-replay: every sequenced
-/// record written to a link stays here until the receiver's cumulative ack
-/// covers it; on reconnect the whole buffer is retransmitted in sequence
-/// order. The byte bound is enforced by *back-pressure* (the supervisor
-/// waits for acks before buffering more), never by dropping — dropping an
-/// unacked record would break at-least-once delivery.
-#[derive(Debug)]
-pub(super) struct ReplayBuffer {
-    entries: VecDeque<(u64, Vec<u8>)>,
-    bytes: usize,
+/// The bounded resend buffer behind reconnect-with-replay: the stream bytes
+/// of every sequenced record of a link, concatenated in sequence order, from
+/// the oldest one the receiver has not cumulatively acked. The byte bound is
+/// enforced by *back-pressure* (the sender waits for acks before buffering
+/// more), never by dropping — dropping an unacked record would break
+/// at-least-once delivery.
+#[derive(Debug, Default)]
+struct ReplayBuffer {
+    bytes: Vec<u8>,
+    /// `(seq, end offset in bytes)` of each buffered record.
+    ends: VecDeque<(u64, usize)>,
     next_seq: u64,
 }
 
 impl ReplayBuffer {
-    pub(super) fn new() -> Self {
-        ReplayBuffer {
-            entries: VecDeque::new(),
-            bytes: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// Assigns the next link sequence number (call exactly once per
-    /// sequenced record, immediately before [`ReplayBuffer::push`]).
-    pub(super) fn assign_seq(&mut self) -> u64 {
-        let s = self.next_seq;
+    /// Appends the next sequenced record, encoded in place by
+    /// `encode(seq, out)`; returns its byte range in the buffer.
+    fn push(&mut self, encode: impl FnOnce(u64, &mut Vec<u8>)) -> Range<usize> {
+        let start = self.bytes.len();
+        encode(self.next_seq, &mut self.bytes);
+        self.ends.push_back((self.next_seq, self.bytes.len()));
         self.next_seq += 1;
-        s
+        start..self.bytes.len()
     }
 
-    /// Buffers the encoded stream bytes of record `seq`.
-    pub(super) fn push(&mut self, seq: u64, encoded: Vec<u8>) {
-        self.bytes += encoded.len();
-        self.entries.push_back((seq, encoded));
-    }
-
-    /// Drops every record the cumulative ack `next_seq` covers.
-    pub(super) fn trim(&mut self, next_seq: u64) {
-        while let Some((seq, bytes)) = self.entries.front() {
-            if *seq >= next_seq {
+    /// Drops every record the cumulative ack `next_seq` covers that ends at
+    /// or below byte `limit`; returns how many bytes went.
+    fn trim(&mut self, next_seq: u64, limit: usize) -> usize {
+        let mut cut = 0;
+        while let Some(&(seq, end)) = self.ends.front() {
+            if seq >= next_seq || end > limit {
                 break;
             }
-            self.bytes -= bytes.len();
-            self.entries.pop_front();
+            cut = end;
+            self.ends.pop_front();
+        }
+        if cut > 0 {
+            self.bytes.drain(..cut);
+            self.ends.iter_mut().for_each(|(_, end)| *end -= cut);
+        }
+        cut
+    }
+
+    /// The buffered (unacked) stream bytes.
+    fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Number of buffered records that start below byte `offset`.
+    fn records_below(&self, offset: usize) -> usize {
+        let ends = self.ends.iter().map(|&(_, end)| end);
+        let starts = std::iter::once(0).chain(ends).take(self.ends.len());
+        starts.take_while(|&start| start < offset).count()
+    }
+}
+
+/// The dialer side of one link as a pure state machine over any
+/// [`Write`] sink: the replay buffer, a cursor over it (how much the
+/// *current* connection has taken), and the chaos verdicts still ahead of
+/// the cursor. A record is never torn or reordered by a short write — the
+/// cursor simply stops — and a reconnect rewinds the cursor to the oldest
+/// unacked record boundary.
+#[derive(Debug, Default)]
+pub struct LinkWriter {
+    replay: ReplayBuffer,
+    /// Bytes of `replay` the current connection has accepted.
+    sent: usize,
+    /// `(offset at which the action fires, start of its record, action)`,
+    /// in stream order, all at or ahead of `sent`.
+    chaos: VecDeque<(usize, usize, ChaosAction)>,
+    /// The `stall` preset, per link: nothing is written before this instant,
+    /// while the party keeps serving its other links.
+    stalled_until: Option<Instant>,
+}
+
+impl LinkWriter {
+    /// Queues the next sequenced record, encoded in place by
+    /// `encode(seq, out)`, under the chaos verdict `act(encoded_len)` for
+    /// its first transmission.
+    pub fn queue(
+        &mut self,
+        encode: impl FnOnce(u64, &mut Vec<u8>),
+        act: impl FnOnce(usize) -> ChaosAction,
+    ) {
+        let rec = self.replay.push(encode);
+        let act = act(rec.len());
+        let at = match act {
+            ChaosAction::Clean => return,
+            ChaosAction::Stall { .. } => rec.start,
+            ChaosAction::Sever { prefix } => rec.start + prefix.min(rec.len()),
+            ChaosAction::DuplicateRun => rec.end,
+        };
+        self.chaos.push_back((at, rec.start, act));
+    }
+
+    /// Buffered (unacked) bytes — what the replay cap bounds.
+    pub fn backlog(&self) -> usize {
+        self.replay.bytes().len()
+    }
+
+    /// Whether the current connection has taken everything queued.
+    pub fn drained(&self) -> bool {
+        self.sent == self.backlog()
+    }
+
+    /// Whether [`LinkWriter::flush`] has something to write at `now`.
+    pub fn wants_write(&self, now: Instant) -> bool {
+        self.sent < self.backlog() && self.stalled_until.is_none_or(|t| t <= now)
+    }
+
+    /// When a stalled link may write again.
+    pub fn stalled_until(&self) -> Option<Instant> {
+        self.stalled_until
+    }
+
+    /// Hands `sink` everything unsent in as few `write` calls as it takes,
+    /// up to the next chaos point. `WouldBlock` is not an error (the rest
+    /// stays queued); `Err` means the connection is gone, really or by
+    /// chaos, and the caller must drop it and [`LinkWriter::reconnect`].
+    pub fn flush(&mut self, sink: &mut impl Write, now: Instant) -> std::io::Result<()> {
+        while self.wants_write(now) {
+            self.stalled_until = None;
+            let stop = self.chaos.front().map_or(self.backlog(), |c| c.0);
+            while self.sent < stop {
+                match sink.write(&self.replay.bytes()[self.sent..stop]) {
+                    Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                    Ok(k) => self.sent += k,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            match self.chaos.pop_front() {
+                None => {}
+                Some((_, _, ChaosAction::Stall { dur })) => self.stalled_until = Some(now + dur),
+                Some((at, start, act)) => {
+                    if act == ChaosAction::DuplicateRun {
+                        // A copy of the record's first bytes: garbage at the
+                        // receiver, which must resync by teardown.
+                        let run = (at - start).clamp(1, 24);
+                        let _ = sink.write(&self.replay.bytes()[start..start + run]);
+                    }
+                    return Err(std::io::Error::new(
+                        ErrorKind::ConnectionAborted,
+                        "chaos sever",
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A cumulative ack arrived: trims what it covers — but only records the
+    /// current connection has fully taken, so the stream stays on a record
+    /// boundary.
+    pub fn ack(&mut self, next_seq: u64) {
+        let cut = self.replay.trim(next_seq, self.sent);
+        self.sent -= cut;
+        for (at, start, _) in &mut self.chaos {
+            *at -= cut;
+            *start = start.saturating_sub(cut);
         }
     }
 
-    /// Buffered (unacked) bytes.
-    pub(super) fn bytes(&self) -> usize {
-        self.bytes
+    /// A fresh connection: rewinds to the oldest unacked record. Returns how
+    /// many records the previous connection had (at least partly) taken and
+    /// will now see again ([`crate::Metrics::frames_replayed`]). Chaos
+    /// verdicts already fired are gone, so replays are written clean.
+    pub fn reconnect(&mut self) -> u64 {
+        let replayed = self.replay.records_below(self.sent);
+        self.sent = 0;
+        replayed as u64
+    }
+}
+
+/// How long an accepted connection may take to present its handshake.
+pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// The listener side's accept state machine: connections that have been
+/// accepted but not yet identified. A stranger cannot park state here —
+/// every entry has a deadline and the set is capped (oldest evicted, since
+/// a genuine dialer sends its handshake with the connect and is long gone).
+#[derive(Debug)]
+pub struct Handshakes<S> {
+    pending: VecDeque<Pending<S>>,
+    cap: usize,
+}
+
+#[derive(Debug)]
+struct Pending<S> {
+    stream: S,
+    hs: [u8; 12],
+    got: usize,
+    deadline: Instant,
+}
+
+impl<S: Read> Handshakes<S> {
+    /// An empty set for a party with `n − 1` peers.
+    pub fn new(n: usize) -> Self {
+        Handshakes {
+            pending: VecDeque::new(),
+            cap: n + 3,
+        }
     }
 
-    /// Unacked records in sequence order, for replay after a reconnect.
-    pub(super) fn unacked(&self) -> impl Iterator<Item = &(u64, Vec<u8>)> {
-        self.entries.iter()
+    /// Admits a freshly accepted connection.
+    pub fn admit(&mut self, stream: S, now: Instant) {
+        if self.pending.len() == self.cap {
+            self.pending.pop_front();
+        }
+        self.pending.push_back(Pending {
+            stream,
+            hs: [0; 12],
+            got: 0,
+            deadline: now + HANDSHAKE_TIMEOUT,
+        });
     }
 
-    /// Number of unacked records.
-    #[cfg(test)]
-    pub(super) fn len(&self) -> usize {
-        self.entries.len()
+    /// Closes every connection whose handshake deadline has passed.
+    pub fn expire(&mut self, now: Instant) {
+        self.pending.retain(|p| p.deadline > now);
+    }
+
+    /// The pending connections, in the index order
+    /// [`Handshakes::advance`] takes.
+    pub fn streams(&self) -> impl Iterator<Item = &S> {
+        self.pending.iter().map(|p| &p.stream)
+    }
+
+    /// The earliest handshake deadline, if any connection is pending.
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.pending.front().map(|p| p.deadline)
+    }
+
+    /// Reads what pending connection `idx` has to offer. A complete, valid
+    /// handshake — naming `me` as its target and a real, other party as its
+    /// source — hands the connection over as that party's. One still short
+    /// of 12 bytes stays pending; EOF, an error or an invalid handshake
+    /// closes the connection and changes nothing else.
+    pub fn advance(&mut self, idx: usize, me: PartyId, n: usize) -> Option<(PartyId, S)> {
+        let p = &mut self.pending[idx];
+        while p.got < p.hs.len() {
+            match p.stream.read(&mut p.hs[p.got..]) {
+                Ok(0) => break,
+                Ok(k) => p.got += k,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        let p = self.pending.remove(idx).expect("indexed just above");
+        let (from, to) = decode_handshake(&p.hs)?;
+        (p.got == p.hs.len() && to == me && from < n && from != me).then_some((from, p.stream))
     }
 }
 
@@ -410,7 +634,7 @@ impl ReplayBuffer {
 /// always written clean, so every action is survivable by
 /// teardown-and-replay and chaos never changes the logical schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) enum ChaosAction {
+pub enum ChaosAction {
     /// Write the record untouched.
     Clean,
     /// Write only the first `prefix` bytes, then sever the connection —
@@ -419,8 +643,10 @@ pub(super) enum ChaosAction {
         /// Bytes actually written before the teardown.
         prefix: usize,
     },
-    /// Sleep before writing — a stalled peer; long enough stalls push the
-    /// receiver's conservative gate past its wedge deadline.
+    /// Hold the link — this record and everything behind it — for `dur`
+    /// before writing on: a stalled peer, as seen from this one link. Long
+    /// enough stalls push the receiver's conservative gate past its wedge
+    /// deadline.
     Stall {
         /// Wall-clock write delay.
         dur: Duration,
@@ -431,8 +657,8 @@ pub(super) enum ChaosAction {
     DuplicateRun,
 }
 
-/// Longest stall the shim will sleep for one record, whatever the plan's
-/// extra delay says — keeps pathological cells bounded in wall time while
+/// Longest stall the shim will hold a link for one record, whatever the
+/// plan's extra delay says — keeps pathological cells bounded in wall time while
 /// still overshooting any test-sized wedge deadline.
 pub(super) const STALL_CAP: Duration = Duration::from_millis(300);
 
@@ -592,18 +818,21 @@ mod tests {
 
     #[test]
     fn replay_buffer_trims_on_cumulative_ack() {
-        let mut buf = ReplayBuffer::new();
+        let mut buf = ReplayBuffer::default();
         for _ in 0..5 {
-            let seq = buf.assign_seq();
-            buf.push(seq, vec![0u8; 10]);
+            buf.push(|seq, out| out.extend_from_slice(&[seq as u8; 10]));
         }
-        assert_eq!((buf.len(), buf.bytes()), (5, 50));
-        buf.trim(3);
-        assert_eq!((buf.len(), buf.bytes()), (2, 20));
-        let seqs: Vec<u64> = buf.unacked().map(|(s, _)| *s).collect();
-        assert_eq!(seqs, vec![3, 4]);
-        buf.trim(100);
-        assert_eq!((buf.len(), buf.bytes()), (0, 0));
+        assert_eq!((buf.ends.len(), buf.bytes().len()), (5, 50));
+        // The ack covers 0..3, but only 25 bytes have gone out on the
+        // current connection: record 2 is still being written.
+        assert_eq!(buf.trim(3, 25), 20);
+        assert_eq!(buf.trim(3, 50), 10);
+        assert_eq!(buf.bytes(), [[3u8; 10], [4u8; 10]].concat());
+        assert_eq!(buf.records_below(11), 2);
+        assert_eq!(buf.trim(100, 20), 20);
+        assert_eq!((buf.ends.len(), buf.bytes().len()), (0, 0));
+        assert_eq!(buf.push(|seq, out| out.push(seq as u8)), 0..1);
+        assert_eq!(buf.bytes(), [5]);
     }
 
     #[test]

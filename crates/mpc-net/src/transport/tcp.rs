@@ -1,1012 +1,727 @@
-//! The TCP socket transport backend: the threaded party runtime of
-//! [`super::threaded`] with every inter-party channel replaced by a
-//! *supervised* loopback `TcpStream`.
+//! The TCP socket transport backend: the party runtime of
+//! [`super::threaded`] with its mailbox on *supervised* loopback
+//! `TcpStream`s instead of in-memory channels.
 //!
 //! # Execution model
 //!
-//! Party threads are byte-for-byte the threaded backend's
-//! `PartyRuntime` — same wall-clock tick pacing, same conservative
-//! link-clock gate, same batch engines — so every conformance property the
-//! threaded backend inherits from the simulator oracle carries over
-//! unchanged. What this module replaces is the medium: a party's outbound
-//! channel to peer `r` now feeds a per-link *supervisor* (an outbox thread
-//! owning one dialed socket), and inbound packets arrive through a
-//! listener/reader pair that decodes the stream incrementally and forwards
-//! into the party's local inbox.
+//! A run is one thread per party and nothing else. The party thread runs the
+//! threaded backend's `PartyRuntime` unchanged — same tick pacing, same
+//! link-clock gate, same batch engines, so every conformance property
+//! carries over — and is the only thread that touches the party's sockets:
+//! its listener, the `n − 1` streams it dialed (link `me → r`: records out,
+//! acks back) and the `n − 1` it accepted (link `r → me`), all non-blocking.
+//! Wherever the runtime would block on a channel, `TcpMailbox` blocks in one
+//! `ppoll` over all of them, with the tick deadline as its time-out; what a
+//! wake-up queues for a link (frames, then the floor promise behind them)
+//! leaves in one `write` when the runtime flushes.
 //!
-//! The supervisor absorbs real connection failure (see
-//! [`super::supervisor`] for the stream protocol):
+//! Connection failure is per-link state, not a thread ([`super::supervisor`]
+//! has the stream protocol and the pure state machines):
 //!
-//! * **Dial**: exponential backoff with deterministic jitter; failed
-//!   attempts count [`crate::Metrics::dial_retries`].
-//! * **Reconnect-with-replay**: every sequenced record stays in a bounded
-//!   replay buffer until cumulatively acked; a torn connection is re-dialed
-//!   ([`crate::Metrics::reconnects`]) and the unacked tail retransmitted in
-//!   order ([`crate::Metrics::frames_replayed`]). Delivery is
-//!   at-least-once; the receiver dedupes by link sequence — the stream
-//!   ordinal of the canonical `(from, send_tick, order)` key — so the
-//!   party-side held heap stays bit-identical to the simulator oracle.
-//! * **Liveness**: an idle link re-announces its last promised floor as a
-//!   probe record, piggybacking heartbeat on the Chandy–Misra null
-//!   messages; a dead peer surfaces as a failed write or an ack-stream EOF.
-//! * **Resync**: any undecodable bytes (torn or duplicated runs) poison the
+//! * **Dial / reconnect-with-replay**: `OutConn::Down` re-dials at
+//!   `retry_at` (exponential backoff, deterministic jitter,
+//!   [`crate::Metrics::dial_retries`]); a re-established link
+//!   ([`crate::Metrics::reconnects`]) writes its unacked tail again in order
+//!   ([`crate::Metrics::frames_replayed`]). Delivery is at-least-once; the
+//!   receiver dedupes by link sequence, so the party-side held heap stays
+//!   bit-identical to the simulator oracle.
+//! * **Acks** are cumulative and sent when the sender's buffer needs them: a
+//!   quarter of the replay cap received, or one probe interval after the
+//!   oldest unacked record — not once per read.
+//! * **Liveness**: a link with nothing to write for a probe interval
+//!   re-announces its last floor as an unsequenced probe, so a dead peer
+//!   surfaces as a failed write; a closed one is seen at once, as EOF on
+//!   the ack side of the same poll set.
+//! * **Resync**: undecodable bytes (torn or duplicated runs) poison the
 //!   stream; the receiver abandons them ([`crate::Metrics::bytes_resynced`])
-//!   and tears the connection down — the replay path restarts the stream at
-//!   a record boundary.
+//!   and closes the connection — replay restarts it at a record boundary.
+//! * **Strangers**: an accepted connection is nobody until its 12-byte
+//!   handshake checks out, within a deadline, in a capped pending set.
 //!
-//! Because a lost packet is replayed rather than dropped, and because
-//! link-clock floors queue *behind* it in the same FIFO stream, a
-//! receiver's gate can never clear a tick that a lost-but-replayable packet
-//! belongs to: connection failure is converted into bounded back-pressure
-//! (at worst a wedge diagnosis), never into logical divergence.
+//! A lost packet is replayed, not dropped, and link-clock floors queue
+//! *behind* it in the same FIFO stream, so a receiver's gate can never clear
+//! a tick that a lost-but-replayable packet belongs to: connection failure
+//! becomes bounded back-pressure (at worst a wedge diagnosis), never logical
+//! divergence.
 //!
 //! # Chaos shim
 //!
 //! [`TcpNet::set_chaos_plan`] installs a second [`FaultPlan`], interpreted
-//! at the socket layer by `supervisor::chaos_action`: `Drop`
-//! severs the connection mid-record, an extra delay stalls the write past
-//! the wedge deadline, a duplicate writes a garbled byte run that forces a
-//! resync. Chaos acts only on a record's first transmission — replays are
-//! clean — so the logical schedule (and the guarantee matrix verdict) is
-//! untouched; only the wall-clock path stretches.
+//! at the socket layer by `supervisor::chaos_action`: `Drop` severs the
+//! connection mid-record, an extra delay stalls *that link's* writes past
+//! the wedge deadline (the party keeps serving its other links), a duplicate
+//! writes a garbled byte run that forces a resync. Chaos acts only on a
+//! record's first transmission — replays are clean — so the logical schedule
+//! (and the guarantee matrix verdict) is untouched; only the wall clock
+//! stretches.
 
-use std::collections::BinaryHeap;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ppoll::PollFd;
 
-use crate::adversary::{AdversaryStructure, ByzantineStrategy, CorruptionSet, Passive};
-use crate::context::Protocol;
 use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
-use crate::scheduler::LinkDelays;
-use crate::simulation::{NetConfig, TranscriptEntry};
 use crate::transport::supervisor::{
-    chaos_action, decode_handshake, encode_handshake, encode_record, Backoff, ChaosAction,
-    LinkRecord, RecordDecoder, ReplayBuffer,
+    chaos_action, encode_data_into, encode_handshake, encode_record, encode_record_into, Backoff,
+    ChaosAction, Handshakes, LinkRecord, LinkWriter, RecordDecoder,
 };
 use crate::transport::threaded::{
-    tick_micros_from_env, wedge_millis_from_env, AdvState, Inbound, Packet, PartyDone,
-    PartyRuntime, Shared,
+    run_parties, Inbound, Mailbox, Medium, NetSpec, Packet, RealNet, RunState,
 };
-use crate::transport::{Backend, PartyId, PartyView, Time, Transport, TransportError};
+use crate::transport::{Backend, PartyId, Time};
 use crate::wire::{WireDecode, WireEncode};
 
 /// Resolves the replay-buffer byte bound from `MPC_TCP_REPLAY_CAP`
 /// (default 8 MiB). A set-but-unparsable value panics instead of silently
 /// falling back.
 pub fn replay_cap_from_env() -> usize {
-    const DEFAULT: usize = 8 << 20;
-    match std::env::var("MPC_TCP_REPLAY_CAP") {
-        Err(_) => DEFAULT,
-        Ok(v) if v.trim().is_empty() => DEFAULT,
-        Ok(v) => v.trim().parse().unwrap_or_else(|_| {
-            panic!("MPC_TCP_REPLAY_CAP={v:?}: expected a byte count (unsigned integer)")
-        }),
-    }
+    env_count("MPC_TCP_REPLAY_CAP", 0).unwrap_or(8 << 20) as usize
 }
 
 /// Resolves the idle-link probe interval from `MPC_TCP_PROBE_MS`
 /// (milliseconds, default 25). A set-but-unparsable or zero value panics
 /// instead of silently falling back.
 pub fn probe_millis_from_env() -> u64 {
-    const DEFAULT: u64 = 25;
-    match std::env::var("MPC_TCP_PROBE_MS") {
-        Err(_) => DEFAULT,
-        Ok(v) if v.trim().is_empty() => DEFAULT,
-        Ok(v) => match v.trim().parse() {
-            Ok(ms) if ms > 0 => ms,
-            _ => panic!("MPC_TCP_PROBE_MS={v:?}: expected a positive millisecond count"),
-        },
+    env_count("MPC_TCP_PROBE_MS", 1).unwrap_or(25)
+}
+
+/// `None` if `name` is unset or blank; panics unless it is a count ≥ `min`.
+fn env_count(name: &str, min: u64) -> Option<u64> {
+    let v = std::env::var(name).ok().filter(|v| !v.trim().is_empty())?;
+    match v.trim().parse() {
+        Ok(count) if count >= min => Some(count),
+        _ => panic!("{name}={v:?}: expected an unsigned integer, at least {min}"),
     }
 }
 
-/// Supervisor counters shared by every link thread of one run, folded into
-/// the merged [`Metrics`] afterwards.
-#[derive(Default)]
-struct SupStats {
-    reconnects: AtomicU64,
-    dial_retries: AtomicU64,
-    frames_replayed: AtomicU64,
-    bytes_resynced: AtomicU64,
-}
-
-/// One established connection, dialer side.
-struct Conn {
-    stream: TcpStream,
-    /// Cumulative ack watermark, advanced by the detached ack-reader.
-    acked: Arc<AtomicU64>,
-    /// Set by the ack-reader when the peer closed or the ack stream broke.
-    dead: Arc<AtomicBool>,
-}
-
-/// Static configuration of one directed link's supervisor.
-struct LinkCtx<'a> {
-    from: PartyId,
-    to: PartyId,
-    addr: SocketAddr,
-    chaos: &'a FaultPlan,
-    tick_us: u64,
+/// What the mailboxes of one run share.
+struct NetCtx<'a> {
+    /// Party `i` listens on `addrs[i]`.
+    addrs: Vec<SocketAddr>,
+    spec: &'a NetSpec,
+    sockets: &'a Sockets,
     probe: Duration,
-    replay_cap: usize,
-    stats: &'a Arc<SupStats>,
-    closing: &'a Arc<AtomicBool>,
-    backoff_seed: u64,
+    /// Raised by the coordinator *before* it wakes the parties; a mailbox
+    /// looks at it ahead of its sockets, so the teardown of a finished peer
+    /// is never mistaken for a connection to repair.
+    stop: AtomicBool,
 }
 
-fn io_severed() -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::ConnectionAborted, "chaos sever")
+/// Bound on one blocking dial (loopback connects complete or are refused at
+/// once; this only bounds how long a black-holed address can hold the
+/// party's one I/O thread).
+const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Longest a send waits for acks once a link's replay buffer is over its
+/// cap, before buffering on regardless.
+const BACKPRESSURE: Duration = Duration::from_millis(200);
+
+/// The dialer side of directed link `me → to`.
+struct OutLink {
+    conn: OutConn,
+    writer: LinkWriter,
+    /// Connections established so far; the second and later are reconnects.
+    generation: u64,
+    /// The highest floor queued; what an idle probe re-announces.
+    last_floor: Time,
+    /// Decoder of the current connection's ack back-channel.
+    acks: RecordDecoder,
+    /// When the link last wrote; a probe interval later it is idle.
+    last_write: Instant,
 }
 
-/// Writes one record under a chaos verdict. `Err` means the connection is
-/// gone (really or by chaos) and must be re-established.
-fn transmit(stream: &mut TcpStream, bytes: &[u8], act: ChaosAction) -> std::io::Result<()> {
-    match act {
-        ChaosAction::Clean => stream.write_all(bytes),
-        ChaosAction::Stall { dur } => {
-            std::thread::sleep(dur);
-            stream.write_all(bytes)
-        }
-        ChaosAction::Sever { prefix } => {
-            let _ = stream.write_all(&bytes[..prefix.min(bytes.len())]);
-            let _ = stream.flush();
-            let _ = stream.shutdown(Shutdown::Both);
-            Err(io_severed())
-        }
-        ChaosAction::DuplicateRun => {
-            stream.write_all(bytes)?;
-            let run = bytes.len().clamp(1, 24);
-            let _ = stream.write_all(&bytes[..run]);
-            let _ = stream.flush();
-            let _ = stream.shutdown(Shutdown::Both);
-            Err(io_severed())
-        }
-    }
+/// `Down --dial ok--> Up`, `Down --dial failed--> Down` (later `retry_at`),
+/// `Up --write/read error, EOF, bad ack stream, chaos sever--> Down`.
+enum OutConn {
+    /// No socket: dial (again) at `retry_at`.
+    Down { retry_at: Instant, backoff: Backoff },
+    /// Handshake written; non-blocking from here on.
+    Up(TcpStream),
 }
 
-/// Dials until connected (or the run is closing), with deterministic
-/// exponential backoff. Returns the connection with its ack-reader spawned.
-fn establish(ctx: &LinkCtx<'_>, generation: u64) -> Option<Conn> {
-    let mut backoff = Backoff::new(ctx.backoff_seed ^ generation.wrapping_mul(0x9E37));
-    loop {
-        if ctx.closing.load(Ordering::Relaxed) {
-            return None;
-        }
-        if let Ok(mut stream) = TcpStream::connect(ctx.addr) {
-            let _ = stream.set_nodelay(true);
-            if stream
-                .write_all(&encode_handshake(ctx.from, ctx.to))
-                .is_ok()
-            {
-                let acked = Arc::new(AtomicU64::new(0));
-                let dead = Arc::new(AtomicBool::new(false));
-                // Without an ack stream the link still works — the replay
-                // buffer just never trims until reconnect.
-                if let Ok(clone) = stream.try_clone() {
-                    let (acked2, dead2) = (acked.clone(), dead.clone());
-                    let closing2 = ctx.closing.clone();
-                    std::thread::spawn(move || ack_loop(clone, acked2, dead2, closing2));
-                }
-                return Some(Conn {
-                    stream,
-                    acked,
-                    dead,
-                });
-            }
-        }
-        ctx.stats.dial_retries.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(backoff.next_delay());
-    }
+/// The listener side of directed link `from → me`.
+#[derive(Default)]
+struct InLink {
+    /// The next sequence number to accept. Outlives connections: it is what
+    /// turns at-least-once replay into exactly-once delivery.
+    expected: u64,
+    conn: Option<InConn>,
 }
 
-/// Dialer-side reader of the ack back-channel of one connection.
-fn ack_loop(
-    mut stream: TcpStream,
-    acked: Arc<AtomicU64>,
-    dead: Arc<AtomicBool>,
-    closing: Arc<AtomicBool>,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-    let mut dec = RecordDecoder::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        if closing.load(Ordering::Relaxed) {
-            break;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(k) => {
-                dec.extend(&chunk[..k]);
-                loop {
-                    match dec.next_record() {
-                        Ok(Some(LinkRecord::Ack { next_seq })) => {
-                            acked.fetch_max(next_seq, Ordering::Relaxed);
-                        }
-                        Ok(Some(_)) => {}
-                        Ok(None) => break,
-                        Err(_) => {
-                            dead.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => break,
-        }
-    }
-    dead.store(true, Ordering::Relaxed);
+struct InConn {
+    stream: TcpStream,
+    dec: RecordDecoder,
+    /// Stream bytes of sequenced records taken since the last ack.
+    unacked: usize,
+    /// When the oldest of them must be acked at the latest.
+    ack_due: Option<Instant>,
 }
 
-/// The per-link supervisor loop (outbox): owns the dialer side of one
-/// directed link, converts [`Inbound`] values into stream records, and
-/// survives connection loss by reconnect-with-replay.
-fn outbox_loop(ctx: LinkCtx<'_>, rx: Receiver<Inbound>) {
-    let mut buf = ReplayBuffer::new();
-    let mut conn: Option<Conn> = None;
-    let mut generation: u64 = 0;
-    // Highest data sequence the chaos shim has already ruled on: replays
-    // (seq ≤ this) are always written clean, guaranteeing progress.
-    let mut chaos_done: Option<u64> = None;
-    let mut last_floor: Time = 0;
-    loop {
-        if ctx.closing.load(Ordering::Relaxed) {
-            if let Some(c) = conn.take() {
-                let _ = c.stream.shutdown(Shutdown::Both);
-            }
-            return;
-        }
-        // (Re-)establish and replay the unacked tail in sequence order.
-        if conn.is_none() {
-            let Some(c) = establish(&ctx, generation) else {
-                return; // closing
-            };
-            generation += 1;
-            if generation > 1 {
-                ctx.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-            }
-            conn = Some(c);
-            let c = conn.as_mut().expect("just established");
-            let mut replayed = 0u64;
-            let mut ok = true;
-            for (_, bytes) in buf.unacked() {
-                if c.stream.write_all(bytes).is_err() {
-                    ok = false;
-                    break;
-                }
-                replayed += 1;
-            }
-            ctx.stats
-                .frames_replayed
-                .fetch_add(replayed, Ordering::Relaxed);
-            if !ok {
-                conn = None;
-                continue;
-            }
-        }
-        match rx.recv_timeout(ctx.probe) {
-            Ok(Inbound::Packet(p)) => {
-                let seq = buf.assign_seq();
-                let rec = LinkRecord::Data {
-                    seq,
-                    send_tick: p.send_tick,
-                    order: p.order,
-                    deliver_tick: p.deliver_tick,
-                    framed: p.framed,
-                    payload: (*p.bytes).clone(),
-                };
-                let bytes = encode_record(&rec);
-                // First transmission only: the shim never touches replays.
-                let act = if chaos_done.is_none_or(|d| seq > d) {
-                    chaos_done = Some(seq);
-                    chaos_action(
-                        ctx.chaos,
-                        ctx.from,
-                        ctx.to,
-                        p.send_tick,
-                        p.deliver_tick,
-                        ctx.tick_us,
-                        bytes.len(),
-                    )
-                } else {
-                    ChaosAction::Clean
-                };
-                let c = conn.as_mut().expect("connected above");
-                let res = transmit(&mut c.stream, &bytes, act);
-                buf.push(seq, bytes);
-                if res.is_err() {
-                    conn = None;
-                    continue;
-                }
-            }
-            Ok(Inbound::Past { floor, .. }) => {
-                let seq = buf.assign_seq();
-                last_floor = last_floor.max(floor);
-                let bytes = encode_record(&LinkRecord::Floor { seq, floor });
-                let c = conn.as_mut().expect("connected above");
-                let res = c.stream.write_all(&bytes);
-                buf.push(seq, bytes);
-                if res.is_err() {
-                    conn = None;
-                    continue;
-                }
-            }
-            // Shutdown is an in-process control signal; it never crosses the
-            // wire (and the coordinator only ever sends it to inboxes).
-            Ok(Inbound::Stop) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                let c = conn.as_mut().expect("connected above");
-                if c.dead.load(Ordering::Relaxed) {
-                    conn = None;
-                    continue;
-                }
-                // Idle heartbeat: re-announce the latest promised floor (a
-                // receiver-side no-op — floors are max-monotonic) purely so
-                // a dead peer shows up as a failed write.
-                let probe = encode_record(&LinkRecord::Probe { floor: last_floor });
-                if c.stream.write_all(&probe).is_err() {
-                    conn = None;
-                    continue;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // The party thread is gone and the queue fully drained:
-                // quiescence guarantees nothing here is still undelivered.
-                if let Some(c) = conn.take() {
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                }
-                return;
-            }
-        }
-        // Trim by the cumulative ack; enforce the byte bound by bounded
-        // back-pressure (never by dropping — that would break at-least-once
-        // delivery).
-        if let Some(c) = conn.as_ref() {
-            buf.trim(c.acked.load(Ordering::Relaxed));
-            let wait_start = Instant::now();
-            while buf.bytes() > ctx.replay_cap
-                && wait_start.elapsed() < Duration::from_millis(200)
-                && !c.dead.load(Ordering::Relaxed)
-                && !ctx.closing.load(Ordering::Relaxed)
-            {
-                std::thread::sleep(Duration::from_micros(500));
-                buf.trim(c.acked.load(Ordering::Relaxed));
-            }
-        }
-    }
+/// What one entry of the poll set belongs to.
+#[derive(Clone, Copy)]
+enum Slot {
+    Listener,
+    In(PartyId),
+    Out(PartyId),
+    Pending(usize),
 }
 
-/// Reads exactly `buf.len()` bytes despite read timeouts; bails on EOF,
-/// error, or the run closing.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], closing: &AtomicBool) -> bool {
-    let mut got = 0;
-    while got < buf.len() {
-        if closing.load(Ordering::Relaxed) {
-            return false;
-        }
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => return false,
-            Ok(k) => got += k,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return false,
-        }
-    }
-    true
-}
-
-/// Listener-side reader of one accepted connection: incremental decode,
-/// sequence dedup, forward into the party inbox, cumulative acks back.
-fn reader_loop(
+/// [`Mailbox`] over sockets: the party's listener, its `n − 1` dialed
+/// streams and its `n − 1` accepted ones, all non-blocking, all driven from
+/// the party thread by one `ppoll` per wait.
+struct TcpMailbox<'a> {
     me: PartyId,
-    n: usize,
-    mut stream: TcpStream,
-    inbox: Sender<Inbound>,
-    ingress: Arc<Vec<Mutex<u64>>>,
-    stats: Arc<SupStats>,
-    closing: Arc<AtomicBool>,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-    let mut hs = [0u8; 12];
-    if !read_full(&mut stream, &mut hs, &closing) {
-        return;
-    }
-    let Some((from, to)) = decode_handshake(&hs) else {
-        return;
-    };
-    if to != me || from >= n || from == me {
-        return;
-    }
-    let expected = &ingress[from * n + me];
-    let mut dec = RecordDecoder::new();
-    let mut chunk = vec![0u8; 16 << 10];
-    loop {
-        if closing.load(Ordering::Relaxed) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                // EOF mid-record: the truncated tail is abandoned — the
-                // dialer replays the whole record on its next connection.
-                let pending = dec.pending_bytes() as u64;
-                if pending > 0 {
-                    stats.bytes_resynced.fetch_add(pending, Ordering::Relaxed);
-                }
-                return;
-            }
-            Ok(k) => {
-                dec.extend(&chunk[..k]);
-                let mut progressed = false;
-                let poisoned = loop {
-                    match dec.next_record() {
-                        Ok(Some(rec)) => {
-                            if !deliver(rec, from, expected, &inbox, &mut progressed) {
-                                break true;
-                            }
-                        }
-                        Ok(None) => break false,
-                        Err(_) => {
-                            // Garbage has no in-band record boundary to skip
-                            // to: abandon the buffered bytes and resync by
-                            // teardown (the dialer reconnects and replays).
-                            stats
-                                .bytes_resynced
-                                .fetch_add(dec.pending_bytes() as u64, Ordering::Relaxed);
-                            break true;
-                        }
-                    }
-                };
-                if poisoned {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-                if progressed {
-                    let next_seq = *expected.lock().expect("ingress slot poisoned");
-                    let ack = encode_record(&LinkRecord::Ack { next_seq });
-                    if stream.write_all(&ack).is_err() {
-                        return;
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Applies one decoded record at the receiver. Returns `false` if the
-/// stream must be torn down (sequence gap or a record that does not belong
-/// on this direction).
-fn deliver(
-    rec: LinkRecord,
-    from: PartyId,
-    expected: &Mutex<u64>,
-    inbox: &Sender<Inbound>,
-    progressed: &mut bool,
-) -> bool {
-    let (seq, inbound) = match rec {
-        LinkRecord::Data {
-            seq,
-            send_tick,
-            order,
-            deliver_tick,
-            framed,
-            payload,
-        } => (
-            seq,
-            Inbound::Packet(Packet {
-                from,
-                send_tick,
-                order,
-                deliver_tick,
-                framed,
-                bytes: Arc::new(payload),
-            }),
-        ),
-        LinkRecord::Floor { seq, floor } => (seq, Inbound::Past { from, floor }),
-        LinkRecord::Probe { floor } => {
-            // Unsequenced liveness: floors are max-monotonic, re-delivery
-            // is harmless. A send error just means the party already left.
-            let _ = inbox.send(Inbound::Past { from, floor });
-            return true;
-        }
-        // Acks flow receiver → dialer; one on this direction means the
-        // stream is scrambled.
-        LinkRecord::Ack { .. } => return false,
-    };
-    // Check-and-forward under the link lock: replay duplicates from an old
-    // and a new connection of the same link may race here, and exactly one
-    // copy may cross into the inbox (a double delivery would corrupt the
-    // in-flight accounting and the held heap).
-    let mut exp = expected.lock().expect("ingress slot poisoned");
-    if seq < *exp {
-        return true; // replay duplicate — already delivered
-    }
-    if seq > *exp {
-        return false; // gap: impossible on a clean stream, resync
-    }
-    *exp += 1;
-    let _ = inbox.send(inbound);
-    *progressed = true;
-    true
-}
-
-/// Accept loop of one party's listener: polls non-blockingly (so shutdown
-/// needs no wake-up connection) and spawns a detached reader per accepted
-/// connection.
-fn acceptor_loop(
-    me: PartyId,
-    n: usize,
+    ctx: &'a NetCtx<'a>,
     listener: TcpListener,
-    inbox: Sender<Inbound>,
-    ingress: Arc<Vec<Mutex<u64>>>,
-    stats: Arc<SupStats>,
-    closing: Arc<AtomicBool>,
-) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    loop {
-        if closing.load(Ordering::Relaxed) {
+    /// By peer; `None` in the own slot.
+    out: Vec<Option<OutLink>>,
+    /// By peer; the own slot stays empty.
+    inc: Vec<InLink>,
+    pending: Handshakes<TcpStream>,
+    /// Decoded inbound messages the runtime has not taken yet.
+    ready: VecDeque<Inbound>,
+    fds: Vec<PollFd>,
+    slots: Vec<Slot>,
+    chunk: Vec<u8>,
+    /// The supervision counters (`reconnects`, `dial_retries`,
+    /// `frames_replayed`, `bytes_resynced`) of this party's links.
+    stats: Metrics,
+}
+
+fn dial(addr: &SocketAddr, from: PartyId, to: PartyId) -> std::io::Result<TcpStream> {
+    let mut stream = TcpStream::connect_timeout(addr, DIAL_TIMEOUT)?;
+    stream.set_nodelay(true)?;
+    stream.write_all(&encode_handshake(from, to))?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
+}
+
+/// One non-blocking read into `chunk`: `Ok(None)` if nothing is there yet,
+/// `Err` on EOF or a broken connection.
+fn read_some<'c>(stream: &mut TcpStream, chunk: &'c mut [u8]) -> std::io::Result<Option<&'c [u8]>> {
+    match stream.read(chunk) {
+        Ok(0) => Err(ErrorKind::UnexpectedEof.into()),
+        Ok(k) => Ok(Some(&chunk[..k])),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+impl<'a> TcpMailbox<'a> {
+    fn new(me: PartyId, ctx: &'a NetCtx<'a>, listener: TcpListener) -> Self {
+        let now = Instant::now();
+        let link = |to: PartyId| OutLink {
+            conn: OutConn::Down {
+                retry_at: now,
+                backoff: Backoff::new(ctx.backoff_seed(me, to, 0)),
+            },
+            writer: LinkWriter::default(),
+            generation: 0,
+            last_floor: 0,
+            acks: RecordDecoder::new(),
+            last_write: now,
+        };
+        TcpMailbox {
+            me,
+            ctx,
+            listener,
+            out: (0..ctx.n())
+                .map(|to| (to != me).then(|| link(to)))
+                .collect(),
+            inc: (0..ctx.n()).map(|_| InLink::default()).collect(),
+            pending: Handshakes::new(ctx.n()),
+            ready: VecDeque::new(),
+            fds: Vec::new(),
+            slots: Vec::new(),
+            chunk: vec![0; 64 << 10],
+            stats: Metrics::new(),
+        }
+    }
+
+    /// Closes the connection of link `me → to`; the next service pass
+    /// re-dials.
+    fn drop_out(&mut self, to: PartyId, now: Instant) {
+        let link = self.out[to].as_mut().expect("no link to self");
+        link.conn = OutConn::Down {
+            retry_at: now,
+            backoff: Backoff::new(self.ctx.backoff_seed(self.me, to, link.generation)),
+        };
+    }
+
+    /// Closes the accepted connection of link `from → me`, abandoning
+    /// `resynced` undecodable bytes: resync is teardown — the dialer notices,
+    /// reconnects and replays from a record boundary.
+    fn drop_in(&mut self, from: PartyId, resynced: usize) {
+        self.stats.bytes_resynced += resynced as u64;
+        self.inc[from].conn = None;
+    }
+
+    /// Everything that is due at `now` without waiting: dials, writes the
+    /// sockets will take, idle probes, owed acks, handshake expiry.
+    fn service(&mut self, now: Instant) {
+        for to in 0..self.ctx.n() {
+            let Some(link) = self.out[to].as_mut() else {
+                continue;
+            };
+            if let OutConn::Down { retry_at, backoff } = &mut link.conn {
+                if *retry_at > now || self.ctx.stop.load(Ordering::SeqCst) {
+                    continue;
+                }
+                let Ok(stream) = dial(&self.ctx.addrs[to], self.me, to) else {
+                    self.stats.dial_retries += 1;
+                    *retry_at = now + backoff.next_delay();
+                    continue;
+                };
+                link.generation += 1;
+                self.stats.reconnects += u64::from(link.generation > 1);
+                self.stats.frames_replayed += link.writer.reconnect();
+                link.acks = RecordDecoder::new();
+                link.last_write = now;
+                link.conn = OutConn::Up(stream);
+            }
+            let OutConn::Up(stream) = &mut link.conn else {
+                continue;
+            };
+            let sent = if link.writer.wants_write(now) {
+                link.last_write = now;
+                link.writer.flush(stream, now)
+            } else if link.writer.drained() && now >= link.last_write + self.ctx.probe {
+                // Idle heartbeat: re-announce the last promised floor (a
+                // receiver-side no-op, floors are max-monotonic) purely so a
+                // dead peer shows up as a failed write. Only once every
+                // queued record is out — a probe must not overtake the data
+                // its floor vouches for.
+                link.last_write = now;
+                let floor = link.last_floor;
+                write_whole(stream, &LinkRecord::Probe { floor }).map(drop)
+            } else {
+                Ok(())
+            };
+            if sent.is_err() {
+                self.drop_out(to, now);
+            }
+        }
+        for from in 0..self.ctx.n() {
+            let due = self.inc[from].conn.as_ref().and_then(|c| c.ack_due);
+            if due.is_some_and(|t| t <= now) {
+                self.send_ack(from, now);
+            }
+        }
+        self.pending.expire(now);
+    }
+
+    /// The earliest instant at which [`TcpMailbox::service`] has work again.
+    fn next_timer(&self) -> Option<Instant> {
+        let links = self
+            .out
+            .iter()
+            .flatten()
+            .filter_map(|link| match &link.conn {
+                OutConn::Down { retry_at, .. } => Some(*retry_at),
+                OutConn::Up(_) if link.writer.drained() => Some(link.last_write + self.ctx.probe),
+                OutConn::Up(_) => link.writer.stalled_until(),
+            });
+        let acks = self.inc.iter().filter_map(|l| l.conn.as_ref()?.ack_due);
+        links.chain(acks).chain(self.pending.next_deadline()).min()
+    }
+
+    /// Cumulative ack for link `from → me`, up its own connection.
+    fn send_ack(&mut self, from: PartyId, now: Instant) {
+        let InLink { expected, conn } = &mut self.inc[from];
+        let Some(conn) = conn else { return };
+        let next_seq = *expected;
+        match write_whole(&mut conn.stream, &LinkRecord::Ack { next_seq }) {
+            Ok(true) => (conn.unacked, conn.ack_due) = (0, None),
+            Ok(false) => conn.ack_due = Some(now + self.ctx.probe),
+            Err(_) => self.drop_in(from, 0),
+        }
+    }
+
+    /// One `ppoll` over every socket of the party, then whatever the ready
+    /// ones have to say. Inbound messages land in `self.ready`.
+    fn poll_io(&mut self, timeout: Option<Duration>, now: Instant) {
+        self.fds.clear();
+        self.slots.clear();
+        self.fds.push(PollFd::new(&self.listener, false));
+        self.slots.push(Slot::Listener);
+        for (from, link) in self.inc.iter().enumerate() {
+            if let Some(conn) = &link.conn {
+                self.fds.push(PollFd::new(&conn.stream, false));
+                self.slots.push(Slot::In(from));
+            }
+        }
+        for (to, link) in self.out.iter().enumerate() {
+            if let Some((link, OutConn::Up(stream))) = link.as_ref().map(|l| (l, &l.conn)) {
+                // Always readable-watched: acks, and the peer's teardown.
+                self.fds
+                    .push(PollFd::new(stream, link.writer.wants_write(now)));
+                self.slots.push(Slot::Out(to));
+            }
+        }
+        for (idx, stream) in self.pending.streams().enumerate() {
+            self.fds.push(PollFd::new(stream, false));
+            self.slots.push(Slot::Pending(idx));
+        }
+        if !matches!(ppoll::wait(&mut self.fds, timeout), Ok(k) if k > 0) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let (inbox, ingress) = (inbox.clone(), ingress.clone());
-                let (stats, closing) = (stats.clone(), closing.clone());
-                std::thread::spawn(move || {
-                    reader_loop(me, n, stream, inbox, ingress, stats, closing)
-                });
+        let now = Instant::now();
+        // Back to front: pending entries go highest index first (removal
+        // leaves the lower ones in place) and before the listener admits
+        // new ones; each link touches only its own state.
+        for i in (0..self.fds.len()).rev() {
+            if !self.fds[i].readable() {
+                continue; // writable links are flushed by the next service pass
             }
-            Err(_) => std::thread::sleep(Duration::from_micros(500)),
+            match self.slots[i] {
+                Slot::Pending(idx) => self.advance(idx),
+                Slot::Out(to) => self.read_acks(to, now),
+                Slot::In(from) => self.read_records(from, now),
+                Slot::Listener => self.accept(now),
+            }
+        }
+    }
+
+    fn accept(&mut self, now: Instant) {
+        // Bounded per wake-up, so a connect flood cannot starve the links.
+        for _ in 0..self.ctx.n() {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_ok() {
+                        let _ = stream.set_nodelay(true);
+                        self.pending.admit(stream, now);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    fn advance(&mut self, idx: usize) {
+        if let Some((from, stream)) = self.pending.advance(idx, self.me, self.ctx.n()) {
+            // The dialer keeps one connection per link, so a new one means
+            // the old one is dead: replace it (what it had not delivered
+            // comes again, what it had is deduplicated by `expected`).
+            self.inc[from].conn = Some(InConn {
+                stream,
+                dec: RecordDecoder::new(),
+                unacked: 0,
+                ack_due: None,
+            });
+        }
+    }
+
+    /// Drains the ack back-channel of link `me → to`.
+    fn read_acks(&mut self, to: PartyId, now: Instant) {
+        let link = self.out[to].as_mut().expect("no link to self");
+        let OutConn::Up(stream) = &mut link.conn else {
+            return;
+        };
+        let healthy = match read_some(stream, &mut self.chunk) {
+            Ok(None) => return,
+            Ok(Some(bytes)) => {
+                link.acks.extend(bytes);
+                loop {
+                    match link.acks.next_record() {
+                        Ok(Some(LinkRecord::Ack { next_seq })) => link.writer.ack(next_seq),
+                        Ok(Some(_)) => {}
+                        Ok(None) => break true,
+                        Err(_) => break false,
+                    }
+                }
+            }
+            Err(_) => false,
+        };
+        if !healthy {
+            self.drop_out(to, now);
+        }
+    }
+
+    /// Reads link `from → me`: incremental decode, sequence dedup, inbound
+    /// messages into `self.ready`, an ack when enough has piled up.
+    fn read_records(&mut self, from: PartyId, now: Instant) {
+        let InLink { expected, conn } = &mut self.inc[from];
+        let Some(conn) = conn else { return };
+        match read_some(&mut conn.stream, &mut self.chunk) {
+            Ok(None) => return,
+            Ok(Some(bytes)) => conn.dec.extend(bytes),
+            // EOF mid-record: the truncated tail is abandoned — the dialer
+            // replays the whole record on its next connection.
+            Err(_) => {
+                let torn = conn.dec.pending_bytes();
+                return self.drop_in(from, torn);
+            }
+        }
+        // `Err(n)`: tear the stream down, abandoning `n` bytes.
+        let verdict = loop {
+            let before = conn.dec.pending_bytes();
+            let (seq, inbound) = match conn.dec.next_record() {
+                Ok(None) => break Ok(()),
+                // Garbage has no in-band record boundary to skip to.
+                Err(_) => break Err(before),
+                Ok(Some(LinkRecord::Data {
+                    seq,
+                    send_tick,
+                    order,
+                    deliver_tick,
+                    framed,
+                    payload,
+                })) => {
+                    let bytes = Arc::new(payload);
+                    let packet = Packet {
+                        from,
+                        send_tick,
+                        order,
+                        deliver_tick,
+                        framed,
+                        bytes,
+                    };
+                    (seq, Inbound::Packet(packet))
+                }
+                Ok(Some(LinkRecord::Floor { seq, floor })) => (seq, Inbound::Past { from, floor }),
+                Ok(Some(LinkRecord::Probe { floor })) => {
+                    // Unsequenced liveness: floors are max-monotonic,
+                    // re-delivery is harmless.
+                    self.ready.push_back(Inbound::Past { from, floor });
+                    continue;
+                }
+                // Acks flow receiver → dialer; one on this direction means
+                // the stream is scrambled.
+                Ok(Some(LinkRecord::Ack { .. })) => break Err(0),
+            };
+            if seq > *expected {
+                break Err(0); // gap: impossible on a clean stream, resync
+            }
+            if seq == *expected {
+                *expected += 1;
+                self.ready.push_back(inbound);
+            } // else a replay duplicate — already delivered, but ack it
+            conn.unacked += before - conn.dec.pending_bytes();
+            conn.ack_due.get_or_insert(now + self.ctx.probe);
+        };
+        match verdict {
+            Err(torn) => self.drop_in(from, torn),
+            // The sender's replay buffer is filling: do not wait for the
+            // timer.
+            Ok(()) if conn.unacked >= self.ctx.sockets.replay_cap / 4 => self.send_ack(from, now),
+            Ok(()) => {}
+        }
+    }
+
+    /// Serves the sockets once: what is due now, then one wait until
+    /// `deadline` (or the next internal timer) for whatever is ready.
+    fn pump(&mut self, deadline: Option<Instant>, now: Instant) {
+        self.service(now);
+        let wake = match (deadline, self.next_timer()) {
+            (Some(d), Some(t)) => Some(d.min(t)),
+            (d, t) => d.or(t),
+        };
+        self.poll_io(wake.map(|w| w.saturating_duration_since(now)), now);
+    }
+
+    /// Bounded back-pressure on link `me → to`: its replay buffer is over
+    /// the cap, so serve the sockets (acks trim it) for a while before
+    /// buffering more — never drop, that would break at-least-once delivery.
+    fn await_acks(&mut self, to: PartyId) {
+        let until = Instant::now() + BACKPRESSURE;
+        loop {
+            let now = Instant::now();
+            let link = self.out[to].as_ref().expect("no link to self");
+            let over = link.writer.backlog() > self.ctx.sockets.replay_cap;
+            let up = matches!(link.conn, OutConn::Up(_));
+            if !(over && up && now < until) || self.ctx.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            self.pump(Some(until), now);
         }
     }
 }
 
-/// The socket transport: drop-in third [`Transport`] backend
-/// ([`Backend::Tcp`]). Construct like [`super::threaded::ThreadedNet`]
-/// (same conformance contract against the simulator oracle), optionally
-/// install a socket-level chaos plan, then drive it through the trait.
-pub struct TcpNet<M> {
-    config: NetConfig,
-    corruption: CorruptionSet,
-    structure: Option<Arc<dyn AdversaryStructure>>,
-    links: LinkDelays,
-    faults: FaultPlan,
+/// Writes a small unsequenced record in one piece (`true`) or, if the socket
+/// takes nothing right now, not at all (`false`). A torn one would scramble
+/// the stream, so a partial write is an error: start the connection over.
+fn write_whole(stream: &mut TcpStream, rec: &LinkRecord) -> std::io::Result<bool> {
+    let bytes = encode_record(rec);
+    match stream.write(&bytes) {
+        Ok(k) if k == bytes.len() => Ok(true),
+        Ok(_) => Err(ErrorKind::WriteZero.into()),
+        Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+impl NetCtx<'_> {
+    fn n(&self) -> usize {
+        self.addrs.len()
+    }
+
+    fn backoff_seed(&self, from: PartyId, to: PartyId, generation: u64) -> u64 {
+        let link = (from * self.n() + to) as u64;
+        (self.spec.config.seed.wrapping_mul(0x0100_0000_01b3)).wrapping_add(link)
+            ^ generation.wrapping_mul(0x9E37)
+    }
+}
+
+impl Mailbox for TcpMailbox<'_> {
+    fn send(&mut self, to: PartyId, msg: Inbound) -> bool {
+        let (me, ctx) = (self.me, self.ctx);
+        let link = self.out[to].as_mut().expect("no link to self");
+        match msg {
+            Inbound::Packet(p) => link.writer.queue(
+                |seq, out| {
+                    let stamp = (p.send_tick, p.order, p.deliver_tick);
+                    encode_data_into(out, seq, stamp, p.framed, &p.bytes)
+                },
+                // Chaos rules on a record's first transmission only; a
+                // replay finds its verdict spent.
+                |len| {
+                    let (sent, due) = (p.send_tick, p.deliver_tick);
+                    chaos_action(&ctx.sockets.chaos, me, to, sent, due, ctx.spec.tick_us, len)
+                },
+            ),
+            Inbound::Past { floor, .. } => {
+                link.last_floor = link.last_floor.max(floor);
+                link.writer.queue(
+                    |seq, out| encode_record_into(out, &LinkRecord::Floor { seq, floor }),
+                    |_| ChaosAction::Clean,
+                );
+            }
+            // Shutdown is an in-process control signal; it never crosses
+            // the wire.
+            Inbound::Stop => {}
+        }
+        if link.writer.backlog() > ctx.sockets.replay_cap {
+            self.await_acks(to);
+        }
+        true
+    }
+
+    fn flush(&mut self) {
+        self.service(Instant::now());
+    }
+
+    fn fold_stats(&self, into: &mut Metrics) {
+        into.merge(&self.stats);
+    }
+
+    fn try_recv(&mut self) -> Option<Inbound> {
+        let stopped = || self.ctx.stop.load(Ordering::SeqCst);
+        let msg = self.ready.pop_front();
+        msg.or_else(|| stopped().then_some(Inbound::Stop))
+    }
+
+    fn recv(&mut self, deadline: Option<Instant>) -> Option<Inbound> {
+        loop {
+            if let Some(msg) = self.try_recv() {
+                return Some(msg);
+            }
+            let now = Instant::now();
+            if deadline.is_some_and(|d| d <= now) {
+                return None;
+            }
+            self.pump(deadline, now);
+        }
+    }
+}
+
+/// The socket medium of [`TcpNet`]: supervised loopback `TcpStream`s, plus
+/// the knobs only sockets have.
+pub struct Sockets {
     chaos: FaultPlan,
-    tick_us: u64,
-    wedge_ms: u64,
     replay_cap: usize,
     probe_ms: u64,
-    parties: Vec<Option<Box<dyn Protocol<M>>>>,
-    strategy: Option<Box<dyn ByzantineStrategy>>,
-    record: bool,
-    transcript: Vec<TranscriptEntry>,
-    metrics: Metrics,
-    now: Time,
-    ran: bool,
-    last_error: Option<TransportError>,
 }
 
-impl<M: WireEncode + WireDecode + 'static> TcpNet<M> {
-    /// Creates a TCP network with the default latency matrix for the
-    /// configured network kind ([`LinkDelays::for_kind`]).
-    pub fn new(
-        config: NetConfig,
-        corruption: CorruptionSet,
-        parties: Vec<Box<dyn Protocol<M>>>,
-    ) -> Self {
-        let links = LinkDelays::for_kind(config.n, config.kind, config.delta, config.seed);
-        Self::with_links(config, corruption, links, parties)
-    }
+/// The socket transport: drop-in third [`Transport`](super::Transport)
+/// backend ([`Backend::Tcp`]). Construct like
+/// [`super::threaded::ThreadedNet`] (same conformance contract against the
+/// simulator oracle), optionally install a socket-level chaos plan, then
+/// drive it through the trait.
+pub type TcpNet<M> = RealNet<M, Sockets>;
 
-    /// Creates a TCP network with an explicit latency matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parties.len() != config.n` or `links.n() != config.n`.
-    pub fn with_links(
-        config: NetConfig,
-        corruption: CorruptionSet,
-        links: LinkDelays,
-        parties: Vec<Box<dyn Protocol<M>>>,
-    ) -> Self {
-        assert_eq!(
-            parties.len(),
-            config.n,
-            "need exactly one root protocol per party"
-        );
-        assert_eq!(links.n(), config.n, "latency matrix size must match n");
-        let mut metrics = Metrics::new();
-        metrics.worker_threads = config.n as u64;
-        TcpNet {
-            tick_us: tick_micros_from_env(),
-            wedge_ms: wedge_millis_from_env(),
-            replay_cap: replay_cap_from_env(),
-            probe_ms: probe_millis_from_env(),
-            config,
-            corruption,
-            structure: None,
-            links,
-            faults: FaultPlan::none(),
-            chaos: FaultPlan::none(),
-            parties: parties.into_iter().map(Some).collect(),
-            strategy: None,
-            record: false,
-            transcript: Vec::new(),
-            metrics,
-            now: 0,
-            ran: false,
-            last_error: None,
-        }
-    }
-
-    /// Overrides the real duration of one logical tick (microseconds; `0`
-    /// keeps the `MPC_TICK_US` default). Call before running.
-    pub fn with_tick_micros(mut self, micros: u64) -> Self {
-        if micros > 0 {
-            self.tick_us = micros;
-        }
-        self
-    }
-
-    /// Overrides the conservative gate's zero-progress grace (milliseconds;
-    /// `0` keeps the `MPC_WEDGE_MS` / 30 s default). Call before running.
-    pub fn with_wedge_millis(mut self, millis: u64) -> Self {
-        if millis > 0 {
-            self.wedge_ms = millis;
-        }
-        self
-    }
-
+impl<M> TcpNet<M> {
     /// Overrides the replay-buffer byte bound (`0` keeps the
     /// `MPC_TCP_REPLAY_CAP` / 8 MiB default).
     pub fn with_replay_cap(mut self, bytes: usize) -> Self {
         if bytes > 0 {
-            self.replay_cap = bytes;
+            self.medium.replay_cap = bytes;
         }
         self
     }
 
-    /// Installs the *logical* [`FaultPlan`] (same semantics as on the other
-    /// backends: drops, crashes, partitions at the message layer).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = plan;
-    }
-
     /// Installs the *socket-level* chaos plan interpreted by the supervisor
     /// shim (sever / stall / duplicate byte runs). Independent of
-    /// [`TcpNet::set_fault_plan`] — the logical plan decides what is
+    /// [`RealNet::set_fault_plan`] — the logical plan decides what is
     /// dropped, the chaos plan only how rough the wire is.
     pub fn set_chaos_plan(&mut self, plan: FaultPlan) {
-        self.chaos = plan;
+        self.medium.chaos = plan;
     }
 
     /// The installed chaos plan.
     pub fn chaos_plan(&self) -> &FaultPlan {
-        &self.chaos
-    }
-
-    /// The configuration the network was built with.
-    pub fn config(&self) -> &NetConfig {
-        &self.config
-    }
-
-    /// Downcasts party `i`'s root protocol to a concrete type for
-    /// inspecting outputs after the run.
-    pub fn party_as<T: 'static>(&self, i: PartyId) -> Option<&T> {
-        PartyView::party(self, i).as_any().downcast_ref::<T>()
-    }
-
-    /// Binds the listeners, spawns party threads, link supervisors and
-    /// acceptors, runs to quiescence, joins, and folds the per-party and
-    /// supervisor accounting. Subsequent calls are no-ops.
-    pub fn run_net_to_quiescence(&mut self, horizon: Time) {
-        if self.ran {
-            return;
-        }
-        self.ran = true;
-        let n = self.config.n;
-        let tick_us = self.tick_us.max(1);
-        let guard = Duration::from_micros((tick_us / 4).max(50));
-        let record = self.record;
-        // More generous than the threaded cap: reconnect cycles and stalled
-        // writes legitimately stretch a chaotic run's wall clock.
-        let horizon_cap = Duration::from_micros(tick_us.saturating_mul(horizon.saturating_add(16)))
-            + Duration::from_secs(5);
-        let shared = Shared {
-            in_flight: AtomicI64::new(0),
-            idle: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            activity: AtomicU64::new(0),
-        };
-        let adv = Mutex::new(AdvState {
-            strategy: self.strategy.take().unwrap_or_else(|| Box::new(Passive)),
-            rng: StdRng::seed_from_u64(self.config.adversary_seed()),
-        });
-        let barrier = Barrier::new(n);
-        let epoch: OnceLock<Instant> = OnceLock::new();
-        let stats = Arc::new(SupStats::default());
-        let closing = Arc::new(AtomicBool::new(false));
-        let probe = Duration::from_millis(self.probe_ms.max(1));
-
-        // Listeners first: every dial target exists before any thread runs.
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let l = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
-            addrs.push(l.local_addr().expect("listener addr"));
-            listeners.push(l);
-        }
-
-        // Party inboxes (coordinator keeps the senders for Stop) and one
-        // channel per directed link feeding its supervisor.
-        let mut inbox_txs = Vec::with_capacity(n);
-        let mut inbox_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel::<Inbound>();
-            inbox_txs.push(tx);
-            inbox_rxs.push(rx);
-        }
-        let mut link_txs: Vec<Vec<Option<Sender<Inbound>>>> = Vec::with_capacity(n);
-        let mut link_rxs: Vec<(PartyId, PartyId, Receiver<Inbound>)> = Vec::new();
-        for i in 0..n {
-            let mut row = Vec::with_capacity(n);
-            for r in 0..n {
-                if r == i {
-                    row.push(None);
-                } else {
-                    let (tx, rx) = mpsc::channel::<Inbound>();
-                    row.push(Some(tx));
-                    link_rxs.push((i, r, rx));
-                }
-            }
-            link_txs.push(row);
-        }
-        let ingress: Arc<Vec<Mutex<u64>>> = Arc::new((0..n * n).map(|_| Mutex::new(0)).collect());
-
-        let protocols: Vec<Box<dyn Protocol<M>>> = self
-            .parties
-            .iter_mut()
-            .map(|slot| slot.take().expect("party state present outside a run"))
-            .collect();
-        let links = &self.links;
-        let faults = &self.faults;
-        let chaos = &self.chaos;
-        let corruption = &self.corruption;
-        let config = &self.config;
-        let replay_cap = self.replay_cap;
-        let wedge_timeout = Duration::from_millis(self.wedge_ms.max(1));
-        let results: Vec<PartyDone<M>> = std::thread::scope(|scope| {
-            let shared = &shared;
-            let adv = &adv;
-            let barrier = &barrier;
-            let epoch = &epoch;
-            let stats_ref = &stats;
-            let closing_ref = &closing;
-            // Acceptors.
-            for (i, listener) in listeners.into_iter().enumerate() {
-                let inbox = inbox_txs[i].clone();
-                let (ingress, stats, closing) = (ingress.clone(), stats.clone(), closing.clone());
-                scope.spawn(move || acceptor_loop(i, n, listener, inbox, ingress, stats, closing));
-            }
-            // Link supervisors (outboxes).
-            for (from, to, rx) in link_rxs {
-                let addr = addrs[to];
-                scope.spawn(move || {
-                    outbox_loop(
-                        LinkCtx {
-                            from,
-                            to,
-                            addr,
-                            chaos,
-                            tick_us,
-                            probe,
-                            replay_cap,
-                            stats: stats_ref,
-                            closing: closing_ref,
-                            backoff_seed: config
-                                .seed
-                                .wrapping_mul(0x0100_0000_01b3)
-                                .wrapping_add((from * n + to) as u64),
-                        },
-                        rx,
-                    )
-                });
-            }
-            // Party threads: the threaded backend's runtime, verbatim.
-            let mut link_txs = link_txs;
-            let handles: Vec<_> = protocols
-                .into_iter()
-                .zip(inbox_rxs)
-                .enumerate()
-                .map(|(i, (protocol, rx))| {
-                    let txs: Vec<Sender<Inbound>> = (0..n)
-                        .map(|r| {
-                            if r == i {
-                                inbox_txs[i].clone()
-                            } else {
-                                link_txs[i][r].take().expect("link sender unclaimed")
-                            }
-                        })
-                        .collect();
-                    let rng = StdRng::seed_from_u64(config.party_rng_seed(i));
-                    let honest = corruption.is_honest(i);
-                    let (delta, coin_seed) = (config.delta, config.coin_seed());
-                    scope.spawn(move || {
-                        let runtime = PartyRuntime {
-                            me: i,
-                            n,
-                            delta,
-                            coin_seed,
-                            horizon,
-                            record,
-                            honest,
-                            tick_us,
-                            guard,
-                            start: Instant::now(), // re-stamped after the barrier
-                            links,
-                            faults,
-                            protocol,
-                            rng,
-                            rx,
-                            txs,
-                            shared,
-                            adv,
-                            held: BinaryHeap::new(),
-                            timers: BinaryHeap::new(),
-                            tseq: 0,
-                            metrics: Metrics::new(),
-                            transcript: Vec::new(),
-                            next_unprocessed: 0,
-                            last_tick: 0,
-                            processed_any: false,
-                            order_tick: 0,
-                            order_counter: 0,
-                            stopping: false,
-                            chan_floor: (0..n)
-                                .map(|s| if s == i { Time::MAX } else { links.get(s, i) })
-                                .collect(),
-                            promised: 0,
-                            wedge_timeout,
-                            wedged: None,
-                        };
-                        runtime.run(barrier, epoch)
-                    })
-                })
-                .collect();
-            // Coordinator: poll for quiescence (packets in TCP transit keep
-            // `in_flight` claimed, so the scan is sound across the wire),
-            // then Stop the parties and close down the supervisor mesh.
-            let poll = Duration::from_micros((tick_us / 2).clamp(100, 2000));
-            let wall_start = Instant::now();
-            loop {
-                std::thread::sleep(poll);
-                let a1 = shared.activity.load(Ordering::SeqCst);
-                let quiet = shared.in_flight.load(Ordering::SeqCst) == 0
-                    && shared.idle.iter().all(|f| f.load(Ordering::SeqCst));
-                let a2 = shared.activity.load(Ordering::SeqCst);
-                if (quiet && a1 == a2) || wall_start.elapsed() > horizon_cap {
-                    break;
-                }
-            }
-            for tx in &inbox_txs {
-                let _ = tx.send(Inbound::Stop);
-            }
-            let results: Vec<PartyDone<M>> = handles
-                .into_iter()
-                .map(|h| h.join().expect("party thread panicked"))
-                .collect();
-            // Parties are gone (their link senders dropped, so outboxes
-            // drain and exit); the flag releases acceptors, stuck dials,
-            // and any outbox still waiting on a timeout.
-            closing.store(true, Ordering::SeqCst);
-            results
-        });
-        let mut merged = Metrics::new();
-        merged.worker_threads = n as u64;
-        let mut now = 0;
-        let mut transcript: Vec<TranscriptEntry> = Vec::new();
-        for done in results {
-            self.parties[done.party] = Some(done.protocol);
-            merged.merge(&done.metrics);
-            if done.processed_any {
-                now = now.max(done.last_tick);
-            }
-            if self.last_error.is_none() {
-                if let Some((party, last_progress_tick)) = done.wedged {
-                    self.last_error = Some(TransportError::Wedged {
-                        party,
-                        last_progress_tick,
-                    });
-                }
-            }
-            transcript.extend(done.transcript);
-        }
-        merged.reconnects = stats.reconnects.load(Ordering::Relaxed);
-        merged.dial_retries = stats.dial_retries.load(Ordering::Relaxed);
-        merged.frames_replayed = stats.frames_replayed.load(Ordering::Relaxed);
-        merged.bytes_resynced = stats.bytes_resynced.load(Ordering::Relaxed);
-        transcript.sort_by_key(|e| e.at);
-        self.metrics = merged;
-        self.now = now;
-        self.transcript = transcript;
-        self.strategy = Some(adv.into_inner().expect("adversary state poisoned").strategy);
+        &self.medium.chaos
     }
 }
 
-impl<M: WireEncode + WireDecode + 'static> PartyView<M> for TcpNet<M> {
-    fn n(&self) -> usize {
-        self.config.n
-    }
-    fn now(&self) -> Time {
-        self.now
-    }
-    fn party(&self, i: PartyId) -> &dyn Protocol<M> {
-        self.parties[i]
-            .as_deref()
-            .expect("party state present outside a run")
-    }
-}
+impl Medium for Sockets {
+    const BACKEND: Backend = Backend::Tcp;
 
-impl<M: WireEncode + WireDecode + 'static> Transport<M> for TcpNet<M> {
-    fn backend(&self) -> Backend {
-        Backend::Tcp
+    fn from_env() -> Self {
+        Sockets {
+            chaos: FaultPlan::none(),
+            replay_cap: replay_cap_from_env(),
+            probe_ms: probe_millis_from_env(),
+        }
     }
-    fn set_strategy(&mut self, strategy: Box<dyn ByzantineStrategy>) {
-        self.strategy = Some(strategy);
-    }
-    fn record_transcript(&mut self) {
-        self.record = true;
-    }
-    fn transcript(&self) -> &[TranscriptEntry] {
-        &self.transcript
-    }
-    fn run_until_done(
-        &mut self,
+
+    /// Binds the listeners, runs one thread per party over its
+    /// `TcpMailbox`, and folds the supervisor counters in.
+    fn run<M: WireEncode + WireDecode + 'static>(
+        &self,
+        spec: &NetSpec,
         horizon: Time,
-        pred: &mut dyn FnMut(&dyn PartyView<M>) -> bool,
-    ) -> bool {
-        self.run_net_to_quiescence(horizon);
-        pred(self)
-    }
-    fn run_to_quiescence(&mut self, horizon: Time) {
-        self.run_net_to_quiescence(horizon);
-    }
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-    fn corruption(&self) -> &CorruptionSet {
-        &self.corruption
-    }
-    fn set_adversary_structure(&mut self, structure: Arc<dyn AdversaryStructure>) {
-        self.structure = Some(structure);
-    }
-    fn adversary_structure(&self) -> Option<&Arc<dyn AdversaryStructure>> {
-        self.structure.as_ref()
-    }
-    fn last_error(&self) -> Option<&TransportError> {
-        self.last_error.as_ref()
+        state: &mut RunState<M>,
+    ) {
+        // Listeners first: every dial target exists before any thread runs.
+        let listeners: Vec<TcpListener> = (0..spec.config.n)
+            .map(|_| {
+                let l = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
+                l.set_nonblocking(true).expect("nonblocking listener");
+                l
+            })
+            .collect();
+        let ctx = NetCtx {
+            addrs: listeners
+                .iter()
+                .map(|l| l.local_addr().expect("listener addr"))
+                .collect(),
+            spec,
+            sockets: self,
+            probe: Duration::from_millis(self.probe_ms.max(1)),
+            stop: AtomicBool::new(false),
+        };
+        let mailboxes = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(me, listener)| TcpMailbox::new(me, &ctx, listener))
+            .collect();
+        // More generous than the threaded cap: reconnect cycles and stalled
+        // links legitimately stretch a chaotic run's wall clock.
+        let cap_slack = Duration::from_secs(5);
+        run_parties(spec, horizon, cap_slack, state, mailboxes, || {
+            // A party may be blocked in `ppoll` with no deadline: raise the
+            // flag, then make its listener readable.
+            ctx.stop.store(true, Ordering::SeqCst);
+            for addr in &ctx.addrs {
+                let _ = TcpStream::connect_timeout(addr, DIAL_TIMEOUT);
+            }
+        });
     }
 }
 

@@ -1,18 +1,24 @@
-//! The real threaded transport backend: one OS thread per party, canonical
-//! wire bytes over in-memory duplex channels, wall-clock timeouts.
+//! The real party runtime — one OS thread per party, canonical wire bytes,
+//! wall-clock timeouts — and its in-memory backend.
 //!
 //! # Execution model
 //!
-//! Each party runs `PartyRuntime::run` on its own thread. Outbound traffic
-//! leaves a party as TCP-ready byte strings — the same per-destination
-//! [`crate::wire::Frame`] encodings the framed simulator engine produces for
-//! honest senders, and path-prefixed single-message packets for corrupt
-//! senders (whose [`ByzantineStrategy`] keeps its exact per-message view of
-//! the wire) — and travels over `std::sync::mpsc` channels.
+//! Each party runs `PartyRuntime::run` on its own thread, and that thread is
+//! the only one that touches the party's links: the runtime talks to a
+//! narrow `Mailbox` seam (`send` / `flush` / `try_recv` / `recv(deadline)`),
+//! and a backend is a [`Medium`] supplying the mailboxes — `mpsc` endpoints
+//! for [`ThreadedNet`], the party's sockets under one `ppoll` for
+//! [`super::tcp::TcpNet`]. Both nets are the one [`RealNet`] type, and a run
+//! is `run_parties`: `n` scoped party threads plus the calling thread as
+//! quiescence coordinator. Outbound traffic leaves a party as TCP-ready byte
+//! strings — the per-destination [`crate::wire::Frame`] encodings of the
+//! framed simulator engine for honest senders, path-prefixed single-message
+//! packets for corrupt ones (whose [`ByzantineStrategy`] keeps its exact
+//! per-message view of the wire).
 //!
 //! Time is paced against the wall clock: one logical tick is a fixed real
 //! duration (`MPC_TICK_US`, default 1000 µs), and a party processes the work
-//! due at tick `t` when `recv_timeout` reaches the tick's real deadline —
+//! due at tick `t` when `Mailbox::recv` reaches the tick's real deadline —
 //! every timer expiry on this backend is a genuine timeout, not a simulated
 //! event. Link latency comes from a [`LinkDelays`] matrix: a packet sent at
 //! tick `t` over a link of `d` ticks is *stamped* `deliver_tick = t + d` by
@@ -30,7 +36,7 @@
 //! pacing: a due tick only fires once every incoming link promises nothing
 //! earlier is still in flight. On a healthy schedule the promises run ahead
 //! of the deadlines and the gate never waits; under load it converts
-//! would-be lateness into back-pressure, bounded by `GATE_GRACE`.
+//! would-be lateness into back-pressure, bounded by the wedge timeout.
 //!
 //! # Conformance
 //!
@@ -111,68 +117,103 @@ pub(super) struct Packet {
     pub(super) bytes: Arc<Vec<u8>>,
 }
 
-/// A latency-held inbound event, ordered by the canonical receiver key.
-pub(super) struct HeldEv {
+/// The seam between a party and its links: everything [`PartyRuntime`]
+/// knows about the medium. The threaded backend implements it over `mpsc`
+/// endpoints ([`ChannelMailbox`]), the TCP backend over the party's sockets
+/// (`tcp::TcpMailbox`) — either way the party thread is the only thread
+/// that touches them.
+pub(super) trait Mailbox {
+    /// Queues `msg` on the link to party `to`. `false` if that party is gone
+    /// for good (the message will never be taken).
+    fn send(&mut self, to: PartyId, msg: Inbound) -> bool;
+    /// Called once per wake-up, after everything the wake-up produced has
+    /// been [`Mailbox::send`]-queued: the point at which a buffering medium
+    /// writes, so data and the floor promise behind it leave together.
+    fn flush(&mut self) {}
+    /// The next inbound message already at hand, without blocking.
+    fn try_recv(&mut self) -> Option<Inbound>;
+    /// Blocks until a message arrives or `deadline` passes (`None`: no
+    /// deadline); `None` is the time-out. A closed mailbox reads as
+    /// [`Inbound::Stop`].
+    fn recv(&mut self, deadline: Option<Instant>) -> Option<Inbound>;
+    /// Adds what the medium itself counted during the run (connection
+    /// supervision) to the run's [`Metrics`].
+    fn fold_stats(&self, _into: &mut Metrics) {}
+}
+
+/// [`Mailbox`] over in-memory channels: one inbox per party, every party
+/// holding a sender to every inbox.
+pub(super) struct ChannelMailbox {
+    rx: Receiver<Inbound>,
+    txs: Vec<Sender<Inbound>>,
+}
+
+impl Mailbox for ChannelMailbox {
+    fn send(&mut self, to: PartyId, msg: Inbound) -> bool {
+        self.txs[to].send(msg).is_ok()
+    }
+    fn try_recv(&mut self) -> Option<Inbound> {
+        match self.rx.try_recv() {
+            Ok(msg) => Some(msg),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Inbound::Stop),
+        }
+    }
+    fn recv(&mut self, deadline: Option<Instant>) -> Option<Inbound> {
+        let Some(deadline) = deadline else {
+            return Some(self.rx.recv().unwrap_or(Inbound::Stop));
+        };
+        match self
+            .rx
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        {
+            Ok(msg) => Some(msg),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => Some(Inbound::Stop),
+        }
+    }
+}
+
+/// A heap payload that takes no part in the ordering — the keys declared
+/// ahead of it in a derived `Ord` are unique among live entries.
+struct Unordered<T>(T);
+
+impl<T> PartialEq for Unordered<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+impl<T> Eq for Unordered<T> {}
+impl<T> PartialOrd for Unordered<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Unordered<T> {
+    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
+        std::cmp::Ordering::Equal
+    }
+}
+
+/// A latency-held inbound event, ordered by the canonical receiver key
+/// `(deliver_tick, send_tick, from, order)`.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct HeldEv {
     deliver_tick: Time,
     send_tick: Time,
     from: PartyId,
     order: u32,
-    kind: EventKind,
-}
-
-impl HeldEv {
-    fn key(&self) -> (Time, Time, PartyId, u32) {
-        (self.deliver_tick, self.send_tick, self.from, self.order)
-    }
-}
-
-impl PartialEq for HeldEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for HeldEv {}
-impl PartialOrd for HeldEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeldEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
+    kind: Unordered<EventKind>,
 }
 
 /// A pending timer, ordered by `(fire, tseq)` — `tseq` is the party's timer
 /// scheduling order, matching the simulator's per-party seq order.
-pub(super) struct HeldTimer {
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct HeldTimer {
     fire: Time,
     tseq: u64,
     path: Path,
     id: u64,
-}
-
-impl HeldTimer {
-    fn key(&self) -> (Time, u64) {
-        (self.fire, self.tseq)
-    }
-}
-
-impl PartialEq for HeldTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for HeldTimer {}
-impl PartialOrd for HeldTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeldTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
 }
 
 /// Coordination state shared by all party threads and the coordinator.
@@ -195,19 +236,6 @@ pub(super) struct Shared {
 pub(super) struct AdvState {
     pub(super) strategy: Box<dyn ByzantineStrategy>,
     pub(super) rng: StdRng,
-}
-
-/// What a party thread hands back when it stops.
-pub(super) struct PartyDone<M> {
-    pub(super) party: PartyId,
-    pub(super) protocol: Box<dyn Protocol<M>>,
-    pub(super) metrics: Metrics,
-    pub(super) transcript: Vec<TranscriptEntry>,
-    pub(super) last_tick: Time,
-    pub(super) processed_any: bool,
-    /// First wedge this party's conservative gate diagnosed: the lagging
-    /// peer and the last tick its link clock had cleared.
-    pub(super) wedged: Option<(PartyId, Time)>,
 }
 
 /// Encodes a single (non-framed) message for the wire: `u32` path length,
@@ -242,40 +270,34 @@ pub(super) fn decode_single(bytes: &[u8]) -> (Path, Arc<Vec<u8>>) {
 }
 
 /// The per-thread party runtime. See the module docs for the model.
-pub(super) struct PartyRuntime<'s, M> {
-    pub(super) me: PartyId,
-    pub(super) n: usize,
-    pub(super) delta: Time,
-    pub(super) coin_seed: u64,
-    pub(super) horizon: Time,
-    pub(super) record: bool,
-    pub(super) honest: bool,
-    pub(super) tick_us: u64,
-    pub(super) guard: Duration,
+pub(super) struct PartyRuntime<'s, M, B> {
+    me: PartyId,
+    n: usize,
+    /// The run's configuration: tick length, `Δ`, latency matrix, fault plan.
+    spec: &'s NetSpec,
+    horizon: Time,
+    honest: bool,
     /// Wall-clock epoch: tick `t`'s deadline is `start + t·tick + guard`.
     /// Stamped after the post-init barrier so thread-spawn latency never
     /// eats into tick 0's budget.
-    pub(super) start: Instant,
-    pub(super) links: &'s LinkDelays,
-    pub(super) faults: &'s FaultPlan,
-    pub(super) protocol: Box<dyn Protocol<M>>,
-    pub(super) rng: StdRng,
-    pub(super) rx: Receiver<Inbound>,
-    pub(super) txs: Vec<Sender<Inbound>>,
-    pub(super) shared: &'s Shared,
-    pub(super) adv: &'s Mutex<AdvState>,
-    pub(super) held: BinaryHeap<Reverse<HeldEv>>,
-    pub(super) timers: BinaryHeap<Reverse<HeldTimer>>,
-    pub(super) tseq: u64,
-    pub(super) metrics: Metrics,
-    pub(super) transcript: Vec<TranscriptEntry>,
+    start: Instant,
+    protocol: Box<dyn Protocol<M>>,
+    rng: StdRng,
+    mailbox: B,
+    shared: &'s Shared,
+    adv: &'s Mutex<AdvState>,
+    held: BinaryHeap<Reverse<HeldEv>>,
+    timers: BinaryHeap<Reverse<HeldTimer>>,
+    tseq: u64,
+    metrics: Metrics,
+    transcript: Vec<TranscriptEntry>,
     /// Every tick below this has been processed; late packets clamp here.
-    pub(super) next_unprocessed: Time,
-    pub(super) last_tick: Time,
-    pub(super) processed_any: bool,
-    pub(super) order_tick: Time,
-    pub(super) order_counter: u32,
-    pub(super) stopping: bool,
+    next_unprocessed: Time,
+    last_tick: Time,
+    processed_any: bool,
+    order_tick: Time,
+    order_counter: u32,
+    stopping: bool,
     /// Per-sender link clock: the earliest tick at which a not-yet-received
     /// packet from that sender could still arrive (own slot unused). Raised
     /// by [`Inbound::Past`] promises; processing tick `t` waits until every
@@ -283,18 +305,17 @@ pub(super) struct PartyRuntime<'s, M> {
     /// oversubscribed host) back-pressures its receivers instead of being
     /// ruled late — the wall clock still decides *when* a due tick fires,
     /// the floors only guarantee no link has earlier bytes in flight.
-    pub(super) chan_floor: Vec<Time>,
+    chan_floor: Vec<Time>,
     /// Highest promise broadcast so far (the basis tick, before per-link
     /// delay is added); deduplicates [`Inbound::Past`] chatter.
-    pub(super) promised: Time,
-    /// How long the conservative gate tolerates *zero* progress (no packet,
-    /// no advancing link clock) on a lagging link before processing anyway —
-    /// see [`default_wedge_timeout`]. Configurable via
-    /// `ThreadedNet::with_wedge_millis` / the `MPC_WEDGE_MS` knob.
-    pub(super) wedge_timeout: Duration,
+    promised: Time,
     /// First wedge diagnosed by the gate (lagging peer, its last cleared
     /// tick); surfaced post-run as `TransportError::Wedged`.
-    pub(super) wedged: Option<(PartyId, Time)>,
+    wedged: Option<(PartyId, Time)>,
+    /// `MPC_TRACE_GATE` / `MPC_TRACE_LATE` diagnostics, resolved once per
+    /// run rather than on every due tick and late packet.
+    trace_gate: bool,
+    trace_late: bool,
 }
 
 /// The default zero-progress grace of the conservative gate (30 s). This is
@@ -302,9 +323,8 @@ pub(super) struct PartyRuntime<'s, M> {
 /// debug-build batch on an oversubscribed single-core host can legitimately
 /// compute for hundreds of milliseconds while emitting nothing, and bailing
 /// on it surfaces as `late_packets` plus oracle divergence. The
-/// coordinator's hard wall-clock cap remains the final backstop. Unlike the
-/// pre-PR-9 hard-coded constant, expiry is no longer silent: it increments
-/// [`Metrics::wedges`] and surfaces a typed
+/// coordinator's hard wall-clock cap remains the final backstop. Expiry is
+/// not silent: it increments [`Metrics::wedges`] and surfaces a typed
 /// [`TransportError::Wedged`] through `Transport::last_error`.
 pub const fn default_wedge_timeout() -> Duration {
     Duration::from_secs(30)
@@ -321,7 +341,7 @@ pub fn wedge_millis_from_env() -> u64 {
         .unwrap_or(default_wedge_timeout().as_millis() as u64)
 }
 
-impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
+impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
     /// Next emission index among this party's packets of `tick`.
     fn next_order(&mut self, tick: Time) -> u32 {
         if self.order_tick != tick {
@@ -334,7 +354,11 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
     }
 
     fn deadline_of(&self, tick: Time) -> Instant {
-        self.start + Duration::from_micros(self.tick_us.saturating_mul(tick)) + self.guard
+        let tick_us = self.spec.tick_us;
+        // The guard absorbs scheduling jitter between a sender's batch and
+        // the receivers' tick deadlines without eating a whole tick.
+        let guard = Duration::from_micros((tick_us / 4).max(50));
+        self.start + Duration::from_micros(tick_us.saturating_mul(tick)) + guard
     }
 
     /// The earliest tick with pending work (held packet or timer), if any.
@@ -380,13 +404,10 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
         basis = basis.max(self.next_unprocessed).min(cap);
         if basis > self.promised {
             self.promised = basis;
-            for r in 0..self.n {
-                if r != self.me {
-                    let _ = self.txs[r].send(Inbound::Past {
-                        from: self.me,
-                        floor: basis.saturating_add(self.links.get(self.me, r)),
-                    });
-                }
+            let from = self.me;
+            for r in (0..self.n).filter(|&r| r != from) {
+                let floor = basis.saturating_add(self.spec.links.get(from, r));
+                self.mailbox.send(r, Inbound::Past { from, floor });
             }
         }
     }
@@ -414,7 +435,7 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
             send_tick,
             from,
             order,
-            kind,
+            kind: Unordered(kind),
         }));
         let depth = self.held.len() as u64;
         if depth > self.metrics.held_packets_peak {
@@ -430,7 +451,7 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
             // Physically late: its logical tick is already processed. Clamp
             // forward (and diagnose) rather than lose or reorder it.
             self.metrics.late_packets += 1;
-            if std::env::var_os("MPC_TRACE_LATE").is_some() {
+            if self.trace_late {
                 eprintln!(
                     "late: to={} from={} deliver={} send={} next_unprocessed={} floor[from]={}",
                     self.me,
@@ -468,48 +489,46 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
         // bit accounting (callers record sends before calling here) — the
         // exact decision the simulator's dispatch makes for the same
         // coordinates, because the plan is a pure function of them.
-        let scheduled = send_tick + self.links.get(self.me, to);
-        let (deliver_tick, duplicate) = match self.faults.resolve(self.me, to, send_tick, scheduled)
-        {
-            FaultOutcome::Drop => {
-                self.metrics.fault_drops += 1;
-                return;
-            }
-            FaultOutcome::Deliver { at, duplicate } => (at, duplicate),
-        };
-        let order = self.next_order(send_tick);
-        self.shared.activity.fetch_add(1, Ordering::SeqCst);
-        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let packet = Packet {
-            from: self.me,
-            send_tick,
-            order,
-            deliver_tick,
-            framed,
-            bytes: Arc::clone(&bytes),
-        };
-        if self.txs[to].send(Inbound::Packet(packet)).is_err() {
-            // Receiver already gone (forced stop): retract the claim.
-            self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
+        let scheduled = send_tick + self.spec.links.get(self.me, to);
+        let (deliver_tick, duplicate) =
+            match self.spec.faults.resolve(self.me, to, send_tick, scheduled) {
+                FaultOutcome::Drop => {
+                    self.metrics.fault_drops += 1;
+                    return;
+                }
+                FaultOutcome::Deliver { at, duplicate } => (at, duplicate),
+            };
+        self.emit(to, send_tick, deliver_tick, framed, Arc::clone(&bytes));
         if let Some(dup_tick) = duplicate {
             // The duplicate copy mirrors the simulator's second queue push:
             // its own emission index, the adjusted later delivery tick.
             self.metrics.fault_duplicates += 1;
-            let order = self.next_order(send_tick);
-            self.shared.activity.fetch_add(1, Ordering::SeqCst);
-            self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            let packet = Packet {
-                from: self.me,
-                send_tick,
-                order,
-                deliver_tick: dup_tick,
-                framed,
-                bytes,
-            };
-            if self.txs[to].send(Inbound::Packet(packet)).is_err() {
-                self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            }
+            self.emit(to, send_tick, dup_tick, framed, bytes);
+        }
+    }
+
+    /// Stamps one packet with its emission index and queues it on the link.
+    fn emit(
+        &mut self,
+        to: PartyId,
+        send_tick: Time,
+        deliver_tick: Time,
+        framed: bool,
+        bytes: Arc<Vec<u8>>,
+    ) {
+        let packet = Packet {
+            from: self.me,
+            send_tick,
+            order: self.next_order(send_tick),
+            deliver_tick,
+            framed,
+            bytes,
+        };
+        self.shared.activity.fetch_add(1, Ordering::SeqCst);
+        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        if !self.mailbox.send(to, Inbound::Packet(packet)) {
+            // Receiver already gone (forced stop): retract the claim.
+            self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -605,10 +624,10 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
                 self.me,
                 self.n,
                 0,
-                self.delta,
+                self.spec.config.delta,
                 &mut effects,
                 &mut self.rng,
-                self.coin_seed,
+                self.spec.config.coin_seed(),
             );
             self.protocol.init(&mut ctx);
         }
@@ -702,7 +721,7 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
                 unreachable!("peeked event vanished")
             };
             debug_assert_eq!(ev.deliver_tick, t, "ticks are processed in order");
-            events.push(ev.kind);
+            events.push(ev.kind.0);
         }
         let mut timer_events = 0u64;
         while self.timers.peek().is_some_and(|Reverse(tm)| tm.fire <= t) {
@@ -721,7 +740,8 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
         self.metrics.timeouts_fired += timer_events;
         self.metrics
             .record_slice(events.len() as u64, (self.held.len() + events.len()) as u64);
-        let (n, delta, coin_seed, record) = (self.n, self.delta, self.coin_seed, self.record);
+        let (n, record) = (self.n, self.spec.record);
+        let (delta, coin_seed) = (self.spec.config.delta, self.spec.config.coin_seed());
         let wp = WorkerParty {
             party: self.me,
             protocol: &mut self.protocol,
@@ -761,7 +781,7 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
         debug_assert_eq!(party, self.me);
         self.metrics.events_processed += events;
         self.metrics.decode_failures += decode_failures;
-        if self.record {
+        if self.spec.record {
             self.transcript.extend(transcript);
         }
         for (bits, seg) in self_records {
@@ -788,7 +808,7 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
         debug_assert_eq!(party, self.me);
         self.metrics.events_processed += events;
         self.metrics.decode_failures += decode_failures;
-        if self.record {
+        if self.spec.record {
             self.transcript.extend(transcript);
         }
         self.metrics.adversary_drops += drops;
@@ -803,69 +823,73 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
         }
     }
 
+    /// Folds one inbound message in; true if it is progress a gate waits
+    /// for (a packet, or a link clock that advanced).
+    fn absorb(&mut self, msg: Inbound) -> bool {
+        match msg {
+            Inbound::Packet(p) => {
+                // Clear the idle flag *before* folding the packet in (which
+                // releases its in-flight claim): a party woken from the idle
+                // wait by a promise keeps a stale idle=true through the next
+                // drain, and a window where the flag is true while the
+                // packet is neither in flight nor processed lets the
+                // coordinator declare quiescence mid-run and truncate the
+                // tail of a healthy schedule.
+                self.shared.idle[self.me].store(false, Ordering::SeqCst);
+                self.receive(p);
+                true
+            }
+            // A promise creates no work: an idle party stays marked idle, so
+            // the coordinator can declare quiescence through the end-of-run
+            // promise exchange (floors creeping toward the horizon cap)
+            // instead of waiting it out.
+            Inbound::Past { from, floor } => self.note_past(from, floor),
+            Inbound::Stop => {
+                self.stopping = true;
+                false
+            }
+        }
+    }
+
     /// The party thread body: init, epoch barrier, then the paced event loop
-    /// until the coordinator's `Stop`.
-    pub(super) fn run(mut self, barrier: &Barrier, epoch: &OnceLock<Instant>) -> PartyDone<M> {
+    /// until the coordinator's `Stop`; hands the runtime back for the fold.
+    fn run(mut self, barrier: &Barrier, epoch: &OnceLock<Instant>) -> Self {
         self.init();
+        // Init-time traffic (and, on sockets, the dials under it) leaves
+        // before the epoch is stamped, outside tick 0's budget.
+        self.mailbox.flush();
         barrier.wait();
         if self.me == 0 {
             // One tick of lead so tick 0's deadline is comfortably ahead.
-            let _ = epoch.set(Instant::now() + Duration::from_micros(self.tick_us));
+            let _ = epoch.set(Instant::now() + Duration::from_micros(self.spec.tick_us));
         }
         barrier.wait();
         self.start = *epoch.get().expect("epoch stamped by party 0");
+        let quantum = Duration::from_micros((self.spec.tick_us / 2).clamp(100, 1000));
+        // How long the gate tolerates *zero* progress (no packet, no advancing
+        // link clock) on a lagging link before processing anyway — see
+        // [`default_wedge_timeout`].
+        let wedge_timeout = Duration::from_millis(self.spec.wedge_ms.max(1));
         loop {
-            loop {
-                match self.rx.try_recv() {
-                    Ok(Inbound::Packet(p)) => {
-                        // Clear the idle flag *before* folding the packet in
-                        // (which releases its in-flight claim): a party woken
-                        // from the blocking branch by a promise keeps a
-                        // stale idle=true through this drain, and a window
-                        // where the flag is true while the packet is neither
-                        // in flight nor processed lets the coordinator
-                        // declare quiescence mid-run and truncate the tail
-                        // of a healthy schedule.
-                        self.shared.idle[self.me].store(false, Ordering::SeqCst);
-                        self.receive(p);
-                    }
-                    Ok(Inbound::Past { from, floor }) => {
-                        self.note_past(from, floor);
-                    }
-                    Ok(Inbound::Stop) => self.stopping = true,
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        self.stopping = true;
-                        break;
-                    }
-                }
+            while !self.stopping {
+                let Some(msg) = self.mailbox.try_recv() else {
+                    break;
+                };
+                self.absorb(msg);
             }
             if self.stopping {
                 break;
             }
             let next = self.next_work();
             self.update_promise(next);
+            self.mailbox.flush();
             // Keep the invariant local and self-evident: the flag is true
             // exactly while this party is blocked below with no work.
             self.shared.idle[self.me].store(next.is_none(), Ordering::SeqCst);
             match next {
                 None => {
-                    match self.rx.recv() {
-                        Ok(Inbound::Packet(p)) => {
-                            self.shared.idle[self.me].store(false, Ordering::SeqCst);
-                            self.receive(p);
-                        }
-                        // A promise creates no work: stay marked idle so the
-                        // coordinator can declare quiescence through the
-                        // end-of-run promise exchange (floors creeping toward
-                        // the horizon cap) instead of waiting it out.
-                        Ok(Inbound::Past { from, floor }) => {
-                            self.note_past(from, floor);
-                        }
-                        Ok(Inbound::Stop) | Err(_) => {
-                            self.shared.idle[self.me].store(false, Ordering::SeqCst);
-                            break;
-                        }
+                    if let Some(msg) = self.mailbox.recv(None) {
+                        self.absorb(msg);
                     }
                 }
                 Some(t) if t > self.horizon => {
@@ -876,18 +900,11 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
                 }
                 Some(t) => {
                     let deadline = self.deadline_of(t);
-                    let now = Instant::now();
-                    if now < deadline {
-                        match self.rx.recv_timeout(deadline - now) {
-                            Ok(Inbound::Packet(p)) => self.receive(p),
-                            Ok(Inbound::Past { from, floor }) => {
-                                self.note_past(from, floor);
-                            }
-                            Ok(Inbound::Stop) => self.stopping = true,
-                            // The real timeout: tick `t`'s deadline elapsed
-                            // with no earlier-due bytes on the wire.
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => self.stopping = true,
+                    if Instant::now() < deadline {
+                        // `None` is the real timeout: tick `t`'s deadline
+                        // elapsed with no earlier-due bytes on the wire.
+                        if let Some(msg) = self.mailbox.recv(Some(deadline)) {
+                            self.absorb(msg);
                         }
                         continue;
                     }
@@ -903,11 +920,9 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
                     // it with every promise it emits, so the gate only bails
                     // on a genuinely dead peer, not on slow progress.
                     let mut stalled_since = Instant::now();
-                    let trace_gate = std::env::var_os("MPC_TRACE_GATE").is_some();
-                    let mut traced = Instant::now();
-                    let quantum = Duration::from_micros((self.tick_us / 2).clamp(100, 1000));
+                    let mut traced = stalled_since;
                     while self.lagging_link(t).is_some() && !self.stopping {
-                        if trace_gate && traced.elapsed() > Duration::from_secs(1) {
+                        if self.trace_gate && traced.elapsed() > Duration::from_secs(1) {
                             traced = Instant::now();
                             eprintln!(
                                 "gate: me={} t={} floors={:?} promised={} nup={} held={} timers={}",
@@ -920,7 +935,7 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
                                 self.timers.len()
                             );
                         }
-                        if stalled_since.elapsed() > self.wedge_timeout {
+                        if stalled_since.elapsed() > wedge_timeout {
                             // Zero progress for the whole grace: diagnose the
                             // wedged peer, then process anyway (liveness) —
                             // the run surfaces the wedge as a typed error.
@@ -932,23 +947,8 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
                             }
                             break;
                         }
-                        let progressed = match self.rx.recv_timeout(quantum) {
-                            Ok(Inbound::Packet(p)) => {
-                                self.receive(p);
-                                true
-                            }
-                            Ok(Inbound::Past { from, floor }) => self.note_past(from, floor),
-                            Ok(Inbound::Stop) => {
-                                self.stopping = true;
-                                false
-                            }
-                            Err(RecvTimeoutError::Timeout) => false,
-                            Err(RecvTimeoutError::Disconnected) => {
-                                self.stopping = true;
-                                false
-                            }
-                        };
-                        if progressed {
+                        let woken = self.mailbox.recv(Some(Instant::now() + quantum));
+                        if woken.is_some_and(|msg| self.absorb(msg)) {
                             stalled_since = Instant::now();
                         }
                         // A risen incoming clock can raise our own promise,
@@ -957,6 +957,7 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
                         // gating parties would stall until the grace bail.
                         let nw = self.next_work();
                         self.update_promise(nw);
+                        self.mailbox.flush();
                         // A packet taken during the gate may carry work due
                         // *before* `t`. Keep gating on the stale `t` and the
                         // promise basis pins at that earlier tick — which a
@@ -977,43 +978,105 @@ impl<M: WireEncode + WireDecode + 'static> PartyRuntime<'_, M> {
                 }
             }
         }
-        PartyDone {
-            party: self.me,
-            protocol: self.protocol,
-            metrics: self.metrics,
-            transcript: self.transcript,
-            last_tick: self.last_tick,
-            processed_any: self.processed_any,
-            wedged: self.wedged,
-        }
+        self
     }
 }
 
-/// The threaded [`Transport`] backend. Construct with [`ThreadedNet::new`]
-/// (latency matrix derived from the [`NetConfig`]'s network kind and seed) or
-/// [`ThreadedNet::with_links`] (explicit matrix, e.g. the exact one handed to
-/// the simulator oracle), then drive it through the [`Transport`] trait.
-pub struct ThreadedNet<M> {
-    config: NetConfig,
-    corruption: CorruptionSet,
-    structure: Option<Arc<dyn AdversaryStructure>>,
-    links: LinkDelays,
-    faults: FaultPlan,
-    tick_us: u64,
-    wedge_ms: u64,
-    parties: Vec<Option<Box<dyn Protocol<M>>>>,
-    strategy: Option<Box<dyn ByzantineStrategy>>,
-    record: bool,
-    transcript: Vec<TranscriptEntry>,
-    metrics: Metrics,
-    now: Time,
-    ran: bool,
-    last_error: Option<TransportError>,
+/// How the party threads of a real backend reach each other — the one thing
+/// [`ThreadedNet`] and [`super::tcp::TcpNet`] differ in.
+pub trait Medium {
+    /// The [`Backend`] a net over this medium reports.
+    const BACKEND: Backend;
+    /// The medium as the environment configures it.
+    fn from_env() -> Self;
+    /// Runs the parties of `state` to quiescence, one thread each, over
+    /// mailboxes of this medium (see [`run_parties`]).
+    #[doc(hidden)]
+    fn run<M: WireEncode + WireDecode + 'static>(
+        &self,
+        spec: &NetSpec,
+        horizon: Time,
+        state: &mut RunState<M>,
+    );
 }
 
-impl<M: WireEncode + WireDecode + 'static> ThreadedNet<M> {
-    /// Creates a threaded network with the default latency matrix for the
-    /// configured network kind ([`LinkDelays::for_kind`]).
+/// The in-memory medium of [`ThreadedNet`]: `mpsc` channels carrying
+/// TCP-ready frame bytes.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Channels;
+
+impl Medium for Channels {
+    const BACKEND: Backend = Backend::Threaded;
+    fn from_env() -> Self {
+        Channels
+    }
+    fn run<M: WireEncode + WireDecode + 'static>(
+        &self,
+        spec: &NetSpec,
+        horizon: Time,
+        state: &mut RunState<M>,
+    ) {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..spec.config.n).map(|_| mpsc::channel()).unzip();
+        let mailboxes = rxs.into_iter().map(|rx| ChannelMailbox {
+            rx,
+            txs: txs.clone(),
+        });
+        let cap_slack = Duration::from_secs(2);
+        run_parties(spec, horizon, cap_slack, state, mailboxes.collect(), || {
+            for tx in &txs {
+                let _ = tx.send(Inbound::Stop);
+            }
+        })
+    }
+}
+
+/// A real (wall-clock, thread-per-party) [`Transport`] backend over medium
+/// `L`; use it through its two aliases, [`ThreadedNet`] and
+/// [`super::tcp::TcpNet`]. Construct with [`RealNet::new`] (latency matrix
+/// derived from the [`NetConfig`]'s network kind and seed) or
+/// [`RealNet::with_links`] (explicit matrix, e.g. the exact one handed to
+/// the simulator oracle), then drive it through the [`Transport`] trait.
+pub struct RealNet<M, L> {
+    spec: NetSpec,
+    structure: Option<Arc<dyn AdversaryStructure>>,
+    pub(super) medium: L,
+    /// Party states and accounting: initial until the run, its result after.
+    state: RunState<M>,
+    ran: bool,
+}
+
+/// What a [`RealNet`] is configured with before it runs (opaque outside
+/// the crate: it exists in the public interface only to be handed through
+/// [`Medium::run`]).
+pub struct NetSpec {
+    pub(super) config: NetConfig,
+    pub(super) corruption: CorruptionSet,
+    pub(super) links: LinkDelays,
+    pub(super) faults: FaultPlan,
+    pub(super) tick_us: u64,
+    pub(super) wedge_ms: u64,
+    pub(super) record: bool,
+}
+
+/// What a run works on: the party states in index order and, once
+/// the run has folded it, the accounting (opaque, like [`NetSpec`]).
+pub struct RunState<M> {
+    parties: Vec<Option<Box<dyn Protocol<M>>>>,
+    pub(super) metrics: Metrics,
+    now: Time,
+    transcript: Vec<TranscriptEntry>,
+    strategy: Option<Box<dyn ByzantineStrategy>>,
+    /// The first wedge any party's gate diagnosed, in party order.
+    wedged: Option<TransportError>,
+}
+
+/// The threaded [`Transport`] backend ([`Backend::Threaded`]): one OS thread
+/// per party, in-memory channels between them.
+pub type ThreadedNet<M> = RealNet<M, Channels>;
+
+impl<M: WireEncode + WireDecode + 'static, L: Medium> RealNet<M, L> {
+    /// Creates a network with the default latency matrix for the configured
+    /// network kind ([`LinkDelays::for_kind`]).
     pub fn new(
         config: NetConfig,
         corruption: CorruptionSet,
@@ -1023,7 +1086,7 @@ impl<M: WireEncode + WireDecode + 'static> ThreadedNet<M> {
         Self::with_links(config, corruption, links, parties)
     }
 
-    /// Creates a threaded network with an explicit latency matrix.
+    /// Creates a network with an explicit latency matrix.
     ///
     /// # Panics
     ///
@@ -1044,22 +1107,27 @@ impl<M: WireEncode + WireDecode + 'static> ThreadedNet<M> {
         // One OS thread per party — the honest analogue of the simulator's
         // worker-thread knob.
         metrics.worker_threads = config.n as u64;
-        ThreadedNet {
-            tick_us: tick_micros_from_env(),
-            wedge_ms: wedge_millis_from_env(),
-            config,
-            corruption,
+        RealNet {
+            spec: NetSpec {
+                tick_us: tick_micros_from_env(),
+                wedge_ms: wedge_millis_from_env(),
+                config,
+                corruption,
+                links,
+                faults: FaultPlan::none(),
+                record: false,
+            },
             structure: None,
-            links,
-            faults: FaultPlan::none(),
-            parties: parties.into_iter().map(Some).collect(),
-            strategy: None,
-            record: false,
-            transcript: Vec::new(),
-            metrics,
-            now: 0,
+            medium: L::from_env(),
+            state: RunState {
+                parties: parties.into_iter().map(Some).collect(),
+                metrics,
+                now: 0,
+                transcript: Vec::new(),
+                strategy: None,
+                wedged: None,
+            },
             ran: false,
-            last_error: None,
         }
     }
 
@@ -1067,7 +1135,7 @@ impl<M: WireEncode + WireDecode + 'static> ThreadedNet<M> {
     /// keeps the `MPC_TICK_US` default). Call before running.
     pub fn with_tick_micros(mut self, micros: u64) -> Self {
         if micros > 0 {
-            self.tick_us = micros;
+            self.spec.tick_us = micros;
         }
         self
     }
@@ -1080,36 +1148,37 @@ impl<M: WireEncode + WireDecode + 'static> ThreadedNet<M> {
     /// of silently stalling.
     pub fn with_wedge_millis(mut self, millis: u64) -> Self {
         if millis > 0 {
-            self.wedge_ms = millis;
+            self.spec.wedge_ms = millis;
         }
         self
     }
 
-    /// Installs an injected [`FaultPlan`] applied on top of the link-latency
-    /// matrix (default: the empty plan). Call before running — the same plan
+    /// Installs an injected *logical* [`FaultPlan`] applied on top of the
+    /// link-latency matrix (default: the empty plan): drops, crashes,
+    /// partitions at the message layer. Call before running — the same plan
     /// yields the same per-message decisions on the simulator.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = plan;
+        self.spec.faults = plan;
     }
 
     /// The injected fault plan.
     pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
+        &self.spec.faults
     }
 
     /// The latency matrix this network runs with.
     pub fn links(&self) -> &LinkDelays {
-        &self.links
+        &self.spec.links
     }
 
     /// The real duration of one logical tick, in microseconds.
     pub fn tick_micros(&self) -> u64 {
-        self.tick_us
+        self.spec.tick_us
     }
 
     /// The configuration the network was built with.
     pub fn config(&self) -> &NetConfig {
-        &self.config
+        &self.spec.config
     }
 
     /// Downcasts party `i`'s root protocol to a concrete type for inspecting
@@ -1121,185 +1190,164 @@ impl<M: WireEncode + WireDecode + 'static> ThreadedNet<M> {
     /// Spawns the party threads, runs to quiescence (no held packet, no
     /// pending timer, nothing in flight at any party, bounded by `horizon`
     /// logical ticks and a hard wall-clock cap), joins, and folds the
-    /// per-party accounting. Subsequent calls are no-ops — a quiesced
-    /// threaded run has nothing left to resume.
+    /// per-party accounting. Subsequent calls are no-ops — a quiesced run
+    /// has nothing left to resume.
     pub fn run_net_to_quiescence(&mut self, horizon: Time) {
         if self.ran {
             return;
         }
         self.ran = true;
-        let n = self.config.n;
-        let tick_us = self.tick_us.max(1);
-        // Absorbs scheduling jitter between a sender's batch and the
-        // receivers' tick deadlines without eating a whole tick.
-        let guard = Duration::from_micros((tick_us / 4).max(50));
-        let record = self.record;
-        let horizon_cap = Duration::from_micros(tick_us.saturating_mul(horizon.saturating_add(16)))
-            + Duration::from_secs(2);
-        let shared = Shared {
-            in_flight: AtomicI64::new(0),
-            idle: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            activity: AtomicU64::new(0),
-        };
-        let adv = Mutex::new(AdvState {
-            strategy: self.strategy.take().unwrap_or_else(|| Box::new(Passive)),
-            rng: StdRng::seed_from_u64(self.config.adversary_seed()),
-        });
-        let barrier = Barrier::new(n);
-        let epoch: OnceLock<Instant> = OnceLock::new();
-        let mut txs: Vec<Sender<Inbound>> = Vec::with_capacity(n);
-        let mut rxs: Vec<Receiver<Inbound>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let protocols: Vec<Box<dyn Protocol<M>>> = self
-            .parties
-            .iter_mut()
-            .map(|slot| slot.take().expect("party state present outside a run"))
-            .collect();
-        let links = &self.links;
-        let faults = &self.faults;
-        let corruption = &self.corruption;
-        let config = &self.config;
-        let wedge_timeout = Duration::from_millis(self.wedge_ms.max(1));
-        let results: Vec<PartyDone<M>> = std::thread::scope(|scope| {
-            let shared = &shared;
-            let adv = &adv;
-            let barrier = &barrier;
-            let epoch = &epoch;
-            let handles: Vec<_> = protocols
-                .into_iter()
-                .zip(rxs)
-                .enumerate()
-                .map(|(i, (protocol, rx))| {
-                    let txs = txs.clone();
-                    let rng = StdRng::seed_from_u64(config.party_rng_seed(i));
-                    let honest = corruption.is_honest(i);
-                    let (delta, coin_seed) = (config.delta, config.coin_seed());
-                    scope.spawn(move || {
-                        let runtime = PartyRuntime {
-                            me: i,
-                            n,
-                            delta,
-                            coin_seed,
-                            horizon,
-                            record,
-                            honest,
-                            tick_us,
-                            guard,
-                            start: Instant::now(), // re-stamped after the barrier
-                            links,
-                            faults,
-                            protocol,
-                            rng,
-                            rx,
-                            txs,
-                            shared,
-                            adv,
-                            held: BinaryHeap::new(),
-                            timers: BinaryHeap::new(),
-                            tseq: 0,
-                            metrics: Metrics::new(),
-                            transcript: Vec::new(),
-                            next_unprocessed: 0,
-                            last_tick: 0,
-                            processed_any: false,
-                            order_tick: 0,
-                            order_counter: 0,
-                            stopping: false,
-                            // Initial link clocks: every peer starts at tick
-                            // 0, so nothing can arrive on a link before its
-                            // delay (init-time sends land exactly there).
-                            chan_floor: (0..n)
-                                .map(|s| if s == i { Time::MAX } else { links.get(s, i) })
-                                .collect(),
-                            promised: 0,
-                            wedge_timeout,
-                            wedged: None,
-                        };
-                        runtime.run(barrier, epoch)
-                    })
-                })
-                .collect();
-            // Coordinator: poll for quiescence, then broadcast Stop.
-            let poll = Duration::from_micros((tick_us / 2).clamp(100, 2000));
-            let wall_start = Instant::now();
-            loop {
-                std::thread::sleep(poll);
-                let a1 = shared.activity.load(Ordering::SeqCst);
-                let quiet = shared.in_flight.load(Ordering::SeqCst) == 0
-                    && shared.idle.iter().all(|f| f.load(Ordering::SeqCst));
-                let a2 = shared.activity.load(Ordering::SeqCst);
-                if (quiet && a1 == a2) || wall_start.elapsed() > horizon_cap {
-                    break;
-                }
-            }
-            for tx in &txs {
-                let _ = tx.send(Inbound::Stop);
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("party thread panicked"))
-                .collect()
-        });
-        let mut merged = Metrics::new();
-        merged.worker_threads = n as u64;
-        let mut now = 0;
-        let mut transcript: Vec<TranscriptEntry> = Vec::new();
-        for done in results {
-            self.parties[done.party] = Some(done.protocol);
-            merged.merge(&done.metrics);
-            if done.processed_any {
-                now = now.max(done.last_tick);
-            }
-            if self.last_error.is_none() {
-                if let Some((party, last_progress_tick)) = done.wedged {
-                    self.last_error = Some(TransportError::Wedged {
-                        party,
-                        last_progress_tick,
-                    });
-                }
-            }
-            transcript.extend(done.transcript);
-        }
-        // Stable by-tick sort over the party-ascending concatenation: each
-        // party's subsequence is exactly its processing order.
-        transcript.sort_by_key(|e| e.at);
-        self.metrics = merged;
-        self.now = now;
-        self.transcript = transcript;
-        self.strategy = Some(adv.into_inner().expect("adversary state poisoned").strategy);
+        self.medium.run(&self.spec, horizon, &mut self.state);
     }
 }
 
-impl<M: WireEncode + WireDecode + 'static> PartyView<M> for ThreadedNet<M> {
+/// The run scaffold both real backends share: one scoped thread per party
+/// around a [`PartyRuntime`] over its mailbox, the calling thread as the
+/// quiescence coordinator (until quiescence, or by force `cap_slack` of wall
+/// clock past the `horizon` tick schedule), `stop` to release the parties,
+/// then join and fold. No other thread exists during a run.
+pub(super) fn run_parties<M, B>(
+    env: &NetSpec,
+    horizon: Time,
+    cap_slack: Duration,
+    state: &mut RunState<M>,
+    mailboxes: Vec<B>,
+    stop: impl FnOnce(),
+) where
+    M: WireEncode + WireDecode + 'static,
+    B: Mailbox + Send,
+{
+    let (n, tick_us) = (env.config.n, env.tick_us);
+    let horizon_cap =
+        Duration::from_micros(tick_us.saturating_mul(horizon.saturating_add(16))) + cap_slack;
+    let shared = Shared {
+        in_flight: AtomicI64::new(0),
+        idle: (0..n).map(|_| AtomicBool::new(false)).collect(),
+        activity: AtomicU64::new(0),
+    };
+    let adv = Mutex::new(AdvState {
+        strategy: state.strategy.take().unwrap_or_else(|| Box::new(Passive)),
+        rng: StdRng::seed_from_u64(env.config.adversary_seed()),
+    });
+    let barrier = Barrier::new(n);
+    let epoch: OnceLock<Instant> = OnceLock::new();
+    let trace_gate = std::env::var_os("MPC_TRACE_GATE").is_some();
+    let trace_late = std::env::var_os("MPC_TRACE_LATE").is_some();
+    let results: Vec<PartyRuntime<'_, M, B>> = std::thread::scope(|scope| {
+        let (shared, adv, barrier, epoch) = (&shared, &adv, &barrier, &epoch);
+        let handles: Vec<_> = (state.parties.iter_mut())
+            .map(|slot| slot.take().expect("party state present outside a run"))
+            .zip(mailboxes)
+            .enumerate()
+            .map(|(i, (protocol, mailbox))| {
+                let runtime = PartyRuntime {
+                    me: i,
+                    n,
+                    spec: env,
+                    horizon,
+                    honest: env.corruption.is_honest(i),
+                    start: Instant::now(), // re-stamped after the barrier
+                    protocol,
+                    rng: StdRng::seed_from_u64(env.config.party_rng_seed(i)),
+                    mailbox,
+                    shared,
+                    adv,
+                    held: BinaryHeap::new(),
+                    timers: BinaryHeap::new(),
+                    tseq: 0,
+                    metrics: Metrics::new(),
+                    transcript: Vec::new(),
+                    next_unprocessed: 0,
+                    last_tick: 0,
+                    processed_any: false,
+                    order_tick: 0,
+                    order_counter: 0,
+                    stopping: false,
+                    // Initial link clocks: every peer starts at tick 0, so
+                    // nothing can arrive on a link before its delay
+                    // (init-time sends land exactly there).
+                    chan_floor: (0..n)
+                        .map(|s| match s == i {
+                            true => Time::MAX,
+                            false => env.links.get(s, i),
+                        })
+                        .collect(),
+                    promised: 0,
+                    wedged: None,
+                    trace_gate,
+                    trace_late,
+                };
+                scope.spawn(move || runtime.run(barrier, epoch))
+            })
+            .collect();
+        // Coordinator: poll for quiescence (a packet in transit on any
+        // medium keeps its `in_flight` claim, so the scan is sound across a
+        // kernel too), then release the parties.
+        let poll = Duration::from_micros((tick_us / 2).clamp(100, 2000));
+        let wall_start = Instant::now();
+        loop {
+            std::thread::sleep(poll);
+            let a1 = shared.activity.load(Ordering::SeqCst);
+            let quiet = shared.in_flight.load(Ordering::SeqCst) == 0
+                && shared.idle.iter().all(|f| f.load(Ordering::SeqCst));
+            let a2 = shared.activity.load(Ordering::SeqCst);
+            if (quiet && a1 == a2) || wall_start.elapsed() > horizon_cap {
+                break;
+            }
+        }
+        stop();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("party thread panicked"))
+            .collect()
+    });
+    for party in results {
+        state.parties[party.me] = Some(party.protocol);
+        state.metrics.merge(&party.metrics);
+        party.mailbox.fold_stats(&mut state.metrics);
+        if party.processed_any {
+            state.now = state.now.max(party.last_tick);
+        }
+        if let (None, Some((peer, last_progress_tick))) = (&state.wedged, party.wedged) {
+            state.wedged = Some(TransportError::Wedged {
+                party: peer,
+                last_progress_tick,
+            });
+        }
+        state.transcript.extend(party.transcript);
+    }
+    // Stable by-tick sort over the party-ascending concatenation: each
+    // party's subsequence is exactly its processing order.
+    state.transcript.sort_by_key(|e| e.at);
+    state.strategy = Some(adv.into_inner().expect("adversary state poisoned").strategy);
+}
+
+impl<M: WireEncode + WireDecode + 'static, L: Medium> PartyView<M> for RealNet<M, L> {
     fn n(&self) -> usize {
-        self.config.n
+        self.spec.config.n
     }
     fn now(&self) -> Time {
-        self.now
+        self.state.now
     }
     fn party(&self, i: PartyId) -> &dyn Protocol<M> {
-        self.parties[i]
+        self.state.parties[i]
             .as_deref()
             .expect("party state present outside a run")
     }
 }
 
-impl<M: WireEncode + WireDecode + 'static> Transport<M> for ThreadedNet<M> {
+impl<M: WireEncode + WireDecode + 'static, L: Medium> Transport<M> for RealNet<M, L> {
     fn backend(&self) -> Backend {
-        Backend::Threaded
+        L::BACKEND
     }
     fn set_strategy(&mut self, strategy: Box<dyn ByzantineStrategy>) {
-        self.strategy = Some(strategy);
+        self.state.strategy = Some(strategy);
     }
     fn record_transcript(&mut self) {
-        self.record = true;
+        self.spec.record = true;
     }
     fn transcript(&self) -> &[TranscriptEntry] {
-        &self.transcript
+        &self.state.transcript
     }
     fn run_until_done(
         &mut self,
@@ -1313,10 +1361,10 @@ impl<M: WireEncode + WireDecode + 'static> Transport<M> for ThreadedNet<M> {
         self.run_net_to_quiescence(horizon);
     }
     fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.state.metrics
     }
     fn corruption(&self) -> &CorruptionSet {
-        &self.corruption
+        &self.spec.corruption
     }
     fn set_adversary_structure(&mut self, structure: Arc<dyn AdversaryStructure>) {
         self.structure = Some(structure);
@@ -1325,7 +1373,7 @@ impl<M: WireEncode + WireDecode + 'static> Transport<M> for ThreadedNet<M> {
         self.structure.as_ref()
     }
     fn last_error(&self) -> Option<&TransportError> {
-        self.last_error.as_ref()
+        self.state.wedged.as_ref()
     }
 }
 
@@ -1553,7 +1601,7 @@ mod tests {
         let links = LinkDelays::for_kind(n, cfg.kind, cfg.delta, cfg.seed);
         let th = ThreadedNet::<Msg>::with_links(cfg, CorruptionSet::none(), links, parties(n))
             .with_wedge_millis(250);
-        assert_eq!(th.wedge_ms, 250);
+        assert_eq!(th.spec.wedge_ms, 250);
         assert!(Transport::<Msg>::last_error(&th).is_none());
         let err = TransportError::Wedged {
             party: 2,

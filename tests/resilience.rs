@@ -353,3 +353,89 @@ fn tcp_stall_past_wedge_surfaces_diagnosis_not_hang() {
         ),
     }
 }
+
+#[test]
+fn tcp_stall_wedges_the_stalled_link_only() {
+    // One link out of party 2 (2 → 0) stalls for the supervisor's 300 ms
+    // cap; 2 → 1 does not. The stall lives on that link's writer, not on
+    // party 2's single I/O thread: party 2 keeps promising to party 1,
+    // whose timer fires on schedule, while party 0's gate gives up on
+    // party 2 after the 100 ms wedge deadline and says so. A party that
+    // slept through its stall would starve party 1 as well — a second wedge
+    // against the same peer.
+    use bobw_mpc::net::{
+        Context, CorruptionSet, FaultPlan, LinkDelays, NetConfig, PartyId, PathSlice, Protocol,
+        TcpNet, Transport, TransportError,
+    };
+    use bobw_mpc::protocols::{AbaMsg, Msg};
+    use std::time::Instant;
+
+    /// Pings `ping` at init, arms a timer at tick 7 if `armed`, and notes
+    /// when it fired.
+    struct Probe {
+        ping: Option<PartyId>,
+        armed: bool,
+        fired: Option<Instant>,
+    }
+    impl Protocol<Msg> for Probe {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            if let Some(to) = self.ping {
+                let (round, value) = (0, true);
+                ctx.send(to, Msg::Aba(AbaMsg::Est { round, value }));
+            }
+            if self.armed {
+                ctx.set_timer(7, 0);
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: PartyId, _: PathSlice<'_>, _: Msg) {}
+        fn on_timer(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: u64) {
+            self.fired = Some(Instant::now());
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    let n = 3;
+    let parties = (0..n)
+        .map(|i| {
+            let probe = Probe {
+                ping: (i == 2).then_some(0),
+                armed: i != 2,
+                fired: None,
+            };
+            Box::new(probe) as Box<dyn Protocol<Msg>>
+        })
+        .collect();
+    // Every link 5 ticks: the ping is due at tick 5, the timers at tick 7
+    // need every incoming link clock past 7, and a first round of promises
+    // (5 + 5) provides that — except on the stalled link, where the promise
+    // queues behind the ping.
+    let cfg = NetConfig::synchronous(n).with_seed(53).with_frames(true);
+    let links = LinkDelays::from_fn(n, |_, _| 5);
+    let mut net = TcpNet::with_links(cfg, CorruptionSet::none(), links, parties)
+        .with_tick_micros(100)
+        .with_wedge_millis(100);
+    net.set_chaos_plan(FaultPlan::none().delay_burst(Some(2), Some(0), (0, 1), 50_000));
+    net.run_to_quiescence(1_000);
+
+    assert_eq!(
+        net.last_error(),
+        Some(&TransportError::Wedged {
+            party: 2,
+            last_progress_tick: 5
+        })
+    );
+    assert_eq!(net.metrics().wedges, 1, "only the stalled link may wedge");
+    let fired = |i| net.party_as::<Probe>(i).and_then(|p| p.fired);
+    let (waited, prompt) = (fired(0).expect("released"), fired(1).expect("on time"));
+    assert!(
+        prompt < waited,
+        "party 1 must not have waited for the stall"
+    );
+    // The ping outlived the wedge and arrived after its tick was processed.
+    assert_eq!(net.metrics().late_packets, 1);
+}
