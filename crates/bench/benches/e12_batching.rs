@@ -1,21 +1,17 @@
-//! Experiment E12 — communication-layer batching: per-destination wire
-//! frames and layer-batched Beaver openings.
+//! Experiment E12 — communication-layer batching: layer-batched Beaver
+//! openings on the framed engine.
 //!
-//! Sweeps the four corners of the batching design space — frame coalescing
-//! on/off × per-layer vs per-gate circuit openings — over full `Π_CirEval`
-//! runs and reports simulator events, dispatched frames, honest bits,
-//! simulated completion time and wall-clock time. Honest-bit accounting is
-//! *per contained message*, so in a synchronous network frames on/off are
-//! bit-identical at a fixed opening mode; layer batching additionally
+//! Compares per-layer against per-gate circuit openings over full
+//! `Π_CirEval` runs and reports simulator events, dispatched frames, honest
+//! bits, simulated completion time and wall-clock time. Layer batching
 //! shaves the per-opening `Open` message headers (`D_M` broadcasts of `2·L`
-//! values instead of `c_M` broadcasts of 2). What batching chiefly buys is
-//! the event count (one frame event per `(sender, destination)` pair per
-//! activation instead of one per message) and the reconstruction count
-//! (one OEC basis per layer).
+//! values instead of `c_M` broadcasts of 2) and the reconstruction count
+//! (one OEC basis per layer). Wire frames (one event per `(sender,
+//! destination)` pair per activation, accounting *per contained message*)
+//! are the only engine, so they are on in both modes.
 //!
-//! E12a reproduces the PR 4 full-MPC golden configuration (n = 4, seed 77)
-//! so the headline event-count reduction is measured against the documented
-//! 62 808-event baseline. E12b sweeps product circuits up to n = 7 — the
+//! E12a runs the full-MPC golden configuration of `tests/determinism.rs`
+//! (n = 4, seed 77). E12b sweeps product circuits up to n = 7 — the
 //! acceptance series for the "e9 cireval wall-clock at n = 7" claim.
 //!
 //! `BENCH_SMOKE=1` shrinks the sweep for CI; outputs are checked against the
@@ -25,14 +21,9 @@ use bench::{expected_clear, run_cireval_batching, JsonReport, Measurement};
 use mpc_core::Circuit;
 use mpc_net::NetworkKind;
 
-/// The four batching modes: label × frames × per-gate openings. The first
-/// entry is the pre-batching baseline, the last is the default engine.
-const MODES: [(&str, bool, bool); 4] = [
-    ("gate_noframes", false, true),
-    ("layer_noframes", false, false),
-    ("gate_frames", true, true),
-    ("layer_frames", true, false),
-];
+/// The two opening modes: label × per-gate openings. The first entry is the
+/// per-gate reference driver, the last is the default.
+const MODES: [(&str, bool); 2] = [("gate", true), ("layer", false)];
 
 fn print_row(label: &str, n: usize, m: &Measurement, base: &Measurement) {
     let event_x = base.events_processed as f64 / m.events_processed as f64;
@@ -64,12 +55,11 @@ fn sweep(
     let expected = expected_clear(n, circuit);
     let only = std::env::var("E12_ONLY").ok();
     let mut measurements = Vec::new();
-    for (label, frames, per_gate) in MODES {
+    for (label, per_gate) in MODES {
         if only.as_deref().is_some_and(|o| o != label) {
             continue;
         }
-        let (m, out) =
-            run_cireval_batching(n, circuit, NetworkKind::Synchronous, seed, frames, per_gate);
+        let (m, out) = run_cireval_batching(n, circuit, NetworkKind::Synchronous, seed, per_gate);
         assert_eq!(
             out, expected,
             "{series}/{label} n={n} output must be correct"
@@ -95,9 +85,8 @@ fn main() {
     // (`E12_N=<n>` skips the golden sweep and the other committee sizes).
     let only_n: Option<usize> = std::env::var("E12_N").ok().and_then(|v| v.parse().ok());
 
-    // E12a — the PR 4 golden configuration: n = 4, seed 77, the
-    // mul+add+add circuit whose frames-off/per-gate run processes exactly
-    // 62 808 events (tests/determinism.rs).
+    // E12a — the golden configuration of tests/determinism.rs: n = 4,
+    // seed 77, the mul+add+add circuit.
     let mut golden = Circuit::new(4);
     let prod = golden.mul(golden.input(0), golden.input(1));
     let s = golden.add(golden.input(2), golden.input(3));
@@ -136,10 +125,9 @@ fn main() {
         println!();
     }
     println!(
-        "(frames on/off are bit-identical at a fixed opening mode — framing changes the \
-         event schedule, not the paper-level accounting; per-layer openings additionally \
-         save the per-opening message headers, hence the slightly smaller layer-mode bit \
-         totals; outputs are checked against the cleartext evaluation in every mode)"
+        "(per-layer openings save the per-opening message headers, hence the slightly \
+         smaller layer-mode bit totals; outputs are checked against the cleartext \
+         evaluation in both modes)"
     );
     report.finish();
 }

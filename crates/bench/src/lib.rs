@@ -412,15 +412,13 @@ pub fn run_cireval_threads(
     (m, result.output)
 }
 
-/// [`run_cireval`] with explicit communication-batching knobs: wire-frame
-/// coalescing on/off × per-layer vs per-gate Beaver openings. Used by the
-/// E12 batching experiment to compare the four corners of the design space.
+/// [`run_cireval`] with per-layer or per-gate Beaver openings. Used by the
+/// E12 batching experiment to compare the two opening modes.
 pub fn run_cireval_batching(
     n: usize,
     circuit: &Circuit,
     kind: NetworkKind,
     seed: u64,
-    frames: bool,
     per_gate: bool,
 ) -> (Measurement, Fp) {
     let params = Params::max_thresholds(n, 10);
@@ -430,7 +428,6 @@ pub fn run_cireval_batching(
         .network(kind)
         .seed(seed)
         .inputs(&inputs)
-        .frames(frames)
         .per_gate_openings(per_gate)
         .run(circuit)
         .expect("benchmark run must complete");

@@ -118,7 +118,6 @@ pub struct MpcBuilder {
     scheduler: Option<Box<dyn Scheduler>>,
     horizon_factor: u64,
     threads: Option<usize>,
-    frames: Option<bool>,
     per_gate_openings: bool,
     packing: Option<usize>,
     transport: Option<Backend>,
@@ -164,7 +163,6 @@ impl MpcBuilder {
             scheduler: None,
             horizon_factor: 8,
             threads: None,
-            frames: None,
             per_gate_openings: false,
             packing: None,
             transport: None,
@@ -346,12 +344,14 @@ impl MpcBuilder {
         self
     }
 
-    /// Enables or disables wire-frame coalescing explicitly (see
-    /// [`NetConfig::with_frames`]); defaults to the `MPC_FRAMES` environment
-    /// variable, then on. Framing changes the event schedule (and therefore
-    /// the transcript), never the outputs or the bit accounting rules.
-    pub fn frames(mut self, frames: bool) -> Self {
-        self.frames = Some(frames);
+    /// Inert shim for the frozen benchmark ledger: frame coalescing is the
+    /// only engine, so `true` is a no-op and `false` has nothing to select.
+    #[doc(hidden)]
+    pub fn frames(self, frames: bool) -> Self {
+        assert!(
+            frames,
+            "frames(false): the unframed engine was removed in PR 22"
+        );
         self
     }
 
@@ -475,9 +475,6 @@ impl MpcBuilder {
             .with_seed(self.seed);
         if let Some(threads) = self.threads {
             cfg = cfg.with_threads(threads);
-        }
-        if let Some(frames) = self.frames {
-            cfg = cfg.with_frames(frames);
         }
         let backend = self.transport.unwrap_or_else(Backend::from_env);
         let chaos_plan = self.effective_chaos_plan();

@@ -46,8 +46,7 @@ pub struct Metrics {
     /// Number of events processed.
     pub events_processed: u64,
     /// Wire-frame events dispatched (one per `(sender, destination)` frame;
-    /// a broadcast frame counts once per recipient). Always 0 when frame
-    /// coalescing is disabled.
+    /// a broadcast frame counts once per recipient).
     pub frames_sent: u64,
     /// Largest number of pending events observed at a time-slice boundary
     /// (sampled once per slice, including the slice's own events). Queue

@@ -3,7 +3,9 @@
 //! In the synchronous network every message must be delivered within `Δ`; the
 //! scheduler may pick any delay in `[1, Δ]`. In the asynchronous network the
 //! adversary controls the delivery schedule entirely, subject only to every
-//! message being delivered eventually.
+//! message being delivered eventually. Either way a cross-party message
+//! arrives strictly after the tick it was sent in: every medium clamps the
+//! chosen delay to ≥ 1.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -15,24 +17,16 @@ use crate::transport::{PartyId, Time};
 /// Chooses the delivery delay of each message. Implementations model the
 /// network together with the adversary's scheduling power.
 pub trait Scheduler {
-    /// Returns the delay (≥ 0) after which a message sent now from `from` to
-    /// `to` is delivered.
+    /// Returns the delay after which a message sent now from `from` to `to`
+    /// is delivered. Every medium clamps the delay of a cross-party message
+    /// (`from != to`) to ≥ 1 tick — the simulator at dispatch,
+    /// [`LinkDelays::from_fn`] for the real media — so whatever a party
+    /// handles at time `T` can only spawn further time-`T` events for that
+    /// *same* party (self-sends and zero-delay timers).
     fn delay(&mut self, from: PartyId, to: PartyId, now: Time, rng: &mut StdRng) -> Time;
 
     /// Upper bound used by the simulator for sanity horizons; must be finite.
     fn max_delay(&self) -> Time;
-
-    /// Lower bound on [`Scheduler::delay`] for *cross-party* messages
-    /// (`from != to`). The simulator only enables parallel same-time-slice
-    /// pre-execution when this is ≥ 1: it guarantees that every event a
-    /// party handles at time `T` can only spawn further time-`T` events for
-    /// that *same* party (self-sends and zero-delay timers), which is what
-    /// makes per-party pre-execution order-independent. The conservative
-    /// default of 0 keeps custom schedulers correct (they simply run on the
-    /// sequential path).
-    fn min_delay(&self) -> Time {
-        0
-    }
 }
 
 /// Synchronous worst case: every message takes exactly `Δ`.
@@ -44,9 +38,6 @@ impl Scheduler for FixedDelay {
         self.0
     }
     fn max_delay(&self) -> Time {
-        self.0
-    }
-    fn min_delay(&self) -> Time {
         self.0
     }
 }
@@ -73,9 +64,6 @@ impl Scheduler for UniformDelay {
     }
     fn max_delay(&self) -> Time {
         self.max
-    }
-    fn min_delay(&self) -> Time {
-        self.min.min(self.max)
     }
 }
 
@@ -105,9 +93,6 @@ impl Scheduler for AsyncScheduler {
     fn max_delay(&self) -> Time {
         self.slow
     }
-    fn min_delay(&self) -> Time {
-        1
-    }
 }
 
 /// A targeted asynchronous adversary: every message **from** a party in
@@ -134,13 +119,6 @@ impl Scheduler for SkewedAsyncScheduler {
     }
     fn max_delay(&self) -> Time {
         self.lag.max(self.fast)
-    }
-    fn min_delay(&self) -> Time {
-        if self.slowed_senders.is_empty() {
-            1
-        } else {
-            self.lag.min(1)
-        }
     }
 }
 
@@ -319,9 +297,6 @@ impl Scheduler for LinkDelays {
     fn max_delay(&self) -> Time {
         self.max_cross()
     }
-    fn min_delay(&self) -> Time {
-        self.min_cross()
-    }
 }
 
 #[cfg(test)]
@@ -438,7 +413,6 @@ mod tests {
                 assert_eq!(links.delay(from, to, 17, &mut rng), frozen.get(from, to));
             }
         }
-        assert!(links.min_delay() >= 1, "framed engine eligibility");
     }
 
     #[test]

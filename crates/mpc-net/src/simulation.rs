@@ -1,16 +1,18 @@
 //! The discrete-event simulator driving all protocol executions.
 //!
-//! Since PR 4 the simulator executes in deterministic *time slices*: all
-//! events scheduled at the same simulated tick form one batch, the batch is
-//! (optionally) pre-executed on worker threads grouped by destination party,
-//! and the results are merged back in the exact canonical event order the
-//! purely sequential engine would have produced — transcripts, [`Metrics`]
-//! and bit accounting are bit-identical for every worker-thread count. See
-//! the "Deterministic parallel execution" section of DESIGN.md for the
-//! correctness argument.
+//! The simulator runs one engine, in deterministic *time slices*: all events
+//! scheduled at the same simulated tick form one slice, the slice is grouped
+//! by destination party, every honest party's batch is executed (inline, or
+//! on worker threads when the slice is wide enough) with its cross-party
+//! output coalesced into per-destination wire [`Frame`]s, and the outcomes
+//! are merged in ascending party order — transcripts, [`Metrics`] and bit
+//! accounting are bit-identical for every worker-thread count. The batch
+//! loop is also the unit of work of the threaded and TCP media, which is what
+//! holds the three byte-identical. See the "Deterministic parallel execution"
+//! section of DESIGN.md for the correctness argument.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
@@ -49,20 +51,6 @@ fn env_threads() -> usize {
     })
 }
 
-/// The process-wide default for wire-frame coalescing, read once from the
-/// `MPC_FRAMES` environment variable (`0`, `false` or `off` disable it;
-/// anything else — including unset — enables it).
-fn env_frames() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| match std::env::var("MPC_FRAMES") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off"))
-        }
-        Err(_) => true,
-    })
-}
-
 /// Static configuration of a simulation run.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
@@ -80,14 +68,6 @@ pub struct NetConfig {
     /// The thread count never changes the execution — only its wall-clock
     /// time — so this is purely a performance knob.
     pub threads: Option<usize>,
-    /// Wire-frame coalescing: every honest party's sends/broadcasts of one
-    /// time-slice activation travel as per-destination [`Frame`]s (one
-    /// simulator event each) instead of one event per message. `None` defers
-    /// to the `MPC_FRAMES` environment variable (default on). Framing keeps
-    /// the paper-level bit accounting and all security-relevant behaviour
-    /// intact but changes the event schedule, so the two modes produce
-    /// different (individually deterministic) transcripts.
-    pub frames: Option<bool>,
 }
 
 impl NetConfig {
@@ -105,7 +85,6 @@ impl NetConfig {
             kind,
             seed: Self::DEFAULT_SEED,
             threads: None,
-            frames: None,
         }
     }
 
@@ -146,18 +125,15 @@ impl NetConfig {
         self.threads.unwrap_or_else(env_threads).max(1)
     }
 
-    /// Enables or disables wire-frame coalescing explicitly, overriding the
-    /// `MPC_FRAMES` environment variable. Golden-transcript tests pin this so
-    /// their fingerprints are environment-independent.
-    pub fn with_frames(mut self, frames: bool) -> Self {
-        self.frames = Some(frames);
+    /// Inert shim for the frozen benchmark ledger: frame coalescing is the
+    /// only engine, so `true` is a no-op and `false` has nothing to select.
+    #[doc(hidden)]
+    pub fn with_frames(self, frames: bool) -> Self {
+        assert!(
+            frames,
+            "with_frames(false): the unframed engine was removed in PR 22"
+        );
         self
-    }
-
-    /// The effective frame-coalescing setting: the explicit
-    /// [`NetConfig::with_frames`] value if set, else `MPC_FRAMES`, else on.
-    pub fn resolved_frames(&self) -> bool {
-        self.frames.unwrap_or_else(env_frames)
     }
 
     /// Seed of party `i`'s deterministic RNG. Shared by every
@@ -213,6 +189,16 @@ impl EventKind {
         match self {
             EventKind::Deliver { to, .. } | EventKind::DeliverFrame { to, .. } => *to,
             EventKind::Timer { party, .. } => *party,
+        }
+    }
+
+    /// The event's `(rank, depth)` ordering components: deliveries before
+    /// timers, instance-path depth as documented on [`Event`].
+    fn rank_depth(&self) -> (u8, usize) {
+        match self {
+            EventKind::Deliver { path, .. } => (0, path.len()),
+            EventKind::DeliverFrame { .. } => (0, 0),
+            EventKind::Timer { path, .. } => (1, path.len()),
         }
     }
 }
@@ -404,59 +390,30 @@ impl EventQueue {
         self.len -= 1;
         Some(ev)
     }
-
-    /// Iterates the *current* tick's pending events in arbitrary order
-    /// (cheap pre-inspection without popping).
-    fn current_events(&self) -> impl Iterator<Item = &Event> {
-        self.ring[self.cursor].iter().map(|Reverse(ev)| ev)
-    }
 }
 
-/// One pre-executed event of a party's same-time batch: the transcript entry
-/// it produced plus its side effects with payloads already encoded. Produced
-/// on worker threads, consumed by the canonical serial merge.
-struct Step {
-    /// 0 = delivery, 1 = timer — validated against the merged event.
-    kind_tag: u8,
-    transcript: Option<TranscriptEntry>,
-    decode_failed: bool,
-    /// `(to, path, canonical bytes)` unicasts, in emission order.
-    sends: Vec<(PartyId, Path, Arc<Vec<u8>>)>,
-    /// `(path, canonical bytes)` broadcasts, in emission order.
-    broadcasts: Vec<(Path, Arc<Vec<u8>>)>,
-    /// `(delay, path, id)` timer requests, in emission order.
-    timers: Vec<(Time, Path, u64)>,
-}
-
-/// A worker-local event: same ordering key as [`Event`] restricted to one
+/// A batch-local event: same ordering key as [`Event`] restricted to one
 /// tick and one party, with a local sequence surrogate whose relative order
 /// matches the global sequence numbers the merge will assign.
 struct LocalEv {
+    /// 0 = the slice's initial events (and cascades merged among them),
+    /// 1 = cascades deferred until those have drained.
+    phase: u8,
     rank: u8,
     depth: usize,
     lseq: u64,
-    kind: LocalKind,
+    kind: EventKind,
 }
 
-enum LocalKind {
-    Deliver {
-        from: PartyId,
-        path: Path,
-        payload: Arc<Vec<u8>>,
-    },
-    Frame {
-        from: PartyId,
-        payload: Arc<Vec<u8>>,
-    },
-    Timer {
-        path: Path,
-        id: u64,
-    },
+impl LocalEv {
+    fn key(&self) -> (u8, u8, Reverse<usize>, u64) {
+        (self.phase, self.rank, Reverse(self.depth), self.lseq)
+    }
 }
 
 impl PartialEq for LocalEv {
     fn eq(&self, other: &Self) -> bool {
-        (self.rank, self.depth, self.lseq) == (other.rank, other.depth, other.lseq)
+        self.key() == other.key()
     }
 }
 impl Eq for LocalEv {}
@@ -467,19 +424,80 @@ impl PartialOrd for LocalEv {
 }
 impl Ord for LocalEv {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.rank, Reverse(self.depth), self.lseq).cmp(&(
-            other.rank,
-            Reverse(other.depth),
-            other.lseq,
-        ))
+        self.key().cmp(&other.key())
+    }
+}
+
+/// One party's work list for one tick: the slice's initial events plus the
+/// same-tick cascades the party's own handlers spawn (self-sends, broadcast
+/// self-copies, zero-delay timers), popped in canonical
+/// `(rank, depth, lseq)` order. An honest party's cascades merge canonically
+/// among the remaining initial events; a corrupt party's are *deferred* —
+/// the initial events drain first, then the cascades canonically among
+/// themselves — which is the order the simulator's global queue gives them.
+pub(crate) struct LocalQueue {
+    party: PartyId,
+    heap: BinaryHeap<Reverse<LocalEv>>,
+    defer_cascades: bool,
+    lseq: u64,
+}
+
+impl LocalQueue {
+    fn new(party: PartyId, events: Vec<EventKind>, defer_cascades: bool) -> Self {
+        let mut queue = LocalQueue {
+            party,
+            heap: BinaryHeap::with_capacity(events.len()),
+            defer_cascades,
+            lseq: 0,
+        };
+        for kind in events {
+            debug_assert_eq!(kind.party(), party);
+            queue.push(0, kind);
+        }
+        queue
+    }
+
+    fn push(&mut self, phase: u8, kind: EventKind) {
+        let (rank, depth) = kind.rank_depth();
+        self.lseq += 1;
+        self.heap.push(Reverse(LocalEv {
+            phase,
+            rank,
+            depth,
+            lseq: self.lseq,
+            kind,
+        }));
+    }
+
+    /// Queues a same-tick cascade: the party's own copy of a message.
+    fn cascade_deliver(&mut self, path: Path, payload: Arc<Vec<u8>>) {
+        let (to, from) = (self.party, self.party);
+        let kind = EventKind::Deliver {
+            to,
+            from,
+            path,
+            payload,
+        };
+        self.push(u8::from(self.defer_cascades), kind);
+    }
+
+    /// Queues a same-tick cascade: a zero-delay timer.
+    fn cascade_timer(&mut self, path: Path, id: u64) {
+        let party = self.party;
+        let kind = EventKind::Timer { party, path, id };
+        self.push(u8::from(self.defer_cascades), kind);
+    }
+
+    fn pop(&mut self) -> Option<EventKind> {
+        self.heap.pop().map(|Reverse(ev)| ev.kind)
     }
 }
 
 /// One party's work for one time slice, carved out of the simulation for a
 /// worker thread: exclusive access to the party's state machine and RNG plus
 /// its batch events in canonical order. Also the unit of work of the
-/// threaded transport backend, which reuses [`run_party_batch`] verbatim —
-/// that shared engine is what makes the two backends bit-conformant.
+/// threaded and TCP media, which run the same [`run_batch`] — that shared
+/// loop is what makes the three media bit-conformant.
 pub(crate) struct WorkerParty<'a, M> {
     pub(crate) party: PartyId,
     pub(crate) protocol: &'a mut Box<dyn Protocol<M>>,
@@ -487,182 +505,15 @@ pub(crate) struct WorkerParty<'a, M> {
     pub(crate) events: Vec<EventKind>,
 }
 
-/// Pre-executes one party's full time-`t` batch — including the same-tick
-/// cascades its own handlers spawn (self-sends, broadcast self-copies,
-/// zero-delay timers) — and returns one [`Step`] per processed event, in the
-/// party's canonical processing order.
-///
-/// This runs on a worker thread and touches nothing but the party's own
-/// state and RNG, which is exactly why per-party pre-execution commutes: see
-/// DESIGN.md, "Deterministic parallel execution".
-fn run_party_slice<M: WireEncode + WireDecode + 'static>(
-    wp: WorkerParty<'_, M>,
-    t: Time,
-    n: usize,
-    delta: Time,
-    coin_seed: u64,
-    record: bool,
-) -> (PartyId, VecDeque<Step>) {
-    let WorkerParty {
-        party,
-        protocol,
-        rng,
-        events,
-    } = wp;
-    let mut queue: BinaryHeap<Reverse<LocalEv>> = BinaryHeap::with_capacity(events.len());
-    let mut lseq = 0u64;
-    for kind in events {
-        debug_assert_eq!(kind.party(), party);
-        let local = match kind {
-            EventKind::Deliver {
-                from,
-                path,
-                payload,
-                ..
-            } => LocalEv {
-                rank: 0,
-                depth: path.len(),
-                lseq,
-                kind: LocalKind::Deliver {
-                    from,
-                    path,
-                    payload,
-                },
-            },
-            EventKind::DeliverFrame { .. } => {
-                unreachable!("frame events are only scheduled by the framed slice engine")
-            }
-            EventKind::Timer { path, id, .. } => LocalEv {
-                rank: 1,
-                depth: path.len(),
-                lseq,
-                kind: LocalKind::Timer { path, id },
-            },
-        };
-        lseq += 1;
-        queue.push(Reverse(local));
-    }
-    let mut steps = VecDeque::new();
-    let mut scratch: Effects<M> = Effects::new();
-    while let Some(Reverse(ev)) = queue.pop() {
-        let mut step = Step {
-            kind_tag: 0,
-            transcript: None,
-            decode_failed: false,
-            sends: Vec::new(),
-            broadcasts: Vec::new(),
-            timers: Vec::new(),
-        };
-        match ev.kind {
-            LocalKind::Deliver {
-                from,
-                path,
-                payload,
-            } => match M::decode(&payload) {
-                Err(_) => {
-                    step.decode_failed = true;
-                    if record {
-                        step.transcript = Some(TranscriptEntry {
-                            at: t,
-                            party,
-                            event: TranscriptEvent::DroppedDeliver {
-                                from,
-                                path,
-                                bits: payload.len() as u64 * 8,
-                            },
-                        });
-                    }
-                }
-                Ok(msg) => {
-                    if record {
-                        step.transcript = Some(TranscriptEntry {
-                            at: t,
-                            party,
-                            event: TranscriptEvent::Deliver {
-                                from,
-                                path: path.clone(),
-                                bits: payload.len() as u64 * 8,
-                            },
-                        });
-                    }
-                    let mut ctx = Context::new(party, n, t, delta, &mut scratch, rng, coin_seed);
-                    protocol.on_message(&mut ctx, from, &path, msg);
-                }
-            },
-            LocalKind::Frame { .. } => {
-                unreachable!("frame events are only scheduled by the framed slice engine")
-            }
-            LocalKind::Timer { path, id } => {
-                step.kind_tag = 1;
-                if record {
-                    step.transcript = Some(TranscriptEntry {
-                        at: t,
-                        party,
-                        event: TranscriptEvent::Timer {
-                            path: path.clone(),
-                            id,
-                        },
-                    });
-                }
-                let mut ctx = Context::new(party, n, t, delta, &mut scratch, rng, coin_seed);
-                protocol.on_timer(&mut ctx, &path, id);
-            }
-        }
-        // Resolve the effects: encode payloads here (off the serial merge
-        // path) and feed the party's own same-tick cascades back into the
-        // local queue, in the same relative order the merge's global
-        // sequence numbers will induce (sends, then broadcast self-copies,
-        // then timers — each in emission order).
-        for (to, path, msg) in scratch.sends.drain(..) {
-            let bytes = Arc::new(msg.encode());
-            if to == party {
-                lseq += 1;
-                queue.push(Reverse(LocalEv {
-                    rank: 0,
-                    depth: path.len(),
-                    lseq,
-                    kind: LocalKind::Deliver {
-                        from: party,
-                        path: path.clone(),
-                        payload: Arc::clone(&bytes),
-                    },
-                }));
-            }
-            step.sends.push((to, path, bytes));
-        }
-        for (path, msg) in scratch.broadcasts.drain(..) {
-            let bytes = Arc::new(msg.encode());
-            lseq += 1;
-            queue.push(Reverse(LocalEv {
-                rank: 0,
-                depth: path.len(),
-                lseq,
-                kind: LocalKind::Deliver {
-                    from: party,
-                    path: path.clone(),
-                    payload: Arc::clone(&bytes),
-                },
-            }));
-            step.broadcasts.push((path, bytes));
-        }
-        for (delay, path, id) in scratch.timers.drain(..) {
-            if delay == 0 {
-                lseq += 1;
-                queue.push(Reverse(LocalEv {
-                    rank: 1,
-                    depth: path.len(),
-                    lseq,
-                    kind: LocalKind::Timer {
-                        path: path.clone(),
-                        id,
-                    },
-                }));
-            }
-            step.timers.push((delay, path, id));
-        }
-        steps.push_back(step);
-    }
-    (party, steps)
+/// The per-slice constants every activation's [`Context`] is built from.
+#[derive(Clone, Copy)]
+pub(crate) struct SliceEnv {
+    pub(crate) t: Time,
+    pub(crate) n: usize,
+    pub(crate) delta: Time,
+    pub(crate) coin_seed: u64,
+    /// Whether transcript entries are recorded.
+    pub(crate) record: bool,
 }
 
 /// Per-message accounting for one honest send: the exact wire size of the
@@ -715,258 +566,254 @@ impl FrameSet {
     }
 }
 
-/// Everything one honest party's pre-executed time-slice batch produced under
-/// the framed engine: event/transcript/decode accounting plus the coalesced
-/// outgoing frames and future timers. Self-addressed messages and zero-delay
-/// timers were already handled *inside* the batch (they can only concern the
-/// batch's own party) and appear here only as accounting records.
-pub(crate) struct BatchOutcome {
+/// What any party's pre-executed time-`t` batch produced, whichever
+/// [`EffectSink`] its effects went to.
+pub(crate) struct BatchCore {
     pub(crate) party: PartyId,
     /// Events processed: initial batch events (a frame counts as one) plus
-    /// every internal same-tick cascade step.
+    /// every same-tick cascade step run inside the batch.
     pub(crate) events: u64,
     /// Timer expiries among the processed events (see
     /// [`crate::Metrics::timeouts_fired`]).
     pub(crate) timers_fired: u64,
     pub(crate) decode_failures: u64,
     pub(crate) transcript: Vec<TranscriptEntry>,
-    /// Accounting for the sends delivered internally (self-sends and the
-    /// sender's own copy of each broadcast).
-    pub(crate) self_records: Vec<SendRecord>,
-    pub(crate) frames: FrameSet,
     /// Timer requests with delay ≥ 1, in emission order.
     pub(crate) timers: Vec<(Time, Path, u64)>,
 }
 
-/// Feeds one handler invocation's effects back into a framed batch: unicasts
-/// and broadcasts join the outgoing [`FrameSet`], the party's own same-tick
-/// copies and zero-delay timers re-enter the local queue, and future timers
-/// are recorded for the merge.
-fn resolve_framed_effects<M: WireEncode>(
-    party: PartyId,
-    scratch: &mut Effects<M>,
-    out: &mut BatchOutcome,
-    queue: &mut BinaryHeap<Reverse<LocalEv>>,
-    lseq: &mut u64,
+/// Where one activation's effects go — the only thing that differs between
+/// an honest batch ([`FramedSends`]), a corrupt batch on a real medium
+/// ([`StrategySink`]) and a corrupt batch inside the simulator ([`Network`]).
+pub(crate) trait EffectSink<M> {
+    /// Whether the party's same-tick cascades wait for the slice's initial
+    /// events to drain (see [`LocalQueue`]).
+    const DEFERS_CASCADES: bool;
+
+    /// Drains `effects`: cross-party traffic leaves through the sink, the
+    /// party's own same-tick copies and zero-delay timers re-enter `local`,
+    /// future timers join `timers`.
+    fn absorb(
+        &mut self,
+        party: PartyId,
+        effects: &mut Effects<M>,
+        local: &mut LocalQueue,
+        timers: &mut Vec<(Time, Path, u64)>,
+    );
+}
+
+/// Zero-delay timers cascade inside the batch, the rest wait for the merge.
+fn absorb_timers<M>(
+    effects: &mut Effects<M>,
+    local: &mut LocalQueue,
+    timers: &mut Vec<(Time, Path, u64)>,
 ) {
-    for (to, path, msg) in scratch.sends.drain(..) {
-        if to == party {
-            let bytes = Arc::new(msg.encode());
-            out.self_records
-                .push((bytes.len() as u64 * 8, path.first().copied()));
-            *lseq += 1;
-            queue.push(Reverse(LocalEv {
-                rank: 0,
-                depth: path.len(),
-                lseq: *lseq,
-                kind: LocalKind::Deliver {
-                    from: party,
-                    path,
-                    payload: bytes,
-                },
-            }));
-        } else {
-            out.frames.add_send(to, &path, &msg);
-        }
-    }
-    for (path, msg) in scratch.broadcasts.drain(..) {
-        let (bits, self_copy) = out.frames.add_broadcast(&path, &msg);
-        out.self_records.push((bits, path.first().copied()));
-        *lseq += 1;
-        queue.push(Reverse(LocalEv {
-            rank: 0,
-            depth: path.len(),
-            lseq: *lseq,
-            kind: LocalKind::Deliver {
-                from: party,
-                path,
-                payload: Arc::new(self_copy),
-            },
-        }));
-    }
-    for (delay, path, id) in scratch.timers.drain(..) {
+    for (delay, path, id) in effects.timers.drain(..) {
         if delay == 0 {
-            *lseq += 1;
-            queue.push(Reverse(LocalEv {
-                rank: 1,
-                depth: path.len(),
-                lseq: *lseq,
-                kind: LocalKind::Timer { path, id },
-            }));
+            local.cascade_timer(path, id);
         } else {
-            out.timers.push((delay, path, id));
+            timers.push((delay, path, id));
         }
     }
 }
 
-/// Pre-executes one honest party's full time-`t` batch under the framed
-/// engine: frames are unpacked at the delivery boundary, same-tick cascades
-/// run locally, and all outgoing cross-party traffic is coalesced into the
-/// returned [`BatchOutcome`]'s frame set. Runs either inline (sequential
-/// framed engine) or on a worker thread — the outcome is identical, which is
-/// what keeps `threads = k` runs bit-identical to `threads = 1`.
-pub(crate) fn run_party_batch<M: WireEncode + WireDecode + 'static>(
+/// One batch in flight: a party's state, its work list and the sink its
+/// effects drain into.
+struct Batch<'a, M, S> {
+    env: SliceEnv,
+    protocol: &'a mut dyn Protocol<M>,
+    rng: &'a mut StdRng,
+    scratch: &'a mut Effects<M>,
+    sink: &'a mut S,
+    local: LocalQueue,
+    core: BatchCore,
+}
+
+impl<M: WireEncode + WireDecode + 'static, S: EffectSink<M>> Batch<'_, M, S> {
+    fn record(&mut self, event: impl FnOnce() -> TranscriptEvent) {
+        if self.env.record {
+            self.core.transcript.push(TranscriptEntry {
+                at: self.env.t,
+                party: self.core.party,
+                event: event(),
+            });
+        }
+    }
+
+    /// Runs one handler under a fresh [`Context`] and drains its effects
+    /// into the sink.
+    fn handle(&mut self, call: impl FnOnce(&mut dyn Protocol<M>, &mut Context<'_, M>)) {
+        let SliceEnv {
+            t,
+            n,
+            delta,
+            coin_seed,
+            ..
+        } = self.env;
+        let party = self.core.party;
+        let mut ctx = Context::new(party, n, t, delta, self.scratch, self.rng, coin_seed);
+        call(self.protocol, &mut ctx);
+        self.sink
+            .absorb(party, self.scratch, &mut self.local, &mut self.core.timers);
+    }
+
+    /// The delivery boundary: bytes that do not decode as a protocol message
+    /// (or frame) are Byzantine input — dropped and counted, never a panic,
+    /// never seen by the protocol.
+    fn dropped(&mut self, from: PartyId, path: Path, bits: u64) {
+        self.core.decode_failures += 1;
+        self.record(|| TranscriptEvent::DroppedDeliver { from, path, bits });
+    }
+
+    /// Processes one event: decode → transcript entry → handler → sink.
+    fn activate(&mut self, ev: EventKind) {
+        self.core.events += 1;
+        match ev {
+            EventKind::Deliver {
+                from,
+                path,
+                payload,
+                ..
+            } => {
+                let bits = payload.len() as u64 * 8;
+                match M::decode(&payload) {
+                    Err(_) => self.dropped(from, path, bits),
+                    Ok(msg) => {
+                        let path = &path;
+                        self.record(|| TranscriptEvent::Deliver {
+                            from,
+                            path: path.clone(),
+                            bits,
+                        });
+                        self.handle(|p, ctx| p.on_message(ctx, from, path, msg));
+                    }
+                }
+            }
+            EventKind::DeliverFrame { from, payload, .. } => match Frame::decode::<M>(&payload) {
+                Err(_) => self.dropped(from, Path::from(&[][..]), payload.len() as u64 * 8),
+                // Effects are drained per item, so a frame's messages behave
+                // exactly like back-to-back single deliveries.
+                Ok(items) => {
+                    for item in items {
+                        self.record(|| TranscriptEvent::Deliver {
+                            from,
+                            path: Path::from(&item.path[..]),
+                            bits: item.msg_bits,
+                        });
+                        self.handle(|p, ctx| p.on_message(ctx, from, &item.path, item.msg));
+                    }
+                }
+            },
+            EventKind::Timer { path, id, .. } => {
+                self.core.timers_fired += 1;
+                let path = &path;
+                self.record(|| TranscriptEvent::Timer {
+                    path: path.clone(),
+                    id,
+                });
+                self.handle(|p, ctx| p.on_timer(ctx, path, id));
+            }
+        }
+    }
+}
+
+/// Executes one party's full time-`t` batch — frames unpacked at the
+/// delivery boundary, same-tick cascades included — draining every
+/// activation's effects into `sink`. The one batch loop of the crate: it
+/// touches nothing but the party's own state and RNG (plus what the sink
+/// owns), which is why per-party batches commute and `threads = k` is
+/// bit-identical to `threads = 1`.
+pub(crate) fn run_batch<M: WireEncode + WireDecode + 'static, S: EffectSink<M>>(
     wp: WorkerParty<'_, M>,
-    t: Time,
-    n: usize,
-    delta: Time,
-    coin_seed: u64,
-    record: bool,
-) -> BatchOutcome {
+    env: SliceEnv,
+    scratch: &mut Effects<M>,
+    sink: &mut S,
+) -> BatchCore {
     let WorkerParty {
         party,
         protocol,
         rng,
         events,
     } = wp;
-    let mut queue: BinaryHeap<Reverse<LocalEv>> = BinaryHeap::with_capacity(events.len());
-    let mut lseq = 0u64;
-    for kind in events {
-        debug_assert_eq!(kind.party(), party);
-        let local = match kind {
-            EventKind::Deliver {
-                from,
-                path,
-                payload,
-                ..
-            } => LocalEv {
-                rank: 0,
-                depth: path.len(),
-                lseq,
-                kind: LocalKind::Deliver {
-                    from,
-                    path,
-                    payload,
-                },
-            },
-            EventKind::DeliverFrame { from, payload, .. } => LocalEv {
-                rank: 0,
-                depth: 0,
-                lseq,
-                kind: LocalKind::Frame { from, payload },
-            },
-            EventKind::Timer { path, id, .. } => LocalEv {
-                rank: 1,
-                depth: path.len(),
-                lseq,
-                kind: LocalKind::Timer { path, id },
-            },
-        };
-        lseq += 1;
-        queue.push(Reverse(local));
-    }
-    let mut out = BatchOutcome {
-        party,
-        events: 0,
-        timers_fired: 0,
-        decode_failures: 0,
-        transcript: Vec::new(),
-        self_records: Vec::new(),
-        frames: FrameSet::new(),
-        timers: Vec::new(),
+    let mut batch = Batch {
+        env,
+        protocol: protocol.as_mut(),
+        rng,
+        scratch,
+        sink,
+        local: LocalQueue::new(party, events, S::DEFERS_CASCADES),
+        core: BatchCore {
+            party,
+            events: 0,
+            timers_fired: 0,
+            decode_failures: 0,
+            transcript: Vec::new(),
+            timers: Vec::new(),
+        },
     };
-    let mut scratch: Effects<M> = Effects::new();
-    while let Some(Reverse(ev)) = queue.pop() {
-        out.events += 1;
-        match ev.kind {
-            LocalKind::Deliver {
-                from,
-                path,
-                payload,
-            } => match M::decode(&payload) {
-                Err(_) => {
-                    out.decode_failures += 1;
-                    if record {
-                        out.transcript.push(TranscriptEntry {
-                            at: t,
-                            party,
-                            event: TranscriptEvent::DroppedDeliver {
-                                from,
-                                path,
-                                bits: payload.len() as u64 * 8,
-                            },
-                        });
-                    }
-                }
-                Ok(msg) => {
-                    if record {
-                        out.transcript.push(TranscriptEntry {
-                            at: t,
-                            party,
-                            event: TranscriptEvent::Deliver {
-                                from,
-                                path: path.clone(),
-                                bits: payload.len() as u64 * 8,
-                            },
-                        });
-                    }
-                    let mut ctx = Context::new(party, n, t, delta, &mut scratch, rng, coin_seed);
-                    protocol.on_message(&mut ctx, from, &path, msg);
-                    resolve_framed_effects(party, &mut scratch, &mut out, &mut queue, &mut lseq);
-                }
-            },
-            LocalKind::Frame { from, payload } => match Frame::decode::<M>(&payload) {
-                Err(_) => {
-                    // Frames only come from honest senders, whose channels the
-                    // adversary cannot touch — defensively drop, never panic.
-                    out.decode_failures += 1;
-                    if record {
-                        out.transcript.push(TranscriptEntry {
-                            at: t,
-                            party,
-                            event: TranscriptEvent::DroppedDeliver {
-                                from,
-                                path: Path::from(&[][..]),
-                                bits: payload.len() as u64 * 8,
-                            },
-                        });
-                    }
-                }
-                Ok(items) => {
-                    for item in items {
-                        if record {
-                            out.transcript.push(TranscriptEntry {
-                                at: t,
-                                party,
-                                event: TranscriptEvent::Deliver {
-                                    from,
-                                    path: Path::from(&item.path[..]),
-                                    bits: item.msg_bits,
-                                },
-                            });
-                        }
-                        let mut ctx =
-                            Context::new(party, n, t, delta, &mut scratch, rng, coin_seed);
-                        protocol.on_message(&mut ctx, from, &item.path, item.msg);
-                        resolve_framed_effects(
-                            party,
-                            &mut scratch,
-                            &mut out,
-                            &mut queue,
-                            &mut lseq,
-                        );
-                    }
-                }
-            },
-            LocalKind::Timer { path, id } => {
-                out.timers_fired += 1;
-                if record {
-                    out.transcript.push(TranscriptEntry {
-                        at: t,
-                        party,
-                        event: TranscriptEvent::Timer {
-                            path: path.clone(),
-                            id,
-                        },
-                    });
-                }
-                let mut ctx = Context::new(party, n, t, delta, &mut scratch, rng, coin_seed);
-                protocol.on_timer(&mut ctx, &path, id);
-                resolve_framed_effects(party, &mut scratch, &mut out, &mut queue, &mut lseq);
+    while let Some(ev) = batch.local.pop() {
+        batch.activate(ev);
+    }
+    batch.core
+}
+
+/// The honest sink: cross-party traffic is coalesced into a [`FrameSet`],
+/// self-addressed messages are delivered inside the batch and appear here
+/// only as accounting records.
+pub(crate) struct FramedSends {
+    /// Accounting for the sends delivered internally (self-sends and the
+    /// sender's own copy of each broadcast).
+    pub(crate) self_records: Vec<SendRecord>,
+    pub(crate) frames: FrameSet,
+}
+
+impl<M: WireEncode> EffectSink<M> for FramedSends {
+    const DEFERS_CASCADES: bool = false;
+
+    fn absorb(
+        &mut self,
+        party: PartyId,
+        effects: &mut Effects<M>,
+        local: &mut LocalQueue,
+        timers: &mut Vec<(Time, Path, u64)>,
+    ) {
+        for (to, path, msg) in effects.sends.drain(..) {
+            if to == party {
+                let payload = Arc::new(msg.encode());
+                self.self_records
+                    .push((payload.len() as u64 * 8, path.first().copied()));
+                local.cascade_deliver(path, payload);
+            } else {
+                self.frames.add_send(to, &path, &msg);
             }
         }
+        for (path, msg) in effects.broadcasts.drain(..) {
+            let (bits, self_copy) = self.frames.add_broadcast(&path, &msg);
+            self.self_records.push((bits, path.first().copied()));
+            local.cascade_deliver(path, Arc::new(self_copy));
+        }
+        absorb_timers(effects, local, timers);
     }
-    out
+}
+
+/// Everything one honest party's pre-executed time-slice batch produced.
+pub(crate) struct BatchOutcome {
+    pub(crate) core: BatchCore,
+    pub(crate) sent: FramedSends,
+}
+
+/// Pre-executes one honest party's full time-`t` batch. Runs either inline
+/// or on a worker thread — the outcome is identical.
+pub(crate) fn run_party_batch<M: WireEncode + WireDecode + 'static>(
+    wp: WorkerParty<'_, M>,
+    env: SliceEnv,
+) -> BatchOutcome {
+    let mut sent = FramedSends {
+        self_records: Vec::new(),
+        frames: FrameSet::new(),
+    };
+    let core = run_batch(wp, env, &mut Effects::new(), &mut sent);
+    BatchOutcome { core, sent }
 }
 
 /// One cross-party wire message a corrupt party's batch put on the wire
@@ -977,15 +824,12 @@ pub(crate) struct CorruptSend {
     pub(crate) payload: Arc<Vec<u8>>,
 }
 
-/// Everything one *corrupt* party's pre-executed time-`t` batch produced for
-/// the threaded transport backend. Corrupt traffic is never framed — the
-/// Byzantine strategy keeps its exact per-message view of the wire, matching
-/// the simulator's corrupt dispatch path message for message.
-pub(crate) struct CorruptOutcome {
-    pub(crate) party: PartyId,
-    pub(crate) events: u64,
-    pub(crate) decode_failures: u64,
-    pub(crate) transcript: Vec<TranscriptEntry>,
+/// What a corrupt party's batch put on a real medium's wire. Corrupt traffic
+/// is never framed — the Byzantine strategy keeps its exact per-message view
+/// of the wire, matching the simulator's corrupt dispatch message for
+/// message.
+#[derive(Default)]
+pub(crate) struct CorruptWire {
     /// Post-strategy cross-party messages, in consult order.
     pub(crate) sends: Vec<CorruptSend>,
     /// Strategy decisions, mirroring [`Metrics::adversary_drops`] /
@@ -993,340 +837,125 @@ pub(crate) struct CorruptOutcome {
     pub(crate) drops: u64,
     pub(crate) tampered: u64,
     pub(crate) wire_messages: u64,
-    /// Timer requests with delay ≥ 1, in emission order.
-    pub(crate) timers: Vec<(Time, Path, u64)>,
 }
 
-/// Pre-executes one *corrupt* party's full time-`t` batch for the threaded
-/// backend, mirroring the framed simulator engine's corrupt path exactly:
-/// the initial batch events are processed to completion in canonical
-/// `(rank, depth, lseq)` order first, then the same-tick cascades they
-/// spawned (self-sends, broadcast self-copies, zero-delay timers) are
-/// processed canonically among themselves — the same main-then-cascade order
-/// `process_slice_framed` produces by routing corrupt cascades through the
-/// global queue. Every send (including self-addressed copies) consults the
-/// Byzantine strategy in emission order, as [`Simulation`]'s `dispatch` does.
-#[allow(clippy::too_many_arguments)]
+/// The corrupt sink of the real media: every send (self-addressed copies
+/// included) consults the Byzantine strategy in emission order, as the
+/// simulator's `dispatch` does; survivors addressed to the party itself
+/// cascade, the rest join the wire.
+struct StrategySink<'a> {
+    n: usize,
+    strategy: &'a mut dyn ByzantineStrategy,
+    adv_rng: &'a mut StdRng,
+    wire: CorruptWire,
+}
+
+impl StrategySink<'_> {
+    fn put(
+        &mut self,
+        from: PartyId,
+        to: PartyId,
+        path: &Path,
+        payload: &Arc<Vec<u8>>,
+        broadcast: bool,
+        local: &mut LocalQueue,
+    ) {
+        let send = WireSend {
+            from,
+            to,
+            n: self.n,
+            path,
+            bytes: payload,
+            broadcast,
+        };
+        let payload = match self.strategy.on_send(&send, self.adv_rng) {
+            WireAction::Deliver => Arc::clone(payload),
+            WireAction::Replace(bytes) => {
+                self.wire.tampered += 1;
+                Arc::new(bytes)
+            }
+            WireAction::Drop => {
+                self.wire.drops += 1;
+                return;
+            }
+        };
+        self.wire.wire_messages += 1;
+        let path = path.clone();
+        if to == from {
+            local.cascade_deliver(path, payload);
+        } else {
+            self.wire.sends.push(CorruptSend { to, path, payload });
+        }
+    }
+}
+
+impl<M: WireEncode> EffectSink<M> for StrategySink<'_> {
+    const DEFERS_CASCADES: bool = true;
+
+    fn absorb(
+        &mut self,
+        party: PartyId,
+        effects: &mut Effects<M>,
+        local: &mut LocalQueue,
+        timers: &mut Vec<(Time, Path, u64)>,
+    ) {
+        for (to, path, msg) in effects.sends.drain(..) {
+            let payload = Arc::new(msg.encode());
+            self.put(party, to, &path, &payload, false, local);
+        }
+        for (path, msg) in effects.broadcasts.drain(..) {
+            let payload = Arc::new(msg.encode());
+            for to in 0..self.n {
+                self.put(party, to, &path, &payload, true, local);
+            }
+        }
+        absorb_timers(effects, local, timers);
+    }
+}
+
+/// Everything one *corrupt* party's pre-executed time-`t` batch produced on
+/// a real medium.
+pub(crate) struct CorruptOutcome {
+    pub(crate) core: BatchCore,
+    pub(crate) wire: CorruptWire,
+}
+
+/// Pre-executes one *corrupt* party's full time-`t` batch for the real
+/// media, reproducing the simulator's corrupt path exactly: the initial
+/// events drain first, then their same-tick cascades canonically among
+/// themselves.
 pub(crate) fn run_corrupt_batch<M: WireEncode + WireDecode + 'static>(
     wp: WorkerParty<'_, M>,
-    t: Time,
-    n: usize,
-    delta: Time,
-    coin_seed: u64,
-    record: bool,
+    env: SliceEnv,
     strategy: &mut dyn ByzantineStrategy,
     adv_rng: &mut StdRng,
 ) -> CorruptOutcome {
-    let WorkerParty {
-        party,
-        protocol,
-        rng,
-        events,
-    } = wp;
-    let mut main: BinaryHeap<Reverse<LocalEv>> = BinaryHeap::with_capacity(events.len());
-    let mut lseq = 0u64;
-    for kind in events {
-        debug_assert_eq!(kind.party(), party);
-        let local = match kind {
-            EventKind::Deliver {
-                from,
-                path,
-                payload,
-                ..
-            } => LocalEv {
-                rank: 0,
-                depth: path.len(),
-                lseq,
-                kind: LocalKind::Deliver {
-                    from,
-                    path,
-                    payload,
-                },
-            },
-            EventKind::DeliverFrame { from, payload, .. } => LocalEv {
-                rank: 0,
-                depth: 0,
-                lseq,
-                kind: LocalKind::Frame { from, payload },
-            },
-            EventKind::Timer { path, id, .. } => LocalEv {
-                rank: 1,
-                depth: path.len(),
-                lseq,
-                kind: LocalKind::Timer { path, id },
-            },
-        };
-        lseq += 1;
-        main.push(Reverse(local));
-    }
-    let mut out = CorruptOutcome {
-        party,
-        events: 0,
-        decode_failures: 0,
-        transcript: Vec::new(),
-        sends: Vec::new(),
-        drops: 0,
-        tampered: 0,
-        wire_messages: 0,
-        timers: Vec::new(),
+    let mut sink = StrategySink {
+        n: env.n,
+        strategy,
+        adv_rng,
+        wire: CorruptWire::default(),
     };
-    let mut cascades: BinaryHeap<Reverse<LocalEv>> = BinaryHeap::new();
-    let mut scratch: Effects<M> = Effects::new();
-    // Routes one handler invocation's effects through the strategy: self
-    // copies join the cascade queue, cross-party survivors join the wire.
-    let apply = |scratch: &mut Effects<M>,
-                 out: &mut CorruptOutcome,
-                 cascades: &mut BinaryHeap<Reverse<LocalEv>>,
-                 lseq: &mut u64,
-                 strategy: &mut dyn ByzantineStrategy,
-                 adv_rng: &mut StdRng| {
-        let put = |to: PartyId,
-                   path: &Path,
-                   payload: &Arc<Vec<u8>>,
-                   broadcast: bool,
-                   out: &mut CorruptOutcome,
-                   cascades: &mut BinaryHeap<Reverse<LocalEv>>,
-                   lseq: &mut u64,
-                   strategy: &mut dyn ByzantineStrategy,
-                   adv_rng: &mut StdRng| {
-            let send = WireSend {
-                from: party,
-                to,
-                n,
-                path,
-                bytes: payload,
-                broadcast,
-            };
-            let payload = match strategy.on_send(&send, adv_rng) {
-                WireAction::Deliver => Arc::clone(payload),
-                WireAction::Replace(bytes) => {
-                    out.tampered += 1;
-                    Arc::new(bytes)
-                }
-                WireAction::Drop => {
-                    out.drops += 1;
-                    return;
-                }
-            };
-            out.wire_messages += 1;
-            if to == party {
-                *lseq += 1;
-                cascades.push(Reverse(LocalEv {
-                    rank: 0,
-                    depth: path.len(),
-                    lseq: *lseq,
-                    kind: LocalKind::Deliver {
-                        from: party,
-                        path: path.clone(),
-                        payload,
-                    },
-                }));
-            } else {
-                out.sends.push(CorruptSend {
-                    to,
-                    path: path.clone(),
-                    payload,
-                });
-            }
-        };
-        for (to, path, msg) in scratch.sends.drain(..) {
-            let payload = Arc::new(msg.encode());
-            put(
-                to, &path, &payload, false, out, cascades, lseq, strategy, adv_rng,
-            );
-        }
-        for (path, msg) in scratch.broadcasts.drain(..) {
-            let payload = Arc::new(msg.encode());
-            for to in 0..n {
-                put(
-                    to, &path, &payload, true, out, cascades, lseq, strategy, adv_rng,
-                );
-            }
-        }
-        for (delay, path, id) in scratch.timers.drain(..) {
-            if delay == 0 {
-                *lseq += 1;
-                cascades.push(Reverse(LocalEv {
-                    rank: 1,
-                    depth: path.len(),
-                    lseq: *lseq,
-                    kind: LocalKind::Timer { path, id },
-                }));
-            } else {
-                out.timers.push((delay, path, id));
-            }
-        }
-    };
-    // Phase 1: the initial batch, then phase 2: its same-tick cascades (which
-    // may spawn further cascades, merged canonically into the same queue).
-    for phase in 0..2 {
-        loop {
-            let popped = if phase == 0 {
-                main.pop()
-            } else {
-                cascades.pop()
-            };
-            let Some(Reverse(ev)) = popped else { break };
-            out.events += 1;
-            match ev.kind {
-                LocalKind::Deliver {
-                    from,
-                    path,
-                    payload,
-                } => match M::decode(&payload) {
-                    Err(_) => {
-                        out.decode_failures += 1;
-                        if record {
-                            out.transcript.push(TranscriptEntry {
-                                at: t,
-                                party,
-                                event: TranscriptEvent::DroppedDeliver {
-                                    from,
-                                    path,
-                                    bits: payload.len() as u64 * 8,
-                                },
-                            });
-                        }
-                    }
-                    Ok(msg) => {
-                        if record {
-                            out.transcript.push(TranscriptEntry {
-                                at: t,
-                                party,
-                                event: TranscriptEvent::Deliver {
-                                    from,
-                                    path: path.clone(),
-                                    bits: payload.len() as u64 * 8,
-                                },
-                            });
-                        }
-                        let mut ctx =
-                            Context::new(party, n, t, delta, &mut scratch, rng, coin_seed);
-                        protocol.on_message(&mut ctx, from, &path, msg);
-                        apply(
-                            &mut scratch,
-                            &mut out,
-                            &mut cascades,
-                            &mut lseq,
-                            strategy,
-                            adv_rng,
-                        );
-                    }
-                },
-                LocalKind::Frame { from, payload } => match Frame::decode::<M>(&payload) {
-                    Err(_) => {
-                        out.decode_failures += 1;
-                        if record {
-                            out.transcript.push(TranscriptEntry {
-                                at: t,
-                                party,
-                                event: TranscriptEvent::DroppedDeliver {
-                                    from,
-                                    path: Path::from(&[][..]),
-                                    bits: payload.len() as u64 * 8,
-                                },
-                            });
-                        }
-                    }
-                    Ok(items) => {
-                        // Effects are applied per item, exactly as the
-                        // simulator's inline frame delivery does.
-                        for item in items {
-                            if record {
-                                out.transcript.push(TranscriptEntry {
-                                    at: t,
-                                    party,
-                                    event: TranscriptEvent::Deliver {
-                                        from,
-                                        path: Path::from(&item.path[..]),
-                                        bits: item.msg_bits,
-                                    },
-                                });
-                            }
-                            let mut ctx =
-                                Context::new(party, n, t, delta, &mut scratch, rng, coin_seed);
-                            protocol.on_message(&mut ctx, from, &item.path, item.msg);
-                            apply(
-                                &mut scratch,
-                                &mut out,
-                                &mut cascades,
-                                &mut lseq,
-                                strategy,
-                                adv_rng,
-                            );
-                        }
-                    }
-                },
-                LocalKind::Timer { path, id } => {
-                    if record {
-                        out.transcript.push(TranscriptEntry {
-                            at: t,
-                            party,
-                            event: TranscriptEvent::Timer {
-                                path: path.clone(),
-                                id,
-                            },
-                        });
-                    }
-                    let mut ctx = Context::new(party, n, t, delta, &mut scratch, rng, coin_seed);
-                    protocol.on_timer(&mut ctx, &path, id);
-                    apply(
-                        &mut scratch,
-                        &mut out,
-                        &mut cascades,
-                        &mut lseq,
-                        strategy,
-                        adv_rng,
-                    );
-                }
-            }
-        }
+    let core = run_batch(wp, env, &mut Effects::new(), &mut sink);
+    CorruptOutcome {
+        core,
+        wire: sink.wire,
     }
-    out
 }
 
-/// Minimum same-tick events before the parallel path spawns workers; below
-/// this the per-slice thread overhead outweighs any win and the slice runs
-/// inline (the results are identical either way). At least two distinct
-/// honest parties must also have work — see
-/// [`Simulation::slice_worth_parallelising`].
+/// Minimum same-tick events before a slice spawns workers; below this the
+/// per-slice thread overhead outweighs any win and the slice runs inline
+/// (the results are identical either way). At least two distinct honest
+/// parties must also have work.
 const MIN_PARALLEL_EVENTS: usize = 4;
 
-/// A deterministic discrete-event simulation of `n` parties running one root
-/// [`Protocol`] instance each over the configured network.
-///
-/// Messages travel as their canonical byte encoding ([`crate::wire`]): the
-/// simulator encodes each payload once at the send boundary (a broadcast is
-/// encoded *once* and the bytes shared across all `n` deliveries), derives
-/// the exact bit accounting from the encoded length, passes corrupt senders'
-/// bytes through the configured
-/// [`ByzantineStrategy`], and decodes at
-/// the delivery boundary — bytes that fail to decode are dropped as
-/// Byzantine input and counted in [`Metrics::decode_failures`].
-///
-/// Messages are delivered and timers fired in `(time, kind, sequence)` order;
-/// at equal times, message deliveries precede timer expiries so that a party
-/// whose timer is set to the network bound `Δ` observes every message that
-/// was guaranteed to arrive by then — exactly the paper's synchronous round
-/// abstraction.
-///
-/// With [`NetConfig::with_threads`] (or `MPC_THREADS`) > 1, each same-time
-/// batch is pre-executed concurrently grouped by destination party and
-/// merged back serially in canonical order; the execution — transcript,
-/// metrics, bit accounting, outputs — is bit-identical to the sequential
-/// one for every seed, network kind and Byzantine strategy.
-pub struct Simulation<M> {
-    config: NetConfig,
-    threads: usize,
-    /// Whether the framed slice engine is active: frame coalescing resolved
-    /// from the config, gated on `Scheduler::min_delay() ≥ 1` (cross-party
-    /// zero-delay schedulers fall back to the per-message engine, which is
-    /// correct for them).
-    framed: bool,
-    parties: Vec<Box<dyn Protocol<M>>>,
-    rngs: Vec<StdRng>,
-    corruption: CorruptionSet,
-    structure: Option<Arc<dyn AdversaryStructure>>,
+/// The network half of a [`Simulation`] — adversary, scheduler, fault plan,
+/// event queue, clock and metrics: everything a send or a timer request
+/// touches. Split from the parties' state so that a corrupt party's batch
+/// can hold its state machine while its effects are dispatched here (the
+/// simulator-inline [`EffectSink`]).
+struct Network {
+    n: usize,
     strategy: Box<dyn ByzantineStrategy>,
     scheduler: Box<dyn Scheduler>,
     faults: FaultPlan,
@@ -1336,11 +965,258 @@ pub struct Simulation<M> {
     seq: u64,
     now: Time,
     metrics: Metrics,
+}
+
+impl Network {
+    fn push_event(&mut self, at: Time, kind: EventKind) {
+        let (rank, depth) = kind.rank_depth();
+        self.seq += 1;
+        self.queue.push(Event {
+            at,
+            rank,
+            depth,
+            seq: self.seq,
+            kind,
+        });
+    }
+
+    /// Schedules one timer expiry.
+    fn push_timer(&mut self, party: PartyId, delay: Time, path: Path, id: u64) {
+        self.push_event(self.now + delay, EventKind::Timer { party, path, id });
+    }
+
+    /// Schedules one delivery event `delay` ticks from now, after the fault
+    /// plan had its say. The plan acts on the network, after the sender's
+    /// bit accounting: a dropped message was still sent. Self-sends are
+    /// exempt by the plan's contract.
+    fn schedule(&mut self, from: PartyId, to: PartyId, delay: Time, kind: EventKind) {
+        let (at, duplicate) = match self.faults.resolve(from, to, self.now, self.now + delay) {
+            FaultOutcome::Drop => {
+                self.metrics.fault_drops += 1;
+                return;
+            }
+            FaultOutcome::Deliver { at, duplicate } => (at, duplicate),
+        };
+        let duplicate = duplicate.map(|dup_at| (dup_at, kind.clone()));
+        self.push_event(at, kind);
+        if let Some((dup_at, kind)) = duplicate {
+            self.metrics.fault_duplicates += 1;
+            self.push_event(dup_at, kind);
+        }
+    }
+
+    /// The scheduler's delay for one cross-party event, clamped to ≥ 1 tick:
+    /// a message sent at local time `T` arrives in `(T, T+Δ]`, never at `T`
+    /// itself — the property that keeps every same-tick cascade on the party
+    /// that spawned it, and with it per-party batches commuting.
+    fn cross_party_delay(&mut self, from: PartyId, to: PartyId) -> Time {
+        self.scheduler
+            .delay(from, to, self.now, &mut self.sched_rng)
+            .max(1)
+    }
+
+    /// Puts one already-encoded message on the wire: consults the Byzantine
+    /// strategy for corrupt senders, records the exact bit accounting, and
+    /// schedules the delivery event.
+    fn dispatch(
+        &mut self,
+        from: PartyId,
+        honest: bool,
+        to: PartyId,
+        path: Path,
+        payload: Arc<Vec<u8>>,
+        broadcast: bool,
+    ) {
+        let payload = if honest {
+            payload
+        } else {
+            let send = WireSend {
+                from,
+                to,
+                n: self.n,
+                path: &path,
+                bytes: &payload,
+                broadcast,
+            };
+            match self.strategy.on_send(&send, &mut self.adv_rng) {
+                WireAction::Deliver => payload,
+                WireAction::Replace(bytes) => {
+                    self.metrics.adversary_tampered += 1;
+                    Arc::new(bytes)
+                }
+                WireAction::Drop => {
+                    self.metrics.adversary_drops += 1;
+                    return;
+                }
+            }
+        };
+        let bits = payload.len() as u64 * 8;
+        self.metrics
+            .record_send(from, honest, bits, path.first().copied());
+        let delay = if to == from {
+            0
+        } else {
+            self.cross_party_delay(from, to)
+        };
+        let kind = EventKind::Deliver {
+            to,
+            from,
+            path,
+            payload,
+        };
+        self.schedule(from, to, delay, kind);
+    }
+
+    /// Schedules one frame event (honest senders only — corrupt parties'
+    /// traffic is never framed, so Byzantine strategies keep their
+    /// per-message view of the wire).
+    fn dispatch_frame(&mut self, from: PartyId, to: PartyId, payload: Arc<Vec<u8>>) {
+        debug_assert_ne!(to, from, "self-addressed traffic is delivered in-batch");
+        self.metrics.frames_sent += 1;
+        let delay = self.cross_party_delay(from, to);
+        self.schedule(
+            from,
+            to,
+            delay,
+            EventKind::DeliverFrame { to, from, payload },
+        );
+    }
+
+    /// Dispatches a [`FrameSet`]'s frames: unicast frames in ascending
+    /// destination order, then the broadcast frame to every other party with
+    /// its encoding `Arc`-shared (one scheduler draw per frame event).
+    /// Per-message bit accounting is applied here, once per recipient
+    /// channel.
+    fn flush_frame_set(&mut self, sender: PartyId, frames: FrameSet) {
+        let FrameSet {
+            unicast,
+            broadcast,
+            broadcast_meta,
+        } = frames;
+        for (to, (builder, meta)) in unicast {
+            for (bits, seg) in meta {
+                self.metrics.record_send(sender, true, bits, seg);
+            }
+            self.dispatch_frame(sender, to, Arc::new(builder.finish()));
+        }
+        if !broadcast.is_empty() {
+            let payload = Arc::new(broadcast.finish());
+            for to in 0..self.n {
+                if to == sender {
+                    continue;
+                }
+                for &(bits, seg) in &broadcast_meta {
+                    self.metrics.record_send(sender, true, bits, seg);
+                }
+                self.dispatch_frame(sender, to, Arc::clone(&payload));
+            }
+        }
+    }
+
+    /// Coalesces an *honest* party's `init` effects into frames and
+    /// dispatches them. Self-addressed messages have no running batch to
+    /// join, so they travel as plain zero-delay events instead.
+    fn flush_honest_init<M: WireEncode>(&mut self, sender: PartyId, effects: &mut Effects<M>) {
+        let mut frames = FrameSet::new();
+        for (to, path, msg) in effects.sends.drain(..) {
+            if to == sender {
+                let payload = Arc::new(msg.encode());
+                self.dispatch(sender, true, to, path, payload, false);
+            } else {
+                frames.add_send(to, &path, &msg);
+            }
+        }
+        for (path, msg) in effects.broadcasts.drain(..) {
+            let (_, self_copy) = frames.add_broadcast(&path, &msg);
+            self.dispatch(sender, true, sender, path, Arc::new(self_copy), true);
+        }
+        self.flush_frame_set(sender, frames);
+        for (delay, path, id) in effects.timers.drain(..) {
+            self.push_timer(sender, delay, path, id);
+        }
+    }
+
+    /// Drains a *corrupt* party's effects: every message goes through
+    /// [`Network::dispatch`] (strategy consult, corrupt accounting, one
+    /// event per message) and every timer into the global queue, so corrupt
+    /// parties' same-tick cascades are interleaved in global canonical order
+    /// — the order the shared adversary RNG is drawn in.
+    fn dispatch_corrupt_effects<M: WireEncode>(
+        &mut self,
+        sender: PartyId,
+        effects: &mut Effects<M>,
+    ) {
+        for (to, path, msg) in effects.sends.drain(..) {
+            let payload = Arc::new(msg.encode());
+            self.dispatch(sender, false, to, path, payload, false);
+        }
+        for (path, msg) in effects.broadcasts.drain(..) {
+            // One encoding for the whole broadcast; every delivery event
+            // shares the same bytes (and the same interned path) through
+            // `Arc`s.
+            let payload = Arc::new(msg.encode());
+            for to in 0..self.n {
+                self.dispatch(sender, false, to, path.clone(), Arc::clone(&payload), true);
+            }
+        }
+        for (delay, path, id) in effects.timers.drain(..) {
+            self.push_timer(sender, delay, path, id);
+        }
+    }
+}
+
+/// The simulator-inline corrupt sink: see [`Network::dispatch_corrupt_effects`].
+impl<M: WireEncode> EffectSink<M> for Network {
+    const DEFERS_CASCADES: bool = true;
+
+    fn absorb(
+        &mut self,
+        party: PartyId,
+        effects: &mut Effects<M>,
+        _local: &mut LocalQueue,
+        _timers: &mut Vec<(Time, Path, u64)>,
+    ) {
+        self.dispatch_corrupt_effects(party, effects);
+    }
+}
+
+/// A deterministic discrete-event simulation of `n` parties running one root
+/// [`Protocol`] instance each over the configured network.
+///
+/// Messages travel as their canonical byte encoding ([`crate::wire`]): an
+/// honest party's sends and broadcasts of one time-slice activation leave as
+/// per-destination [`Frame`]s (a broadcast frame is encoded *once* and the
+/// bytes shared across all recipients), a corrupt party's messages one by
+/// one through the configured [`ByzantineStrategy`]. Bit accounting is per
+/// contained message, derived from the encoded length, and everything is
+/// decoded at the delivery boundary — bytes that fail to decode are dropped
+/// as Byzantine input and counted in [`Metrics::decode_failures`].
+///
+/// Messages are delivered and timers fired in `(time, kind, sequence)` order;
+/// at equal times, message deliveries precede timer expiries so that a party
+/// whose timer is set to the network bound `Δ` observes every message that
+/// was guaranteed to arrive by then — exactly the paper's synchronous round
+/// abstraction. A cross-party message never arrives in the tick it was sent
+/// (see [`Scheduler::delay`]).
+///
+/// With [`NetConfig::with_threads`] (or `MPC_THREADS`) > 1, the honest
+/// parties' batches of a wide slice are executed concurrently and merged
+/// serially in ascending party order; the execution — transcript, metrics,
+/// bit accounting, outputs — is bit-identical to the sequential one for
+/// every seed, network kind and Byzantine strategy.
+pub struct Simulation<M> {
+    config: NetConfig,
+    threads: usize,
+    parties: Vec<Box<dyn Protocol<M>>>,
+    rngs: Vec<StdRng>,
+    corruption: CorruptionSet,
+    structure: Option<Arc<dyn AdversaryStructure>>,
+    net: Network,
     coin_seed: u64,
     initialized: bool,
     transcript: Option<Vec<TranscriptEntry>>,
-    /// Reusable effects buffer: drained after every event instead of
-    /// allocating a fresh `Effects` per [`Simulation::step`].
+    /// Reusable effects buffer of the inline paths (`init` and corrupt
+    /// batches), drained after every activation.
     scratch: Effects<M>,
 }
 
@@ -1382,32 +1258,30 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         let rngs = (0..config.n)
             .map(|i| StdRng::seed_from_u64(config.party_rng_seed(i)))
             .collect();
-        let sched_rng = StdRng::seed_from_u64(config.seed ^ 0xDEAD_BEEF);
-        let adv_rng = StdRng::seed_from_u64(config.adversary_seed());
-        let coin_seed = config.coin_seed();
         let threads = config.resolved_threads();
-        let framed = config.resolved_frames() && scheduler.min_delay() >= 1;
-        let queue = EventQueue::new(config.delta);
         let mut metrics = Metrics::new();
         metrics.worker_threads = threads as u64;
+        let net = Network {
+            n: config.n,
+            strategy: Box::new(Passive),
+            scheduler,
+            faults: FaultPlan::none(),
+            sched_rng: StdRng::seed_from_u64(config.seed ^ 0xDEAD_BEEF),
+            adv_rng: StdRng::seed_from_u64(config.adversary_seed()),
+            queue: EventQueue::new(config.delta),
+            seq: 0,
+            now: 0,
+            metrics,
+        };
         Simulation {
+            coin_seed: config.coin_seed(),
             config,
             threads,
-            framed,
             parties,
             rngs,
             corruption,
             structure: None,
-            strategy: Box::new(Passive),
-            scheduler,
-            faults: FaultPlan::none(),
-            sched_rng,
-            adv_rng,
-            queue,
-            seq: 0,
-            now: 0,
-            metrics,
-            coin_seed,
+            net,
             initialized: false,
             transcript: None,
             scratch: Effects::new(),
@@ -1418,7 +1292,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
     /// sent by a corrupt party (default: [`Passive`], i.e. pass-through).
     /// Call before running.
     pub fn set_strategy(&mut self, strategy: Box<dyn ByzantineStrategy>) {
-        self.strategy = strategy;
+        self.net.strategy = strategy;
     }
 
     /// Installs an injected [`FaultPlan`] applied on top of the scheduler's
@@ -1426,12 +1300,12 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
     /// plan on the threaded backend yields the same per-message decisions —
     /// see the determinism contract in [`crate::faults`].
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = plan;
+        self.net.faults = plan;
     }
 
     /// The injected fault plan.
     pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
+        &self.net.faults
     }
 
     /// Attaches the [`AdversaryStructure`] the corruption set was validated
@@ -1467,21 +1341,14 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         self.threads
     }
 
-    /// Whether the framed slice engine is active for this run (frame
-    /// coalescing enabled *and* the scheduler guarantees cross-party delays
-    /// of at least one tick).
-    pub fn framed(&self) -> bool {
-        self.framed
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Time {
-        self.now
+        self.net.now
     }
 
     /// Communication metrics accumulated so far.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.net.metrics
     }
 
     /// The corruption set.
@@ -1508,46 +1375,24 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         }
         self.initialized = true;
         for p in 0..self.config.n {
-            let mut effects = std::mem::replace(&mut self.scratch, Effects::new());
             {
                 let mut ctx = Context::new(
                     p,
                     self.config.n,
                     0,
                     self.config.delta,
-                    &mut effects,
+                    &mut self.scratch,
                     &mut self.rngs[p],
                     self.coin_seed,
                 );
                 self.parties[p].init(&mut ctx);
             }
-            if self.framed && self.corruption.is_honest(p) {
-                self.flush_framed_effects(p, &mut effects);
+            if self.corruption.is_honest(p) {
+                self.net.flush_honest_init(p, &mut self.scratch);
             } else {
-                self.apply_effects(p, &mut effects);
+                self.net.dispatch_corrupt_effects(p, &mut self.scratch);
             }
-            self.scratch = effects;
         }
-    }
-
-    /// Processes the next single event. Returns `false` when the queue is
-    /// empty. Always sequential — the parallel *and* framed engines operate
-    /// on whole time slices via the `run_*` methods, so a single-stepped run
-    /// delivers frames (unpacking them at the boundary) but dispatches its
-    /// own output per message.
-    pub fn step(&mut self) -> bool {
-        self.init();
-        let Some(t) = self.queue.next_time() else {
-            return false;
-        };
-        let Some(ev) = self.queue.pop_current() else {
-            unreachable!("next_time returned a tick without events")
-        };
-        debug_assert!(t >= self.now, "time must be monotone");
-        self.now = t;
-        self.metrics.events_processed += 1;
-        self.execute_event(ev);
-        true
     }
 
     /// Runs until `pred` returns `true`, the event queue drains, or the next
@@ -1566,7 +1411,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         if pred(self) {
             return true;
         }
-        while let Some(t) = self.queue.next_time() {
+        while let Some(t) = self.net.queue.next_time() {
             if t > horizon {
                 return false;
             }
@@ -1583,218 +1428,33 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         let _ = self.run_until(horizon, |_| false);
     }
 
-    /// Processes the complete batch of events scheduled at tick `t` — the
-    /// events already queued for `t` plus every same-tick cascade they
-    /// spawn. The caller must have positioned the queue via
-    /// [`EventQueue::next_time`].
-    fn process_slice(&mut self, t: Time) {
-        self.now = t;
-        let depth = self.queue.len() as u64;
-        let before = self.metrics.events_processed;
-        // Parallel pre-execution is sound only when cross-party messages
-        // cannot be delivered within the same tick they are sent (see
-        // `Scheduler::min_delay`): then every same-tick cascade stays on the
-        // party that spawned it, and per-party batches commute. The framed
-        // engine rests on the same property (it is gated on it at
-        // construction) and exploits it twice: per-party batches *and*
-        // per-destination frame coalescing of each batch's output. Whether
-        // parallelism is *worth it* is decided by inspecting the live
-        // bucket, so thin slices pay a single pop each rather than a
-        // drain-and-reinsert.
-        if self.framed {
-            self.process_slice_framed(t);
-        } else if self.threads > 1
-            && self.scheduler.min_delay() >= 1
-            && self.slice_worth_parallelising()
-        {
-            self.process_slice_parallel(t);
-        } else {
-            while let Some(ev) = self.queue.pop_current() {
-                self.metrics.events_processed += 1;
-                self.execute_event(ev);
-            }
-        }
-        self.metrics
-            .record_slice(self.metrics.events_processed - before, depth);
-    }
-
-    /// Cheap pre-check on the current bucket: spawn workers only for slices
-    /// with at least [`MIN_PARALLEL_EVENTS`] initially queued events spread
-    /// over at least two distinct honest parties. Purely a
-    /// wall-clock heuristic — either engine produces identical results.
-    fn slice_worth_parallelising(&self) -> bool {
-        let mut events = 0usize;
-        let mut first_honest: Option<PartyId> = None;
-        let mut two_honest = false;
-        for ev in self.queue.current_events() {
-            events += 1;
-            if !two_honest {
-                let p = ev.kind.party();
-                if self.corruption.is_honest(p) {
-                    match first_honest {
-                        None => first_honest = Some(p),
-                        Some(q) => two_honest = q != p,
-                    }
-                }
-            }
-            if events >= MIN_PARALLEL_EVENTS && two_honest {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The parallel slice engine: drain the batch, pre-execute honest
-    /// parties' events on worker threads grouped by party, then merge the
-    /// pre-computed steps back by replaying the queue in canonical order
-    /// (corrupt parties execute inline during the merge, because their
-    /// sends consult the shared adversary RNG and strategy).
-    fn process_slice_parallel(&mut self, t: Time) {
-        let mut initial: Vec<Event> = Vec::new();
-        while let Some(ev) = self.queue.pop_current() {
-            initial.push(ev);
-        }
-        // Group the honest parties' events (canonical order per party; the
-        // kind clones are cheap `Arc` bumps).
-        let mut per_party: BTreeMap<PartyId, Vec<EventKind>> = BTreeMap::new();
-        for ev in &initial {
-            let p = ev.kind.party();
-            if self.corruption.is_honest(p) {
-                per_party.entry(p).or_default().push(ev.kind.clone());
-            }
-        }
-        let workers = self.threads.min(per_party.len());
-        let n = self.config.n;
-        let delta = self.config.delta;
-        let coin_seed = self.coin_seed;
-        let record = self.transcript.is_some();
-        // Carve disjoint `&mut` party/rng slots out of the simulation,
-        // round-robin across workers (party ids ascend, so repeated
-        // `split_at_mut` walks suffice — no unsafe).
-        let mut groups: Vec<Vec<WorkerParty<'_, M>>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut parties_tail = self.parties.as_mut_slice();
-        let mut rngs_tail = self.rngs.as_mut_slice();
-        let mut offset = 0usize;
-        for (i, (party, events)) in per_party.into_iter().enumerate() {
-            let (_, rest) = parties_tail.split_at_mut(party - offset);
-            let Some((protocol, rest)) = rest.split_first_mut() else {
-                unreachable!("party id within range")
-            };
-            parties_tail = rest;
-            let (_, rest) = rngs_tail.split_at_mut(party - offset);
-            let Some((rng, rest)) = rest.split_first_mut() else {
-                unreachable!("party id within range")
-            };
-            rngs_tail = rest;
-            offset = party + 1;
-            groups[i % workers].push(WorkerParty {
-                party,
-                protocol,
-                rng,
-                events,
-            });
-        }
-        let mut traces: Vec<Option<VecDeque<Step>>> = (0..n).map(|_| None).collect();
-        let results: Vec<Vec<(PartyId, VecDeque<Step>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .into_iter()
-                            .map(|wp| run_party_slice(wp, t, n, delta, coin_seed, record))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation worker thread panicked"))
-                .collect()
-        });
-        for (party, steps) in results.into_iter().flatten() {
-            traces[party] = Some(steps);
-        }
-        // Canonical serial merge: replay the slice through the queue so the
-        // global order — including cross-party interleavings of same-tick
-        // cascades — is exactly what the sequential engine produces.
-        for ev in initial {
-            self.queue.push(ev);
-        }
-        while let Some(ev) = self.queue.pop_current() {
-            self.metrics.events_processed += 1;
-            let p = ev.kind.party();
-            match traces.get_mut(p).and_then(Option::as_mut) {
-                Some(steps) => {
-                    let step = steps.pop_front().unwrap_or_else(|| {
-                        panic!(
-                            "parallel slice out of sync: party {p} received an unplanned \
-                             same-tick event (is a cross-party delay-0 scheduler in use?)"
-                        )
-                    });
-                    let tag = matches!(ev.kind, EventKind::Timer { .. }) as u8;
-                    assert_eq!(
-                        tag, step.kind_tag,
-                        "parallel slice out of sync for party {p}: event kind mismatch"
-                    );
-                    self.metrics.timeouts_fired += u64::from(tag);
-                    self.consume_step(p, step);
-                }
-                None => self.execute_event(ev),
-            }
-        }
-        debug_assert!(
-            traces
-                .iter()
-                .all(|t| t.as_ref().is_none_or(VecDeque::is_empty)),
-            "every pre-executed step must be consumed by the merge"
-        );
-    }
-
-    /// Applies one pre-executed step on the serial merge path: transcript,
-    /// decode accounting and effect dispatch happen here, in canonical
-    /// order, exactly as the sequential engine interleaves them.
-    fn consume_step(&mut self, party: PartyId, step: Step) {
-        if step.decode_failed {
-            self.metrics.decode_failures += 1;
-        }
-        if let Some(transcript) = &mut self.transcript {
-            if let Some(entry) = step.transcript {
-                transcript.push(entry);
-            }
-        }
-        for (to, path, bytes) in step.sends {
-            self.dispatch(party, true, to, path, bytes, false);
-        }
-        for (path, bytes) in step.broadcasts {
-            for to in 0..self.config.n {
-                self.dispatch(party, true, to, path.clone(), Arc::clone(&bytes), true);
-            }
-        }
-        for (delay, path, id) in step.timers {
-            self.push_timer(party, delay, path, id);
-        }
-    }
-
-    /// The framed slice engine: drain the tick, group events by party, run
-    /// every honest party's batch through [`run_party_batch`] (inline, or on
+    /// The slice engine: drain tick `t` (the caller positioned the queue via
+    /// [`EventQueue::next_time`]), group its events by party, run every
+    /// honest party's batch through [`run_party_batch`] (inline, or on
     /// worker threads when the slice is wide enough), and merge the outcomes
-    /// in ascending party order — flushing each batch's coalesced frames with
-    /// one scheduler draw per frame event. Corrupt parties execute inline
-    /// with per-message dispatch so Byzantine strategies keep their exact
-    /// per-message semantics (and their shared adversary RNG draw order).
-    fn process_slice_framed(&mut self, t: Time) {
-        let mut per_party: BTreeMap<PartyId, Vec<Event>> = BTreeMap::new();
+    /// in ascending party order — flushing each batch's coalesced frames
+    /// with one scheduler draw per frame event. Corrupt parties execute
+    /// inline with per-message dispatch so Byzantine strategies keep their
+    /// exact per-message semantics (and their shared adversary RNG draw
+    /// order).
+    fn process_slice(&mut self, t: Time) {
+        self.net.now = t;
+        let depth = self.net.queue.len() as u64;
+        let before = self.net.metrics.events_processed;
+        let mut per_party: BTreeMap<PartyId, Vec<EventKind>> = BTreeMap::new();
         let mut total = 0usize;
-        while let Some(ev) = self.queue.pop_current() {
+        while let Some(ev) = self.net.queue.pop_current() {
             total += 1;
-            per_party.entry(ev.kind.party()).or_default().push(ev);
+            per_party.entry(ev.kind.party()).or_default().push(ev.kind);
         }
-        let record = self.transcript.is_some();
-        let n = self.config.n;
-        let delta = self.config.delta;
-        let coin_seed = self.coin_seed;
-        let mut outcomes: Vec<Option<BatchOutcome>> = (0..n).map(|_| None).collect();
+        let env = SliceEnv {
+            t,
+            n: self.config.n,
+            delta: self.config.delta,
+            coin_seed: self.coin_seed,
+            record: self.transcript.is_some(),
+        };
+        let mut outcomes: Vec<Option<BatchOutcome>> = (0..env.n).map(|_| None).collect();
         let honest_with_work = per_party
             .keys()
             .filter(|&&p| self.corruption.is_honest(p))
@@ -1809,7 +1469,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
             let mut rngs_tail = self.rngs.as_mut_slice();
             let mut offset = 0usize;
             let mut slot = 0usize;
-            for (&party, events) in &per_party {
+            for (&party, events) in &mut per_party {
                 if !self.corruption.is_honest(party) {
                     continue;
                 }
@@ -1828,7 +1488,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
                     party,
                     protocol,
                     rng,
-                    events: events.iter().map(|ev| ev.kind.clone()).collect(),
+                    events: std::mem::take(events),
                 });
                 slot += 1;
             }
@@ -1839,442 +1499,93 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
                         scope.spawn(move || {
                             group
                                 .into_iter()
-                                .map(|wp| run_party_batch(wp, t, n, delta, coin_seed, record))
+                                .map(|wp| run_party_batch(wp, env))
                                 .collect::<Vec<_>>()
                         })
                     })
                     .collect();
+                // A handler panic on a worker surfaces with its own payload,
+                // exactly as it would at `threads = 1`.
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("simulation worker thread panicked"))
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                     .collect()
             });
             for outcome in results.into_iter().flatten() {
-                let party = outcome.party;
+                let party = outcome.core.party;
                 outcomes[party] = Some(outcome);
             }
         }
         for (party, events) in per_party {
             if self.corruption.is_honest(party) {
-                let outcome = match outcomes[party].take() {
-                    Some(outcome) => outcome,
-                    None => {
-                        let kinds: Vec<EventKind> = events.into_iter().map(|ev| ev.kind).collect();
-                        run_party_batch(
-                            WorkerParty {
-                                party,
-                                protocol: &mut self.parties[party],
-                                rng: &mut self.rngs[party],
-                                events: kinds,
-                            },
-                            t,
-                            n,
-                            delta,
-                            coin_seed,
-                            record,
-                        )
-                    }
-                };
+                let outcome = outcomes[party].take().unwrap_or_else(|| {
+                    let wp = WorkerParty {
+                        party,
+                        protocol: &mut self.parties[party],
+                        rng: &mut self.rngs[party],
+                        events,
+                    };
+                    run_party_batch(wp, env)
+                });
                 self.apply_outcome(outcome);
             } else {
-                for ev in events {
-                    self.metrics.events_processed += 1;
-                    self.execute_event(ev);
-                }
+                self.run_corrupt_inline(party, events, env);
             }
         }
         // Same-tick cascades of corrupt parties (their self-sends and
-        // zero-delay timers go through the global queue); `min_delay ≥ 1`
-        // keeps everything else out of the current tick.
-        while let Some(ev) = self.queue.pop_current() {
-            self.metrics.events_processed += 1;
-            self.execute_event(ev);
+        // zero-delay timers go through the global queue); nothing else can
+        // land in the current tick.
+        while let Some(ev) = self.net.queue.pop_current() {
+            self.run_corrupt_inline(ev.kind.party(), vec![ev.kind], env);
         }
+        self.net
+            .metrics
+            .record_slice(self.net.metrics.events_processed - before, depth);
     }
 
-    /// Applies one pre-executed framed batch on the merge path: accounting,
-    /// transcript, frame dispatch (one scheduler draw per frame event) and
-    /// timer scheduling, in the engine's canonical ascending-party order.
+    /// Runs a corrupt party's events inline, its effects going straight to
+    /// the [`Network`].
+    fn run_corrupt_inline(&mut self, party: PartyId, events: Vec<EventKind>, env: SliceEnv) {
+        debug_assert!(!self.corruption.is_honest(party));
+        let wp = WorkerParty {
+            party,
+            protocol: &mut self.parties[party],
+            rng: &mut self.rngs[party],
+            events,
+        };
+        let core = run_batch(wp, env, &mut self.scratch, &mut self.net);
+        self.merge_core(core);
+    }
+
+    /// Applies one pre-executed honest batch on the merge path: accounting,
+    /// frame dispatch and timer scheduling, in the engine's canonical
+    /// ascending-party order.
     fn apply_outcome(&mut self, outcome: BatchOutcome) {
         let BatchOutcome {
-            party,
-            events,
-            timers_fired,
-            decode_failures,
-            transcript,
-            self_records,
-            frames,
-            timers,
+            core,
+            sent: FramedSends {
+                self_records,
+                frames,
+            },
         } = outcome;
-        self.metrics.events_processed += events;
-        self.metrics.timeouts_fired += timers_fired;
-        self.metrics.decode_failures += decode_failures;
-        if let Some(recorded) = &mut self.transcript {
-            recorded.extend(transcript);
-        }
         for (bits, seg) in self_records {
-            self.metrics.record_send(party, true, bits, seg);
+            self.net.metrics.record_send(core.party, true, bits, seg);
         }
-        self.flush_frame_set(party, frames);
-        for (delay, path, id) in timers {
-            self.push_timer(party, delay, path, id);
-        }
+        self.net.flush_frame_set(core.party, frames);
+        self.merge_core(core);
     }
 
-    /// Dispatches a [`FrameSet`]'s frames: unicast frames in ascending
-    /// destination order, then the broadcast frame to every other party with
-    /// its encoding `Arc`-shared. Per-message bit accounting is applied here
-    /// (once per recipient channel), exactly as the unframed engine would.
-    fn flush_frame_set(&mut self, sender: PartyId, frames: FrameSet) {
-        let FrameSet {
-            unicast,
-            broadcast,
-            broadcast_meta,
-        } = frames;
-        for (to, (builder, meta)) in unicast {
-            for (bits, seg) in meta {
-                self.metrics.record_send(sender, true, bits, seg);
-            }
-            self.dispatch_frame(sender, to, Arc::new(builder.finish()));
+    /// Folds a batch's sink-independent results in: counters, transcript
+    /// and future timers.
+    fn merge_core(&mut self, core: BatchCore) {
+        self.net.metrics.events_processed += core.events;
+        self.net.metrics.timeouts_fired += core.timers_fired;
+        self.net.metrics.decode_failures += core.decode_failures;
+        if let Some(recorded) = &mut self.transcript {
+            recorded.extend(core.transcript);
         }
-        if !broadcast.is_empty() {
-            let payload = Arc::new(broadcast.finish());
-            for to in 0..self.config.n {
-                if to == sender {
-                    continue;
-                }
-                for &(bits, seg) in &broadcast_meta {
-                    self.metrics.record_send(sender, true, bits, seg);
-                }
-                self.dispatch_frame(sender, to, Arc::clone(&payload));
-            }
-        }
-    }
-
-    /// Coalesces an *honest* party's out-of-slice effects (currently: its
-    /// `init` effects) into frames and dispatches them. Self-addressed
-    /// messages have no running batch to join, so they travel as plain
-    /// zero-delay events instead.
-    fn flush_framed_effects(&mut self, sender: PartyId, effects: &mut Effects<M>) {
-        let mut frames = FrameSet::new();
-        for (to, path, msg) in effects.sends.drain(..) {
-            if to == sender {
-                let payload = Arc::new(msg.encode());
-                self.dispatch(sender, true, to, path, payload, false);
-            } else {
-                frames.add_send(to, &path, &msg);
-            }
-        }
-        for (path, msg) in effects.broadcasts.drain(..) {
-            let (_, self_copy) = frames.add_broadcast(&path, &msg);
-            self.dispatch(sender, true, sender, path, Arc::new(self_copy), true);
-        }
-        self.flush_frame_set(sender, frames);
-        for (delay, path, id) in effects.timers.drain(..) {
-            self.push_timer(sender, delay, path, id);
-        }
-    }
-
-    /// Schedules one frame event (honest senders only — corrupt parties'
-    /// traffic is never framed, so Byzantine strategies keep their
-    /// per-message view of the wire).
-    fn dispatch_frame(&mut self, from: PartyId, to: PartyId, payload: Arc<Vec<u8>>) {
-        debug_assert_ne!(to, from, "self-addressed traffic is delivered in-batch");
-        self.metrics.frames_sent += 1;
-        let delay = self
-            .scheduler
-            .delay(from, to, self.now, &mut self.sched_rng);
-        // The fault plan acts on the network, after the sender's bit
-        // accounting: a dropped frame was still sent.
-        let (at, duplicate) = match self.faults.resolve(from, to, self.now, self.now + delay) {
-            FaultOutcome::Drop => {
-                self.metrics.fault_drops += 1;
-                return;
-            }
-            FaultOutcome::Deliver { at, duplicate } => (at, duplicate),
-        };
-        self.seq += 1;
-        self.queue.push(Event {
-            at,
-            rank: 0,
-            depth: 0,
-            seq: self.seq,
-            kind: EventKind::DeliverFrame {
-                to,
-                from,
-                payload: payload.clone(),
-            },
-        });
-        if let Some(dup_at) = duplicate {
-            self.metrics.fault_duplicates += 1;
-            self.seq += 1;
-            self.queue.push(Event {
-                at: dup_at,
-                rank: 0,
-                depth: 0,
-                seq: self.seq,
-                kind: EventKind::DeliverFrame { to, from, payload },
-            });
-        }
-    }
-
-    /// Executes one event inline (sequential path and corrupt parties):
-    /// decode boundary, transcript, handler, effect application.
-    fn execute_event(&mut self, ev: Event) {
-        if matches!(ev.kind, EventKind::Timer { .. }) {
-            self.metrics.timeouts_fired += 1;
-        }
-        let (party, mut effects) = match ev.kind {
-            EventKind::DeliverFrame { to, from, payload } => {
-                // Frame delivery outside a framed batch: corrupt recipients
-                // during a framed slice, and single-stepped runs. Unpack at
-                // the boundary and handle the items back to back; effects are
-                // applied per item with the unframed per-message dispatch.
-                match Frame::decode::<M>(&payload) {
-                    Err(_) => {
-                        self.metrics.decode_failures += 1;
-                        if let Some(transcript) = &mut self.transcript {
-                            transcript.push(TranscriptEntry {
-                                at: ev.at,
-                                party: to,
-                                event: TranscriptEvent::DroppedDeliver {
-                                    from,
-                                    path: Path::from(&[][..]),
-                                    bits: payload.len() as u64 * 8,
-                                },
-                            });
-                        }
-                    }
-                    Ok(items) => {
-                        for item in items {
-                            if let Some(transcript) = &mut self.transcript {
-                                transcript.push(TranscriptEntry {
-                                    at: ev.at,
-                                    party: to,
-                                    event: TranscriptEvent::Deliver {
-                                        from,
-                                        path: Path::from(&item.path[..]),
-                                        bits: item.msg_bits,
-                                    },
-                                });
-                            }
-                            let mut effects = std::mem::replace(&mut self.scratch, Effects::new());
-                            {
-                                let mut ctx = Context::new(
-                                    to,
-                                    self.config.n,
-                                    self.now,
-                                    self.config.delta,
-                                    &mut effects,
-                                    &mut self.rngs[to],
-                                    self.coin_seed,
-                                );
-                                self.parties[to].on_message(&mut ctx, from, &item.path, item.msg);
-                            }
-                            self.apply_effects(to, &mut effects);
-                            self.scratch = effects;
-                        }
-                    }
-                }
-                return;
-            }
-            EventKind::Deliver {
-                to,
-                from,
-                path,
-                payload,
-            } => {
-                // The delivery boundary: bytes that do not decode as a
-                // protocol message are Byzantine input — drop and count,
-                // never panic, never reach the protocol.
-                let Ok(msg) = M::decode(&payload) else {
-                    self.metrics.decode_failures += 1;
-                    if let Some(transcript) = &mut self.transcript {
-                        transcript.push(TranscriptEntry {
-                            at: ev.at,
-                            party: to,
-                            event: TranscriptEvent::DroppedDeliver {
-                                from,
-                                path,
-                                bits: payload.len() as u64 * 8,
-                            },
-                        });
-                    }
-                    return;
-                };
-                if let Some(transcript) = &mut self.transcript {
-                    transcript.push(TranscriptEntry {
-                        at: ev.at,
-                        party: to,
-                        event: TranscriptEvent::Deliver {
-                            from,
-                            path: path.clone(),
-                            bits: payload.len() as u64 * 8,
-                        },
-                    });
-                }
-                let mut effects = std::mem::replace(&mut self.scratch, Effects::new());
-                {
-                    let mut ctx = Context::new(
-                        to,
-                        self.config.n,
-                        self.now,
-                        self.config.delta,
-                        &mut effects,
-                        &mut self.rngs[to],
-                        self.coin_seed,
-                    );
-                    self.parties[to].on_message(&mut ctx, from, &path, msg);
-                }
-                (to, effects)
-            }
-            EventKind::Timer { party, path, id } => {
-                if let Some(transcript) = &mut self.transcript {
-                    transcript.push(TranscriptEntry {
-                        at: ev.at,
-                        party,
-                        event: TranscriptEvent::Timer {
-                            path: path.clone(),
-                            id,
-                        },
-                    });
-                }
-                let mut effects = std::mem::replace(&mut self.scratch, Effects::new());
-                {
-                    let mut ctx = Context::new(
-                        party,
-                        self.config.n,
-                        self.now,
-                        self.config.delta,
-                        &mut effects,
-                        &mut self.rngs[party],
-                        self.coin_seed,
-                    );
-                    self.parties[party].on_timer(&mut ctx, &path, id);
-                }
-                (party, effects)
-            }
-        };
-        self.apply_effects(party, &mut effects);
-        self.scratch = effects;
-    }
-
-    /// Drains the effects buffer into the event queue (the buffer's
-    /// allocations are kept alive for reuse by the next event).
-    fn apply_effects(&mut self, sender: PartyId, effects: &mut Effects<M>) {
-        let honest = self.corruption.is_honest(sender);
-        for (to, path, msg) in effects.sends.drain(..) {
-            let payload = Arc::new(msg.encode());
-            self.dispatch(sender, honest, to, path, payload, false);
-        }
-        for (path, msg) in effects.broadcasts.drain(..) {
-            // One encoding for the whole broadcast; every delivery event
-            // shares the same bytes (and the same interned path) through
-            // `Arc`s.
-            let payload = Arc::new(msg.encode());
-            for to in 0..self.config.n {
-                self.dispatch(sender, honest, to, path.clone(), Arc::clone(&payload), true);
-            }
-        }
-        for (delay, path, id) in effects.timers.drain(..) {
-            self.push_timer(sender, delay, path, id);
-        }
-    }
-
-    /// Schedules one timer expiry.
-    fn push_timer(&mut self, party: PartyId, delay: Time, path: Path, id: u64) {
-        self.seq += 1;
-        self.queue.push(Event {
-            at: self.now + delay,
-            rank: 1,
-            depth: path.len(),
-            seq: self.seq,
-            kind: EventKind::Timer { party, path, id },
-        });
-    }
-
-    /// Puts one already-encoded message on the wire: consults the Byzantine
-    /// strategy for corrupt senders, records the exact bit accounting, and
-    /// schedules the delivery event.
-    fn dispatch(
-        &mut self,
-        from: PartyId,
-        honest: bool,
-        to: PartyId,
-        path: Path,
-        payload: Arc<Vec<u8>>,
-        broadcast: bool,
-    ) {
-        let payload = if honest {
-            payload
-        } else {
-            let send = WireSend {
-                from,
-                to,
-                n: self.config.n,
-                path: &path,
-                bytes: &payload,
-                broadcast,
-            };
-            match self.strategy.on_send(&send, &mut self.adv_rng) {
-                WireAction::Deliver => payload,
-                WireAction::Replace(bytes) => {
-                    self.metrics.adversary_tampered += 1;
-                    Arc::new(bytes)
-                }
-                WireAction::Drop => {
-                    self.metrics.adversary_drops += 1;
-                    return;
-                }
-            }
-        };
-        let bits = payload.len() as u64 * 8;
-        self.metrics
-            .record_send(from, honest, bits, path.first().copied());
-        let delay = if to == from {
-            0
-        } else {
-            self.scheduler
-                .delay(from, to, self.now, &mut self.sched_rng)
-        };
-        // Fault plan after the sender's accounting: sent bits count even
-        // when the network then drops the message. Self-sends are exempt by
-        // the plan's contract.
-        let (at, duplicate) = match self.faults.resolve(from, to, self.now, self.now + delay) {
-            FaultOutcome::Drop => {
-                self.metrics.fault_drops += 1;
-                return;
-            }
-            FaultOutcome::Deliver { at, duplicate } => (at, duplicate),
-        };
-        self.seq += 1;
-        self.queue.push(Event {
-            at,
-            rank: 0,
-            depth: path.len(),
-            seq: self.seq,
-            kind: EventKind::Deliver {
-                to,
-                from,
-                path: path.clone(),
-                payload: payload.clone(),
-            },
-        });
-        if let Some(dup_at) = duplicate {
-            self.metrics.fault_duplicates += 1;
-            self.seq += 1;
-            self.queue.push(Event {
-                at: dup_at,
-                rank: 0,
-                depth: path.len(),
-                seq: self.seq,
-                kind: EventKind::Deliver {
-                    to,
-                    from,
-                    path,
-                    payload,
-                },
-            });
+        for (delay, path, id) in core.timers {
+            self.net.push_timer(core.party, delay, path, id);
         }
     }
 }
@@ -2290,6 +1601,9 @@ mod tests {
     struct PingPong {
         pongs: usize,
         got_ping_at: Option<Time>,
+        /// `on_message` invocations.
+        handled: usize,
+        panic_on_ping: bool,
     }
 
     #[derive(Clone, Debug)]
@@ -2335,8 +1649,10 @@ mod tests {
             _path: &[u32],
             msg: Msg,
         ) {
+            self.handled += 1;
             match msg {
                 Msg::Ping => {
+                    assert!(!self.panic_on_ping, "party {} exploded", ctx.me);
                     self.got_ping_at = Some(ctx.now);
                     ctx.send(from, Msg::Pong);
                 }
@@ -2678,5 +1994,166 @@ mod tests {
         );
         assert_eq!(sim.threads(), 2);
         assert_eq!(sim.metrics().worker_threads, 2);
+    }
+
+    /// A handler panic on a worker thread surfaces with its own payload, as
+    /// it does at `threads = 1`.
+    #[test]
+    fn worker_panic_keeps_its_message() {
+        let n = 5;
+        let mut ps = parties(n);
+        ps[2] = Box::new(PingPong {
+            panic_on_ping: true,
+            ..PingPong::default()
+        });
+        let cfg = NetConfig::synchronous(n).with_threads(4);
+        let mut sim = Simulation::new(cfg, CorruptionSet::none(), ps);
+        let run = std::panic::AssertUnwindSafe(|| sim.run_to_quiescence(1_000));
+        let payload = std::panic::catch_unwind(run).expect_err("party 2 panics");
+        let msg = payload.downcast_ref::<String>().expect("formatted payload");
+        assert!(msg.contains("party 2 exploded"), "{msg}");
+    }
+
+    /// Cross-party delivery is ≥ 1 tick by construction, so zero-delay
+    /// schedulers run on the one engine: framed, and parallel when wide.
+    #[test]
+    fn zero_delay_schedulers_run_on_the_one_engine() {
+        let n = 5;
+        let schedulers: [fn() -> Box<dyn Scheduler>; 2] = [
+            || Box::new(FixedDelay(0)),
+            || Box::new(UniformDelay { min: 0, max: 3 }),
+        ];
+        for scheduler in schedulers {
+            let run = |threads: usize| {
+                let cfg = NetConfig::synchronous(n).with_seed(5).with_threads(threads);
+                let mut sim =
+                    Simulation::with_scheduler(cfg, CorruptionSet::none(), scheduler(), parties(n));
+                sim.record_transcript();
+                sim.run_to_quiescence(1_000);
+                assert_eq!(sim.party_as::<PingPong>(0).unwrap().pongs, n);
+                (sim.transcript().to_vec(), sim.metrics().clone())
+            };
+            let (transcript, metrics) = run(1);
+            assert!(metrics.frames_sent > 0);
+            for e in &transcript {
+                if let TranscriptEvent::Deliver { from, .. } = e.event {
+                    assert!(from == e.party || e.at >= 1, "same-tick delivery: {e:?}");
+                }
+            }
+            assert_eq!(run(4), (transcript, metrics));
+        }
+    }
+
+    /// Undecodable bytes — a whole frame or a single message — are dropped at
+    /// the one delivery boundary identically whichever sink the batch drains
+    /// into: one `DroppedDeliver` entry, one decode failure, no handler call,
+    /// nothing sent.
+    #[test]
+    fn hostile_bytes_drop_identically_for_every_sink() {
+        fn assert_dropped(
+            label: &str,
+            transcript: &[TranscriptEntry],
+            decode_failures: u64,
+            party: &dyn Protocol<Msg>,
+            quiet: bool,
+        ) {
+            let dropped = TranscriptEvent::DroppedDeliver {
+                from: 0,
+                path: Path::from(&[][..]),
+                bits: 56,
+            };
+            assert!(
+                matches!(transcript, [e] if e.at == 3 && e.party == 1 && e.event == dropped),
+                "{label}: {transcript:?}"
+            );
+            let handled = party.as_any().downcast_ref::<PingPong>().unwrap().handled;
+            assert_eq!((decode_failures, handled, quiet), (1, 0, true), "{label}");
+        }
+        fn wp<'a>(
+            protocol: &'a mut Box<dyn Protocol<Msg>>,
+            rng: &'a mut StdRng,
+            kind: &EventKind,
+        ) -> WorkerParty<'a, Msg> {
+            WorkerParty {
+                party: 1,
+                protocol,
+                rng,
+                events: vec![kind.clone()],
+            }
+        }
+        let (to, from, payload) = (1, 0, Arc::new(vec![0xFFu8; 7]));
+        let hostile = [
+            EventKind::DeliverFrame {
+                to,
+                from,
+                payload: Arc::clone(&payload),
+            },
+            EventKind::Deliver {
+                to,
+                from,
+                path: Path::from(&[][..]),
+                payload,
+            },
+        ];
+        let env = SliceEnv {
+            t: 3,
+            n: 2,
+            delta: 10,
+            coin_seed: 0,
+            record: true,
+        };
+        for (i, kind) in hostile.into_iter().enumerate() {
+            let mut protocol: Box<dyn Protocol<Msg>> = Box::new(PingPong::default());
+            let mut rng = StdRng::seed_from_u64(1);
+            let BatchOutcome { core, sent } =
+                run_party_batch(wp(&mut protocol, &mut rng, &kind), env);
+            let quiet = sent.frames.unicast.is_empty()
+                && sent.frames.broadcast.is_empty()
+                && sent.self_records.is_empty()
+                && core.timers.is_empty();
+            let label = format!("honest sink, event {i}");
+            assert_dropped(
+                &label,
+                &core.transcript,
+                core.decode_failures,
+                &*protocol,
+                quiet,
+            );
+
+            let mut adv_rng = StdRng::seed_from_u64(2);
+            let CorruptOutcome { core, wire } = run_corrupt_batch(
+                wp(&mut protocol, &mut rng, &kind),
+                env,
+                &mut Passive,
+                &mut adv_rng,
+            );
+            let quiet = wire.sends.is_empty() && wire.wire_messages == 0 && core.timers.is_empty();
+            let label = format!("real-medium corrupt sink, event {i}");
+            assert_dropped(
+                &label,
+                &core.transcript,
+                core.decode_failures,
+                &*protocol,
+                quiet,
+            );
+
+            let cfg = NetConfig::synchronous(env.n);
+            let mut sim = Simulation::new(cfg, CorruptionSet::new(vec![to]), parties(env.n));
+            sim.record_transcript();
+            sim.initialized = true; // no pings: the hostile event is the whole run
+            sim.net.push_event(env.t, kind);
+            sim.run_to_quiescence(1_000);
+            let m = sim.metrics();
+            let quiet = m.honest_messages + m.corrupt_messages + m.frames_sent == 0
+                && m.events_processed == 1;
+            let label = format!("simulator-inline corrupt sink, event {i}");
+            assert_dropped(
+                &label,
+                sim.transcript(),
+                m.decode_failures,
+                sim.party(to),
+                quiet,
+            );
+        }
     }
 }

@@ -11,8 +11,8 @@
 //! [`super::tcp::TcpNet`]. Both nets are the one [`RealNet`] type, and a run
 //! is `run_parties`: `n` scoped party threads plus the calling thread as
 //! quiescence coordinator. Outbound traffic leaves a party as TCP-ready byte
-//! strings — the per-destination [`crate::wire::Frame`] encodings of the
-//! framed simulator engine for honest senders, path-prefixed single-message
+//! strings — the per-destination [`crate::wire::Frame`] encodings the
+//! simulator schedules for honest senders, path-prefixed single-message
 //! packets for corrupt ones (whose [`ByzantineStrategy`] keeps its exact
 //! per-message view of the wire).
 //!
@@ -40,8 +40,9 @@
 //!
 //! # Conformance
 //!
-//! Party batches are executed by the *same* engines the simulator uses
-//! (`run_party_batch` / `run_corrupt_batch`), and the per-receiver
+//! Party batches are executed by the *same* batch loop the simulator runs
+//! (`simulation::run_batch`; only the sink a batch's effects drain into
+//! differs between an honest and a corrupt party), and the per-receiver
 //! packet order `(deliver_tick, send_tick, from, order)` reproduces the
 //! simulator's canonical event order whenever the latency matrix is
 //! column-distinct (which [`LinkDelays`] constructions guarantee): for any
@@ -68,8 +69,8 @@ use crate::faults::{FaultOutcome, FaultPlan};
 use crate::metrics::Metrics;
 use crate::scheduler::LinkDelays;
 use crate::simulation::{
-    run_corrupt_batch, run_party_batch, BatchOutcome, CorruptOutcome, CorruptSend, EventKind,
-    FrameSet, NetConfig, TranscriptEntry, WorkerParty,
+    run_corrupt_batch, run_party_batch, BatchCore, BatchOutcome, CorruptOutcome, CorruptSend,
+    EventKind, FrameSet, NetConfig, SliceEnv, TranscriptEntry, WorkerParty,
 };
 use crate::transport::{Backend, PartyId, PartyView, Time, Transport, TransportError};
 use crate::wire::{WireDecode, WireEncode, WireReader};
@@ -708,7 +709,7 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
     }
 
     /// Processes everything due at tick `t` as one batch through the shared
-    /// slice engines.
+    /// batch loop.
     fn process_tick(&mut self, t: Time) {
         self.shared.activity.fetch_add(1, Ordering::SeqCst);
         let mut events: Vec<EventKind> = Vec::new();
@@ -740,8 +741,13 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
         self.metrics.timeouts_fired += timer_events;
         self.metrics
             .record_slice(events.len() as u64, (self.held.len() + events.len()) as u64);
-        let (n, record) = (self.n, self.spec.record);
-        let (delta, coin_seed) = (self.spec.config.delta, self.spec.config.coin_seed());
+        let env = SliceEnv {
+            t,
+            n: self.n,
+            delta: self.spec.config.delta,
+            coin_seed: self.spec.config.coin_seed(),
+            record: self.spec.record,
+        };
         let wp = WorkerParty {
             party: self.me,
             protocol: &mut self.protocol,
@@ -749,76 +755,43 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
             events,
         };
         if self.honest {
-            let outcome = run_party_batch(wp, t, n, delta, coin_seed, record);
-            self.apply_honest(outcome, t);
+            let BatchOutcome { core, sent } = run_party_batch(wp, env);
+            for (bits, seg) in sent.self_records {
+                self.metrics.record_send(self.me, true, bits, seg);
+            }
+            self.flush_frames(sent.frames, t);
+            self.apply_core(core, t);
         } else {
             let adv_mutex = self.adv;
             let mut adv = adv_mutex.lock().expect("adversary state poisoned");
             let AdvState { strategy, rng } = &mut *adv;
-            let outcome =
-                run_corrupt_batch(wp, t, n, delta, coin_seed, record, strategy.as_mut(), rng);
+            let CorruptOutcome { core, wire } = run_corrupt_batch(wp, env, strategy.as_mut(), rng);
             drop(adv);
-            self.apply_corrupt(outcome, t);
+            self.metrics.adversary_drops += wire.drops;
+            self.metrics.adversary_tampered += wire.tampered;
+            self.metrics.corrupt_messages += wire.wire_messages;
+            for CorruptSend { to, path, payload } in wire.sends {
+                let bytes = Arc::new(encode_single(&path, &payload));
+                self.send_packet(to, t, false, bytes);
+            }
+            self.apply_core(core, t);
         }
         self.next_unprocessed = t + 1;
         self.last_tick = t;
         self.processed_any = true;
     }
 
-    fn apply_honest(&mut self, outcome: BatchOutcome, t: Time) {
-        let BatchOutcome {
-            party,
-            events,
-            // The threaded loop already counted this batch's timer expiries
-            // when it popped them from its timer wheel.
-            timers_fired: _,
-            decode_failures,
-            transcript,
-            self_records,
-            frames,
-            timers,
-        } = outcome;
-        debug_assert_eq!(party, self.me);
-        self.metrics.events_processed += events;
-        self.metrics.decode_failures += decode_failures;
+    /// Folds a batch's sink-independent results in. `timers_fired` is not
+    /// read: this loop already counted the batch's timer expiries when it
+    /// popped them from its timer wheel.
+    fn apply_core(&mut self, core: BatchCore, t: Time) {
+        debug_assert_eq!(core.party, self.me);
+        self.metrics.events_processed += core.events;
+        self.metrics.decode_failures += core.decode_failures;
         if self.spec.record {
-            self.transcript.extend(transcript);
+            self.transcript.extend(core.transcript);
         }
-        for (bits, seg) in self_records {
-            self.metrics.record_send(self.me, true, bits, seg);
-        }
-        self.flush_frames(frames, t);
-        for (delay, path, id) in timers {
-            self.push_timer(t + delay, path, id);
-        }
-    }
-
-    fn apply_corrupt(&mut self, outcome: CorruptOutcome, t: Time) {
-        let CorruptOutcome {
-            party,
-            events,
-            decode_failures,
-            transcript,
-            sends,
-            drops,
-            tampered,
-            wire_messages,
-            timers,
-        } = outcome;
-        debug_assert_eq!(party, self.me);
-        self.metrics.events_processed += events;
-        self.metrics.decode_failures += decode_failures;
-        if self.spec.record {
-            self.transcript.extend(transcript);
-        }
-        self.metrics.adversary_drops += drops;
-        self.metrics.adversary_tampered += tampered;
-        self.metrics.corrupt_messages += wire_messages;
-        for CorruptSend { to, path, payload } in sends {
-            let bytes = Arc::new(encode_single(&path, &payload));
-            self.send_packet(to, t, false, bytes);
-        }
-        for (delay, path, id) in timers {
+        for (delay, path, id) in core.timers {
             self.push_timer(t + delay, path, id);
         }
     }
@@ -1480,9 +1453,7 @@ mod tests {
     ) {
         let n = 4;
         let horizon = 10_000;
-        let cfg = NetConfig::for_kind(n, kind)
-            .with_seed(seed)
-            .with_frames(true);
+        let cfg = NetConfig::for_kind(n, kind).with_seed(seed);
         let links = LinkDelays::for_kind(n, kind, cfg.delta, seed);
 
         let mut sim = Simulation::with_scheduler(
@@ -1597,7 +1568,7 @@ mod tests {
     #[test]
     fn wedge_timeout_is_configurable_and_typed() {
         let n = 4;
-        let cfg = NetConfig::synchronous(n).with_seed(5).with_frames(true);
+        let cfg = NetConfig::synchronous(n).with_seed(5);
         let links = LinkDelays::for_kind(n, cfg.kind, cfg.delta, cfg.seed);
         let th = ThreadedNet::<Msg>::with_links(cfg, CorruptionSet::none(), links, parties(n))
             .with_wedge_millis(250);
@@ -1613,7 +1584,7 @@ mod tests {
     #[test]
     fn threaded_timers_are_real_timeouts() {
         let n = 4;
-        let cfg = NetConfig::synchronous(n).with_seed(5).with_frames(true);
+        let cfg = NetConfig::synchronous(n).with_seed(5);
         let links = LinkDelays::for_kind(n, cfg.kind, cfg.delta, cfg.seed);
         let mut th = ThreadedNet::with_links(cfg, CorruptionSet::none(), links, parties(n))
             .with_tick_micros(300);

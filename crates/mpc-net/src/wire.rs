@@ -372,8 +372,8 @@ impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
 
 /// One message unpacked from a [`Frame`]: the instance path it is addressed
 /// to, the decoded payload, and the exact wire size of the payload encoding
-/// (path and frame framing excluded — the same per-message size the unframed
-/// engine accounts).
+/// (path and frame framing excluded — the size the message would have if it
+/// travelled alone).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrameItem<M> {
     /// Instance path the message is addressed to. Handlers take it as a

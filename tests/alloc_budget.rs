@@ -108,7 +108,7 @@ fn one_delivered_message_stays_within_the_allocation_budget() {
             Box::new(Nested(acast)) as Box<dyn Protocol<Msg>>
         })
         .collect();
-    let config = NetConfig::synchronous(n).with_frames(true);
+    let config = NetConfig::synchronous(n);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let mut sim = Simulation::new(config, CorruptionSet::none(), parties);

@@ -3,8 +3,7 @@
 //! scheduler must reproduce the exact event transcript and metrics, in both
 //! network kinds; different seeds must actually produce different executions.
 //!
-//! Since the deterministic parallel engine (PR 4), the same holds across
-//! worker-thread counts: a `threads = k` run must be bit-identical — same
+//! The same holds across worker-thread counts: a `threads = k` run must be bit-identical — same
 //! transcript hash, same `Metrics`, same honest-bit totals — to the
 //! `threads = 1` run for every seed, network kind and Byzantine strategy.
 
@@ -34,7 +33,7 @@ fn bc_parties(n: usize, params: Params) -> Vec<Box<dyn Protocol<Msg>>> {
 }
 
 /// Runs one `Π_BC` broadcast with transcript recording and returns the full
-/// execution fingerprint (ambient `MPC_FRAMES` setting).
+/// execution fingerprint.
 fn run_bc(
     kind: NetworkKind,
     seed: u64,
@@ -58,8 +57,7 @@ fn run_bc_threads(
     )
 }
 
-/// [`run_bc`] with a fully explicit [`NetConfig`] (golden tests pin
-/// `with_frames` so their fingerprints are environment-independent).
+/// [`run_bc`] with a fully explicit [`NetConfig`].
 fn run_bc_config(
     cfg: NetConfig,
     explicit_scheduler: bool,
@@ -129,13 +127,10 @@ fn different_seeds_diverge_async() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden regression: the algebra fast paths (shared evaluation-domain cache,
-// O(n²) interpolation, batched inversion, incremental OEC) and the
-// allocation-lean simulator dispatch are *pure* performance work — the
-// executions they produce must be bit-identical to the pre-refactor
-// implementation. The constants below were captured from the seed (textbook
-// asymptotics) implementation; any drift in transcripts, Metrics or outputs
-// fails this test.
+// Golden regression: performance work (algebra fast paths, allocation-lean
+// dispatch, engine refactors) must leave executions bit-identical. Any drift
+// in transcripts, Metrics or outputs fails these tests; a deliberate protocol
+// change re-pins the constants and says so.
 // ---------------------------------------------------------------------------
 
 fn fnv(h: &mut u64, v: u64) {
@@ -178,59 +173,10 @@ fn transcript_hash(entries: &[TranscriptEntry]) -> u64 {
     h
 }
 
-#[test]
-fn bc_transcript_and_metrics_bit_identical_to_pre_refactor_golden() {
-    // (kind, transcript_len, transcript_hash, honest_bits, honest_messages,
-    //  events_processed, completion_time) captured from the pre-optimisation
-    // seed implementation at seed 11, n = 4, with frame coalescing pinned
-    // *off* — this is the regression anchor for the unbatched wire path
-    // (also exercised suite-wide by the `MPC_FRAMES=0` CI run). The parallel
-    // engine must reproduce the same fingerprint for every worker-thread
-    // count.
-    let golden = [
-        (
-            NetworkKind::Synchronous,
-            144usize,
-            0x93ae_d9d7_6483_3b43u64,
-            23008u64,
-            108u64,
-            144u64,
-            90u64,
-        ),
-        (
-            NetworkKind::Asynchronous,
-            138,
-            0xa4dd_919e_8c8a_0d18,
-            10656,
-            108,
-            138,
-            316,
-        ),
-    ];
-    for (kind, t_len, t_hash, bits, msgs, events, now) in golden {
-        for threads in [1usize, 4] {
-            let cfg = NetConfig::for_kind(4, kind)
-                .with_seed(11)
-                .with_threads(threads)
-                .with_frames(false);
-            let (transcript, metrics, finished) = run_bc_config(cfg, false);
-            let label = format!("{kind:?} threads={threads}");
-            assert_eq!(transcript.len(), t_len, "{label} transcript length");
-            assert_eq!(transcript_hash(&transcript), t_hash, "{label} transcript");
-            assert_eq!(metrics.honest_bits, bits, "{label} honest_bits");
-            assert_eq!(metrics.honest_messages, msgs, "{label} honest_messages");
-            assert_eq!(metrics.events_processed, events, "{label} events");
-            assert_eq!(metrics.frames_sent, 0, "{label} frames off");
-            assert_eq!(finished, now, "{label} completion time");
-        }
-    }
-}
-
-/// Golden fingerprint of the *framed* wire engine: same `Π_BC` run as the
-/// pre-refactor golden above, with frame coalescing pinned on. The framed
-/// engine delivers the same messages (same transcript length, same honest
-/// bits and message counts — per-message accounting is frame-invariant) in a
-/// party-batched order over fewer simulator events.
+/// Golden fingerprint of the slice engine on one `Π_BC` run at seed 11,
+/// n = 4: transcript, per-message bit accounting (frame-invariant), event and
+/// frame counts and completion time, reproduced for every worker-thread
+/// count.
 #[test]
 fn bc_transcript_and_metrics_golden_framed() {
     let golden = [
@@ -259,8 +205,7 @@ fn bc_transcript_and_metrics_golden_framed() {
         for threads in [1usize, 4] {
             let cfg = NetConfig::for_kind(4, kind)
                 .with_seed(11)
-                .with_threads(threads)
-                .with_frames(true);
+                .with_threads(threads);
             let (transcript, metrics, finished) = run_bc_config(cfg, false);
             let label = format!("framed {kind:?} threads={threads}");
             assert_eq!(transcript.len(), t_len, "{label} transcript length");
@@ -274,7 +219,7 @@ fn bc_transcript_and_metrics_golden_framed() {
     }
 }
 
-/// The golden full-MPC circuit of the PR 4 baseline.
+/// The golden full-MPC circuit.
 fn golden_circuit() -> Circuit {
     let mut c = Circuit::new(4);
     let prod = c.mul(c.input(0), c.input(1));
@@ -284,113 +229,25 @@ fn golden_circuit() -> Circuit {
     c
 }
 
-#[test]
-fn full_mpc_metrics_bit_identical_to_pre_refactor_golden() {
-    // (kind, output, finished_at, honest_bits, honest_messages, events)
-    // captured from the pre-optimisation seed implementation at seed 77,
-    // reproduced here with both batching layers pinned to their reference
-    // paths (frames off, per-gate openings).
-    //
-    // One deliberate, documented exception: the synchronous run's event
-    // count is 62_808 instead of the seed's 62_805. The slice engine
-    // evaluates the stop predicate at *time-slice boundaries* (DESIGN.md,
-    // "Deterministic parallel execution"), and at the stop tick T = 960 the
-    // seed engine left 3 already-dispatched same-tick events unprocessed.
-    // Draining the full tick processes them; they emit nothing, so every
-    // observable of the run — output, completion time, honest bits and
-    // messages — is still bit-identical to the seed implementation.
-    //
-    // Re-pinned for lock-step broadcast groups (DESIGN.md): the n same-tick
-    // `Π_BC` instances of every `Π_BA` and vote board now share ONE slot-wise
-    // SBA, so n round envelopes per party per round became one. Old → new:
-    // sync bits 8 775 040 → 8 065 408, messages 47 856 → 28 848, events
-    // 62 808 → 34 296; async bits 5 721 504 → 5 015 712, messages 69 412 →
-    // 50 468, events 84 360 → 55 914. The output (33) and the synchronous
-    // completion tick (960) did not move — all SBA timing is timer-driven.
-    // The asynchronous tick moved 3001 → 3211 only because the scheduler
-    // draws one random delay per message, and there are fewer messages.
-    //
-    // Re-pinned for phase-batched openings (DESIGN.md): each preprocessing
-    // wave is ONE `Open` per party instead of one per (dealer, batch,
-    // supervisor). On this circuit 28 preprocessing tags (3 transform + 12
-    // verify + 12 γ + 1 extract) became 4, i.e. 24·n² = 384 `Open`s and
-    // their 9-byte headers (384·72 = 27 648 bits) less; the payload is
-    // identical. Old → new: sync bits 8 065 408 → 8 037 760, messages
-    // 28 848 → 28 464, events 34 296 → 33 912; async bits 5 015 712 →
-    // 4 988 064, messages 50 468 → 50 084, events 55 914 → 55 526. Output
-    // (33) and the synchronous tick (960) did not move; the unframed
-    // asynchronous tick moved 3211 → 2874 for the same one-delay-per-message
-    // reason as above.
-    let golden = [
-        (
-            NetworkKind::Synchronous,
-            33u64,
-            960u64,
-            8_037_760u64,
-            28_464u64,
-            33_912u64,
-        ),
-        (
-            NetworkKind::Asynchronous,
-            33,
-            2874,
-            4_988_064,
-            50_084,
-            55_526,
-        ),
-    ];
-    let c = golden_circuit();
-    for (kind, output, finished_at, bits, msgs, events) in golden {
-        for threads in [1usize, 4] {
-            let r = MpcBuilder::new(4, 1, 0)
-                .network(kind)
-                .seed(77)
-                .inputs(&[3, 5, 7, 11])
-                .threads(threads)
-                .frames(false)
-                .per_gate_openings(true)
-                // Golden fingerprints pin the scalar engine explicitly: a
-                // CI lane exports MPC_PACKING, and the packed engine is a
-                // different (equally correct) protocol with its own wire
-                // transcript.
-                .packing(0)
-                // The golden pins the simulator's exact completion tick and
-                // event count, so the backend is explicit: under
-                // MPC_TRANSPORT=threaded the run would stop at a different
-                // (equally correct) quiescence tick.
-                .transport(Backend::Simulator)
-                // Same story for the MPC_FAULT_PLAN CI lane: an injected
-                // plan changes the transcript by design.
-                .fault_plan(FaultPlan::none())
-                .run(&c)
-                .expect("run completes");
-            let label = format!("{kind:?} threads={threads}");
-            assert_eq!(r.output.as_u64(), output, "{label} output");
-            assert_eq!(r.finished_at, finished_at, "{label} finished_at");
-            assert_eq!(r.metrics.honest_bits, bits, "{label} honest_bits");
-            assert_eq!(r.metrics.honest_messages, msgs, "{label} honest_messages");
-            assert_eq!(r.metrics.events_processed, events, "{label} events");
-            assert_eq!(r.metrics.frames_sent, 0, "{label} frames off");
-        }
-    }
-}
-
-/// Golden fingerprint of the default engine (frames on, layer-batched
-/// openings) on the same full-MPC run: the same output at the same simulated
-/// time, with the synchronous event count reduced 33 912 → 13 470 (2.5×)
-/// and identical paper-level bit accounting.
+/// Golden fingerprint of the default engine (layer-batched openings) on a
+/// full-MPC run at seed 77: (kind, output, finished_at, honest_bits,
+/// honest_messages, events, frames).
 ///
-/// Re-pinned for lock-step broadcast groups like the golden above. Old →
-/// new: sync bits 8 775 040 → 8 065 408, messages 47 856 → 28 848, events
-/// 27 822 → 13 566; async bits 5 703 232 → 4 993 600, messages 68 952 →
-/// 49 944, events 37 351 → 23 095. Output, both completion ticks (960 /
-/// 2956) and both frame counts (906 / 5 163) did not move.
+/// Re-pinned for lock-step broadcast groups (DESIGN.md): the n same-tick
+/// `Π_BC` instances of every `Π_BA` and vote board share ONE slot-wise SBA,
+/// so n round envelopes per party per round became one. Old → new: sync bits
+/// 8 775 040 → 8 065 408, messages 47 856 → 28 848, events 27 822 → 13 566;
+/// async bits 5 703 232 → 4 993 600, messages 68 952 → 49 944, events
+/// 37 351 → 23 095. Output, both completion ticks (960 / 2956) and both
+/// frame counts (906 / 5 163) did not move.
 ///
-/// Re-pinned for phase-batched openings, same 384 `Open`s / 27 648 header
-/// bits as the golden above. Old → new: sync bits 8 065 408 → 8 037 760,
-/// messages 28 848 → 28 464, events 13 566 → 13 470; async bits 4 993 600 →
-/// 4 965 952, messages 49 944 → 49 560, events 23 095 → 22 999. Output, both
-/// completion ticks (960 / 2956) and both frame counts did not move.
+/// Re-pinned for phase-batched openings (DESIGN.md): each preprocessing wave
+/// is ONE `Open` per party instead of one per (dealer, batch, supervisor) —
+/// on this circuit 384 `Open`s and their 27 648 header bits less. Old → new:
+/// sync bits 8 065 408 → 8 037 760, messages 28 848 → 28 464, events
+/// 13 566 → 13 470; async bits 4 993 600 → 4 965 952, messages 49 944 →
+/// 49 560, events 23 095 → 22 999. Output, both completion ticks (960 /
+/// 2956) and both frame counts did not move.
 #[test]
 fn full_mpc_metrics_golden_batched() {
     let golden = [
@@ -421,11 +278,18 @@ fn full_mpc_metrics_golden_batched() {
                 .seed(77)
                 .inputs(&[3, 5, 7, 11])
                 .threads(threads)
-                .frames(true)
-                // Scalar engine, simulator and fault-free schedule pinned —
-                // see the golden above.
+                // Golden fingerprints pin the scalar engine explicitly: a
+                // CI lane exports MPC_PACKING, and the packed engine is a
+                // different (equally correct) protocol with its own wire
+                // transcript.
                 .packing(0)
+                // The golden pins the simulator's exact completion tick and
+                // event count, so the backend is explicit: under
+                // MPC_TRANSPORT=threaded the run would stop at a different
+                // (equally correct) quiescence tick.
                 .transport(Backend::Simulator)
+                // Same story for the MPC_FAULT_PLAN CI lane: an injected
+                // plan changes the transcript by design.
                 .fault_plan(FaultPlan::none())
                 .run(&c)
                 .expect("run completes");
@@ -535,18 +399,17 @@ fn parallel_full_mpc_bit_identical_with_byzantine_wire() {
     assert_eq!(sequential, run(4));
 }
 
-/// The communication-batching acceptance sweep: for every wire-level
-/// Byzantine strategy × network kind, the default batched engine (frames on,
-/// layer openings) and the two mixed variants must terminate with exactly
-/// the output of the unbatched reference engine, at every thread count —
-/// and a strategy that never tampers with bytes must keep
+/// The opening-batching acceptance sweep: for every wire-level Byzantine
+/// strategy × network kind, layer-batched openings must terminate with
+/// exactly the output of the per-gate reference driver, at every thread
+/// count — and a strategy that never tampers with bytes must keep
 /// `decode_failures == 0` in every configuration.
 #[test]
 fn batching_preserves_outputs_for_all_strategies() {
     let c = Circuit::product_of_inputs(4);
     for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
         for (name, mk_strategy) in strategies() {
-            let run = |frames: bool, per_gate: bool, threads: usize| {
+            let run = |per_gate: bool, threads: usize| {
                 MpcBuilder::new(4, 1, 0)
                     .network(kind)
                     .seed(41)
@@ -554,11 +417,10 @@ fn batching_preserves_outputs_for_all_strategies() {
                     .corrupt(&[3])
                     .byzantine_strategy(mk_strategy())
                     .threads(threads)
-                    .frames(frames)
                     .per_gate_openings(per_gate)
                     .run(&c)
             };
-            let base = match run(false, true, 1) {
+            let base = match run(true, 1) {
                 Ok(base) => base,
                 Err(e) => {
                     // n = 4 ⇒ t_a = 0: any actively misbehaving corrupt party
@@ -580,11 +442,10 @@ fn batching_preserves_outputs_for_all_strategies() {
                 !tampering,
                 "{kind:?}/{name}: baseline decode-failure invariant"
             );
-            for (frames, per_gate) in [(true, false), (true, true), (false, false)] {
+            for per_gate in [false, true] {
                 for threads in [1usize, 4] {
-                    let label =
-                        format!("{kind:?}/{name} frames={frames} per_gate={per_gate} t={threads}");
-                    let r = run(frames, per_gate, threads)
+                    let label = format!("{kind:?}/{name} per_gate={per_gate} t={threads}");
+                    let r = run(per_gate, threads)
                         .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
                     assert_eq!(r.output, base.output, "{label}: output");
                     // Honest slots only: party 3 is corrupt and owed no

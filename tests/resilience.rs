@@ -414,7 +414,7 @@ fn tcp_stall_wedges_the_stalled_link_only() {
     // need every incoming link clock past 7, and a first round of promises
     // (5 + 5) provides that — except on the stalled link, where the promise
     // queues behind the ping.
-    let cfg = NetConfig::synchronous(n).with_seed(53).with_frames(true);
+    let cfg = NetConfig::synchronous(n).with_seed(53);
     let links = LinkDelays::from_fn(n, |_, _| 5);
     let mut net = TcpNet::with_links(cfg, CorruptionSet::none(), links, parties)
         .with_tick_micros(100)

@@ -89,7 +89,7 @@ fn tcp_evaluation_runs_on_one_thread_per_party() {
             Box::new(Census { inner, calls: 0 }) as Box<dyn Protocol<Msg>>
         })
         .collect();
-    let cfg = NetConfig::synchronous(n).with_seed(59).with_frames(true);
+    let cfg = NetConfig::synchronous(n).with_seed(59);
     let links = LinkDelays::for_kind(n, cfg.kind, cfg.delta, cfg.seed);
     let mut net =
         TcpNet::with_links(cfg, CorruptionSet::none(), links, parties).with_tick_micros(100);

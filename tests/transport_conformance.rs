@@ -106,7 +106,6 @@ fn assert_conformant(
             .network(kind)
             .seed(seed)
             .inputs(&inputs)
-            .frames(true)
             .drain(true)
             .horizon_factor(64)
             .transport(backend);
