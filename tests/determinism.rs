@@ -7,7 +7,7 @@
 //! transcript hash, same `Metrics`, same honest-bit totals — to the
 //! `threads = 1` run for every seed, network kind and Byzantine strategy.
 
-use bobw_mpc::algebra::Fp;
+use bobw_mpc::algebra::{Fp, Polynomial};
 use bobw_mpc::core::{Circuit, MpcBuilder};
 use bobw_mpc::net::{
     Backend, ByzantineStrategy, CorruptionSet, Crash, EquivocateBroadcast, FaultPlan, GarbleBytes,
@@ -15,6 +15,8 @@ use bobw_mpc::net::{
     TranscriptEvent, UniformDelay, WireEncode,
 };
 use bobw_mpc::protocols::bc::Bc;
+use bobw_mpc::protocols::vss::Vss;
+use bobw_mpc::protocols::wps::Wps;
 use bobw_mpc::protocols::{BcValue, Msg, Params};
 use proptest::prelude::*;
 
@@ -217,6 +219,114 @@ fn bc_transcript_and_metrics_golden_framed() {
             assert_eq!(finished, now, "{label} completion time");
         }
     }
+}
+
+/// (kind, transcript length, transcript hash, honest_bits, honest_messages,
+/// events, per-party `output_at`) of one stand-alone sharing run.
+type SharingGolden = (NetworkKind, usize, u64, u64, u64, u64, [Time; 5]);
+
+/// Runs one stand-alone sharing protocol per golden row — n = 5
+/// (t_s = t_a = 1), seed 3, dealer 0 sharing two fixed degree-`t_s`
+/// polynomials, every party honest, to quiescence — and compares the
+/// fingerprint. The synchronous run must take the `(W, E, F)` path and the
+/// asynchronous seed the `(n, t_a)`-star path: the dealer's star A-cast is
+/// child segment `star_seg`, so the path shows as deliveries on it.
+fn check_sharing_golden<P: Protocol<Msg> + 'static>(
+    label: &str,
+    star_seg: u32,
+    party: impl Fn(usize, Params, Vec<Polynomial>) -> P,
+    output_at: impl Fn(&P) -> Option<Time>,
+    golden: [SharingGolden; 2],
+) {
+    let n = 5;
+    let params = Params::max_thresholds(n, 10);
+    let polys: Vec<Polynomial> = [[31u64, 5], [64, 9]]
+        .iter()
+        .map(|c| Polynomial::from_coeffs(c.iter().map(|&x| Fp::from_u64(x)).collect()))
+        .collect();
+    for (kind, t_len, t_hash, bits, msgs, events, outputs) in golden {
+        let label = format!("{label} {kind:?}");
+        let parties = (0..n)
+            .map(|i| Box::new(party(i, params, polys.clone())) as Box<dyn Protocol<Msg>>)
+            .collect();
+        let cfg = NetConfig::for_kind(n, kind).with_seed(3).with_threads(1);
+        let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties);
+        sim.record_transcript();
+        sim.run_to_quiescence(10_000_000);
+        let transcript = sim.transcript();
+        let star = transcript.iter().any(|e| {
+            matches!(&e.event, TranscriptEvent::Deliver { path, .. } if path.first() == Some(&star_seg))
+        });
+        assert_eq!(star, kind == NetworkKind::Asynchronous, "{label} path");
+        assert_eq!(transcript.len(), t_len, "{label} transcript length");
+        assert_eq!(transcript_hash(transcript), t_hash, "{label} transcript");
+        let metrics = sim.metrics();
+        assert_eq!(metrics.honest_bits, bits, "{label} honest_bits");
+        assert_eq!(metrics.honest_messages, msgs, "{label} honest_messages");
+        assert_eq!(metrics.events_processed, events, "{label} events");
+        for (i, at) in outputs.into_iter().enumerate() {
+            let p = sim.party_as::<P>(i).expect("party type");
+            assert_eq!(output_at(p), Some(at), "{label} output_at of party {i}");
+        }
+    }
+}
+
+/// Golden fingerprints of stand-alone `Π_WPS` and `Π_VSS`, pinned before the
+/// two were rebuilt over one dealer-verification core (DESIGN.md).
+#[test]
+fn wps_and_vss_transcript_and_metrics_golden() {
+    let (sync, asyn) = (NetworkKind::Synchronous, NetworkKind::Asynchronous);
+    let golden = [
+        (
+            sync,
+            1275,
+            0xdf10_5d88_3f38_d1e6,
+            367_800,
+            1115,
+            931,
+            [340; 5],
+        ),
+        (
+            asyn,
+            2545,
+            0x595e_401f_83bf_cafd,
+            215_400,
+            2385,
+            2177,
+            [859, 867, 853, 862, 917],
+        ),
+    ];
+    let party = |i, params, polys: Vec<Polynomial>| match i {
+        0 => Wps::new_dealer(0, params, polys),
+        _ => Wps::new(0, params, polys.len()),
+    };
+    check_sharing_golden("wps", 2, party, |p: &Wps| p.output_at, golden);
+
+    let golden = [
+        (
+            sync,
+            7625,
+            0x2a0a_52a8_68d0_1fd3,
+            2_202_600,
+            6665,
+            3405,
+            [720; 5],
+        ),
+        (
+            asyn,
+            15520,
+            0x15c0_81e5_b737_4f28,
+            1_296_560,
+            14560,
+            9332,
+            [1650, 1576, 1586, 1624, 1677],
+        ),
+    ];
+    let party = |i, params, polys: Vec<Polynomial>| match i {
+        0 => Vss::new_dealer(0, params, polys),
+        _ => Vss::new(0, params, polys.len()),
+    };
+    check_sharing_golden("vss", 5 + 2, party, |p: &Vss| p.output_at, golden);
 }
 
 /// The golden full-MPC circuit.
