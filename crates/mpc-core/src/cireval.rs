@@ -1663,35 +1663,48 @@ mod tests {
         // to the scalar preprocessing path, which completes with the
         // *correct* output (the dealer's ACS-shared input still counts —
         // only its triples are distrusted, and Π_TripSh re-verifies those).
+        //
+        // The fallback launches ACS #2 when the (t_s + 1)-th report arrives:
+        // on a jittered synchronous schedule that is a different tick at
+        // every party, so a peer's traffic for the timed children of ACS #2
+        // (its `Π_WPS` instances, `(W, E, F)` broadcasts, `Π_BA`s) reaches a
+        // party before its own copies start. Those children exist from
+        // construction and tally it (DESIGN.md); when they were created at
+        // their start tick, seeds 61, 73 and 81 lost that traffic and hung.
         let params = Params::new(5, 1, 0, 10);
         let circuit = Circuit::product_of_inputs(5);
         let inputs = [3u64, 5, 7, 2, 4];
-        let parties: Vec<Box<dyn Protocol<Msg>>> = inputs
-            .iter()
-            .map(|&x| {
-                let mut p = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
-                p.set_packing(2);
-                Box::new(p) as Box<dyn Protocol<Msg>>
-            })
-            .collect();
-        let corrupt = CorruptionSet::new(vec![4]);
-        let mut sim = Simulation::new(
-            NetConfig::synchronous(params.n).with_seed(71),
-            corrupt,
-            parties,
-        );
-        sim.set_strategy(Box::new(GarblePackedDeals));
-        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
-        let done = sim.run_until(horizon, |s| {
-            (0..4).all(|i| s.party_as::<CirEval>(i).unwrap().output.is_some())
-        });
-        assert!(done, "honest parties must terminate despite a bad dealer");
-        for i in 0..4 {
-            let p = sim.party_as::<CirEval>(i).unwrap();
-            assert_eq!(p.output.unwrap().as_u64(), 3 * 5 * 7 * 2 * 4);
-            assert!(p.packed_fell_back, "party {i} must have fallen back");
-            assert_eq!(p.packed_width, 0);
-            assert!(p.input_subset.as_ref().unwrap().contains(&4));
+        for jitter_seed in [None, Some(61), Some(73), Some(81)] {
+            let parties: Vec<Box<dyn Protocol<Msg>>> = inputs
+                .iter()
+                .map(|&x| {
+                    let mut p = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                    p.set_packing(2);
+                    Box::new(p) as Box<dyn Protocol<Msg>>
+                })
+                .collect();
+            let corrupt = CorruptionSet::new(vec![4]);
+            let cfg = NetConfig::synchronous(params.n).with_seed(jitter_seed.unwrap_or(71));
+            let mut sim = match jitter_seed {
+                None => Simulation::new(cfg, corrupt, parties),
+                Some(_) => {
+                    let jitter = mpc_net::UniformDelay { min: 1, max: 10 };
+                    Simulation::with_scheduler(cfg, corrupt, Box::new(jitter), parties)
+                }
+            };
+            sim.set_strategy(Box::new(GarblePackedDeals));
+            let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+            let done = sim.run_until(horizon, |s| {
+                (0..4).all(|i| s.party_as::<CirEval>(i).unwrap().output.is_some())
+            });
+            assert!(done, "{jitter_seed:?}: honest parties must terminate");
+            for i in 0..4 {
+                let p = sim.party_as::<CirEval>(i).unwrap();
+                assert_eq!(p.output.unwrap().as_u64(), 3 * 5 * 7 * 2 * 4);
+                assert!(p.packed_fell_back, "party {i} must have fallen back");
+                assert_eq!(p.packed_width, 0);
+                assert!(p.input_subset.as_ref().unwrap().contains(&4));
+            }
         }
     }
 

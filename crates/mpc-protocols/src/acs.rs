@@ -4,7 +4,9 @@
 //! instance; `n` `Π_BA` instances then decide which dealers make it into the
 //! common subset `CS` (`|CS| ≥ n − t_s`, containing every honest party in a
 //! synchronous network). Every honest party eventually holds its points on
-//! the polynomials of every party in `CS`.
+//! the polynomials of every party in `CS`. The `Π_BA` instances exist from
+//! construction and are `init`-ed at `T_VSS` (DESIGN.md "Timed children exist
+//! from construction").
 
 use std::any::Any;
 
@@ -27,7 +29,6 @@ pub struct Acs {
     vss: Vec<Vss>,
     bas: Vec<Ba>,
     bas_started: bool,
-    pending_ba: Vec<(u32, PartyId, Msg)>,
     voted_zero_rest: bool,
     /// The agreed common subset of dealers, once all `n` BA instances decided.
     pub common_subset: Option<Vec<PartyId>>,
@@ -45,9 +46,10 @@ impl Acs {
             l_count,
             my_polys,
             vss: Vec::new(),
-            bas: Vec::new(),
+            bas: (0..params.n)
+                .map(|_| Ba::new(params.ts, params, None))
+                .collect(),
             bas_started: false,
-            pending_ba: Vec::new(),
             voted_zero_rest: false,
             common_subset: None,
             output_at: None,
@@ -139,12 +141,8 @@ impl Protocol<Msg> for Acs {
             let vss = &mut self.vss[seg as usize];
             ctx.scoped(seg, |ctx| vss.on_message(ctx, from, &path[1..], msg));
         } else if (seg as usize) < 2 * n {
-            if self.bas_started {
-                let ba = &mut self.bas[seg as usize - n];
-                ctx.scoped(seg, |ctx| ba.on_message(ctx, from, &path[1..], msg));
-            } else {
-                self.pending_ba.push((seg, from, msg));
-            }
+            let ba = &mut self.bas[seg as usize - n];
+            ctx.scoped(seg, |ctx| ba.on_message(ctx, from, &path[1..], msg));
         }
         self.drive(ctx);
     }
@@ -154,16 +152,10 @@ impl Protocol<Msg> for Acs {
         match path.first() {
             None if id == TIMER_START_BAS => {
                 for j in 0..n {
-                    let mut ba = Ba::new(self.params.ts, self.params, None);
-                    let seg = self.seg_ba(j);
+                    let (seg, ba) = (self.seg_ba(j), &mut self.bas[j]);
                     ctx.scoped(seg, |ctx| ba.init(ctx));
-                    self.bas.push(ba);
                 }
                 self.bas_started = true;
-                for (seg, from, msg) in std::mem::take(&mut self.pending_ba) {
-                    let ba = &mut self.bas[seg as usize - n];
-                    ctx.scoped(seg, |ctx| ba.on_message(ctx, from, &[], msg));
-                }
                 self.drive(ctx);
             }
             Some(&seg) if (seg as usize) < n => {
@@ -172,10 +164,8 @@ impl Protocol<Msg> for Acs {
                 self.drive(ctx);
             }
             Some(&seg) if (seg as usize) < 2 * n => {
-                if self.bas_started {
-                    let ba = &mut self.bas[seg as usize - n];
-                    ctx.scoped(seg, |ctx| ba.on_timer(ctx, &path[1..], id));
-                }
+                let ba = &mut self.bas[seg as usize - n];
+                ctx.scoped(seg, |ctx| ba.on_timer(ctx, &path[1..], id));
                 self.drive(ctx);
             }
             _ => {}

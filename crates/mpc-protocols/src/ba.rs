@@ -12,7 +12,9 @@
 //!
 //! Child segments: `0` is the broadcast group, `n` is the `Π_ABA`
 //! (kept where it was when the broadcasts occupied `0..n`: the common coin
-//! is derived from the instance path).
+//! is derived from the instance path). Both exist from construction; the
+//! `Π_ABA` is `init`-ed at `T_BC` and tallies what arrives before (DESIGN.md
+//! "Timed children exist from construction").
 
 use std::any::Any;
 
@@ -34,8 +36,8 @@ pub struct Ba {
     my_input: Option<bool>,
     /// The input broadcasts (slot `j` = party `j`).
     bcs: Bc,
-    aba: Option<Aba>,
-    pending_aba: Vec<(PartyId, Msg)>,
+    /// Started (`init`) at `T_BC`; it tallies what arrives before.
+    aba: Aba,
     r_majority: Option<bool>,
     aba_started: bool,
     aba_input_given: bool,
@@ -54,8 +56,7 @@ impl Ba {
             params,
             my_input: input,
             bcs: Bc::new_group(t, params),
-            aba: None,
-            pending_aba: Vec::new(),
+            aba: Aba::new(params.n, t, None),
             r_majority: None,
             aba_started: false,
             aba_input_given: false,
@@ -96,7 +97,7 @@ impl Ba {
         if let Some(v) = v_star {
             self.aba_input_given = true;
             let seg = self.aba_segment();
-            let aba = self.aba.as_mut().expect("aba exists when started");
+            let aba = &mut self.aba;
             ctx.scoped(seg, |ctx| aba.provide_input(ctx, v));
             self.check_output(ctx.now);
         }
@@ -104,7 +105,7 @@ impl Ba {
 
     fn check_output(&mut self, now: Time) {
         if self.output.is_none() {
-            if let Some(out) = self.aba.as_ref().and_then(|a| a.output) {
+            if let Some(out) = self.aba.output {
                 self.output = Some(out);
                 self.output_at = Some(now);
             }
@@ -134,12 +135,9 @@ impl Protocol<Msg> for Ba {
             let bcs = &mut self.bcs;
             ctx.scoped(seg, |ctx| bcs.on_message(ctx, from, &path[1..], msg));
         } else if seg == self.aba_segment() {
-            if let Some(aba) = self.aba.as_mut() {
-                ctx.scoped(seg, |ctx| aba.on_message(ctx, from, &path[1..], msg));
-                self.check_output(ctx.now);
-            } else {
-                self.pending_aba.push((from, msg));
-            }
+            let aba = &mut self.aba;
+            ctx.scoped(seg, |ctx| aba.on_message(ctx, from, &path[1..], msg));
+            self.check_output(ctx.now);
         }
     }
 
@@ -150,10 +148,9 @@ impl Protocol<Msg> for Ba {
                 ctx.scoped(SEG_BCS, |ctx| bcs.on_timer(ctx, &path[1..], id));
             }
             Some(&seg) if seg == self.aba_segment() => {
-                if let Some(aba) = self.aba.as_mut() {
-                    ctx.scoped(seg, |ctx| aba.on_timer(ctx, &path[1..], id));
-                    self.check_output(ctx.now);
-                }
+                let aba = &mut self.aba;
+                ctx.scoped(seg, |ctx| aba.on_timer(ctx, &path[1..], id));
+                self.check_output(ctx.now);
             }
             None if id == TIMER_START_ABA => {
                 // Determine the set R of senders whose broadcast produced a
@@ -169,13 +166,8 @@ impl Protocol<Msg> for Ba {
                     let zeros = r_bits.len() - ones;
                     self.r_majority = Some(ones >= zeros); // ties broken towards 1
                 }
-                let mut aba = Aba::new(self.params.n, self.t, None);
-                let seg = self.aba_segment();
+                let (seg, aba) = (self.aba_segment(), &mut self.aba);
                 ctx.scoped(seg, |ctx| aba.init(ctx));
-                for (from, msg) in std::mem::take(&mut self.pending_aba) {
-                    ctx.scoped(seg, |ctx| aba.on_message(ctx, from, &[], msg));
-                }
-                self.aba = Some(aba);
                 self.aba_started = true;
                 self.maybe_feed_aba(ctx);
                 self.check_output(ctx.now);

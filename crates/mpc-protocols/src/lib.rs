@@ -13,8 +13,9 @@
 //! * [`star`] — the `(n,t)`-star finding algorithm `AlgStar` of \[13\].
 //! * [`voteboard`] — reliable dissemination of the OK/NOK pairwise
 //!   consistency votes that build the consistency graphs of `Π_WPS`/`Π_VSS`.
-//! * [`wps`] — the weak polynomial sharing protocol `Π_WPS` (Fig 3).
-//! * [`vss`] — the verifiable secret sharing protocol `Π_VSS` (Fig 4).
+//! * [`wps`] — the weak polynomial sharing protocol `Π_WPS` (Fig 3) and
+//!   [`vss`] — the verifiable secret sharing protocol `Π_VSS` (Fig 4): two
+//!   thin shells over one crate-private dealer-verification core.
 //! * [`acs`] — agreement on a common subset `Π_ACS` (Fig 5).
 //! * [`byzantine`] — adversarial protocol implementations used by tests and
 //!   experiments.
@@ -34,6 +35,7 @@ pub mod byzantine;
 pub mod msg;
 pub mod params;
 pub mod sba;
+pub(crate) mod sharing;
 pub mod star;
 pub(crate) mod tally;
 #[cfg(test)]

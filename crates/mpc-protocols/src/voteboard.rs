@@ -10,7 +10,10 @@
 //!   parent protocol — its *regular-mode* output is what the timed
 //!   `(W, E, F)` acceptance checks look at. All `n` start in
 //!   [`VoteBoard::start`], so they run as one lock-step [`Bc`] group (`n`
-//!   A-casts, one `n`-slot SBA);
+//!   A-casts, one `n`-slot SBA). The group exists from construction and is
+//!   only `init`-ed there — the tower's one rule for timed children
+//!   (DESIGN.md "Timed children exist from construction") — so votes of a
+//!   peer whose clock runs ahead are tallied on arrival, not lost;
 //! * **incremental A-casts** for votes a party only establishes later (slow
 //!   counterparts in an asynchronous network) — these only feed the
 //!   *eventual* consistency graph used by the `(n, t_a)`-star fallback path.
@@ -36,8 +39,10 @@ pub struct VoteBoard {
     t: usize,
     params: Params,
     my_votes: BTreeMap<PartyId, Vote>,
-    /// The scheduled broadcasts (slot `j` = party `j`), once started.
-    scheduled: Option<Bc>,
+    /// The scheduled broadcasts (slot `j` = party `j`).
+    scheduled: Bc,
+    /// Whether [`VoteBoard::start`] has run.
+    started: bool,
     updates: BTreeMap<u32, Acast>,
 }
 
@@ -52,7 +57,8 @@ impl VoteBoard {
             t,
             params,
             my_votes: BTreeMap::new(),
-            scheduled: None,
+            scheduled: Bc::new_group(t, params),
+            started: false,
             updates: BTreeMap::new(),
         }
     }
@@ -74,6 +80,12 @@ impl VoteBoard {
         self.my_votes.contains_key(&counterpart)
     }
 
+    /// Whether this party has cast its vote about every party (nothing left
+    /// for the hot paths that look for new evidence to vote on).
+    pub fn has_voted_on_all(&self) -> bool {
+        self.my_votes.len() == self.params.n
+    }
+
     /// Records (and if already started, incrementally A-casts) this party's
     /// vote about `counterpart`. Votes recorded before [`VoteBoard::start`]
     /// ride in the scheduled broadcast.
@@ -82,7 +94,7 @@ impl VoteBoard {
             return;
         }
         self.my_votes.insert(counterpart, vote.clone());
-        if self.scheduled.is_some() {
+        if self.started {
             let seg = self.update_segment(ctx.me, counterpart);
             let payload = BcValue::Votes(vec![(counterpart as u32, vote)]);
             let mut acast = Acast::new_sender(ctx.me, self.params.n, self.t, payload);
@@ -94,7 +106,7 @@ impl VoteBoard {
     /// Starts the scheduled per-party vote broadcasts (called by the parent at
     /// the phase time it fixes, e.g. `2Δ` for `Π_WPS`).
     pub fn start(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.scheduled.is_some() {
+        if std::mem::replace(&mut self.started, true) {
             return;
         }
         let votes: Vec<(u32, Vote)> = self
@@ -102,7 +114,7 @@ impl VoteBoard {
             .iter()
             .map(|(&k, v)| (k as u32, v.clone()))
             .collect();
-        let bcs = self.scheduled.insert(Bc::new_group(self.t, self.params));
+        let bcs = &mut self.scheduled;
         ctx.scoped(self.base, |ctx| {
             bcs.init(ctx);
             bcs.provide_input(ctx, BcValue::Votes(votes));
@@ -127,13 +139,8 @@ impl VoteBoard {
     ) {
         let Some(&seg) = path.first() else { return };
         if seg == self.base {
-            if let Some(bcs) = self.scheduled.as_mut() {
-                ctx.scoped(seg, |ctx| bcs.on_message(ctx, from, &path[1..], msg));
-            }
-            // messages for the not-yet-started scheduled group cannot occur
-            // in a synchronous network: all parties start the boards at the
-            // same local time and message delays between distinct parties
-            // are positive.
+            let bcs = &mut self.scheduled;
+            ctx.scoped(seg, |ctx| bcs.on_message(ctx, from, &path[1..], msg));
         } else {
             let sender = self.update_sender(seg);
             let n = self.params.n;
@@ -150,16 +157,15 @@ impl VoteBoard {
     pub fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
         let Some(&seg) = path.first() else { return };
         if seg == self.base {
-            if let Some(bcs) = self.scheduled.as_mut() {
-                ctx.scoped(seg, |ctx| bcs.on_timer(ctx, &path[1..], id));
-            }
+            let bcs = &mut self.scheduled;
+            ctx.scoped(seg, |ctx| bcs.on_timer(ctx, &path[1..], id));
         } else if let Some(acast) = self.updates.get_mut(&seg) {
             ctx.scoped(seg, |ctx| acast.on_timer(ctx, &path[1..], id));
         }
     }
 
     fn scheduled_slot(&self, j: PartyId) -> Option<&BcSlot> {
-        self.scheduled.as_ref().and_then(|bcs| bcs.slot(j))
+        self.scheduled.slot(j)
     }
 
     fn votes_in(value: Option<&BcValue>) -> Vec<(PartyId, Vote)> {

@@ -1,59 +1,42 @@
 //! `Π_VSS` — the best-of-both-worlds verifiable secret sharing protocol
 //! (Fig 4, Theorem 4.16).
 //!
-//! Structure mirrors `Π_WPS`, with one extra layer: instead of exchanging
-//! plain points for the pairwise consistency test, every party re-shares its
-//! row polynomial through its own `Π_WPS` instance. The WPS-shares obtained
-//! from those instances are what the consistency votes compare against — and
-//! they are exactly what lets parties *outside* `W` reconstruct their row
-//! polynomials later (the property `Π_WPS` alone cannot give for a corrupt
-//! dealer in a synchronous network).
+//! `Π_WPS` with one step swapped: instead of exchanging plain points for the
+//! pairwise consistency test, every party re-shares its row polynomial
+//! through its own `Π_WPS` instance. The WPS-shares obtained from those
+//! instances are what the consistency votes compare against — and they are
+//! exactly what lets parties *outside* `W` reconstruct their row polynomials
+//! later (the property `Π_WPS` alone cannot give for a corrupt dealer in a
+//! synchronous network).
+//!
+//! This file is the shell over the dealer-verification core
+//! (`crate::sharing`, which owns dealing, votes, `(W, E, F)`, `Π_BA` and
+//! star): the `n` `Π_WPS` instances are child segments `0..n` started at `Δ`
+//! and the core's children follow from base `n`, votes are due at
+//! `Δ + T_WPS`, the evidence about `P_j` is this party's WPS-share from
+//! `Π_WPS^{(j)}`, and a party outside the direct set interpolates the
+//! WPS-shares of `t_s + 1` parties of the support set at zero.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
-use mpc_algebra::evaluation_points::alpha;
 use mpc_algebra::{EvalDomain, Fp, Polynomial};
 use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
 
-use crate::acast::Acast;
-use crate::ba::Ba;
-use crate::bc::Bc;
-use crate::msg::{BcValue, Msg, Vote};
+use crate::msg::Msg;
 use crate::params::Params;
-use crate::voteboard::VoteBoard;
-use crate::wps::{accept_wef, dealer_compute_wef, decode_star, decode_wef, Wps};
+use crate::sharing::DealerCore;
+use crate::wps::Wps;
 
 const TIMER_START_WPS: u64 = 10;
-const TIMER_VOTES: u64 = 11;
-const TIMER_WEF: u64 = 12;
-const TIMER_BA: u64 = 13;
 
 /// One instance of `Π_VSS` for `L` polynomials.
 #[derive(Debug)]
 pub struct Vss {
-    dealer: PartyId,
-    params: Params,
-    l_count: usize,
-    /// Dealer only: the embedded symmetric bivariate polynomials.
-    bivariates: Vec<mpc_algebra::SymmetricBivariate>,
-    /// Dealer input, held until `init` performs the embedding.
-    dealer_input: Option<Vec<Polynomial>>,
-    /// Dealer only: whether the row polynomials have been distributed.
-    distributed: bool,
-    /// This party's row polynomials received from the dealer.
-    my_rows: Option<Vec<Polynomial>>,
+    core: DealerCore,
+    /// `Π_WPS^{(j)}` at child segment `j`.
     wps: Vec<Wps>,
+    /// Whether the `Π_WPS` instances have started (they all do, at `Δ`).
     wps_started: bool,
-    votes: VoteBoard,
-    wef_bc: Option<Bc>,
-    ba: Option<Ba>,
-    star_acast: Option<Acast>,
-    pending: Vec<(u32, PartyId, Msg)>,
-    accepted_wef: Option<(Vec<PartyId>, Vec<PartyId>, Vec<PartyId>)>,
-    ba_output: Option<bool>,
-    star_published: bool,
-    voted: BTreeMap<PartyId, ()>,
     /// The VSS-shares (one per polynomial) once computed.
     pub shares: Option<Vec<Fp>>,
     /// Local time at which the shares were output.
@@ -61,268 +44,103 @@ pub struct Vss {
 }
 
 impl Vss {
-    /// Creates a participant instance.
-    pub fn new(dealer: PartyId, params: Params, l_count: usize) -> Self {
+    fn over(core: DealerCore) -> Self {
+        let (params, l_count) = (core.params, core.l_count);
         Vss {
-            dealer,
-            params,
-            l_count,
-            bivariates: Vec::new(),
-            dealer_input: None,
-            distributed: false,
-            my_rows: None,
-            wps: Vec::new(),
+            core,
+            wps: (0..params.n)
+                .map(|j| Wps::new(j, params, l_count))
+                .collect(),
             wps_started: false,
-            votes: VoteBoard::new(Self::seg_votes(params.n), params.ts, params),
-            wef_bc: None,
-            ba: None,
-            star_acast: None,
-            pending: Vec::new(),
-            accepted_wef: None,
-            ba_output: None,
-            star_published: false,
-            voted: BTreeMap::new(),
             shares: None,
             output_at: None,
         }
     }
 
+    /// Creates a participant instance.
+    pub fn new(dealer: PartyId, params: Params, l_count: usize) -> Self {
+        Self::over(DealerCore::new(dealer, params, l_count, params.n as u32))
+    }
+
     /// Creates the dealer-side instance with its `L` polynomials of degree
     /// ≤ `t_s`.
     pub fn new_dealer(dealer: PartyId, params: Params, polynomials: Vec<Polynomial>) -> Self {
-        let mut vss = Self::new(dealer, params, polynomials.len());
-        vss.dealer_input = Some(polynomials);
-        vss
+        let base = params.n as u32;
+        Self::over(DealerCore::new_dealer(dealer, params, polynomials, base))
     }
 
     /// The dealer of this instance.
     pub fn dealer(&self) -> PartyId {
-        self.dealer
+        self.core.dealer
     }
 
-    fn seg_wps(j: PartyId) -> u32 {
-        j as u32
-    }
-    fn seg_wef(n: usize) -> u32 {
-        n as u32
-    }
-    fn seg_ba(n: usize) -> u32 {
-        n as u32 + 1
-    }
-    fn seg_star(n: usize) -> u32 {
-        n as u32 + 2
-    }
-    fn seg_votes(n: usize) -> u32 {
-        n as u32 + 3
-    }
-
-    fn wps_share_of(&self, j: PartyId) -> Option<&Vec<Fp>> {
-        self.wps.get(j).and_then(|w| w.shares.as_ref())
-    }
-
-    /// Casts the consistency vote about party `j` once both this party's rows
-    /// and the WPS-share from `Π_WPS^{(j)}` are available.
+    /// Votes on every party `j` whose `Π_WPS^{(j)}` has delivered this
+    /// party's WPS-share (the core ignores those already voted on, and waits
+    /// for this party's rows).
     fn refresh_votes(&mut self, ctx: &mut Context<'_, Msg>) {
-        // Hot path: called after every delivered message/timer of the
-        // instance. Work entirely on borrows (the old per-call clone of all
-        // `L` row polynomials plus each counterpart's share vector dominated
-        // large-`n` runs) and leave immediately once every vote is cast.
-        if !self.wps_started || self.my_rows.is_none() || self.voted.len() == self.params.n {
+        // Hot path: runs after every event of the instance.
+        if !self.core.votes_owed() {
             return;
         }
-        for j in 0..self.params.n {
-            if self.voted.contains_key(&j) {
-                continue;
-            }
-            let vote = {
-                let Some(shares) = self.wps_share_of(j) else {
-                    continue;
-                };
-                let rows = self.my_rows.as_ref().expect("checked above");
-                let mut vote = Vote::Ok;
-                for (ell, row) in rows.iter().enumerate() {
-                    let mine = row.evaluate(alpha(j));
-                    if shares.get(ell) != Some(&mine) {
-                        vote = Vote::Nok {
-                            ell: ell as u32,
-                            value: mine,
-                        };
-                        break;
-                    }
-                }
-                vote
-            };
-            self.voted.insert(j, ());
-            self.votes.add_vote(ctx, j, vote);
-        }
-    }
-
-    fn dealer_try_publish_wef(&mut self, ctx: &mut Context<'_, Msg>) {
-        if ctx.me != self.dealer || !self.distributed {
-            return;
-        }
-        let graph = self.votes.graph_regular();
-        let votes = &self.votes;
-        let bivariates = &self.bivariates;
-        let wef = dealer_compute_wef(
-            &self.params,
-            &graph,
-            |i| votes.regular_noks_of(i),
-            |i, j, ell, v| {
-                bivariates
-                    .get(ell as usize)
-                    .is_none_or(|b| v != b.evaluate(alpha(j), alpha(i)))
-            },
-        );
-        if let Some((w, e, f)) = wef {
-            let value = BcValue::Wef {
-                w: w.iter().map(|&x| x as u32).collect(),
-                e: e.iter().map(|&x| x as u32).collect(),
-                f: f.iter().map(|&x| x as u32).collect(),
-            };
-            if let Some(bc) = self.wef_bc.as_mut() {
-                ctx.scoped(Self::seg_wef(self.params.n), |ctx| {
-                    bc.provide_input(ctx, value)
-                });
+        for (j, wps) in self.wps.iter().enumerate() {
+            if let Some(shares) = &wps.shares {
+                self.core.cast_vote(ctx, j, shares);
             }
         }
     }
 
-    fn dealer_try_publish_star(&mut self, ctx: &mut Context<'_, Msg>) {
-        if ctx.me != self.dealer || self.star_published || self.ba_output != Some(true) {
-            return;
-        }
-        let graph = self.votes.graph_any();
-        if let Some((e, f)) = graph.find_star(self.params.ta, None) {
-            self.star_published = true;
-            let value = BcValue::Star {
-                e: e.iter().map(|&x| x as u32).collect(),
-                f: f.iter().map(|&x| x as u32).collect(),
-            };
-            let mut acast = Acast::new_sender(self.dealer, self.params.n, self.params.ts, value);
-            ctx.scoped(Self::seg_star(self.params.n), |ctx| acast.init(ctx));
-            self.star_acast = Some(acast);
-        }
-    }
-
-    fn try_output(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.shares.is_some() {
-            return;
-        }
-        match self.ba_output {
-            Some(false) => {
-                let wef = self.accepted_wef.clone().or_else(|| {
-                    self.wef_bc
-                        .as_ref()
-                        .and_then(|bc| bc.value())
-                        .and_then(decode_wef)
-                });
-                let Some((w, _e, f)) = wef else { return };
-                self.output_via(ctx, &w, &f);
-            }
-            Some(true) => {
-                let Some((e, f)) = self
-                    .star_acast
-                    .as_ref()
-                    .and_then(|a| a.output.as_ref())
-                    .and_then(decode_star)
-                else {
-                    return;
-                };
-                if !self.votes.graph_any().is_star(self.params.ta, &e, &f, None) {
-                    return;
-                }
-                self.output_via(ctx, &f, &f);
-            }
-            None => {}
-        }
-    }
-
-    /// Outputs directly if a member of `direct_set` holding its rows,
-    /// otherwise by interpolating the WPS-shares obtained in the instances of
-    /// at least `t_s + 1` parties of `support_set`.
-    fn output_via(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        direct_set: &[PartyId],
-        support_set: &[PartyId],
-    ) {
-        let me = ctx.me;
-        if direct_set.contains(&me) {
-            if let Some(rows) = &self.my_rows {
-                self.shares = Some(rows.iter().map(|r| r.constant_term()).collect());
-                self.output_at = Some(ctx.now);
-                return;
-            }
-        }
-        let ts = self.params.ts;
-        let support: Vec<PartyId> = support_set
+    /// Interpolates, at zero, the WPS-shares obtained in the instances of
+    /// the first `t_s + 1` parties of `support_set` that delivered one.
+    /// The same parties back all `L` reconstructions, and only the constant
+    /// term is needed: one cached Lagrange-at-zero vector from the shared
+    /// evaluation domain turns each into an O(t_s) dot product.
+    fn reconstruct(&self, support_set: &[PartyId]) -> Option<Vec<Fp>> {
+        let Params { n, ts, .. } = self.core.params;
+        let held = support_set
             .iter()
-            .copied()
-            .filter(|&j| self.wps_share_of(j).is_some())
-            .collect();
-        if support.len() < ts + 1 {
-            return;
+            .filter_map(|&j| Some((j, self.wps.get(j)?.shares.as_ref()?)));
+        let (selected, shares): (Vec<PartyId>, Vec<&Vec<Fp>>) = held.take(ts + 1).unzip();
+        if selected.len() < ts + 1 {
+            return None;
         }
-        // The same ts + 1 support parties back all L reconstructions, and
-        // only the constant term is needed: one cached Lagrange-at-zero
-        // vector from the shared evaluation domain turns each reconstruction
-        // into an O(ts) dot product (no polynomial is materialised).
-        let selected = &support[..ts + 1];
-        let lambda = EvalDomain::get(self.params.n).lagrange_at_zero(selected);
-        let mut shares = Vec::with_capacity(self.l_count);
-        for ell in 0..self.l_count {
-            let secret_share: Fp = selected
-                .iter()
-                .zip(&lambda)
-                .map(|(&j, &l)| l * self.wps_share_of(j).expect("filtered")[ell])
-                .sum();
-            shares.push(secret_share);
-        }
-        self.shares = Some(shares);
-        self.output_at = Some(ctx.now);
+        let lambda = EvalDomain::get(n).lagrange_at_zero(&selected);
+        let share = |ell| shares.iter().zip(&lambda).map(|(s, &l)| l * s[ell]).sum();
+        Some((0..self.core.l_count).map(share).collect())
     }
 
     fn check_progress(&mut self, ctx: &mut Context<'_, Msg>) {
-        if let Some(ba) = &self.ba {
-            if self.ba_output.is_none() {
-                self.ba_output = ba.output;
-            }
-        }
         self.refresh_votes(ctx);
-        self.dealer_try_publish_star(ctx);
-        self.try_output(ctx);
+        self.core.progress(ctx);
+        if self.shares.is_none() {
+            self.shares = self
+                .core
+                .output(ctx.me, |support| self.reconstruct(support));
+            self.output_at = self.shares.as_ref().map(|_| ctx.now);
+        }
+    }
+
+    /// Starts the `n` `Π_WPS` instances; this party's own deals its rows
+    /// now if they are here, else when they arrive.
+    fn start_wps(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.wps_started = true;
+        self.deal_own_rows(ctx);
+        for (j, wps) in self.wps.iter_mut().enumerate() {
+            ctx.scoped(j as u32, |ctx| wps.init(ctx));
+        }
+    }
+
+    fn deal_own_rows(&mut self, ctx: &mut Context<'_, Msg>) {
+        if let (true, Some(rows)) = (self.wps_started, self.core.rows()) {
+            let (seg, wps) = (ctx.me as u32, &mut self.wps[ctx.me]);
+            ctx.scoped(seg, |ctx| wps.provide_dealer_input(ctx, rows.to_vec()));
+        }
     }
 }
 
 impl Protocol<Msg> for Vss {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
-        if ctx.me == self.dealer {
-            if let Some(polys) = self.dealer_input.take() {
-                self.distributed = true;
-                let ts = self.params.ts;
-                self.bivariates = polys
-                    .iter()
-                    .map(|q| mpc_algebra::SymmetricBivariate::embedding(ctx.rng(), ts, q))
-                    .collect();
-                for i in 0..self.params.n {
-                    let rows: Vec<Vec<Fp>> = self
-                        .bivariates
-                        .iter()
-                        .map(|b| b.row(alpha(i)).coeffs().to_vec())
-                        .collect();
-                    ctx.send(i, Msg::RowPolys(rows));
-                }
-            }
-        }
-        let delta = ctx.delta;
-        ctx.set_timer(delta, TIMER_START_WPS);
-        ctx.set_timer(delta + self.params.t_wps(), TIMER_VOTES);
-        ctx.set_timer(delta + self.params.t_wps() + self.params.t_bc(), TIMER_WEF);
-        ctx.set_timer(
-            delta + self.params.t_wps() + 2 * self.params.t_bc(),
-            TIMER_BA,
-        );
+        ctx.set_timer(ctx.delta, TIMER_START_WPS);
+        self.core.init(ctx, ctx.delta + self.core.params.t_wps());
     }
 
     fn on_message(
@@ -332,171 +150,33 @@ impl Protocol<Msg> for Vss {
         path: PathSlice<'_>,
         msg: Msg,
     ) {
-        let n = self.params.n;
         match path.first() {
             None => {
-                if let Msg::RowPolys(rows) = msg {
-                    if from == self.dealer && self.my_rows.is_none() {
-                        let rows: Vec<Polynomial> =
-                            rows.into_iter().map(Polynomial::from_coeffs).collect();
-                        self.my_rows = Some(rows.clone());
-                        // if our own WPS instance already exists, feed it
-                        if self.wps_started {
-                            let me = ctx.me;
-                            let wps = &mut self.wps[me];
-                            ctx.scoped(Self::seg_wps(me), |ctx| {
-                                wps.provide_dealer_input(ctx, rows)
-                            });
-                        }
-                        self.check_progress(ctx);
-                    }
+                let Msg::RowPolys(rows) = msg else { return };
+                if !self.core.accept_rows(from, rows) {
+                    return;
                 }
+                self.deal_own_rows(ctx);
             }
-            Some(&seg) if (seg as usize) < n => {
-                if self.wps_started {
-                    let wps = &mut self.wps[seg as usize];
-                    ctx.scoped(seg, |ctx| wps.on_message(ctx, from, &path[1..], msg));
-                } else {
-                    self.pending.push((seg, from, msg));
-                }
-                self.check_progress(ctx);
+            Some(&seg) if (seg as usize) < self.core.params.n => {
+                let wps = &mut self.wps[seg as usize];
+                ctx.scoped(seg, |ctx| wps.on_message(ctx, from, &path[1..], msg));
             }
-            Some(&seg) if seg == Self::seg_wef(n) => {
-                if let Some(bc) = self.wef_bc.as_mut() {
-                    ctx.scoped(seg, |ctx| bc.on_message(ctx, from, &path[1..], msg));
-                } else {
-                    self.pending.push((seg, from, msg));
-                }
-                self.check_progress(ctx);
-            }
-            Some(&seg) if seg == Self::seg_ba(n) => {
-                if let Some(ba) = self.ba.as_mut() {
-                    ctx.scoped(seg, |ctx| ba.on_message(ctx, from, &path[1..], msg));
-                } else {
-                    self.pending.push((seg, from, msg));
-                }
-                self.check_progress(ctx);
-            }
-            Some(&seg) if seg == Self::seg_star(n) => {
-                let dealer = self.dealer;
-                let params = self.params;
-                let acast = self
-                    .star_acast
-                    .get_or_insert_with(|| Acast::new(dealer, params.n, params.ts));
-                ctx.scoped(seg, |ctx| acast.on_message(ctx, from, &path[1..], msg));
-                self.check_progress(ctx);
-            }
-            Some(&seg) if self.votes.owns_segment(seg) => {
-                self.votes.on_message(ctx, from, path, msg);
-                self.check_progress(ctx);
-            }
-            _ => {}
+            Some(_) => self.core.on_message(ctx, from, path, msg),
         }
+        self.check_progress(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        let n = self.params.n;
         match path.first() {
-            None => match id {
-                TIMER_START_WPS => {
-                    let me = ctx.me;
-                    for j in 0..n {
-                        let mut w = if j == me {
-                            match &self.my_rows {
-                                Some(rows) => Wps::new_dealer(j, self.params, rows.clone()),
-                                None => Wps::new(j, self.params, self.l_count),
-                            }
-                        } else {
-                            Wps::new(j, self.params, self.l_count)
-                        };
-                        ctx.scoped(Self::seg_wps(j), |ctx| w.init(ctx));
-                        self.wps.push(w);
-                    }
-                    self.wps_started = true;
-                    let pending = std::mem::take(&mut self.pending);
-                    for (seg, from, msg) in pending {
-                        if (seg as usize) < n {
-                            let wps = &mut self.wps[seg as usize];
-                            ctx.scoped(seg, |ctx| wps.on_message(ctx, from, &[], msg));
-                        } else {
-                            self.pending.push((seg, from, msg));
-                        }
-                    }
-                }
-                TIMER_VOTES => {
-                    self.refresh_votes(ctx);
-                    self.votes.start(ctx);
-                }
-                TIMER_WEF => {
-                    let mut bc = Bc::new(self.dealer, self.params.ts, self.params);
-                    ctx.scoped(Self::seg_wef(n), |ctx| bc.init(ctx));
-                    self.wef_bc = Some(bc);
-                    let pending = std::mem::take(&mut self.pending);
-                    for (seg, from, msg) in pending {
-                        if seg == Self::seg_wef(n) {
-                            let bc = self.wef_bc.as_mut().expect("just created");
-                            ctx.scoped(seg, |ctx| bc.on_message(ctx, from, &[], msg));
-                        } else {
-                            self.pending.push((seg, from, msg));
-                        }
-                    }
-                    self.dealer_try_publish_wef(ctx);
-                }
-                TIMER_BA => {
-                    let accepted = self
-                        .wef_bc
-                        .as_ref()
-                        .and_then(|bc| bc.regular_value())
-                        .and_then(decode_wef)
-                        .filter(|(w, e, f)| accept_wef(&self.params, &self.votes, w, e, f));
-                    self.accepted_wef = accepted.clone();
-                    let input = accepted.is_none();
-                    let mut ba = Ba::new(self.params.ts, self.params, Some(input));
-                    ctx.scoped(Self::seg_ba(n), |ctx| ba.init(ctx));
-                    self.ba = Some(ba);
-                    let pending = std::mem::take(&mut self.pending);
-                    for (seg, from, msg) in pending {
-                        if seg == Self::seg_ba(n) {
-                            let ba = self.ba.as_mut().expect("just created");
-                            ctx.scoped(seg, |ctx| ba.on_message(ctx, from, &[], msg));
-                        } else {
-                            self.pending.push((seg, from, msg));
-                        }
-                    }
-                    self.check_progress(ctx);
-                }
-                _ => {}
-            },
-            Some(&seg) if (seg as usize) < n => {
-                if self.wps_started {
-                    let wps = &mut self.wps[seg as usize];
-                    ctx.scoped(seg, |ctx| wps.on_timer(ctx, &path[1..], id));
-                }
-                self.check_progress(ctx);
+            None if id == TIMER_START_WPS => return self.start_wps(ctx),
+            Some(&seg) if (seg as usize) < self.core.params.n => {
+                let wps = &mut self.wps[seg as usize];
+                ctx.scoped(seg, |ctx| wps.on_timer(ctx, &path[1..], id));
             }
-            Some(&seg) if seg == Self::seg_wef(n) => {
-                if let Some(bc) = self.wef_bc.as_mut() {
-                    ctx.scoped(seg, |ctx| bc.on_timer(ctx, &path[1..], id));
-                }
-                self.check_progress(ctx);
-            }
-            Some(&seg) if seg == Self::seg_ba(n) => {
-                if let Some(ba) = self.ba.as_mut() {
-                    ctx.scoped(seg, |ctx| ba.on_timer(ctx, &path[1..], id));
-                }
-                self.check_progress(ctx);
-            }
-            Some(&seg) if seg == Self::seg_star(n) => {
-                if let Some(acast) = self.star_acast.as_mut() {
-                    ctx.scoped(seg, |ctx| acast.on_timer(ctx, &path[1..], id));
-                }
-            }
-            Some(&seg) if self.votes.owns_segment(seg) => {
-                self.votes.on_timer(ctx, path, id);
-                self.check_progress(ctx);
-            }
-            _ => {}
+            _ => self.core.on_timer(ctx, path, id),
         }
+        self.check_progress(ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -510,51 +190,31 @@ impl Protocol<Msg> for Vss {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharing::testkit::{parties, polys, run_and_check, Shell};
     use mpc_net::{CorruptionSet, NetConfig, Simulation};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn make_parties(
-        params: Params,
-        dealer: PartyId,
-        polys: Vec<Polynomial>,
-    ) -> Vec<Box<dyn Protocol<Msg>>> {
-        (0..params.n)
-            .map(|i| {
-                let v = if i == dealer {
-                    Vss::new_dealer(dealer, params, polys.clone())
-                } else {
-                    Vss::new(dealer, params, polys.len())
-                };
-                Box::new(v) as Box<dyn Protocol<Msg>>
-            })
-            .collect()
+    impl Shell for Vss {
+        fn participant(dealer: PartyId, params: Params, l_count: usize) -> Self {
+            Vss::new(dealer, params, l_count)
+        }
+        fn dealing(dealer: PartyId, params: Params, polynomials: Vec<Polynomial>) -> Self {
+            Vss::new_dealer(dealer, params, polynomials)
+        }
+        fn shares(&self) -> Option<&Vec<Fp>> {
+            self.shares.as_ref()
+        }
     }
 
     #[test]
     fn honest_dealer_sync_correctness() {
         let params = Params::new(4, 1, 0, 10);
-        let mut rng = StdRng::seed_from_u64(7);
-        let polys = vec![Polynomial::random_with_constant_term(
-            &mut rng,
-            params.ts,
-            Fp::from_u64(31),
-        )];
-        let mut sim = Simulation::new(
-            NetConfig::synchronous(params.n),
-            CorruptionSet::none(),
-            make_parties(params, 0, polys.clone()),
-        );
-        let done = sim.run_until(params.t_vss() + params.delta, |s| {
-            (0..params.n).all(|i| s.party_as::<Vss>(i).unwrap().shares.is_some())
-        });
-        assert!(
-            done,
-            "VSS must complete within T_VSS for an honest dealer in sync network"
-        );
+        let polys = polys(7, params, &[31]);
+        let cfg = NetConfig::synchronous(params.n);
+        // VSS must complete within T_VSS for an honest dealer in sync network
+        let horizon = params.t_vss() + params.delta;
+        let sim = run_and_check::<Vss>(cfg, CorruptionSet::none(), params, 0, &polys, horizon);
         for i in 0..params.n {
             let p = sim.party_as::<Vss>(i).unwrap();
-            assert_eq!(p.shares.as_ref().unwrap()[0], polys[0].evaluate(alpha(i)));
             assert!(p.output_at.unwrap() <= params.t_vss());
         }
     }
@@ -562,45 +222,26 @@ mod tests {
     #[test]
     fn honest_dealer_async_eventual_correctness() {
         let params = Params::new(5, 1, 1, 10);
-        let mut rng = StdRng::seed_from_u64(8);
-        let polys = vec![Polynomial::random_with_constant_term(
-            &mut rng,
-            params.ts,
-            Fp::from_u64(64),
-        )];
-        let corrupt = CorruptionSet::new(vec![3]);
-        let mut sim = Simulation::new(
-            NetConfig::asynchronous(params.n).with_seed(2),
-            corrupt.clone(),
-            make_parties(params, 0, polys.clone()),
+        let polys = polys(8, params, &[64]);
+        let cfg = NetConfig::asynchronous(params.n).with_seed(2);
+        // honest parties must eventually receive VSS shares in async network
+        run_and_check::<Vss>(
+            cfg,
+            CorruptionSet::new(vec![3]),
+            params,
+            0,
+            &polys,
+            100_000_000,
         );
-        let done = sim.run_until(100_000_000, |s| {
-            (0..params.n)
-                .filter(|&i| corrupt.is_honest(i))
-                .all(|i| s.party_as::<Vss>(i).unwrap().shares.is_some())
-        });
-        assert!(
-            done,
-            "honest parties must eventually receive VSS shares in async network"
-        );
-        for i in 0..params.n {
-            if corrupt.is_honest(i) {
-                let p = sim.party_as::<Vss>(i).unwrap();
-                assert_eq!(p.shares.as_ref().unwrap()[0], polys[0].evaluate(alpha(i)));
-            }
-        }
     }
 
     #[test]
     fn silent_dealer_produces_no_output() {
         let params = Params::new(4, 1, 0, 10);
-        let parties: Vec<Box<dyn Protocol<Msg>>> = (0..params.n)
-            .map(|_| Box::new(Vss::new(0, params, 1)) as Box<dyn Protocol<Msg>>)
-            .collect();
         let mut sim = Simulation::new(
             NetConfig::synchronous(params.n),
             CorruptionSet::new(vec![0]),
-            parties,
+            parties::<Vss>(params, 0, None),
         );
         sim.run_to_quiescence(params.t_vss() * 3);
         for i in 1..params.n {

@@ -12,153 +12,34 @@
 //! on the same `t_s`-degree polynomials (weak commitment: for a corrupt
 //! dealer in a synchronous network, only at least `t_s + 1` honest parties
 //! are guaranteed to succeed — fixing that is exactly what `Π_VSS` adds).
+//!
+//! This file is the shell over the dealer-verification core
+//! (`crate::sharing`, which owns dealing, votes, `(W, E, F)`, `Π_BA` and
+//! star): child segments from base 0, votes at `2Δ`, the evidence about
+//! `P_j` is the [`Msg::Points`] it sent at the first `Δ`-boundary after its
+//! rows arrived, and a party outside the direct set reconstructs by OEC on
+//! the points of the support set.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 
 use mpc_algebra::evaluation_points::alpha;
-use mpc_algebra::{rs, Fp, Polynomial, SymmetricBivariate};
+use mpc_algebra::{rs, Fp, Polynomial};
 use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
 
-use crate::ba::Ba;
-use crate::bc::Bc;
-use crate::msg::{BcValue, Msg, Vote};
+use crate::msg::Msg;
 use crate::params::Params;
-use crate::star::ConsistencyGraph;
-use crate::voteboard::VoteBoard;
-
-const SEG_WEF_BC: u32 = 0;
-const SEG_BA: u32 = 1;
-const SEG_STAR: u32 = 2;
-const SEG_VOTES: u32 = 3;
+use crate::sharing::DealerCore;
 
 const TIMER_SEND_POINTS: u64 = 10;
-const TIMER_VOTES: u64 = 11;
-const TIMER_WEF: u64 = 12;
-const TIMER_BA: u64 = 13;
-
-/// Dealer-side computation of the `(W, E, F)` structure from the regular-mode
-/// consistency graph (Phase IV of `Π_WPS`/`Π_VSS`). `nok_is_wrong(i, ell, v)`
-/// must return `true` if party `i`'s published NOK value `v` for polynomial
-/// `ell` differs from the dealer's own bivariate polynomial (in which case the
-/// dealer discards `P_i`).
-pub fn dealer_compute_wef(
-    params: &Params,
-    graph: &ConsistencyGraph,
-    noks: impl Fn(PartyId) -> Vec<(PartyId, u32, Fp)>,
-    nok_is_wrong: impl Fn(PartyId, PartyId, u32, Fp) -> bool,
-) -> Option<(Vec<PartyId>, Vec<PartyId>, Vec<PartyId>)> {
-    let n = params.n;
-    let ts = params.ts;
-    let mut g = graph.clone();
-    for i in 0..n {
-        for (j, ell, v) in noks(i) {
-            if nok_is_wrong(i, j, ell, v) {
-                g.remove_vertex_edges(i);
-            }
-        }
-    }
-    // W = parties consistent with at least n - t_s parties (counting
-    // themselves, as is standard for consistency graphs), then iteratively
-    // prune parties not consistent with at least n - t_s parties of W.
-    let mut w: Vec<PartyId> = (0..n).filter(|&i| g.degree(i) + 1 >= n - ts).collect();
-    loop {
-        let before = w.len();
-        w = w
-            .iter()
-            .copied()
-            .filter(|&i| g.degree_within(i, &w) + 1 >= n - ts)
-            .collect();
-        if w.len() == before {
-            break;
-        }
-        if w.is_empty() {
-            return None;
-        }
-    }
-    if w.len() < n - ts {
-        return None;
-    }
-    let (e, f) = g.find_star(ts, Some(&w))?;
-    Some((w, e, f))
-}
-
-/// The receiver-side acceptance check for a `(W, E, F)` broadcast by the
-/// dealer, based on votes received through regular mode (Local Computation
-/// "Verifying and Accepting (W, E, F)").
-pub fn accept_wef(
-    params: &Params,
-    votes: &VoteBoard,
-    w: &[PartyId],
-    e: &[PartyId],
-    f: &[PartyId],
-) -> bool {
-    let n = params.n;
-    let ts = params.ts;
-    if w.len() < n - ts || w.iter().any(|&i| i >= n) {
-        return false;
-    }
-    if votes.has_conflicting_noks(w) {
-        return false;
-    }
-    let g = votes.graph_regular();
-    if w.iter().any(|&j| g.degree(j) + 1 < n - ts) {
-        return false;
-    }
-    if w.iter().any(|&j| g.degree_within(j, w) + 1 < n - ts) {
-        return false;
-    }
-    g.is_star(ts, e, f, Some(w))
-}
-
-/// Decodes a `(W, E, F)` broadcast value.
-pub fn decode_wef(value: &BcValue) -> Option<(Vec<PartyId>, Vec<PartyId>, Vec<PartyId>)> {
-    match value {
-        BcValue::Wef { w, e, f } => Some((
-            w.iter().map(|&x| x as PartyId).collect(),
-            e.iter().map(|&x| x as PartyId).collect(),
-            f.iter().map(|&x| x as PartyId).collect(),
-        )),
-        _ => None,
-    }
-}
-
-/// Decodes an `(E′, F′)` star broadcast value.
-pub fn decode_star(value: &BcValue) -> Option<(Vec<PartyId>, Vec<PartyId>)> {
-    match value {
-        BcValue::Star { e, f } => Some((
-            e.iter().map(|&x| x as PartyId).collect(),
-            f.iter().map(|&x| x as PartyId).collect(),
-        )),
-        _ => None,
-    }
-}
 
 /// One instance of `Π_WPS` for `L` polynomials.
 #[derive(Debug)]
 pub struct Wps {
-    dealer: PartyId,
-    params: Params,
-    l_count: usize,
-    /// Dealer only: the embedded symmetric bivariate polynomials.
-    bivariates: Vec<SymmetricBivariate>,
-    /// Dealer only: whether the row polynomials have been distributed.
-    distributed: bool,
-    /// This party's row polynomials received from the dealer.
-    my_rows: Option<Vec<Polynomial>>,
+    core: DealerCore,
     /// Points received from counterpart `j` (their evaluation of their row at
-    /// my `α`), i.e. points on my row polynomials.
+    /// my `α`), i.e. points on my row polynomials: `L` each.
     points_from: BTreeMap<PartyId, Vec<Fp>>,
-    points_sent: bool,
-    votes: VoteBoard,
-    wef_bc: Option<Bc>,
-    ba: Option<Ba>,
-    star_acast: Option<crate::acast::Acast>,
-    pending: Vec<(u32, PartyId, Msg)>,
-    accepted_wef: Option<(Vec<PartyId>, Vec<PartyId>, Vec<PartyId>)>,
-    ba_output: Option<bool>,
-    star_published: bool,
-    start: Time,
     /// The WPS-shares (one per polynomial) once computed.
     pub shares: Option<Vec<Fp>>,
     /// Local time at which the shares were output.
@@ -166,44 +47,30 @@ pub struct Wps {
 }
 
 impl Wps {
-    /// Creates a participant instance.
-    pub fn new(dealer: PartyId, params: Params, l_count: usize) -> Self {
+    fn over(core: DealerCore) -> Self {
         Wps {
-            dealer,
-            params,
-            l_count,
-            bivariates: Vec::new(),
-            distributed: false,
-            my_rows: None,
+            core,
             points_from: BTreeMap::new(),
-            points_sent: false,
-            votes: VoteBoard::new(SEG_VOTES, params.ts, params),
-            wef_bc: None,
-            ba: None,
-            star_acast: None,
-            pending: Vec::new(),
-            accepted_wef: None,
-            ba_output: None,
-            star_published: false,
-            start: 0,
             shares: None,
             output_at: None,
         }
+    }
+
+    /// Creates a participant instance.
+    pub fn new(dealer: PartyId, params: Params, l_count: usize) -> Self {
+        Self::over(DealerCore::new(dealer, params, l_count, 0))
     }
 
     /// Creates the dealer-side instance with its `L` input polynomials
     /// (degree ≤ `t_s` each); the bivariate embeddings are sampled from the
     /// party RNG at `init`.
     pub fn new_dealer(dealer: PartyId, params: Params, polynomials: Vec<Polynomial>) -> Self {
-        let mut wps = Self::new(dealer, params, polynomials.len());
-        // store the inputs temporarily as "rows"; real embedding happens at init
-        wps.my_rows = Some(polynomials);
-        wps
+        Self::over(DealerCore::new_dealer(dealer, params, polynomials, 0))
     }
 
     /// The dealer of this instance.
     pub fn dealer(&self) -> PartyId {
-        self.dealer
+        self.core.dealer
     }
 
     /// Supplies the dealer's polynomials after creation (used by `Π_VSS`,
@@ -214,264 +81,60 @@ impl Wps {
         ctx: &mut Context<'_, Msg>,
         polynomials: Vec<Polynomial>,
     ) {
-        if ctx.me == self.dealer && !self.distributed {
-            self.l_count = polynomials.len();
-            self.distribute(ctx, polynomials);
-        }
-    }
-
-    fn distribute(&mut self, ctx: &mut Context<'_, Msg>, polynomials: Vec<Polynomial>) {
-        self.distributed = true;
-        let ts = self.params.ts;
-        self.bivariates = polynomials
-            .iter()
-            .map(|q| SymmetricBivariate::embedding(ctx.rng(), ts, q))
-            .collect();
-        for i in 0..self.params.n {
-            let rows: Vec<Vec<Fp>> = self
-                .bivariates
-                .iter()
-                .map(|b| b.row(alpha(i)).coeffs().to_vec())
-                .collect();
-            ctx.send(i, Msg::RowPolys(rows));
-        }
-    }
-
-    fn schedule_point_sending(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.points_sent {
-            return;
-        }
-        let rem = ctx.now % ctx.delta;
-        let delay = if rem == 0 { 0 } else { ctx.delta - rem };
-        ctx.set_timer(delay, TIMER_SEND_POINTS);
+        self.core.deal(ctx, polynomials);
     }
 
     fn send_points(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.points_sent {
-            return;
-        }
-        let Some(rows) = &self.my_rows else { return };
-        self.points_sent = true;
-        for j in 0..self.params.n {
+        let Some(rows) = self.core.rows() else { return };
+        for j in 0..self.core.params.n {
             let pts: Vec<Fp> = rows.iter().map(|r| r.evaluate(alpha(j))).collect();
             ctx.send(j, Msg::Points(pts));
         }
     }
 
-    fn compute_vote(&self, j: PartyId) -> Option<Vote> {
-        let rows = self.my_rows.as_ref()?;
-        let pts = self.points_from.get(&j)?;
-        if pts.len() != rows.len() {
-            return Some(Vote::Nok {
-                ell: 0,
-                value: rows[0].evaluate(alpha(j)),
-            });
-        }
-        for (ell, (row, &p)) in rows.iter().zip(pts).enumerate() {
-            let mine = row.evaluate(alpha(j));
-            if mine != p {
-                return Some(Vote::Nok {
-                    ell: ell as u32,
-                    value: mine,
-                });
-            }
-        }
-        Some(Vote::Ok)
-    }
-
+    /// Votes on every counterpart whose points have arrived (the core
+    /// ignores those already voted on, and waits for this party's rows).
     fn refresh_votes(&mut self, ctx: &mut Context<'_, Msg>) {
-        // Hot path: re-run after every event. Only counterparts not yet
-        // voted on are considered ([`VoteBoard::add_vote`] ignores repeats
-        // anyway, but recomputing a discarded vote costs `L` polynomial
-        // evaluations); the common all-voted case allocates nothing.
-        let votes = &self.votes;
-        let counterparts: Vec<PartyId> = self
-            .points_from
-            .keys()
-            .copied()
-            .filter(|&j| !votes.has_voted(j))
-            .collect();
-        for j in counterparts {
-            if let Some(v) = self.compute_vote(j) {
-                self.votes.add_vote(ctx, j, v);
-            }
+        for (&j, pts) in &self.points_from {
+            self.core.cast_vote(ctx, j, pts);
         }
     }
 
-    fn dealer_try_publish_wef(&mut self, ctx: &mut Context<'_, Msg>) {
-        if ctx.me != self.dealer || !self.distributed {
-            return;
+    /// OEC(t_s, t_s, ·) on the common points received from `support_set`:
+    /// every contributor sent a full batch, so all `L` values share one
+    /// evaluation-point vector and one fast-path basis. `None` while there
+    /// are not enough consistent points yet.
+    fn reconstruct(&self, support_set: &[PartyId]) -> Option<Vec<Fp>> {
+        let l_count = self.core.l_count;
+        if l_count == 0 {
+            return Some(Vec::new()); // nothing shared, nothing to wait for
         }
-        let graph = self.votes.graph_regular();
-        let votes = &self.votes;
-        let bivariates = &self.bivariates;
-        let wef = dealer_compute_wef(
-            &self.params,
-            &graph,
-            |i| votes.regular_noks_of(i),
-            |i, j, ell, v| {
-                bivariates
-                    .get(ell as usize)
-                    .is_none_or(|b| v != b.evaluate(alpha(j), alpha(i)))
-            },
-        );
-        if let Some((w, e, f)) = wef {
-            let value = BcValue::Wef {
-                w: w.iter().map(|&x| x as u32).collect(),
-                e: e.iter().map(|&x| x as u32).collect(),
-                f: f.iter().map(|&x| x as u32).collect(),
-            };
-            if let Some(bc) = self.wef_bc.as_mut() {
-                ctx.scoped(SEG_WEF_BC, |ctx| bc.provide_input(ctx, value));
-            }
-        }
-    }
-
-    fn dealer_try_publish_star(&mut self, ctx: &mut Context<'_, Msg>) {
-        if ctx.me != self.dealer || self.star_published || self.ba_output != Some(true) {
-            return;
-        }
-        let graph = self.votes.graph_any();
-        if let Some((e, f)) = graph.find_star(self.params.ta, None) {
-            self.star_published = true;
-            let value = BcValue::Star {
-                e: e.iter().map(|&x| x as u32).collect(),
-                f: f.iter().map(|&x| x as u32).collect(),
-            };
-            let mut acast =
-                crate::acast::Acast::new_sender(self.dealer, self.params.n, self.params.ts, value);
-            ctx.scoped(SEG_STAR, |ctx| acast.init(ctx));
-            self.star_acast = Some(acast);
-        }
-    }
-
-    /// Attempts to produce the WPS-shares given the current state.
-    fn try_output(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.shares.is_some() {
-            return;
-        }
-        match self.ba_output {
-            Some(false) => {
-                // (W, E, F) path
-                let wef = self.accepted_wef.clone().or_else(|| {
-                    self.wef_bc
-                        .as_ref()
-                        .and_then(|bc| bc.value())
-                        .and_then(decode_wef)
-                });
-                let Some((w, _e, f)) = wef else { return };
-                self.output_via(ctx, &w, &f);
-            }
-            Some(true) => {
-                // (n, t_a)-star path
-                let Some(star) = self
-                    .star_acast
-                    .as_ref()
-                    .and_then(|a| a.output.as_ref())
-                    .and_then(decode_star)
-                else {
-                    return;
-                };
-                let (e, f) = star;
-                if !self.votes.graph_any().is_star(self.params.ta, &e, &f, None) {
-                    return;
-                }
-                self.output_via(ctx, &f, &f);
-            }
-            None => {}
-        }
-    }
-
-    /// Outputs directly if this party belongs to `direct_set` and holds its
-    /// rows, otherwise via OEC on the points received from the parties of
-    /// `support_set`.
-    fn output_via(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        direct_set: &[PartyId],
-        support_set: &[PartyId],
-    ) {
-        let me = ctx.me;
-        if direct_set.contains(&me) {
-            if let Some(rows) = &self.my_rows {
-                self.shares = Some(rows.iter().map(|r| r.constant_term()).collect());
-                self.output_at = Some(ctx.now);
-                return;
-            }
-        }
-        // OEC(t_s, t_s, ·) on the common points received from `support_set`
-        let ts = self.params.ts;
-        let contributors: Vec<PartyId> = support_set
+        let ts = self.core.params.ts;
+        let held = support_set
             .iter()
-            .copied()
-            .filter(|j| self.points_from.contains_key(j))
+            .filter_map(|&j| Some((alpha(j), self.points_from.get(&j)?)));
+        let (xs, points): (Vec<Fp>, Vec<&Vec<Fp>>) = held.unzip();
+        let columns: Vec<Vec<Fp>> = (0..l_count)
+            .map(|ell| points.iter().map(|pts| pts[ell]).collect())
             .collect();
-        // Fast path: every contributor sent a full batch, so all L values
-        // share one evaluation-point vector and the OEC fast-path basis is
-        // built once for the whole batch.
-        if self.l_count > 0
-            && contributors
-                .iter()
-                .all(|j| self.points_from[j].len() >= self.l_count)
-        {
-            let xs: Vec<Fp> = contributors.iter().map(|&j| alpha(j)).collect();
-            let columns: Vec<Vec<Fp>> = (0..self.l_count)
-                .map(|ell| {
-                    contributors
-                        .iter()
-                        .map(|&j| self.points_from[&j][ell])
-                        .collect()
-                })
-                .collect();
-            let Some(polys) = rs::oec_decode_batch(ts, ts, &xs, &columns) else {
-                return; // not enough consistent points yet
-            };
-            self.shares = Some(polys.iter().map(|p| p.constant_term()).collect());
-            self.output_at = Some(ctx.now);
-            return;
-        }
-        let mut shares = Vec::with_capacity(self.l_count);
-        for ell in 0..self.l_count {
-            let pts: Vec<(Fp, Fp)> = contributors
-                .iter()
-                .filter_map(|&j| {
-                    self.points_from
-                        .get(&j)
-                        .and_then(|v| v.get(ell))
-                        .map(|&p| (alpha(j), p))
-                })
-                .collect();
-            match rs::oec_decode(ts, ts, &pts) {
-                Some(poly) => shares.push(poly.constant_term()),
-                None => return, // not enough consistent points yet
-            }
-        }
-        self.shares = Some(shares);
-        self.output_at = Some(ctx.now);
+        let polys = rs::oec_decode_batch(ts, ts, &xs, &columns)?;
+        Some(polys.iter().map(|p| p.constant_term()).collect())
     }
 
     fn check_progress(&mut self, ctx: &mut Context<'_, Msg>) {
-        if let Some(ba) = &self.ba {
-            if self.ba_output.is_none() {
-                self.ba_output = ba.output;
-            }
+        self.core.progress(ctx);
+        if self.shares.is_none() {
+            self.shares = self
+                .core
+                .output(ctx.me, |support| self.reconstruct(support));
+            self.output_at = self.shares.as_ref().map(|_| ctx.now);
         }
-        self.dealer_try_publish_star(ctx);
-        self.try_output(ctx);
     }
 }
 
 impl Protocol<Msg> for Wps {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.start = ctx.now;
-        if ctx.me == self.dealer {
-            if let Some(polys) = self.my_rows.take() {
-                self.distribute(ctx, polys);
-            }
-        }
-        ctx.set_timer(2 * ctx.delta, TIMER_VOTES);
-        ctx.set_timer(2 * ctx.delta + self.params.t_bc(), TIMER_WEF);
-        ctx.set_timer(2 * ctx.delta + 2 * self.params.t_bc(), TIMER_BA);
+        self.core.init(ctx, 2 * ctx.delta);
     }
 
     fn on_message(
@@ -481,125 +144,36 @@ impl Protocol<Msg> for Wps {
         path: PathSlice<'_>,
         msg: Msg,
     ) {
-        match path.first() {
-            None => match msg {
-                Msg::RowPolys(rows) if from == self.dealer && self.my_rows.is_none() => {
-                    self.my_rows = Some(rows.into_iter().map(Polynomial::from_coeffs).collect());
-                    self.schedule_point_sending(ctx);
-                    self.refresh_votes(ctx);
-                    self.check_progress(ctx);
-                }
-                Msg::Points(pts) => {
-                    self.points_from.entry(from).or_insert(pts);
-                    self.refresh_votes(ctx);
-                    self.check_progress(ctx);
-                }
-                _ => {}
-            },
-            Some(&SEG_WEF_BC) => {
-                if let Some(bc) = self.wef_bc.as_mut() {
-                    ctx.scoped(SEG_WEF_BC, |ctx| bc.on_message(ctx, from, &path[1..], msg));
-                } else {
-                    self.pending.push((SEG_WEF_BC, from, msg));
-                }
-                self.check_progress(ctx);
-            }
-            Some(&SEG_BA) => {
-                if let Some(ba) = self.ba.as_mut() {
-                    ctx.scoped(SEG_BA, |ctx| ba.on_message(ctx, from, &path[1..], msg));
-                } else {
-                    self.pending.push((SEG_BA, from, msg));
-                }
-                self.check_progress(ctx);
-            }
-            Some(&SEG_STAR) => {
-                let dealer = self.dealer;
-                let acast = self.star_acast.get_or_insert_with(|| {
-                    crate::acast::Acast::new(dealer, self.params.n, self.params.ts)
-                });
-                ctx.scoped(SEG_STAR, |ctx| acast.on_message(ctx, from, &path[1..], msg));
-                self.check_progress(ctx);
-            }
-            Some(&seg) if self.votes.owns_segment(seg) => {
-                self.votes.on_message(ctx, from, path, msg);
-                self.check_progress(ctx);
-            }
-            _ => {}
+        if !path.is_empty() {
+            self.core.on_message(ctx, from, path, msg);
+            return self.check_progress(ctx);
         }
+        match msg {
+            Msg::RowPolys(rows) => {
+                if !self.core.accept_rows(from, rows) {
+                    return;
+                }
+                // the points go out at the next Δ-boundary
+                let rem = ctx.now % ctx.delta;
+                let delay = if rem == 0 { 0 } else { ctx.delta - rem };
+                ctx.set_timer(delay, TIMER_SEND_POINTS);
+            }
+            // wrong length = silent, like a wrong-length opening
+            Msg::Points(pts) if pts.len() == self.core.l_count => {
+                self.points_from.entry(from).or_insert(pts);
+            }
+            _ => return,
+        }
+        self.refresh_votes(ctx);
+        self.check_progress(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        match path.first() {
-            None => match id {
-                TIMER_SEND_POINTS => self.send_points(ctx),
-                TIMER_VOTES => {
-                    self.refresh_votes(ctx);
-                    self.votes.start(ctx);
-                }
-                TIMER_WEF => {
-                    let mut bc = Bc::new(self.dealer, self.params.ts, self.params);
-                    ctx.scoped(SEG_WEF_BC, |ctx| bc.init(ctx));
-                    self.wef_bc = Some(bc);
-                    let pending = std::mem::take(&mut self.pending);
-                    for (seg, from, msg) in pending {
-                        if seg == SEG_WEF_BC {
-                            let bc = self.wef_bc.as_mut().expect("just created");
-                            ctx.scoped(SEG_WEF_BC, |ctx| bc.on_message(ctx, from, &[], msg));
-                        } else {
-                            self.pending.push((seg, from, msg));
-                        }
-                    }
-                    self.dealer_try_publish_wef(ctx);
-                }
-                TIMER_BA => {
-                    // acceptance check based on regular-mode votes
-                    let accepted = self
-                        .wef_bc
-                        .as_ref()
-                        .and_then(|bc| bc.regular_value())
-                        .and_then(decode_wef)
-                        .filter(|(w, e, f)| accept_wef(&self.params, &self.votes, w, e, f));
-                    self.accepted_wef = accepted.clone();
-                    let input = accepted.is_none(); // 0 = accepted, 1 = go for star
-                    let mut ba = Ba::new(self.params.ts, self.params, Some(input));
-                    ctx.scoped(SEG_BA, |ctx| ba.init(ctx));
-                    self.ba = Some(ba);
-                    let pending = std::mem::take(&mut self.pending);
-                    for (seg, from, msg) in pending {
-                        if seg == SEG_BA {
-                            let ba = self.ba.as_mut().expect("just created");
-                            ctx.scoped(SEG_BA, |ctx| ba.on_message(ctx, from, &[], msg));
-                        } else {
-                            self.pending.push((seg, from, msg));
-                        }
-                    }
-                    self.check_progress(ctx);
-                }
-                _ => {}
-            },
-            Some(&SEG_WEF_BC) => {
-                if let Some(bc) = self.wef_bc.as_mut() {
-                    ctx.scoped(SEG_WEF_BC, |ctx| bc.on_timer(ctx, &path[1..], id));
-                }
-                self.check_progress(ctx);
-            }
-            Some(&SEG_BA) => {
-                if let Some(ba) = self.ba.as_mut() {
-                    ctx.scoped(SEG_BA, |ctx| ba.on_timer(ctx, &path[1..], id));
-                }
-                self.check_progress(ctx);
-            }
-            Some(&SEG_STAR) => {
-                if let Some(acast) = self.star_acast.as_mut() {
-                    ctx.scoped(SEG_STAR, |ctx| acast.on_timer(ctx, &path[1..], id));
-                }
-            }
-            Some(&seg) if self.votes.owns_segment(seg) => {
-                self.votes.on_timer(ctx, path, id);
-                self.check_progress(ctx);
-            }
-            _ => {}
+        if path.is_empty() && id == TIMER_SEND_POINTS {
+            return self.send_points(ctx);
         }
+        self.core.on_timer(ctx, path, id);
+        self.check_progress(ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -613,66 +187,31 @@ impl Protocol<Msg> for Wps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharing::testkit::{parties, polys, run_and_check, Shell};
     use mpc_net::{CorruptionSet, NetConfig, NetworkKind, Simulation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn make_parties(
-        params: Params,
-        dealer: PartyId,
-        polys: Vec<Polynomial>,
-    ) -> Vec<Box<dyn Protocol<Msg>>> {
-        (0..params.n)
-            .map(|i| {
-                let w = if i == dealer {
-                    Wps::new_dealer(dealer, params, polys.clone())
-                } else {
-                    Wps::new(dealer, params, polys.len())
-                };
-                Box::new(w) as Box<dyn Protocol<Msg>>
-            })
-            .collect()
-    }
-
-    fn check_shares(
-        sim: &Simulation<Msg>,
-        params: Params,
-        polys: &[Polynomial],
-        corrupt: &CorruptionSet,
-    ) {
-        for i in 0..params.n {
-            if corrupt.is_corrupt(i) {
-                continue;
-            }
-            let p = sim.party_as::<Wps>(i).unwrap();
-            let shares = p.shares.as_ref().expect("honest party must have shares");
-            for (ell, q) in polys.iter().enumerate() {
-                assert_eq!(shares[ell], q.evaluate(alpha(i)), "party {i}, poly {ell}");
-            }
+    impl Shell for Wps {
+        fn participant(dealer: PartyId, params: Params, l_count: usize) -> Self {
+            Wps::new(dealer, params, l_count)
+        }
+        fn dealing(dealer: PartyId, params: Params, polynomials: Vec<Polynomial>) -> Self {
+            Wps::new_dealer(dealer, params, polynomials)
+        }
+        fn shares(&self) -> Option<&Vec<Fp>> {
+            self.shares.as_ref()
         }
     }
 
     #[test]
     fn honest_dealer_sync_correctness_within_t_wps() {
         let params = Params::new(4, 1, 0, 10);
-        let mut rng = StdRng::seed_from_u64(42);
-        let polys = vec![
-            Polynomial::random_with_constant_term(&mut rng, params.ts, Fp::from_u64(77)),
-            Polynomial::random_with_constant_term(&mut rng, params.ts, Fp::from_u64(99)),
-        ];
-        let mut sim = Simulation::new(
-            NetConfig::synchronous(params.n),
-            CorruptionSet::none(),
-            make_parties(params, 0, polys.clone()),
-        );
-        let done = sim.run_until(params.t_wps() + params.delta, |s| {
-            (0..params.n).all(|i| s.party_as::<Wps>(i).unwrap().shares.is_some())
-        });
-        assert!(
-            done,
-            "WPS must complete within T_WPS in a synchronous network"
-        );
-        check_shares(&sim, params, &polys, &CorruptionSet::none());
+        let polys = polys(42, params, &[77, 99]);
+        let cfg = NetConfig::synchronous(params.n);
+        // WPS must complete within T_WPS in a synchronous network
+        let horizon = params.t_wps() + params.delta;
+        let sim = run_and_check::<Wps>(cfg, CorruptionSet::none(), params, 0, &polys, horizon);
         for i in 0..params.n {
             let at = sim.party_as::<Wps>(i).unwrap().output_at.unwrap();
             assert!(
@@ -686,40 +225,26 @@ mod tests {
     #[test]
     fn honest_dealer_async_eventual_correctness() {
         let params = Params::new(5, 1, 1, 10);
-        let mut rng = StdRng::seed_from_u64(43);
-        let polys = vec![Polynomial::random_with_constant_term(
-            &mut rng,
-            params.ts,
-            Fp::from_u64(123),
-        )];
-        let corrupt = CorruptionSet::new(vec![4]);
-        let mut sim = Simulation::new(
-            NetConfig::asynchronous(params.n).with_seed(9),
-            corrupt.clone(),
-            make_parties(params, 0, polys.clone()),
+        let polys = polys(43, params, &[123]);
+        let cfg = NetConfig::asynchronous(params.n).with_seed(9);
+        // honest parties must eventually output in an asynchronous network
+        run_and_check::<Wps>(
+            cfg,
+            CorruptionSet::new(vec![4]),
+            params,
+            0,
+            &polys,
+            50_000_000,
         );
-        let done = sim.run_until(50_000_000, |s| {
-            (0..params.n)
-                .filter(|&i| corrupt.is_honest(i))
-                .all(|i| s.party_as::<Wps>(i).unwrap().shares.is_some())
-        });
-        assert!(
-            done,
-            "honest parties must eventually output in an asynchronous network"
-        );
-        check_shares(&sim, params, &polys, &corrupt);
     }
 
     #[test]
     fn silent_dealer_produces_no_output() {
         let params = Params::new(4, 1, 0, 10);
-        let parties: Vec<Box<dyn Protocol<Msg>>> = (0..params.n)
-            .map(|_| Box::new(Wps::new(0, params, 1)) as Box<dyn Protocol<Msg>>)
-            .collect();
         let mut sim = Simulation::new(
             NetConfig::synchronous(params.n),
             CorruptionSet::new(vec![0]),
-            parties,
+            parties::<Wps>(params, 0, None),
         );
         sim.run_to_quiescence(params.t_wps() * 3);
         for i in 1..params.n {
@@ -734,21 +259,10 @@ mod tests {
         // view — its t_s row polynomials — is consistent with every candidate
         // secret by Lemma 2.2).
         let params = Params::new(4, 1, 0, 10);
-        let mut rng = StdRng::seed_from_u64(44);
-        let polys = vec![Polynomial::random_with_constant_term(
-            &mut rng,
-            params.ts,
-            Fp::from_u64(5),
-        )];
-        let mut sim = Simulation::new(
-            NetConfig::synchronous(params.n),
-            CorruptionSet::none(),
-            make_parties(params, 2, polys),
-        );
-        let done = sim.run_until(params.t_wps() + params.delta, |s| {
-            (0..params.n).all(|i| s.party_as::<Wps>(i).unwrap().shares.is_some())
-        });
-        assert!(done);
+        let polys = polys(44, params, &[5]);
+        let cfg = NetConfig::synchronous(params.n);
+        let horizon = params.t_wps() + params.delta;
+        let sim = run_and_check::<Wps>(cfg, CorruptionSet::none(), params, 2, &polys, horizon);
         // any t_s shares alone do not determine the degree-t_s polynomial
         let adversary_view: Vec<(usize, Fp)> = (0..params.ts)
             .map(|i| {
@@ -766,26 +280,27 @@ mod tests {
         // the same party code runs in both network kinds (best-of-both-worlds)
         for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
             let params = Params::new(4, 1, 0, 10);
-            let mut rng = StdRng::seed_from_u64(45);
-            let polys = vec![Polynomial::random_with_constant_term(
-                &mut rng,
-                params.ts,
-                Fp::from_u64(8),
-            )];
-            let cfg = match kind {
-                NetworkKind::Synchronous => NetConfig::synchronous(params.n),
-                NetworkKind::Asynchronous => NetConfig::asynchronous(params.n),
-            };
-            let mut sim = Simulation::new(
-                cfg.with_seed(3),
-                CorruptionSet::none(),
-                make_parties(params, 1, polys.clone()),
-            );
-            let done = sim.run_until(50_000_000, |s| {
-                (0..params.n).all(|i| s.party_as::<Wps>(i).unwrap().shares.is_some())
-            });
-            assert!(done, "{kind:?}");
-            check_shares(&sim, params, &polys, &CorruptionSet::none());
+            let polys = polys(45, params, &[8]);
+            let cfg = NetConfig::for_kind(params.n, kind).with_seed(3);
+            run_and_check::<Wps>(cfg, CorruptionSet::none(), params, 1, &polys, 50_000_000);
         }
+    }
+
+    #[test]
+    fn mis_sized_points_into_an_empty_sharing_are_dropped() {
+        // Every linear circuit runs ACS #2 with L = 0. A one-element
+        // `Points` used to be compared against `rows[0]` of no rows (panic);
+        // a wrong length is now dropped at receipt, state untouched.
+        use mpc_net::Effects;
+        let params = Params::new(4, 1, 0, 10);
+        let mut wps = Wps::new(0, params, 0);
+        let mut effects = Effects::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(1, params.n, 0, params.delta, &mut effects, &mut rng, 0);
+        wps.on_message(&mut ctx, 0, &[], Msg::RowPolys(Vec::new()));
+        let before = format!("{wps:?}");
+        wps.on_message(&mut ctx, 2, &[], Msg::Points(vec![Fp::from_u64(7)]));
+        assert_eq!(format!("{wps:?}"), before);
+        assert!(effects.sends.is_empty() && effects.broadcasts.is_empty());
     }
 }
