@@ -581,78 +581,128 @@ mod tests {
         assert_eq!(m.encoded_len_hint(), bytes.len(), "{m:?}");
     }
 
+    /// One message of every variant of every type in the tree.
+    fn every_variant() -> Vec<Msg> {
+        vec![
+            Msg::Acast(AcastMsg::Send(BcValue::Bit(true))),
+            Msg::Acast(AcastMsg::Echo(BcValue::Votes(vec![
+                (1, Vote::Ok),
+                (
+                    2,
+                    Vote::Nok {
+                        ell: 4,
+                        value: Fp::from_u64(77),
+                    },
+                ),
+            ]))),
+            Msg::Acast(AcastMsg::Ready(BcValue::Wef {
+                w: vec![0, 1, 2],
+                e: vec![1],
+                f: vec![0, 2],
+            })),
+            Msg::Acast(AcastMsg::Send(BcValue::Star {
+                e: vec![3],
+                f: vec![],
+            })),
+            Msg::Sba(SbaMsg::Round1 {
+                phase: 0,
+                value: None,
+            }),
+            Msg::Sba(SbaMsg::Round2 {
+                phase: 3,
+                candidate: Some(Some(BcValue::Bit(false))),
+            }),
+            Msg::Sba(SbaMsg::Round2 {
+                phase: 3,
+                candidate: Some(None),
+            }),
+            Msg::Sba(SbaMsg::King {
+                phase: 1,
+                value: Some(BcValue::Value(vec![Fp::from_u64(5)])),
+            }),
+            Msg::Sba(SbaMsg::Round1Slots {
+                phase: 0,
+                values: vec![None, Some(BcValue::Bit(true))],
+            }),
+            Msg::Sba(SbaMsg::Round2Slots {
+                phase: 2,
+                candidates: vec![None, Some(None), Some(Some(BcValue::Bit(false)))],
+            }),
+            Msg::Sba(SbaMsg::KingSlots {
+                phase: 1,
+                values: vec![],
+            }),
+            Msg::Aba(AbaMsg::Est {
+                round: 9,
+                value: true,
+            }),
+            Msg::Aba(AbaMsg::Aux {
+                round: 2,
+                value: false,
+            }),
+            Msg::Aba(AbaMsg::Finish { value: true }),
+            Msg::RowPolys(vec![vec![Fp::from_u64(1), Fp::from_u64(2)], vec![]]),
+            Msg::Points(vec![Fp::from_u64(3); 4]),
+            Msg::Open {
+                tag: 12,
+                values: vec![Fp::from_u64(8)],
+            },
+            Msg::Ready(vec![Fp::from_u64(1)]),
+            Msg::PackedDeal(vec![Fp::from_u64(6), Fp::from_u64(7)]),
+            Msg::PackedDeal(vec![]),
+            Msg::PackedReport(3),
+        ]
+    }
+
     #[test]
     fn every_variant_round_trips() {
-        roundtrip(Msg::Acast(AcastMsg::Send(BcValue::Bit(true))));
-        roundtrip(Msg::Acast(AcastMsg::Echo(BcValue::Votes(vec![
-            (1, Vote::Ok),
-            (
-                2,
-                Vote::Nok {
-                    ell: 4,
-                    value: Fp::from_u64(77),
-                },
-            ),
-        ]))));
-        roundtrip(Msg::Acast(AcastMsg::Ready(BcValue::Wef {
-            w: vec![0, 1, 2],
-            e: vec![1],
-            f: vec![0, 2],
-        })));
-        roundtrip(Msg::Acast(AcastMsg::Send(BcValue::Star {
-            e: vec![3],
-            f: vec![],
-        })));
-        roundtrip(Msg::Sba(SbaMsg::Round1 {
-            phase: 0,
-            value: None,
-        }));
-        roundtrip(Msg::Sba(SbaMsg::Round2 {
-            phase: 3,
-            candidate: Some(Some(BcValue::Bit(false))),
-        }));
-        roundtrip(Msg::Sba(SbaMsg::Round2 {
-            phase: 3,
-            candidate: Some(None),
-        }));
-        roundtrip(Msg::Sba(SbaMsg::King {
-            phase: 1,
-            value: Some(BcValue::Value(vec![Fp::from_u64(5)])),
-        }));
-        roundtrip(Msg::Sba(SbaMsg::Round1Slots {
-            phase: 0,
-            values: vec![None, Some(BcValue::Bit(true))],
-        }));
-        roundtrip(Msg::Sba(SbaMsg::Round2Slots {
-            phase: 2,
-            candidates: vec![None, Some(None), Some(Some(BcValue::Bit(false)))],
-        }));
-        roundtrip(Msg::Sba(SbaMsg::KingSlots {
-            phase: 1,
-            values: vec![],
-        }));
-        roundtrip(Msg::Aba(AbaMsg::Est {
-            round: 9,
-            value: true,
-        }));
-        roundtrip(Msg::Aba(AbaMsg::Aux {
-            round: 2,
-            value: false,
-        }));
-        roundtrip(Msg::Aba(AbaMsg::Finish { value: true }));
-        roundtrip(Msg::RowPolys(vec![
-            vec![Fp::from_u64(1), Fp::from_u64(2)],
-            vec![],
-        ]));
-        roundtrip(Msg::Points(vec![Fp::from_u64(3); 4]));
-        roundtrip(Msg::Open {
-            tag: 12,
-            values: vec![Fp::from_u64(8)],
+        every_variant().into_iter().for_each(roundtrip);
+    }
+
+    /// FNV-1a over the concatenated encodings, with their total length: a
+    /// change to any tag, prefix or field layout moves one of the two.
+    fn fingerprint(msgs: &[Msg]) -> (u64, usize) {
+        let bytes: Vec<u8> = msgs.iter().flat_map(WireEncode::encode).collect();
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
         });
-        roundtrip(Msg::Ready(vec![Fp::from_u64(1)]));
-        roundtrip(Msg::PackedDeal(vec![Fp::from_u64(6), Fp::from_u64(7)]));
-        roundtrip(Msg::PackedDeal(vec![]));
-        roundtrip(Msg::PackedReport(3));
+        (hash, bytes.len())
+    }
+
+    /// The exact bytes of every variant, pinned before the codec was
+    /// generated from one declaration per type.
+    #[test]
+    fn every_variant_encodes_to_the_pinned_bytes() {
+        assert_eq!(fingerprint(&every_variant()), (0xb797_0f99_1266_e9ed, 317));
+    }
+
+    /// The ledger's kernel corpus (`ledger --kernels`, `wire.corpus_bytes`):
+    /// only its shape sets its length, so the same shape with fixed values
+    /// must encode to the 1 271 bytes the ledger reports.
+    #[test]
+    fn ledger_corpus_shape_encodes_to_1271_bytes() {
+        let fps = |count: usize| vec![Fp::from_u64(MODULUS - 1); count];
+        let corpus = [
+            Msg::Acast(AcastMsg::Echo(BcValue::Votes(
+                (0..8).map(|j| (j, Vote::Ok)).collect(),
+            ))),
+            Msg::Sba(SbaMsg::Round1 {
+                phase: 1,
+                value: Some(BcValue::Bit(true)),
+            }),
+            Msg::Aba(AbaMsg::Est {
+                round: 2,
+                value: true,
+            }),
+            Msg::RowPolys((0..8).map(|_| fps(3)).collect()),
+            Msg::Points(fps(8)),
+            Msg::Open {
+                tag: 7,
+                values: fps(48),
+            },
+            Msg::PackedDeal(fps(64)),
+        ];
+        assert_eq!(fingerprint(&corpus).1, 1271);
     }
 
     #[test]
