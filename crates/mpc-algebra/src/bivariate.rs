@@ -11,7 +11,6 @@
 //! a unique symmetric bivariate polynomial.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::domain::LagrangeBasis;
 use crate::field::Fp;
@@ -35,7 +34,7 @@ use crate::poly::Polynomial;
 /// assert_eq!(f.evaluate(Fp::ZERO, a), secret_poly.evaluate(a));
 /// assert_eq!(f.evaluate(a, b), f.evaluate(b, a));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SymmetricBivariate {
     degree: usize,
     /// coeffs[i][j] multiplies x^i y^j; kept symmetric.

@@ -11,7 +11,6 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 
 use rand::distributions::{Distribution, Standard};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The field modulus `p = 2^61 - 1`.
 pub const MODULUS: u64 = (1u64 << 61) - 1;
@@ -28,7 +27,7 @@ pub const MODULUS: u64 = (1u64 << 61) - 1;
 /// assert_eq!((a * b).as_u64(), 35);
 /// assert_eq!(a * a.inverse().unwrap(), Fp::ONE);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Fp(u64);
 
 impl Fp {

@@ -6,7 +6,6 @@
 //! party points `α_i` are the shares.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::field::Fp;
 
@@ -22,7 +21,7 @@ use crate::field::Fp;
 /// assert_eq!(f.evaluate(Fp::from_u64(10)).as_u64(), 23);
 /// assert_eq!(f.degree(), 1);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Polynomial {
     coeffs: Vec<Fp>,
 }

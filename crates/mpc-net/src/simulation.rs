@@ -1606,33 +1606,11 @@ mod tests {
         panic_on_ping: bool,
     }
 
-    #[derive(Clone, Debug)]
-    enum Msg {
-        Ping,
-        Pong,
-    }
-
-    impl WireEncode for Msg {
-        fn encode_into(&self, out: &mut Vec<u8>) {
-            out.push(match self {
-                Msg::Ping => 0,
-                Msg::Pong => 1,
-            });
-        }
-    }
-
-    impl WireDecode for Msg {
-        fn decode_from(
-            r: &mut crate::wire::WireReader<'_>,
-        ) -> Result<Self, crate::wire::WireError> {
-            match r.u8()? {
-                0 => Ok(Msg::Ping),
-                1 => Ok(Msg::Pong),
-                tag => Err(crate::wire::WireError::InvalidTag {
-                    tag,
-                    context: "test Msg",
-                }),
-            }
+    crate::wire_enum! {
+        #[derive(Clone, Debug)]
+        enum Msg {
+            Ping = 0,
+            Pong = 1,
         }
     }
 

@@ -73,7 +73,7 @@ use crate::simulation::{
     EventKind, FrameSet, NetConfig, SliceEnv, TranscriptEntry, WorkerParty,
 };
 use crate::transport::{Backend, PartyId, PartyView, Time, Transport, TransportError};
-use crate::wire::{WireDecode, WireEncode, WireReader};
+use crate::wire::{put_path, WireDecode, WireEncode, WireError, WireReader};
 
 /// Resolves the real duration of one logical tick from the `MPC_TICK_US`
 /// environment variable (microseconds, default 1000). Larger ticks give
@@ -239,35 +239,25 @@ pub(super) struct AdvState {
     pub(super) rng: StdRng,
 }
 
-/// Encodes a single (non-framed) message for the wire: `u32` path length,
-/// path segments as little-endian `u32`s, then the payload bytes verbatim.
-/// The prefix layout matches the per-item layout inside a [`crate::Frame`].
+/// Encodes a single (non-framed) message for the wire: the path prefix
+/// ([`put_path`], as inside a [`crate::Frame`]), then the payload bytes
+/// verbatim.
 pub(super) fn encode_single(path: &[u32], payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4 + path.len() * 4 + payload.len());
-    buf.extend_from_slice(&(path.len() as u32).to_le_bytes());
-    for &seg in path {
-        buf.extend_from_slice(&seg.to_le_bytes());
-    }
+    put_path(&mut buf, path);
     buf.extend_from_slice(payload);
     buf
 }
 
-/// Splits a single-message packet back into its path and payload bytes. The
-/// prefix is always well-formed (this backend wrote it *after* the Byzantine
-/// strategy acted — only the payload tail can be garbled, exactly like the
-/// simulator's `(path, payload)` events).
-pub(super) fn decode_single(bytes: &[u8]) -> (Path, Arc<Vec<u8>>) {
+/// Splits a single-message packet back into its path and payload bytes.
+/// This backend writes the prefix after the Byzantine strategy acted, but a
+/// packet that crossed a socket is still input: a prefix that does not
+/// decode is an error, never a panic or an unbounded allocation.
+pub(super) fn decode_single(bytes: &[u8]) -> Result<(Path, Arc<Vec<u8>>), WireError> {
     let mut r = WireReader::new(bytes);
-    let len = r.u32().expect("single-packet path prefix") as usize;
-    let mut segs = Vec::with_capacity(len);
-    for _ in 0..len {
-        segs.push(r.u32().expect("single-packet path segment"));
-    }
-    let consumed = bytes.len() - r.remaining();
-    (
-        Path::from(segs.as_slice()),
-        Arc::new(bytes[consumed..].to_vec()),
-    )
+    let path = r.path()?;
+    let payload = r.bytes(r.remaining())?;
+    Ok((Path::from(&path[..]), Arc::new(payload.to_vec())))
 }
 
 /// The per-thread party runtime. See the module docs for the model.
@@ -466,21 +456,23 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
             deliver = self.next_unprocessed;
         }
         let kind = if p.framed {
-            EventKind::DeliverFrame {
+            Ok(EventKind::DeliverFrame {
                 to: self.me,
                 from: p.from,
                 payload: p.bytes,
-            }
+            })
         } else {
-            let (path, payload) = decode_single(&p.bytes);
-            EventKind::Deliver {
+            decode_single(&p.bytes).map(|(path, payload)| EventKind::Deliver {
                 to: self.me,
                 from: p.from,
                 path,
                 payload,
-            }
+            })
         };
-        self.hold(deliver, p.send_tick, p.from, p.order, kind);
+        match kind {
+            Ok(kind) => self.hold(deliver, p.send_tick, p.from, p.order, kind),
+            Err(_) => self.metrics.decode_failures += 1,
+        }
         self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -1355,7 +1347,6 @@ mod tests {
     use super::*;
     use crate::adversary::GarbleBytes;
     use crate::simulation::{NetworkKind, Simulation};
-    use crate::wire::WireError;
     use std::any::Any;
 
     /// Ping-pong with a deadline: party 0 broadcasts `Ping` at init and arms
@@ -1368,31 +1359,11 @@ mod tests {
         at_deadline: Option<usize>,
     }
 
-    #[derive(Clone, Debug)]
-    enum Msg {
-        Ping,
-        Pong,
-    }
-
-    impl WireEncode for Msg {
-        fn encode_into(&self, out: &mut Vec<u8>) {
-            out.push(match self {
-                Msg::Ping => 0,
-                Msg::Pong => 1,
-            });
-        }
-    }
-
-    impl WireDecode for Msg {
-        fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-            match r.u8()? {
-                0 => Ok(Msg::Ping),
-                1 => Ok(Msg::Pong),
-                tag => Err(WireError::InvalidTag {
-                    tag,
-                    context: "threaded test Msg",
-                }),
-            }
+    crate::wire_enum! {
+        #[derive(Clone, Debug)]
+        enum Msg {
+            Ping = 0,
+            Pong = 1,
         }
     }
 
@@ -1592,5 +1563,82 @@ mod tests {
         // Party 0's 2Δ deadline fired via a real recv_timeout expiry.
         assert_eq!(Transport::<Msg>::metrics(&th).timeouts_fired, 1);
         assert_eq!(th.party_as::<DeadlinePing>(0).unwrap().at_deadline, Some(n));
+    }
+
+    /// Party 0's mailbox swaps the bytes of every single-message packet it
+    /// takes for a hostile path prefix: two bytes, a `u32::MAX` segment
+    /// count, a truncated segment. Each is dropped and counted, and the run
+    /// still quiesces long before the horizon: a drop that left `in_flight`
+    /// unbalanced would hold the coordinator to its wall-clock cap.
+    #[test]
+    fn hostile_single_packet_prefixes_are_dropped_and_counted() {
+        const HOSTILE: [&[u8]; 3] = [&[1, 0], &[0xff, 0xff, 0xff, 0xff, 0], &[1, 0, 0, 0, 7]];
+        for bytes in HOSTILE {
+            assert!(decode_single(bytes).is_err());
+        }
+        struct Hostile(ChannelMailbox, Option<usize>);
+        impl Hostile {
+            fn tamper(&mut self, msg: Inbound) -> Inbound {
+                match (msg, &mut self.1) {
+                    (Inbound::Packet(mut p), Some(k)) if !p.framed => {
+                        p.bytes = Arc::new(HOSTILE[*k % HOSTILE.len()].to_vec());
+                        *k += 1;
+                        Inbound::Packet(p)
+                    }
+                    (msg, _) => msg,
+                }
+            }
+        }
+        impl Mailbox for Hostile {
+            fn send(&mut self, to: PartyId, msg: Inbound) -> bool {
+                self.0.send(to, msg)
+            }
+            fn try_recv(&mut self) -> Option<Inbound> {
+                self.0.try_recv().map(|m| self.tamper(m))
+            }
+            fn recv(&mut self, deadline: Option<Instant>) -> Option<Inbound> {
+                self.0.recv(deadline).map(|m| self.tamper(m))
+            }
+        }
+        let n = 4;
+        let cfg = NetConfig::synchronous(n).with_seed(5);
+        let links = LinkDelays::for_kind(n, cfg.kind, cfg.delta, cfg.seed);
+        // Corrupt parties send per message, so the three pongs to party 0
+        // are its only single-message packets.
+        let corrupt = CorruptionSet::new(vec![1, 2, 3]);
+        let mut th = ThreadedNet::with_links(cfg, corrupt, links, parties(n));
+        th.spec.tick_us = 300;
+        let started = Instant::now();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel()).unzip();
+        let mailboxes = (rxs.into_iter().enumerate())
+            .map(|(i, rx)| {
+                Hostile(
+                    ChannelMailbox {
+                        rx,
+                        txs: txs.clone(),
+                    },
+                    (i == 0).then_some(0),
+                )
+            })
+            .collect();
+        run_parties(
+            &th.spec,
+            10_000,
+            Duration::from_secs(2),
+            &mut th.state,
+            mailboxes,
+            || {
+                for tx in &txs {
+                    let _ = tx.send(Inbound::Stop);
+                }
+            },
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(3),
+            "the run hit its cap"
+        );
+        assert_eq!(th.state.metrics.decode_failures, 3);
+        // Only party 0's own pong reached it.
+        assert_eq!(th.party_as::<DeadlinePing>(0).unwrap().at_deadline, Some(1));
     }
 }

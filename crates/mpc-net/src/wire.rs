@@ -16,10 +16,17 @@
 //!
 //! * `u8` — one byte; `u32`/`u64` — fixed-width little-endian;
 //! * `bool` — one byte, `0` or `1` (any other value is a decode error);
+//! * [`Fp`] — its canonical representative in `[0, p)` as a little-endian
+//!   `u64` (representatives `≥ p` are a decode error);
 //! * sequences — a `u32` little-endian length prefix followed by the
 //!   elements;
 //! * `Option<T>` — a presence byte (`0`/`1`) followed by the payload;
 //! * enums — a one-byte variant tag followed by the variant's fields.
+//!
+//! These primitive and generic impls are the only hand-written codec code.
+//! Every message enum is declared once through [`wire_enum!`](crate::wire_enum),
+//! which generates its encoder, decoder, size hint and [`WireSample`]
+//! sampler from the variant list.
 //!
 //! Decoding is infallible-in, fallible-out: `decode(encode(m)) == m` for
 //! every message (see `tests/codec_roundtrip.rs`), while arbitrary bytes
@@ -27,6 +34,10 @@
 //! (the message is dropped and counted, never a panic).
 
 use core::fmt;
+
+use mpc_algebra::{Fp, MODULUS};
+use rand::Rng;
+pub use rand::RngCore;
 
 use crate::path::InlinePath;
 
@@ -159,6 +170,17 @@ impl<'a> WireReader<'a> {
         }
     }
 
+    /// Reads a canonical field element (representatives `≥ p` are an
+    /// error, so every element has exactly one encoding).
+    pub fn fp(&mut self) -> Result<Fp, WireError> {
+        match self.u64()? {
+            v if v < MODULUS => Ok(Fp::from_u64(v)),
+            _ => Err(WireError::NonCanonical {
+                context: "field element",
+            }),
+        }
+    }
+
     /// Reads a sequence length prefix, rejecting prefixes that claim more
     /// elements than the remaining input could possibly hold (each element
     /// occupies at least `min_elem_bytes` bytes).
@@ -170,6 +192,16 @@ impl<'a> WireReader<'a> {
         Ok(claimed as usize)
     }
 
+    /// Reads an instance path written by [`put_path`], bounding its segment
+    /// count by the remaining input before anything is stored.
+    pub fn path(&mut self) -> Result<InlinePath, WireError> {
+        let mut path = InlinePath::new();
+        for _ in 0..self.seq_len(4)? {
+            path.push(self.u32()?);
+        }
+        Ok(path)
+    }
+
     /// Asserts that the input was consumed exactly.
     pub fn finish(self) -> Result<(), WireError> {
         if self.remaining() == 0 {
@@ -179,6 +211,17 @@ impl<'a> WireReader<'a> {
                 count: self.remaining(),
             })
         }
+    }
+}
+
+/// Appends an instance path: a `u32` segment count, then the segments as
+/// little-endian `u32`s. The prefix of every [`Frame`] item and of every
+/// single-message packet of the real transports; read back by
+/// [`WireReader::path`].
+pub fn put_path(out: &mut Vec<u8>, path: &[u32]) {
+    out.extend_from_slice(&(path.len() as u32).to_le_bytes());
+    for &seg in path {
+        out.extend_from_slice(&seg.to_le_bytes());
     }
 }
 
@@ -217,6 +260,11 @@ pub trait WireEncode {
 
 /// Deserialisation from the canonical wire format.
 pub trait WireDecode: Sized {
+    /// The fewest bytes any encoding of this type occupies. A sequence
+    /// prefix claiming more elements than the remaining input holds at this
+    /// size each is rejected before anything is reserved.
+    const MIN_ENCODED_LEN: usize = 1;
+
     /// Reads one value from the cursor (may leave trailing input for the
     /// caller — used when this value is a field of a larger message).
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError>;
@@ -230,68 +278,50 @@ pub trait WireDecode: Sized {
     }
 }
 
-impl WireEncode for bool {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-
-    fn encoded_len_hint(&self) -> usize {
-        1
-    }
+/// Random values of a wire type, for property tests and fuzzing. Every
+/// variant of a [`wire_enum!`](crate::wire_enum) type is equally likely.
+pub trait WireSample {
+    /// Draws one value. `size` bounds every collection's length and drops by
+    /// one per `Vec`/`Option` level: at 0, all are empty or `None`.
+    fn sample(rng: &mut dyn RngCore, size: usize) -> Self;
 }
 
-impl WireDecode for bool {
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.bool()
-    }
+/// The fixed-width primitives: `type: encoded length, reader method, bytes`.
+macro_rules! primitive {
+    ($($t:ty: $len:literal, $read:ident, |$v:ident| $bytes:expr;)*) => {$(
+        impl WireEncode for $t {
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                let $v = self;
+                out.extend_from_slice(&$bytes);
+            }
+
+            fn encoded_len_hint(&self) -> usize {
+                $len
+            }
+        }
+
+        impl WireDecode for $t {
+            const MIN_ENCODED_LEN: usize = $len;
+
+            fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                r.$read()
+            }
+        }
+
+        impl WireSample for $t {
+            fn sample(rng: &mut dyn RngCore, _size: usize) -> Self {
+                rng.gen()
+            }
+        }
+    )*};
 }
 
-impl WireEncode for u8 {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(*self);
-    }
-
-    fn encoded_len_hint(&self) -> usize {
-        1
-    }
-}
-
-impl WireDecode for u8 {
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.u8()
-    }
-}
-
-impl WireEncode for u32 {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn encoded_len_hint(&self) -> usize {
-        4
-    }
-}
-
-impl WireDecode for u32 {
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.u32()
-    }
-}
-
-impl WireEncode for u64 {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn encoded_len_hint(&self) -> usize {
-        8
-    }
-}
-
-impl WireDecode for u64 {
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.u64()
-    }
+primitive! {
+    bool: 1, bool, |v| [*v as u8];
+    u8: 1, u8, |v| [*v];
+    u32: 4, u32, |v| v.to_le_bytes();
+    u64: 8, u64, |v| v.to_le_bytes();
+    Fp: 8, fp, |v| v.as_u64().to_le_bytes();
 }
 
 impl<T: WireEncode> WireEncode for Vec<T> {
@@ -308,15 +338,22 @@ impl<T: WireEncode> WireEncode for Vec<T> {
 }
 
 impl<T: WireDecode> WireDecode for Vec<T> {
+    const MIN_ENCODED_LEN: usize = 4;
+
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // Every element encoding is at least one byte, which bounds a corrupt
-        // length prefix before any allocation happens.
-        let len = r.seq_len(1)?;
+        let len = r.seq_len(T::MIN_ENCODED_LEN)?;
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::decode_from(r)?);
         }
         Ok(out)
+    }
+}
+
+impl<T: WireSample> WireSample for Vec<T> {
+    fn sample(rng: &mut dyn RngCore, size: usize) -> Self {
+        let len = rng.gen::<usize>() % (size + 1);
+        (0..len).map(|_| T::sample(rng, size - 1)).collect()
     }
 }
 
@@ -349,6 +386,12 @@ impl<T: WireDecode> WireDecode for Option<T> {
     }
 }
 
+impl<T: WireSample> WireSample for Option<T> {
+    fn sample(rng: &mut dyn RngCore, size: usize) -> Self {
+        (size > 0 && rng.gen()).then(|| T::sample(rng, size - 1))
+    }
+}
+
 impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.0.encode_into(out);
@@ -361,9 +404,126 @@ impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
 }
 
 impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
+    const MIN_ENCODED_LEN: usize = A::MIN_ENCODED_LEN + B::MIN_ENCODED_LEN;
+
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok((A::decode_from(r)?, B::decode_from(r)?))
     }
+}
+
+impl<A: WireSample, B: WireSample> WireSample for (A, B) {
+    fn sample(rng: &mut dyn RngCore, size: usize) -> Self {
+        (A::sample(rng, size), B::sample(rng, size))
+    }
+}
+
+/// Declares a wire message enum once and generates its [`WireEncode`],
+/// [`WireDecode`] and [`WireSample`] impls from that declaration.
+///
+/// Each variant is a unit, a one-field tuple or a struct variant, followed
+/// by `= tag`, its one-byte wire tag — the only place the tag is written. A
+/// variant encodes as its tag, then its fields in declaration order; an
+/// unknown tag decodes to [`WireError::InvalidTag`] naming the type. The
+/// sampler draws every declared variant, so a new variant is covered by
+/// construction. Attributes (doc comments, derives) pass through.
+///
+/// ```
+/// use mpc_net::wire::{WireDecode, WireEncode};
+///
+/// mpc_net::wire_enum! {
+///     #[derive(Debug, PartialEq)]
+///     pub enum Toy {
+///         Ping = 0,
+///         Echo(Vec<u32>) = 1,
+///         Pair { a: u32, b: bool } = 2,
+///     }
+/// }
+///
+/// let msg = Toy::Pair { a: 7, b: true };
+/// assert_eq!(msg.encode(), [2, 7, 0, 0, 0, 1]);
+/// assert_eq!(Toy::decode(&msg.encode()), Ok(msg));
+/// assert!(Toy::decode(&[3]).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident { $($body:tt)* }) => {
+        $crate::wire_enum!(@variants [$(#[$meta])* $vis enum $name] [] $($body)*);
+    };
+    // Each variant is normalised to `[tag (declaration) name (fields)]`, a
+    // field being `name: binding: type`; a tuple field is named `0`, which
+    // struct-pattern and struct-expression syntax accept.
+    (@variants $head:tt [$($done:tt)*]
+        $(#[$vm:meta])* $v:ident = $tag:literal $(, $($rest:tt)*)?) => {
+        $crate::wire_enum!(@variants $head [$($done)* [$tag ($(#[$vm])* $v) $v ()]]
+            $($($rest)*)?);
+    };
+    (@variants $head:tt [$($done:tt)*]
+        $(#[$vm:meta])* $v:ident($ty:ty) = $tag:literal $(, $($rest:tt)*)?) => {
+        $crate::wire_enum!(@variants $head
+            [$($done)* [$tag ($(#[$vm])* $v($ty)) $v (0: field: $ty)]] $($($rest)*)?);
+    };
+    (@variants $head:tt [$($done:tt)*]
+        $(#[$vm:meta])* $v:ident { $($(#[$fm:meta])* $f:ident: $fty:ty),* $(,)? }
+        = $tag:literal $(, $($rest:tt)*)?) => {
+        $crate::wire_enum!(@variants $head [$($done)* [$tag
+            ($(#[$vm])* $v { $($(#[$fm])* $f: $fty),* }) $v ($($f: $f: $fty),*)]]
+            $($($rest)*)?);
+    };
+    (@variants [$(#[$meta:meta])* $vis:vis enum $name:ident]
+        [$([$tag:literal ($($decl:tt)*) $v:ident ($($f:tt: $bind:ident: $fty:ty),*)])+]) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($($decl)*,)+
+        }
+
+        impl $crate::wire::WireEncode for $name {
+            fn encode_into(&self, out: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $(Self::$v { $($f: $bind),* } => {
+                        out.push($tag);
+                        $($crate::wire::WireEncode::encode_into($bind, out);)*
+                    })+
+                }
+            }
+
+            fn encoded_len_hint(&self) -> usize {
+                1 + match self {
+                    $(Self::$v { $($f: $bind),* } => {
+                        0 $(+ $crate::wire::WireEncode::encoded_len_hint($bind))*
+                    })+
+                }
+            }
+        }
+
+        impl $crate::wire::WireDecode for $name {
+            fn decode_from(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                match r.u8()? {
+                    $($tag => ::core::result::Result::Ok(Self::$v {
+                        $($f: <$fty as $crate::wire::WireDecode>::decode_from(r)?),*
+                    }),)+
+                    tag => ::core::result::Result::Err(
+                        $crate::wire::WireError::InvalidTag { tag, context: stringify!($name) }),
+                }
+            }
+        }
+
+        impl $crate::wire::WireSample for $name {
+            #[allow(unused_variables)] // `size`, when no variant has fields
+            fn sample(rng: &mut dyn $crate::wire::RngCore, size: usize) -> Self {
+                loop {
+                    // A uniform byte, redrawn until it names a variant.
+                    match <u8 as $crate::wire::WireSample>::sample(rng, 0) {
+                        $($tag => break Self::$v {
+                            $($f: $crate::wire::WireSample::sample(rng, size)),*
+                        },)+
+                        _ => {}
+                    }
+                }
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -390,12 +550,12 @@ pub struct FrameItem<M> {
 /// one destination as a *single* simulator event.
 ///
 /// The frame format is canonical like everything else in this module: a
-/// `u32` item count, then per item a `u32`-length-prefixed path (segments as
-/// little-endian `u32`s) followed by the message's canonical encoding (which
-/// is self-delimiting). Frames are a *transport* construct of the simulator:
-/// the paper-level bit accounting ([`crate::Metrics::honest_bits`]) counts
-/// the contained messages exactly as if they had been sent individually, and
-/// the frame header/path bytes are treated as scheduling metadata.
+/// `u32` item count, then per item a path ([`put_path`]) followed by the
+/// message's canonical encoding (which is self-delimiting). Frames are a
+/// *transport* construct of the simulator: the paper-level bit accounting
+/// ([`crate::Metrics::honest_bits`]) counts the contained messages exactly as
+/// if they had been sent individually, and the frame header/path bytes are
+/// treated as scheduling metadata.
 #[derive(Debug)]
 pub struct Frame;
 
@@ -408,10 +568,7 @@ impl Frame {
         let count = r.seq_len(5)?;
         let mut items = Vec::with_capacity(count);
         for _ in 0..count {
-            let mut path = InlinePath::new();
-            for _ in 0..r.seq_len(4)? {
-                path.push(r.u32()?);
-            }
+            let path = r.path()?;
             let before = r.remaining();
             let msg = M::decode_from(&mut r)?;
             let msg_bits = (before - r.remaining()) as u64 * 8;
@@ -462,11 +619,7 @@ impl FrameBuilder {
     /// without encoding the message twice.
     pub fn push<M: WireEncode>(&mut self, path: &[u32], msg: &M) -> std::ops::Range<usize> {
         self.count += 1;
-        self.buf
-            .extend_from_slice(&(path.len() as u32).to_le_bytes());
-        for &seg in path {
-            self.buf.extend_from_slice(&seg.to_le_bytes());
-        }
+        put_path(&mut self.buf, path);
         let start = self.buf.len();
         self.buf.reserve(msg.encoded_len_hint());
         msg.encode_into(&mut self.buf);
@@ -495,6 +648,7 @@ impl Default for FrameBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     fn roundtrip<T: WireEncode + WireDecode + PartialEq + fmt::Debug>(v: T) {
         let bytes = v.encode();
@@ -514,6 +668,44 @@ mod tests {
         roundtrip(Some(7u64));
         roundtrip(Option::<u32>::None);
         roundtrip((3u32, vec![true, false]));
+    }
+
+    #[test]
+    fn field_elements_round_trip_and_reject_non_canonical() {
+        roundtrip(Fp::from_u64(MODULUS - 1));
+        roundtrip(vec![vec![Fp::ONE, Fp::ZERO], vec![]]);
+        assert_eq!(
+            Fp::decode(&MODULUS.to_le_bytes()),
+            Err(WireError::NonCanonical {
+                context: "field element"
+            })
+        );
+    }
+
+    /// A length prefix is checked against the element type's minimum
+    /// encoded length: two field elements or two rows cannot fit in 7 bytes.
+    #[test]
+    fn length_prefixes_are_bounded_by_the_element_size() {
+        let mut bytes = 2u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 7]);
+        let overflow = WireError::LengthOverflow { claimed: 2 };
+        assert_eq!(Vec::<Fp>::decode(&bytes).err(), Some(overflow.clone()));
+        assert_eq!(Vec::<Vec<Fp>>::decode(&bytes).err(), Some(overflow));
+        assert!(matches!(
+            Vec::<u8>::decode(&bytes),
+            Err(WireError::TrailingBytes { count: 5 })
+        ));
+    }
+
+    #[test]
+    fn sample_size_bounds_lengths_and_nesting() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        for _ in 0..64 {
+            assert!(Vec::<u32>::sample(&mut rng, 0).is_empty());
+            assert_eq!(Option::<bool>::sample(&mut rng, 0), None);
+            let rows = Vec::<Vec<Fp>>::sample(&mut rng, 2);
+            assert!(rows.len() <= 2 && rows.iter().all(|row| row.len() <= 1));
+        }
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! in the protocol tree, and the simulator's bit accounting is *exactly* the
 //! sum of encoded lengths ×8 — no estimates anywhere.
 
+use std::collections::BTreeSet;
+
 use bobw_mpc::algebra::Fp;
+use bobw_mpc::net::wire::{WireReader, WireSample};
 use bobw_mpc::net::{
     CorruptionSet, NetConfig, Protocol, Simulation, TranscriptEvent, WireDecode, WireEncode,
+    WireError,
 };
 use bobw_mpc::protocols::acast::Acast;
 use bobw_mpc::protocols::{AbaMsg, AcastMsg, BcValue, Msg, SbaMsg, Vote};
@@ -12,144 +16,19 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn arb_fp(rng: &mut StdRng) -> Fp {
-    Fp::from_u64(rng.gen())
-}
-
-fn arb_fp_vec(rng: &mut StdRng, max_len: usize) -> Vec<Fp> {
-    let len = rng.gen_range(0..=max_len);
-    (0..len).map(|_| arb_fp(rng)).collect()
-}
-
-fn arb_u32_vec(rng: &mut StdRng, max_len: usize) -> Vec<u32> {
-    let len = rng.gen_range(0..=max_len);
-    (0..len).map(|_| rng.gen_range(0..64u32)).collect()
-}
-
-fn arb_vote(rng: &mut StdRng) -> Vote {
-    if rng.gen_range(0..2u8) == 0 {
-        Vote::Ok
-    } else {
-        Vote::Nok {
-            ell: rng.gen_range(0..32),
-            value: arb_fp(rng),
-        }
-    }
-}
-
-fn arb_bc_value(rng: &mut StdRng) -> BcValue {
-    match rng.gen_range(0..5u8) {
-        0 => BcValue::Bit(rng.gen_range(0..2u8) == 1),
-        1 => {
-            let len = rng.gen_range(0..6usize);
-            BcValue::Votes(
-                (0..len)
-                    .map(|_| (rng.gen_range(0..32u32), arb_vote(rng)))
-                    .collect(),
-            )
-        }
-        2 => BcValue::Wef {
-            w: arb_u32_vec(rng, 6),
-            e: arb_u32_vec(rng, 4),
-            f: arb_u32_vec(rng, 6),
-        },
-        3 => BcValue::Star {
-            e: arb_u32_vec(rng, 4),
-            f: arb_u32_vec(rng, 6),
-        },
-        _ => BcValue::Value(arb_fp_vec(rng, 8)),
-    }
-}
-
-fn arb_sba_value(rng: &mut StdRng) -> Option<BcValue> {
-    if rng.gen_range(0..4u8) == 0 {
-        None
-    } else {
-        Some(arb_bc_value(rng))
-    }
-}
-
-fn arb_sba_candidate(rng: &mut StdRng) -> Option<Option<BcValue>> {
-    if rng.gen_range(0..3u8) == 0 {
-        None
-    } else {
-        Some(arb_sba_value(rng))
-    }
-}
-
-fn arb_slots<T>(rng: &mut StdRng, entry: fn(&mut StdRng) -> T) -> Vec<T> {
-    let k = rng.gen_range(0..=10usize);
-    (0..k).map(|_| entry(rng)).collect()
-}
-
-/// Draws one message, with the top-level variant chosen uniformly so a few
-/// hundred cases cover the whole `Msg` tree many times over.
-fn arb_msg(rng: &mut StdRng) -> Msg {
-    match rng.gen_range(0..9u8) {
-        0 => Msg::Acast(AcastMsg::Send(arb_bc_value(rng))),
-        1 => Msg::Acast(AcastMsg::Echo(arb_bc_value(rng))),
-        2 => Msg::Acast(AcastMsg::Ready(arb_bc_value(rng))),
-        3 => match rng.gen_range(0..6u8) {
-            0 => Msg::Sba(SbaMsg::Round1 {
-                phase: rng.gen_range(0..8),
-                value: arb_sba_value(rng),
-            }),
-            1 => Msg::Sba(SbaMsg::Round2 {
-                phase: rng.gen_range(0..8),
-                candidate: arb_sba_candidate(rng),
-            }),
-            2 => Msg::Sba(SbaMsg::King {
-                phase: rng.gen_range(0..8),
-                value: arb_sba_value(rng),
-            }),
-            // the k-slot forms of a lock-step broadcast group
-            3 => Msg::Sba(SbaMsg::Round1Slots {
-                phase: rng.gen_range(0..8),
-                values: arb_slots(rng, arb_sba_value),
-            }),
-            4 => Msg::Sba(SbaMsg::Round2Slots {
-                phase: rng.gen_range(0..8),
-                candidates: arb_slots(rng, arb_sba_candidate),
-            }),
-            _ => Msg::Sba(SbaMsg::KingSlots {
-                phase: rng.gen_range(0..8),
-                values: arb_slots(rng, arb_sba_value),
-            }),
-        },
-        4 => match rng.gen_range(0..3u8) {
-            0 => Msg::Aba(AbaMsg::Est {
-                round: rng.gen_range(0..16),
-                value: rng.gen(),
-            }),
-            1 => Msg::Aba(AbaMsg::Aux {
-                round: rng.gen_range(0..16),
-                value: rng.gen(),
-            }),
-            _ => Msg::Aba(AbaMsg::Finish { value: rng.gen() }),
-        },
-        5 => {
-            let polys = rng.gen_range(0..4usize);
-            Msg::RowPolys((0..polys).map(|_| arb_fp_vec(rng, 5)).collect())
-        }
-        6 => Msg::Points(arb_fp_vec(rng, 8)),
-        7 => Msg::Open {
-            tag: rng.gen_range(0..1024),
-            values: arb_fp_vec(rng, 8),
-        },
-        _ => Msg::Ready(arb_fp_vec(rng, 4)),
-    }
-}
+/// Every collection in a sampled message holds at most this many elements.
+const SIZE: usize = 8;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
     #[test]
     fn decode_encode_is_identity_over_the_msg_tree(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let msg = arb_msg(&mut rng);
+        let msg = Msg::sample(&mut rng, SIZE);
         let bytes = msg.encode();
         prop_assert_eq!(Msg::decode(&bytes).as_ref(), Ok(&msg));
-        // encoded_bits is exactly the wire length the simulator accounts
-        prop_assert_eq!(msg.encoded_bits(), bytes.len() as u64 * 8);
+        // The size hint is exact, so `encode` reserves once.
+        prop_assert_eq!(msg.encoded_len_hint(), bytes.len());
     }
 
     #[test]
@@ -170,7 +49,7 @@ proptest! {
     #[test]
     fn decoding_damaged_messages_never_panics(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut bytes = arb_msg(&mut rng).encode();
+        let mut bytes = Msg::sample(&mut rng, SIZE).encode();
         if rng.gen() {
             let victim = rng.gen_range(0..bytes.len());
             bytes[victim] ^= rng.gen_range(1..=255u8);
@@ -182,6 +61,39 @@ proptest! {
             prop_assert_eq!(msg.encode(), bytes);
         }
     }
+}
+
+/// The tags `T`'s decoder accepts: every byte that does not decode, on its
+/// own, to `InvalidTag` naming that byte.
+fn declared_tags<T: WireDecode>() -> BTreeSet<u8> {
+    (0..=u8::MAX)
+        .filter(|&tag| {
+            let err = T::decode_from(&mut WireReader::new(&[tag])).err();
+            !matches!(err, Some(WireError::InvalidTag { tag: t, .. }) if t == tag)
+        })
+        .collect()
+}
+
+/// The tags of 512 sampled values of `T` (the first byte of each encoding).
+fn sampled_tags<T: WireSample + WireEncode>() -> BTreeSet<u8> {
+    let mut rng = StdRng::seed_from_u64(0x5A3_91E);
+    (0..512)
+        .map(|_| T::sample(&mut rng, SIZE).encode()[0])
+        .collect()
+}
+
+/// The sampler the property tests draw from reaches every variant of every
+/// type in the `Msg` tree — including `PackedDeal` and `PackedReport`, which
+/// the hand-kept generator it replaced never drew.
+#[test]
+fn sampler_draws_every_tag_of_every_msg_tree_type() {
+    assert_eq!(sampled_tags::<Msg>(), declared_tags::<Msg>());
+    assert_eq!(declared_tags::<Msg>().len(), 9);
+    assert_eq!(sampled_tags::<AcastMsg>(), declared_tags::<AcastMsg>());
+    assert_eq!(sampled_tags::<SbaMsg>(), declared_tags::<SbaMsg>());
+    assert_eq!(sampled_tags::<AbaMsg>(), declared_tags::<AbaMsg>());
+    assert_eq!(sampled_tags::<BcValue>(), declared_tags::<BcValue>());
+    assert_eq!(sampled_tags::<Vote>(), declared_tags::<Vote>());
 }
 
 // ---------------------------------------------------------------------------
