@@ -437,7 +437,7 @@ pub fn run_cireval_batching(
 
 /// [`run_cireval`] on an explicit transport backend. For the thread-per-party
 /// backends, `tick_micros` sets the real duration of one logical tick
-/// (`0` defers to `MPC_TICK_US`); wall-clock time then includes genuine
+/// (`0` keeps the 1000 µs default); wall-clock time then includes genuine
 /// tick pacing, so throughput is dominated by the simulated schedule
 /// rather than raw compute. Returns the per-party honest-bit accounting
 /// alongside the measurement — the transport experiment (E13) compares it

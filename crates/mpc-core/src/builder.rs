@@ -112,7 +112,7 @@ pub struct MpcBuilder {
     corrupt: CorruptionSet,
     structure: Option<Arc<dyn AdversaryStructure>>,
     fault_plan: Option<FaultPlan>,
-    chaos_plan: Option<FaultPlan>,
+    chaos_plan: FaultPlan,
     wedge_millis: Option<u64>,
     strategy: Option<Box<dyn ByzantineStrategy>>,
     scheduler: Option<Box<dyn Scheduler>>,
@@ -157,7 +157,7 @@ impl MpcBuilder {
             corrupt: CorruptionSet::none(),
             structure: None,
             fault_plan: None,
-            chaos_plan: None,
+            chaos_plan: FaultPlan::none(),
             wedge_millis: None,
             strategy: None,
             scheduler: None,
@@ -253,8 +253,7 @@ impl MpcBuilder {
     /// makes no progress for this long it records a
     /// [`TransportError::Wedged`] (surfaced via the run error and counted in
     /// [`Metrics::wedges`]) and releases the gate instead of stalling
-    /// forever. Ignored on the simulator. Defaults to the `MPC_WEDGE_MS`
-    /// environment variable, then 30 s.
+    /// forever. Ignored on the simulator. Defaults to 30 s.
     pub fn wedge_timeout(mut self, timeout: Duration) -> Self {
         self.wedge_millis = Some((timeout.as_millis() as u64).max(1));
         self
@@ -285,29 +284,11 @@ impl MpcBuilder {
     /// supervisors as sever-mid-record, stall-write and duplicate-byte-run
     /// faults (see `TcpNet::set_chaos_plan`). Chaos only roughens the wire —
     /// the logical schedule, outputs and guarantee verdicts are unaffected.
-    /// Ignored on the other backends. When unset, the `MPC_CHAOS_PLAN`
-    /// environment variable selects a named [`FaultPlan::chaos_preset`].
+    /// Ignored on the other backends. Default: no chaos;
+    /// [`FaultPlan::chaos_preset`] names the presets.
     pub fn chaos_plan(mut self, plan: FaultPlan) -> Self {
-        self.chaos_plan = Some(plan);
+        self.chaos_plan = plan;
         self
-    }
-
-    /// The effective socket chaos plan this builder will run with: the
-    /// explicit [`MpcBuilder::chaos_plan`] setting, else `MPC_CHAOS_PLAN`
-    /// resolved through [`FaultPlan::chaos_preset`], else no chaos.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `MPC_CHAOS_PLAN` names an unknown chaos preset.
-    pub fn effective_chaos_plan(&self) -> FaultPlan {
-        if let Some(plan) = &self.chaos_plan {
-            return plan.clone();
-        }
-        match knobs::raw("MPC_CHAOS_PLAN") {
-            Some(name) => FaultPlan::chaos_preset(&name, self.params.n, self.delta)
-                .unwrap_or_else(|| panic!("MPC_CHAOS_PLAN={name} is not a known chaos preset")),
-            None => FaultPlan::none(),
-        }
     }
 
     /// Applies a wire-level [`ByzantineStrategy`] to every message the
@@ -409,8 +390,7 @@ impl MpcBuilder {
     }
 
     /// Overrides the threaded backend's real tick duration in microseconds
-    /// (default: the `MPC_TICK_US` environment variable, then 1000). Ignored
-    /// on the simulator.
+    /// (default 1000). Ignored on the simulator.
     pub fn tick_micros(mut self, micros: u64) -> Self {
         self.tick_micros = Some(micros);
         self
@@ -477,7 +457,6 @@ impl MpcBuilder {
             cfg = cfg.with_threads(threads);
         }
         let backend = self.transport.unwrap_or_else(Backend::from_env);
-        let chaos_plan = self.effective_chaos_plan();
         let mut scheduler = self.scheduler;
         let mut net: Box<dyn Transport<Msg>> = match backend {
             Backend::Simulator => {
@@ -519,7 +498,7 @@ impl MpcBuilder {
                         th = th.with_wedge_millis(millis);
                     }
                     th.set_fault_plan(fault_plan.clone());
-                    th.set_chaos_plan(chaos_plan);
+                    th.set_chaos_plan(self.chaos_plan);
                     Box::new(th)
                 }
             }

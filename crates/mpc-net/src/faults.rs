@@ -358,8 +358,8 @@ impl FaultPlan {
     }
 
     /// Named *socket-level* chaos plans for the TCP transport's chaos shim
-    /// (`MPC_CHAOS_PLAN` / `MpcBuilder::chaos_plan`). Same rule vocabulary
-    /// and `(from, to, send_tick, deliver_tick)` coordinates as
+    /// (`MpcBuilder::chaos_plan`, `TcpNet::set_chaos_plan`). Same rule
+    /// vocabulary and `(from, to, send_tick, deliver_tick)` coordinates as
     /// [`FaultPlan::preset`], but interpreted on byte streams instead of
     /// logical messages: `Drop` severs the connection mid-record, an extra
     /// delay stalls the write, a duplicate duplicates a byte run and forces

@@ -112,8 +112,8 @@ pub struct Metrics {
     /// [`Metrics::fault_drops`].
     pub fault_duplicates: u64,
     /// Threaded backend only: parties whose conservative delivery gate gave
-    /// up after the configured wedge timeout (`MpcBuilder::wedge_timeout` /
-    /// `MPC_WEDGE_MS`) without progress. Wall-clock observability, excluded
+    /// up after the configured wedge timeout (`MpcBuilder::wedge_timeout`)
+    /// without progress. Wall-clock observability, excluded
     /// from `PartialEq`; any non-zero count also surfaces as a typed
     /// `TransportError::Wedged`.
     pub wedges: u64,

@@ -434,7 +434,7 @@ impl Ord for LocalEv {
 /// `(rank, depth, lseq)` order. An honest party's cascades merge canonically
 /// among the remaining initial events; a corrupt party's are *deferred* —
 /// the initial events drain first, then the cascades canonically among
-/// themselves — which is the order the simulator's global queue gives them.
+/// themselves — on every medium.
 pub(crate) struct LocalQueue {
     party: PartyId,
     heap: BinaryHeap<Reverse<LocalEv>>,
@@ -443,18 +443,13 @@ pub(crate) struct LocalQueue {
 }
 
 impl LocalQueue {
-    fn new(party: PartyId, events: Vec<EventKind>, defer_cascades: bool) -> Self {
-        let mut queue = LocalQueue {
+    fn new(party: PartyId, defer_cascades: bool) -> Self {
+        LocalQueue {
             party,
-            heap: BinaryHeap::with_capacity(events.len()),
+            heap: BinaryHeap::new(),
             defer_cascades,
             lseq: 0,
-        };
-        for kind in events {
-            debug_assert_eq!(kind.party(), party);
-            queue.push(0, kind);
         }
-        queue
     }
 
     fn push(&mut self, phase: u8, kind: EventKind) {
@@ -493,16 +488,25 @@ impl LocalQueue {
     }
 }
 
-/// One party's work for one time slice, carved out of the simulation for a
+/// One party's work for one activation, carved out of the simulation for a
 /// worker thread: exclusive access to the party's state machine and RNG plus
-/// its batch events in canonical order. Also the unit of work of the
-/// threaded and TCP media, which run the same [`run_batch`] — that shared
-/// loop is what makes the three media bit-conformant.
+/// what to run. Also the unit of work of the threaded and TCP media, which
+/// run the same [`run_batch`] — that shared loop is what makes the three
+/// media bit-conformant.
 pub(crate) struct WorkerParty<'a, M> {
     pub(crate) party: PartyId,
     pub(crate) protocol: &'a mut Box<dyn Protocol<M>>,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) events: Vec<EventKind>,
+    pub(crate) work: Work,
+}
+
+/// What one activation of a party runs.
+pub(crate) enum Work {
+    /// The party's `init`, at tick 0 (see [`BatchCore::tick0`]).
+    Init,
+    /// The party's events of one tick in canonical order, same-tick
+    /// cascades included.
+    Events(Vec<EventKind>),
 }
 
 /// The per-slice constants every activation's [`Context`] is built from.
@@ -580,11 +584,16 @@ pub(crate) struct BatchCore {
     pub(crate) transcript: Vec<TranscriptEntry>,
     /// Timer requests with delay ≥ 1, in emission order.
     pub(crate) timers: Vec<(Time, Path, u64)>,
+    /// [`Work::Init`] only: the self-addressed deliveries and zero-delay
+    /// timers `init` emitted, in canonical order — the party's tick-0
+    /// events. They are returned rather than cascaded, so `init`'s frames
+    /// stay apart from those of the tick-0 batch.
+    pub(crate) tick0: Vec<EventKind>,
 }
 
 /// Where one activation's effects go — the only thing that differs between
-/// an honest batch ([`FramedSends`]), a corrupt batch on a real medium
-/// ([`StrategySink`]) and a corrupt batch inside the simulator ([`Network`]).
+/// an honest party ([`FramedSends`]) and a corrupt one ([`StrategySink`]),
+/// on every medium.
 pub(crate) trait EffectSink<M> {
     /// Whether the party's same-tick cascades wait for the slice's initial
     /// events to drain (see [`LocalQueue`]).
@@ -623,7 +632,8 @@ struct Batch<'a, M, S> {
     env: SliceEnv,
     protocol: &'a mut dyn Protocol<M>,
     rng: &'a mut StdRng,
-    scratch: &'a mut Effects<M>,
+    /// One effects buffer for the whole batch, drained after every handler.
+    scratch: Effects<M>,
     sink: &'a mut S,
     local: LocalQueue,
     core: BatchCore,
@@ -651,10 +661,14 @@ impl<M: WireEncode + WireDecode + 'static, S: EffectSink<M>> Batch<'_, M, S> {
             ..
         } = self.env;
         let party = self.core.party;
-        let mut ctx = Context::new(party, n, t, delta, self.scratch, self.rng, coin_seed);
+        let mut ctx = Context::new(party, n, t, delta, &mut self.scratch, self.rng, coin_seed);
         call(self.protocol, &mut ctx);
-        self.sink
-            .absorb(party, self.scratch, &mut self.local, &mut self.core.timers);
+        self.sink.absorb(
+            party,
+            &mut self.scratch,
+            &mut self.local,
+            &mut self.core.timers,
+        );
     }
 
     /// The delivery boundary: bytes that do not decode as a protocol message
@@ -715,33 +729,53 @@ impl<M: WireEncode + WireDecode + 'static, S: EffectSink<M>> Batch<'_, M, S> {
             }
         }
     }
+
+    /// Runs `init` under the sink and hands back, instead of running them,
+    /// the same-tick cascades it queued: they are the tick-0 events.
+    fn init(mut self) -> BatchCore {
+        self.handle(|p, ctx| p.init(ctx));
+        self.core.tick0 = std::iter::from_fn(|| self.local.pop()).collect();
+        self.core
+    }
+
+    /// Runs `events` and every same-tick cascade they spawn.
+    fn drain(mut self, events: Vec<EventKind>) -> BatchCore {
+        self.local.heap.reserve(events.len());
+        for kind in events {
+            debug_assert_eq!(kind.party(), self.core.party);
+            self.local.push(0, kind);
+        }
+        while let Some(ev) = self.local.pop() {
+            self.activate(ev);
+        }
+        self.core
+    }
 }
 
-/// Executes one party's full time-`t` batch — frames unpacked at the
-/// delivery boundary, same-tick cascades included — draining every
-/// activation's effects into `sink`. The one batch loop of the crate: it
-/// touches nothing but the party's own state and RNG (plus what the sink
-/// owns), which is why per-party batches commute and `threads = k` is
-/// bit-identical to `threads = 1`.
+/// Executes one party's activation — its `init`, or its full time-`t`
+/// batch with frames unpacked at the delivery boundary and same-tick
+/// cascades included — draining every handler's effects into `sink`. The
+/// one batch loop of the crate: it touches nothing but the party's own
+/// state and RNG (plus what the sink owns), which is why per-party batches
+/// commute and `threads = k` is bit-identical to `threads = 1`.
 pub(crate) fn run_batch<M: WireEncode + WireDecode + 'static, S: EffectSink<M>>(
     wp: WorkerParty<'_, M>,
     env: SliceEnv,
-    scratch: &mut Effects<M>,
     sink: &mut S,
 ) -> BatchCore {
     let WorkerParty {
         party,
         protocol,
         rng,
-        events,
+        work,
     } = wp;
-    let mut batch = Batch {
+    let batch = Batch {
         env,
         protocol: protocol.as_mut(),
         rng,
-        scratch,
+        scratch: Effects::new(),
         sink,
-        local: LocalQueue::new(party, events, S::DEFERS_CASCADES),
+        local: LocalQueue::new(party, S::DEFERS_CASCADES),
         core: BatchCore {
             party,
             events: 0,
@@ -749,12 +783,13 @@ pub(crate) fn run_batch<M: WireEncode + WireDecode + 'static, S: EffectSink<M>>(
             decode_failures: 0,
             transcript: Vec::new(),
             timers: Vec::new(),
+            tick0: Vec::new(),
         },
     };
-    while let Some(ev) = batch.local.pop() {
-        batch.activate(ev);
+    match work {
+        Work::Init => batch.init(),
+        Work::Events(events) => batch.drain(events),
     }
-    batch.core
 }
 
 /// The honest sink: cross-party traffic is coalesced into a [`FrameSet`],
@@ -796,14 +831,14 @@ impl<M: WireEncode> EffectSink<M> for FramedSends {
     }
 }
 
-/// Everything one honest party's pre-executed time-slice batch produced.
+/// Everything one honest party's pre-executed activation produced.
 pub(crate) struct BatchOutcome {
     pub(crate) core: BatchCore,
     pub(crate) sent: FramedSends,
 }
 
-/// Pre-executes one honest party's full time-`t` batch. Runs either inline
-/// or on a worker thread — the outcome is identical.
+/// Pre-executes one honest party's activation. Runs either inline or on a
+/// worker thread — the outcome is identical.
 pub(crate) fn run_party_batch<M: WireEncode + WireDecode + 'static>(
     wp: WorkerParty<'_, M>,
     env: SliceEnv,
@@ -812,7 +847,7 @@ pub(crate) fn run_party_batch<M: WireEncode + WireDecode + 'static>(
         self_records: Vec::new(),
         frames: FrameSet::new(),
     };
-    let core = run_batch(wp, env, &mut Effects::new(), &mut sent);
+    let core = run_batch(wp, env, &mut sent);
     BatchOutcome { core, sent }
 }
 
@@ -824,10 +859,9 @@ pub(crate) struct CorruptSend {
     pub(crate) payload: Arc<Vec<u8>>,
 }
 
-/// What a corrupt party's batch put on a real medium's wire. Corrupt traffic
-/// is never framed — the Byzantine strategy keeps its exact per-message view
-/// of the wire, matching the simulator's corrupt dispatch message for
-/// message.
+/// What a corrupt party's batch put on the wire. Corrupt traffic is never
+/// framed — the Byzantine strategy keeps its exact per-message view of the
+/// wire — so the medium dispatches each send on its own.
 #[derive(Default)]
 pub(crate) struct CorruptWire {
     /// Post-strategy cross-party messages, in consult order.
@@ -839,10 +873,19 @@ pub(crate) struct CorruptWire {
     pub(crate) wire_messages: u64,
 }
 
-/// The corrupt sink of the real media: every send (self-addressed copies
-/// included) consults the Byzantine strategy in emission order, as the
-/// simulator's `dispatch` does; survivors addressed to the party itself
-/// cascade, the rest join the wire.
+impl CorruptWire {
+    /// Adds the strategy's decisions to `metrics`.
+    pub(crate) fn record(&self, metrics: &mut Metrics) {
+        metrics.adversary_drops += self.drops;
+        metrics.adversary_tampered += self.tampered;
+        metrics.corrupt_messages += self.wire_messages;
+    }
+}
+
+/// The corrupt sink: every send (self-addressed copies included) consults
+/// the Byzantine strategy in emission order — the one place any medium
+/// consults it; survivors addressed to the party itself cascade, the rest
+/// join the wire.
 struct StrategySink<'a> {
     n: usize,
     strategy: &'a mut dyn ByzantineStrategy,
@@ -913,17 +956,16 @@ impl<M: WireEncode> EffectSink<M> for StrategySink<'_> {
     }
 }
 
-/// Everything one *corrupt* party's pre-executed time-`t` batch produced on
-/// a real medium.
+/// Everything one *corrupt* party's activation produced.
 pub(crate) struct CorruptOutcome {
     pub(crate) core: BatchCore,
     pub(crate) wire: CorruptWire,
 }
 
-/// Pre-executes one *corrupt* party's full time-`t` batch for the real
-/// media, reproducing the simulator's corrupt path exactly: the initial
-/// events drain first, then their same-tick cascades canonically among
-/// themselves.
+/// Executes one *corrupt* party's activation: the initial events drain
+/// first, then their same-tick cascades canonically among themselves. The
+/// shared adversary RNG is therefore drawn party by party, in the order the
+/// medium runs the corrupt parties.
 pub(crate) fn run_corrupt_batch<M: WireEncode + WireDecode + 'static>(
     wp: WorkerParty<'_, M>,
     env: SliceEnv,
@@ -936,7 +978,7 @@ pub(crate) fn run_corrupt_batch<M: WireEncode + WireDecode + 'static>(
         adv_rng,
         wire: CorruptWire::default(),
     };
-    let core = run_batch(wp, env, &mut Effects::new(), &mut sink);
+    let core = run_batch(wp, env, &mut sink);
     CorruptOutcome {
         core,
         wire: sink.wire,
@@ -952,8 +994,7 @@ const MIN_PARALLEL_EVENTS: usize = 4;
 /// The network half of a [`Simulation`] — adversary, scheduler, fault plan,
 /// event queue, clock and metrics: everything a send or a timer request
 /// touches. Split from the parties' state so that a corrupt party's batch
-/// can hold its state machine while its effects are dispatched here (the
-/// simulator-inline [`EffectSink`]).
+/// can hold its state machine while it consults the strategy held here.
 struct Network {
     n: usize,
     strategy: Box<dyn ByzantineStrategy>,
@@ -1015,56 +1056,20 @@ impl Network {
             .max(1)
     }
 
-    /// Puts one already-encoded message on the wire: consults the Byzantine
-    /// strategy for corrupt senders, records the exact bit accounting, and
-    /// schedules the delivery event.
-    fn dispatch(
-        &mut self,
-        from: PartyId,
-        honest: bool,
-        to: PartyId,
-        path: Path,
-        payload: Arc<Vec<u8>>,
-        broadcast: bool,
-    ) {
-        let payload = if honest {
-            payload
-        } else {
-            let send = WireSend {
-                from,
+    /// Puts a corrupt party's post-strategy messages on the wire, one event
+    /// and one scheduler draw each, and counts the strategy's decisions.
+    fn dispatch_wire(&mut self, from: PartyId, wire: CorruptWire) {
+        wire.record(&mut self.metrics);
+        for CorruptSend { to, path, payload } in wire.sends {
+            let delay = self.cross_party_delay(from, to);
+            let kind = EventKind::Deliver {
                 to,
-                n: self.n,
-                path: &path,
-                bytes: &payload,
-                broadcast,
+                from,
+                path,
+                payload,
             };
-            match self.strategy.on_send(&send, &mut self.adv_rng) {
-                WireAction::Deliver => payload,
-                WireAction::Replace(bytes) => {
-                    self.metrics.adversary_tampered += 1;
-                    Arc::new(bytes)
-                }
-                WireAction::Drop => {
-                    self.metrics.adversary_drops += 1;
-                    return;
-                }
-            }
-        };
-        let bits = payload.len() as u64 * 8;
-        self.metrics
-            .record_send(from, honest, bits, path.first().copied());
-        let delay = if to == from {
-            0
-        } else {
-            self.cross_party_delay(from, to)
-        };
-        let kind = EventKind::Deliver {
-            to,
-            from,
-            path,
-            payload,
-        };
-        self.schedule(from, to, delay, kind);
+            self.schedule(from, to, delay, kind);
+        }
     }
 
     /// Schedules one frame event (honest senders only — corrupt parties'
@@ -1112,72 +1117,6 @@ impl Network {
             }
         }
     }
-
-    /// Coalesces an *honest* party's `init` effects into frames and
-    /// dispatches them. Self-addressed messages have no running batch to
-    /// join, so they travel as plain zero-delay events instead.
-    fn flush_honest_init<M: WireEncode>(&mut self, sender: PartyId, effects: &mut Effects<M>) {
-        let mut frames = FrameSet::new();
-        for (to, path, msg) in effects.sends.drain(..) {
-            if to == sender {
-                let payload = Arc::new(msg.encode());
-                self.dispatch(sender, true, to, path, payload, false);
-            } else {
-                frames.add_send(to, &path, &msg);
-            }
-        }
-        for (path, msg) in effects.broadcasts.drain(..) {
-            let (_, self_copy) = frames.add_broadcast(&path, &msg);
-            self.dispatch(sender, true, sender, path, Arc::new(self_copy), true);
-        }
-        self.flush_frame_set(sender, frames);
-        for (delay, path, id) in effects.timers.drain(..) {
-            self.push_timer(sender, delay, path, id);
-        }
-    }
-
-    /// Drains a *corrupt* party's effects: every message goes through
-    /// [`Network::dispatch`] (strategy consult, corrupt accounting, one
-    /// event per message) and every timer into the global queue, so corrupt
-    /// parties' same-tick cascades are interleaved in global canonical order
-    /// — the order the shared adversary RNG is drawn in.
-    fn dispatch_corrupt_effects<M: WireEncode>(
-        &mut self,
-        sender: PartyId,
-        effects: &mut Effects<M>,
-    ) {
-        for (to, path, msg) in effects.sends.drain(..) {
-            let payload = Arc::new(msg.encode());
-            self.dispatch(sender, false, to, path, payload, false);
-        }
-        for (path, msg) in effects.broadcasts.drain(..) {
-            // One encoding for the whole broadcast; every delivery event
-            // shares the same bytes (and the same interned path) through
-            // `Arc`s.
-            let payload = Arc::new(msg.encode());
-            for to in 0..self.n {
-                self.dispatch(sender, false, to, path.clone(), Arc::clone(&payload), true);
-            }
-        }
-        for (delay, path, id) in effects.timers.drain(..) {
-            self.push_timer(sender, delay, path, id);
-        }
-    }
-}
-
-/// The simulator-inline corrupt sink: see [`Network::dispatch_corrupt_effects`].
-impl<M: WireEncode> EffectSink<M> for Network {
-    const DEFERS_CASCADES: bool = true;
-
-    fn absorb(
-        &mut self,
-        party: PartyId,
-        effects: &mut Effects<M>,
-        _local: &mut LocalQueue,
-        _timers: &mut Vec<(Time, Path, u64)>,
-    ) {
-        self.dispatch_corrupt_effects(party, effects);
-    }
 }
 
 /// A deterministic discrete-event simulation of `n` parties running one root
@@ -1215,9 +1154,6 @@ pub struct Simulation<M> {
     coin_seed: u64,
     initialized: bool,
     transcript: Option<Vec<TranscriptEntry>>,
-    /// Reusable effects buffer of the inline paths (`init` and corrupt
-    /// batches), drained after every activation.
-    scratch: Effects<M>,
 }
 
 impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
@@ -1284,7 +1220,6 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
             net,
             initialized: false,
             transcript: None,
-            scratch: Effects::new(),
         }
     }
 
@@ -1374,24 +1309,20 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
             return;
         }
         self.initialized = true;
-        for p in 0..self.config.n {
-            {
-                let mut ctx = Context::new(
-                    p,
-                    self.config.n,
-                    0,
-                    self.config.delta,
-                    &mut self.scratch,
-                    &mut self.rngs[p],
-                    self.coin_seed,
-                );
-                self.parties[p].init(&mut ctx);
-            }
-            if self.corruption.is_honest(p) {
-                self.net.flush_honest_init(p, &mut self.scratch);
-            } else {
-                self.net.dispatch_corrupt_effects(p, &mut self.scratch);
-            }
+        let env = self.slice_env(0);
+        for party in 0..self.config.n {
+            self.run_inline(party, Work::Init, env);
+        }
+    }
+
+    /// The constants every activation at tick `t` is built from.
+    fn slice_env(&self, t: Time) -> SliceEnv {
+        SliceEnv {
+            t,
+            n: self.config.n,
+            delta: self.config.delta,
+            coin_seed: self.coin_seed,
+            record: self.transcript.is_some(),
         }
     }
 
@@ -1433,10 +1364,9 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
     /// honest party's batch through [`run_party_batch`] (inline, or on
     /// worker threads when the slice is wide enough), and merge the outcomes
     /// in ascending party order — flushing each batch's coalesced frames
-    /// with one scheduler draw per frame event. Corrupt parties execute
-    /// inline with per-message dispatch so Byzantine strategies keep their
-    /// exact per-message semantics (and their shared adversary RNG draw
-    /// order).
+    /// with one scheduler draw per frame event. Corrupt parties run inline
+    /// at their place in that order through [`run_corrupt_batch`], so the
+    /// shared adversary RNG is drawn party by party.
     fn process_slice(&mut self, t: Time) {
         self.net.now = t;
         let depth = self.net.queue.len() as u64;
@@ -1447,13 +1377,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
             total += 1;
             per_party.entry(ev.kind.party()).or_default().push(ev.kind);
         }
-        let env = SliceEnv {
-            t,
-            n: self.config.n,
-            delta: self.config.delta,
-            coin_seed: self.coin_seed,
-            record: self.transcript.is_some(),
-        };
+        let env = self.slice_env(t);
         let mut outcomes: Vec<Option<BatchOutcome>> = (0..env.n).map(|_| None).collect();
         let honest_with_work = per_party
             .keys()
@@ -1488,7 +1412,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
                     party,
                     protocol,
                     rng,
-                    events: std::mem::take(events),
+                    work: Work::Events(std::mem::take(events)),
                 });
                 slot += 1;
             }
@@ -1517,44 +1441,37 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
             }
         }
         for (party, events) in per_party {
-            if self.corruption.is_honest(party) {
-                let outcome = outcomes[party].take().unwrap_or_else(|| {
-                    let wp = WorkerParty {
-                        party,
-                        protocol: &mut self.parties[party],
-                        rng: &mut self.rngs[party],
-                        events,
-                    };
-                    run_party_batch(wp, env)
-                });
-                self.apply_outcome(outcome);
-            } else {
-                self.run_corrupt_inline(party, events, env);
+            match outcomes[party].take() {
+                Some(outcome) => self.apply_outcome(outcome),
+                None => self.run_inline(party, Work::Events(events), env),
             }
         }
-        // Same-tick cascades of corrupt parties (their self-sends and
-        // zero-delay timers go through the global queue); nothing else can
-        // land in the current tick.
-        while let Some(ev) = self.net.queue.pop_current() {
-            self.run_corrupt_inline(ev.kind.party(), vec![ev.kind], env);
-        }
+        // Every batch ran its own same-tick cascades.
+        debug_assert!(self.net.queue.pop_current().is_none());
         self.net
             .metrics
             .record_slice(self.net.metrics.events_processed - before, depth);
     }
 
-    /// Runs a corrupt party's events inline, its effects going straight to
-    /// the [`Network`].
-    fn run_corrupt_inline(&mut self, party: PartyId, events: Vec<EventKind>, env: SliceEnv) {
-        debug_assert!(!self.corruption.is_honest(party));
+    /// Runs one party's activation inline through the sink its corruption
+    /// status selects, and applies what it produced.
+    fn run_inline(&mut self, party: PartyId, work: Work, env: SliceEnv) {
         let wp = WorkerParty {
             party,
             protocol: &mut self.parties[party],
             rng: &mut self.rngs[party],
-            events,
+            work,
         };
-        let core = run_batch(wp, env, &mut self.scratch, &mut self.net);
-        self.merge_core(core);
+        if self.corruption.is_honest(party) {
+            let outcome = run_party_batch(wp, env);
+            self.apply_outcome(outcome);
+        } else {
+            let net = &mut self.net;
+            let CorruptOutcome { core, wire } =
+                run_corrupt_batch(wp, env, net.strategy.as_mut(), &mut net.adv_rng);
+            net.dispatch_wire(party, wire);
+            self.merge_core(core);
+        }
     }
 
     /// Applies one pre-executed honest batch on the merge path: accounting,
@@ -1575,8 +1492,8 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         self.merge_core(core);
     }
 
-    /// Folds a batch's sink-independent results in: counters, transcript
-    /// and future timers.
+    /// Folds a batch's sink-independent results in: counters, transcript,
+    /// future timers and `init`'s tick-0 events.
     fn merge_core(&mut self, core: BatchCore) {
         self.net.metrics.events_processed += core.events;
         self.net.metrics.timeouts_fired += core.timers_fired;
@@ -1586,6 +1503,9 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         }
         for (delay, path, id) in core.timers {
             self.net.push_timer(core.party, delay, path, id);
+        }
+        for kind in core.tick0 {
+            self.net.push_event(self.net.now, kind);
         }
     }
 }
@@ -2023,9 +1943,9 @@ mod tests {
     }
 
     /// Undecodable bytes — a whole frame or a single message — are dropped at
-    /// the one delivery boundary identically whichever sink the batch drains
-    /// into: one `DroppedDeliver` entry, one decode failure, no handler call,
-    /// nothing sent.
+    /// the one delivery boundary identically whichever of the two sinks the
+    /// batch drains into: one `DroppedDeliver` entry, one decode failure, no
+    /// handler call, nothing sent.
     #[test]
     fn hostile_bytes_drop_identically_for_every_sink() {
         fn assert_dropped(
@@ -2056,7 +1976,7 @@ mod tests {
                 party: 1,
                 protocol,
                 rng,
-                events: vec![kind.clone()],
+                work: Work::Events(vec![kind.clone()]),
             }
         }
         let (to, from, payload) = (1, 0, Arc::new(vec![0xFFu8; 7]));
@@ -2105,31 +2025,15 @@ mod tests {
                 &mut Passive,
                 &mut adv_rng,
             );
-            let quiet = wire.sends.is_empty() && wire.wire_messages == 0 && core.timers.is_empty();
-            let label = format!("real-medium corrupt sink, event {i}");
+            let quiet = wire.sends.is_empty()
+                && wire.wire_messages + wire.drops + wire.tampered == 0
+                && core.timers.is_empty();
+            let label = format!("corrupt sink, event {i}");
             assert_dropped(
                 &label,
                 &core.transcript,
                 core.decode_failures,
                 &*protocol,
-                quiet,
-            );
-
-            let cfg = NetConfig::synchronous(env.n);
-            let mut sim = Simulation::new(cfg, CorruptionSet::new(vec![to]), parties(env.n));
-            sim.record_transcript();
-            sim.initialized = true; // no pings: the hostile event is the whole run
-            sim.net.push_event(env.t, kind);
-            sim.run_to_quiescence(1_000);
-            let m = sim.metrics();
-            let quiet = m.honest_messages + m.corrupt_messages + m.frames_sent == 0
-                && m.events_processed == 1;
-            let label = format!("simulator-inline corrupt sink, event {i}");
-            assert_dropped(
-                &label,
-                sim.transcript(),
-                m.decode_failures,
-                sim.party(to),
                 quiet,
             );
         }

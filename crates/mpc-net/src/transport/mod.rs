@@ -36,8 +36,8 @@ pub type PartyId = usize;
 
 /// Logical network time in ticks. On the simulator this is the virtual
 /// event-queue clock; on the threaded backend one tick is a fixed wall-clock
-/// duration (`MPC_TICK_US`) and the value reported is the highest tick a
-/// party actually processed.
+/// duration (`RealNet::with_tick_micros`) and the value reported is the
+/// highest tick a party actually processed.
 pub type Time = u64;
 
 /// Which party runtime executes a run.
@@ -97,8 +97,8 @@ impl Backend {
 pub enum TransportError {
     /// The threaded backend's conservative delivery gate saw zero progress
     /// on a lagging link for the configured wedge timeout
-    /// (`ThreadedNet::with_wedge_millis` / `MPC_WEDGE_MS`) and processed
-    /// anyway. Counted in [`Metrics::wedges`].
+    /// (`ThreadedNet::with_wedge_millis`) and processed anyway. Counted in
+    /// [`Metrics::wedges`].
     Wedged {
         /// The peer whose link clock stopped advancing.
         party: PartyId,

@@ -118,12 +118,12 @@ pub fn encode_handshake(from: PartyId, to: PartyId) -> [u8; 12] {
 
 /// Decodes and validates a connection handshake; returns `(from, to)`.
 pub fn decode_handshake(bytes: &[u8; 12]) -> Option<(PartyId, PartyId)> {
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if magic != MAGIC {
+    let [m0, m1, m2, m3, f0, f1, f2, f3, t0, t1, t2, t3] = *bytes;
+    if u32::from_le_bytes([m0, m1, m2, m3]) != MAGIC {
         return None;
     }
-    let from = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as PartyId;
-    let to = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as PartyId;
+    let from = u32::from_le_bytes([f0, f1, f2, f3]) as PartyId;
+    let to = u32::from_le_bytes([t0, t1, t2, t3]) as PartyId;
     Some((from, to))
 }
 
@@ -264,21 +264,21 @@ impl RecordDecoder {
     /// Decodes the next complete record, `Ok(None)` if more bytes are
     /// needed, or a [`DecodeFault`] if the stream is poisoned.
     pub fn next_record(&mut self) -> Result<Option<LinkRecord>, DecodeFault> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        let Some((len_bytes, rest)) = self.buf[self.pos..].split_first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[0..4].try_into().unwrap());
+        };
+        let len = u32::from_le_bytes(*len_bytes);
         // Minimum body: tag + 8-byte checksum.
         if (len as usize) < 9 || len as usize > MAX_RECORD_BYTES {
             return Err(DecodeFault::BadLength(len));
         }
-        if avail.len() < 4 + len as usize {
+        let Some(body) = rest.get(..len as usize) else {
             return Ok(None);
-        }
-        let body = &avail[4..4 + len as usize];
-        let (fields, sum_bytes) = body.split_at(body.len() - 8);
-        let sum = u64::from_le_bytes(sum_bytes.try_into().unwrap());
+        };
+        let Some((fields, sum_bytes)) = body.split_last_chunk::<8>() else {
+            return Err(DecodeFault::BadLength(len));
+        };
+        let sum = u64::from_le_bytes(*sum_bytes);
         if fnv1a(fields) != sum {
             return Err(DecodeFault::BadChecksum);
         }
@@ -612,7 +612,7 @@ impl<S: Read> Handshakes<S> {
     /// of 12 bytes stays pending; EOF, an error or an invalid handshake
     /// closes the connection and changes nothing else.
     pub fn advance(&mut self, idx: usize, me: PartyId, n: usize) -> Option<(PartyId, S)> {
-        let p = &mut self.pending[idx];
+        let p = self.pending.get_mut(idx)?;
         while p.got < p.hs.len() {
             match p.stream.read(&mut p.hs[p.got..]) {
                 Ok(0) => break,
@@ -622,7 +622,7 @@ impl<S: Read> Handshakes<S> {
                 Err(_) => break,
             }
         }
-        let p = self.pending.remove(idx).expect("indexed just above");
+        let p = self.pending.remove(idx)?;
         let (from, to) = decode_handshake(&p.hs)?;
         (p.got == p.hs.len() && to == me && from < n && from != me).then_some((from, p.stream))
     }

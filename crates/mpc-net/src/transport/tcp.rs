@@ -76,28 +76,13 @@ use crate::transport::threaded::{
 use crate::transport::{Backend, PartyId, Time};
 use crate::wire::{WireDecode, WireEncode};
 
-/// Resolves the replay-buffer byte bound from `MPC_TCP_REPLAY_CAP`
-/// (default 8 MiB). A set-but-unparsable value panics instead of silently
-/// falling back.
-pub fn replay_cap_from_env() -> usize {
-    env_count("MPC_TCP_REPLAY_CAP", 0).unwrap_or(8 << 20) as usize
-}
+/// The byte bound of a link's replay buffer: over it, a send waits (up to
+/// [`BACKPRESSURE`]) for acks, and a receiver acks after a quarter of it.
+const REPLAY_CAP: usize = 8 << 20;
 
-/// Resolves the idle-link probe interval from `MPC_TCP_PROBE_MS`
-/// (milliseconds, default 25). A set-but-unparsable or zero value panics
-/// instead of silently falling back.
-pub fn probe_millis_from_env() -> u64 {
-    env_count("MPC_TCP_PROBE_MS", 1).unwrap_or(25)
-}
-
-/// `None` if `name` is unset or blank; panics unless it is a count ≥ `min`.
-fn env_count(name: &str, min: u64) -> Option<u64> {
-    let v = std::env::var(name).ok().filter(|v| !v.trim().is_empty())?;
-    match v.trim().parse() {
-        Ok(count) if count >= min => Some(count),
-        _ => panic!("{name}={v:?}: expected an unsigned integer, at least {min}"),
-    }
-}
+/// How long a link may stay silent before it writes an idle probe, and the
+/// latest a received record waits for its ack.
+const PROBE: Duration = Duration::from_millis(25);
 
 /// What the mailboxes of one run share.
 struct NetCtx<'a> {
@@ -105,7 +90,6 @@ struct NetCtx<'a> {
     addrs: Vec<SocketAddr>,
     spec: &'a NetSpec,
     sockets: &'a Sockets,
-    probe: Duration,
     /// Raised by the coordinator *before* it wakes the parties; a mailbox
     /// looks at it ahead of its sockets, so the teardown of a finished peer
     /// is never mistaken for a connection to repair.
@@ -290,7 +274,7 @@ impl<'a> TcpMailbox<'a> {
             let sent = if link.writer.wants_write(now) {
                 link.last_write = now;
                 link.writer.flush(stream, now)
-            } else if link.writer.drained() && now >= link.last_write + self.ctx.probe {
+            } else if link.writer.drained() && now >= link.last_write + PROBE {
                 // Idle heartbeat: re-announce the last promised floor (a
                 // receiver-side no-op, floors are max-monotonic) purely so a
                 // dead peer shows up as a failed write. Only once every
@@ -323,7 +307,7 @@ impl<'a> TcpMailbox<'a> {
             .flatten()
             .filter_map(|link| match &link.conn {
                 OutConn::Down { retry_at, .. } => Some(*retry_at),
-                OutConn::Up(_) if link.writer.drained() => Some(link.last_write + self.ctx.probe),
+                OutConn::Up(_) if link.writer.drained() => Some(link.last_write + PROBE),
                 OutConn::Up(_) => link.writer.stalled_until(),
             });
         let acks = self.inc.iter().filter_map(|l| l.conn.as_ref()?.ack_due);
@@ -337,7 +321,7 @@ impl<'a> TcpMailbox<'a> {
         let next_seq = *expected;
         match write_whole(&mut conn.stream, &LinkRecord::Ack { next_seq }) {
             Ok(true) => (conn.unacked, conn.ack_due) = (0, None),
-            Ok(false) => conn.ack_due = Some(now + self.ctx.probe),
+            Ok(false) => conn.ack_due = Some(now + PROBE),
             Err(_) => self.drop_in(from, 0),
         }
     }
@@ -503,13 +487,13 @@ impl<'a> TcpMailbox<'a> {
                 self.ready.push_back(inbound);
             } // else a replay duplicate — already delivered, but ack it
             conn.unacked += before - conn.dec.pending_bytes();
-            conn.ack_due.get_or_insert(now + self.ctx.probe);
+            conn.ack_due.get_or_insert(now + PROBE);
         };
         match verdict {
             Err(torn) => self.drop_in(from, torn),
             // The sender's replay buffer is filling: do not wait for the
             // timer.
-            Ok(()) if conn.unacked >= self.ctx.sockets.replay_cap / 4 => self.send_ack(from, now),
+            Ok(()) if conn.unacked >= REPLAY_CAP / 4 => self.send_ack(from, now),
             Ok(()) => {}
         }
     }
@@ -533,7 +517,7 @@ impl<'a> TcpMailbox<'a> {
         loop {
             let now = Instant::now();
             let link = self.out[to].as_ref().expect("no link to self");
-            let over = link.writer.backlog() > self.ctx.sockets.replay_cap;
+            let over = link.writer.backlog() > REPLAY_CAP;
             let up = matches!(link.conn, OutConn::Up(_));
             if !(over && up && now < until) || self.ctx.stop.load(Ordering::SeqCst) {
                 return;
@@ -596,7 +580,7 @@ impl Mailbox for TcpMailbox<'_> {
             // the wire.
             Inbound::Stop => {}
         }
-        if link.writer.backlog() > ctx.sockets.replay_cap {
+        if link.writer.backlog() > REPLAY_CAP {
             self.await_acks(to);
         }
         true
@@ -631,11 +615,10 @@ impl Mailbox for TcpMailbox<'_> {
 }
 
 /// The socket medium of [`TcpNet`]: supervised loopback `TcpStream`s, plus
-/// the knobs only sockets have.
+/// the chaos plan only sockets have.
+#[derive(Default)]
 pub struct Sockets {
     chaos: FaultPlan,
-    replay_cap: usize,
-    probe_ms: u64,
 }
 
 /// The socket transport: drop-in third [`Transport`](super::Transport)
@@ -646,15 +629,6 @@ pub struct Sockets {
 pub type TcpNet<M> = RealNet<M, Sockets>;
 
 impl<M> TcpNet<M> {
-    /// Overrides the replay-buffer byte bound (`0` keeps the
-    /// `MPC_TCP_REPLAY_CAP` / 8 MiB default).
-    pub fn with_replay_cap(mut self, bytes: usize) -> Self {
-        if bytes > 0 {
-            self.medium.replay_cap = bytes;
-        }
-        self
-    }
-
     /// Installs the *socket-level* chaos plan interpreted by the supervisor
     /// shim (sever / stall / duplicate byte runs). Independent of
     /// [`RealNet::set_fault_plan`] — the logical plan decides what is
@@ -671,14 +645,6 @@ impl<M> TcpNet<M> {
 
 impl Medium for Sockets {
     const BACKEND: Backend = Backend::Tcp;
-
-    fn from_env() -> Self {
-        Sockets {
-            chaos: FaultPlan::none(),
-            replay_cap: replay_cap_from_env(),
-            probe_ms: probe_millis_from_env(),
-        }
-    }
 
     /// Binds the listeners, runs one thread per party over its
     /// `TcpMailbox`, and folds the supervisor counters in.
@@ -703,7 +669,6 @@ impl Medium for Sockets {
                 .collect(),
             spec,
             sockets: self,
-            probe: Duration::from_millis(self.probe_ms.max(1)),
             stop: AtomicBool::new(false),
         };
         let mailboxes = listeners
@@ -722,20 +687,5 @@ impl Medium for Sockets {
                 let _ = TcpStream::connect_timeout(addr, DIAL_TIMEOUT);
             }
         });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_knobs_have_sane_defaults() {
-        if std::env::var_os("MPC_TCP_REPLAY_CAP").is_none() {
-            assert_eq!(replay_cap_from_env(), 8 << 20);
-        }
-        if std::env::var_os("MPC_TCP_PROBE_MS").is_none() {
-            assert_eq!(probe_millis_from_env(), 25);
-        }
     }
 }

@@ -17,12 +17,13 @@
 //! per-message view of the wire).
 //!
 //! Time is paced against the wall clock: one logical tick is a fixed real
-//! duration (`MPC_TICK_US`, default 1000 µs), and a party processes the work
-//! due at tick `t` when `Mailbox::recv` reaches the tick's real deadline —
-//! every timer expiry on this backend is a genuine timeout, not a simulated
-//! event. Link latency comes from a [`LinkDelays`] matrix: a packet sent at
-//! tick `t` over a link of `d` ticks is *stamped* `deliver_tick = t + d` by
-//! the sender and held by the receiver until that tick's wall deadline.
+//! duration ([`RealNet::with_tick_micros`], default 1000 µs), and a party
+//! processes the work due at tick `t` when `Mailbox::recv` reaches the
+//! tick's real deadline — every timer expiry on this backend is a genuine
+//! timeout, not a simulated event. Link latency comes from a [`LinkDelays`]
+//! matrix: a packet sent at tick `t` over a link of `d` ticks is *stamped*
+//! `deliver_tick = t + d` by the sender and held by the receiver until that
+//! tick's wall deadline.
 //! Logical "now" therefore flows in-band with the packets, never from the
 //! wall clock — what the wall clock decides is *which event wins a race*:
 //! a party whose `Δ`-timer deadline arrives before a slow sender's bytes
@@ -40,10 +41,11 @@
 //!
 //! # Conformance
 //!
-//! Party batches are executed by the *same* batch loop the simulator runs
-//! (`simulation::run_batch`; only the sink a batch's effects drain into
-//! differs between an honest and a corrupt party), and the per-receiver
-//! packet order `(deliver_tick, send_tick, from, order)` reproduces the
+//! Party activations — `init` included — are executed by the *same* batch
+//! loop the simulator runs (`simulation::run_batch`; only the sink a batch's
+//! effects drain into differs between an honest and a corrupt party, on
+//! every medium), and the per-receiver packet order
+//! `(deliver_tick, send_tick, from, order)` reproduces the
 //! simulator's canonical event order whenever the latency matrix is
 //! column-distinct (which [`LinkDelays`] constructions guarantee): for any
 //! seed, this backend and the simulator produce byte-identical per-party
@@ -61,31 +63,22 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::adversary::{
-    AdversaryStructure, ByzantineStrategy, CorruptionSet, Passive, WireAction, WireSend,
-};
-use crate::context::{Context, Effects, Path, Protocol};
+use crate::adversary::{AdversaryStructure, ByzantineStrategy, CorruptionSet, Passive};
+use crate::context::{Path, Protocol};
 use crate::faults::{FaultOutcome, FaultPlan};
 use crate::metrics::Metrics;
 use crate::scheduler::LinkDelays;
 use crate::simulation::{
-    run_corrupt_batch, run_party_batch, BatchCore, BatchOutcome, CorruptOutcome, CorruptSend,
-    EventKind, FrameSet, NetConfig, SliceEnv, TranscriptEntry, WorkerParty,
+    run_corrupt_batch, run_party_batch, BatchOutcome, CorruptOutcome, CorruptSend, EventKind,
+    FrameSet, NetConfig, SliceEnv, TranscriptEntry, Work, WorkerParty,
 };
 use crate::transport::{Backend, PartyId, PartyView, Time, Transport, TransportError};
 use crate::wire::{put_path, WireDecode, WireEncode, WireError, WireReader};
 
-/// Resolves the real duration of one logical tick from the `MPC_TICK_US`
-/// environment variable (microseconds, default 1000). Larger ticks give
-/// party threads more wall-clock slack per tick (fewer late packets under
-/// load); smaller ticks make runs faster.
-pub fn tick_micros_from_env() -> u64 {
-    std::env::var("MPC_TICK_US")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(1000)
-}
+/// The default real duration of one logical tick, in microseconds. Larger
+/// ticks give party threads more wall-clock slack per tick (fewer late
+/// packets under load); smaller ticks make runs faster.
+const DEFAULT_TICK_MICROS: u64 = 1000;
 
 /// What travels between party threads.
 pub(super) enum Inbound {
@@ -303,10 +296,6 @@ pub(super) struct PartyRuntime<'s, M, B> {
     /// First wedge diagnosed by the gate (lagging peer, its last cleared
     /// tick); surfaced post-run as `TransportError::Wedged`.
     wedged: Option<(PartyId, Time)>,
-    /// `MPC_TRACE_GATE` / `MPC_TRACE_LATE` diagnostics, resolved once per
-    /// run rather than on every due tick and late packet.
-    trace_gate: bool,
-    trace_late: bool,
 }
 
 /// The default zero-progress grace of the conservative gate (30 s). This is
@@ -319,17 +308,6 @@ pub(super) struct PartyRuntime<'s, M, B> {
 /// [`TransportError::Wedged`] through `Transport::last_error`.
 pub const fn default_wedge_timeout() -> Duration {
     Duration::from_secs(30)
-}
-
-/// Resolves the gate's zero-progress grace from the `MPC_WEDGE_MS`
-/// environment variable (milliseconds; unset, empty, unparsable or 0 → the
-/// 30 s default).
-pub fn wedge_millis_from_env() -> u64 {
-    std::env::var("MPC_WEDGE_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default_wedge_timeout().as_millis() as u64)
 }
 
 impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
@@ -442,17 +420,6 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
             // Physically late: its logical tick is already processed. Clamp
             // forward (and diagnose) rather than lose or reorder it.
             self.metrics.late_packets += 1;
-            if self.trace_late {
-                eprintln!(
-                    "late: to={} from={} deliver={} send={} next_unprocessed={} floor[from]={}",
-                    self.me,
-                    p.from,
-                    deliver,
-                    p.send_tick,
-                    self.next_unprocessed,
-                    self.chan_floor[p.from]
-                );
-            }
             deliver = self.next_unprocessed;
         }
         let kind = if p.framed {
@@ -557,151 +524,62 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
         }
     }
 
-    /// Routes one corrupt-sender message through the Byzantine strategy (the
-    /// simulator's `dispatch` order of operations) at init time.
-    fn route_corrupt(
-        &mut self,
-        adv: &mut AdvState,
-        to: PartyId,
-        path: Path,
-        payload: Arc<Vec<u8>>,
-        broadcast: bool,
-        batch0: &mut Vec<EventKind>,
-    ) {
-        let send = WireSend {
-            from: self.me,
-            to,
+    /// Runs one activation of this party through the shared batch loop at
+    /// tick `t` and puts what it produced on the links: an honest party's
+    /// frames, a corrupt party's strategy-filtered messages one packet each.
+    /// `init`'s tick-0 events are held like packets from the party itself.
+    fn activate(&mut self, t: Time, work: Work) {
+        let env = SliceEnv {
+            t,
             n: self.n,
-            path: &path,
-            bytes: &payload,
-            broadcast,
+            delta: self.spec.config.delta,
+            coin_seed: self.spec.config.coin_seed(),
+            record: self.spec.record,
         };
-        let payload = match adv.strategy.on_send(&send, &mut adv.rng) {
-            WireAction::Deliver => payload,
-            WireAction::Replace(bytes) => {
-                self.metrics.adversary_tampered += 1;
-                Arc::new(bytes)
-            }
-            WireAction::Drop => {
-                self.metrics.adversary_drops += 1;
-                return;
-            }
+        let wp = WorkerParty {
+            party: self.me,
+            protocol: &mut self.protocol,
+            rng: &mut self.rng,
+            work,
         };
-        self.metrics.record_send(
-            self.me,
-            false,
-            payload.len() as u64 * 8,
-            path.first().copied(),
-        );
-        if to == self.me {
-            batch0.push(EventKind::Deliver {
-                to,
-                from: self.me,
-                path,
-                payload,
-            });
+        let core = if self.honest {
+            let BatchOutcome { core, sent } = run_party_batch(wp, env);
+            for (bits, seg) in sent.self_records {
+                self.metrics.record_send(self.me, true, bits, seg);
+            }
+            self.flush_frames(sent.frames, t);
+            core
         } else {
-            let bytes = Arc::new(encode_single(&path, &payload));
-            self.send_packet(to, 0, false, bytes);
+            let adv_mutex = self.adv;
+            let mut adv = adv_mutex.lock().expect("adversary state poisoned");
+            let AdvState { strategy, rng } = &mut *adv;
+            let CorruptOutcome { core, wire } = run_corrupt_batch(wp, env, strategy.as_mut(), rng);
+            drop(adv);
+            wire.record(&mut self.metrics);
+            for CorruptSend { to, path, payload } in wire.sends {
+                let bytes = Arc::new(encode_single(&path, &payload));
+                self.send_packet(to, t, false, bytes);
+            }
+            core
+        };
+        debug_assert_eq!(core.party, self.me);
+        // `timers_fired` is not read: `process_tick` already counted the
+        // batch's timer expiries when it popped them from its timer wheel.
+        self.metrics.events_processed += core.events;
+        self.metrics.decode_failures += core.decode_failures;
+        if self.spec.record {
+            self.transcript.extend(core.transcript);
+        }
+        for (delay, path, id) in core.timers {
+            self.push_timer(t + delay, path, id);
+        }
+        for kind in core.tick0 {
+            let order = self.next_order(t);
+            self.hold(t, t, self.me, order, kind);
         }
     }
 
-    /// Runs the party's `init` at tick 0 and converts its effects into the
-    /// tick-0 pending batch plus outbound packets — mirroring the simulator's
-    /// init flush (self-sends and broadcast self-copies as same-tick events,
-    /// cross-party honest traffic framed, corrupt traffic per message).
-    pub(super) fn init(&mut self) {
-        let mut effects: Effects<M> = Effects::new();
-        {
-            let mut ctx = Context::new(
-                self.me,
-                self.n,
-                0,
-                self.spec.config.delta,
-                &mut effects,
-                &mut self.rng,
-                self.spec.config.coin_seed(),
-            );
-            self.protocol.init(&mut ctx);
-        }
-        let mut batch0: Vec<EventKind> = Vec::new();
-        if self.honest {
-            let mut frames = FrameSet::new();
-            for (to, path, msg) in effects.sends.drain(..) {
-                if to == self.me {
-                    let payload = Arc::new(msg.encode());
-                    self.metrics.record_send(
-                        self.me,
-                        true,
-                        payload.len() as u64 * 8,
-                        path.first().copied(),
-                    );
-                    batch0.push(EventKind::Deliver {
-                        to,
-                        from: self.me,
-                        path,
-                        payload,
-                    });
-                } else {
-                    frames.add_send(to, &path, &msg);
-                }
-            }
-            for (path, msg) in effects.broadcasts.drain(..) {
-                let (bits, self_copy) = frames.add_broadcast(&path, &msg);
-                self.metrics
-                    .record_send(self.me, true, bits, path.first().copied());
-                batch0.push(EventKind::Deliver {
-                    to: self.me,
-                    from: self.me,
-                    path,
-                    payload: Arc::new(self_copy),
-                });
-            }
-            self.flush_frames(frames, 0);
-        } else {
-            let sends: Vec<_> = effects.sends.drain(..).collect();
-            let broadcasts: Vec<_> = effects.broadcasts.drain(..).collect();
-            if !sends.is_empty() || !broadcasts.is_empty() {
-                let adv_mutex = self.adv;
-                let mut adv = adv_mutex.lock().expect("adversary state poisoned");
-                for (to, path, msg) in sends {
-                    let payload = Arc::new(msg.encode());
-                    self.route_corrupt(&mut adv, to, path, payload, false, &mut batch0);
-                }
-                for (path, msg) in broadcasts {
-                    let payload = Arc::new(msg.encode());
-                    for to in 0..self.n {
-                        self.route_corrupt(
-                            &mut adv,
-                            to,
-                            path.clone(),
-                            Arc::clone(&payload),
-                            true,
-                            &mut batch0,
-                        );
-                    }
-                }
-            }
-        }
-        for (delay, path, id) in effects.timers.drain(..) {
-            if delay == 0 {
-                batch0.push(EventKind::Timer {
-                    party: self.me,
-                    path,
-                    id,
-                });
-            } else {
-                self.push_timer(delay, path, id);
-            }
-        }
-        for kind in batch0 {
-            let order = self.next_order(0);
-            self.hold(0, 0, self.me, order, kind);
-        }
-    }
-
-    /// Processes everything due at tick `t` as one batch through the shared
-    /// batch loop.
+    /// Processes everything due at tick `t` as one batch.
     fn process_tick(&mut self, t: Time) {
         self.shared.activity.fetch_add(1, Ordering::SeqCst);
         let mut events: Vec<EventKind> = Vec::new();
@@ -733,59 +611,10 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
         self.metrics.timeouts_fired += timer_events;
         self.metrics
             .record_slice(events.len() as u64, (self.held.len() + events.len()) as u64);
-        let env = SliceEnv {
-            t,
-            n: self.n,
-            delta: self.spec.config.delta,
-            coin_seed: self.spec.config.coin_seed(),
-            record: self.spec.record,
-        };
-        let wp = WorkerParty {
-            party: self.me,
-            protocol: &mut self.protocol,
-            rng: &mut self.rng,
-            events,
-        };
-        if self.honest {
-            let BatchOutcome { core, sent } = run_party_batch(wp, env);
-            for (bits, seg) in sent.self_records {
-                self.metrics.record_send(self.me, true, bits, seg);
-            }
-            self.flush_frames(sent.frames, t);
-            self.apply_core(core, t);
-        } else {
-            let adv_mutex = self.adv;
-            let mut adv = adv_mutex.lock().expect("adversary state poisoned");
-            let AdvState { strategy, rng } = &mut *adv;
-            let CorruptOutcome { core, wire } = run_corrupt_batch(wp, env, strategy.as_mut(), rng);
-            drop(adv);
-            self.metrics.adversary_drops += wire.drops;
-            self.metrics.adversary_tampered += wire.tampered;
-            self.metrics.corrupt_messages += wire.wire_messages;
-            for CorruptSend { to, path, payload } in wire.sends {
-                let bytes = Arc::new(encode_single(&path, &payload));
-                self.send_packet(to, t, false, bytes);
-            }
-            self.apply_core(core, t);
-        }
+        self.activate(t, Work::Events(events));
         self.next_unprocessed = t + 1;
         self.last_tick = t;
         self.processed_any = true;
-    }
-
-    /// Folds a batch's sink-independent results in. `timers_fired` is not
-    /// read: this loop already counted the batch's timer expiries when it
-    /// popped them from its timer wheel.
-    fn apply_core(&mut self, core: BatchCore, t: Time) {
-        debug_assert_eq!(core.party, self.me);
-        self.metrics.events_processed += core.events;
-        self.metrics.decode_failures += core.decode_failures;
-        if self.spec.record {
-            self.transcript.extend(core.transcript);
-        }
-        for (delay, path, id) in core.timers {
-            self.push_timer(t + delay, path, id);
-        }
     }
 
     /// Folds one inbound message in; true if it is progress a gate waits
@@ -819,7 +648,7 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
     /// The party thread body: init, epoch barrier, then the paced event loop
     /// until the coordinator's `Stop`; hands the runtime back for the fold.
     fn run(mut self, barrier: &Barrier, epoch: &OnceLock<Instant>) -> Self {
-        self.init();
+        self.activate(0, Work::Init);
         // Init-time traffic (and, on sockets, the dials under it) leaves
         // before the epoch is stamped, outside tick 0's budget.
         self.mailbox.flush();
@@ -885,21 +714,7 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
                     // it with every promise it emits, so the gate only bails
                     // on a genuinely dead peer, not on slow progress.
                     let mut stalled_since = Instant::now();
-                    let mut traced = stalled_since;
                     while self.lagging_link(t).is_some() && !self.stopping {
-                        if self.trace_gate && traced.elapsed() > Duration::from_secs(1) {
-                            traced = Instant::now();
-                            eprintln!(
-                                "gate: me={} t={} floors={:?} promised={} nup={} held={} timers={}",
-                                self.me,
-                                t,
-                                self.chan_floor,
-                                self.promised,
-                                self.next_unprocessed,
-                                self.held.len(),
-                                self.timers.len()
-                            );
-                        }
                         if stalled_since.elapsed() > wedge_timeout {
                             // Zero progress for the whole grace: diagnose the
                             // wedged peer, then process anyway (liveness) —
@@ -948,12 +763,11 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
 }
 
 /// How the party threads of a real backend reach each other — the one thing
-/// [`ThreadedNet`] and [`super::tcp::TcpNet`] differ in.
-pub trait Medium {
+/// [`ThreadedNet`] and [`super::tcp::TcpNet`] differ in. A net starts from
+/// the medium's `Default`.
+pub trait Medium: Default {
     /// The [`Backend`] a net over this medium reports.
     const BACKEND: Backend;
-    /// The medium as the environment configures it.
-    fn from_env() -> Self;
     /// Runs the parties of `state` to quiescence, one thread each, over
     /// mailboxes of this medium (see [`run_parties`]).
     #[doc(hidden)]
@@ -972,9 +786,6 @@ pub struct Channels;
 
 impl Medium for Channels {
     const BACKEND: Backend = Backend::Threaded;
-    fn from_env() -> Self {
-        Channels
-    }
     fn run<M: WireEncode + WireDecode + 'static>(
         &self,
         spec: &NetSpec,
@@ -1074,8 +885,8 @@ impl<M: WireEncode + WireDecode + 'static, L: Medium> RealNet<M, L> {
         metrics.worker_threads = config.n as u64;
         RealNet {
             spec: NetSpec {
-                tick_us: tick_micros_from_env(),
-                wedge_ms: wedge_millis_from_env(),
+                tick_us: DEFAULT_TICK_MICROS,
+                wedge_ms: default_wedge_timeout().as_millis() as u64,
                 config,
                 corruption,
                 links,
@@ -1083,7 +894,7 @@ impl<M: WireEncode + WireDecode + 'static, L: Medium> RealNet<M, L> {
                 record: false,
             },
             structure: None,
-            medium: L::from_env(),
+            medium: L::default(),
             state: RunState {
                 parties: parties.into_iter().map(Some).collect(),
                 metrics,
@@ -1097,7 +908,7 @@ impl<M: WireEncode + WireDecode + 'static, L: Medium> RealNet<M, L> {
     }
 
     /// Overrides the real duration of one logical tick (microseconds; `0`
-    /// keeps the `MPC_TICK_US` default). Call before running.
+    /// keeps the 1000 µs default). Call before running.
     pub fn with_tick_micros(mut self, micros: u64) -> Self {
         if micros > 0 {
             self.spec.tick_us = micros;
@@ -1106,7 +917,7 @@ impl<M: WireEncode + WireDecode + 'static, L: Medium> RealNet<M, L> {
     }
 
     /// Overrides the conservative gate's zero-progress grace (milliseconds;
-    /// `0` keeps the `MPC_WEDGE_MS` / 30 s default). Call before running. A
+    /// `0` keeps the 30 s default). Call before running. A
     /// gate that waits this long without any progress on a lagging link
     /// counts a wedge in [`Metrics::wedges`] and surfaces
     /// [`TransportError::Wedged`] through [`Transport::last_error`] instead
@@ -1196,8 +1007,6 @@ pub(super) fn run_parties<M, B>(
     });
     let barrier = Barrier::new(n);
     let epoch: OnceLock<Instant> = OnceLock::new();
-    let trace_gate = std::env::var_os("MPC_TRACE_GATE").is_some();
-    let trace_late = std::env::var_os("MPC_TRACE_LATE").is_some();
     let results: Vec<PartyRuntime<'_, M, B>> = std::thread::scope(|scope| {
         let (shared, adv, barrier, epoch) = (&shared, &adv, &barrier, &epoch);
         let handles: Vec<_> = (state.parties.iter_mut())
@@ -1239,8 +1048,6 @@ pub(super) fn run_parties<M, B>(
                         .collect(),
                     promised: 0,
                     wedged: None,
-                    trace_gate,
-                    trace_late,
                 };
                 scope.spawn(move || runtime.run(barrier, epoch))
             })
@@ -1345,15 +1152,17 @@ impl<M: WireEncode + WireDecode + 'static, L: Medium> Transport<M> for RealNet<M
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::GarbleBytes;
+    use crate::adversary::{Crash, EquivocateBroadcast, GarbleBytes};
+    use crate::context::Context;
     use crate::simulation::{NetworkKind, Simulation};
     use std::any::Any;
+    use std::fmt::Debug;
 
     /// Ping-pong with a deadline: party 0 broadcasts `Ping` at init and arms
     /// a `2Δ` timer; everyone answers `Pong` to the sender; when the timer
     /// fires, party 0 freezes the count of pongs that beat the deadline —
     /// the toy analogue of the sync→async fallback decision.
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, PartialEq)]
     struct DeadlinePing {
         pongs: usize,
         at_deadline: Option<usize>,
@@ -1397,6 +1206,44 @@ mod tests {
         }
     }
 
+    /// Every party's `init` sends itself a `Ping`, broadcasts one and arms a
+    /// zero-delay timer whose expiry broadcasts a `Pong`; each `Ping` is
+    /// answered with a `Pong`. The log is the party's whole view of the run.
+    #[derive(Debug, Default, PartialEq)]
+    struct InitCascade {
+        log: Vec<String>,
+    }
+
+    impl Protocol<Msg> for InitCascade {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            ctx.send(ctx.me, Msg::Ping);
+            ctx.broadcast(Msg::Ping);
+            ctx.set_timer(0, 1);
+        }
+        fn on_message(
+            &mut self,
+            ctx: &mut Context<'_, Msg>,
+            from: PartyId,
+            _path: &[u32],
+            msg: Msg,
+        ) {
+            self.log.push(format!("{} {from}:{msg:?}", ctx.now));
+            if let Msg::Ping = msg {
+                ctx.send(from, Msg::Pong);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _path: &[u32], id: u64) {
+            self.log.push(format!("{} timer {id}", ctx.now));
+            ctx.broadcast(Msg::Pong);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
     fn parties(n: usize) -> Vec<Box<dyn Protocol<Msg>>> {
         (0..n)
             .map(|_| Box::new(DeadlinePing::default()) as Box<dyn Protocol<Msg>>)
@@ -1404,7 +1251,7 @@ mod tests {
     }
 
     /// Runs the same configuration on the simulator oracle and the threaded
-    /// backend and asserts output, metric, and per-party transcript
+    /// backend and asserts per-party state, metric, and per-party transcript
     /// conformance.
     fn assert_conformance(
         kind: NetworkKind,
@@ -1412,10 +1259,16 @@ mod tests {
         corruption: CorruptionSet,
         strategy: impl Fn() -> Box<dyn ByzantineStrategy>,
     ) {
-        assert_conformance_with_plan(kind, seed, corruption, strategy, FaultPlan::none());
+        assert_conformance_with_plan::<DeadlinePing>(
+            kind,
+            seed,
+            corruption,
+            strategy,
+            FaultPlan::none(),
+        );
     }
 
-    fn assert_conformance_with_plan(
+    fn assert_conformance_with_plan<P: Protocol<Msg> + Default + PartialEq + Debug + 'static>(
         kind: NetworkKind,
         seed: u64,
         corruption: CorruptionSet,
@@ -1426,19 +1279,24 @@ mod tests {
         let horizon = 10_000;
         let cfg = NetConfig::for_kind(n, kind).with_seed(seed);
         let links = LinkDelays::for_kind(n, kind, cfg.delta, seed);
+        let parties = || {
+            (0..n)
+                .map(|_| Box::new(P::default()) as Box<dyn Protocol<Msg>>)
+                .collect()
+        };
 
         let mut sim = Simulation::with_scheduler(
             cfg.clone(),
             corruption.clone(),
             Box::new(links.clone()),
-            parties(n),
+            parties(),
         );
         sim.set_strategy(strategy());
         sim.set_fault_plan(plan.clone());
         sim.record_transcript();
         sim.run_to_quiescence(horizon);
 
-        let mut th = ThreadedNet::with_links(cfg, corruption.clone(), links, parties(n))
+        let mut th = ThreadedNet::with_links(cfg, corruption.clone(), links, parties())
             .with_tick_micros(300);
         Transport::set_strategy(&mut th, strategy());
         th.set_fault_plan(plan);
@@ -1446,12 +1304,10 @@ mod tests {
         th.run_net_to_quiescence(horizon);
 
         for i in 0..n {
-            let s = sim.party_as::<DeadlinePing>(i).unwrap();
-            let t = th.party_as::<DeadlinePing>(i).unwrap();
-            assert_eq!(s.pongs, t.pongs, "party {i} pong count (seed {seed})");
             assert_eq!(
-                s.at_deadline, t.at_deadline,
-                "party {i} deadline snapshot (seed {seed})"
+                sim.party_as::<P>(i),
+                th.party_as::<P>(i),
+                "party {i} state (seed {seed})"
             );
         }
         assert_eq!(
@@ -1498,12 +1354,36 @@ mod tests {
         );
     }
 
+    /// A corrupt party's `init` self-send, broadcast and zero-delay timer go
+    /// through the same strategy sink on both engines, alone and with a
+    /// second corrupt party drawing on the same adversary.
+    #[test]
+    fn threaded_matches_simulator_on_corrupt_init_cascades() {
+        let strategies: [fn() -> Box<dyn ByzantineStrategy>; 2] = [
+            || Box::new(Crash),
+            || Box::new(EquivocateBroadcast { alt: vec![1] }),
+        ];
+        for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
+            for corrupt in [vec![2], vec![1, 3]] {
+                for strategy in strategies {
+                    assert_conformance_with_plan::<InitCascade>(
+                        kind,
+                        4,
+                        CorruptionSet::new(corrupt.clone()),
+                        strategy,
+                        FaultPlan::none(),
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn threaded_matches_simulator_under_crash_fault() {
         // Party 2 fail-silent at the wire from tick 1: both backends must
         // drop the exact same messages (fault_drops is fingerprint) and
         // reach the same outputs.
-        assert_conformance_with_plan(
+        assert_conformance_with_plan::<DeadlinePing>(
             NetworkKind::Synchronous,
             5,
             CorruptionSet::none(),
@@ -1514,7 +1394,7 @@ mod tests {
 
     #[test]
     fn threaded_matches_simulator_under_duplicate_and_delay_bursts() {
-        assert_conformance_with_plan(
+        assert_conformance_with_plan::<DeadlinePing>(
             NetworkKind::Synchronous,
             9,
             CorruptionSet::none(),
@@ -1527,7 +1407,7 @@ mod tests {
 
     #[test]
     fn threaded_matches_simulator_under_partition_heal() {
-        assert_conformance_with_plan(
+        assert_conformance_with_plan::<DeadlinePing>(
             NetworkKind::Asynchronous,
             13,
             CorruptionSet::none(),

@@ -18,8 +18,8 @@
 
 use bobw_mpc::core::{Circuit, MpcBuilder, MpcRunResult};
 use bobw_mpc::net::{
-    Backend, ByzantineStrategy, Crash, EquivocateBroadcast, GarbleBytes, LinkDelays, NetConfig,
-    NetworkKind, Passive, SkewedAsyncScheduler,
+    Backend, ByzantineStrategy, ChannelDeterministic, Crash, EquivocateBroadcast, GarbleBytes,
+    LinkDelays, NetConfig, NetworkKind, Passive, SkewedAsyncScheduler,
 };
 
 /// Real tick durations to attempt for the threaded runs, shortest first.
@@ -66,7 +66,7 @@ struct Conformance {
 }
 
 /// Runs the same configuration on both backends and asserts the conformance
-/// contract.
+/// contract, at the smallest `(n, t_s, t_a)` of the network kind.
 fn assert_conformant(
     kind: NetworkKind,
     seed: u64,
@@ -74,10 +74,22 @@ fn assert_conformant(
     strategy: fn() -> Box<dyn ByzantineStrategy>,
     label: &str,
 ) -> Conformance {
-    let (n, ts, ta) = match kind {
+    let shape = match kind {
         NetworkKind::Synchronous => (4, 1, 0),
         NetworkKind::Asynchronous => (5, 1, 1),
     };
+    assert_conformant_at(shape, kind, seed, corrupt, strategy, label)
+}
+
+/// [`assert_conformant`] at an explicit `(n, t_s, t_a)`.
+fn assert_conformant_at(
+    (n, ts, ta): (usize, usize, usize),
+    kind: NetworkKind,
+    seed: u64,
+    corrupt: &[usize],
+    strategy: fn() -> Box<dyn ByzantineStrategy>,
+    label: &str,
+) -> Conformance {
     let mut circuit = Circuit::new(n);
     let p = circuit.mul(circuit.input(0), circuit.input(1));
     let q = circuit.add(circuit.input(2), p);
@@ -214,6 +226,34 @@ fn asynchronous_conformance_all_strategies() {
             runs.real.metrics.timeouts_fired > 0,
             "fallback must be driven by real timeouts ({label})"
         );
+    }
+}
+
+/// Two corrupt parties share one adversary: the simulator runs each one's
+/// batch (its cascades included) at its place in party order, as the real
+/// runtimes do. Garbling is wrapped in `ChannelDeterministic` so the real
+/// runtimes' thread interleaving cannot reorder its random draws. Seed 5
+/// makes corrupt party 5 the asynchronous matrix's slow sender: with
+/// t_a = 0, two active corrupt parties plus a slowed honest one would be
+/// beyond what the protocol guarantees an output for.
+#[test]
+fn two_corrupt_parties_conform_in_both_network_kinds() {
+    let two_corrupt: [StrategyCtor; 2] = [
+        ("garble", || {
+            Box::new(ChannelDeterministic::new(GarbleBytes, 0x5EED))
+        }),
+        ("equivocate", || {
+            Box::new(EquivocateBroadcast {
+                alt: vec![0xAB, 0xCD, 0xEF],
+            })
+        }),
+    ];
+    for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
+        for (label, strategy) in two_corrupt {
+            let label = &format!("{kind:?}/{label}");
+            let runs = assert_conformant_at((7, 2, 0), kind, 5, &[2, 5], strategy, label);
+            assert!(runs.real.metrics.timeouts_fired > 0);
+        }
     }
 }
 
