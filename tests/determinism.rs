@@ -178,7 +178,9 @@ fn transcript_hash(entries: &[TranscriptEntry]) -> u64 {
 /// Golden fingerprint of the slice engine on one `Π_BC` run at seed 11,
 /// n = 4: transcript, per-message bit accounting (frame-invariant), event and
 /// frame counts and completion time, reproduced for every worker-thread
-/// count.
+/// count — plus the engine's observability counters, which `Metrics`
+/// equality skips: queue depth at slice boundaries, slice-width histogram
+/// and timer expiries (the simulator never holds packets).
 #[test]
 fn bc_transcript_and_metrics_golden_framed() {
     let golden = [
@@ -191,6 +193,7 @@ fn bc_transcript_and_metrics_golden_framed() {
             144u64,
             81u64,
             90u64,
+            (40u64, &[0u64, 1, 0, 4, 5][..], 36u64),
         ),
         (
             NetworkKind::Asynchronous,
@@ -201,9 +204,10 @@ fn bc_transcript_and_metrics_golden_framed() {
             138,
             81,
             316,
+            (64, &[55, 12, 3, 5], 36),
         ),
     ];
-    for (kind, t_len, t_hash, bits, msgs, events, frames, now) in golden {
+    for (kind, t_len, t_hash, bits, msgs, events, frames, now, engine) in golden {
         for threads in [1usize, 4] {
             let cfg = NetConfig::for_kind(4, kind)
                 .with_seed(11)
@@ -217,8 +221,21 @@ fn bc_transcript_and_metrics_golden_framed() {
             assert_eq!(metrics.events_processed, events, "{label} events");
             assert_eq!(metrics.frames_sent, frames, "{label} frames_sent");
             assert_eq!(finished, now, "{label} completion time");
+            assert_engine_counters(&metrics, engine, &label);
         }
     }
+}
+
+/// The engine's observability counters a golden pins: `(max_queue_depth,
+/// batch_width_hist, timeouts_fired)`.
+type EngineGolden = (u64, &'static [u64], u64);
+
+fn assert_engine_counters(metrics: &Metrics, engine: EngineGolden, label: &str) {
+    let (depth, hist, timeouts) = engine;
+    assert_eq!(metrics.max_queue_depth, depth, "{label} max_queue_depth");
+    assert_eq!(metrics.batch_width_hist, hist, "{label} batch_width_hist");
+    assert_eq!(metrics.timeouts_fired, timeouts, "{label} timeouts_fired");
+    assert_eq!(metrics.held_packets_peak, 0, "{label} held_packets_peak");
 }
 
 /// (kind, transcript length, transcript hash, honest_bits, honest_messages,
@@ -341,7 +358,7 @@ fn golden_circuit() -> Circuit {
 
 /// Golden fingerprint of the default engine (layer-batched openings) on a
 /// full-MPC run at seed 77: (kind, output, finished_at, honest_bits,
-/// honest_messages, events, frames).
+/// honest_messages, events, frames, engine counters).
 ///
 /// Re-pinned for lock-step broadcast groups (DESIGN.md): the n same-tick
 /// `Π_BC` instances of every `Π_BA` and vote board share ONE slot-wise SBA,
@@ -369,6 +386,7 @@ fn full_mpc_metrics_golden_batched() {
             28_464u64,
             13_470u64,
             906u64,
+            (1268u64, &[0u64, 0, 0, 4, 7, 14, 25, 18, 17, 4][..], 5448u64),
         ),
         (
             NetworkKind::Asynchronous,
@@ -378,10 +396,11 @@ fn full_mpc_metrics_golden_batched() {
             49_560,
             22_999,
             5_163,
+            (1646, &[358, 317, 384, 305, 169, 63, 36, 9, 14, 2], 5448),
         ),
     ];
     let c = golden_circuit();
-    for (kind, output, finished_at, bits, msgs, events, frames) in golden {
+    for (kind, output, finished_at, bits, msgs, events, frames, engine) in golden {
         for threads in [1usize, 4] {
             let r = MpcBuilder::new(4, 1, 0)
                 .network(kind)
@@ -411,6 +430,7 @@ fn full_mpc_metrics_golden_batched() {
             assert_eq!(r.metrics.events_processed, events, "{label} events");
             assert_eq!(r.metrics.frames_sent, frames, "{label} frames_sent");
             assert_eq!(r.metrics.decode_failures, 0, "{label} decode_failures");
+            assert_engine_counters(&r.metrics, engine, &label);
         }
     }
 }
