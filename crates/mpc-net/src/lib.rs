@@ -33,6 +33,7 @@ pub mod adversary;
 pub mod context;
 pub mod faults;
 pub mod metrics;
+mod party;
 pub mod path;
 pub mod scheduler;
 pub mod simulation;
@@ -48,9 +49,7 @@ pub use context::{Context, Effects, Path, PathSlice, Protocol};
 pub use faults::{FaultOutcome, FaultPlan, FaultRule};
 pub use metrics::Metrics;
 pub use path::InlinePath;
-pub use scheduler::{
-    AsyncScheduler, FixedDelay, LinkDelays, Scheduler, SkewedAsyncScheduler, UniformDelay,
-};
+pub use scheduler::{FixedDelay, LinkDelays, Scheduler, SkewedAsyncScheduler, UniformDelay};
 pub use simulation::{NetConfig, NetworkKind, Simulation, TranscriptEntry, TranscriptEvent};
 pub use transport::{
     party_as, tcp::TcpNet, threaded::ThreadedNet, Backend, PartyId, PartyView, Time, Transport,

@@ -48,11 +48,12 @@ pub struct Metrics {
     /// Wire-frame events dispatched (one per `(sender, destination)` frame;
     /// a broadcast frame counts once per recipient).
     pub frames_sent: u64,
-    /// Largest number of pending events observed at a time-slice boundary
-    /// (sampled once per slice, including the slice's own events). Queue
-    /// *pressure* is scheduler observability, not execution fingerprint —
-    /// the threaded backend's equivalent (held-packet depth) depends on
-    /// wall-clock arrival timing — so it is excluded from `PartialEq`.
+    /// Largest number of pending events — deliveries held plus timers
+    /// armed, the slice's own events included — sampled at the start of
+    /// every slice: across all inboxes on the simulator, per party and tick
+    /// on the real media. Queue *pressure* is scheduler observability, not
+    /// execution fingerprint — on the real media it depends on wall-clock
+    /// arrival timing — so it is excluded from `PartialEq`.
     pub max_queue_depth: u64,
     /// Histogram of same-time batch widths: `batch_width_hist[i]` counts the
     /// batches that processed a number of events in `[2^i, 2^(i+1))` (batch
@@ -77,10 +78,11 @@ pub struct Metrics {
     /// conformance oracle asserts this vector is identical between the
     /// threaded backend and the simulator.
     pub honest_bits_by_party: Vec<u64>,
-    /// Timer expiries processed. On the threaded backend these are *real*
-    /// wall-clock timeouts (`recv_timeout` deadlines), so the count is kept
-    /// out of `PartialEq`; the simulator counts its timer events, letting
-    /// the sweep harness assert timeout-driven fallback on either backend.
+    /// Timer expiries processed, same-tick zero-delay expiries included,
+    /// letting the sweep harness assert timeout-driven fallback on any
+    /// backend. On the real media every other expiry is a *real* wall-clock
+    /// timeout (a `recv_timeout` deadline), so the count is kept out of
+    /// `PartialEq`.
     pub timeouts_fired: u64,
     /// Threaded backend only: largest number of latency-held inbound packets
     /// observed at any party. Wall-clock observability, excluded from

@@ -24,9 +24,6 @@ pub trait Scheduler {
     /// handles at time `T` can only spawn further time-`T` events for that
     /// *same* party (self-sends and zero-delay timers).
     fn delay(&mut self, from: PartyId, to: PartyId, now: Time, rng: &mut StdRng) -> Time;
-
-    /// Upper bound used by the simulator for sanity horizons; must be finite.
-    fn max_delay(&self) -> Time;
 }
 
 /// Synchronous worst case: every message takes exactly `Δ`.
@@ -35,9 +32,6 @@ pub struct FixedDelay(pub Time);
 
 impl Scheduler for FixedDelay {
     fn delay(&mut self, _from: PartyId, _to: PartyId, _now: Time, _rng: &mut StdRng) -> Time {
-        self.0
-    }
-    fn max_delay(&self) -> Time {
         self.0
     }
 }
@@ -61,37 +55,6 @@ impl Scheduler for UniformDelay {
         } else {
             rng.gen_range(self.min..=self.max)
         }
-    }
-    fn max_delay(&self) -> Time {
-        self.max
-    }
-}
-
-/// A generic asynchronous adversarial scheduler: most messages are delivered
-/// quickly (within `fast`), but each message is independently delayed to
-/// `slow` with probability `slow_prob_percent`%. This violates any `Δ ≤ slow`
-/// bound and models an asynchronous network where time-outs expire before
-/// messages arrive.
-#[derive(Clone, Debug)]
-pub struct AsyncScheduler {
-    /// Delay bound for "fast" messages.
-    pub fast: Time,
-    /// Delay applied to adversarially slowed messages.
-    pub slow: Time,
-    /// Percentage (0–100) of messages that are slowed.
-    pub slow_prob_percent: u32,
-}
-
-impl Scheduler for AsyncScheduler {
-    fn delay(&mut self, _from: PartyId, _to: PartyId, _now: Time, rng: &mut StdRng) -> Time {
-        if rng.gen_range(0..100) < self.slow_prob_percent {
-            rng.gen_range(self.fast.max(1)..=self.slow)
-        } else {
-            rng.gen_range(1..=self.fast.max(1))
-        }
-    }
-    fn max_delay(&self) -> Time {
-        self.slow
     }
 }
 
@@ -117,9 +80,6 @@ impl Scheduler for SkewedAsyncScheduler {
             rng.gen_range(1..=self.fast.max(1))
         }
     }
-    fn max_delay(&self) -> Time {
-        self.lag.max(self.fast)
-    }
 }
 
 /// A static per-link delay matrix: every ordered pair `(from, to)` has one
@@ -136,11 +96,10 @@ impl Scheduler for SkewedAsyncScheduler {
 ///   reorders, matching real TCP-like transports;
 /// * **column-distinct** — for every receiver `j` the delays `d(i, j)` are
 ///   pairwise distinct over senders `i`, so two frames sent at the same tick
-///   by different senders never arrive at `j` in the same tick. Within-tick
-///   arrival order at any receiver is then totally determined by
-///   `(send tick, sender)`, which is exactly the order the simulator's
-///   global sequence numbers induce — see DESIGN.md, "Transport abstraction
-///   & conformance oracle".
+///   by different senders never arrive at `j` in the same tick. Conformance
+///   does not rest on it: both backends order a receiver's same-tick
+///   deliveries by one inbox key — see DESIGN.md, "Transport abstraction &
+///   conformance oracle".
 #[derive(Clone, Debug)]
 pub struct LinkDelays {
     n: usize,
@@ -274,28 +233,11 @@ impl LinkDelays {
     pub fn get(&self, from: PartyId, to: PartyId) -> Time {
         self.delays[from * self.n + to]
     }
-
-    /// Smallest cross-party delay.
-    pub fn min_cross(&self) -> Time {
-        (0..self.n)
-            .flat_map(|f| (0..self.n).filter(move |&t| t != f).map(move |t| (f, t)))
-            .map(|(f, t)| self.get(f, t))
-            .min()
-            .unwrap_or(1)
-    }
-
-    /// Largest delay in the matrix.
-    pub fn max_cross(&self) -> Time {
-        self.delays.iter().copied().max().unwrap_or(0)
-    }
 }
 
 impl Scheduler for LinkDelays {
     fn delay(&mut self, from: PartyId, to: PartyId, _now: Time, _rng: &mut StdRng) -> Time {
         self.get(from, to)
-    }
-    fn max_delay(&self) -> Time {
-        self.max_cross()
     }
 }
 
@@ -308,7 +250,6 @@ mod tests {
         let mut s = FixedDelay(10);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(s.delay(0, 1, 0, &mut rng), 10);
-        assert_eq!(s.max_delay(), 10);
     }
 
     #[test]
@@ -334,20 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn async_scheduler_produces_both_fast_and_slow() {
-        let mut s = AsyncScheduler {
-            fast: 5,
-            slow: 500,
-            slow_prob_percent: 50,
-        };
-        let mut rng = StdRng::seed_from_u64(4);
-        let delays: Vec<Time> = (0..200).map(|_| s.delay(0, 1, 0, &mut rng)).collect();
-        assert!(delays.iter().any(|&d| d <= 5));
-        assert!(delays.iter().any(|&d| d > 5));
-        assert!(delays.iter().all(|&d| d <= 500));
-    }
-
-    #[test]
     fn link_delays_sync_is_column_distinct_and_within_bound() {
         for n in [4usize, 5, 7] {
             for seed in [0u64, 1, 0xB0B5] {
@@ -366,8 +293,6 @@ mod tests {
                 for p in 0..n {
                     assert_eq!(links.get(p, p), 0, "self-delivery is same-tick");
                 }
-                assert!(links.min_cross() >= 2);
-                assert!(links.max_cross() <= 10);
             }
         }
     }

@@ -1,31 +1,33 @@
-//! The discrete-event simulator driving all protocol executions.
+//! The discrete-event simulator: a virtual-clock driver over `n` parties.
 //!
-//! The simulator runs one engine, in deterministic *time slices*: all events
-//! scheduled at the same simulated tick form one slice, the slice is grouped
-//! by destination party, every honest party's batch is executed (inline, or
-//! on worker threads when the slice is wide enough) with its cross-party
-//! output coalesced into per-destination wire [`Frame`]s, and the outcomes
-//! are merged in ascending party order — transcripts, [`Metrics`] and bit
-//! accounting are bit-identical for every worker-thread count. The batch
-//! loop is also the unit of work of the threaded and TCP media, which is what
-//! holds the three byte-identical. See the "Deterministic parallel execution"
-//! section of DESIGN.md for the correctness argument.
+//! Each party is the same per-party core every medium runs (`crate::party`):
+//! an inbox of stamped deliveries and armed timers, the one batch loop, and
+//! the send path that settles an activation's outcome. The simulator only
+//! supplies the clock: the next time slice is the earliest due tick across
+//! all inboxes; every party with work due runs its batch (inline, or on
+//! worker threads when the slice is wide enough), and the activations are
+//! settled in ascending party order, each send drawing its delay from the
+//! [`Scheduler`] and landing straight in the receiver's inbox. Transcripts,
+//! [`Metrics`] and bit accounting are bit-identical for every worker-thread
+//! count. See the "Deterministic parallel execution" section of DESIGN.md
+//! for the correctness argument.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::adversary::{
-    AdversaryStructure, ByzantineStrategy, CorruptionSet, Passive, WireAction, WireSend,
-};
-use crate::context::{Context, Effects, Path, Protocol};
-use crate::faults::{FaultOutcome, FaultPlan};
+use crate::adversary::{AdversaryStructure, ByzantineStrategy, CorruptionSet, Passive};
+use crate::context::{Path, Protocol};
+use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
+use crate::party::{
+    self, run_corrupt_batch, run_party_batch, Activation, EventKind, Inbox, Outgoing, SliceEnv,
+    Stamp, Wire, Work, WorkerParty,
+};
 use crate::scheduler::{FixedDelay, Scheduler, UniformDelay};
-use crate::wire::{Frame, FrameBuilder, WireDecode, WireEncode};
+use crate::transport::parse_threads;
+use crate::wire::{WireDecode, WireEncode};
 
 pub use crate::transport::{PartyId, Time};
 
@@ -39,16 +41,10 @@ pub enum NetworkKind {
 }
 
 /// The process-wide default worker-thread count, read once from the
-/// `MPC_THREADS` environment variable (unset, empty or unparsable → 1).
+/// `MPC_THREADS` environment variable (see [`crate::transport::parse_threads`]).
 fn env_threads() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("MPC_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1)
-    })
+    *CACHE.get_or_init(|| std::env::var("MPC_THREADS").map_or(1, |v| parse_threads(&v)))
 }
 
 /// Static configuration of a simulation run.
@@ -156,53 +152,6 @@ impl NetConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-pub(crate) enum EventKind {
-    Deliver {
-        to: PartyId,
-        from: PartyId,
-        path: Path,
-        /// The canonical encoding of the payload. A broadcast is encoded
-        /// once and this `Arc` is shared across all `n` delivery events.
-        payload: Arc<Vec<u8>>,
-    },
-    /// A coalesced [`Frame`] of messages from one honest sender: all the
-    /// sends/broadcasts it emitted towards `to` during one time-slice
-    /// activation, travelling as a *single* simulator event and unpacked at
-    /// the delivery boundary. A broadcast frame's bytes are encoded once and
-    /// this `Arc` is shared across all recipients.
-    DeliverFrame {
-        to: PartyId,
-        from: PartyId,
-        payload: Arc<Vec<u8>>,
-    },
-    Timer {
-        party: PartyId,
-        path: Path,
-        id: u64,
-    },
-}
-
-impl EventKind {
-    /// The party that will handle this event.
-    fn party(&self) -> PartyId {
-        match self {
-            EventKind::Deliver { to, .. } | EventKind::DeliverFrame { to, .. } => *to,
-            EventKind::Timer { party, .. } => *party,
-        }
-    }
-
-    /// The event's `(rank, depth)` ordering components: deliveries before
-    /// timers, instance-path depth as documented on [`Event`].
-    fn rank_depth(&self) -> (u8, usize) {
-        match self {
-            EventKind::Deliver { path, .. } => (0, path.len()),
-            EventKind::DeliverFrame { .. } => (0, 0),
-            EventKind::Timer { path, .. } => (1, path.len()),
-        }
-    }
-}
-
 /// One processed event, as recorded by [`Simulation::record_transcript`].
 ///
 /// Message payloads are summarised by their wire size; together with the
@@ -250,872 +199,38 @@ pub enum TranscriptEvent {
     },
 }
 
-#[derive(Debug)]
-struct Event {
-    at: Time,
-    rank: u8,
-    /// Instance-path depth; deeper timers fire first at equal times so that a
-    /// parent's deadline observes the state its sub-protocols finalise at that
-    /// same instant (e.g. `Π_BC` reading the SBA output at `T_BC`).
-    depth: usize,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.rank, self.seq) == (other.at, other.rank, other.seq)
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.rank, std::cmp::Reverse(self.depth), self.seq).cmp(&(
-            other.at,
-            other.rank,
-            std::cmp::Reverse(other.depth),
-            other.seq,
-        ))
-    }
-}
-
-/// Calendar-queue event store: a ring of per-tick buckets spanning `Δ` ticks
-/// from the current time plus an overflow heap for farther-out events.
-///
-/// The paper's protocols generate heavily clustered schedules (synchronous
-/// rounds put *every* delivery of a round at the same tick), which makes the
-/// classic binary-heap queue pay `O(log k)` per event for no benefit: within
-/// one tick the (rank, depth, seq) order is what matters, and across ticks
-/// the calendar ring finds the next non-empty tick in `O(Δ)`. Each bucket is
-/// itself a small heap ordered by the canonical event order, so draining a
-/// bucket yields exactly the sequence the old global heap produced.
-struct EventQueue {
-    /// `ring[(cursor + (t - base)) % ring.len()]` holds the events of tick
-    /// `t` for `t ∈ [base, base + ring.len())`.
-    ring: Vec<BinaryHeap<Reverse<Event>>>,
-    /// Tick represented by `ring[cursor]`.
-    base: Time,
-    cursor: usize,
-    /// Events at ticks `≥ base + ring.len()`.
-    overflow: BinaryHeap<Reverse<Event>>,
-    len: usize,
-}
-
-impl EventQueue {
-    /// Ring width is `Δ` ticks, clamped to a sane range: correctness does
-    /// not depend on the width (farther events overflow), only constant
-    /// factors do.
-    fn new(delta: Time) -> Self {
-        let width = delta.clamp(1, 256) as usize;
-        EventQueue {
-            ring: (0..width).map(|_| BinaryHeap::new()).collect(),
-            base: 0,
-            cursor: 0,
-            overflow: BinaryHeap::new(),
-            len: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn push(&mut self, ev: Event) {
-        debug_assert!(ev.at >= self.base, "events cannot be scheduled in the past");
-        self.len += 1;
-        let width = self.ring.len() as Time;
-        if ev.at < self.base + width {
-            let slot = (self.cursor + (ev.at - self.base) as usize) % self.ring.len();
-            self.ring[slot].push(Reverse(ev));
-        } else {
-            self.overflow.push(Reverse(ev));
-        }
-    }
-
-    /// Moves overflow events that now fall inside the ring window into their
-    /// buckets. Called whenever `base` advances.
-    fn migrate_overflow(&mut self) {
-        let width = self.ring.len() as Time;
-        while let Some(Reverse(ev)) = self.overflow.peek() {
-            if ev.at >= self.base + width {
-                break;
-            }
-            let Some(Reverse(ev)) = self.overflow.pop() else {
-                unreachable!("peeked above")
-            };
-            let slot = (self.cursor + (ev.at - self.base) as usize) % self.ring.len();
-            self.ring[slot].push(Reverse(ev));
-        }
-    }
-
-    /// Advances to and returns the earliest tick holding any event, or
-    /// `None` when the queue is empty. Afterwards [`EventQueue::pop_current`]
-    /// pops that tick's events in canonical order.
-    fn next_time(&mut self) -> Option<Time> {
-        if self.len == 0 {
-            return None;
-        }
-        let width = self.ring.len();
-        for off in 0..width {
-            let slot = (self.cursor + off) % width;
-            if !self.ring[slot].is_empty() {
-                self.cursor = slot;
-                self.base += off as Time;
-                if off > 0 {
-                    self.migrate_overflow();
-                }
-                return Some(self.base);
-            }
-        }
-        // The ring is empty: jump straight to the earliest overflow tick.
-        let t = self
-            .overflow
-            .peek()
-            .map(|Reverse(ev)| ev.at)
-            .expect("len > 0 but no events anywhere");
-        self.base = t;
-        self.migrate_overflow();
-        Some(t)
-    }
-
-    /// Pops the canonically-next event of the *current* tick (the one the
-    /// last [`EventQueue::next_time`] returned), if any remains.
-    fn pop_current(&mut self) -> Option<Event> {
-        let Reverse(ev) = self.ring[self.cursor].pop()?;
-        self.len -= 1;
-        Some(ev)
-    }
-}
-
-/// A batch-local event: same ordering key as [`Event`] restricted to one
-/// tick and one party, with a local sequence surrogate whose relative order
-/// matches the global sequence numbers the merge will assign.
-struct LocalEv {
-    /// 0 = the slice's initial events (and cascades merged among them),
-    /// 1 = cascades deferred until those have drained.
-    phase: u8,
-    rank: u8,
-    depth: usize,
-    lseq: u64,
-    kind: EventKind,
-}
-
-impl LocalEv {
-    fn key(&self) -> (u8, u8, Reverse<usize>, u64) {
-        (self.phase, self.rank, Reverse(self.depth), self.lseq)
-    }
-}
-
-impl PartialEq for LocalEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for LocalEv {}
-impl PartialOrd for LocalEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LocalEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-/// One party's work list for one tick: the slice's initial events plus the
-/// same-tick cascades the party's own handlers spawn (self-sends, broadcast
-/// self-copies, zero-delay timers), popped in canonical
-/// `(rank, depth, lseq)` order. An honest party's cascades merge canonically
-/// among the remaining initial events; a corrupt party's are *deferred* —
-/// the initial events drain first, then the cascades canonically among
-/// themselves — on every medium.
-pub(crate) struct LocalQueue {
-    party: PartyId,
-    heap: BinaryHeap<Reverse<LocalEv>>,
-    defer_cascades: bool,
-    lseq: u64,
-}
-
-impl LocalQueue {
-    fn new(party: PartyId, defer_cascades: bool) -> Self {
-        LocalQueue {
-            party,
-            heap: BinaryHeap::new(),
-            defer_cascades,
-            lseq: 0,
-        }
-    }
-
-    fn push(&mut self, phase: u8, kind: EventKind) {
-        let (rank, depth) = kind.rank_depth();
-        self.lseq += 1;
-        self.heap.push(Reverse(LocalEv {
-            phase,
-            rank,
-            depth,
-            lseq: self.lseq,
-            kind,
-        }));
-    }
-
-    /// Queues a same-tick cascade: the party's own copy of a message.
-    fn cascade_deliver(&mut self, path: Path, payload: Arc<Vec<u8>>) {
-        let (to, from) = (self.party, self.party);
-        let kind = EventKind::Deliver {
-            to,
-            from,
-            path,
-            payload,
-        };
-        self.push(u8::from(self.defer_cascades), kind);
-    }
-
-    /// Queues a same-tick cascade: a zero-delay timer.
-    fn cascade_timer(&mut self, path: Path, id: u64) {
-        let party = self.party;
-        let kind = EventKind::Timer { party, path, id };
-        self.push(u8::from(self.defer_cascades), kind);
-    }
-
-    fn pop(&mut self) -> Option<EventKind> {
-        self.heap.pop().map(|Reverse(ev)| ev.kind)
-    }
-}
-
-/// One party's work for one activation, carved out of the simulation for a
-/// worker thread: exclusive access to the party's state machine and RNG plus
-/// what to run. Also the unit of work of the threaded and TCP media, which
-/// run the same [`run_batch`] — that shared loop is what makes the three
-/// media bit-conformant.
-pub(crate) struct WorkerParty<'a, M> {
-    pub(crate) party: PartyId,
-    pub(crate) protocol: &'a mut Box<dyn Protocol<M>>,
-    pub(crate) rng: &'a mut StdRng,
-    pub(crate) work: Work,
-}
-
-/// What one activation of a party runs.
-pub(crate) enum Work {
-    /// The party's `init`, at tick 0 (see [`BatchCore::tick0`]).
-    Init,
-    /// The party's events of one tick in canonical order, same-tick
-    /// cascades included.
-    Events(Vec<EventKind>),
-}
-
-/// The per-slice constants every activation's [`Context`] is built from.
-#[derive(Clone, Copy)]
-pub(crate) struct SliceEnv {
-    pub(crate) t: Time,
-    pub(crate) n: usize,
-    pub(crate) delta: Time,
-    pub(crate) coin_seed: u64,
-    /// Whether transcript entries are recorded.
-    pub(crate) record: bool,
-}
-
-/// Per-message accounting for one honest send: the exact wire size of the
-/// message's canonical encoding (in bits) and the top-level path segment the
-/// sending instance belongs to (for [`Metrics::honest_bits_by_root_segment`]).
-pub(crate) type SendRecord = (u64, Option<u32>);
-
-/// The outgoing wire frames of one honest party's activation: at most one
-/// unicast frame per destination plus one broadcast frame whose encoding is
-/// shared across all recipients. Accounting stays *per contained message* —
-/// frames change the event schedule, never the paper-level bit counting.
-pub(crate) struct FrameSet {
-    /// Per-destination unicast frames with their per-message accounting,
-    /// flushed in ascending destination order.
-    pub(crate) unicast: BTreeMap<PartyId, (FrameBuilder, Vec<SendRecord>)>,
-    /// The single broadcast frame (empty = no broadcasts this activation).
-    pub(crate) broadcast: FrameBuilder,
-    /// Per-message accounting of the broadcast frame, applied once per
-    /// recipient at flush time.
-    pub(crate) broadcast_meta: Vec<SendRecord>,
-}
-
-impl FrameSet {
-    pub(crate) fn new() -> Self {
-        FrameSet {
-            unicast: BTreeMap::new(),
-            broadcast: FrameBuilder::new(),
-            broadcast_meta: Vec::new(),
-        }
-    }
-
-    /// Appends one unicast to the destination's frame.
-    pub(crate) fn add_send<M: WireEncode>(&mut self, to: PartyId, path: &Path, msg: &M) {
-        let (builder, meta) = self
-            .unicast
-            .entry(to)
-            .or_insert_with(|| (FrameBuilder::new(), Vec::new()));
-        let span = builder.push(path, msg);
-        meta.push((span.len() as u64 * 8, path.first().copied()));
-    }
-
-    /// Appends one broadcast message to the shared broadcast frame and
-    /// returns its exact wire size plus a standalone copy of its encoding
-    /// (for the sender's own same-tick delivery), without encoding twice.
-    pub(crate) fn add_broadcast<M: WireEncode>(&mut self, path: &Path, msg: &M) -> (u64, Vec<u8>) {
-        let span = self.broadcast.push(path, msg);
-        let bits = span.len() as u64 * 8;
-        self.broadcast_meta.push((bits, path.first().copied()));
-        (bits, self.broadcast.message_bytes(span).to_vec())
-    }
-}
-
-/// What any party's pre-executed time-`t` batch produced, whichever
-/// [`EffectSink`] its effects went to.
-pub(crate) struct BatchCore {
-    pub(crate) party: PartyId,
-    /// Events processed: initial batch events (a frame counts as one) plus
-    /// every same-tick cascade step run inside the batch.
-    pub(crate) events: u64,
-    /// Timer expiries among the processed events (see
-    /// [`crate::Metrics::timeouts_fired`]).
-    pub(crate) timers_fired: u64,
-    pub(crate) decode_failures: u64,
-    pub(crate) transcript: Vec<TranscriptEntry>,
-    /// Timer requests with delay ≥ 1, in emission order.
-    pub(crate) timers: Vec<(Time, Path, u64)>,
-    /// [`Work::Init`] only: the self-addressed deliveries and zero-delay
-    /// timers `init` emitted, in canonical order — the party's tick-0
-    /// events. They are returned rather than cascaded, so `init`'s frames
-    /// stay apart from those of the tick-0 batch.
-    pub(crate) tick0: Vec<EventKind>,
-}
-
-/// Where one activation's effects go — the only thing that differs between
-/// an honest party ([`FramedSends`]) and a corrupt one ([`StrategySink`]),
-/// on every medium.
-pub(crate) trait EffectSink<M> {
-    /// Whether the party's same-tick cascades wait for the slice's initial
-    /// events to drain (see [`LocalQueue`]).
-    const DEFERS_CASCADES: bool;
-
-    /// Drains `effects`: cross-party traffic leaves through the sink, the
-    /// party's own same-tick copies and zero-delay timers re-enter `local`,
-    /// future timers join `timers`.
-    fn absorb(
-        &mut self,
-        party: PartyId,
-        effects: &mut Effects<M>,
-        local: &mut LocalQueue,
-        timers: &mut Vec<(Time, Path, u64)>,
-    );
-}
-
-/// Zero-delay timers cascade inside the batch, the rest wait for the merge.
-fn absorb_timers<M>(
-    effects: &mut Effects<M>,
-    local: &mut LocalQueue,
-    timers: &mut Vec<(Time, Path, u64)>,
-) {
-    for (delay, path, id) in effects.timers.drain(..) {
-        if delay == 0 {
-            local.cascade_timer(path, id);
-        } else {
-            timers.push((delay, path, id));
-        }
-    }
-}
-
-/// One batch in flight: a party's state, its work list and the sink its
-/// effects drain into.
-struct Batch<'a, M, S> {
-    env: SliceEnv,
-    protocol: &'a mut dyn Protocol<M>,
-    rng: &'a mut StdRng,
-    /// One effects buffer for the whole batch, drained after every handler.
-    scratch: Effects<M>,
-    sink: &'a mut S,
-    local: LocalQueue,
-    core: BatchCore,
-}
-
-impl<M: WireEncode + WireDecode + 'static, S: EffectSink<M>> Batch<'_, M, S> {
-    fn record(&mut self, event: impl FnOnce() -> TranscriptEvent) {
-        if self.env.record {
-            self.core.transcript.push(TranscriptEntry {
-                at: self.env.t,
-                party: self.core.party,
-                event: event(),
-            });
-        }
-    }
-
-    /// Runs one handler under a fresh [`Context`] and drains its effects
-    /// into the sink.
-    fn handle(&mut self, call: impl FnOnce(&mut dyn Protocol<M>, &mut Context<'_, M>)) {
-        let SliceEnv {
-            t,
-            n,
-            delta,
-            coin_seed,
-            ..
-        } = self.env;
-        let party = self.core.party;
-        let mut ctx = Context::new(party, n, t, delta, &mut self.scratch, self.rng, coin_seed);
-        call(self.protocol, &mut ctx);
-        self.sink.absorb(
-            party,
-            &mut self.scratch,
-            &mut self.local,
-            &mut self.core.timers,
-        );
-    }
-
-    /// The delivery boundary: bytes that do not decode as a protocol message
-    /// (or frame) are Byzantine input — dropped and counted, never a panic,
-    /// never seen by the protocol.
-    fn dropped(&mut self, from: PartyId, path: Path, bits: u64) {
-        self.core.decode_failures += 1;
-        self.record(|| TranscriptEvent::DroppedDeliver { from, path, bits });
-    }
-
-    /// Processes one event: decode → transcript entry → handler → sink.
-    fn activate(&mut self, ev: EventKind) {
-        self.core.events += 1;
-        match ev {
-            EventKind::Deliver {
-                from,
-                path,
-                payload,
-                ..
-            } => {
-                let bits = payload.len() as u64 * 8;
-                match M::decode(&payload) {
-                    Err(_) => self.dropped(from, path, bits),
-                    Ok(msg) => {
-                        let path = &path;
-                        self.record(|| TranscriptEvent::Deliver {
-                            from,
-                            path: path.clone(),
-                            bits,
-                        });
-                        self.handle(|p, ctx| p.on_message(ctx, from, path, msg));
-                    }
-                }
-            }
-            EventKind::DeliverFrame { from, payload, .. } => match Frame::decode::<M>(&payload) {
-                Err(_) => self.dropped(from, Path::from(&[][..]), payload.len() as u64 * 8),
-                // Effects are drained per item, so a frame's messages behave
-                // exactly like back-to-back single deliveries.
-                Ok(items) => {
-                    for item in items {
-                        self.record(|| TranscriptEvent::Deliver {
-                            from,
-                            path: Path::from(&item.path[..]),
-                            bits: item.msg_bits,
-                        });
-                        self.handle(|p, ctx| p.on_message(ctx, from, &item.path, item.msg));
-                    }
-                }
-            },
-            EventKind::Timer { path, id, .. } => {
-                self.core.timers_fired += 1;
-                let path = &path;
-                self.record(|| TranscriptEvent::Timer {
-                    path: path.clone(),
-                    id,
-                });
-                self.handle(|p, ctx| p.on_timer(ctx, path, id));
-            }
-        }
-    }
-
-    /// Runs `init` under the sink and hands back, instead of running them,
-    /// the same-tick cascades it queued: they are the tick-0 events.
-    fn init(mut self) -> BatchCore {
-        self.handle(|p, ctx| p.init(ctx));
-        self.core.tick0 = std::iter::from_fn(|| self.local.pop()).collect();
-        self.core
-    }
-
-    /// Runs `events` and every same-tick cascade they spawn.
-    fn drain(mut self, events: Vec<EventKind>) -> BatchCore {
-        self.local.heap.reserve(events.len());
-        for kind in events {
-            debug_assert_eq!(kind.party(), self.core.party);
-            self.local.push(0, kind);
-        }
-        while let Some(ev) = self.local.pop() {
-            self.activate(ev);
-        }
-        self.core
-    }
-}
-
-/// Executes one party's activation — its `init`, or its full time-`t`
-/// batch with frames unpacked at the delivery boundary and same-tick
-/// cascades included — draining every handler's effects into `sink`. The
-/// one batch loop of the crate: it touches nothing but the party's own
-/// state and RNG (plus what the sink owns), which is why per-party batches
-/// commute and `threads = k` is bit-identical to `threads = 1`.
-pub(crate) fn run_batch<M: WireEncode + WireDecode + 'static, S: EffectSink<M>>(
-    wp: WorkerParty<'_, M>,
-    env: SliceEnv,
-    sink: &mut S,
-) -> BatchCore {
-    let WorkerParty {
-        party,
-        protocol,
-        rng,
-        work,
-    } = wp;
-    let batch = Batch {
-        env,
-        protocol: protocol.as_mut(),
-        rng,
-        scratch: Effects::new(),
-        sink,
-        local: LocalQueue::new(party, S::DEFERS_CASCADES),
-        core: BatchCore {
-            party,
-            events: 0,
-            timers_fired: 0,
-            decode_failures: 0,
-            transcript: Vec::new(),
-            timers: Vec::new(),
-            tick0: Vec::new(),
-        },
-    };
-    match work {
-        Work::Init => batch.init(),
-        Work::Events(events) => batch.drain(events),
-    }
-}
-
-/// The honest sink: cross-party traffic is coalesced into a [`FrameSet`],
-/// self-addressed messages are delivered inside the batch and appear here
-/// only as accounting records.
-pub(crate) struct FramedSends {
-    /// Accounting for the sends delivered internally (self-sends and the
-    /// sender's own copy of each broadcast).
-    pub(crate) self_records: Vec<SendRecord>,
-    pub(crate) frames: FrameSet,
-}
-
-impl<M: WireEncode> EffectSink<M> for FramedSends {
-    const DEFERS_CASCADES: bool = false;
-
-    fn absorb(
-        &mut self,
-        party: PartyId,
-        effects: &mut Effects<M>,
-        local: &mut LocalQueue,
-        timers: &mut Vec<(Time, Path, u64)>,
-    ) {
-        for (to, path, msg) in effects.sends.drain(..) {
-            if to == party {
-                let payload = Arc::new(msg.encode());
-                self.self_records
-                    .push((payload.len() as u64 * 8, path.first().copied()));
-                local.cascade_deliver(path, payload);
-            } else {
-                self.frames.add_send(to, &path, &msg);
-            }
-        }
-        for (path, msg) in effects.broadcasts.drain(..) {
-            let (bits, self_copy) = self.frames.add_broadcast(&path, &msg);
-            self.self_records.push((bits, path.first().copied()));
-            local.cascade_deliver(path, Arc::new(self_copy));
-        }
-        absorb_timers(effects, local, timers);
-    }
-}
-
-/// Everything one honest party's pre-executed activation produced.
-pub(crate) struct BatchOutcome {
-    pub(crate) core: BatchCore,
-    pub(crate) sent: FramedSends,
-}
-
-/// Pre-executes one honest party's activation. Runs either inline or on a
-/// worker thread — the outcome is identical.
-pub(crate) fn run_party_batch<M: WireEncode + WireDecode + 'static>(
-    wp: WorkerParty<'_, M>,
-    env: SliceEnv,
-) -> BatchOutcome {
-    let mut sent = FramedSends {
-        self_records: Vec::new(),
-        frames: FrameSet::new(),
-    };
-    let core = run_batch(wp, env, &mut sent);
-    BatchOutcome { core, sent }
-}
-
-/// One cross-party wire message a corrupt party's batch put on the wire
-/// (after its [`ByzantineStrategy`] was consulted), in consult order.
-pub(crate) struct CorruptSend {
-    pub(crate) to: PartyId,
-    pub(crate) path: Path,
-    pub(crate) payload: Arc<Vec<u8>>,
-}
-
-/// What a corrupt party's batch put on the wire. Corrupt traffic is never
-/// framed — the Byzantine strategy keeps its exact per-message view of the
-/// wire — so the medium dispatches each send on its own.
-#[derive(Default)]
-pub(crate) struct CorruptWire {
-    /// Post-strategy cross-party messages, in consult order.
-    pub(crate) sends: Vec<CorruptSend>,
-    /// Strategy decisions, mirroring [`Metrics::adversary_drops`] /
-    /// [`Metrics::adversary_tampered`] / [`Metrics::corrupt_messages`].
-    pub(crate) drops: u64,
-    pub(crate) tampered: u64,
-    pub(crate) wire_messages: u64,
-}
-
-impl CorruptWire {
-    /// Adds the strategy's decisions to `metrics`.
-    pub(crate) fn record(&self, metrics: &mut Metrics) {
-        metrics.adversary_drops += self.drops;
-        metrics.adversary_tampered += self.tampered;
-        metrics.corrupt_messages += self.wire_messages;
-    }
-}
-
-/// The corrupt sink: every send (self-addressed copies included) consults
-/// the Byzantine strategy in emission order — the one place any medium
-/// consults it; survivors addressed to the party itself cascade, the rest
-/// join the wire.
-struct StrategySink<'a> {
-    n: usize,
-    strategy: &'a mut dyn ByzantineStrategy,
-    adv_rng: &'a mut StdRng,
-    wire: CorruptWire,
-}
-
-impl StrategySink<'_> {
-    fn put(
-        &mut self,
-        from: PartyId,
-        to: PartyId,
-        path: &Path,
-        payload: &Arc<Vec<u8>>,
-        broadcast: bool,
-        local: &mut LocalQueue,
-    ) {
-        let send = WireSend {
-            from,
-            to,
-            n: self.n,
-            path,
-            bytes: payload,
-            broadcast,
-        };
-        let payload = match self.strategy.on_send(&send, self.adv_rng) {
-            WireAction::Deliver => Arc::clone(payload),
-            WireAction::Replace(bytes) => {
-                self.wire.tampered += 1;
-                Arc::new(bytes)
-            }
-            WireAction::Drop => {
-                self.wire.drops += 1;
-                return;
-            }
-        };
-        self.wire.wire_messages += 1;
-        let path = path.clone();
-        if to == from {
-            local.cascade_deliver(path, payload);
-        } else {
-            self.wire.sends.push(CorruptSend { to, path, payload });
-        }
-    }
-}
-
-impl<M: WireEncode> EffectSink<M> for StrategySink<'_> {
-    const DEFERS_CASCADES: bool = true;
-
-    fn absorb(
-        &mut self,
-        party: PartyId,
-        effects: &mut Effects<M>,
-        local: &mut LocalQueue,
-        timers: &mut Vec<(Time, Path, u64)>,
-    ) {
-        for (to, path, msg) in effects.sends.drain(..) {
-            let payload = Arc::new(msg.encode());
-            self.put(party, to, &path, &payload, false, local);
-        }
-        for (path, msg) in effects.broadcasts.drain(..) {
-            let payload = Arc::new(msg.encode());
-            for to in 0..self.n {
-                self.put(party, to, &path, &payload, true, local);
-            }
-        }
-        absorb_timers(effects, local, timers);
-    }
-}
-
-/// Everything one *corrupt* party's activation produced.
-pub(crate) struct CorruptOutcome {
-    pub(crate) core: BatchCore,
-    pub(crate) wire: CorruptWire,
-}
-
-/// Executes one *corrupt* party's activation: the initial events drain
-/// first, then their same-tick cascades canonically among themselves. The
-/// shared adversary RNG is therefore drawn party by party, in the order the
-/// medium runs the corrupt parties.
-pub(crate) fn run_corrupt_batch<M: WireEncode + WireDecode + 'static>(
-    wp: WorkerParty<'_, M>,
-    env: SliceEnv,
-    strategy: &mut dyn ByzantineStrategy,
-    adv_rng: &mut StdRng,
-) -> CorruptOutcome {
-    let mut sink = StrategySink {
-        n: env.n,
-        strategy,
-        adv_rng,
-        wire: CorruptWire::default(),
-    };
-    let core = run_batch(wp, env, &mut sink);
-    CorruptOutcome {
-        core,
-        wire: sink.wire,
-    }
-}
-
 /// Minimum same-tick events before a slice spawns workers; below this the
 /// per-slice thread overhead outweighs any win and the slice runs inline
 /// (the results are identical either way). At least two distinct honest
 /// parties must also have work.
 const MIN_PARALLEL_EVENTS: usize = 4;
 
-/// The network half of a [`Simulation`] — adversary, scheduler, fault plan,
-/// event queue, clock and metrics: everything a send or a timer request
-/// touches. Split from the parties' state so that a corrupt party's batch
-/// can hold its state machine while it consults the strategy held here.
-struct Network {
-    n: usize,
-    strategy: Box<dyn ByzantineStrategy>,
-    scheduler: Box<dyn Scheduler>,
-    faults: FaultPlan,
-    sched_rng: StdRng,
-    adv_rng: StdRng,
-    queue: EventQueue,
-    seq: u64,
-    now: Time,
-    metrics: Metrics,
+/// The simulator's [`Wire`]: delays drawn from the [`Scheduler`] at merge
+/// time, deliveries pushed straight into the receiver's inbox.
+struct SimWire<'a> {
+    me: PartyId,
+    scheduler: &'a mut dyn Scheduler,
+    rng: &'a mut StdRng,
+    faults: &'a FaultPlan,
+    inboxes: &'a mut [Inbox],
 }
 
-impl Network {
-    fn push_event(&mut self, at: Time, kind: EventKind) {
-        let (rank, depth) = kind.rank_depth();
-        self.seq += 1;
-        self.queue.push(Event {
-            at,
-            rank,
-            depth,
-            seq: self.seq,
-            kind,
-        });
+impl Wire for SimWire<'_> {
+    /// The scheduler's delay, clamped to ≥ 1 tick: a message sent at `T`
+    /// arrives in `(T, T+Δ]`, never at `T` itself — the property that keeps
+    /// every same-tick cascade on the party that spawned it, and with it
+    /// per-party batches commuting.
+    fn delay(&mut self, from: PartyId, to: PartyId, now: Time) -> Time {
+        self.scheduler.delay(from, to, now, self.rng).max(1)
     }
-
-    /// Schedules one timer expiry.
-    fn push_timer(&mut self, party: PartyId, delay: Time, path: Path, id: u64) {
-        self.push_event(self.now + delay, EventKind::Timer { party, path, id });
+    fn faults(&self) -> &FaultPlan {
+        self.faults
     }
-
-    /// Schedules one delivery event `delay` ticks from now, after the fault
-    /// plan had its say. The plan acts on the network, after the sender's
-    /// bit accounting: a dropped message was still sent. Self-sends are
-    /// exempt by the plan's contract.
-    fn schedule(&mut self, from: PartyId, to: PartyId, delay: Time, kind: EventKind) {
-        let (at, duplicate) = match self.faults.resolve(from, to, self.now, self.now + delay) {
-            FaultOutcome::Drop => {
-                self.metrics.fault_drops += 1;
-                return;
-            }
-            FaultOutcome::Deliver { at, duplicate } => (at, duplicate),
-        };
-        let duplicate = duplicate.map(|dup_at| (dup_at, kind.clone()));
-        self.push_event(at, kind);
-        if let Some((dup_at, kind)) = duplicate {
-            self.metrics.fault_duplicates += 1;
-            self.push_event(dup_at, kind);
-        }
+    fn put(&mut self, to: PartyId, stamp: Stamp, out: Outgoing) {
+        self.inboxes[to].hold(stamp, out.into_event(stamp.from));
     }
-
-    /// The scheduler's delay for one cross-party event, clamped to ≥ 1 tick:
-    /// a message sent at local time `T` arrives in `(T, T+Δ]`, never at `T`
-    /// itself — the property that keeps every same-tick cascade on the party
-    /// that spawned it, and with it per-party batches commuting.
-    fn cross_party_delay(&mut self, from: PartyId, to: PartyId) -> Time {
-        self.scheduler
-            .delay(from, to, self.now, &mut self.sched_rng)
-            .max(1)
-    }
-
-    /// Puts a corrupt party's post-strategy messages on the wire, one event
-    /// and one scheduler draw each, and counts the strategy's decisions.
-    fn dispatch_wire(&mut self, from: PartyId, wire: CorruptWire) {
-        wire.record(&mut self.metrics);
-        for CorruptSend { to, path, payload } in wire.sends {
-            let delay = self.cross_party_delay(from, to);
-            let kind = EventKind::Deliver {
-                to,
-                from,
-                path,
-                payload,
-            };
-            self.schedule(from, to, delay, kind);
-        }
-    }
-
-    /// Schedules one frame event (honest senders only — corrupt parties'
-    /// traffic is never framed, so Byzantine strategies keep their
-    /// per-message view of the wire).
-    fn dispatch_frame(&mut self, from: PartyId, to: PartyId, payload: Arc<Vec<u8>>) {
-        debug_assert_ne!(to, from, "self-addressed traffic is delivered in-batch");
-        self.metrics.frames_sent += 1;
-        let delay = self.cross_party_delay(from, to);
-        self.schedule(
-            from,
-            to,
-            delay,
-            EventKind::DeliverFrame { to, from, payload },
-        );
-    }
-
-    /// Dispatches a [`FrameSet`]'s frames: unicast frames in ascending
-    /// destination order, then the broadcast frame to every other party with
-    /// its encoding `Arc`-shared (one scheduler draw per frame event).
-    /// Per-message bit accounting is applied here, once per recipient
-    /// channel.
-    fn flush_frame_set(&mut self, sender: PartyId, frames: FrameSet) {
-        let FrameSet {
-            unicast,
-            broadcast,
-            broadcast_meta,
-        } = frames;
-        for (to, (builder, meta)) in unicast {
-            for (bits, seg) in meta {
-                self.metrics.record_send(sender, true, bits, seg);
-            }
-            self.dispatch_frame(sender, to, Arc::new(builder.finish()));
-        }
-        if !broadcast.is_empty() {
-            let payload = Arc::new(broadcast.finish());
-            for to in 0..self.n {
-                if to == sender {
-                    continue;
-                }
-                for &(bits, seg) in &broadcast_meta {
-                    self.metrics.record_send(sender, true, bits, seg);
-                }
-                self.dispatch_frame(sender, to, Arc::clone(&payload));
-            }
-        }
+    fn inbox(&mut self) -> &mut Inbox {
+        &mut self.inboxes[self.me]
     }
 }
 
@@ -1124,19 +239,18 @@ impl Network {
 ///
 /// Messages travel as their canonical byte encoding ([`crate::wire`]): an
 /// honest party's sends and broadcasts of one time-slice activation leave as
-/// per-destination [`Frame`]s (a broadcast frame is encoded *once* and the
+/// per-destination [`crate::Frame`]s (a broadcast frame is encoded *once* and the
 /// bytes shared across all recipients), a corrupt party's messages one by
 /// one through the configured [`ByzantineStrategy`]. Bit accounting is per
 /// contained message, derived from the encoded length, and everything is
 /// decoded at the delivery boundary — bytes that fail to decode are dropped
 /// as Byzantine input and counted in [`Metrics::decode_failures`].
 ///
-/// Messages are delivered and timers fired in `(time, kind, sequence)` order;
-/// at equal times, message deliveries precede timer expiries so that a party
-/// whose timer is set to the network bound `Δ` observes every message that
-/// was guaranteed to arrive by then — exactly the paper's synchronous round
-/// abstraction. A cross-party message never arrives in the tick it was sent
-/// (see [`Scheduler::delay`]).
+/// At equal times, message deliveries precede timer expiries so that a
+/// party whose timer is set to the network bound `Δ` observes every message
+/// that was guaranteed to arrive by then — exactly the paper's synchronous
+/// round abstraction. A cross-party message never arrives in the tick it
+/// was sent (see [`Scheduler::delay`]).
 ///
 /// With [`NetConfig::with_threads`] (or `MPC_THREADS`) > 1, the honest
 /// parties' batches of a wide slice are executed concurrently and merged
@@ -1146,11 +260,21 @@ impl Network {
 pub struct Simulation<M> {
     config: NetConfig,
     threads: usize,
+    /// The slots worker threads borrow, one per party.
     parties: Vec<Box<dyn Protocol<M>>>,
     rngs: Vec<StdRng>,
+    /// Kept apart from the worker slots so that a merge can push into any
+    /// receiver's inbox.
+    inboxes: Vec<Inbox>,
     corruption: CorruptionSet,
     structure: Option<Arc<dyn AdversaryStructure>>,
-    net: Network,
+    strategy: Box<dyn ByzantineStrategy>,
+    scheduler: Box<dyn Scheduler>,
+    faults: FaultPlan,
+    sched_rng: StdRng,
+    adv_rng: StdRng,
+    now: Time,
+    metrics: Metrics,
     coin_seed: u64,
     initialized: bool,
     transcript: Option<Vec<TranscriptEntry>>,
@@ -1197,29 +321,24 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         let threads = config.resolved_threads();
         let mut metrics = Metrics::new();
         metrics.worker_threads = threads as u64;
-        let net = Network {
-            n: config.n,
+        Simulation {
+            coin_seed: config.coin_seed(),
+            threads,
+            parties,
+            rngs,
+            inboxes: (0..config.n).map(|_| Inbox::default()).collect(),
+            corruption,
+            structure: None,
             strategy: Box::new(Passive),
             scheduler,
             faults: FaultPlan::none(),
             sched_rng: StdRng::seed_from_u64(config.seed ^ 0xDEAD_BEEF),
             adv_rng: StdRng::seed_from_u64(config.adversary_seed()),
-            queue: EventQueue::new(config.delta),
-            seq: 0,
             now: 0,
             metrics,
-        };
-        Simulation {
-            coin_seed: config.coin_seed(),
-            config,
-            threads,
-            parties,
-            rngs,
-            corruption,
-            structure: None,
-            net,
             initialized: false,
             transcript: None,
+            config,
         }
     }
 
@@ -1227,7 +346,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
     /// sent by a corrupt party (default: [`Passive`], i.e. pass-through).
     /// Call before running.
     pub fn set_strategy(&mut self, strategy: Box<dyn ByzantineStrategy>) {
-        self.net.strategy = strategy;
+        self.strategy = strategy;
     }
 
     /// Installs an injected [`FaultPlan`] applied on top of the scheduler's
@@ -1235,12 +354,12 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
     /// plan on the threaded backend yields the same per-message decisions —
     /// see the determinism contract in [`crate::faults`].
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.net.faults = plan;
+        self.faults = plan;
     }
 
     /// The injected fault plan.
     pub fn fault_plan(&self) -> &FaultPlan {
-        &self.net.faults
+        &self.faults
     }
 
     /// Attaches the [`AdversaryStructure`] the corruption set was validated
@@ -1278,12 +397,12 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
 
     /// Current simulated time.
     pub fn now(&self) -> Time {
-        self.net.now
+        self.now
     }
 
     /// Communication metrics accumulated so far.
     pub fn metrics(&self) -> &Metrics {
-        &self.net.metrics
+        &self.metrics
     }
 
     /// The corruption set.
@@ -1311,7 +430,8 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         self.initialized = true;
         let env = self.slice_env(0);
         for party in 0..self.config.n {
-            self.run_inline(party, Work::Init, env);
+            let act = self.run_inline(party, Work::Init, env);
+            self.settle(act, env);
         }
     }
 
@@ -1326,7 +446,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         }
     }
 
-    /// Runs until `pred` returns `true`, the event queue drains, or the next
+    /// Runs until `pred` returns `true`, every inbox drains, or the next
     /// pending event lies beyond `horizon`. Returns whether `pred` became
     /// true.
     ///
@@ -1342,7 +462,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         if pred(self) {
             return true;
         }
-        while let Some(t) = self.net.queue.next_time() {
+        while let Some(t) = self.inboxes.iter().filter_map(Inbox::next_due).min() {
             if t > horizon {
                 return false;
             }
@@ -1354,69 +474,47 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         false
     }
 
-    /// Runs until the event queue is empty or `horizon` is exceeded.
+    /// Runs until every inbox is empty or `horizon` is exceeded.
     pub fn run_to_quiescence(&mut self, horizon: Time) {
         let _ = self.run_until(horizon, |_| false);
     }
 
-    /// The slice engine: drain tick `t` (the caller positioned the queue via
-    /// [`EventQueue::next_time`]), group its events by party, run every
-    /// honest party's batch through [`run_party_batch`] (inline, or on
-    /// worker threads when the slice is wide enough), and merge the outcomes
-    /// in ascending party order — flushing each batch's coalesced frames
-    /// with one scheduler draw per frame event. Corrupt parties run inline
-    /// at their place in that order through [`run_corrupt_batch`], so the
-    /// shared adversary RNG is drawn party by party.
+    /// The slice engine: take every party's work due at tick `t` (the
+    /// earliest due tick of any inbox), run every honest party's batch
+    /// through [`run_party_batch`] (inline, or on worker threads when the
+    /// slice is wide enough), and settle the activations in ascending party
+    /// order — each send drawing its delay from the scheduler as it is
+    /// settled. Corrupt parties run inline at their place in that order
+    /// through [`run_corrupt_batch`], so the shared adversary RNG is drawn
+    /// party by party.
     fn process_slice(&mut self, t: Time) {
-        self.net.now = t;
-        let depth = self.net.queue.len() as u64;
-        let before = self.net.metrics.events_processed;
-        let mut per_party: BTreeMap<PartyId, Vec<EventKind>> = BTreeMap::new();
-        let mut total = 0usize;
-        while let Some(ev) = self.net.queue.pop_current() {
-            total += 1;
-            per_party.entry(ev.kind.party()).or_default().push(ev.kind);
-        }
+        self.now = t;
+        let depth = self.inboxes.iter().map(Inbox::pending).sum::<usize>() as u64;
+        let before = self.metrics.events_processed;
+        let mut due: Vec<Vec<EventKind>> = self.inboxes.iter_mut().map(|i| i.take_due(t)).collect();
         let env = self.slice_env(t);
-        let mut outcomes: Vec<Option<BatchOutcome>> = (0..env.n).map(|_| None).collect();
-        let honest_with_work = per_party
-            .keys()
-            .filter(|&&p| self.corruption.is_honest(p))
+        let mut outcomes: Vec<Option<Activation>> = (0..env.n).map(|_| None).collect();
+        let total: usize = due.iter().map(Vec::len).sum();
+        let corruption = &self.corruption;
+        let honest_with_work = (0..env.n)
+            .filter(|&p| !due[p].is_empty() && corruption.is_honest(p))
             .count();
         if self.threads > 1 && total >= MIN_PARALLEL_EVENTS && honest_with_work >= 2 {
-            // Carve disjoint `&mut` party/rng slots for the honest parties
-            // (ascending ids ⇒ repeated `split_at_mut` walks, no unsafe).
             let workers = self.threads.min(honest_with_work);
             let mut groups: Vec<Vec<WorkerParty<'_, M>>> =
                 (0..workers).map(|_| Vec::new()).collect();
-            let mut parties_tail = self.parties.as_mut_slice();
-            let mut rngs_tail = self.rngs.as_mut_slice();
-            let mut offset = 0usize;
-            let mut slot = 0usize;
-            for (&party, events) in &mut per_party {
-                if !self.corruption.is_honest(party) {
-                    continue;
-                }
-                let (_, rest) = parties_tail.split_at_mut(party - offset);
-                let Some((protocol, rest)) = rest.split_first_mut() else {
-                    unreachable!("party id within range")
-                };
-                parties_tail = rest;
-                let (_, rest) = rngs_tail.split_at_mut(party - offset);
-                let Some((rng, rest)) = rest.split_first_mut() else {
-                    unreachable!("party id within range")
-                };
-                rngs_tail = rest;
-                offset = party + 1;
+            let slots = (self.parties.iter_mut().zip(&mut self.rngs).zip(&mut due))
+                .enumerate()
+                .filter(|(p, (_, events))| !events.is_empty() && corruption.is_honest(*p));
+            for (slot, (party, ((protocol, rng), events))) in slots.enumerate() {
                 groups[slot % workers].push(WorkerParty {
                     party,
                     protocol,
                     rng,
                     work: Work::Events(std::mem::take(events)),
                 });
-                slot += 1;
             }
-            let results: Vec<Vec<BatchOutcome>> = std::thread::scope(|scope| {
+            let results: Vec<Vec<Activation>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = groups
                     .into_iter()
                     .map(|group| {
@@ -1435,27 +533,26 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
                     .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                     .collect()
             });
-            for outcome in results.into_iter().flatten() {
-                let party = outcome.core.party;
-                outcomes[party] = Some(outcome);
+            for act in results.into_iter().flatten() {
+                let party = act.core.party;
+                outcomes[party] = Some(act);
             }
         }
-        for (party, events) in per_party {
-            match outcomes[party].take() {
-                Some(outcome) => self.apply_outcome(outcome),
+        for (party, events) in due.into_iter().enumerate() {
+            let act = match outcomes[party].take() {
+                Some(act) => act,
+                None if events.is_empty() => continue,
                 None => self.run_inline(party, Work::Events(events), env),
-            }
+            };
+            self.settle(act, env);
         }
-        // Every batch ran its own same-tick cascades.
-        debug_assert!(self.net.queue.pop_current().is_none());
-        self.net
-            .metrics
-            .record_slice(self.net.metrics.events_processed - before, depth);
+        self.metrics
+            .record_slice(self.metrics.events_processed - before, depth);
     }
 
     /// Runs one party's activation inline through the sink its corruption
-    /// status selects, and applies what it produced.
-    fn run_inline(&mut self, party: PartyId, work: Work, env: SliceEnv) {
+    /// status selects.
+    fn run_inline(&mut self, party: PartyId, work: Work, env: SliceEnv) -> Activation {
         let wp = WorkerParty {
             party,
             protocol: &mut self.parties[party],
@@ -1463,56 +560,36 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
             work,
         };
         if self.corruption.is_honest(party) {
-            let outcome = run_party_batch(wp, env);
-            self.apply_outcome(outcome);
+            run_party_batch(wp, env)
         } else {
-            let net = &mut self.net;
-            let CorruptOutcome { core, wire } =
-                run_corrupt_batch(wp, env, net.strategy.as_mut(), &mut net.adv_rng);
-            net.dispatch_wire(party, wire);
-            self.merge_core(core);
+            run_corrupt_batch(wp, env, self.strategy.as_mut(), &mut self.adv_rng)
         }
     }
 
-    /// Applies one pre-executed honest batch on the merge path: accounting,
-    /// frame dispatch and timer scheduling, in the engine's canonical
-    /// ascending-party order.
-    fn apply_outcome(&mut self, outcome: BatchOutcome) {
-        let BatchOutcome {
-            core,
-            sent: FramedSends {
-                self_records,
-                frames,
-            },
-        } = outcome;
-        for (bits, seg) in self_records {
-            self.net.metrics.record_send(core.party, true, bits, seg);
-        }
-        self.net.flush_frame_set(core.party, frames);
-        self.merge_core(core);
-    }
-
-    /// Folds a batch's sink-independent results in: counters, transcript,
-    /// future timers and `init`'s tick-0 events.
-    fn merge_core(&mut self, core: BatchCore) {
-        self.net.metrics.events_processed += core.events;
-        self.net.metrics.timeouts_fired += core.timers_fired;
-        self.net.metrics.decode_failures += core.decode_failures;
-        if let Some(recorded) = &mut self.transcript {
-            recorded.extend(core.transcript);
-        }
-        for (delay, path, id) in core.timers {
-            self.net.push_timer(core.party, delay, path, id);
-        }
-        for kind in core.tick0 {
-            self.net.push_event(self.net.now, kind);
-        }
+    /// Settles one activation on the merge path (see [`party::settle`]).
+    fn settle(&mut self, act: Activation, env: SliceEnv) {
+        let mut wire = SimWire {
+            me: act.core.party,
+            scheduler: self.scheduler.as_mut(),
+            rng: &mut self.sched_rng,
+            faults: &self.faults,
+            inboxes: &mut self.inboxes,
+        };
+        party::settle(
+            env,
+            act,
+            &mut wire,
+            &mut self.metrics,
+            self.transcript.as_mut(),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::Context;
+    use crate::party::Traffic;
     use std::any::Any;
 
     /// A toy protocol: party 0 sends "ping" to everyone at init; everyone who
@@ -1798,80 +875,47 @@ mod tests {
         assert_eq!(run(1), run(4));
     }
 
-    /// The calendar queue must behave exactly like the old global heap:
-    /// strictly non-decreasing times, canonical order within a tick, and no
-    /// lost events across the ring/overflow boundary.
+    /// Every party's `init` runs before any tick-0 batch, so at a receiver
+    /// `init` traffic precedes tick-0 batch traffic arriving in the same
+    /// tick, whoever sent it.
     #[test]
-    fn event_queue_orders_events_canonically() {
-        let mk = |at: Time, rank: u8, depth: usize, seq: u64| Event {
-            at,
-            rank,
-            depth,
-            seq,
-            kind: EventKind::Timer {
-                party: 0,
-                path: Path::from(vec![0u32; depth].as_slice()),
-                id: seq,
-            },
-        };
-        let mut q = EventQueue::new(10);
-        // deliberately scattered times: in-ring, far overflow, same tick
-        let mut expect: Vec<(Time, u8, Reverse<usize>, u64)> = Vec::new();
-        let mut seq = 0;
-        for &(at, rank, depth) in &[
-            (5u64, 1u8, 0usize),
-            (5, 0, 2),
-            (5, 0, 0),
-            (123, 0, 1),
-            (42, 1, 3),
-            (42, 1, 1),
-            (7, 0, 0),
-            (400, 0, 0),
-            (42, 0, 0),
-        ] {
-            seq += 1;
-            q.push(mk(at, rank, depth, seq));
-            expect.push((at, rank, Reverse(depth), seq));
+    fn init_traffic_precedes_tick0_batch_traffic() {
+        #[derive(Debug, Default)]
+        struct Relay {
+            log: Vec<String>,
         }
-        expect.sort();
-        let mut got = Vec::new();
-        while let Some(t) = q.next_time() {
-            while let Some(ev) = q.pop_current() {
-                assert_eq!(ev.at, t);
-                got.push((ev.at, ev.rank, Reverse(ev.depth), ev.seq));
+        impl Protocol<Msg> for Relay {
+            fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+                ctx.broadcast(Msg::Ping);
+            }
+            fn on_message(
+                &mut self,
+                ctx: &mut Context<'_, Msg>,
+                from: PartyId,
+                _p: &[u32],
+                m: Msg,
+            ) {
+                if from != ctx.me {
+                    self.log.push(format!("{} {m:?}{from}", ctx.now));
+                } else if let Msg::Ping = m {
+                    ctx.broadcast(Msg::Pong);
+                }
+            }
+            fn on_timer(&mut self, _c: &mut Context<'_, Msg>, _p: &[u32], _id: u64) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
             }
         }
-        assert_eq!(got, expect);
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn event_queue_supports_same_tick_cascades() {
-        let mut q = EventQueue::new(10);
-        let mk = |at: Time, seq: u64| Event {
-            at,
-            rank: 0,
-            depth: 0,
-            seq,
-            kind: EventKind::Timer {
-                party: 0,
-                path: Path::from(&[][..]),
-                id: seq,
-            },
-        };
-        q.push(mk(3, 1));
-        assert_eq!(q.next_time(), Some(3));
-        let first = q.pop_current().unwrap();
-        assert_eq!(first.seq, 1);
-        // cascade lands on the same tick and must be drainable immediately
-        q.push(mk(3, 2));
-        let second = q.pop_current().unwrap();
-        assert_eq!(second.seq, 2);
-        assert!(q.pop_current().is_none());
-        // and the next tick still works after the in-slice push
-        q.push(mk(4, 3));
-        assert_eq!(q.next_time(), Some(4));
-        assert_eq!(q.pop_current().unwrap().seq, 3);
+        let parties = (0..3)
+            .map(|_| Box::new(Relay::default()) as Box<dyn Protocol<Msg>>)
+            .collect();
+        let mut sim = Simulation::new(NetConfig::synchronous(3), CorruptionSet::none(), parties);
+        sim.run_to_quiescence(100);
+        let log = &sim.party_as::<Relay>(2).unwrap().log;
+        assert_eq!(log[..4], ["10 Ping0", "10 Ping1", "10 Pong0", "10 Pong1"]);
     }
 
     #[test]
@@ -1979,15 +1023,13 @@ mod tests {
                 work: Work::Events(vec![kind.clone()]),
             }
         }
-        let (to, from, payload) = (1, 0, Arc::new(vec![0xFFu8; 7]));
+        let (from, payload) = (0, Arc::new(vec![0xFFu8; 7]));
         let hostile = [
             EventKind::DeliverFrame {
-                to,
                 from,
                 payload: Arc::clone(&payload),
             },
             EventKind::Deliver {
-                to,
                 from,
                 path: Path::from(&[][..]),
                 payload,
@@ -2003,8 +1045,11 @@ mod tests {
         for (i, kind) in hostile.into_iter().enumerate() {
             let mut protocol: Box<dyn Protocol<Msg>> = Box::new(PingPong::default());
             let mut rng = StdRng::seed_from_u64(1);
-            let BatchOutcome { core, sent } =
+            let Activation { core, traffic } =
                 run_party_batch(wp(&mut protocol, &mut rng, &kind), env);
+            let Traffic::Framed(sent) = traffic else {
+                panic!("an honest batch frames its traffic")
+            };
             let quiet = sent.frames.unicast.is_empty()
                 && sent.frames.broadcast.is_empty()
                 && sent.self_records.is_empty()
@@ -2019,12 +1064,15 @@ mod tests {
             );
 
             let mut adv_rng = StdRng::seed_from_u64(2);
-            let CorruptOutcome { core, wire } = run_corrupt_batch(
+            let Activation { core, traffic } = run_corrupt_batch(
                 wp(&mut protocol, &mut rng, &kind),
                 env,
                 &mut Passive,
                 &mut adv_rng,
             );
+            let Traffic::Single(wire) = traffic else {
+                panic!("a corrupt batch sends single messages")
+            };
             let quiet = wire.sends.is_empty()
                 && wire.wire_messages + wire.drops + wire.tampered == 0
                 && core.timers.is_empty();

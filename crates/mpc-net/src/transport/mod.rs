@@ -4,13 +4,13 @@
 //! ([`threaded::RealNet`], over channels as [`threaded::ThreadedNet`] or
 //! over sockets as [`tcp::TcpNet`]) is a second, conformant one.
 //!
-//! Both execute the same protocol state machines over the same canonical
-//! wire bytes ([`crate::wire`]) with the same per-party seeded randomness
-//! ([`crate::NetConfig::party_rng_seed`]); the simulator advances a virtual
-//! clock event by event, while the real runtime runs each party as an OS
-//! thread paced against the *wall clock* — its timers are real receive
-//! deadlines, so the synchronous→asynchronous fallback path is driven by
-//! genuine timeouts rather than simulated `Δ` ticks.
+//! Both run the same per-party core — inbox, batch loop, settle step — over
+//! the same canonical wire bytes ([`crate::wire`]) with the same per-party
+//! seeded randomness ([`crate::NetConfig::party_rng_seed`]); the simulator
+//! advances a virtual clock slice by slice, while the real runtime runs each
+//! party as an OS thread paced against the *wall clock* — its timers are
+//! real receive deadlines, so the synchronous→asynchronous fallback path is
+//! driven by genuine timeouts rather than simulated `Δ` ticks.
 //!
 //! The conformance contract (see DESIGN.md, "Transport abstraction &
 //! conformance oracle", and `tests/transport_conformance.rs`): for any seed
@@ -87,6 +87,26 @@ impl Backend {
             Err(_) => Backend::Simulator,
         }
     }
+}
+
+/// Parses a value of the `MPC_THREADS` environment variable, the
+/// simulator's default worker-thread count: blank reads as 1, and `0` clamps
+/// to 1 as `NetConfig::with_threads(0)` does.
+///
+/// # Panics
+///
+/// Panics with the offending text on anything that is not a thread count,
+/// like [`Backend::from_env`] — a CI lane whose knob is misspelled must not
+/// quietly stop exercising the worker pool.
+pub(crate) fn parse_threads(value: &str) -> usize {
+    let value = value.trim();
+    if value.is_empty() {
+        return 1;
+    }
+    value
+        .parse::<usize>()
+        .unwrap_or_else(|e| panic!("MPC_THREADS={value:?} is not a thread count: {e}"))
+        .max(1)
 }
 
 /// A typed, non-fatal failure a transport diagnosed during a run. Kept out
@@ -260,6 +280,18 @@ impl<M: WireEncode + WireDecode + 'static> Transport<M> for Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn threads_knob_parses_clamps_and_refuses_garbage() {
+        assert_eq!(parse_threads(""), 1);
+        assert_eq!(parse_threads(" 4 "), 4);
+        assert_eq!(parse_threads("0"), 1);
+        for bad in ["four", "-2", "4.5"] {
+            let payload = std::panic::catch_unwind(|| parse_threads(bad)).expect_err(bad);
+            let msg = payload.downcast_ref::<String>().expect("formatted payload");
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+        }
+    }
 
     #[test]
     fn backend_env_resolution_defaults_to_simulator() {

@@ -3,6 +3,12 @@
 //!
 //! # Execution model
 //!
+//! A party is the per-party core every medium runs (`crate::party`): its
+//! inbox and timer heap, the one batch loop, and the settle step that puts
+//! an activation's traffic on the wire. This module adds only what the wall
+//! clock needs: the mailbox, the link-clock gate, the late-packet clamp and
+//! quiescence.
+//!
 //! Each party runs `PartyRuntime::run` on its own thread, and that thread is
 //! the only one that touches the party's links: the runtime talks to a
 //! narrow `Mailbox` seam (`send` / `flush` / `try_recv` / `recv(deadline)`),
@@ -11,10 +17,9 @@
 //! [`super::tcp::TcpNet`]. Both nets are the one [`RealNet`] type, and a run
 //! is `run_parties`: `n` scoped party threads plus the calling thread as
 //! quiescence coordinator. Outbound traffic leaves a party as TCP-ready byte
-//! strings — the per-destination [`crate::wire::Frame`] encodings the
-//! simulator schedules for honest senders, path-prefixed single-message
-//! packets for corrupt ones (whose [`ByzantineStrategy`] keeps its exact
-//! per-message view of the wire).
+//! strings — an honest sender's per-destination [`crate::wire::Frame`]s,
+//! path-prefixed single-message packets for corrupt ones (whose
+//! [`ByzantineStrategy`] keeps its exact per-message view of the wire).
 //!
 //! Time is paced against the wall clock: one logical tick is a fixed real
 //! duration ([`RealNet::with_tick_micros`], default 1000 µs), and a party
@@ -41,20 +46,16 @@
 //!
 //! # Conformance
 //!
-//! Party activations — `init` included — are executed by the *same* batch
-//! loop the simulator runs (`simulation::run_batch`; only the sink a batch's
-//! effects drain into differs between an honest and a corrupt party, on
-//! every medium), and the per-receiver packet order
-//! `(deliver_tick, send_tick, from, order)` reproduces the
-//! simulator's canonical event order whenever the latency matrix is
-//! column-distinct (which [`LinkDelays`] constructions guarantee): for any
-//! seed, this backend and the simulator produce byte-identical per-party
-//! outputs and identical per-party bit accounting. See
+//! The simulator drives the same cores under a virtual clock: both media run
+//! every activation — `init` included — through the same batch loop, stamp
+//! its sends in the same settle step and hold them in the same inbox under
+//! the same key, with a packet's delay read from the [`LinkDelays`] matrix
+//! the simulator can use as its scheduler. For any seed, this backend and the
+//! simulator produce byte-identical per-party outputs and identical
+//! per-party bit accounting. See
 //! `tests/transport_conformance.rs` and DESIGN.md, "Transport abstraction &
 //! conformance oracle".
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
@@ -65,13 +66,14 @@ use rand::SeedableRng;
 
 use crate::adversary::{AdversaryStructure, ByzantineStrategy, CorruptionSet, Passive};
 use crate::context::{Path, Protocol};
-use crate::faults::{FaultOutcome, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
-use crate::scheduler::LinkDelays;
-use crate::simulation::{
-    run_corrupt_batch, run_party_batch, BatchOutcome, CorruptOutcome, CorruptSend, EventKind,
-    FrameSet, NetConfig, SliceEnv, TranscriptEntry, Work, WorkerParty,
+use crate::party::{
+    run_corrupt_batch, run_party_batch, settle, EventKind, Inbox, Outgoing, SliceEnv, Stamp, Wire,
+    Work, WorkerParty,
 };
+use crate::scheduler::LinkDelays;
+use crate::simulation::{NetConfig, TranscriptEntry};
 use crate::transport::{Backend, PartyId, PartyView, Time, Transport, TransportError};
 use crate::wire::{put_path, WireDecode, WireEncode, WireError, WireReader};
 
@@ -102,9 +104,9 @@ pub(super) enum Inbound {
 pub(super) struct Packet {
     pub(super) from: PartyId,
     pub(super) send_tick: Time,
-    /// Emission index among the sender's packets of `send_tick` — the
-    /// receiver-side tiebreaker that reproduces the simulator's scheduling
-    /// order for same-link packets.
+    /// Emission index among the sender's packets of `send_tick` (its top
+    /// bit marks a batch's packets, clear for `init`'s) — the
+    /// receiver-side tiebreaker of the inbox key, see `party::Stamp`.
     pub(super) order: u32,
     pub(super) deliver_tick: Time,
     pub(super) framed: bool,
@@ -168,48 +170,6 @@ impl Mailbox for ChannelMailbox {
     }
 }
 
-/// A heap payload that takes no part in the ordering — the keys declared
-/// ahead of it in a derived `Ord` are unique among live entries.
-struct Unordered<T>(T);
-
-impl<T> PartialEq for Unordered<T> {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl<T> Eq for Unordered<T> {}
-impl<T> PartialOrd for Unordered<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Unordered<T> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-/// A latency-held inbound event, ordered by the canonical receiver key
-/// `(deliver_tick, send_tick, from, order)`.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct HeldEv {
-    deliver_tick: Time,
-    send_tick: Time,
-    from: PartyId,
-    order: u32,
-    kind: Unordered<EventKind>,
-}
-
-/// A pending timer, ordered by `(fire, tseq)` — `tseq` is the party's timer
-/// scheduling order, matching the simulator's per-party seq order.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct HeldTimer {
-    fire: Time,
-    tseq: u64,
-    path: Path,
-    id: u64,
-}
-
 /// Coordination state shared by all party threads and the coordinator.
 pub(super) struct Shared {
     /// Packets sent but not yet taken off their channel. Quiescence needs
@@ -270,17 +230,13 @@ pub(super) struct PartyRuntime<'s, M, B> {
     mailbox: B,
     shared: &'s Shared,
     adv: &'s Mutex<AdvState>,
-    held: BinaryHeap<Reverse<HeldEv>>,
-    timers: BinaryHeap<Reverse<HeldTimer>>,
-    tseq: u64,
+    inbox: Inbox,
     metrics: Metrics,
     transcript: Vec<TranscriptEntry>,
     /// Every tick below this has been processed; late packets clamp here.
     next_unprocessed: Time,
     last_tick: Time,
     processed_any: bool,
-    order_tick: Time,
-    order_counter: u32,
     stopping: bool,
     /// Per-sender link clock: the earliest tick at which a not-yet-received
     /// packet from that sender could still arrive (own slot unused). Raised
@@ -310,34 +266,54 @@ pub const fn default_wedge_timeout() -> Duration {
     Duration::from_secs(30)
 }
 
-impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
-    /// Next emission index among this party's packets of `tick`.
-    fn next_order(&mut self, tick: Time) -> u32 {
-        if self.order_tick != tick {
-            self.order_tick = tick;
-            self.order_counter = 0;
-        }
-        let o = self.order_counter;
-        self.order_counter += 1;
-        o
-    }
+/// The real media's [`Wire`]: link delays from the latency matrix, every
+/// delivery one packet queued on the sender's mailbox.
+struct RealWire<'a, B> {
+    spec: &'a NetSpec,
+    mailbox: &'a mut B,
+    shared: &'a Shared,
+    inbox: &'a mut Inbox,
+}
 
+impl<B: Mailbox> Wire for RealWire<'_, B> {
+    fn delay(&mut self, from: PartyId, to: PartyId, _now: Time) -> Time {
+        self.spec.links.get(from, to)
+    }
+    fn faults(&self) -> &FaultPlan {
+        &self.spec.faults
+    }
+    fn put(&mut self, to: PartyId, stamp: Stamp, out: Outgoing) {
+        let (framed, bytes) = match out {
+            Outgoing::Frame(bytes) => (true, bytes),
+            Outgoing::Single(path, payload) => (false, Arc::new(encode_single(&path, &payload))),
+        };
+        let packet = Packet {
+            from: stamp.from,
+            send_tick: stamp.send_tick,
+            order: stamp.order,
+            deliver_tick: stamp.deliver_tick,
+            framed,
+            bytes,
+        };
+        self.shared.activity.fetch_add(1, Ordering::SeqCst);
+        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        if !self.mailbox.send(to, Inbound::Packet(packet)) {
+            // Receiver already gone (forced stop): retract the claim.
+            self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    fn inbox(&mut self) -> &mut Inbox {
+        self.inbox
+    }
+}
+
+impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
     fn deadline_of(&self, tick: Time) -> Instant {
         let tick_us = self.spec.tick_us;
         // The guard absorbs scheduling jitter between a sender's batch and
         // the receivers' tick deadlines without eating a whole tick.
         let guard = Duration::from_micros((tick_us / 4).max(50));
         self.start + Duration::from_micros(tick_us.saturating_mul(tick)) + guard
-    }
-
-    /// The earliest tick with pending work (held packet or timer), if any.
-    fn next_work(&self) -> Option<Time> {
-        let next_held = self.held.peek().map(|Reverse(ev)| ev.deliver_tick);
-        let next_timer = self.timers.peek().map(|Reverse(tm)| tm.fire);
-        match (next_held, next_timer) {
-            (None, None) => None,
-            (a, b) => Some(a.unwrap_or(Time::MAX).min(b.unwrap_or(Time::MAX))),
-        }
     }
 
     /// Records a link-clock promise from `from`; true if the clock advanced.
@@ -381,38 +357,7 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
         }
     }
 
-    fn push_timer(&mut self, fire: Time, path: Path, id: u64) {
-        self.tseq += 1;
-        self.timers.push(Reverse(HeldTimer {
-            fire,
-            tseq: self.tseq,
-            path,
-            id,
-        }));
-    }
-
-    fn hold(
-        &mut self,
-        deliver_tick: Time,
-        send_tick: Time,
-        from: PartyId,
-        order: u32,
-        kind: EventKind,
-    ) {
-        self.held.push(Reverse(HeldEv {
-            deliver_tick,
-            send_tick,
-            from,
-            order,
-            kind: Unordered(kind),
-        }));
-        let depth = self.held.len() as u64;
-        if depth > self.metrics.held_packets_peak {
-            self.metrics.held_packets_peak = depth;
-        }
-    }
-
-    /// Takes one packet off the channel into the held heap.
+    /// Takes one packet off the channel into the inbox.
     fn receive(&mut self, p: Packet) {
         self.shared.activity.fetch_add(1, Ordering::SeqCst);
         let mut deliver = p.deliver_tick;
@@ -424,110 +369,36 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
         }
         let kind = if p.framed {
             Ok(EventKind::DeliverFrame {
-                to: self.me,
                 from: p.from,
                 payload: p.bytes,
             })
         } else {
             decode_single(&p.bytes).map(|(path, payload)| EventKind::Deliver {
-                to: self.me,
                 from: p.from,
                 path,
                 payload,
             })
         };
         match kind {
-            Ok(kind) => self.hold(deliver, p.send_tick, p.from, p.order, kind),
+            Ok(kind) => {
+                let stamp = Stamp {
+                    deliver_tick: deliver,
+                    send_tick: p.send_tick,
+                    from: p.from,
+                    order: p.order,
+                };
+                self.inbox.hold(stamp, kind);
+                let depth = self.inbox.held_len() as u64;
+                self.metrics.held_packets_peak = self.metrics.held_packets_peak.max(depth);
+            }
             Err(_) => self.metrics.decode_failures += 1,
         }
         self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn send_packet(&mut self, to: PartyId, send_tick: Time, framed: bool, bytes: Arc<Vec<u8>>) {
-        debug_assert_ne!(to, self.me, "self-addressed traffic is delivered in-batch");
-        // The injected fault plan acts on the network, after the sender's
-        // bit accounting (callers record sends before calling here) — the
-        // exact decision the simulator's dispatch makes for the same
-        // coordinates, because the plan is a pure function of them.
-        let scheduled = send_tick + self.spec.links.get(self.me, to);
-        let (deliver_tick, duplicate) =
-            match self.spec.faults.resolve(self.me, to, send_tick, scheduled) {
-                FaultOutcome::Drop => {
-                    self.metrics.fault_drops += 1;
-                    return;
-                }
-                FaultOutcome::Deliver { at, duplicate } => (at, duplicate),
-            };
-        self.emit(to, send_tick, deliver_tick, framed, Arc::clone(&bytes));
-        if let Some(dup_tick) = duplicate {
-            // The duplicate copy mirrors the simulator's second queue push:
-            // its own emission index, the adjusted later delivery tick.
-            self.metrics.fault_duplicates += 1;
-            self.emit(to, send_tick, dup_tick, framed, bytes);
-        }
-    }
-
-    /// Stamps one packet with its emission index and queues it on the link.
-    fn emit(
-        &mut self,
-        to: PartyId,
-        send_tick: Time,
-        deliver_tick: Time,
-        framed: bool,
-        bytes: Arc<Vec<u8>>,
-    ) {
-        let packet = Packet {
-            from: self.me,
-            send_tick,
-            order: self.next_order(send_tick),
-            deliver_tick,
-            framed,
-            bytes,
-        };
-        self.shared.activity.fetch_add(1, Ordering::SeqCst);
-        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        if !self.mailbox.send(to, Inbound::Packet(packet)) {
-            // Receiver already gone (forced stop): retract the claim.
-            self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Dispatches an honest activation's coalesced frames: unicast frames in
-    /// ascending destination order, then the broadcast frame to every other
-    /// party — the simulator's flush order, reproduced in the packet `order`
-    /// stamps.
-    fn flush_frames(&mut self, frames: FrameSet, send_tick: Time) {
-        let FrameSet {
-            unicast,
-            broadcast,
-            broadcast_meta,
-        } = frames;
-        for (to, (builder, meta)) in unicast {
-            for (bits, seg) in meta {
-                self.metrics.record_send(self.me, true, bits, seg);
-            }
-            self.metrics.frames_sent += 1;
-            self.send_packet(to, send_tick, true, Arc::new(builder.finish()));
-        }
-        if !broadcast.is_empty() {
-            let payload = Arc::new(broadcast.finish());
-            for to in 0..self.n {
-                if to == self.me {
-                    continue;
-                }
-                for &(bits, seg) in &broadcast_meta {
-                    self.metrics.record_send(self.me, true, bits, seg);
-                }
-                self.metrics.frames_sent += 1;
-                self.send_packet(to, send_tick, true, Arc::clone(&payload));
-            }
-        }
-    }
-
     /// Runs one activation of this party through the shared batch loop at
-    /// tick `t` and puts what it produced on the links: an honest party's
-    /// frames, a corrupt party's strategy-filtered messages one packet each.
-    /// `init`'s tick-0 events are held like packets from the party itself.
+    /// tick `t` and settles it: traffic onto the links, the rest into the
+    /// inbox and the party's accounting.
     fn activate(&mut self, t: Time, work: Work) {
         let env = SliceEnv {
             t,
@@ -542,76 +413,32 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
             rng: &mut self.rng,
             work,
         };
-        let core = if self.honest {
-            let BatchOutcome { core, sent } = run_party_batch(wp, env);
-            for (bits, seg) in sent.self_records {
-                self.metrics.record_send(self.me, true, bits, seg);
-            }
-            self.flush_frames(sent.frames, t);
-            core
+        let act = if self.honest {
+            run_party_batch(wp, env)
         } else {
-            let adv_mutex = self.adv;
-            let mut adv = adv_mutex.lock().expect("adversary state poisoned");
+            let mut adv = self.adv.lock().expect("adversary state poisoned");
             let AdvState { strategy, rng } = &mut *adv;
-            let CorruptOutcome { core, wire } = run_corrupt_batch(wp, env, strategy.as_mut(), rng);
-            drop(adv);
-            wire.record(&mut self.metrics);
-            for CorruptSend { to, path, payload } in wire.sends {
-                let bytes = Arc::new(encode_single(&path, &payload));
-                self.send_packet(to, t, false, bytes);
-            }
-            core
+            run_corrupt_batch(wp, env, strategy.as_mut(), rng)
         };
-        debug_assert_eq!(core.party, self.me);
-        // `timers_fired` is not read: `process_tick` already counted the
-        // batch's timer expiries when it popped them from its timer wheel.
-        self.metrics.events_processed += core.events;
-        self.metrics.decode_failures += core.decode_failures;
-        if self.spec.record {
-            self.transcript.extend(core.transcript);
-        }
-        for (delay, path, id) in core.timers {
-            self.push_timer(t + delay, path, id);
-        }
-        for kind in core.tick0 {
-            let order = self.next_order(t);
-            self.hold(t, t, self.me, order, kind);
-        }
+        let mut wire = RealWire {
+            spec: self.spec,
+            mailbox: &mut self.mailbox,
+            shared: self.shared,
+            inbox: &mut self.inbox,
+        };
+        let transcript = self.spec.record.then_some(&mut self.transcript);
+        settle(env, act, &mut wire, &mut self.metrics, transcript);
     }
 
     /// Processes everything due at tick `t` as one batch.
     fn process_tick(&mut self, t: Time) {
         self.shared.activity.fetch_add(1, Ordering::SeqCst);
-        let mut events: Vec<EventKind> = Vec::new();
-        while self
-            .held
-            .peek()
-            .is_some_and(|Reverse(ev)| ev.deliver_tick <= t)
-        {
-            let Some(Reverse(ev)) = self.held.pop() else {
-                unreachable!("peeked event vanished")
-            };
-            debug_assert_eq!(ev.deliver_tick, t, "ticks are processed in order");
-            events.push(ev.kind.0);
-        }
-        let mut timer_events = 0u64;
-        while self.timers.peek().is_some_and(|Reverse(tm)| tm.fire <= t) {
-            let Some(Reverse(tm)) = self.timers.pop() else {
-                unreachable!("peeked timer vanished")
-            };
-            events.push(EventKind::Timer {
-                party: self.me,
-                path: tm.path,
-                id: tm.id,
-            });
-            timer_events += 1;
-        }
-        // Every timer expiry on this backend is a real `recv_timeout`
-        // deadline that elapsed.
-        self.metrics.timeouts_fired += timer_events;
-        self.metrics
-            .record_slice(events.len() as u64, (self.held.len() + events.len()) as u64);
+        let depth = self.inbox.pending() as u64;
+        let before = self.metrics.events_processed;
+        let events = self.inbox.take_due(t);
         self.activate(t, Work::Events(events));
+        self.metrics
+            .record_slice(self.metrics.events_processed - before, depth);
         self.next_unprocessed = t + 1;
         self.last_tick = t;
         self.processed_any = true;
@@ -674,7 +501,7 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
             if self.stopping {
                 break;
             }
-            let next = self.next_work();
+            let next = self.inbox.next_due();
             self.update_promise(next);
             self.mailbox.flush();
             // Keep the invariant local and self-evident: the flag is true
@@ -689,8 +516,7 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
                 Some(t) if t > self.horizon => {
                     // Mirror `Simulation::run_until`: work beyond the horizon
                     // stays unprocessed.
-                    self.held.clear();
-                    self.timers.clear();
+                    self.inbox = Inbox::default();
                 }
                 Some(t) => {
                     let deadline = self.deadline_of(t);
@@ -735,7 +561,7 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
                         // which a peer's gate may in turn be waiting on —
                         // re-broadcast from inside the gate or mutually
                         // gating parties would stall until the grace bail.
-                        let nw = self.next_work();
+                        let nw = self.inbox.next_due();
                         self.update_promise(nw);
                         self.mailbox.flush();
                         // A packet taken during the gate may carry work due
@@ -751,7 +577,7 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
                     }
                     // A packet taken during the gate may be due before `t`;
                     // recompute rather than process out of order.
-                    if self.stopping || self.next_work() != Some(t) {
+                    if self.stopping || self.inbox.next_due() != Some(t) {
                         continue;
                     }
                     self.process_tick(t);
@@ -1026,16 +852,12 @@ pub(super) fn run_parties<M, B>(
                     mailbox,
                     shared,
                     adv,
-                    held: BinaryHeap::new(),
-                    timers: BinaryHeap::new(),
-                    tseq: 0,
+                    inbox: Inbox::default(),
                     metrics: Metrics::new(),
                     transcript: Vec::new(),
                     next_unprocessed: 0,
                     last_tick: 0,
                     processed_any: false,
-                    order_tick: 0,
-                    order_counter: 0,
                     stopping: false,
                     // Initial link clocks: every peer starts at tick 0, so
                     // nothing can arrive on a link before its delay
