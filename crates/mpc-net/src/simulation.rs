@@ -918,6 +918,115 @@ mod tests {
         assert_eq!(log[..4], ["10 Ping0", "10 Ping1", "10 Pong0", "10 Pong1"]);
     }
 
+    /// Events reach each party in strictly non-decreasing time, timers of
+    /// one tick in the order they were set, and nothing far out is lost,
+    /// while the parties' inboxes interleave on the shared virtual clock.
+    #[test]
+    fn event_queue_orders_events_canonically() {
+        const SCATTER: [(Time, u64); 9] = [
+            (5, 1),
+            (5, 2),
+            (123, 3),
+            (42, 4),
+            (42, 5),
+            (7, 6),
+            (400, 7),
+            (42, 8),
+            (0, 9),
+        ];
+        #[derive(Debug, Default)]
+        struct Scatter {
+            log: Vec<(Time, u64)>,
+        }
+        impl Protocol<Msg> for Scatter {
+            fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+                for (delay, id) in SCATTER {
+                    ctx.set_timer(delay + ctx.me as Time, id);
+                }
+            }
+            fn on_message(&mut self, _c: &mut Context<'_, Msg>, _f: PartyId, _p: &[u32], _m: Msg) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _p: &[u32], id: u64) {
+                self.log.push((ctx.now, id));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let n = 3;
+        let parties = (0..n)
+            .map(|_| Box::new(Scatter::default()) as Box<dyn Protocol<Msg>>)
+            .collect();
+        let mut sim = Simulation::new(NetConfig::synchronous(n), CorruptionSet::none(), parties);
+        sim.run_to_quiescence(10_000);
+        for me in 0..n {
+            // sort by fire time; the stable sort keeps set order within a tick
+            let mut expect: Vec<(Time, u64)> = SCATTER
+                .iter()
+                .map(|&(delay, id)| (delay + me as Time, id))
+                .collect();
+            expect.sort_by_key(|&(at, _)| at);
+            assert_eq!(
+                sim.party_as::<Scatter>(me).unwrap().log,
+                expect,
+                "party {me}"
+            );
+        }
+        assert_eq!(sim.now(), 400 + (n - 1) as Time);
+    }
+
+    /// Work an activation spawns for its own tick (a self-send, a zero-delay
+    /// timer) runs in that same tick, and the clock still advances to the
+    /// next tick afterwards.
+    #[test]
+    fn event_queue_supports_same_tick_cascades() {
+        #[derive(Debug, Default)]
+        struct Cascade {
+            log: Vec<(Time, &'static str)>,
+        }
+        impl Protocol<Msg> for Cascade {
+            fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+                ctx.set_timer(3, 1);
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _f: PartyId, _p: &[u32], _m: Msg) {
+                self.log.push((ctx.now, "msg"));
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _p: &[u32], id: u64) {
+                match id {
+                    1 => {
+                        self.log.push((ctx.now, "t1"));
+                        ctx.send(ctx.me, Msg::Ping);
+                        ctx.set_timer(0, 2);
+                    }
+                    2 => {
+                        self.log.push((ctx.now, "t2"));
+                        ctx.set_timer(1, 3);
+                    }
+                    _ => self.log.push((ctx.now, "t3")),
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut sim = Simulation::new(
+            NetConfig::synchronous(1),
+            CorruptionSet::none(),
+            vec![Box::new(Cascade::default()) as Box<dyn Protocol<Msg>>],
+        );
+        sim.run_to_quiescence(100);
+        assert_eq!(
+            sim.party_as::<Cascade>(0).unwrap().log,
+            [(3, "t1"), (3, "msg"), (3, "t2"), (4, "t3")]
+        );
+        assert_eq!(sim.now(), 4);
+    }
+
     #[test]
     fn threads_knob_resolution() {
         // explicit beats env; clamped to ≥ 1
