@@ -8,10 +8,10 @@
 //!   is much smaller than the pessimistic bound `Δ`, the asynchronous
 //!   execution path finishes in time proportional to `δ`, not `Δ`.
 
-use bench::{run_cireval, run_cireval_fast_async, JsonReport};
+use bench::{cireval_builder, run_cireval};
 use mpc_core::thresholds::resilience_table;
 use mpc_core::Circuit;
-use mpc_net::NetworkKind;
+use mpc_net::{NetworkKind, UniformDelay};
 
 fn main() {
     println!(
@@ -32,12 +32,11 @@ fn main() {
     );
     let n = 4;
     let circuit = Circuit::product_of_inputs(n);
-    let (m_sync, out_sync) = run_cireval(n, &circuit, NetworkKind::Synchronous, &[], 11);
-    let (m_fast, out_fast) = run_cireval_fast_async(n, &circuit, 2, 11);
-    let mut report = JsonReport::new("e10_bobw_advantage");
-    report.push_labeled("sync", n, 1, &m_sync);
-    report.push_labeled("fast_async", n, 1, &m_fast);
-    report.finish();
+    let (m_sync, out_sync) =
+        run_cireval(cireval_builder(n, NetworkKind::Synchronous, 11), &circuit);
+    let fast = cireval_builder(n, NetworkKind::Asynchronous, 11)
+        .scheduler(Box::new(UniformDelay { min: 1, max: 2 }));
+    let (m_fast, out_fast) = run_cireval(fast, &circuit);
     println!(
         "synchronous  (delay = Δ = 10): simulated completion time {}",
         m_sync.completed_at

@@ -13,11 +13,9 @@
 //! E12a runs the full-MPC golden configuration of `tests/determinism.rs`
 //! (n = 4, seed 77). E12b sweeps product circuits up to n = 7 — the
 //! acceptance series for the "e9 cireval wall-clock at n = 7" claim.
-//!
-//! `BENCH_SMOKE=1` shrinks the sweep for CI; outputs are checked against the
-//! cleartext evaluation in every mode.
+//! Outputs are checked against the cleartext evaluation in every mode.
 
-use bench::{expected_clear, run_cireval_batching, JsonReport, Measurement};
+use bench::{cireval_builder, expected_clear, run_cireval, Measurement};
 use mpc_core::Circuit;
 use mpc_net::NetworkKind;
 
@@ -26,7 +24,8 @@ use mpc_net::NetworkKind;
 const MODES: [(&str, bool); 2] = [("gate", true), ("layer", false)];
 
 fn print_row(label: &str, n: usize, m: &Measurement, base: &Measurement) {
-    let event_x = base.events_processed as f64 / m.events_processed as f64;
+    let events = m.metrics.events_processed;
+    let event_x = base.metrics.events_processed as f64 / events as f64;
     let wall_x = if m.wall_ms > 0.0 {
         base.wall_ms / m.wall_ms
     } else {
@@ -36,35 +35,26 @@ fn print_row(label: &str, n: usize, m: &Measurement, base: &Measurement) {
         "{:>5} {:>15} {:>10} {:>9} {:>12} {:>10} {:>9.2}x {:>9.2}x",
         n,
         label,
-        m.events_processed,
-        m.frames_sent,
-        m.honest_bits,
+        events,
+        m.metrics.frames_sent,
+        m.metrics.honest_bits,
         format!("{:.1}", m.wall_ms),
         event_x,
         wall_x,
     );
 }
 
-fn sweep(
-    report: &mut JsonReport,
-    series: &str,
-    n: usize,
-    circuit: &Circuit,
-    seed: u64,
-) -> Vec<Measurement> {
+fn sweep(series: &str, n: usize, circuit: &Circuit, seed: u64) -> Vec<Measurement> {
     let expected = expected_clear(n, circuit);
-    let only = std::env::var("E12_ONLY").ok();
     let mut measurements = Vec::new();
     for (label, per_gate) in MODES {
-        if only.as_deref().is_some_and(|o| o != label) {
-            continue;
-        }
-        let (m, out) = run_cireval_batching(n, circuit, NetworkKind::Synchronous, seed, per_gate);
+        let builder =
+            cireval_builder(n, NetworkKind::Synchronous, seed).per_gate_openings(per_gate);
+        let (m, out) = run_cireval(builder, circuit);
         assert_eq!(
             out, expected,
             "{series}/{label} n={n} output must be correct"
         );
-        report.push_labeled(&format!("{series}_{label}"), n, circuit.mult_count(), &m);
         print_row(label, n, &m, measurements.first().unwrap_or(&m));
         measurements.push(m);
     }
@@ -72,18 +62,12 @@ fn sweep(
 }
 
 fn main() {
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let mut report = JsonReport::new("e12_batching");
     println!("# E12 — communication-layer batching (synchronous, full Π_CirEval)");
     println!();
     println!(
         "{:>5} {:>15} {:>10} {:>9} {:>12} {:>10} {:>10} {:>10}",
         "n", "mode", "events", "frames", "bits", "wall-ms", "events-x", "wall-x"
     );
-
-    // Optional single-point focus for ad-hoc measurement runs
-    // (`E12_N=<n>` skips the golden sweep and the other committee sizes).
-    let only_n: Option<usize> = std::env::var("E12_N").ok().and_then(|v| v.parse().ok());
 
     // E12a — the golden configuration of tests/determinism.rs: n = 4,
     // seed 77, the mul+add+add circuit.
@@ -92,30 +76,21 @@ fn main() {
     let s = golden.add(golden.input(2), golden.input(3));
     let out = golden.add(prod, s);
     golden.set_output(out);
-    let ms = if only_n.is_none() {
-        sweep(&mut report, "golden", 4, &golden, 77)
-    } else {
-        Vec::new()
-    };
-    if let [base, .., batched] = &ms[..] {
-        let reduction = base.events_processed as f64 / batched.events_processed as f64;
-        println!(
-            "  (golden n=4: {} → {} events, {reduction:.2}x reduction)",
-            base.events_processed, batched.events_processed
+    if let [base, .., batched] = &sweep("golden", 4, &golden, 77)[..] {
+        let (before, after) = (
+            base.metrics.events_processed,
+            batched.metrics.events_processed,
         );
+        let reduction = before as f64 / after as f64;
+        println!("  (golden n=4: {before} → {after} events, {reduction:.2}x reduction)");
     }
     println!();
 
     // E12b — product circuits: the e9-style cireval series, up to the n = 7
-    // wall-clock acceptance point (smoke stops at n = 4).
-    let ns: &[usize] = if smoke { &[4] } else { &[4, 5, 7] };
-    for &n in ns {
-        if only_n.is_some_and(|o| o != n) {
-            continue;
-        }
+    // wall-clock acceptance point.
+    for n in [4usize, 5, 7] {
         let circuit = Circuit::product_of_inputs(n);
-        let ms = sweep(&mut report, "product", n, &circuit, 11);
-        if let [base, .., batched] = &ms[..] {
+        if let [base, .., batched] = &sweep("product", n, &circuit, 11)[..] {
             let wall_gain = (1.0 - batched.wall_ms / base.wall_ms) * 100.0;
             println!(
                 "  (product n={n}: {:.1} ms → {:.1} ms, {wall_gain:.0}% wall-clock reduction)",
@@ -129,5 +104,4 @@ fn main() {
          smaller layer-mode bit totals; outputs are checked against the cleartext \
          evaluation in both modes)"
     );
-    report.finish();
 }

@@ -12,12 +12,10 @@
 //! link. Communication accounting must not depend on the backend: the
 //! per-party bit vectors are asserted identical across all three runs (the
 //! cheap always-on slice of the conformance contract; the full fingerprint
-//! lives in `tests/transport_conformance.rs`).
-//!
-//! `BENCH_SMOKE=1` shrinks the sweep for CI; outputs are checked against the
-//! cleartext evaluation on both backends.
+//! lives in `tests/transport_conformance.rs`). Outputs are checked against
+//! the cleartext evaluation on every backend.
 
-use bench::{expected_clear, run_cireval_transport, JsonReport, Measurement};
+use bench::{cireval_builder, expected_clear, run_cireval, Measurement};
 use mpc_core::Circuit;
 use mpc_net::{Backend, NetworkKind};
 
@@ -37,7 +35,7 @@ fn product_circuit(n: usize, muls: usize) -> Circuit {
     c
 }
 
-fn print_row(backend: &str, n: usize, m: &Measurement, by_party: &[u64]) {
+fn print_row(backend: &str, n: usize, m: &Measurement) {
     let cps = if m.wall_ms > 0.0 {
         1000.0 / m.wall_ms
     } else {
@@ -45,13 +43,17 @@ fn print_row(backend: &str, n: usize, m: &Measurement, by_party: &[u64]) {
     };
     println!(
         "{:>5} {:>10} {:>10.1} {:>12.3} {:>11} {:>12} {:?}",
-        n, backend, m.wall_ms, cps, m.completed_at, m.honest_bits, by_party
+        n,
+        backend,
+        m.wall_ms,
+        cps,
+        m.completed_at,
+        m.metrics.honest_bits,
+        m.metrics.honest_bits_by_party
     );
 }
 
 fn main() {
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let mut report = JsonReport::new("e13_transport");
     println!("# E13 — transport backends (synchronous, full Π_CirEval)");
     println!();
     println!(
@@ -59,63 +61,33 @@ fn main() {
         "n", "backend", "wall-ms", "circuits/s", "ticks", "bits"
     );
 
-    let muls = if smoke { 1 } else { 2 };
     for n in [4usize, 7] {
-        let circuit = product_circuit(n, muls);
+        let circuit = product_circuit(n, 2);
         let expected = expected_clear(n, &circuit);
         let seed = 13 + n as u64;
-        let (sim, sim_out, sim_bits) = run_cireval_transport(
-            n,
-            &circuit,
-            NetworkKind::Synchronous,
-            seed,
-            Backend::Simulator,
-            0,
-        );
+        let builder = || cireval_builder(n, NetworkKind::Synchronous, seed);
+
+        let (sim, sim_out) = run_cireval(builder().transport(Backend::Simulator), &circuit);
         assert_eq!(
             sim_out, expected,
             "simulator output must be correct (n={n})"
         );
-        report.push_labeled("simulator", n, circuit.mult_count(), &sim);
-        print_row("simulator", n, &sim, &sim_bits);
+        print_row("simulator", n, &sim);
 
-        let (th, th_out, th_bits) = run_cireval_transport(
-            n,
-            &circuit,
-            NetworkKind::Synchronous,
-            seed,
-            Backend::Threaded,
-            TICK_US,
-        );
-        assert_eq!(th_out, expected, "threaded output must be correct (n={n})");
-        assert_eq!(
-            sim_bits, th_bits,
-            "per-party honest bits must not depend on the backend (n={n})"
-        );
-        report.push_labeled("threaded", n, circuit.mult_count(), &th);
-        print_row("threaded", n, &th, &th_bits);
-
-        let (tcp, tcp_out, tcp_bits) = run_cireval_transport(
-            n,
-            &circuit,
-            NetworkKind::Synchronous,
-            seed,
-            Backend::Tcp,
-            TICK_US,
-        );
-        assert_eq!(tcp_out, expected, "tcp output must be correct (n={n})");
-        assert_eq!(
-            sim_bits, tcp_bits,
-            "per-party honest bits must not depend on the backend (n={n})"
-        );
-        report.push_labeled("tcp", n, circuit.mult_count(), &tcp);
-        print_row("tcp", n, &tcp, &tcp_bits);
-
-        let pacing_floor_ms = th.completed_at as f64 * TICK_US as f64 / 1000.0;
-        println!(
-            "  (n={n}: threaded pacing floor {pacing_floor_ms:.1} ms at {TICK_US} µs/tick, {} real timeouts fired)",
-            th.timeouts_fired
-        );
+        for (backend, label) in [(Backend::Threaded, "threaded"), (Backend::Tcp, "tcp")] {
+            let real = builder().transport(backend).tick_micros(TICK_US);
+            let (m, out) = run_cireval(real, &circuit);
+            assert_eq!(out, expected, "{label} output must be correct (n={n})");
+            assert_eq!(
+                sim.metrics.honest_bits_by_party, m.metrics.honest_bits_by_party,
+                "per-party honest bits must not depend on the backend (n={n})"
+            );
+            print_row(label, n, &m);
+            let pacing_floor_ms = m.completed_at as f64 * TICK_US as f64 / 1000.0;
+            println!(
+                "  ({label}: pacing floor {pacing_floor_ms:.1} ms at {TICK_US} µs/tick, {} real timeouts fired)",
+                m.metrics.timeouts_fired
+            );
+        }
     }
-    report.finish();
 }

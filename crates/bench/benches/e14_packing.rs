@@ -15,12 +15,11 @@
 //! resilience; widths above the feasibility bound `ℓ ≤ n − 3·t_s` are
 //! skipped. Both transport backends run (the threaded runtime re-executes
 //! the simulator's schedule in real time), and every output is checked
-//! against the cleartext evaluation. `BENCH_SMOKE=1` shrinks the sweep for
-//! CI to n = 7, ℓ ∈ {1, 4}, simulator only.
+//! against the cleartext evaluation.
 
-use bench::{expected_clear, run_cireval_packed, JsonReport, Measurement};
-use mpc_core::{thresholds::max_packing_width, Circuit};
-use mpc_net::{Backend, NetworkKind};
+use bench::{clear_inputs, expected_clear, run_cireval, Measurement};
+use mpc_core::{thresholds::max_packing_width, Circuit, MpcBuilder};
+use mpc_net::{Backend, NetConfig, NetworkKind, Time};
 
 const TS: usize = 1;
 
@@ -37,15 +36,13 @@ fn print_row(backend: &str, n: usize, ell: usize, m: &Measurement) {
         backend,
         m.wall_ms,
         cps,
-        m.honest_bits,
-        m.events_processed,
-        m.values_opened_by_layer
+        m.metrics.honest_bits,
+        m.metrics.events_processed,
+        m.metrics.values_opened_by_layer
     );
 }
 
 fn main() {
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let mut report = JsonReport::new("e14_packing");
     println!("# E14 — packed secret sharing (layered mult circuit, ts = ta = 1)");
     println!();
     println!(
@@ -53,21 +50,19 @@ fn main() {
         "n", "ell", "backend", "wall-ms", "circuits/s", "bits", "events"
     );
 
-    let ns: &[usize] = if smoke { &[7] } else { &[7, 10, 13] };
-    let widths: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
-    let (width, depth) = if smoke { (8, 2) } else { (8, 3) };
-
-    for &n in ns {
-        let circuit = Circuit::layered(n, width, depth);
+    for n in [7usize, 10, 13] {
+        let circuit = Circuit::layered(n, 8, 3);
         let expected = expected_clear(n, &circuit);
         let seed = 14 + n as u64;
+        // The threaded backend's column-distinct link sampler needs
+        // `Δ − 2 ≥ n − 1`; grow Δ with n so the larger party counts run on
+        // both backends.
+        let delta = (n as Time + 2).max(NetConfig::DEFAULT_DELTA);
         // The threaded lane pays real wall-clock tick pacing, so it runs at
         // n = 7 only (like E13) — enough to show both engines behave
         // identically on the real runtime; the scaling story is the
         // simulator's.
-        let backends: &[(Backend, &str)] = if smoke {
-            &[(Backend::Simulator, "simulator")]
-        } else if n == 7 {
+        let backends: &[(Backend, &str)] = if n == 7 {
             &[
                 (Backend::Simulator, "simulator"),
                 (Backend::Threaded, "threaded"),
@@ -78,7 +73,7 @@ fn main() {
         for &(backend, label) in backends {
             let mut scalar_bits = None;
             let mut scalar_opened = None;
-            for &ell in widths {
+            for ell in [1usize, 2, 4, 8] {
                 if ell > max_packing_width(n, TS) {
                     println!(
                         "{n:>5} {ell:>4}   skipped (above feasibility bound n - 3·ts = {})",
@@ -88,24 +83,23 @@ fn main() {
                 }
                 // ℓ = 1 is the scalar baseline engine (packing knob off).
                 let engine_ell = if ell == 1 { 0 } else { ell };
-                let (m, out) = run_cireval_packed(
-                    n,
-                    &circuit,
-                    NetworkKind::Synchronous,
-                    seed,
-                    engine_ell,
-                    backend,
-                );
+                let builder = MpcBuilder::new(n, TS, TS)
+                    .network(NetworkKind::Synchronous)
+                    .delta(delta)
+                    .seed(seed)
+                    .inputs(&clear_inputs(n))
+                    .packing(engine_ell)
+                    .transport(backend);
+                let (m, out) = run_cireval(builder, &circuit);
                 assert_eq!(out, expected, "output must be correct (n={n}, ell={ell})");
+                let opened = &m.metrics.values_opened_by_layer;
                 if ell == 1 {
-                    scalar_bits = Some(m.honest_bits);
-                    scalar_opened = Some(m.values_opened_by_layer.clone());
+                    scalar_bits = Some(m.metrics.honest_bits);
+                    scalar_opened = Some(opened.clone());
                 } else if ell >= 4 {
                     // The experiment's headline claims, asserted on every run.
                     if let Some(base) = &scalar_opened {
-                        for (l, (&packed, &scalar)) in
-                            m.values_opened_by_layer.iter().zip(base).enumerate()
-                        {
+                        for (l, (&packed, &scalar)) in opened.iter().zip(base).enumerate() {
                             assert!(
                                 2 * packed <= scalar,
                                 "ℓ={ell} must open ≤ half the values of the scalar \
@@ -115,17 +109,15 @@ fn main() {
                     }
                     if let Some(base) = scalar_bits {
                         assert!(
-                            m.honest_bits < base,
+                            m.metrics.honest_bits < base,
                             "ℓ={ell} must communicate fewer honest bits than the \
                              scalar engine (n={n}: {} vs {base})",
-                            m.honest_bits
+                            m.metrics.honest_bits
                         );
                     }
                 }
-                report.push_labeled(label, n, ell, &m);
                 print_row(label, n, ell, &m);
             }
         }
     }
-    report.finish();
 }

@@ -6,13 +6,12 @@
 //! the best-of-both-worlds operating point (`3·t_s + t_a < n`), and validates
 //! the boundary by actually running the protocol at the maximal thresholds.
 
-use bench::{run_cireval, JsonReport};
+use bench::{cireval_builder, run_cireval};
 use mpc_core::thresholds::resilience_table;
 use mpc_core::Circuit;
 use mpc_net::{CorruptionSet, NetworkKind};
 
 fn main() {
-    let mut report = JsonReport::new("e1_resilience");
     println!("# E1 — resilience landscape (paper Section 1)");
     println!(
         "{:>4} {:>10} {:>10} {:>16}",
@@ -31,10 +30,9 @@ fn main() {
     println!("# boundary validation: full MPC runs at the BoBW operating point");
     for n in [4usize, 5] {
         let circuit = Circuit::product_of_inputs(n);
-        let (m_honest, _) = run_cireval(n, &circuit, NetworkKind::Synchronous, &[], 1);
-        let (m_corrupt, out) = run_cireval(n, &circuit, NetworkKind::Synchronous, &[n - 1], 2);
-        report.push_labeled("honest", n, 1, &m_honest);
-        report.push_labeled("corrupt", n, 1, &m_corrupt);
+        let (m_honest, _) = run_cireval(cireval_builder(n, NetworkKind::Synchronous, 1), &circuit);
+        let corrupt = cireval_builder(n, NetworkKind::Synchronous, 2).corrupt(&[n - 1]);
+        let (m_corrupt, out) = run_cireval(corrupt, &circuit);
         println!(
             "n={n}: all-honest finished at simulated time {}, with t_s corruption at {}, output with corruption = {}",
             m_honest.completed_at, m_corrupt.completed_at, out.as_u64()
@@ -47,20 +45,14 @@ fn main() {
     let circuit = Circuit::product_of_inputs(n);
     for seed in 0..3u64 {
         let placement = CorruptionSet::random(n, ts, seed);
-        let (m, out) = run_cireval(
-            n,
-            &circuit,
-            NetworkKind::Synchronous,
-            placement.corrupt_parties(),
-            seed + 10,
-        );
+        let builder = cireval_builder(n, NetworkKind::Synchronous, seed + 10)
+            .corrupt(placement.corrupt_parties());
+        let (m, out) = run_cireval(builder, &circuit);
         println!(
             "n={n} corrupt={:?}: finished at {}, output = {}",
             placement.corrupt_parties(),
             m.completed_at,
             out.as_u64()
         );
-        report.push_labeled(&format!("placement_seed{seed}"), n, 1, &m);
     }
-    report.finish();
 }

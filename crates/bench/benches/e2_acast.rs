@@ -1,32 +1,25 @@
 //! Experiment E2 — `Π_ACast` cost (Lemma 2.4): `O(n²·ℓ)` bits, output within
 //! `3Δ` for an honest sender in a synchronous network.
 
-use bench::{run_acast, JsonReport};
+use bench::run_acast;
 
 fn main() {
-    let mut report = JsonReport::new("e2_acast");
-    // BENCH_SMOKE=1 runs one tiny configuration — used by CI to catch
-    // bit-accounting regressions without paying for the full sweep.
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let ns: &[usize] = if smoke { &[4] } else { &[4, 7, 10, 13] };
-    let ells: &[usize] = if smoke { &[1] } else { &[1, 16, 64] };
     println!("# E2 — Bracha A-cast: bits vs n and payload ℓ (claim: O(n^2 ℓ))");
     println!(
         "{:>4} {:>6} {:>12} {:>10} {:>12} {:>12}",
         "n", "ell", "bits", "msgs", "sim-time", "bits/(n²ℓ)"
     );
-    for &n in ns {
-        for &ell in ells {
+    for n in [4usize, 7, 10, 13] {
+        for ell in [1usize, 16, 64] {
             let m = run_acast(n, ell);
-            report.push(n, ell, &m);
-            assert!(m.honest_bits > 0, "exact bit accounting must be nonzero");
-            let norm = m.honest_bits as f64 / (n * n * ell) as f64;
+            let bits = m.metrics.honest_bits;
+            assert!(bits > 0, "exact bit accounting must be nonzero");
+            let norm = bits as f64 / (n * n * ell) as f64;
             println!(
                 "{:>4} {:>6} {:>12} {:>10} {:>12} {:>12.1}",
-                n, ell, m.honest_bits, m.honest_messages, m.completed_at, norm
+                n, ell, bits, m.metrics.honest_messages, m.completed_at, norm
             );
         }
     }
     println!("(a roughly constant last column for large ℓ confirms the O(n^2 ℓ) scaling; sim-time ≤ 3Δ = 30)");
-    report.finish();
 }

@@ -2,42 +2,38 @@
 //! `T_BC = 3Δ + T_BGP`, `O(n²ℓ + n³)` bits with the substituted phase-king
 //! SBA (DESIGN.md S2).
 
-use bench::{run_bc, JsonReport};
+use bench::run_bc;
 use mpc_net::NetworkKind;
 use mpc_protocols::Params;
 
 fn main() {
-    let mut report = JsonReport::new("e3_bc");
-    // BENCH_SMOKE=1 runs one tiny configuration — used by CI to catch
-    // bit-accounting regressions without paying for the full sweep.
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let ns: &[usize] = if smoke { &[4] } else { &[4, 7, 10] };
     println!("# E3 — Π_BC: bits and output time vs n (sync and async)");
     println!(
         "{:>4} {:>6} {:>12} {:>10} {:>12} {:>10}",
         "n", "net", "bits", "msgs", "sim-time", "T_BC"
     );
-    for &n in ns {
+    for n in [4usize, 7, 10] {
         let params = Params::max_thresholds(n, 10);
         for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
             let m = run_bc(n, 8, kind);
-            assert!(m.honest_bits > 0, "exact bit accounting must be nonzero");
+            assert!(
+                m.metrics.honest_bits > 0,
+                "exact bit accounting must be nonzero"
+            );
             let tag = match kind {
                 NetworkKind::Synchronous => "sync",
                 NetworkKind::Asynchronous => "async",
             };
-            report.push_labeled(tag, n, 8, &m);
             println!(
                 "{:>4} {:>6} {:>12} {:>10} {:>12} {:>10}",
                 n,
                 tag,
-                m.honest_bits,
-                m.honest_messages,
+                m.metrics.honest_bits,
+                m.metrics.honest_messages,
                 m.completed_at,
                 params.t_bc()
             );
         }
     }
     println!("(in the synchronous rows every party outputs through regular mode exactly at T_BC)");
-    report.finish();
 }

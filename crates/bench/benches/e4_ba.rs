@@ -1,12 +1,11 @@
 //! Experiment E4 — `Π_BA` (Theorem 3.6): output within `T_BA = T_BC + T_ABA`
 //! in a synchronous network, almost-sure output in an asynchronous one.
 
-use bench::{run_ba, JsonReport};
+use bench::run_ba;
 use mpc_net::NetworkKind;
 use mpc_protocols::Params;
 
 fn main() {
-    let mut report = JsonReport::new("e4_ba");
     println!("# E4 — Π_BA: bits and completion time vs n, inputs, network");
     println!(
         "{:>4} {:>10} {:>6} {:>12} {:>10} {:>12} {:>10}",
@@ -21,17 +20,7 @@ fn main() {
                 if !unanimous && kind == NetworkKind::Asynchronous && n > 7 {
                     continue;
                 }
-                let m = run_ba(n, unanimous, kind);
-                let label = format!(
-                    "{}_{}",
-                    if unanimous { "unanimous" } else { "mixed" },
-                    if kind == NetworkKind::Synchronous {
-                        "sync"
-                    } else {
-                        "async"
-                    }
-                );
-                report.push_labeled(&label, n, 1, &m);
+                let m = run_ba(n, unanimous, kind, None);
                 println!(
                     "{:>4} {:>10} {:>6} {:>12} {:>10} {:>12} {:>10}",
                     n,
@@ -41,8 +30,8 @@ fn main() {
                     } else {
                         "async"
                     },
-                    m.honest_bits,
-                    m.honest_messages,
+                    m.metrics.honest_bits,
+                    m.metrics.honest_messages,
                     m.completed_at,
                     params.t_ba()
                 );
@@ -50,5 +39,4 @@ fn main() {
         }
     }
     println!("(synchronous unanimous rows complete within T_BA, matching Theorem 3.6)");
-    report.finish();
 }

@@ -1,11 +1,10 @@
 //! Experiment E5 — `Π_WPS` (Theorem 4.8): `O(n²L + n⁴)·log|F|` bits, honest
 //! parties output at `T_WPS` in a synchronous network.
 
-use bench::{run_wps, JsonReport};
+use bench::run_wps;
 use mpc_protocols::Params;
 
 fn main() {
-    let mut report = JsonReport::new("e5_wps");
     println!("# E5 — Π_WPS: bits vs n and L");
     println!(
         "{:>4} {:>6} {:>12} {:>10} {:>12} {:>10}",
@@ -15,18 +14,16 @@ fn main() {
         let params = Params::max_thresholds(n, 10);
         for l in [1usize, 8, 32] {
             let m = run_wps(n, l);
-            report.push(n, l, &m);
             println!(
                 "{:>4} {:>6} {:>12} {:>10} {:>12} {:>10}",
                 n,
                 l,
-                m.honest_bits,
-                m.honest_messages,
+                m.metrics.honest_bits,
+                m.metrics.honest_messages,
                 m.completed_at,
                 params.t_wps()
             );
         }
     }
     println!("(bits grow additively in L on top of a fixed n-dependent term: O(n^2 L + poly(n)))");
-    report.finish();
 }

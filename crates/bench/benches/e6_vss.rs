@@ -1,11 +1,10 @@
 //! Experiment E6 — `Π_VSS` (Theorem 4.16): `O(n³L + n⁵)·log|F|` bits, honest
 //! dealer outputs at `T_VSS` in a synchronous network, `n + 1` BA instances.
 
-use bench::{run_vss, JsonReport};
+use bench::run_vss;
 use mpc_protocols::Params;
 
 fn main() {
-    let mut report = JsonReport::new("e6_vss");
     println!("# E6 — Π_VSS: bits vs n and L");
     println!(
         "{:>4} {:>6} {:>12} {:>10} {:>12} {:>10}",
@@ -15,13 +14,12 @@ fn main() {
         let params = Params::max_thresholds(n, 10);
         for l in [1usize, 8] {
             let m = run_vss(n, l);
-            report.push(n, l, &m);
             println!(
                 "{:>4} {:>6} {:>12} {:>10} {:>12} {:>10}",
                 n,
                 l,
-                m.honest_bits,
-                m.honest_messages,
+                m.metrics.honest_bits,
+                m.metrics.honest_messages,
                 m.completed_at,
                 params.t_vss()
             );
@@ -30,5 +28,4 @@ fn main() {
     println!(
         "(one VSS costs ≈ n× one WPS — compare with the E5 rows — matching the n-fold WPS fan-out)"
     );
-    report.finish();
 }

@@ -4,12 +4,11 @@
 //! and the generated triples are correct (the evaluation below would produce
 //! a wrong product otherwise).
 
-use bench::{expected_clear, run_cireval, JsonReport};
+use bench::{cireval_builder, expected_clear, run_cireval};
 use mpc_core::Circuit;
 use mpc_net::NetworkKind;
 
 fn main() {
-    let mut report = JsonReport::new("e8_preprocessing");
     println!("# E8 — preprocessing: total bits vs number of multiplication gates c_M (n = 4)");
     println!(
         "{:>6} {:>12} {:>10} {:>12} {:>10}",
@@ -18,18 +17,16 @@ fn main() {
     let n = 4;
     for width in [1usize, 2, 4, 8] {
         let circuit = Circuit::layered(n, width, 1);
-        let (m, out) = run_cireval(n, &circuit, NetworkKind::Synchronous, &[], 42);
-        report.push(n, circuit.mult_count(), &m);
+        let (m, out) = run_cireval(cireval_builder(n, NetworkKind::Synchronous, 42), &circuit);
         let ok = out == expected_clear(n, &circuit);
         println!(
             "{:>6} {:>12} {:>10} {:>12} {:>10}",
             circuit.mult_count(),
-            m.honest_bits,
-            m.honest_messages,
+            m.metrics.honest_bits,
+            m.metrics.honest_messages,
             m.completed_at,
             ok
         );
     }
     println!("(the bits column grows affinely in c_M: a fixed poly(n) setup term plus a per-triple term)");
-    report.finish();
 }

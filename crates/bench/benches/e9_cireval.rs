@@ -4,12 +4,11 @@
 //! asynchronous network the honest parties still terminate with the correct
 //! output on the inputs of at least `n − t_s` parties.
 
-use bench::{expected_clear, run_cireval, JsonReport};
+use bench::{cireval_builder, expected_clear, run_cireval};
 use mpc_core::Circuit;
 use mpc_net::NetworkKind;
 
 fn main() {
-    let mut report = JsonReport::new("e9_cireval");
     let n = 4;
     println!("# E9a — completion time vs multiplicative depth D_M (n = 4, synchronous)");
     println!(
@@ -18,14 +17,13 @@ fn main() {
     );
     for depth in [1usize, 2, 4, 6] {
         let circuit = Circuit::layered(n, 2, depth);
-        let (m, out) = run_cireval(n, &circuit, NetworkKind::Synchronous, &[], 7);
-        report.push_labeled(&format!("depth{depth}"), n, circuit.mult_count(), &m);
+        let (m, out) = run_cireval(cireval_builder(n, NetworkKind::Synchronous, 7), &circuit);
         println!(
             "{:>6} {:>6} {:>12} {:>12} {:>10}",
             circuit.mult_depth(),
             circuit.mult_count(),
             m.completed_at,
-            m.honest_bits,
+            m.metrics.honest_bits,
             out == expected_clear(n, &circuit)
         );
     }
@@ -38,17 +36,7 @@ fn main() {
     for n in [4usize, 5] {
         let circuit = Circuit::product_of_inputs(n);
         for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
-            let (m, out) = run_cireval(n, &circuit, kind, &[], 8);
-            report.push_labeled(
-                if kind == NetworkKind::Synchronous {
-                    "sync"
-                } else {
-                    "async"
-                },
-                n,
-                circuit.mult_count(),
-                &m,
-            );
+            let (m, out) = run_cireval(cireval_builder(n, kind, 8), &circuit);
             println!(
                 "{:>4} {:>6} {:>12} {:>12} {:>10}",
                 n,
@@ -58,7 +46,7 @@ fn main() {
                     "async"
                 },
                 m.completed_at,
-                m.honest_bits,
+                m.metrics.honest_bits,
                 out == expected_clear(n, &circuit)
             );
         }
@@ -67,5 +55,4 @@ fn main() {
     println!(
         " on top of a circuit-independent preprocessing term that dominates — the paper's shape)"
     );
-    report.finish();
 }

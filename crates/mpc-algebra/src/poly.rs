@@ -143,8 +143,8 @@ impl Polynomial {
     /// numerator polynomial rebuilt from scratch for each point).
     ///
     /// Kept as the executable reference semantics for
-    /// [`Polynomial::interpolate`]: the proptest equivalence suite and the
-    /// algebra microbenchmark pin the fast path against it.
+    /// [`Polynomial::interpolate`]: the proptest equivalence suite pins the
+    /// fast path against it.
     ///
     /// # Panics
     ///
