@@ -251,6 +251,14 @@ impl Protocol<Msg> for Bc {
 }
 
 #[cfg(test)]
+impl Bc {
+    /// Slot `slot`, for tests that set its output directly.
+    pub(crate) fn slot_mut(&mut self, slot: usize) -> Option<&mut BcSlot> {
+        self.slots.get_mut(slot)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use mpc_algebra::Fp;

@@ -122,6 +122,18 @@ pub(crate) struct DealerCore {
     star_acast: Acast,
     accepted_wef: Option<Wef>,
     star_published: bool,
+    /// Dealer only: the eventual graph's edge count at the last star search
+    /// that found none.
+    star_searched_at: Option<usize>,
+    /// The star path's `F′`, once the A-casted star `(E′, F′)` holds in this
+    /// party's eventual graph (it holds from then on: the graph only grows).
+    star_support: Option<Vec<PartyId>>,
+    /// The eventual graph's edge count at the last check of the A-casted
+    /// star that failed.
+    star_checked_at: Option<usize>,
+    /// How many times the dealer has searched the eventual graph for a star.
+    #[cfg(test)]
+    star_searches: usize,
 }
 
 impl DealerCore {
@@ -142,6 +154,11 @@ impl DealerCore {
             star_acast: Acast::new(dealer, params.n, params.ts),
             accepted_wef: None,
             star_published: false,
+            star_searched_at: None,
+            star_support: None,
+            star_checked_at: None,
+            #[cfg(test)]
+            star_searches: 0,
         }
     }
 
@@ -213,11 +230,10 @@ impl DealerCore {
         true
     }
 
-    /// Whether a vote about `P_j` is still owed: the rows are here and at
-    /// least one party has not been voted on. The shells' cheap way out of
-    /// looking for evidence on every event once all `n` votes are cast.
-    pub(crate) fn votes_owed(&self) -> bool {
-        self.rows.is_some() && !self.votes.has_voted_on_all()
+    /// Whether the vote about `P_j` is still owed: the rows are here and it
+    /// has not been cast.
+    pub(crate) fn owes_vote(&self, j: PartyId) -> bool {
+        self.rows.is_some() && !self.votes.has_voted(j)
     }
 
     /// Casts this party's vote about `P_j`, once: `OK` if `evidence[ℓ]` —
@@ -298,21 +314,62 @@ impl DealerCore {
         ctx.scoped(self.base + SEG_WEF_BC, |ctx| bc.provide_input(ctx, value));
     }
 
-    /// The dealer, once the `Π_BA` chose the star path, publishes a star as
-    /// soon as the eventual graph has one. The shell calls this after every
-    /// event, before asking for [`DealerCore::output`].
+    /// Once the `Π_BA` chose the star path: the dealer publishes a star as
+    /// soon as the eventual graph has one, and every party checks the
+    /// A-casted star against its own eventual graph. The shell calls this
+    /// after every event, before asking for [`DealerCore::output`].
+    ///
+    /// `find_star` and `is_star` are deterministic in the graph, and the
+    /// graph only grows, so neither is re-run until an edge has been added:
+    /// each returns at every event what a re-run would.
     pub(crate) fn progress(&mut self, ctx: &mut Context<'_, Msg>) {
-        if ctx.me != self.dealer || self.star_published || self.ba.output != Some(true) {
+        if self.ba.output != Some(true) {
             return;
         }
-        if let Some((e, f)) = self.votes.graph_any().find_star(self.params.ta, None) {
-            self.star_published = true;
-            let value = BcValue::Star {
-                e: wire_set(&e),
-                f: wire_set(&f),
-            };
-            let acast = &mut self.star_acast;
-            ctx.scoped(self.base + SEG_STAR, |ctx| acast.provide_input(ctx, value));
+        if ctx.me == self.dealer && !self.star_published {
+            self.publish_star(ctx);
+        }
+        self.check_star();
+    }
+
+    fn publish_star(&mut self, ctx: &mut Context<'_, Msg>) {
+        let g = self.votes.graph_any();
+        let edges = Some(g.edge_count());
+        if self.star_searched_at == edges {
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.star_searches += 1;
+        }
+        let Some((e, f)) = g.find_star(self.params.ta, None) else {
+            self.star_searched_at = edges;
+            return;
+        };
+        self.star_published = true;
+        let value = BcValue::Star {
+            e: wire_set(&e),
+            f: wire_set(&f),
+        };
+        let acast = &mut self.star_acast;
+        ctx.scoped(self.base + SEG_STAR, |ctx| acast.provide_input(ctx, value));
+    }
+
+    fn check_star(&mut self) {
+        let Some(value) = self.star_acast.output.as_ref() else {
+            return;
+        };
+        if self.star_support.is_some() {
+            return;
+        }
+        let g = self.votes.graph_any();
+        let edges = Some(g.edge_count());
+        if self.star_checked_at == edges {
+            return;
+        }
+        match decode_star(self.params.n, value) {
+            Some((e, f)) if g.is_star(self.params.ta, &e, &f, None) => self.star_support = Some(f),
+            _ => self.star_checked_at = edges,
         }
     }
 
@@ -320,17 +377,16 @@ impl DealerCore {
     /// validated: `(direct_set, support_set)` — the parties that output
     /// straight from their rows, and the parties whose evidence everyone
     /// else reconstructs from. `(W, F)` on the `(W, E, F)` path, `(F′, F′)`
-    /// for a star `(E′, F′)` that holds in this party's eventual graph.
+    /// for a star `(E′, F′)` that [`DealerCore::progress`] found to hold in
+    /// this party's eventual graph.
     fn decided(&self) -> Option<(Vec<PartyId>, Vec<PartyId>)> {
-        let n = self.params.n;
         if !self.ba.output? {
-            let published = || decode_wef(n, self.wef_bc.value()?);
+            let published = || decode_wef(self.params.n, self.wef_bc.value()?);
             let (w, _e, f) = self.accepted_wef.clone().or_else(published)?;
             return Some((w, f));
         }
-        let (e, f) = decode_star(n, self.star_acast.output.as_ref()?)?;
-        let holds = self.votes.graph_any().is_star(self.params.ta, &e, &f, None);
-        holds.then(|| (f.clone(), f))
+        let f = self.star_support.clone()?;
+        Some((f.clone(), f))
     }
 
     /// This party's shares once [`DealerCore::decided`]: straight from its
@@ -360,20 +416,28 @@ impl DealerCore {
     }
 
     /// Routes a message addressed below this instance (`path` non-empty) to
-    /// the core's child it names; anything else is dropped.
+    /// the core's child it names; anything else is dropped. Returns whether
+    /// it may have changed what [`DealerCore::progress`] and
+    /// [`DealerCore::output`] read: not if it was dropped, nor if it went to
+    /// a vote A-cast that did not deliver.
     pub(crate) fn on_message(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         from: PartyId,
         path: PathSlice<'_>,
         msg: Msg,
-    ) {
-        let Some(&seg) = path.first() else { return };
+    ) -> bool {
+        let Some(&seg) = path.first() else {
+            return false;
+        };
         if self.votes.owns_segment(seg) {
-            self.votes.on_message(ctx, from, path, msg);
-        } else if let Some(child) = self.child(seg) {
-            ctx.scoped(seg, |ctx| child.on_message(ctx, from, &path[1..], msg));
+            return self.votes.on_message(ctx, from, path, msg);
         }
+        let Some(child) = self.child(seg) else {
+            return false;
+        };
+        ctx.scoped(seg, |ctx| child.on_message(ctx, from, &path[1..], msg));
+        true
     }
 
     /// Handles the core's own phase timers and routes its children's.
@@ -417,6 +481,9 @@ impl DealerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::AcastMsg;
+    use mpc_net::Effects;
+    use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn published_sets_name_parties_at_most_once() {
@@ -429,6 +496,103 @@ mod tests {
         assert_eq!(decode_star(4, &star(&[0, 4], &[3, 0, 4])), None);
         assert_eq!(decode_star(4, &star(&[0, 2], &[3, 0, 2, 3])), None);
         assert_eq!(decode_star(4, &BcValue::Bit(true)), None);
+    }
+
+    /// `OK` votes about every party in `about`.
+    fn oks(about: &[PartyId]) -> BcValue {
+        BcValue::Votes(about.iter().map(|&k| (k as u32, Vote::Ok)).collect())
+    }
+
+    /// Delivers `value` on the core's child A-cast at segment `seg` (base
+    /// 0): `2t_s + 1` `Ready`s.
+    fn deliver(core: &mut DealerCore, ctx: &mut Context<'_, Msg>, seg: u32, value: BcValue) {
+        for from in 0..=2 * core.params.ts {
+            let msg = Msg::Acast(AcastMsg::Ready(value.clone()));
+            core.on_message(ctx, from, &[seg], msg);
+        }
+    }
+
+    /// The segment of `sender`'s update A-cast about `counterpart`.
+    fn update_seg(params: Params, sender: PartyId, counterpart: PartyId) -> u32 {
+        SEG_VOTES + 1 + (sender * params.n + counterpart) as u32
+    }
+
+    #[test]
+    fn the_dealer_searches_for_a_star_only_on_a_new_edge() {
+        let params = Params::new(5, 1, 1, 10);
+        let mut core = DealerCore::new(0, params, 1, 0);
+        let mut effects = Effects::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(0, params.n, 0, params.delta, &mut effects, &mut rng, 0);
+        core.progress(&mut ctx);
+        assert_eq!(
+            core.star_searches, 0,
+            "the Π_BA has not chosen the star path"
+        );
+
+        core.ba.output = Some(true);
+        core.progress(&mut ctx);
+        core.progress(&mut ctx);
+        assert_eq!(core.star_searches, 1, "no edge, no second search");
+
+        // One direction of an edge is no edge; both directions are.
+        deliver(&mut core, &mut ctx, update_seg(params, 1, 2), oks(&[2]));
+        core.progress(&mut ctx);
+        assert_eq!(core.star_searches, 1);
+        deliver(&mut core, &mut ctx, update_seg(params, 2, 1), oks(&[1]));
+        core.progress(&mut ctx);
+        core.progress(&mut ctx);
+        assert_eq!(core.star_searches, 2);
+        assert!(!core.star_published);
+
+        // A clique on {0, 1, 2, 3} through the scheduled broadcasts: a star.
+        for j in 0..4 {
+            let slot = core.votes.scheduled_slot_mut(j).unwrap();
+            slot.output = Some(Some(oks(&[0, 1, 2, 3])));
+        }
+        core.progress(&mut ctx);
+        assert_eq!(core.star_searches, 3);
+        assert!(core.star_published);
+        core.progress(&mut ctx);
+        assert_eq!(
+            core.star_searches, 3,
+            "published: nothing left to search for"
+        );
+    }
+
+    #[test]
+    fn a_failing_star_is_accepted_by_the_call_that_folds_its_missing_edge() {
+        let params = Params::new(5, 1, 1, 10);
+        let mut core = DealerCore::new(0, params, 1, 0);
+        let mut effects = Effects::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(1, params.n, 0, params.delta, &mut effects, &mut rng, 0);
+        core.ba.output = Some(true);
+        // Parties 0–2 are a clique; party 3's scheduled broadcast was ⊥ and
+        // its OKs about 0 and 1 came by update A-cast, so (2, 3) is missing.
+        for j in 0..3 {
+            let slot = core.votes.scheduled_slot_mut(j).unwrap();
+            slot.output = Some(Some(oks(&[0, 1, 2, 3])));
+        }
+        core.votes.scheduled_slot_mut(3).unwrap().output = Some(None);
+        deliver(&mut core, &mut ctx, update_seg(params, 3, 0), oks(&[0]));
+        deliver(&mut core, &mut ctx, update_seg(params, 3, 1), oks(&[1]));
+        let star = BcValue::Star {
+            e: vec![0, 1, 2, 3],
+            f: vec![0, 1, 2, 3],
+        };
+        deliver(&mut core, &mut ctx, SEG_STAR, star);
+        core.progress(&mut ctx);
+        assert_eq!(core.decided(), None, "(2, 3) is not an edge yet");
+        assert_eq!(core.star_checked_at, Some(5));
+
+        // Party 3's broadcast falls back to a value carrying the OK about 2:
+        // the next call folds it in and accepts the star.
+        let slot = core.votes.scheduled_slot_mut(3).unwrap();
+        slot.output = Some(Some(oks(&[2])));
+        core.progress(&mut ctx);
+        let f = vec![0, 1, 2, 3];
+        assert_eq!(core.decided(), Some((f.clone(), f)));
     }
 }
 

@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 pub struct ConsistencyGraph {
     n: usize,
     adj: Vec<bool>,
+    edges: usize,
 }
 
 impl ConsistencyGraph {
@@ -22,6 +23,7 @@ impl ConsistencyGraph {
         ConsistencyGraph {
             n,
             adj: vec![false; n * n],
+            edges: 0,
         }
     }
 
@@ -30,21 +32,29 @@ impl ConsistencyGraph {
         self.n
     }
 
+    /// Number of undirected edges (self-loops not counted). A graph that
+    /// only gains edges changes exactly when this does.
+    pub fn edge_count(&self) -> usize {
+        self.edges
+    }
+
     /// Adds the undirected edge `(i, j)`.
     pub fn add_edge(&mut self, i: usize, j: usize) {
-        if i == j {
+        if i == j || std::mem::replace(&mut self.adj[i * self.n + j], true) {
             return;
         }
-        self.adj[i * self.n + j] = true;
         self.adj[j * self.n + i] = true;
+        self.edges += 1;
     }
 
     /// Removes every edge incident to `i` (the dealer "discarding" a party
     /// that published an incorrect NOK message).
     pub fn remove_vertex_edges(&mut self, i: usize) {
         for j in 0..self.n {
-            self.adj[i * self.n + j] = false;
-            self.adj[j * self.n + i] = false;
+            if std::mem::replace(&mut self.adj[i * self.n + j], false) {
+                self.adj[j * self.n + i] = false;
+                self.edges -= 1;
+            }
         }
     }
 
@@ -251,6 +261,21 @@ mod tests {
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(4), 0);
         assert_eq!(g.degree_within(0, &[1, 3, 4]), 1);
+    }
+
+    #[test]
+    fn edge_count_follows_adds_and_removals() {
+        let mut g = clique_graph(5, &[0, 1, 2]);
+        assert_eq!(g.edge_count(), 3);
+        g.add_edge(1, 0); // present already
+        g.add_edge(3, 3); // self-loop
+        assert_eq!(g.edge_count(), 3);
+        g.add_edge(3, 4);
+        assert_eq!(g.edge_count(), 4);
+        g.remove_vertex_edges(1);
+        assert_eq!(g.edge_count(), 2);
+        g.remove_vertex_edges(1);
+        assert_eq!(g.edge_count(), 2);
     }
 
     proptest! {

@@ -74,15 +74,15 @@ impl Vss {
         self.core.dealer
     }
 
-    /// Votes on every party `j` whose `Π_WPS^{(j)}` has delivered this
-    /// party's WPS-share (the core ignores those already voted on, and waits
-    /// for this party's rows).
+    /// Votes on every party `j` still owed a vote whose `Π_WPS^{(j)}` has
+    /// delivered this party's WPS-share.
     fn refresh_votes(&mut self, ctx: &mut Context<'_, Msg>) {
-        // Hot path: runs after every event of the instance.
-        if !self.core.votes_owed() {
-            return;
-        }
+        // Hot path: runs after every event of the instance. The core's flat
+        // record comes first, as each `Π_WPS` is a large struct.
         for (j, wps) in self.wps.iter().enumerate() {
+            if !self.core.owes_vote(j) {
+                continue;
+            }
             if let Some(shares) = &wps.shares {
                 self.core.cast_vote(ctx, j, shares);
             }
@@ -160,9 +160,17 @@ impl Protocol<Msg> for Vss {
             }
             Some(&seg) if (seg as usize) < self.core.params.n => {
                 let wps = &mut self.wps[seg as usize];
+                let had_shares = wps.shares.is_some();
                 ctx.scoped(seg, |ctx| wps.on_message(ctx, from, &path[1..], msg));
+                if wps.shares.is_some() == had_shares {
+                    return; // nothing `check_progress` reads has changed
+                }
             }
-            Some(_) => self.core.on_message(ctx, from, path, msg),
+            Some(_) => {
+                if !self.core.on_message(ctx, from, path, msg) {
+                    return;
+                }
+            }
         }
         self.check_progress(ctx);
     }

@@ -145,8 +145,10 @@ impl Protocol<Msg> for Wps {
         msg: Msg,
     ) {
         if !path.is_empty() {
-            self.core.on_message(ctx, from, path, msg);
-            return self.check_progress(ctx);
+            if self.core.on_message(ctx, from, path, msg) {
+                self.check_progress(ctx);
+            }
+            return;
         }
         match msg {
             Msg::RowPolys(rows) => {
