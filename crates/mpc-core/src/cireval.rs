@@ -47,14 +47,14 @@
 //! behaviour depends only on its own state and RNG, which is what keeps
 //! `threads = k` runs bit-identical to sequential ones.
 
-use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use mpc_algebra::evaluation_points::{alpha, beta};
 use mpc_algebra::{shamir, EvalDomain, Fp, PackedDomain, Polynomial};
-use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
-use mpc_protocols::acs::Acs;
+use mpc_net::{Context, PartyId, PathSlice, Time};
+use mpc_protocols::acs::{Acs, ACS};
+use mpc_protocols::tree::{Card, Event, Family, Kind, Name, Node, Routed};
 use mpc_protocols::{Msg, Params};
 
 use crate::circuit::{Circuit, Gate, Wire};
@@ -65,8 +65,15 @@ use crate::triples::{
     TripleShare,
 };
 
-const SEG_ACS_INPUT: u32 = 0;
-const SEG_ACS_TRIPLES: u32 = 1;
+/// The input-sharing `Π_ACS`, then the triple-sharing one (absent in
+/// packed mode until a fallback launches it).
+pub static CIREVAL: Kind = Kind::new(
+    "CirEval",
+    &[
+        Family::new(Name::AcsInput, &ACS, Card::One),
+        Family::new(Name::AcsTriples, &ACS, Card::One),
+    ],
+);
 
 const TAG_TRANSFORM: u32 = 1 << 28;
 const TAG_VERIFY: u32 = 2 << 28;
@@ -806,10 +813,11 @@ impl CirEval {
         self.phase = Phase::AwaitAcs;
         let polys = self.make_triple_polys(ctx);
         let mut acs2 = Acs::new(self.params, polys);
-        ctx.scoped(SEG_ACS_TRIPLES, |ctx| acs2.init(ctx));
+        CIREVAL.scoped(ctx, Name::AcsTriples, 0, |ctx| acs2.init(ctx));
         for (from, path, msg) in std::mem::take(&mut self.acs2_buf) {
-            ctx.scoped(SEG_ACS_TRIPLES, |ctx| {
-                acs2.on_message(ctx, from, &path, msg)
+            let event = Event::Message(from, msg);
+            CIREVAL.scoped(ctx, Name::AcsTriples, 0, |ctx| {
+                acs2.on_event(ctx, &path, event)
             });
         }
         self.acs_triples = Some(acs2);
@@ -1258,13 +1266,13 @@ impl CirEval {
     }
 }
 
-impl Protocol<Msg> for CirEval {
+impl Node for CirEval {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
         let ts = self.ts();
         // ACS #1: share my input
         let input_poly = Polynomial::random_with_constant_term(ctx.rng(), ts, self.my_input);
         let mut acs1 = Acs::new(self.params, vec![input_poly]);
-        ctx.scoped(SEG_ACS_INPUT, |ctx| acs1.init(ctx));
+        CIREVAL.scoped(ctx, Name::AcsInput, 0, |ctx| acs1.init(ctx));
         self.acs_input = Some(acs1);
         // Packed mode: triples are dealt point-to-point after CS₁ is known —
         // no second ACS instance at all.
@@ -1274,37 +1282,13 @@ impl Protocol<Msg> for CirEval {
         // ACS #2: share my raw triples and verification triples
         let polys = self.make_triple_polys(ctx);
         let mut acs2 = Acs::new(self.params, polys);
-        ctx.scoped(SEG_ACS_TRIPLES, |ctx| acs2.init(ctx));
+        CIREVAL.scoped(ctx, Name::AcsTriples, 0, |ctx| acs2.init(ctx));
         self.acs_triples = Some(acs2);
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        path: PathSlice<'_>,
-        msg: Msg,
-    ) {
-        match path.first() {
-            Some(&SEG_ACS_INPUT) => {
-                if let Some(acs) = self.acs_input.as_mut() {
-                    ctx.scoped(SEG_ACS_INPUT, |ctx| {
-                        acs.on_message(ctx, from, &path[1..], msg)
-                    });
-                }
-            }
-            Some(&SEG_ACS_TRIPLES) => {
-                if let Some(acs) = self.acs_triples.as_mut() {
-                    ctx.scoped(SEG_ACS_TRIPLES, |ctx| {
-                        acs.on_message(ctx, from, &path[1..], msg)
-                    });
-                } else if self.packing > 0 {
-                    // Packed mode has no triple ACS (yet): keep the traffic
-                    // for the scalar fallback, which launches ACS #2 late.
-                    self.acs2_buf.push((from, path[1..].to_vec(), msg));
-                }
-            }
-            None => match msg {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+        match CIREVAL.route(self, ctx, path, event) {
+            Routed::Own(Event::Message(from, msg)) => match msg {
                 // Anything outside the run's legal tag set is dropped unread.
                 Msg::Open { tag, values } if from < self.params.n && self.legal_open_tag(tag) => {
                     self.openings.on_open(from, tag, values);
@@ -1330,40 +1314,31 @@ impl Protocol<Msg> for CirEval {
                 }
                 _ => {}
             },
-            _ => {}
-        }
-        self.drive(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        match path.first() {
-            Some(&SEG_ACS_INPUT) => {
-                if let Some(acs) = self.acs_input.as_mut() {
-                    ctx.scoped(SEG_ACS_INPUT, |ctx| acs.on_timer(ctx, &path[1..], id));
-                }
-            }
-            Some(&SEG_ACS_TRIPLES) => {
-                if let Some(acs) = self.acs_triples.as_mut() {
-                    ctx.scoped(SEG_ACS_TRIPLES, |ctx| acs.on_timer(ctx, &path[1..], id));
-                }
-            }
             // Root-path timer: the packed-deal deadline (sticky — harmless
             // if the phase already completed).
-            None if id == TIMER_PACKED_DEAL => {
-                self.deal_deadline = true;
+            Routed::Own(Event::Timer(TIMER_PACKED_DEAL)) => self.deal_deadline = true,
+            // Packed mode has no triple ACS (yet): keep the traffic for the
+            // scalar fallback, which launches ACS #2 late.
+            Routed::Absent(Name::AcsTriples, below, Event::Message(from, msg))
+                if self.packing > 0 =>
+            {
+                self.acs2_buf.push((from, below.to_vec(), msg));
             }
             _ => {}
         }
         self.drive(ctx);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn child(&mut self, name: Name, _: usize) -> Option<&mut dyn Node> {
+        let acs = match name {
+            Name::AcsInput => &mut self.acs_input,
+            _ => &mut self.acs_triples,
+        };
+        Some(acs.as_mut()?)
     }
 }
+
+mpc_protocols::node_protocol!(CirEval);
 
 const _: () = {
     const fn assert_send<T: Send>() {}
@@ -1374,9 +1349,10 @@ const _: () = {
 mod tests {
     use super::*;
     use mpc_net::{
-        Backend, CorruptionSet, LinkDelays, NetConfig, PartyView, Scheduler, Simulation,
+        Backend, CorruptionSet, LinkDelays, NetConfig, PartyView, Protocol, Scheduler, Simulation,
         ThreadedNet, Transport,
     };
+    use std::any::Any;
 
     /// Drives a circuit evaluation through the [`Transport`] abstraction; the
     /// backend follows `MPC_TRANSPORT` so the whole module doubles as a
@@ -1849,7 +1825,7 @@ mod tests {
 
     impl Protocol<Msg> for CountOpens {
         fn init(&mut self, ctx: &mut Context<'_, Msg>) {
-            self.inner.init(ctx);
+            Protocol::init(&mut self.inner, ctx);
         }
         fn on_message(
             &mut self,
@@ -1920,6 +1896,85 @@ mod tests {
         let (outs, _) = run_circuit(params, &circuit, &inputs, CorruptionSet::none(), false, 3);
         for o in outs {
             assert_eq!(o.unwrap().as_u64(), 4 * 6 + 9);
+        }
+    }
+
+    /// The paths one segment outside the tree, found from `valid_paths`
+    /// alone: below every instance, each segment under the largest of its
+    /// children's that names none of them, and the one past it.
+    fn stray_paths(kind: &Kind, n: usize) -> Vec<Vec<u32>> {
+        let valid = kind.valid_paths(n);
+        let mut stray = Vec::new();
+        for path in &valid {
+            let below = valid.iter().filter(|p| p.len() == path.len() + 1);
+            let segs: Vec<u32> = below
+                .filter(|p| p.starts_with(path))
+                .map(|p| p[path.len()])
+                .collect();
+            let end = segs.iter().max().map_or(0, |&last| last + 1);
+            for seg in (0..=end).filter(|seg| !segs.contains(seg)) {
+                stray.push([&path[..], &[seg]].concat());
+            }
+        }
+        stray
+    }
+
+    /// From the `CirEval` root as from the stand-alone ones: every valid
+    /// path has a name, no path one segment outside the tree has one, and
+    /// a message delivered there leaves the party's state as it was.
+    #[test]
+    fn describe_and_routing_agree_from_the_cireval_root() {
+        use mpc_net::Effects;
+        use mpc_protocols::{AbaMsg, AcastMsg, BcValue, SbaMsg};
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let n = 7;
+        let update = mpc_protocols::wps::WPS.segment(n, Name::Update, n + 4);
+        let name = CIREVAL.describe(n, &[1, 3, 5, update]);
+        assert_eq!(
+            name.as_deref(),
+            Some("CirEval/AcsTriples/Vss[3]/Wps[5]/Update[1→4]/Acast")
+        );
+        assert_eq!(
+            CIREVAL.describe(n, &[0]).as_deref(),
+            Some("CirEval/AcsInput/Acs")
+        );
+        for params in [Params::new(4, 1, 0, 10), Params::new(7, 2, 0, 10)] {
+            let n = params.n;
+            for path in CIREVAL.valid_paths(n) {
+                assert!(CIREVAL.describe(n, &path).is_some(), "{path:?} has no name");
+            }
+            let mut party = CirEval::new(params, Circuit::sum_of_inputs(n), Fp::from_u64(3));
+            let mut effects = Effects::new();
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut ctx = Context::new(1, n, 0, params.delta, &mut effects, &mut rng, 0);
+            Protocol::init(&mut party, &mut ctx);
+            let before = format!("{party:?}");
+            let bit = BcValue::Bit(true);
+            let probes = [
+                Msg::Acast(AcastMsg::Send(bit.clone())),
+                Msg::Acast(AcastMsg::Ready(bit)),
+                Msg::Sba(SbaMsg::Round1 {
+                    phase: 0,
+                    value: None,
+                }),
+                Msg::Aba(AbaMsg::Finish { value: true }),
+                Msg::RowPolys(vec![vec![Fp::from_u64(1), Fp::from_u64(2)]]),
+            ];
+            for path in stray_paths(&CIREVAL, n) {
+                assert_eq!(
+                    CIREVAL.describe(n, &path),
+                    None,
+                    "{path:?} is outside the tree"
+                );
+                for msg in &probes {
+                    party.on_message(&mut ctx, 0, &path, msg.clone());
+                }
+            }
+            assert!(
+                format!("{party:?}") == before,
+                "a stray path reached a handler"
+            );
         }
     }
 }

@@ -15,12 +15,15 @@
 //! * a Bracha-style termination gadget (`Finish` messages) so that every
 //!   honest party obtains the output once any honest party decides.
 
-use std::any::Any;
 use std::collections::{HashMap, HashSet};
 
-use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
+use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::msg::{AbaMsg, Msg};
+use crate::tree::{Event, Kind, Node};
+
+/// A `Π_ABA` in the instance tree: a leaf.
+pub static ABA: Kind = Kind::new("Aba", &[]);
 
 /// One instance of the common-coin ABA.
 #[derive(Debug)]
@@ -129,11 +132,10 @@ impl Aba {
                 return;
             }
         }
-        let Some(_) = self.est else { return };
         // bounded loop: each iteration either advances the round or stops
         for _ in 0..10_000 {
+            let Some(est) = self.est else { return };
             let r = self.round;
-            let est = self.est.expect("checked above");
             self.send_est(ctx, r, est);
             // echo amplification and bin_values
             for v in [false, true] {
@@ -179,19 +181,15 @@ impl Aba {
     }
 }
 
-impl Protocol<Msg> for Aba {
+impl Node for Aba {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
         self.try_progress(ctx);
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        _path: PathSlice<'_>,
-        msg: Msg,
-    ) {
-        let Msg::Aba(am) = msg else { return };
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event) {
+        let Event::Message(from, Msg::Aba(am)) = event else {
+            return;
+        };
         match am {
             AbaMsg::Est { round, value } => {
                 self.est_senders
@@ -212,21 +210,14 @@ impl Protocol<Msg> for Aba {
         }
         self.try_progress(ctx);
     }
-
-    fn on_timer(&mut self, _ctx: &mut Context<'_, Msg>, _path: PathSlice<'_>, _id: u64) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
+
+crate::node_protocol!(Aba);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_net::{party_as, CorruptionSet, NetConfig, NetworkKind, PartyView};
+    use mpc_net::{party_as, CorruptionSet, NetConfig, NetworkKind, PartyView, Protocol};
 
     fn run(
         n: usize,

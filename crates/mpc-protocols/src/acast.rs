@@ -16,12 +16,14 @@
 //! of each — so an instance holds at most `2n` candidate values whatever the
 //! corrupt parties send.
 
-use std::any::Any;
-
-use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
+use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::msg::{AcastMsg, BcValue, Msg};
 use crate::tally::{tally, Tally};
+use crate::tree::{Event, Kind, Node};
+
+/// An A-cast in the instance tree: a leaf.
+pub static ACAST: Kind = Kind::new("Acast", &[]);
 
 /// One instance of Bracha's A-cast.
 #[derive(Debug)]
@@ -101,21 +103,17 @@ impl Acast {
     }
 }
 
-impl Protocol<Msg> for Acast {
+impl Node for Acast {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
         if ctx.me == self.sender {
             self.start(ctx);
         }
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        _path: PathSlice<'_>,
-        msg: Msg,
-    ) {
-        let Msg::Acast(am) = msg else { return };
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event) {
+        let Event::Message(from, Msg::Acast(am)) = event else {
+            return;
+        };
         match am {
             AcastMsg::Send(v) => {
                 if from == self.sender && !self.sent_echo {
@@ -150,22 +148,15 @@ impl Protocol<Msg> for Acast {
             }
         }
     }
-
-    fn on_timer(&mut self, _ctx: &mut Context<'_, Msg>, _path: PathSlice<'_>, _id: u64) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
+
+crate::node_protocol!(Acast);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpc_algebra::Fp;
-    use mpc_net::{CorruptionSet, Effects, NetConfig, Simulation};
+    use mpc_net::{CorruptionSet, Effects, NetConfig, Protocol, Simulation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -4,19 +4,28 @@
 //! instance; `n` `Π_BA` instances then decide which dealers make it into the
 //! common subset `CS` (`|CS| ≥ n − t_s`, containing every honest party in a
 //! synchronous network). Every honest party eventually holds its points on
-//! the polynomials of every party in `CS`. The `Π_BA` instances exist from
-//! construction and are `init`-ed at `T_VSS` (DESIGN.md "Timed children exist
-//! from construction").
-
-use std::any::Any;
+//! the polynomials of every party in `CS`. Children: [`ACS`] (DESIGN.md
+//! "Instance tree"). The `Π_BA` instances exist from construction and are
+//! `init`-ed at `T_VSS` (DESIGN.md "Timed children exist from
+//! construction").
 
 use mpc_algebra::{Fp, Polynomial};
-use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
+use mpc_net::{Context, PartyId, PathSlice, Time};
 
-use crate::ba::Ba;
+use crate::ba::{Ba, BA};
 use crate::msg::Msg;
 use crate::params::Params;
-use crate::vss::Vss;
+use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
+use crate::vss::{Vss, VSS};
+
+/// Dealer `j`'s `Π_VSS`, then the `Π_BA` deciding whether `j` is in `CS`.
+pub static ACS: Kind = Kind::new(
+    "Acs",
+    &[
+        Family::new(Name::Vss, &VSS, Card::N),
+        Family::new(Name::Ba, &BA, Card::N),
+    ],
+);
 
 const TIMER_START_BAS: u64 = 10;
 
@@ -56,13 +65,6 @@ impl Acs {
         }
     }
 
-    fn seg_vss(j: PartyId) -> u32 {
-        j as u32
-    }
-    fn seg_ba(&self, j: PartyId) -> u32 {
-        (self.params.n + j) as u32
-    }
-
     /// The shares this party holds of dealer `j`'s polynomials (available for
     /// every `j ∈ CS`, eventually).
     pub fn shares_from(&self, j: PartyId) -> Option<&Vec<Fp>> {
@@ -85,9 +87,8 @@ impl Acs {
         // provide input 1 to the BA of every dealer whose VSS has delivered
         for j in 0..self.params.n {
             if self.vss[j].shares.is_some() && !self.bas[j].has_input() {
-                let seg = self.seg_ba(j);
                 let ba = &mut self.bas[j];
-                ctx.scoped(seg, |ctx| ba.provide_input(ctx, true));
+                ACS.scoped(ctx, Name::Ba, j, |ctx| ba.provide_input(ctx, true));
             }
         }
         // once n - t_s BA instances output 1, vote 0 in all remaining ones
@@ -96,9 +97,8 @@ impl Acs {
             self.voted_zero_rest = true;
             for j in 0..self.params.n {
                 if !self.bas[j].has_input() {
-                    let seg = self.seg_ba(j);
                     let ba = &mut self.bas[j];
-                    ctx.scoped(seg, |ctx| ba.provide_input(ctx, false));
+                    ACS.scoped(ctx, Name::Ba, j, |ctx| ba.provide_input(ctx, false));
                 }
             }
         }
@@ -113,7 +113,7 @@ impl Acs {
     }
 }
 
-impl Protocol<Msg> for Acs {
+impl Node for Acs {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
         let me = ctx.me;
         for j in 0..self.params.n {
@@ -122,69 +122,41 @@ impl Protocol<Msg> for Acs {
             } else {
                 Vss::new(j, self.params, self.l_count)
             };
-            ctx.scoped(Self::seg_vss(j), |ctx| v.init(ctx));
+            ACS.scoped(ctx, Name::Vss, j, |ctx| v.init(ctx));
             self.vss.push(v);
         }
         ctx.set_timer(self.params.t_vss(), TIMER_START_BAS);
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        path: PathSlice<'_>,
-        msg: Msg,
-    ) {
-        let n = self.params.n;
-        let Some(&seg) = path.first() else { return };
-        if (seg as usize) < n {
-            let vss = &mut self.vss[seg as usize];
-            ctx.scoped(seg, |ctx| vss.on_message(ctx, from, &path[1..], msg));
-        } else if (seg as usize) < 2 * n {
-            let ba = &mut self.bas[seg as usize - n];
-            ctx.scoped(seg, |ctx| ba.on_message(ctx, from, &path[1..], msg));
-        }
-        self.drive(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        let n = self.params.n;
-        match path.first() {
-            None if id == TIMER_START_BAS => {
-                for j in 0..n {
-                    let (seg, ba) = (self.seg_ba(j), &mut self.bas[j]);
-                    ctx.scoped(seg, |ctx| ba.init(ctx));
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+        match ACS.route(self, ctx, path, event) {
+            Routed::Child(..) => self.drive(ctx),
+            Routed::Own(Event::Timer(TIMER_START_BAS)) => {
+                for (j, ba) in self.bas.iter_mut().enumerate() {
+                    ACS.scoped(ctx, Name::Ba, j, |ctx| ba.init(ctx));
                 }
                 self.bas_started = true;
-                self.drive(ctx);
-            }
-            Some(&seg) if (seg as usize) < n => {
-                let vss = &mut self.vss[seg as usize];
-                ctx.scoped(seg, |ctx| vss.on_timer(ctx, &path[1..], id));
-                self.drive(ctx);
-            }
-            Some(&seg) if (seg as usize) < 2 * n => {
-                let ba = &mut self.bas[seg as usize - n];
-                ctx.scoped(seg, |ctx| ba.on_timer(ctx, &path[1..], id));
                 self.drive(ctx);
             }
             _ => {}
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
+        match name {
+            Name::Vss => Some(self.vss.get_mut(index)?),
+            _ => Some(self.bas.get_mut(index)?),
+        }
     }
 }
+
+crate::node_protocol!(Acs);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpc_algebra::evaluation_points::alpha;
-    use mpc_net::{CorruptionSet, NetConfig, Simulation};
+    use mpc_net::{CorruptionSet, NetConfig, Protocol, Simulation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -10,22 +10,32 @@
 //! The `n` broadcasts all start in [`Ba::init`], so they run as one
 //! lock-step [`Bc`] group: `n` A-casts, one `n`-slot SBA.
 //!
-//! Child segments: `0` is the broadcast group, `n` is the `Π_ABA`
-//! (kept where it was when the broadcasts occupied `0..n`: the common coin
-//! is derived from the instance path). Both exist from construction; the
-//! `Π_ABA` is `init`-ed at `T_BC` and tallies what arrives before (DESIGN.md
-//! "Timed children exist from construction").
+//! Children: [`BA`] (DESIGN.md "Instance tree"). Both exist from
+//! construction; the `Π_ABA` is `init`-ed at `T_BC` and tallies what arrives
+//! before (DESIGN.md "Timed children exist from construction").
 
-use std::any::Any;
+use mpc_net::{Context, PathSlice, Time};
 
-use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
-
-use crate::aba::Aba;
-use crate::bc::Bc;
+use crate::aba::{Aba, ABA};
+use crate::bc::{Bc, BC_GROUP};
 use crate::msg::{BcValue, Msg};
 use crate::params::Params;
+use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
 
-const SEG_BCS: u32 = 0;
+/// The input broadcast group, then the `Π_ABA` at segment `n` (where it was
+/// when the broadcasts occupied `0..n`: the common coin is derived from the
+/// instance path).
+pub static BA: Kind = Kind::new(
+    "Ba",
+    &[
+        Family::new(Name::Bc, &BC_GROUP, Card::One),
+        Family {
+            at: Some(Card::N),
+            ..Family::new(Name::Aba, &ABA, Card::One)
+        },
+    ],
+);
+
 const TIMER_START_ABA: u64 = 1;
 
 /// One instance of `Π_BA` over a single input bit.
@@ -65,10 +75,6 @@ impl Ba {
         }
     }
 
-    fn aba_segment(&self) -> u32 {
-        self.params.n as u32
-    }
-
     /// Supplies the party's input bit if not yet set, broadcasting it and (if
     /// the ABA phase has already started) feeding the derived value into it.
     pub fn provide_input(&mut self, ctx: &mut Context<'_, Msg>, input: bool) {
@@ -81,7 +87,9 @@ impl Ba {
 
     fn broadcast_input(&mut self, ctx: &mut Context<'_, Msg>, input: bool) {
         let bcs = &mut self.bcs;
-        ctx.scoped(SEG_BCS, |ctx| bcs.provide_input(ctx, BcValue::Bit(input)));
+        BA.scoped(ctx, Name::Bc, 0, |ctx| {
+            bcs.provide_input(ctx, BcValue::Bit(input))
+        });
     }
 
     /// Whether an input has been supplied.
@@ -96,9 +104,8 @@ impl Ba {
         let v_star = self.r_majority.or(self.my_input);
         if let Some(v) = v_star {
             self.aba_input_given = true;
-            let seg = self.aba_segment();
             let aba = &mut self.aba;
-            ctx.scoped(seg, |ctx| aba.provide_input(ctx, v));
+            BA.scoped(ctx, Name::Aba, 0, |ctx| aba.provide_input(ctx, v));
             self.check_output(ctx.now);
         }
     }
@@ -113,46 +120,20 @@ impl Ba {
     }
 }
 
-impl Protocol<Msg> for Ba {
+impl Node for Ba {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
         let bcs = &mut self.bcs;
-        ctx.scoped(SEG_BCS, |ctx| bcs.init(ctx));
+        BA.scoped(ctx, Name::Bc, 0, |ctx| bcs.init(ctx));
         if let Some(input) = self.my_input {
             self.broadcast_input(ctx, input);
         }
         ctx.set_timer(self.params.t_bc(), TIMER_START_ABA);
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        path: PathSlice<'_>,
-        msg: Msg,
-    ) {
-        let Some(&seg) = path.first() else { return };
-        if seg == SEG_BCS {
-            let bcs = &mut self.bcs;
-            ctx.scoped(seg, |ctx| bcs.on_message(ctx, from, &path[1..], msg));
-        } else if seg == self.aba_segment() {
-            let aba = &mut self.aba;
-            ctx.scoped(seg, |ctx| aba.on_message(ctx, from, &path[1..], msg));
-            self.check_output(ctx.now);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        match path.first() {
-            Some(&SEG_BCS) => {
-                let bcs = &mut self.bcs;
-                ctx.scoped(SEG_BCS, |ctx| bcs.on_timer(ctx, &path[1..], id));
-            }
-            Some(&seg) if seg == self.aba_segment() => {
-                let aba = &mut self.aba;
-                ctx.scoped(seg, |ctx| aba.on_timer(ctx, &path[1..], id));
-                self.check_output(ctx.now);
-            }
-            None if id == TIMER_START_ABA => {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+        match BA.route(self, ctx, path, event) {
+            Routed::Child(Name::Aba, _) => self.check_output(ctx.now),
+            Routed::Own(Event::Timer(TIMER_START_ABA)) => {
                 // Determine the set R of senders whose broadcast produced a
                 // bit through regular mode, and the derived ABA input.
                 let r_bits: Vec<bool> = (0..self.params.n)
@@ -166,8 +147,8 @@ impl Protocol<Msg> for Ba {
                     let zeros = r_bits.len() - ones;
                     self.r_majority = Some(ones >= zeros); // ties broken towards 1
                 }
-                let (seg, aba) = (self.aba_segment(), &mut self.aba);
-                ctx.scoped(seg, |ctx| aba.init(ctx));
+                let aba = &mut self.aba;
+                BA.scoped(ctx, Name::Aba, 0, |ctx| aba.init(ctx));
                 self.aba_started = true;
                 self.maybe_feed_aba(ctx);
                 self.check_output(ctx.now);
@@ -176,18 +157,20 @@ impl Protocol<Msg> for Ba {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn child(&mut self, name: Name, _: usize) -> Option<&mut dyn Node> {
+        match name {
+            Name::Bc => Some(&mut self.bcs),
+            _ => Some(&mut self.aba),
+        }
     }
 }
+
+crate::node_protocol!(Ba);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_net::{CorruptionSet, NetConfig, NetworkKind, Simulation};
+    use mpc_net::{CorruptionSet, NetConfig, NetworkKind, Protocol, Simulation};
 
     fn run(
         params: Params,

@@ -19,17 +19,35 @@
 //! the input round of `Π_BA` and the vote round of `Π_WPS`/`Π_VSS`. See
 //! DESIGN.md "Lock-step broadcast groups".
 //!
-//! Child segments: `0..k` are the A-casts in slot order, `k` is the SBA
-//! (so a lone broadcast keeps A-cast = 0, SBA = 1).
+//! Children: [`BC`] (a lone broadcast) and [`BC_GROUP`] (DESIGN.md
+//! "Instance tree").
 
-use std::any::Any;
+use mpc_net::{Context, PartyId, PathSlice, Time};
 
-use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
-
-use crate::acast::Acast;
+use crate::acast::{Acast, ACAST};
 use crate::msg::{BcValue, Msg};
 use crate::params::Params;
-use crate::sba::Sba;
+use crate::sba::{Sba, SBA};
+use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
+
+/// A lone broadcast: its A-cast, then the SBA.
+pub static BC: Kind = Kind::new(
+    "Bc",
+    &[
+        Family::new(Name::Acast, &ACAST, Card::One),
+        Family::new(Name::Sba, &SBA, Card::One),
+    ],
+);
+
+/// A lock-step group of `n` broadcasts: the A-casts in slot order, then the
+/// one SBA they share.
+pub static BC_GROUP: Kind = Kind::new(
+    "Bc",
+    &[
+        Family::new(Name::Acast, &ACAST, Card::N),
+        Family::new(Name::Sba, &SBA, Card::One),
+    ],
+);
 
 const TIMER_START_SBA: u64 = 1;
 const TIMER_REGULAR: u64 = 2;
@@ -98,6 +116,8 @@ impl BcSlot {
 /// module docs); slot `s` is the broadcast of party `first_sender + s`.
 #[derive(Debug)]
 pub struct Bc {
+    /// [`BC`] or [`BC_GROUP`].
+    kind: &'static Kind,
     first_sender: PartyId,
     params: Params,
     slots: Vec<BcSlot>,
@@ -109,6 +129,7 @@ pub struct Bc {
 
 impl Bc {
     fn with_acasts(
+        kind: &'static Kind,
         first_sender: PartyId,
         t: usize,
         params: Params,
@@ -116,6 +137,7 @@ impl Bc {
     ) -> Self {
         let slots: Vec<BcSlot> = acasts.map(BcSlot::new).collect();
         Bc {
+            kind,
             first_sender,
             params,
             sba: Sba::with_slots(params.n, t, vec![None; slots.len()]),
@@ -126,13 +148,13 @@ impl Bc {
     /// Creates a participant instance of a lone broadcast by `sender`.
     pub fn new(sender: PartyId, t: usize, params: Params) -> Self {
         let acast = Acast::new(sender, params.n, t);
-        Self::with_acasts(sender, t, params, std::iter::once(acast))
+        Self::with_acasts(&BC, sender, t, params, std::iter::once(acast))
     }
 
     /// Creates the sender-side instance of a lone broadcast with its input.
     pub fn new_sender(sender: PartyId, t: usize, params: Params, input: BcValue) -> Self {
         let acast = Acast::new_sender(sender, params.n, t, input);
-        Self::with_acasts(sender, t, params, std::iter::once(acast))
+        Self::with_acasts(&BC, sender, t, params, std::iter::once(acast))
     }
 
     /// Creates a lock-step group in which every party broadcasts (slot `j` =
@@ -140,7 +162,7 @@ impl Bc {
     /// [`Bc::provide_input`].
     pub fn new_group(t: usize, params: Params) -> Self {
         let acasts = (0..params.n).map(|j| Acast::new(j, params.n, t));
-        Self::with_acasts(0, t, params, acasts)
+        Self::with_acasts(&BC_GROUP, 0, t, params, acasts)
     }
 
     /// Supplies this party's input after creation (a late sender misses the
@@ -150,8 +172,11 @@ impl Bc {
         let Some(slot) = ctx.me.checked_sub(self.first_sender) else {
             return;
         };
+        let kind = self.kind;
         if let Some(state) = self.slots.get_mut(slot) {
-            ctx.scoped(slot as u32, |ctx| state.acast.provide_input(ctx, input));
+            kind.scoped(ctx, Name::Acast, slot, |ctx| {
+                state.acast.provide_input(ctx, input)
+            });
         }
     }
 
@@ -170,85 +195,58 @@ impl Bc {
     pub fn regular_value(&self) -> Option<&BcValue> {
         self.slots[0].regular_value()
     }
-
-    fn sba_segment(&self) -> u32 {
-        self.slots.len() as u32
-    }
 }
 
-impl Protocol<Msg> for Bc {
+impl Node for Bc {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+        let kind = self.kind;
         for (slot, state) in self.slots.iter_mut().enumerate() {
-            ctx.scoped(slot as u32, |ctx| state.acast.init(ctx));
+            kind.scoped(ctx, Name::Acast, slot, |ctx| state.acast.init(ctx));
         }
         ctx.set_timer(3 * ctx.delta, TIMER_START_SBA);
         ctx.set_timer(3 * ctx.delta + self.params.t_bgp(), TIMER_REGULAR);
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        path: PathSlice<'_>,
-        msg: Msg,
-    ) {
-        let Some(&seg) = path.first() else { return };
-        if let Some(state) = self.slots.get_mut(seg as usize) {
-            ctx.scoped(seg, |ctx| {
-                state.acast.on_message(ctx, from, &path[1..], msg)
-            });
-            state.check_fallback(ctx.now);
-        } else if seg == self.sba_segment() {
-            let sba = &mut self.sba;
-            ctx.scoped(seg, |ctx| sba.on_message(ctx, from, &path[1..], msg));
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+        match self.kind.route(self, ctx, path, event) {
+            Routed::Child(Name::Acast, slot) => {
+                if let Some(state) = self.slots.get_mut(slot) {
+                    state.check_fallback(ctx.now);
+                }
+            }
+            Routed::Own(Event::Timer(TIMER_START_SBA)) => {
+                let inputs = self.slots.iter().map(|s| s.acast.output.clone()).collect();
+                self.sba.set_inputs(inputs);
+                let (kind, sba) = (self.kind, &mut self.sba);
+                kind.scoped(ctx, Name::Sba, 0, |ctx| sba.init(ctx));
+            }
+            Routed::Own(Event::Timer(TIMER_REGULAR)) => {
+                let agreed = self.sba.outputs().unwrap_or(&[]);
+                for (slot, state) in self.slots.iter_mut().enumerate() {
+                    let regular = match (&state.acast.output, agreed.get(slot)) {
+                        (Some(a), Some(Some(s))) if a == s => Some(a.clone()),
+                        _ => None,
+                    };
+                    state.regular_output = Some(regular.clone());
+                    state.output = Some(regular);
+                    state.mode = Some(BcMode::Regular);
+                    state.output_at = Some(ctx.now);
+                    state.check_fallback(ctx.now);
+                }
+            }
+            _ => {}
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        let sba_segment = self.sba_segment();
-        match path.first() {
-            Some(&seg) if seg == sba_segment => {
-                let sba = &mut self.sba;
-                ctx.scoped(seg, |ctx| sba.on_timer(ctx, &path[1..], id));
-            }
-            Some(&seg) => {
-                if let Some(state) = self.slots.get_mut(seg as usize) {
-                    ctx.scoped(seg, |ctx| state.acast.on_timer(ctx, &path[1..], id));
-                }
-            }
-            None => match id {
-                TIMER_START_SBA => {
-                    let inputs = self.slots.iter().map(|s| s.acast.output.clone()).collect();
-                    self.sba.set_inputs(inputs);
-                    let sba = &mut self.sba;
-                    ctx.scoped(sba_segment, |ctx| sba.init(ctx));
-                }
-                TIMER_REGULAR => {
-                    let agreed = self.sba.outputs().unwrap_or(&[]);
-                    for (slot, state) in self.slots.iter_mut().enumerate() {
-                        let regular = match (&state.acast.output, agreed.get(slot)) {
-                            (Some(a), Some(Some(s))) if a == s => Some(a.clone()),
-                            _ => None,
-                        };
-                        state.regular_output = Some(regular.clone());
-                        state.output = Some(regular);
-                        state.mode = Some(BcMode::Regular);
-                        state.output_at = Some(ctx.now);
-                        state.check_fallback(ctx.now);
-                    }
-                }
-                _ => {}
-            },
+    fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
+        match name {
+            Name::Acast => Some(&mut self.slots.get_mut(index)?.acast),
+            _ => Some(&mut self.sba),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
+
+crate::node_protocol!(Bc);
 
 #[cfg(test)]
 impl Bc {
@@ -262,7 +260,7 @@ impl Bc {
 mod tests {
     use super::*;
     use mpc_algebra::Fp;
-    use mpc_net::{CorruptionSet, NetConfig, Simulation, SkewedAsyncScheduler};
+    use mpc_net::{CorruptionSet, NetConfig, Protocol, Simulation, SkewedAsyncScheduler};
 
     fn value(x: u64) -> BcValue {
         BcValue::Value(vec![Fp::from_u64(x)])
@@ -404,10 +402,11 @@ mod tests {
         let t = params.ts;
         for mut bc in [Bc::new(0, t, params), Bc::new_group(t, params)] {
             let k = bc.slots.len();
+            let sba_seg = bc.kind.segment(params.n, Name::Sba, 0);
             let mut effects = Effects::new();
             let mut rng = StdRng::seed_from_u64(0);
             let mut ctx = Context::new(1, params.n, 0, params.delta, &mut effects, &mut rng, 0);
-            bc.init(&mut ctx);
+            Node::init(&mut bc, &mut ctx);
             let flooder = 2; // the king of phase 2
             for i in 0..20_000u32 {
                 let value = |x: u32| Some(value(x as u64));
@@ -431,7 +430,7 @@ mod tests {
                     },
                 ];
                 for msg in msgs {
-                    bc.on_message(&mut ctx, flooder, &[k as u32], Msg::Sba(msg));
+                    bc.on_message(&mut ctx, flooder, &[sba_seg], Msg::Sba(msg));
                 }
             }
             assert_eq!(bc.sba.stored_entries(), 2 * (t + 1) * k + 1, "k = {k}");

@@ -11,6 +11,7 @@ use mpc_algebra::{Fp, SymmetricBivariate};
 use mpc_net::{Context, PartyId, PathSlice, Protocol};
 
 use crate::msg::{AcastMsg, BcValue, Msg};
+use crate::tree::{Event, Node};
 
 /// A crashed party: never sends anything, ignores everything.
 #[derive(Debug, Default)]
@@ -46,7 +47,9 @@ pub struct EquivocatingAcastSender {
     pub value_b: BcValue,
 }
 
-impl Protocol<Msg> for EquivocatingAcastSender {
+crate::node_protocol!(EquivocatingAcastSender);
+
+impl Node for EquivocatingAcastSender {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
         let n = ctx.n;
         for i in 0..n {
@@ -58,21 +61,9 @@ impl Protocol<Msg> for EquivocatingAcastSender {
             ctx.send(i, Msg::Acast(AcastMsg::Send(v)));
         }
     }
-    fn on_message(
-        &mut self,
-        _ctx: &mut Context<'_, Msg>,
-        _from: PartyId,
-        _path: PathSlice<'_>,
-        _msg: Msg,
-    ) {
-    }
-    fn on_timer(&mut self, _ctx: &mut Context<'_, Msg>, _path: PathSlice<'_>, _id: u64) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
+
+    /// Silent after the sends.
+    fn on_event(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: Event) {}
 }
 
 /// A corrupt WPS/VSS dealer. It deals the rows itself — of one random
@@ -98,7 +89,9 @@ pub struct HostileDealer {
     pub inner: Box<dyn Protocol<Msg>>,
 }
 
-impl Protocol<Msg> for HostileDealer {
+crate::node_protocol!(HostileDealer);
+
+impl Node for HostileDealer {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
         let n = ctx.n;
         let mut sample = || -> Vec<SymmetricBivariate> {
@@ -120,23 +113,12 @@ impl Protocol<Msg> for HostileDealer {
         }
         self.inner.init(ctx);
     }
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        path: PathSlice<'_>,
-        msg: Msg,
-    ) {
-        self.inner.on_message(ctx, from, path, msg);
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        self.inner.on_timer(ctx, path, id);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+        match event {
+            Event::Message(from, msg) => self.inner.on_message(ctx, from, path, msg),
+            Event::Timer(id) => self.inner.on_timer(ctx, path, id),
+        }
     }
 }
 
@@ -145,8 +127,9 @@ mod tests {
     use super::*;
     use crate::acast::Acast;
     use crate::params::Params;
-    use crate::vss::Vss;
-    use crate::wps::Wps;
+    use crate::tree::{Kind, Name};
+    use crate::vss::{Vss, VSS};
+    use crate::wps::{Wps, WPS};
     use mpc_algebra::Polynomial;
     use mpc_net::{CorruptionSet, NetConfig, Simulation};
 
@@ -338,13 +321,16 @@ mod tests {
             )),
             ..dealer(params.ts, false, inner)
         };
-        let sim = run_against(hostile(2, Box::new(Wps::new(0, params, 1))), || {
-            Wps::new(0, params, 1)
-        });
+        let star = |shell: &Kind| shell.segment(params.n, Name::Star, 0);
+        let sim = run_against(
+            hostile(star(&WPS), Box::new(Wps::new(0, params, 1))),
+            || Wps::new(0, params, 1),
+        );
         assert!((1..params.n).all(|i| sim.party_as::<Wps>(i).unwrap().shares.is_none()));
-        let sim = run_against(hostile(n + 2, Box::new(Vss::new(0, params, 1))), || {
-            Vss::new(0, params, 1)
-        });
+        let sim = run_against(
+            hostile(star(&VSS), Box::new(Vss::new(0, params, 1))),
+            || Vss::new(0, params, 1),
+        );
         assert!((1..params.n).all(|i| sim.party_as::<Vss>(i).unwrap().shares.is_none()));
     }
 }

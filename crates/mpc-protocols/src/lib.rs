@@ -19,6 +19,8 @@
 //! * [`acs`] — agreement on a common subset `Π_ACS` (Fig 5).
 //! * [`byzantine`] — adversarial protocol implementations used by tests and
 //!   experiments.
+//! * [`tree`] — the instance tree: each composite's declared children, and
+//!   the routing, segments, names and paths derived from them.
 //!
 //! All protocols are written against [`mpc_net::Protocol`] and compose by
 //! instance-path routing; see the crate-level documentation of `mpc-net`.
@@ -40,6 +42,7 @@ pub mod star;
 pub(crate) mod tally;
 #[cfg(test)]
 pub(crate) mod testnet;
+pub mod tree;
 pub mod voteboard;
 pub mod vss;
 pub mod wps;

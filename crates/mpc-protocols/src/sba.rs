@@ -22,12 +22,14 @@
 //! [`SbaMsg`] forms; `k > 1` is the SBA of a lock-step broadcast group (see
 //! DESIGN.md "Lock-step broadcast groups").
 
-use std::any::Any;
-
-use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
+use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::msg::{Msg, SbaMsg, SbaValue};
 use crate::tally::tally;
+use crate::tree::{Event, Kind, Node};
+
+/// An SBA in the instance tree: a leaf.
+pub static SBA: Kind = Kind::new("Sba", &[]);
 
 /// Support counts of one (phase, round, slot). At most one entry per sender,
 /// so at most `n`.
@@ -183,7 +185,7 @@ impl Sba {
     /// Round 2: per slot, the value seen at least `n − t` times in round 1.
     fn send_round2(&self, ctx: &mut Context<'_, Msg>, phase: usize) {
         let k = self.values.len();
-        let mut candidates: Vec<Option<SbaValue>> = self.round1[phase * k..][..k]
+        let candidates: Vec<Option<SbaValue>> = self.round1[phase * k..][..k]
             .iter()
             .map(|slot| {
                 slot.iter()
@@ -192,13 +194,9 @@ impl Sba {
             })
             .collect();
         let phase = phase as u32;
-        ctx.broadcast(Msg::Sba(if k == 1 {
-            SbaMsg::Round2 {
-                phase,
-                candidate: candidates.pop().expect("k = 1"),
-            }
-        } else {
-            SbaMsg::Round2Slots { phase, candidates }
+        ctx.broadcast(Msg::Sba(match <[_; 1]>::try_from(candidates) {
+            Ok([candidate]) => SbaMsg::Round2 { phase, candidate },
+            Err(candidates) => SbaMsg::Round2Slots { phase, candidates },
         }));
     }
 
@@ -219,62 +217,21 @@ impl Sba {
         if ctx.me != self.king(phase) {
             return;
         }
-        let mut proposal: Vec<SbaValue> = self
+        let proposal: Vec<SbaValue> = self
             .phase_d
             .iter()
             .zip(&self.values)
             .map(|(d, value)| d.as_ref().map_or(value, |(v, _)| v).clone())
             .collect();
         let phase = phase as u32;
-        ctx.broadcast(Msg::Sba(if k == 1 {
-            SbaMsg::King {
-                phase,
-                value: proposal.pop().expect("k = 1"),
-            }
-        } else {
-            SbaMsg::KingSlots {
-                phase,
-                values: proposal,
-            }
+        ctx.broadcast(Msg::Sba(match <[_; 1]>::try_from(proposal) {
+            Ok([value]) => SbaMsg::King { phase, value },
+            Err(values) => SbaMsg::KingSlots { phase, values },
         }));
     }
-}
 
-impl Protocol<Msg> for Sba {
-    fn init(&mut self, ctx: &mut Context<'_, Msg>) {
-        // schedule every round of every phase plus the final output point
-        for id in 0..=3 * (self.t as u64 + 1) {
-            ctx.set_timer(id * ctx.delta, id);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        _ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        _path: PathSlice<'_>,
-        msg: Msg,
-    ) {
-        let Msg::Sba(sm) = msg else { return };
-        match sm {
-            SbaMsg::Round1 { phase, value } => {
-                self.on_round(from, phase, 0, std::iter::once(Some(value)))
-            }
-            SbaMsg::Round1Slots { phase, values } => {
-                self.on_round(from, phase, 0, values.into_iter().map(Some))
-            }
-            SbaMsg::Round2 { phase, candidate } => {
-                self.on_round(from, phase, 1, std::iter::once(candidate))
-            }
-            SbaMsg::Round2Slots { phase, candidates } => {
-                self.on_round(from, phase, 1, candidates.into_iter())
-            }
-            SbaMsg::King { phase, value } => self.on_king(from, phase, vec![value]),
-            SbaMsg::KingSlots { phase, values } => self.on_king(from, phase, values),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _path: PathSlice<'_>, id: u64) {
+    /// Round `id % 3` of phase `id / 3`, or the end of the last phase.
+    fn on_tick(&mut self, ctx: &mut Context<'_, Msg>, id: u64) {
         if id > 3 * (self.t as u64 + 1) || self.output_at.is_some() {
             return;
         }
@@ -295,12 +252,39 @@ impl Protocol<Msg> for Sba {
             _ => self.send_king(ctx, phase),
         }
     }
+}
 
-    fn as_any(&self) -> &dyn Any {
-        self
+crate::node_protocol!(Sba);
+
+impl Node for Sba {
+    fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+        // schedule every round of every phase plus the final output point
+        for id in 0..=3 * (self.t as u64 + 1) {
+            ctx.set_timer(id * ctx.delta, id);
+        }
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event) {
+        match event {
+            Event::Message(from, Msg::Sba(sm)) => match sm {
+                SbaMsg::Round1 { phase, value } => {
+                    self.on_round(from, phase, 0, std::iter::once(Some(value)))
+                }
+                SbaMsg::Round1Slots { phase, values } => {
+                    self.on_round(from, phase, 0, values.into_iter().map(Some))
+                }
+                SbaMsg::Round2 { phase, candidate } => {
+                    self.on_round(from, phase, 1, std::iter::once(candidate))
+                }
+                SbaMsg::Round2Slots { phase, candidates } => {
+                    self.on_round(from, phase, 1, candidates.into_iter())
+                }
+                SbaMsg::King { phase, value } => self.on_king(from, phase, vec![value]),
+                SbaMsg::KingSlots { phase, values } => self.on_king(from, phase, values),
+            },
+            Event::Message(..) => {}
+            Event::Timer(id) => self.on_tick(ctx, id),
+        }
     }
 }
 
@@ -320,9 +304,10 @@ mod tests {
     use crate::byzantine::SilentParty;
     use crate::msg::BcValue;
     use mpc_algebra::Fp;
-    use mpc_net::{party_as, CorruptionSet, Effects, NetConfig, PartyView, Simulation};
+    use mpc_net::{party_as, CorruptionSet, Effects, NetConfig, PartyView, Protocol, Simulation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::any::Any;
 
     fn value(x: u64) -> SbaValue {
         Some(BcValue::Value(vec![Fp::from_u64(x)]))

@@ -13,9 +13,8 @@
 //! ([`DealerCore::cast_vote`]) and the reconstruction [`DealerCore::output`]
 //! falls back on outside the direct set.
 //!
-//! Child segments, from the shell's segment base: `+0` the `(W, E, F)`
-//! broadcast, `+1` the `Π_BA`, `+2` the star A-cast, `+3 …` the vote board.
-//! Timer ids 11–13 at the instance's own path are the core's.
+//! Children: [`CORE`], declared once for both shells (DESIGN.md "Instance
+//! tree"). Timer ids 11–13 at the instance's own path are the core's.
 //!
 //! Two rules hold at the single place input enters (DESIGN.md "`Π_WPS`/
 //! `Π_VSS`: one dealer-verification core"): dealt rows count only if they
@@ -28,19 +27,33 @@
 
 use mpc_algebra::evaluation_points::alpha;
 use mpc_algebra::{Fp, Polynomial, SymmetricBivariate};
-use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
+use mpc_net::{Context, PartyId, Time};
 
-use crate::acast::Acast;
-use crate::ba::Ba;
-use crate::bc::Bc;
+use crate::acast::{Acast, ACAST};
+use crate::ba::{Ba, BA};
+use crate::bc::{Bc, BC, BC_GROUP};
 use crate::msg::{BcValue, Msg, Vote};
 use crate::params::Params;
+use crate::tree::{Card, Family, Kind, Name, Node};
 use crate::voteboard::VoteBoard;
 
-const SEG_WEF_BC: u32 = 0;
-const SEG_BA: u32 = 1;
-const SEG_STAR: u32 = 2;
-const SEG_VOTES: u32 = 3;
+/// The core's children, in the order both shells lay them out: the
+/// `(W, E, F)` broadcast, the `Π_BA`, the star A-cast, the scheduled vote
+/// broadcasts and the incremental vote A-casts.
+pub(crate) const CORE: [Family; 5] = [
+    Family::new(Name::Wef, &BC, Card::One),
+    Family::new(Name::Ba, &BA, Card::One),
+    Family::new(Name::Star, &ACAST, Card::One),
+    Family::new(Name::Votes, &BC_GROUP, Card::One),
+    Family::new(Name::Update, &ACAST, Card::NSquared),
+];
+
+/// The layout of a shell with one family of children of its own: that
+/// family, then the core's.
+pub(crate) const fn after(first: Family) -> [Family; 6] {
+    let [wef, ba, star, votes, update] = CORE;
+    [first, wef, ba, star, votes, update]
+}
 
 const TIMER_VOTES: u64 = 11;
 const TIMER_WEF: u64 = 12;
@@ -104,7 +117,8 @@ pub(crate) struct DealerCore {
     pub(crate) dealer: PartyId,
     pub(crate) params: Params,
     pub(crate) l_count: usize,
-    base: u32,
+    /// The shell's layout, which places the core's children.
+    kind: &'static Kind,
     /// Dealer only: the input polynomials, held until `init` embeds them.
     input: Option<Vec<Polynomial>>,
     /// Dealer only: the embedded symmetric bivariate polynomials.
@@ -137,18 +151,23 @@ pub(crate) struct DealerCore {
 }
 
 impl DealerCore {
-    /// A participant's core whose children start at segment `base`.
-    pub(crate) fn new(dealer: PartyId, params: Params, l_count: usize, base: u32) -> Self {
+    /// A participant's core inside a shell laid out as `kind`.
+    pub(crate) fn new(
+        dealer: PartyId,
+        params: Params,
+        l_count: usize,
+        kind: &'static Kind,
+    ) -> Self {
         DealerCore {
             dealer,
             params,
             l_count,
-            base,
+            kind,
             input: None,
             bivariates: Vec::new(),
             dealt: false,
             rows: None,
-            votes: VoteBoard::new(base + SEG_VOTES, params.ts, params),
+            votes: VoteBoard::new(kind, params.ts, params),
             wef_bc: Bc::new(dealer, params.ts, params),
             ba: Ba::new(params.ts, params, None),
             star_acast: Acast::new(dealer, params.n, params.ts),
@@ -168,9 +187,9 @@ impl DealerCore {
         dealer: PartyId,
         params: Params,
         polynomials: Vec<Polynomial>,
-        base: u32,
+        kind: &'static Kind,
     ) -> Self {
-        let mut core = Self::new(dealer, params, polynomials.len(), base);
+        let mut core = Self::new(dealer, params, polynomials.len(), kind);
         core.input = Some(polynomials);
         core
     }
@@ -310,8 +329,8 @@ impl DealerCore {
             e: wire_set(&e),
             f: wire_set(&f),
         };
-        let bc = &mut self.wef_bc;
-        ctx.scoped(self.base + SEG_WEF_BC, |ctx| bc.provide_input(ctx, value));
+        let (kind, bc) = (self.kind, &mut self.wef_bc);
+        kind.scoped(ctx, Name::Wef, 0, |ctx| bc.provide_input(ctx, value));
     }
 
     /// Once the `Π_BA` chose the star path: the dealer publishes a star as
@@ -351,8 +370,8 @@ impl DealerCore {
             e: wire_set(&e),
             f: wire_set(&f),
         };
-        let acast = &mut self.star_acast;
-        ctx.scoped(self.base + SEG_STAR, |ctx| acast.provide_input(ctx, value));
+        let (kind, acast) = (self.kind, &mut self.star_acast);
+        kind.scoped(ctx, Name::Star, 0, |ctx| acast.provide_input(ctx, value));
     }
 
     fn check_star(&mut self) {
@@ -404,60 +423,20 @@ impl DealerCore {
         }
     }
 
-    /// The child behind segment `seg`, if it is one of the core's three
-    /// protocol children.
-    fn child(&mut self, seg: u32) -> Option<&mut dyn Protocol<Msg>> {
-        match seg.checked_sub(self.base)? {
-            SEG_WEF_BC => Some(&mut self.wef_bc),
-            SEG_BA => Some(&mut self.ba),
-            SEG_STAR => Some(&mut self.star_acast),
-            _ => None,
-        }
+    /// Whether an event handled by child `index` of family `name` may have
+    /// changed what [`DealerCore::progress`] and [`DealerCore::output`]
+    /// read: not if it went to a vote A-cast that did not deliver.
+    pub(crate) fn changed(&mut self, name: Name, index: usize) -> bool {
+        name != Name::Update || self.votes.fold_update(index)
     }
 
-    /// Routes a message addressed below this instance (`path` non-empty) to
-    /// the core's child it names; anything else is dropped. Returns whether
-    /// it may have changed what [`DealerCore::progress`] and
-    /// [`DealerCore::output`] read: not if it was dropped, nor if it went to
-    /// a vote A-cast that did not deliver.
-    pub(crate) fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        path: PathSlice<'_>,
-        msg: Msg,
-    ) -> bool {
-        let Some(&seg) = path.first() else {
-            return false;
-        };
-        if self.votes.owns_segment(seg) {
-            return self.votes.on_message(ctx, from, path, msg);
-        }
-        let Some(child) = self.child(seg) else {
-            return false;
-        };
-        ctx.scoped(seg, |ctx| child.on_message(ctx, from, &path[1..], msg));
-        true
-    }
-
-    /// Handles the core's own phase timers and routes its children's.
-    pub(crate) fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        let Some(&seg) = path.first() else {
-            return self.on_phase_timer(ctx, id);
-        };
-        if self.votes.owns_segment(seg) {
-            self.votes.on_timer(ctx, path, id);
-        } else if let Some(child) = self.child(seg) {
-            ctx.scoped(seg, |ctx| child.on_timer(ctx, &path[1..], id));
-        }
-    }
-
-    fn on_phase_timer(&mut self, ctx: &mut Context<'_, Msg>, id: u64) {
+    /// Handles the core's phase timers.
+    pub(crate) fn on_phase_timer(&mut self, ctx: &mut Context<'_, Msg>, id: u64) {
         match id {
             TIMER_VOTES => self.votes.start(ctx),
             TIMER_WEF => {
                 let bc = &mut self.wef_bc;
-                ctx.scoped(self.base + SEG_WEF_BC, |ctx| bc.init(ctx));
+                self.kind.scoped(ctx, Name::Wef, 0, |ctx| bc.init(ctx));
                 self.dealer_try_publish_wef(ctx);
             }
             TIMER_BA => {
@@ -468,7 +447,7 @@ impl DealerCore {
                     .filter(|wef| accept_wef(&self.params, &self.votes, wef));
                 let input = self.accepted_wef.is_none(); // 0 = accepted, 1 = go for star
                 let ba = &mut self.ba;
-                ctx.scoped(self.base + SEG_BA, |ctx| {
+                self.kind.scoped(ctx, Name::Ba, 0, |ctx| {
                     ba.init(ctx);
                     ba.provide_input(ctx, input);
                 });
@@ -478,10 +457,25 @@ impl DealerCore {
     }
 }
 
+impl DealerCore {
+    /// The core's child `index` of family `name`, for its shell's
+    /// [`Node::child`].
+    pub(crate) fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
+        match name {
+            Name::Wef => Some(&mut self.wef_bc),
+            Name::Ba => Some(&mut self.ba),
+            Name::Star => Some(&mut self.star_acast),
+            _ => self.votes.child(name, index),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::AcastMsg;
+    use crate::tree::Event;
+    use crate::wps::WPS;
     use mpc_net::Effects;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -503,24 +497,32 @@ mod tests {
         BcValue::Votes(about.iter().map(|&k| (k as u32, Vote::Ok)).collect())
     }
 
-    /// Delivers `value` on the core's child A-cast at segment `seg` (base
-    /// 0): `2t_s + 1` `Ready`s.
-    fn deliver(core: &mut DealerCore, ctx: &mut Context<'_, Msg>, seg: u32, value: BcValue) {
+    /// Delivers `value` on the core's child A-cast `index` of family
+    /// `name`: `2t_s + 1` `Ready`s, each followed by the shell's after-child
+    /// step.
+    fn deliver(
+        core: &mut DealerCore,
+        ctx: &mut Context<'_, Msg>,
+        (name, index): (Name, usize),
+        value: BcValue,
+    ) {
         for from in 0..=2 * core.params.ts {
-            let msg = Msg::Acast(AcastMsg::Ready(value.clone()));
-            core.on_message(ctx, from, &[seg], msg);
+            let event = Event::Message(from, Msg::Acast(AcastMsg::Ready(value.clone())));
+            let child = core.child(name, index).expect("a declared child");
+            child.on_event(ctx, &[], event);
+            core.changed(name, index);
         }
     }
 
-    /// The segment of `sender`'s update A-cast about `counterpart`.
-    fn update_seg(params: Params, sender: PartyId, counterpart: PartyId) -> u32 {
-        SEG_VOTES + 1 + (sender * params.n + counterpart) as u32
+    /// `sender`'s update A-cast about `counterpart`.
+    fn update(params: Params, sender: PartyId, counterpart: PartyId) -> (Name, usize) {
+        (Name::Update, sender * params.n + counterpart)
     }
 
     #[test]
     fn the_dealer_searches_for_a_star_only_on_a_new_edge() {
         let params = Params::new(5, 1, 1, 10);
-        let mut core = DealerCore::new(0, params, 1, 0);
+        let mut core = DealerCore::new(0, params, 1, &WPS);
         let mut effects = Effects::new();
         let mut rng = StdRng::seed_from_u64(0);
         let mut ctx = Context::new(0, params.n, 0, params.delta, &mut effects, &mut rng, 0);
@@ -536,10 +538,10 @@ mod tests {
         assert_eq!(core.star_searches, 1, "no edge, no second search");
 
         // One direction of an edge is no edge; both directions are.
-        deliver(&mut core, &mut ctx, update_seg(params, 1, 2), oks(&[2]));
+        deliver(&mut core, &mut ctx, update(params, 1, 2), oks(&[2]));
         core.progress(&mut ctx);
         assert_eq!(core.star_searches, 1);
-        deliver(&mut core, &mut ctx, update_seg(params, 2, 1), oks(&[1]));
+        deliver(&mut core, &mut ctx, update(params, 2, 1), oks(&[1]));
         core.progress(&mut ctx);
         core.progress(&mut ctx);
         assert_eq!(core.star_searches, 2);
@@ -563,7 +565,7 @@ mod tests {
     #[test]
     fn a_failing_star_is_accepted_by_the_call_that_folds_its_missing_edge() {
         let params = Params::new(5, 1, 1, 10);
-        let mut core = DealerCore::new(0, params, 1, 0);
+        let mut core = DealerCore::new(0, params, 1, &WPS);
         let mut effects = Effects::new();
         let mut rng = StdRng::seed_from_u64(0);
         let mut ctx = Context::new(1, params.n, 0, params.delta, &mut effects, &mut rng, 0);
@@ -575,13 +577,13 @@ mod tests {
             slot.output = Some(Some(oks(&[0, 1, 2, 3])));
         }
         core.votes.scheduled_slot_mut(3).unwrap().output = Some(None);
-        deliver(&mut core, &mut ctx, update_seg(params, 3, 0), oks(&[0]));
-        deliver(&mut core, &mut ctx, update_seg(params, 3, 1), oks(&[1]));
+        deliver(&mut core, &mut ctx, update(params, 3, 0), oks(&[0]));
+        deliver(&mut core, &mut ctx, update(params, 3, 1), oks(&[1]));
         let star = BcValue::Star {
             e: vec![0, 1, 2, 3],
             f: vec![0, 1, 2, 3],
         };
-        deliver(&mut core, &mut ctx, SEG_STAR, star);
+        deliver(&mut core, &mut ctx, (Name::Star, 0), star);
         core.progress(&mut ctx);
         assert_eq!(core.decided(), None, "(2, 3) is not an edge yet");
         assert_eq!(core.star_checked_at, Some(5));
@@ -600,7 +602,7 @@ mod tests {
 #[cfg(test)]
 pub(crate) mod testkit {
     use super::*;
-    use mpc_net::{CorruptionSet, NetConfig, Simulation};
+    use mpc_net::{CorruptionSet, NetConfig, Protocol, Simulation};
     use rand::{rngs::StdRng, SeedableRng};
 
     /// Either shell, as its tests see it.

@@ -20,20 +20,25 @@
 //!   A-cast provides exactly the consistency and eventual-delivery guarantees
 //!   those paths need (the fallback mode of `Π_BC` is itself just the
 //!   sender's A-cast), see DESIGN.md.
+//!
+//! The board's children are the `Votes` and `Update` families of its
+//! shell's layout (DESIGN.md "Instance tree").
 
-use mpc_net::{Context, PartyId, PathSlice, Protocol};
+use mpc_net::{Context, PartyId};
 
 use crate::acast::Acast;
 use crate::bc::{Bc, BcSlot};
 use crate::msg::{BcValue, Msg, Vote};
 use crate::params::Params;
 use crate::star::ConsistencyGraph;
+use crate::tree::{Kind, Name, Node};
 
 /// Vote dissemination and consistency-graph bookkeeping shared by
 /// `Π_WPS`/`Π_VSS`.
 #[derive(Debug)]
 pub struct VoteBoard {
-    base: u32,
+    /// The shell's layout, which places the board's children.
+    kind: &'static Kind,
     t: usize,
     params: Params,
     /// This party's vote about each party.
@@ -42,10 +47,8 @@ pub struct VoteBoard {
     scheduled: Bc,
     /// Whether [`VoteBoard::start`] has run.
     started: bool,
-    /// The incremental A-casts, `sender · n + counterpart` (= segment −
-    /// `base` − 1), each boxed on its first message; the table itself is
-    /// allocated with the first one.
-    updates: Vec<Option<Box<Acast>>>,
+    /// The update table, allocated with its first entry.
+    updates: Updates,
     /// The eventual consistency graph, kept up to date as votes are
     /// delivered. It only ever grows: a scheduled slot's value goes
     /// `None → ⊥ → v` and then never changes, an A-cast's output is set
@@ -54,8 +57,9 @@ pub struct VoteBoard {
     /// in once, when it first appears, therefore yields exactly the graph a
     /// rebuild from every vote visible would.
     eventual: OkGraph,
-    /// Scheduled slots whose value is in `eventual` already.
-    scheduled_folded: Vec<bool>,
+    /// The vote vectors in `eventual` already: scheduled slot `j`'s at `j`,
+    /// update A-cast `idx`'s at `n + idx`.
+    folded: Vec<bool>,
 }
 
 /// A consistency graph grown one published vote vector at a time: an edge
@@ -94,12 +98,12 @@ impl OkGraph {
     }
 }
 
+/// The incremental vote A-casts, `sender · n + counterpart`, each boxed on
+/// its first message.
+type Updates = Vec<Option<Box<Acast>>>;
+
 /// The entry of `table` at `idx`, sizing the table to `n²` entries first.
-fn table_entry(
-    table: &mut Vec<Option<Box<Acast>>>,
-    n: usize,
-    idx: usize,
-) -> Option<&mut Option<Box<Acast>>> {
+fn table_entry(table: &mut Updates, n: usize, idx: usize) -> Option<&mut Option<Box<Acast>>> {
     if table.is_empty() {
         table.resize_with(n * n, || None);
     }
@@ -107,13 +111,11 @@ fn table_entry(
 }
 
 impl VoteBoard {
-    /// Creates a vote board whose children occupy the segment range
-    /// `[base, base + 1 + n²)` of the parent protocol: `base` is the
-    /// scheduled broadcast group and `base + 1 + sender · n + counterpart`
-    /// the incremental A-cast of `sender`'s vote about `counterpart`.
-    pub fn new(base: u32, t: usize, params: Params) -> Self {
+    /// Creates a vote board whose children sit where the shell's layout
+    /// `kind` places its `Votes` and `Update` families.
+    pub fn new(kind: &'static Kind, t: usize, params: Params) -> Self {
         VoteBoard {
-            base,
+            kind,
             t,
             params,
             my_votes: vec![None; params.n],
@@ -121,18 +123,8 @@ impl VoteBoard {
             started: false,
             updates: Vec::new(),
             eventual: OkGraph::new(params.n),
-            scheduled_folded: vec![false; params.n],
+            folded: vec![false; params.n * (params.n + 1)],
         }
-    }
-
-    /// Number of child segments occupied by a vote board.
-    pub fn segment_span(n: usize) -> u32 {
-        (1 + n * n) as u32
-    }
-
-    /// Is `seg` one of this board's child segments?
-    pub fn owns_segment(&self, seg: u32) -> bool {
-        seg >= self.base && seg < self.base + Self::segment_span(self.params.n)
     }
 
     /// Whether this party has already cast its vote about `counterpart`
@@ -153,12 +145,12 @@ impl VoteBoard {
         if !self.started {
             return;
         }
-        let n = self.params.n;
+        let (n, kind) = (self.params.n, self.kind);
         let idx = ctx.me * n + counterpart;
         if let Some(entry) = table_entry(&mut self.updates, n, idx) {
             let payload = BcValue::Votes(vec![(counterpart as u32, vote)]);
             let acast = entry.insert(Box::new(Acast::new_sender(ctx.me, n, self.t, payload)));
-            ctx.scoped(self.base + 1 + idx as u32, |ctx| acast.init(ctx));
+            kind.scoped(ctx, Name::Update, idx, |ctx| acast.init(ctx));
         }
     }
 
@@ -175,66 +167,39 @@ impl VoteBoard {
             .filter_map(|(k, v)| Some((k as u32, v.clone()?)))
             .collect();
         let bcs = &mut self.scheduled;
-        ctx.scoped(self.base, |ctx| {
+        self.kind.scoped(ctx, Name::Votes, 0, |ctx| {
             bcs.init(ctx);
             bcs.provide_input(ctx, BcValue::Votes(votes));
         });
     }
 
-    /// The update-table index of segment `seg`, if it is an update segment.
-    fn update_index(&self, seg: u32) -> Option<usize> {
-        let idx = seg.checked_sub(self.base + 1)? as usize;
-        (idx < self.params.n * self.params.n).then_some(idx)
+    /// The board's child `index` of family `name`: the scheduled group, or
+    /// an update A-cast, made on first demand.
+    pub(crate) fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
+        if name == Name::Votes {
+            return Some(&mut self.scheduled);
+        }
+        let (n, t) = (self.params.n, self.t);
+        let entry = table_entry(&mut self.updates, n, index)?;
+        let acast = entry.get_or_insert_with(|| Box::new(Acast::new(index / n, n, t)));
+        Some(&mut **acast)
     }
 
-    /// Routes a message addressed to one of this board's children. An update
-    /// A-cast's votes join the eventual graph on the message that delivers
-    /// them. Returns whether the message may have changed what the board
-    /// shows: `false` exactly when it went to an update A-cast and did not
-    /// deliver it (or addressed no child).
-    pub fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        path: PathSlice<'_>,
-        msg: Msg,
-    ) -> bool {
-        let Some(&seg) = path.first() else {
+    /// Folds update A-cast `idx`'s votes into the eventual graph if it has
+    /// delivered them and they are not in yet; returns whether it did, i.e.
+    /// whether the board may show something new.
+    pub(crate) fn fold_update(&mut self, idx: usize) -> bool {
+        let n = self.params.n;
+        let value = self
+            .updates
+            .get(idx)
+            .and_then(|a| a.as_ref()?.output.as_ref());
+        let Some(value) = value.filter(|_| self.folded.get(n + idx) == Some(&false)) else {
             return false;
         };
-        if seg == self.base {
-            let bcs = &mut self.scheduled;
-            ctx.scoped(seg, |ctx| bcs.on_message(ctx, from, &path[1..], msg));
-            return true;
-        }
-        let Some(idx) = self.update_index(seg) else {
-            return false;
-        };
-        let (n, t) = (self.params.n, self.t);
-        let Some(entry) = table_entry(&mut self.updates, n, idx) else {
-            return false;
-        };
-        let acast = entry.get_or_insert_with(|| Box::new(Acast::new(idx / n, n, t)));
-        let delivered = acast.output.is_some();
-        ctx.scoped(seg, |ctx| acast.on_message(ctx, from, &path[1..], msg));
-        let Some(value) = acast.output.as_ref().filter(|_| !delivered) else {
-            return false;
-        };
+        self.folded[n + idx] = true;
         self.eventual.fold(idx / n, value);
         true
-    }
-
-    /// Routes a timer event addressed to one of this board's children.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        let Some(&seg) = path.first() else { return };
-        if seg == self.base {
-            let bcs = &mut self.scheduled;
-            ctx.scoped(seg, |ctx| bcs.on_timer(ctx, &path[1..], id));
-        } else if let Some(idx) = self.update_index(seg) {
-            if let Some(Some(acast)) = self.updates.get_mut(idx) {
-                ctx.scoped(seg, |ctx| acast.on_timer(ctx, &path[1..], id));
-            }
-        }
     }
 
     fn scheduled_slot(&self, j: PartyId) -> Option<&BcSlot> {
@@ -276,7 +241,7 @@ impl VoteBoard {
     /// nothing for them. The graph only grows, so its
     /// [`ConsistencyGraph::edge_count`] changes exactly when it does.
     pub fn graph_any(&mut self) -> &ConsistencyGraph {
-        for (j, folded) in self.scheduled_folded.iter_mut().enumerate() {
+        for (j, folded) in self.folded[..self.params.n].iter_mut().enumerate() {
             if *folded {
                 continue;
             }
@@ -338,6 +303,9 @@ impl VoteBoard {
 mod tests {
     use super::*;
     use crate::msg::AcastMsg;
+    use crate::tree::Event;
+    use crate::vss::VSS;
+    use crate::wps::WPS;
     use mpc_algebra::Fp;
     use mpc_net::Effects;
     use proptest::prelude::*;
@@ -394,19 +362,34 @@ mod tests {
         g
     }
 
+    /// Hands `msg` to update A-cast `idx` and folds it, as the shell does
+    /// for a message the router took there; returns whether the board
+    /// reported a change.
+    fn to_update(
+        board: &mut VoteBoard,
+        ctx: &mut Context<'_, Msg>,
+        from: PartyId,
+        idx: usize,
+        msg: Msg,
+    ) -> bool {
+        let acast = board.child(Name::Update, idx).expect("an update A-cast");
+        acast.on_event(ctx, &[], Event::Message(from, msg));
+        board.fold_update(idx)
+    }
+
     /// Delivers `value` as the output of `sender`'s update A-cast about
     /// `counterpart`, through the message path: `2t + 1` `Ready`s. Returns
-    /// how many of them [`VoteBoard::on_message`] reported as a change.
+    /// how many of them the board reported as a change.
     fn deliver_update(
         board: &mut VoteBoard,
         ctx: &mut Context<'_, Msg>,
         (sender, counterpart): (PartyId, PartyId),
         value: &BcValue,
     ) -> usize {
-        let seg = board.base + 1 + (sender * board.params.n + counterpart) as u32;
+        let idx = sender * board.params.n + counterpart;
         let ready = Msg::Acast(AcastMsg::Ready(value.clone()));
         (0..=2 * board.t)
-            .filter(|&from| board.on_message(ctx, from, &[seg], ready.clone()))
+            .filter(|&from| to_update(board, ctx, from, idx, ready.clone()))
             .count()
     }
 
@@ -414,7 +397,7 @@ mod tests {
     fn all_votes_of_reads_exactly_the_senders_segment_range() {
         let params = Params::new(5, 1, 1, 10);
         let n = params.n;
-        let mut board = VoteBoard::new(40, 1, params);
+        let mut board = VoteBoard::new(&VSS, 1, params);
         let mut effects = Effects::new();
         let mut rng = StdRng::seed_from_u64(0);
         let mut ctx = Context::new(0, n, 0, params.delta, &mut effects, &mut rng, 0);
@@ -437,13 +420,8 @@ mod tests {
             let value = BcValue::Votes(vec![(counterpart as u32, vote)]);
             deliver_update(&mut board, &mut ctx, (sender, counterpart), &value);
         }
-        let pending = board.base + 1 + (n + 3) as u32;
-        board.on_message(
-            &mut ctx,
-            2,
-            &[pending],
-            Msg::Acast(AcastMsg::Echo(BcValue::Bit(true))),
-        );
+        let echo = Msg::Acast(AcastMsg::Echo(BcValue::Bit(true)));
+        to_update(&mut board, &mut ctx, 2, n + 3, echo);
         assert!(matches!(&board.updates[n + 3], Some(acast) if acast.output.is_none()));
 
         let mut total = 0;
@@ -490,7 +468,7 @@ mod tests {
         ) {
             let t = (n - 1) / 3;
             let params = Params::new(n, t, 0, 10);
-            let mut board = VoteBoard::new(7, t, params);
+            let mut board = VoteBoard::new(&WPS, t, params);
             let mut effects = Effects::new();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut net_rng = StdRng::seed_from_u64(0);

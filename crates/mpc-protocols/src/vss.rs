@@ -11,21 +11,23 @@
 //!
 //! This file is the shell over the dealer-verification core
 //! (`crate::sharing`, which owns dealing, votes, `(W, E, F)`, `Π_BA` and
-//! star): the `n` `Π_WPS` instances are child segments `0..n` started at `Δ`
-//! and the core's children follow from base `n`, votes are due at
+//! star): the `n` `Π_WPS` instances, started at `Δ`, come before the core's
+//! children ([`VSS`], DESIGN.md "Instance tree"), votes are due at
 //! `Δ + T_WPS`, the evidence about `P_j` is this party's WPS-share from
 //! `Π_WPS^{(j)}`, and a party outside the direct set interpolates the
 //! WPS-shares of `t_s + 1` parties of the support set at zero.
 
-use std::any::Any;
-
 use mpc_algebra::{EvalDomain, Fp, Polynomial};
-use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
+use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::msg::Msg;
 use crate::params::Params;
-use crate::sharing::DealerCore;
-use crate::wps::Wps;
+use crate::sharing::{after, DealerCore};
+use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
+use crate::wps::{Wps, WPS};
+
+/// `Π_WPS^{(j)}` for every party `j`, then the core's children.
+pub static VSS: Kind = Kind::new("Vss", &after(Family::new(Name::Wps, &WPS, Card::N)));
 
 const TIMER_START_WPS: u64 = 10;
 
@@ -33,7 +35,7 @@ const TIMER_START_WPS: u64 = 10;
 #[derive(Debug)]
 pub struct Vss {
     core: DealerCore,
-    /// `Π_WPS^{(j)}` at child segment `j`.
+    /// `Π_WPS^{(j)}` for every party `j`.
     wps: Vec<Wps>,
     /// Whether the `Π_WPS` instances have started (they all do, at `Δ`).
     wps_started: bool,
@@ -59,14 +61,13 @@ impl Vss {
 
     /// Creates a participant instance.
     pub fn new(dealer: PartyId, params: Params, l_count: usize) -> Self {
-        Self::over(DealerCore::new(dealer, params, l_count, params.n as u32))
+        Self::over(DealerCore::new(dealer, params, l_count, &VSS))
     }
 
     /// Creates the dealer-side instance with its `L` polynomials of degree
     /// ≤ `t_s`.
     pub fn new_dealer(dealer: PartyId, params: Params, polynomials: Vec<Polynomial>) -> Self {
-        let base = params.n as u32;
-        Self::over(DealerCore::new_dealer(dealer, params, polynomials, base))
+        Self::over(DealerCore::new_dealer(dealer, params, polynomials, &VSS))
     }
 
     /// The dealer of this instance.
@@ -125,75 +126,60 @@ impl Vss {
         self.wps_started = true;
         self.deal_own_rows(ctx);
         for (j, wps) in self.wps.iter_mut().enumerate() {
-            ctx.scoped(j as u32, |ctx| wps.init(ctx));
+            VSS.scoped(ctx, Name::Wps, j, |ctx| wps.init(ctx));
         }
     }
 
     fn deal_own_rows(&mut self, ctx: &mut Context<'_, Msg>) {
         if let (true, Some(rows)) = (self.wps_started, self.core.rows()) {
-            let (seg, wps) = (ctx.me as u32, &mut self.wps[ctx.me]);
-            ctx.scoped(seg, |ctx| wps.provide_dealer_input(ctx, rows.to_vec()));
+            let (me, wps) = (ctx.me, &mut self.wps[ctx.me]);
+            VSS.scoped(ctx, Name::Wps, me, |ctx| {
+                wps.provide_dealer_input(ctx, rows.to_vec())
+            });
         }
     }
 }
 
-impl Protocol<Msg> for Vss {
+impl Node for Vss {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
         ctx.set_timer(ctx.delta, TIMER_START_WPS);
         self.core.init(ctx, ctx.delta + self.core.params.t_wps());
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        path: PathSlice<'_>,
-        msg: Msg,
-    ) {
-        match path.first() {
-            None => {
-                let Msg::RowPolys(rows) = msg else { return };
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+        match VSS.route(self, ctx, path, event) {
+            Routed::Own(Event::Message(from, Msg::RowPolys(rows))) => {
                 if !self.core.accept_rows(from, rows) {
                     return;
                 }
                 self.deal_own_rows(ctx);
+                self.check_progress(ctx);
             }
-            Some(&seg) if (seg as usize) < self.core.params.n => {
-                let wps = &mut self.wps[seg as usize];
-                let had_shares = wps.shares.is_some();
-                ctx.scoped(seg, |ctx| wps.on_message(ctx, from, &path[1..], msg));
-                if wps.shares.is_some() == had_shares {
-                    return; // nothing `check_progress` reads has changed
-                }
+            Routed::Own(Event::Timer(TIMER_START_WPS)) => self.start_wps(ctx),
+            Routed::Own(Event::Timer(id)) => {
+                self.core.on_phase_timer(ctx, id);
+                self.check_progress(ctx);
             }
-            Some(_) => {
-                if !self.core.on_message(ctx, from, path, msg) {
-                    return;
-                }
+            // `check_progress` reads a `Π_WPS` only through its shares: skip
+            // it unless they appeared at this tick (a second run in the same
+            // tick changes nothing).
+            Routed::Child(Name::Wps, j) if self.wps[j].output_at != Some(ctx.now) => {}
+            Routed::Child(name, index) if self.core.changed(name, index) => {
+                self.check_progress(ctx);
             }
+            _ => {}
         }
-        self.check_progress(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        match path.first() {
-            None if id == TIMER_START_WPS => return self.start_wps(ctx),
-            Some(&seg) if (seg as usize) < self.core.params.n => {
-                let wps = &mut self.wps[seg as usize];
-                ctx.scoped(seg, |ctx| wps.on_timer(ctx, &path[1..], id));
-            }
-            _ => self.core.on_timer(ctx, path, id),
+    fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
+        match name {
+            Name::Wps => Some(self.wps.get_mut(index)?),
+            _ => self.core.child(name, index),
         }
-        self.check_progress(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
+
+crate::node_protocol!(Vss);
 
 #[cfg(test)]
 mod tests {

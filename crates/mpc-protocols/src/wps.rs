@@ -15,21 +15,25 @@
 //!
 //! This file is the shell over the dealer-verification core
 //! (`crate::sharing`, which owns dealing, votes, `(W, E, F)`, `Π_BA` and
-//! star): child segments from base 0, votes at `2Δ`, the evidence about
+//! star): its children are the core's ([`WPS`], DESIGN.md "Instance
+//! tree"), votes at `2Δ`, the evidence about
 //! `P_j` is the [`Msg::Points`] it sent at the first `Δ`-boundary after its
 //! rows arrived, and a party outside the direct set reconstructs by OEC on
 //! the points of the support set.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use mpc_algebra::evaluation_points::alpha;
 use mpc_algebra::{rs, Fp, Polynomial};
-use mpc_net::{Context, PartyId, PathSlice, Protocol, Time};
+use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::msg::Msg;
 use crate::params::Params;
-use crate::sharing::DealerCore;
+use crate::sharing::{DealerCore, CORE};
+use crate::tree::{Event, Kind, Name, Node, Routed};
+
+/// The core's children, from segment 0.
+pub static WPS: Kind = Kind::new("Wps", &CORE);
 
 const TIMER_SEND_POINTS: u64 = 10;
 
@@ -58,14 +62,14 @@ impl Wps {
 
     /// Creates a participant instance.
     pub fn new(dealer: PartyId, params: Params, l_count: usize) -> Self {
-        Self::over(DealerCore::new(dealer, params, l_count, 0))
+        Self::over(DealerCore::new(dealer, params, l_count, &WPS))
     }
 
     /// Creates the dealer-side instance with its `L` input polynomials
     /// (degree ≤ `t_s` each); the bivariate embeddings are sampled from the
     /// party RNG at `init`.
     pub fn new_dealer(dealer: PartyId, params: Params, polynomials: Vec<Polynomial>) -> Self {
-        Self::over(DealerCore::new_dealer(dealer, params, polynomials, 0))
+        Self::over(DealerCore::new_dealer(dealer, params, polynomials, &WPS))
     }
 
     /// The dealer of this instance.
@@ -132,26 +136,14 @@ impl Wps {
     }
 }
 
-impl Protocol<Msg> for Wps {
+impl Node for Wps {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
         self.core.init(ctx, 2 * ctx.delta);
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        path: PathSlice<'_>,
-        msg: Msg,
-    ) {
-        if !path.is_empty() {
-            if self.core.on_message(ctx, from, path, msg) {
-                self.check_progress(ctx);
-            }
-            return;
-        }
-        match msg {
-            Msg::RowPolys(rows) => {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+        match WPS.route(self, ctx, path, event) {
+            Routed::Own(Event::Message(from, Msg::RowPolys(rows))) => {
                 if !self.core.accept_rows(from, rows) {
                     return;
                 }
@@ -159,32 +151,35 @@ impl Protocol<Msg> for Wps {
                 let rem = ctx.now % ctx.delta;
                 let delay = if rem == 0 { 0 } else { ctx.delta - rem };
                 ctx.set_timer(delay, TIMER_SEND_POINTS);
+                self.refresh_votes(ctx);
+                self.check_progress(ctx);
             }
             // wrong length = silent, like a wrong-length opening
-            Msg::Points(pts) if pts.len() == self.core.l_count => {
+            Routed::Own(Event::Message(from, Msg::Points(pts)))
+                if pts.len() == self.core.l_count =>
+            {
                 self.points_from.entry(from).or_insert(pts);
+                self.refresh_votes(ctx);
+                self.check_progress(ctx);
             }
-            _ => return,
+            Routed::Own(Event::Timer(TIMER_SEND_POINTS)) => self.send_points(ctx),
+            Routed::Own(Event::Timer(id)) => {
+                self.core.on_phase_timer(ctx, id);
+                self.check_progress(ctx);
+            }
+            Routed::Child(name, index) if self.core.changed(name, index) => {
+                self.check_progress(ctx);
+            }
+            _ => {}
         }
-        self.refresh_votes(ctx);
-        self.check_progress(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-        if path.is_empty() && id == TIMER_SEND_POINTS {
-            return self.send_points(ctx);
-        }
-        self.core.on_timer(ctx, path, id);
-        self.check_progress(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
+        self.core.child(name, index)
     }
 }
+
+crate::node_protocol!(Wps);
 
 #[cfg(test)]
 mod tests {
@@ -293,7 +288,7 @@ mod tests {
         // Every linear circuit runs ACS #2 with L = 0. A one-element
         // `Points` used to be compared against `rows[0]` of no rows (panic);
         // a wrong length is now dropped at receipt, state untouched.
-        use mpc_net::Effects;
+        use mpc_net::{Effects, Protocol};
         let params = Params::new(4, 1, 0, 10);
         let mut wps = Wps::new(0, params, 0);
         let mut effects = Effects::new();

@@ -17,11 +17,12 @@ use mpc_algebra::{Fp, Polynomial};
 use mpc_net::{
     Context, CorruptionSet, FixedDelay, NetConfig, PartyId, PathSlice, Protocol, Simulation, Time,
 };
-use mpc_protocols::acs::Acs;
-use mpc_protocols::ba::Ba;
+use mpc_protocols::acs::{Acs, ACS};
+use mpc_protocols::ba::{Ba, BA};
 use mpc_protocols::byzantine::SilentParty;
-use mpc_protocols::vss::Vss;
-use mpc_protocols::wps::Wps;
+use mpc_protocols::tree::{Kind, Name};
+use mpc_protocols::vss::{Vss, VSS};
+use mpc_protocols::wps::{Wps, WPS};
 use mpc_protocols::{AbaMsg, AcastMsg, BcValue, Msg, Params};
 
 /// A corrupt party that, at tick 0, sends `copies` rounds of well-formed
@@ -134,27 +135,35 @@ fn assert_early_flood_is_bounded<P: Protocol<Msg> + Debug, O: Debug + PartialEq>
     assert_eq!(many, silent, "{label}: a flood changed an honest output");
 }
 
+/// The path of every child of `families` (by name and count) in `kind`.
+fn children(kind: &Kind, families: &[(Name, usize)]) -> Vec<Vec<u32>> {
+    let path = |&(name, count): &(Name, usize)| {
+        (0..count).map(move |index| vec![kind.segment(PARAMS.n, name, index)])
+    };
+    families.iter().flat_map(path).collect()
+}
+
 #[test]
 fn early_traffic_for_timed_children_is_bounded_per_sender() {
-    let n = PARAMS.n as u32;
+    let n = PARAMS.n;
     let poly =
         |i: PartyId| Polynomial::from_coeffs(vec![Fp::from_u64(10 + i as u64), Fp::from_u64(3)]);
 
     assert_early_flood_is_bounded(
         "ba → aba",
-        vec![vec![n]],
+        children(&BA, &[(Name::Aba, 1)]),
         |_| Ba::new(PARAMS.ts, PARAMS, Some(true)),
         |p: &Ba| p.output,
     );
     assert_early_flood_is_bounded(
         "acs → bas",
-        (n..2 * n).map(|seg| vec![seg]).collect(),
+        children(&ACS, &[(Name::Ba, n)]),
         |i| Acs::new(PARAMS, vec![poly(i)]),
         |p: &Acs| p.common_subset.clone(),
     );
     assert_early_flood_is_bounded(
         "wps → (W, E, F) broadcast, ba",
-        vec![vec![0], vec![1]],
+        children(&WPS, &[(Name::Wef, 1), (Name::Ba, 1)]),
         |i| match i {
             0 => Wps::new_dealer(0, PARAMS, vec![poly(0)]),
             _ => Wps::new(0, PARAMS, 1),
@@ -163,7 +172,7 @@ fn early_traffic_for_timed_children_is_bounded_per_sender() {
     );
     assert_early_flood_is_bounded(
         "vss → wps instances, (W, E, F) broadcast, ba",
-        (0..n + 2).map(|seg| vec![seg]).collect(),
+        children(&VSS, &[(Name::Wps, n), (Name::Wef, 1), (Name::Ba, 1)]),
         |i| match i {
             0 => Vss::new_dealer(0, PARAMS, vec![poly(0)]),
             _ => Vss::new(0, PARAMS, 1),
