@@ -84,7 +84,7 @@ fn main() {
     for &n in ba_ns {
         let mut base_ms = 0.0f64;
         for &t in threads {
-            let m = run_ba(n, true, NetworkKind::Synchronous, Some(t));
+            let m = run_ba(n, true, NetworkKind::Synchronous, t);
             if t == 1 {
                 base_ms = m.wall_ms;
             }

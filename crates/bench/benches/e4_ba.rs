@@ -20,7 +20,7 @@ fn main() {
                 if !unanimous && kind == NetworkKind::Asynchronous && n > 7 {
                     continue;
                 }
-                let m = run_ba(n, unanimous, kind, None);
+                let m = run_ba(n, unanimous, kind, 1);
                 println!(
                     "{:>4} {:>10} {:>6} {:>12} {:>10} {:>12} {:>10}",
                     n,

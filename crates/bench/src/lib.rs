@@ -103,9 +103,8 @@ pub fn run_bc(n: usize, ell: usize, kind: NetworkKind) -> Measurement {
 }
 
 /// Runs one `Π_BA` instance among `n` parties with the given inputs
-/// (experiments E4 and E11). `threads` sets the simulator worker-thread
-/// count; `None` defers to `MPC_THREADS`.
-pub fn run_ba(n: usize, unanimous: bool, kind: NetworkKind, threads: Option<usize>) -> Measurement {
+/// (experiments E4 and E11) on `threads` simulator worker threads.
+pub fn run_ba(n: usize, unanimous: bool, kind: NetworkKind, threads: usize) -> Measurement {
     let params = Params::max_thresholds(n, 10);
     measure(|| {
         let parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
@@ -114,10 +113,7 @@ pub fn run_ba(n: usize, unanimous: bool, kind: NetworkKind, threads: Option<usiz
                 Box::new(Ba::new(params.ts, params, Some(input))) as Box<dyn Protocol<Msg>>
             })
             .collect();
-        let mut cfg = NetConfig::for_kind(n, kind);
-        if let Some(t) = threads {
-            cfg = cfg.with_threads(t);
-        }
+        let cfg = NetConfig::for_kind(n, kind).with_threads(threads);
         let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties);
         sim.run_until(params.t_ba() * 50, |s| {
             (0..n).all(|i| s.party_as::<Ba>(i).unwrap().output.is_some())

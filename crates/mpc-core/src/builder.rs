@@ -26,44 +26,6 @@ use mpc_protocols::{Msg, Params};
 use crate::circuit::Circuit;
 use crate::cireval::CirEval;
 
-/// Typed access to the `MPC_*` environment knobs.
-///
-/// Every knob the builder resolves from the environment goes through one of
-/// these helpers, so a set-but-malformed value is a loud configuration error
-/// instead of a silent fallback to the default — a sweep whose knob is
-/// misspelled must not quietly measure the wrong thing.
-pub mod knobs {
-    use std::fmt::Display;
-    use std::str::FromStr;
-
-    /// The raw value of the environment variable `name`, treating unset and
-    /// blank values as absent.
-    pub fn raw(name: &str) -> Option<String> {
-        match std::env::var(name) {
-            Ok(v) if !v.trim().is_empty() => Some(v.trim().to_string()),
-            _ => None,
-        }
-    }
-
-    /// Parses the environment variable `name` as a `T`. `what` names the
-    /// expected shape in the failure message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set and non-blank but does not parse — the
-    /// caller's default applies only to *absent* knobs, never to broken ones.
-    pub fn parsed<T>(name: &str, what: &str) -> Option<T>
-    where
-        T: FromStr,
-        T::Err: Display,
-    {
-        raw(name).map(|v| {
-            v.parse()
-                .unwrap_or_else(|e| panic!("{name}={v:?} could not be parsed as {what}: {e}"))
-        })
-    }
-}
-
 /// Error returned when a protocol run does not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunError {
@@ -111,13 +73,13 @@ pub struct MpcBuilder {
     inputs: Vec<Fp>,
     corrupt: CorruptionSet,
     structure: Option<Arc<dyn AdversaryStructure>>,
-    fault_plan: Option<FaultPlan>,
+    fault_plan: FaultPlan,
     chaos_plan: FaultPlan,
     wedge_millis: Option<u64>,
     strategy: Option<Box<dyn ByzantineStrategy>>,
     scheduler: Option<Box<dyn Scheduler>>,
     horizon_factor: u64,
-    threads: Option<usize>,
+    threads: usize,
     per_gate_openings: bool,
     packing: Option<usize>,
     transport: Option<Backend>,
@@ -156,13 +118,13 @@ impl MpcBuilder {
             inputs: vec![Fp::ZERO; n],
             corrupt: CorruptionSet::none(),
             structure: None,
-            fault_plan: None,
+            fault_plan: FaultPlan::none(),
             chaos_plan: FaultPlan::none(),
             wedge_millis: None,
             strategy: None,
             scheduler: None,
             horizon_factor: 8,
-            threads: None,
+            threads: 1,
             per_gate_openings: false,
             packing: None,
             transport: None,
@@ -241,11 +203,10 @@ impl MpcBuilder {
     /// Injects a deterministic [`FaultPlan`] (crashes, partitions,
     /// drop/duplicate/delay bursts) at the network layer. Honored identically
     /// by the simulator and the threaded backend, so any failure it provokes
-    /// reproduces from the run's seed alone. When unset, the
-    /// `MPC_FAULT_PLAN` environment variable selects a named
-    /// [`FaultPlan::preset`].
+    /// reproduces from the run's seed alone. Default: no faults;
+    /// [`FaultPlan::preset`] names the presets.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 
@@ -257,26 +218,6 @@ impl MpcBuilder {
     pub fn wedge_timeout(mut self, timeout: Duration) -> Self {
         self.wedge_millis = Some((timeout.as_millis() as u64).max(1));
         self
-    }
-
-    /// The effective fault plan this builder will run with: the explicit
-    /// [`MpcBuilder::fault_plan`] setting, else the `MPC_FAULT_PLAN`
-    /// environment variable resolved through [`FaultPlan::preset`] with this
-    /// builder's `n` and `Δ`, else no faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `MPC_FAULT_PLAN` names an unknown preset — a fault-injection
-    /// knob that silently does nothing would invalidate whole sweeps.
-    pub fn effective_fault_plan(&self) -> FaultPlan {
-        if let Some(plan) = &self.fault_plan {
-            return plan.clone();
-        }
-        match knobs::raw("MPC_FAULT_PLAN") {
-            Some(name) => FaultPlan::preset(&name, self.params.n, self.delta)
-                .unwrap_or_else(|| panic!("MPC_FAULT_PLAN={name} is not a known fault preset")),
-            None => FaultPlan::none(),
-        }
     }
 
     /// Installs a *socket-level* chaos plan for the TCP backend: the plan's
@@ -318,10 +259,9 @@ impl MpcBuilder {
     /// Sets the simulator's worker-thread count for same-time-slice
     /// pre-execution (see [`NetConfig::with_threads`]). Purely a wall-clock
     /// knob: the run's outputs, metrics and bit accounting are identical
-    /// for every value. Defaults to the `MPC_THREADS` environment variable,
-    /// then 1.
+    /// for every value. Defaults to 1.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.threads = threads;
         self
     }
 
@@ -358,23 +298,29 @@ impl MpcBuilder {
     }
 
     /// The effective packing width this builder will run with: the explicit
-    /// [`MpcBuilder::packing`] setting, else `MPC_PACKING`, else 0 (scalar),
-    /// clamped to [`crate::thresholds::max_packing_width`].
-    pub fn effective_packing(&self) -> usize {
-        let requested = self
-            .packing
-            .or_else(|| knobs::parsed("MPC_PACKING", "a packing width (unsigned integer)"))
-            .unwrap_or(0);
-        requested.min(crate::thresholds::max_packing_width(
+    /// [`MpcBuilder::packing`] setting, else the `MPC_PACKING` environment
+    /// variable (the one place it is read), else 0 (scalar), clamped to
+    /// [`crate::thresholds::max_packing_width`].
+    ///
+    /// # Errors
+    ///
+    /// A set `MPC_PACKING` that is not an unsigned integer is an error naming
+    /// the variable and the value, never a silent fallback to scalar.
+    pub fn effective_packing(&self) -> Result<usize, RunError> {
+        let requested = match self.packing {
+            Some(ell) => ell,
+            None => packing_knob(&std::env::var("MPC_PACKING").unwrap_or_default())?,
+        };
+        Ok(requested.min(crate::thresholds::max_packing_width(
             self.params.n,
             self.params.ts,
-        ))
+        )))
     }
 
     /// Selects the backend the run executes on: the deterministic simulator
     /// or the real threaded runtime. Defaults to the `MPC_TRANSPORT`
     /// environment variable (see [`Backend::from_env`]), i.e. the simulator
-    /// unless `MPC_TRANSPORT=threaded`.
+    /// unless `MPC_TRANSPORT` names `threaded` or `tcp`.
     pub fn transport(mut self, backend: Backend) -> Self {
         self.transport = Some(backend);
         self
@@ -415,7 +361,8 @@ impl MpcBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the honest parties do not all terminate within the
+    /// Returns an error if `MPC_PACKING` or `MPC_TRANSPORT` is consulted and
+    /// malformed, if the honest parties do not all terminate within the
     /// simulation horizon, or if they terminate with inconsistent outputs
     /// (which would indicate a protocol violation).
     pub fn run(self, circuit: &Circuit) -> Result<MpcRunResult, RunError> {
@@ -423,8 +370,14 @@ impl MpcBuilder {
         let n = params.n;
         let corrupt = self.corrupt.clone();
         let wire_level = self.strategy.is_some();
-        let packing = self.effective_packing();
-        let fault_plan = self.effective_fault_plan();
+        let packing = self.effective_packing()?;
+        let backend = match self.transport {
+            Some(backend) => backend,
+            None => Backend::from_env().map_err(|message| RunError {
+                message,
+                transport: None,
+            })?,
+        };
         let structure: Arc<dyn AdversaryStructure> = self
             .structure
             .clone()
@@ -450,13 +403,10 @@ impl MpcBuilder {
                 }
             })
             .collect();
-        let mut cfg = NetConfig::for_kind(n, self.network)
+        let cfg = NetConfig::for_kind(n, self.network)
             .with_delta(self.delta)
-            .with_seed(self.seed);
-        if let Some(threads) = self.threads {
-            cfg = cfg.with_threads(threads);
-        }
-        let backend = self.transport.unwrap_or_else(Backend::from_env);
+            .with_seed(self.seed)
+            .with_threads(self.threads);
         let mut scheduler = self.scheduler;
         let mut net: Box<dyn Transport<Msg>> = match backend {
             Backend::Simulator => {
@@ -464,7 +414,7 @@ impl MpcBuilder {
                     Some(s) => Simulation::with_scheduler(cfg, corrupt.clone(), s, parties),
                     None => Simulation::new(cfg, corrupt.clone(), parties),
                 };
-                sim.set_fault_plan(fault_plan.clone());
+                sim.set_fault_plan(self.fault_plan.clone());
                 Box::new(sim)
             }
             Backend::Threaded | Backend::Tcp => {
@@ -487,7 +437,7 @@ impl MpcBuilder {
                     if let Some(millis) = self.wedge_millis {
                         th = th.with_wedge_millis(millis);
                     }
-                    th.set_fault_plan(fault_plan.clone());
+                    th.set_fault_plan(self.fault_plan.clone());
                     Box::new(th)
                 } else {
                     let mut th = TcpNet::with_links(cfg, corrupt.clone(), links, parties);
@@ -497,7 +447,7 @@ impl MpcBuilder {
                     if let Some(millis) = self.wedge_millis {
                         th = th.with_wedge_millis(millis);
                     }
-                    th.set_fault_plan(fault_plan.clone());
+                    th.set_fault_plan(self.fault_plan.clone());
                     th.set_chaos_plan(self.chaos_plan);
                     Box::new(th)
                 }
@@ -516,7 +466,7 @@ impl MpcBuilder {
         // not owed an output. Requiring one would stall every run that
         // crashes an otherwise-honest party — the guarantee only covers the
         // honest parties the plan leaves alive.
-        let crash_targets = fault_plan.crash_targets();
+        let crash_targets = self.fault_plan.crash_targets();
         let requires_output = |i: PartyId| corrupt.is_honest(i) && !crash_targets.contains(&i);
         let mut pred = |view: &dyn PartyView<Msg>| {
             (0..n)
@@ -576,6 +526,19 @@ impl MpcBuilder {
             metrics,
         })
     }
+}
+
+/// [`MpcBuilder::effective_packing`]'s parse of an `MPC_PACKING` value:
+/// blank reads as 0 (scalar).
+fn packing_knob(value: &str) -> Result<usize, RunError> {
+    let value = value.trim();
+    if value.is_empty() {
+        return Ok(0);
+    }
+    value.parse().map_err(|e| RunError {
+        message: format!("MPC_PACKING={value:?} is not a packing width: {e}"),
+        transport: None,
+    })
 }
 
 #[cfg(test)]
@@ -670,19 +633,43 @@ mod tests {
 
     #[test]
     fn builder_fault_plan_duplicate_burst_is_tolerated() {
-        // Duplicated deliveries must never change the honest output.
+        // Duplicated deliveries must never change the honest output or the
+        // agreed input subset, on either engine and in either network kind.
         let c = Circuit::product_of_inputs(4);
-        let baseline = MpcBuilder::new(4, 1, 0)
-            .inputs(&[2, 3, 4, 5])
-            .run(&c)
-            .expect("clean run succeeds");
-        let dup = MpcBuilder::new(4, 1, 0)
-            .inputs(&[2, 3, 4, 5])
-            .fault_plan(FaultPlan::none().duplicate_burst(None, None, (0, 200), 3))
-            .run(&c)
-            .expect("duplicate burst is tolerated");
-        assert_eq!(baseline.output, dup.output);
-        assert!(dup.metrics.fault_duplicates > 0);
+        let delta = NetConfig::DEFAULT_DELTA;
+        let dup_burst = FaultPlan::preset("dup-burst", 4, delta).expect("named preset");
+        for backend in [Backend::Simulator, Backend::Threaded] {
+            for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
+                let run = |plan: FaultPlan| {
+                    MpcBuilder::new(4, 1, 0)
+                        .network(kind)
+                        .inputs(&[2, 3, 4, 5])
+                        .packing(0)
+                        .transport(backend)
+                        .fault_plan(plan)
+                        .run(&c)
+                        .unwrap_or_else(|e| panic!("{backend:?} {kind:?}: {e}"))
+                };
+                let baseline = run(FaultPlan::none());
+                let dup = run(dup_burst.clone());
+                let label = format!("{backend:?} {kind:?}");
+                assert_eq!(baseline.output, dup.output, "{label} output");
+                assert_eq!(baseline.input_subset, dup.input_subset, "{label} subset");
+                assert!(dup.metrics.fault_duplicates > 0, "{label} duplicates");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_packing_knob_is_an_error_naming_variable_and_value() {
+        assert_eq!(packing_knob(" ").unwrap(), 0);
+        assert_eq!(packing_knob(" 4 ").unwrap(), 4);
+        for bad in ["four", "-2", "thraeded"] {
+            let err = packing_knob(bad).expect_err(bad);
+            assert!(err.message.contains("MPC_PACKING"), "{err}");
+            assert!(err.message.contains(&format!("{bad:?}")), "{err}");
+            assert!(err.transport.is_none());
+        }
     }
 
     #[test]

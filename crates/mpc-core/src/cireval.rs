@@ -1385,7 +1385,7 @@ mod tests {
                 max: cfg.delta * 5,
             }),
         };
-        let mut net: Box<dyn Transport<Msg>> = match Backend::from_env() {
+        let mut net: Box<dyn Transport<Msg>> = match Backend::from_env().unwrap() {
             Backend::Simulator => Box::new(Simulation::with_scheduler(
                 cfg.clone(),
                 corrupt.clone(),

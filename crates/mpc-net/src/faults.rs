@@ -326,11 +326,11 @@ impl FaultPlan {
         }
     }
 
-    /// Named plans for the `MPC_FAULT_PLAN` environment knob and the CI
-    /// smoke matrix, parameterized on the run's `n` and `Δ` so windows land
-    /// inside the protocol's active period. Crash/partition targets pick
-    /// high party ids (the default corruption helpers corrupt low ids, so
-    /// the fault usually lands on an honest party — the harder case).
+    /// Named plans for the adversarial sweeps and the tests, parameterized
+    /// on the run's `n` and `Δ` so windows land inside the protocol's active
+    /// period. Crash/partition targets pick high party ids (the default
+    /// corruption helpers corrupt low ids, so the fault usually lands on an
+    /// honest party — the harder case).
     pub fn preset(name: &str, n: usize, delta: Time) -> Option<FaultPlan> {
         let last = n - 1;
         Some(match name {

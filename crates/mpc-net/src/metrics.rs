@@ -64,7 +64,7 @@ pub struct Metrics {
     /// engine observability, excluded from `PartialEq`.
     pub batch_width_hist: Vec<u64>,
     /// The worker-thread count the simulation was configured with
-    /// (`NetConfig::with_threads` / the `MPC_THREADS` environment knob).
+    /// (`NetConfig::with_threads` / `MpcBuilder::threads`, default 1).
     /// Harness observability only — excluded from `PartialEq`, because the
     /// whole point of the deterministic parallel engine is that this knob
     /// does not change the execution.

@@ -12,7 +12,7 @@
 //! count. See the "Deterministic parallel execution" section of DESIGN.md
 //! for the correctness argument.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,7 +26,6 @@ use crate::party::{
     Stamp, Wire, Work, WorkerParty,
 };
 use crate::scheduler::{FixedDelay, Scheduler, UniformDelay};
-use crate::transport::parse_threads;
 use crate::wire::{WireDecode, WireEncode};
 
 pub use crate::transport::{PartyId, Time};
@@ -38,13 +37,6 @@ pub enum NetworkKind {
     Synchronous,
     /// Arbitrary finite, adversarially scheduled delays.
     Asynchronous,
-}
-
-/// The process-wide default worker-thread count, read once from the
-/// `MPC_THREADS` environment variable (see [`crate::transport::parse_threads`]).
-fn env_threads() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| std::env::var("MPC_THREADS").map_or(1, |v| parse_threads(&v)))
 }
 
 /// Static configuration of a simulation run.
@@ -59,11 +51,10 @@ pub struct NetConfig {
     /// Master seed: party RNGs, the scheduler RNG and the common-coin oracle
     /// are all derived from it, making runs fully reproducible.
     pub seed: u64,
-    /// Worker threads for same-time-slice pre-execution: `None` defers to
-    /// the `MPC_THREADS` environment variable (default 1 = sequential).
-    /// The thread count never changes the execution — only its wall-clock
-    /// time — so this is purely a performance knob.
-    pub threads: Option<usize>,
+    /// Worker threads for same-time-slice pre-execution (default 1 =
+    /// sequential). The thread count never changes the execution — only its
+    /// wall-clock time — so this is purely a performance knob.
+    pub threads: usize,
 }
 
 impl NetConfig {
@@ -80,7 +71,7 @@ impl NetConfig {
             delta: Self::DEFAULT_DELTA,
             kind,
             seed: Self::DEFAULT_SEED,
-            threads: None,
+            threads: 1,
         }
     }
 
@@ -108,17 +99,10 @@ impl NetConfig {
     }
 
     /// Sets the worker-thread count for same-time-slice pre-execution
-    /// (values < 1 are clamped to 1). Overrides the `MPC_THREADS`
-    /// environment variable.
+    /// (values < 1 are clamped to 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.threads = threads.max(1);
         self
-    }
-
-    /// The effective worker-thread count: the explicit
-    /// [`NetConfig::with_threads`] value if set, else `MPC_THREADS`, else 1.
-    pub fn resolved_threads(&self) -> usize {
-        self.threads.unwrap_or_else(env_threads).max(1)
     }
 
     /// Inert shim for the frozen benchmark ledger: frame coalescing is the
@@ -252,14 +236,13 @@ impl Wire for SimWire<'_> {
 /// round abstraction. A cross-party message never arrives in the tick it
 /// was sent (see [`Scheduler::delay`]).
 ///
-/// With [`NetConfig::with_threads`] (or `MPC_THREADS`) > 1, the honest
-/// parties' batches of a wide slice are executed concurrently and merged
-/// serially in ascending party order; the execution — transcript, metrics,
-/// bit accounting, outputs — is bit-identical to the sequential one for
-/// every seed, network kind and Byzantine strategy.
+/// With [`NetConfig::with_threads`] > 1, the honest parties' batches of a
+/// wide slice are executed concurrently and merged serially in ascending
+/// party order; the execution — transcript, metrics, bit accounting,
+/// outputs — is bit-identical to the sequential one for every seed, network
+/// kind and Byzantine strategy.
 pub struct Simulation<M> {
     config: NetConfig,
-    threads: usize,
     /// The slots worker threads borrow, one per party.
     parties: Vec<Box<dyn Protocol<M>>>,
     rngs: Vec<StdRng>,
@@ -318,12 +301,10 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         let rngs = (0..config.n)
             .map(|i| StdRng::seed_from_u64(config.party_rng_seed(i)))
             .collect();
-        let threads = config.resolved_threads();
         let mut metrics = Metrics::new();
-        metrics.worker_threads = threads as u64;
+        metrics.worker_threads = config.threads.max(1) as u64;
         Simulation {
             coin_seed: config.coin_seed(),
-            threads,
             parties,
             rngs,
             inboxes: (0..config.n).map(|_| Inbox::default()).collect(),
@@ -392,7 +373,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
 
     /// The effective worker-thread count of this run.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.config.threads.max(1)
     }
 
     /// Current simulated time.
@@ -499,8 +480,9 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         let honest_with_work = (0..env.n)
             .filter(|&p| !due[p].is_empty() && corruption.is_honest(p))
             .count();
-        if self.threads > 1 && total >= MIN_PARALLEL_EVENTS && honest_with_work >= 2 {
-            let workers = self.threads.min(honest_with_work);
+        let threads = self.threads();
+        if threads > 1 && total >= MIN_PARALLEL_EVENTS && honest_with_work >= 2 {
+            let workers = threads.min(honest_with_work);
             let mut groups: Vec<Vec<WorkerParty<'_, M>>> =
                 (0..workers).map(|_| Vec::new()).collect();
             let slots = (self.parties.iter_mut().zip(&mut self.rngs).zip(&mut due))
@@ -1029,15 +1011,10 @@ mod tests {
 
     #[test]
     fn threads_knob_resolution() {
-        // explicit beats env; clamped to ≥ 1
-        assert_eq!(
-            NetConfig::synchronous(4).with_threads(0).resolved_threads(),
-            1
-        );
-        assert_eq!(
-            NetConfig::synchronous(4).with_threads(6).resolved_threads(),
-            6
-        );
+        // one by default; clamped to ≥ 1
+        assert_eq!(NetConfig::synchronous(4).threads, 1);
+        assert_eq!(NetConfig::synchronous(4).with_threads(0).threads, 1);
+        assert_eq!(NetConfig::synchronous(4).with_threads(6).threads, 6);
         let sim = Simulation::new(
             NetConfig::synchronous(3).with_threads(2),
             CorruptionSet::none(),

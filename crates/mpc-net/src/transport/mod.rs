@@ -74,39 +74,27 @@ impl Backend {
         }
     }
 
-    /// Resolves the backend from the `MPC_TRANSPORT` environment variable
-    /// via [`Backend::parse`]. Unset or empty selects
-    /// [`Backend::Simulator`]; a set-but-unparsable value panics with the
-    /// offending text rather than silently falling back.
-    pub fn from_env() -> Backend {
-        match std::env::var("MPC_TRANSPORT") {
-            Ok(v) if v.trim().is_empty() => Backend::Simulator,
-            Ok(v) => Backend::parse(&v).unwrap_or_else(|| {
-                panic!("MPC_TRANSPORT={v:?}: unknown backend (expected sim|threaded|tcp)")
-            }),
-            Err(_) => Backend::Simulator,
-        }
+    /// Resolves the backend from the `MPC_TRANSPORT` environment variable,
+    /// the one place that variable is read. Unset or blank selects
+    /// [`Backend::Simulator`].
+    ///
+    /// # Errors
+    ///
+    /// A set value that [`Backend::parse`] rejects is an error naming the
+    /// variable and the value, never a silent fallback to the simulator.
+    pub fn from_env() -> Result<Backend, String> {
+        Backend::from_knob(&std::env::var("MPC_TRANSPORT").unwrap_or_default())
     }
-}
 
-/// Parses a value of the `MPC_THREADS` environment variable, the
-/// simulator's default worker-thread count: blank reads as 1, and `0` clamps
-/// to 1 as `NetConfig::with_threads(0)` does.
-///
-/// # Panics
-///
-/// Panics with the offending text on anything that is not a thread count,
-/// like [`Backend::from_env`] — a CI lane whose knob is misspelled must not
-/// quietly stop exercising the worker pool.
-pub(crate) fn parse_threads(value: &str) -> usize {
-    let value = value.trim();
-    if value.is_empty() {
-        return 1;
+    /// [`Backend::from_env`] on an explicit `MPC_TRANSPORT` value.
+    fn from_knob(value: &str) -> Result<Backend, String> {
+        if value.trim().is_empty() {
+            return Ok(Backend::Simulator);
+        }
+        Backend::parse(value).ok_or_else(|| {
+            format!("MPC_TRANSPORT={value:?}: unknown backend (expected sim|threaded|tcp)")
+        })
     }
-    value
-        .parse::<usize>()
-        .unwrap_or_else(|e| panic!("MPC_THREADS={value:?} is not a thread count: {e}"))
-        .max(1)
 }
 
 /// A typed, non-fatal failure a transport diagnosed during a run. Kept out
@@ -282,26 +270,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn threads_knob_parses_clamps_and_refuses_garbage() {
-        assert_eq!(parse_threads(""), 1);
-        assert_eq!(parse_threads(" 4 "), 4);
-        assert_eq!(parse_threads("0"), 1);
-        for bad in ["four", "-2", "4.5"] {
-            let payload = std::panic::catch_unwind(|| parse_threads(bad)).expect_err(bad);
-            let msg = payload.downcast_ref::<String>().expect("formatted payload");
-            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
-        }
-    }
-
-    #[test]
     fn backend_env_resolution_defaults_to_simulator() {
         // Can't mutate the process environment safely in a threaded test
         // runner; assert the pure parsing contract instead.
         match std::env::var("MPC_TRANSPORT") {
             Ok(v) if !v.trim().is_empty() => {
-                assert_eq!(Backend::from_env(), Backend::parse(&v).unwrap())
+                assert_eq!(Backend::from_env(), Ok(Backend::parse(&v).unwrap()))
             }
-            _ => assert_eq!(Backend::from_env(), Backend::Simulator),
+            _ => assert_eq!(Backend::from_env(), Ok(Backend::Simulator)),
+        }
+        assert_eq!(Backend::from_knob(""), Ok(Backend::Simulator));
+        assert_eq!(Backend::from_knob(" tcp "), Ok(Backend::Tcp));
+    }
+
+    #[test]
+    fn malformed_transport_knob_is_an_error_naming_variable_and_value() {
+        for bad in ["thraeded", "four", "-2"] {
+            let err = Backend::from_knob(bad).expect_err(bad);
+            assert!(err.contains("MPC_TRANSPORT"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
     }
 

@@ -236,7 +236,7 @@ mod tests {
             NetworkKind::Asynchronous => NetConfig::asynchronous(n),
         }
         .with_seed(seed);
-        let mut net = crate::testnet::transport_for(cfg, corrupt.clone(), parties);
+        let mut net = crate::testnet::transport_for(cfg, corrupt.clone(), parties).unwrap();
         let done = net.run_until_done(10_000_000, &mut |view| {
             (0..n)
                 .filter(|&i| corrupt.is_honest(i))

@@ -325,7 +325,7 @@ mod tests {
             .map(|v| Box::new(Sba::new(n, t, v)) as Box<dyn Protocol<Msg>>)
             .collect();
         let cfg = NetConfig::synchronous(n).with_seed(seed);
-        let mut net = crate::testnet::transport_for(cfg, corrupt.clone(), parties);
+        let mut net = crate::testnet::transport_for(cfg, corrupt.clone(), parties).unwrap();
         let done = net.run_until_done(100_000, &mut |view| {
             (0..n).all(|i| party_as::<Sba, Msg>(view, i).unwrap().outputs().is_some())
         });

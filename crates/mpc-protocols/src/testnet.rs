@@ -16,13 +16,14 @@ use crate::Msg;
 
 /// Builds the [`Transport`] selected by `MPC_TRANSPORT` (default: the
 /// deterministic simulator). The threaded backend freezes the network kind's
-/// default latency matrix ([`LinkDelays::for_kind`]).
+/// default latency matrix ([`LinkDelays::for_kind`]). A malformed
+/// `MPC_TRANSPORT` is the error of [`Backend::from_env`].
 pub(crate) fn transport_for(
     cfg: NetConfig,
     corrupt: CorruptionSet,
     parties: Vec<Box<dyn Protocol<Msg>>>,
-) -> Box<dyn Transport<Msg>> {
-    match Backend::from_env() {
+) -> Result<Box<dyn Transport<Msg>>, String> {
+    Ok(match Backend::from_env()? {
         Backend::Simulator => Box::new(Simulation::new(cfg, corrupt, parties)),
         Backend::Threaded => {
             let links = LinkDelays::for_kind(cfg.n, cfg.kind, cfg.delta, cfg.seed);
@@ -32,5 +33,5 @@ pub(crate) fn transport_for(
             let links = LinkDelays::for_kind(cfg.n, cfg.kind, cfg.delta, cfg.seed);
             Box::new(TcpNet::with_links(cfg, corrupt, links, parties))
         }
-    }
+    })
 }

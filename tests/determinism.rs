@@ -3,16 +3,19 @@
 //! scheduler must reproduce the exact event transcript and metrics, in both
 //! network kinds; different seeds must actually produce different executions.
 //!
-//! The same holds across worker-thread counts: a `threads = k` run must be bit-identical — same
-//! transcript hash, same `Metrics`, same honest-bit totals — to the
-//! `threads = 1` run for every seed, network kind and Byzantine strategy.
+//! The same holds across worker-thread counts: a `threads = k` run must be
+//! bit-identical — same transcript hash, same `Metrics`, same honest-bit
+//! totals — to the `threads = 1` run for every seed, network kind and
+//! Byzantine strategy. The goldens below run at `threads ∈ {1, 4}` and a
+//! proptest draws random thread counts, so this file is the worker-thread
+//! check: no test lane exports a thread count.
 
 use bobw_mpc::algebra::{Fp, Polynomial};
 use bobw_mpc::core::{Circuit, MpcBuilder};
 use bobw_mpc::net::{
-    Backend, ByzantineStrategy, CorruptionSet, Crash, EquivocateBroadcast, FaultPlan, GarbleBytes,
-    Metrics, NetConfig, NetworkKind, Passive, Protocol, Simulation, Time, TranscriptEntry,
-    TranscriptEvent, UniformDelay, WireEncode,
+    Backend, ByzantineStrategy, CorruptionSet, Crash, EquivocateBroadcast, GarbleBytes, Metrics,
+    NetConfig, NetworkKind, Passive, Protocol, Simulation, Time, TranscriptEntry, TranscriptEvent,
+    UniformDelay, WireEncode,
 };
 use bobw_mpc::protocols::bc::Bc;
 use bobw_mpc::protocols::vss::Vss;
@@ -407,19 +410,16 @@ fn full_mpc_metrics_golden_batched() {
                 .seed(77)
                 .inputs(&[3, 5, 7, 11])
                 .threads(threads)
-                // Golden fingerprints pin the scalar engine explicitly: a
-                // CI lane exports MPC_PACKING, and the packed engine is a
-                // different (equally correct) protocol with its own wire
-                // transcript.
+                // Golden fingerprints pin the scalar engine explicitly: the
+                // packed test lane exports MPC_PACKING, and the packed engine
+                // is a different (equally correct) protocol with its own
+                // wire transcript.
                 .packing(0)
                 // The golden pins the simulator's exact completion tick and
-                // event count, so the backend is explicit: under
-                // MPC_TRANSPORT=threaded the run would stop at a different
-                // (equally correct) quiescence tick.
+                // event count, so the backend is explicit: under the
+                // threaded and tcp lanes' MPC_TRANSPORT the run would stop
+                // at a different (equally correct) quiescence tick.
                 .transport(Backend::Simulator)
-                // Same story for the MPC_FAULT_PLAN CI lane: an injected
-                // plan changes the transcript by design.
-                .fault_plan(FaultPlan::none())
                 .run(&c)
                 .expect("run completes");
             let label = format!("batched {kind:?} threads={threads}");

@@ -54,7 +54,7 @@ fn strategies() -> Vec<StrategyCtor> {
 /// selects the socket runtime, anything else the in-process threaded one —
 /// the simulator side of the comparison is always explicit.
 fn real_backend() -> Backend {
-    match Backend::from_env() {
+    match Backend::from_env().unwrap() {
         Backend::Tcp => Backend::Tcp,
         _ => Backend::Threaded,
     }
@@ -66,7 +66,8 @@ struct Conformance {
 }
 
 /// Runs the same configuration on both backends and asserts the conformance
-/// contract, at the smallest `(n, t_s, t_a)` of the network kind.
+/// contract, at the smallest `(n, t_s, t_a)` of the network kind and on the
+/// scalar engine.
 fn assert_conformant(
     kind: NetworkKind,
     seed: u64,
@@ -78,12 +79,13 @@ fn assert_conformant(
         NetworkKind::Synchronous => (4, 1, 0),
         NetworkKind::Asynchronous => (5, 1, 1),
     };
-    assert_conformant_at(shape, kind, seed, corrupt, strategy, label)
+    assert_conformant_at(shape, 0, kind, seed, corrupt, strategy, label)
 }
 
-/// [`assert_conformant`] at an explicit `(n, t_s, t_a)`.
+/// [`assert_conformant`] at an explicit `(n, t_s, t_a)` and packing width.
 fn assert_conformant_at(
     (n, ts, ta): (usize, usize, usize),
+    packing: usize,
     kind: NetworkKind,
     seed: u64,
     corrupt: &[usize],
@@ -120,6 +122,7 @@ fn assert_conformant_at(
             .inputs(&inputs)
             .drain(true)
             .horizon_factor(64)
+            .packing(packing)
             .transport(backend);
         if !corrupt.is_empty() {
             b = b.corrupt(corrupt).byzantine_strategy(strategy());
@@ -251,8 +254,31 @@ fn two_corrupt_parties_conform_in_both_network_kinds() {
     for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
         for (label, strategy) in two_corrupt {
             let label = &format!("{kind:?}/{label}");
-            let runs = assert_conformant_at((7, 2, 0), kind, 5, &[2, 5], strategy, label);
+            let runs = assert_conformant_at((7, 2, 0), 0, kind, 5, &[2, 5], strategy, label);
             assert!(runs.real.metrics.timeouts_fired > 0);
+        }
+    }
+}
+
+/// The packed engine at the widest width `n − 3·t_s` allows: ℓ = 4 at
+/// (7, 1, 1), all honest and with one garbling party, in both network kinds.
+#[test]
+fn packed_width_four_conforms_in_both_network_kinds() {
+    for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
+        for (label, corrupt) in [("honest", &[][..]), ("garble", &[6][..])] {
+            let label = &format!("packed {kind:?}/{label}");
+            let runs = assert_conformant_at(
+                (7, 1, 1),
+                4,
+                kind,
+                3,
+                corrupt,
+                || Box::new(GarbleBytes),
+                label,
+            );
+            assert_eq!(runs.sim.metrics.packed_width, 4, "{label}");
+            assert_eq!(runs.real.metrics.packed_width, 4, "{label}");
+            assert!(runs.real.metrics.timeouts_fired > 0, "{label}");
         }
     }
 }
