@@ -634,7 +634,9 @@ mod tests {
     #[test]
     fn builder_fault_plan_duplicate_burst_is_tolerated() {
         // Duplicated deliveries must never change the honest output or the
-        // agreed input subset, on either engine and in either network kind.
+        // agreed input subset, on either backend and in either network kind.
+        // The packing width is left to `MPC_PACKING`, so the packed lane runs
+        // this on the packed engine.
         let c = Circuit::product_of_inputs(4);
         let delta = NetConfig::DEFAULT_DELTA;
         let dup_burst = FaultPlan::preset("dup-burst", 4, delta).expect("named preset");
@@ -644,7 +646,6 @@ mod tests {
                     MpcBuilder::new(4, 1, 0)
                         .network(kind)
                         .inputs(&[2, 3, 4, 5])
-                        .packing(0)
                         .transport(backend)
                         .fault_plan(plan)
                         .run(&c)

@@ -66,8 +66,8 @@ struct Conformance {
 }
 
 /// Runs the same configuration on both backends and asserts the conformance
-/// contract, at the smallest `(n, t_s, t_a)` of the network kind and on the
-/// scalar engine.
+/// contract, at the smallest `(n, t_s, t_a)` of the network kind and at the
+/// packing width `MPC_PACKING` selects (scalar when it is unset).
 fn assert_conformant(
     kind: NetworkKind,
     seed: u64,
@@ -79,13 +79,15 @@ fn assert_conformant(
         NetworkKind::Synchronous => (4, 1, 0),
         NetworkKind::Asynchronous => (5, 1, 1),
     };
-    assert_conformant_at(shape, 0, kind, seed, corrupt, strategy, label)
+    assert_conformant_at(shape, None, kind, seed, corrupt, strategy, label)
 }
 
-/// [`assert_conformant`] at an explicit `(n, t_s, t_a)` and packing width.
+/// [`assert_conformant`] at an explicit `(n, t_s, t_a)`. `Some(ℓ)` pins the
+/// packing width on both backends; `None` leaves it to `MPC_PACKING`, so the
+/// packed CI lane runs the row on the packed engine.
 fn assert_conformant_at(
     (n, ts, ta): (usize, usize, usize),
-    packing: usize,
+    packing: Option<usize>,
     kind: NetworkKind,
     seed: u64,
     corrupt: &[usize],
@@ -122,8 +124,10 @@ fn assert_conformant_at(
             .inputs(&inputs)
             .drain(true)
             .horizon_factor(64)
-            .packing(packing)
             .transport(backend);
+        if let Some(ell) = packing {
+            b = b.packing(ell);
+        }
         if !corrupt.is_empty() {
             b = b.corrupt(corrupt).byzantine_strategy(strategy());
         }
@@ -254,7 +258,7 @@ fn two_corrupt_parties_conform_in_both_network_kinds() {
     for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
         for (label, strategy) in two_corrupt {
             let label = &format!("{kind:?}/{label}");
-            let runs = assert_conformant_at((7, 2, 0), 0, kind, 5, &[2, 5], strategy, label);
+            let runs = assert_conformant_at((7, 2, 0), None, kind, 5, &[2, 5], strategy, label);
             assert!(runs.real.metrics.timeouts_fired > 0);
         }
     }
@@ -269,7 +273,7 @@ fn packed_width_four_conforms_in_both_network_kinds() {
             let label = &format!("packed {kind:?}/{label}");
             let runs = assert_conformant_at(
                 (7, 1, 1),
-                4,
+                Some(4),
                 kind,
                 3,
                 corrupt,
