@@ -815,7 +815,7 @@ impl CirEval {
         let mut acs2 = Acs::new(self.params, polys);
         CIREVAL.scoped(ctx, Name::AcsTriples, 0, |ctx| acs2.init(ctx));
         for (from, path, msg) in std::mem::take(&mut self.acs2_buf) {
-            let event = Event::Message(from, msg);
+            let event = Event::Message(from, &msg);
             CIREVAL.scoped(ctx, Name::AcsTriples, 0, |ctx| {
                 acs2.on_event(ctx, &path, event)
             });
@@ -1286,24 +1286,24 @@ impl Node for CirEval {
         self.acs_triples = Some(acs2);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
         match CIREVAL.route(self, ctx, path, event) {
             Routed::Own(Event::Message(from, msg)) => match msg {
                 // Anything outside the run's legal tag set is dropped unread.
-                Msg::Open { tag, values } if from < self.params.n && self.legal_open_tag(tag) => {
-                    self.openings.on_open(from, tag, values);
+                Msg::Open { tag, values } if from < self.params.n && self.legal_open_tag(*tag) => {
+                    self.openings.on_open(from, *tag, values);
                 }
                 // Buffered raw until CS₁ fixes the expected layout; parsed
                 // by `drive_packed_deal`. First payload per sender wins
                 // (honest dealers send exactly one).
                 Msg::PackedDeal(values) if self.packing > 0 => {
-                    self.deal_buf.entry(from).or_insert(values);
+                    self.deal_buf.entry(from).or_insert_with(|| values.clone());
                 }
                 // Cumulative public evidence against a packed dealer;
                 // weighed by `drive_packed_deal`.
-                Msg::PackedReport(dealer) if (dealer as usize) < self.params.n => {
+                Msg::PackedReport(dealer) if (*dealer as usize) < self.params.n => {
                     self.deal_reports
-                        .entry(dealer as usize)
+                        .entry(*dealer as usize)
                         .or_default()
                         .insert(from);
                 }
@@ -1322,7 +1322,7 @@ impl Node for CirEval {
             Routed::Absent(Name::AcsTriples, below, Event::Message(from, msg))
                 if self.packing > 0 =>
             {
-                self.acs2_buf.push((from, below.to_vec(), msg));
+                self.acs2_buf.push((from, below.to_vec(), msg.clone()));
             }
             _ => {}
         }
@@ -1349,8 +1349,8 @@ const _: () = {
 mod tests {
     use super::*;
     use mpc_net::{
-        Backend, CorruptionSet, LinkDelays, NetConfig, PartyView, Protocol, Scheduler, Simulation,
-        ThreadedNet, Transport,
+        Backend, CorruptionSet, LinkDelays, NetConfig, NetworkKind, PartyView, Protocol, Scheduler,
+        Simulation, ThreadedNet, Transport,
     };
     use std::any::Any;
 
@@ -1847,6 +1847,75 @@ mod tests {
         }
         fn as_any_mut(&mut self) -> &mut dyn Any {
             self
+        }
+    }
+
+    /// A wrapper that implements only the owned `on_message`, as the
+    /// benchmark ledger's tracing wrapper does: every delivery reaches the
+    /// inner `CirEval` through `on_message_ref`'s cloning default.
+    struct Owned(CirEval);
+
+    impl Protocol<Msg> for Owned {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            Protocol::init(&mut self.0, ctx);
+        }
+        fn on_message(
+            &mut self,
+            ctx: &mut Context<'_, Msg>,
+            from: PartyId,
+            path: PathSlice<'_>,
+            msg: Msg,
+        ) {
+            self.0.on_message(ctx, from, path, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
+            self.0.on_timer(ctx, path, id);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self.0.as_any()
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self.0.as_any_mut()
+        }
+    }
+
+    #[test]
+    fn owned_delivery_adapter_runs_exactly_like_borrowed_delivery() {
+        let params = Params::new(4, 1, 0, 10);
+        let circuit = two_products(4);
+        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+        for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
+            let run = |owned: bool| {
+                let parties = [3u64, 5, 7, 11]
+                    .iter()
+                    .map(|&x| {
+                        let party = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                        if owned {
+                            Box::new(Owned(party)) as Box<dyn Protocol<Msg>>
+                        } else {
+                            Box::new(party) as _
+                        }
+                    })
+                    .collect();
+                let cfg = NetConfig::for_kind(params.n, kind).with_seed(61);
+                let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties);
+                sim.record_transcript();
+                let output = |s: &Simulation<Msg>, i| s.party_as::<CirEval>(i).unwrap().output;
+                let done =
+                    sim.run_until(horizon, |s| (0..params.n).all(|i| output(s, i).is_some()));
+                assert!(done, "{kind:?}: no output before the horizon");
+                let results: Vec<_> = (0..params.n)
+                    .map(|i| {
+                        let p = sim.party_as::<CirEval>(i).unwrap();
+                        (p.output, p.input_subset.clone())
+                    })
+                    .collect();
+                (results, sim.metrics().clone(), sim.transcript().to_vec())
+            };
+            let (borrowed, owned) = (run(false), run(true));
+            assert_eq!(owned.0, borrowed.0, "{kind:?}: outputs and input subsets");
+            assert_eq!(owned.1, borrowed.1, "{kind:?}: metrics");
+            assert!(owned.2 == borrowed.2, "{kind:?}: transcripts differ");
         }
     }
 

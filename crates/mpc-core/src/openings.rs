@@ -79,13 +79,14 @@ impl OpeningManager {
     }
 
     /// Records a received `Open` message (first batch per sender and tag
-    /// wins). The caller has already dropped illegal tags and senders.
-    pub fn on_open(&mut self, from: PartyId, tag: u32, values: Vec<Fp>) {
+    /// wins, and only it is copied). The caller has already dropped illegal
+    /// tags and senders.
+    pub fn on_open(&mut self, from: PartyId, tag: u32, values: &[Fp]) {
         self.received
             .entry(tag)
             .or_default()
             .entry(from)
-            .or_insert(values);
+            .or_insert_with(|| values.to_vec());
     }
 
     /// Runs the shared decode pipeline for `tag` (sender gate, failed-attempt
@@ -193,7 +194,7 @@ mod tests {
             if p == 3 {
                 values[0] += Fp::from_u64(5); // corrupt share
             }
-            mgr.on_open(p, 7, values);
+            mgr.on_open(p, 7, &values);
         }
         let out = mgr.try_reconstruct(7, 2, t, t).unwrap().to_vec();
         assert_eq!(out, vec![Fp::from_u64(11), Fp::from_u64(22)]);
@@ -207,7 +208,7 @@ mod tests {
         let s = shamir::share(&mut rng, Fp::from_u64(9), t, n);
         let mut mgr = OpeningManager::new();
         for p in 0..3 {
-            mgr.on_open(p, 1, vec![s.shares[p]]);
+            mgr.on_open(p, 1, &[s.shares[p]]);
         }
         assert!(mgr.try_reconstruct(1, 1, t, t).is_none());
     }
@@ -228,7 +229,7 @@ mod tests {
             if p == 5 {
                 values[1] += Fp::from_u64(3); // corrupt share, within OEC budget
             }
-            mgr.on_open(p, 9, values);
+            mgr.on_open(p, 9, &values);
         }
         let slots: Vec<Fp> = (0..ell).map(slot).collect();
         let out = mgr
@@ -269,9 +270,9 @@ mod tests {
                     // ≤ t_s malformed senders, arriving before anyone decodes
                     malform(&mut batch);
                 } else {
-                    without.on_open(p, 7, batch.clone());
+                    without.on_open(p, 7, &batch);
                 }
-                with.on_open(p, 7, batch);
+                with.on_open(p, 7, &batch);
             }
             let expected: Vec<Fp> = secrets.iter().map(|&s| Fp::from_u64(s)).collect();
             assert_eq!(with.try_reconstruct(7, 3, t, t), Some(&expected[..]));
@@ -288,7 +289,7 @@ mod tests {
         let mut mgr = OpeningManager::new();
         for (p, batch) in batches.iter().enumerate().take(2 * t + 1) {
             let len = if p <= t { 2 } else { 3 };
-            mgr.on_open(p, 7, batch[..len].to_vec());
+            mgr.on_open(p, 7, &batch[..len]);
         }
         assert!(mgr.try_reconstruct(7, 3, t, t).is_none());
         assert!(mgr.last_attempt.is_empty());
@@ -314,20 +315,20 @@ mod tests {
             if p < 2 {
                 v[0] += Fp::from_u64(1);
             }
-            mgr.on_open(p, 11, v);
+            mgr.on_open(p, 11, &v);
         }
         assert!(mgr.try_reconstruct(11, 1, t, t).is_none());
         assert_eq!(mgr.last_attempt.get(&11), Some(&5));
         // Same sender set → memoised early-out (no state change).
         assert!(mgr.try_reconstruct(11, 1, t, t).is_none());
         // A wrong-length batch is no new sender: the memo still holds.
-        mgr.on_open(5, 11, vec![s.shares[5]; 2]);
+        mgr.on_open(5, 11, &[s.shares[5]; 2]);
         assert!(mgr.try_reconstruct(11, 1, t, t).is_none());
         assert_eq!(mgr.last_attempt.get(&11), Some(&5));
         mgr.received.get_mut(&11).unwrap().remove(&5);
         // Two more honest senders → retry succeeds.
         for p in 5..7 {
-            mgr.on_open(p, 11, vec![s.shares[p]]);
+            mgr.on_open(p, 11, &[s.shares[p]]);
         }
         assert_eq!(
             mgr.try_reconstruct(11, 1, t, t),

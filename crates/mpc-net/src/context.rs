@@ -56,6 +56,27 @@ pub trait Protocol<M>: Any + Send {
     /// `path[0]` identifies the child to route to.
     fn on_message(&mut self, ctx: &mut Context<'_, M>, from: PartyId, path: PathSlice<'_>, msg: M);
 
+    /// [`Protocol::on_message`] with the message borrowed: the entry point
+    /// every medium calls. The recipients of one frame borrow one decode of
+    /// it, so a handler clones only what it stores (DESIGN.md "Delivery
+    /// path").
+    ///
+    /// The default clones `msg` into the owned [`Protocol::on_message`]. It
+    /// is the adapter for implementations that take messages by value — the
+    /// benchmark ledger's wrappers, whose sources are frozen — and goes,
+    /// with the owned method, once those implement this one instead.
+    fn on_message_ref(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        from: PartyId,
+        path: PathSlice<'_>,
+        msg: &M,
+    ) where
+        M: Clone,
+    {
+        self.on_message(ctx, from, path, msg.clone());
+    }
+
     /// A timer set by this instance or one of its descendants fired.
     /// `path` follows the same routing convention as [`Protocol::on_message`].
     fn on_timer(&mut self, ctx: &mut Context<'_, M>, path: PathSlice<'_>, timer_id: u64);

@@ -55,4 +55,6 @@ pub use transport::{
     party_as, tcp::TcpNet, threaded::ThreadedNet, Backend, PartyId, PartyView, Time, Transport,
     TransportError,
 };
-pub use wire::{Frame, FrameBuilder, FrameItem, WireDecode, WireEncode, WireError, WireReader};
+pub use wire::{
+    Frame, FrameBuilder, FrameItem, WireDecode, WireEncode, WireError, WireMessage, WireReader,
+};

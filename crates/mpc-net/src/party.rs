@@ -22,7 +22,7 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 
@@ -32,24 +32,61 @@ use crate::faults::{FaultOutcome, FaultPlan};
 use crate::metrics::Metrics;
 use crate::simulation::{TranscriptEntry, TranscriptEvent};
 use crate::transport::{PartyId, Time};
-use crate::wire::{Frame, FrameBuilder, WireDecode, WireEncode};
+use crate::wire::{Frame, FrameBuilder, FrameItem, WireDecode, WireEncode, WireError, WireMessage};
+
+/// An honest sender's [`Frame`] as its recipients receive it: the encoded
+/// bytes, and their decode, made by the first recipient that runs it and
+/// borrowed by every one. On the simulator all recipients of a broadcast
+/// frame hold the same `Arc`, so it is decoded once; the real media build
+/// one per receiving party from the bytes off the link.
+pub(crate) struct SharedFrame<M> {
+    pub(crate) bytes: Arc<Vec<u8>>,
+    decoded: OnceLock<Result<Vec<FrameItem<M>>, WireError>>,
+}
+
+impl<M> SharedFrame<M> {
+    pub(crate) fn new(bytes: Arc<Vec<u8>>) -> Self {
+        SharedFrame {
+            bytes,
+            decoded: OnceLock::new(),
+        }
+    }
+}
+
+impl<M: WireDecode> SharedFrame<M> {
+    /// The frame's messages, decoded on the first call. Decoding is a pure
+    /// function of the bytes, so which worker thread makes it does not
+    /// matter.
+    fn items(&self) -> Result<&[FrameItem<M>], &WireError> {
+        let decoded = self.decoded.get_or_init(|| Frame::decode(&self.bytes));
+        decoded.as_deref()
+    }
+}
 
 /// One unit of work of a party.
-#[derive(Clone, Debug)]
-pub(crate) enum EventKind {
+#[derive(Clone)]
+pub(crate) enum EventKind<M> {
+    /// One path-addressed message of a corrupt sender, as bytes.
     Deliver {
         from: PartyId,
         path: Path,
         /// The canonical encoding of the payload, shared by every copy.
         payload: Arc<Vec<u8>>,
     },
-    /// A coalesced [`Frame`] of messages from one honest sender: all the
+    /// A coalesced frame of messages from one honest sender: all the
     /// sends/broadcasts it emitted towards the receiver during one
-    /// activation, unpacked at the delivery boundary. A broadcast frame's
-    /// bytes are encoded once and this `Arc` is shared across all recipients.
+    /// activation, unpacked at the delivery boundary.
     DeliverFrame {
         from: PartyId,
-        payload: Arc<Vec<u8>>,
+        frame: Arc<SharedFrame<M>>,
+    },
+    /// An honest party's own copy of a message it sent itself or
+    /// broadcast: delivered from the message it emitted, never encoded or
+    /// decoded. `bits` is its wire size, for the transcript.
+    DeliverOwn {
+        path: Path,
+        msg: M,
+        bits: u64,
     },
     Timer {
         path: Path,
@@ -57,14 +94,14 @@ pub(crate) enum EventKind {
     },
 }
 
-impl EventKind {
+impl<M> EventKind<M> {
     /// The event's `(rank, depth)` ordering components within one batch:
     /// deliveries before timers, then deeper instance paths first, so that a
     /// parent's deadline observes the state its sub-protocols finalise at
     /// that same instant (e.g. `Π_BC` reading the SBA output at `T_BC`).
     fn rank_depth(&self) -> (u8, usize) {
         match self {
-            EventKind::Deliver { path, .. } => (0, path.len()),
+            EventKind::Deliver { path, .. } | EventKind::DeliverOwn { path, .. } => (0, path.len()),
             EventKind::DeliverFrame { .. } => (0, 0),
             EventKind::Timer { path, .. } => (1, path.len()),
         }
@@ -113,13 +150,30 @@ impl<T> Ord for Unordered<T> {
 /// batch traffic of the same send tick (see [`BATCH_ORDER`]). Both media
 /// push each send at its sender's merge, the senders of one tick in
 /// ascending order, so this is the order in which the sends happened.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct Held {
+struct Held<M> {
     deliver_tick: Time,
     /// `(send_tick, order & BATCH_ORDER, from, order)`.
     sent: (Time, u32, PartyId, u32),
-    kind: Unordered<EventKind>,
+    kind: EventKind<M>,
 }
+
+// By the key alone: derived impls would ask `M: Ord` of the payload.
+impl<M> Ord for Held<M> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.deliver_tick, self.sent).cmp(&(other.deliver_tick, other.sent))
+    }
+}
+impl<M> PartialOrd for Held<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<M> PartialEq for Held<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl<M> Eq for Held<M> {}
 
 /// A pending timer, ordered by `(fire, tseq)` — `tseq` is the party's timer
 /// scheduling order.
@@ -135,16 +189,25 @@ struct HeldTimer {
 /// timers. At a tick the deliveries due pop first, in [`Stamp`] order, then
 /// the timers due, in `(fire, tseq)` order; the batch re-sorts them by
 /// `(rank, depth)` with this order as the tiebreaker.
-#[derive(Default)]
-pub(crate) struct Inbox {
-    held: BinaryHeap<Reverse<Held>>,
+pub(crate) struct Inbox<M> {
+    held: BinaryHeap<Reverse<Held<M>>>,
     timers: BinaryHeap<Reverse<HeldTimer>>,
     tseq: u64,
 }
 
-impl Inbox {
+impl<M> Default for Inbox<M> {
+    fn default() -> Self {
+        Inbox {
+            held: BinaryHeap::new(),
+            timers: BinaryHeap::new(),
+            tseq: 0,
+        }
+    }
+}
+
+impl<M> Inbox<M> {
     /// Holds one delivery until its tick.
-    pub(crate) fn hold(&mut self, stamp: Stamp, kind: EventKind) {
+    pub(crate) fn hold(&mut self, stamp: Stamp, kind: EventKind<M>) {
         let Stamp {
             deliver_tick,
             send_tick,
@@ -154,7 +217,7 @@ impl Inbox {
         self.held.push(Reverse(Held {
             deliver_tick,
             sent: (send_tick, order & BATCH_ORDER, from, order),
-            kind: Unordered(kind),
+            kind,
         }));
     }
 
@@ -180,10 +243,10 @@ impl Inbox {
 
     /// Pops everything due by tick `t` in canonical order: deliveries, then
     /// timers.
-    pub(crate) fn take_due(&mut self, t: Time) -> Vec<EventKind> {
+    pub(crate) fn take_due(&mut self, t: Time) -> Vec<EventKind<M>> {
         let mut events = Vec::new();
         while let Some(top) = self.held.peek_mut().filter(|top| top.0.deliver_tick <= t) {
-            events.push(PeekMut::pop(top).0.kind.0);
+            events.push(PeekMut::pop(top).0.kind);
         }
         while let Some(top) = self.timers.peek_mut().filter(|top| top.0.fire <= t) {
             let Reverse(HeldTimer { path, id, .. }) = PeekMut::pop(top);
@@ -198,7 +261,7 @@ impl Inbox {
     fn merge(
         &mut self,
         t: Time,
-        core: BatchCore,
+        core: BatchCore<M>,
         metrics: &mut Metrics,
         transcript: Option<&mut Vec<TranscriptEntry>>,
     ) {
@@ -232,16 +295,16 @@ impl Inbox {
 /// One cross-party delivery on its way out: a sender's frame, or a single
 /// path-addressed message of a corrupt sender.
 #[derive(Clone)]
-pub(crate) enum Outgoing {
-    Frame(Arc<Vec<u8>>),
+pub(crate) enum Outgoing<M> {
+    Frame(Arc<SharedFrame<M>>),
     Single(Path, Arc<Vec<u8>>),
 }
 
-impl Outgoing {
+impl<M> Outgoing<M> {
     /// The event the receiver runs for this delivery.
-    pub(crate) fn into_event(self, from: PartyId) -> EventKind {
+    pub(crate) fn into_event(self, from: PartyId) -> EventKind<M> {
         match self {
-            Outgoing::Frame(payload) => EventKind::DeliverFrame { from, payload },
+            Outgoing::Frame(frame) => EventKind::DeliverFrame { from, frame },
             Outgoing::Single(path, payload) => EventKind::Deliver {
                 from,
                 path,
@@ -254,15 +317,17 @@ impl Outgoing {
 /// What a medium supplies to [`settle`]: link delays, the fault plan, a way
 /// to reach the receiver, and the sender's own inbox.
 pub(crate) trait Wire {
+    /// The message type carried.
+    type Msg: WireMessage;
     /// The delay of one cross-party delivery `from → to` sent at `now`;
     /// at least 1 tick, so a send never arrives in the tick it was sent.
     fn delay(&mut self, from: PartyId, to: PartyId, now: Time) -> Time;
     /// The injected fault plan.
     fn faults(&self) -> &FaultPlan;
     /// Hands one stamped delivery to the medium, towards `to`.
-    fn put(&mut self, to: PartyId, stamp: Stamp, out: Outgoing);
+    fn put(&mut self, to: PartyId, stamp: Stamp, out: Outgoing<Self::Msg>);
     /// The sending party's own inbox.
-    fn inbox(&mut self) -> &mut Inbox;
+    fn inbox(&mut self) -> &mut Inbox<Self::Msg>;
 }
 
 /// One activation's emissions: order stamps, accounting, fault plan.
@@ -283,17 +348,17 @@ impl<W: Wire> Emitter<'_, W> {
     }
 
     /// Sends one honest frame, its contained messages accounted.
-    fn frame(&mut self, to: PartyId, payload: Arc<Vec<u8>>, records: &[SendRecord]) {
+    fn frame(&mut self, to: PartyId, frame: Arc<SharedFrame<W::Msg>>, records: &[SendRecord]) {
         self.account(records);
         self.metrics.frames_sent += 1;
-        self.post(to, Outgoing::Frame(payload));
+        self.post(to, Outgoing::Frame(frame));
     }
 
     /// Puts one delivery on the link after the fault plan had its say. The
     /// plan acts on the network, after the sender's accounting — a dropped
     /// message was still sent — and is a pure function of the message's
     /// coordinates, so every medium takes the same decision.
-    fn post(&mut self, to: PartyId, out: Outgoing) {
+    fn post(&mut self, to: PartyId, out: Outgoing<W::Msg>) {
         debug_assert_ne!(to, self.me, "self-addressed traffic is delivered in-batch");
         let scheduled = self.t + self.wire.delay(self.me, to, self.t);
         let (at, duplicate) = match self.wire.faults().resolve(self.me, to, self.t, scheduled) {
@@ -311,7 +376,7 @@ impl<W: Wire> Emitter<'_, W> {
         }
     }
 
-    fn put(&mut self, to: PartyId, deliver_tick: Time, out: Outgoing) {
+    fn put(&mut self, to: PartyId, deliver_tick: Time, out: Outgoing<W::Msg>) {
         let stamp = Stamp {
             deliver_tick,
             send_tick: self.t,
@@ -328,10 +393,10 @@ impl<W: Wire> Emitter<'_, W> {
 /// destination order then the broadcast frame to every other party; a
 /// corrupt party's strategy-filtered messages one delivery each — and folds
 /// the rest into its inbox, `metrics` and `transcript`.
-pub(crate) fn settle(
+pub(crate) fn settle<M: WireMessage>(
     env: SliceEnv,
-    act: Activation,
-    wire: &mut impl Wire,
+    act: Activation<M>,
+    wire: &mut impl Wire<Msg = M>,
     metrics: &mut Metrics,
     transcript: Option<&mut Vec<TranscriptEntry>>,
 ) {
@@ -348,15 +413,20 @@ pub(crate) fn settle(
         Traffic::Framed(FramedSends {
             self_records,
             frames,
+            ..
         }) => {
+            let shared =
+                |builder: FrameBuilder| Arc::new(SharedFrame::new(Arc::new(builder.finish())));
             emit.account(&self_records);
+            // The sender's own copy of each broadcast was delivered in-batch.
+            emit.account(&frames.broadcast_meta);
             for (to, (builder, records)) in frames.unicast {
-                emit.frame(to, Arc::new(builder.finish()), &records);
+                emit.frame(to, shared(builder), &records);
             }
             if !frames.broadcast.is_empty() {
-                let payload = Arc::new(frames.broadcast.finish());
+                let frame = shared(frames.broadcast);
                 for to in (0..env.n).filter(|&to| to != me) {
-                    emit.frame(to, Arc::clone(&payload), &frames.broadcast_meta);
+                    emit.frame(to, Arc::clone(&frame), &frames.broadcast_meta);
                 }
             }
         }
@@ -376,7 +446,7 @@ pub(crate) fn settle(
 /// keeps the inbox order as the tiebreaker. `phase` 0 holds the slice's
 /// initial events (and cascades merged among them), 1 the cascades deferred
 /// until those have drained.
-type LocalEv = ((u8, u8, Reverse<usize>, u64), Unordered<EventKind>);
+type LocalEv<M> = ((u8, u8, Reverse<usize>, u64), Unordered<EventKind<M>>);
 
 /// One party's work list for one tick: the slice's initial events plus the
 /// same-tick cascades the party's own handlers spawn (self-sends, broadcast
@@ -385,14 +455,14 @@ type LocalEv = ((u8, u8, Reverse<usize>, u64), Unordered<EventKind>);
 /// among the remaining initial events; a corrupt party's are *deferred* —
 /// the initial events drain first, then the cascades canonically among
 /// themselves — on every medium.
-pub(crate) struct LocalQueue {
+pub(crate) struct LocalQueue<M> {
     party: PartyId,
-    heap: BinaryHeap<Reverse<LocalEv>>,
+    heap: BinaryHeap<Reverse<LocalEv<M>>>,
     defer_cascades: bool,
     lseq: u64,
 }
 
-impl LocalQueue {
+impl<M> LocalQueue<M> {
     fn new(party: PartyId, defer_cascades: bool) -> Self {
         LocalQueue {
             party,
@@ -402,14 +472,21 @@ impl LocalQueue {
         }
     }
 
-    fn push(&mut self, phase: u8, kind: EventKind) {
+    fn push(&mut self, phase: u8, kind: EventKind<M>) {
         let (rank, depth) = kind.rank_depth();
         self.lseq += 1;
         let key = (phase, rank, Reverse(depth), self.lseq);
         self.heap.push(Reverse((key, Unordered(kind))));
     }
 
-    /// Queues a same-tick cascade: the party's own copy of a message.
+    /// Queues a same-tick cascade: an honest party's own copy of a message.
+    fn cascade_own(&mut self, path: Path, msg: M, bits: u64) {
+        let kind = EventKind::DeliverOwn { path, msg, bits };
+        self.push(u8::from(self.defer_cascades), kind);
+    }
+
+    /// Queues a same-tick cascade: a corrupt party's own copy of a message,
+    /// as the bytes its strategy let through.
     fn cascade_deliver(&mut self, path: Path, payload: Arc<Vec<u8>>) {
         let from = self.party;
         let kind = EventKind::Deliver {
@@ -426,7 +503,7 @@ impl LocalQueue {
         self.push(u8::from(self.defer_cascades), kind);
     }
 
-    fn pop(&mut self) -> Option<EventKind> {
+    fn pop(&mut self) -> Option<EventKind<M>> {
         self.heap.pop().map(|Reverse((_, Unordered(kind)))| kind)
     }
 }
@@ -438,16 +515,16 @@ pub(crate) struct WorkerParty<'a, M> {
     pub(crate) party: PartyId,
     pub(crate) protocol: &'a mut Box<dyn Protocol<M>>,
     pub(crate) rng: &'a mut StdRng,
-    pub(crate) work: Work,
+    pub(crate) work: Work<M>,
 }
 
 /// What one activation of a party runs.
-pub(crate) enum Work {
+pub(crate) enum Work<M> {
     /// The party's `init`, at tick 0 (see [`BatchCore::tick0`]).
     Init,
     /// The party's events of one tick in canonical order, same-tick
     /// cascades included.
-    Events(Vec<EventKind>),
+    Events(Vec<EventKind<M>>),
 }
 
 /// The per-slice constants every activation's [`Context`] is built from.
@@ -501,19 +578,18 @@ impl FrameSet {
     }
 
     /// Appends one broadcast message to the shared broadcast frame and
-    /// returns its exact wire size plus a standalone copy of its encoding
-    /// (for the sender's own same-tick delivery), without encoding twice.
-    pub(crate) fn add_broadcast<M: WireEncode>(&mut self, path: &Path, msg: &M) -> (u64, Vec<u8>) {
+    /// returns its exact wire size.
+    pub(crate) fn add_broadcast<M: WireEncode>(&mut self, path: &Path, msg: &M) -> u64 {
         let span = self.broadcast.push(path, msg);
         let bits = span.len() as u64 * 8;
         self.broadcast_meta.push((bits, path.first().copied()));
-        (bits, self.broadcast.message_bytes(span).to_vec())
+        bits
     }
 }
 
 /// What any party's activation produced, whichever [`EffectSink`] its
 /// effects went to.
-pub(crate) struct BatchCore {
+pub(crate) struct BatchCore<M> {
     pub(crate) party: PartyId,
     /// Events processed: initial batch events (a frame counts as one) plus
     /// every same-tick cascade step run inside the batch.
@@ -529,7 +605,7 @@ pub(crate) struct BatchCore {
     /// deliveries and zero-delay timers `init` emitted, in canonical order —
     /// the party's tick-0 events. They are returned rather than cascaded, so
     /// `init`'s frames stay apart from those of the tick-0 batch.
-    pub(crate) tick0: Option<Vec<EventKind>>,
+    pub(crate) tick0: Option<Vec<EventKind<M>>>,
 }
 
 /// Where one activation's effects go — the only thing that differs between
@@ -547,7 +623,7 @@ pub(crate) trait EffectSink<M> {
         &mut self,
         party: PartyId,
         effects: &mut Effects<M>,
-        local: &mut LocalQueue,
+        local: &mut LocalQueue<M>,
         timers: &mut Vec<(Time, Path, u64)>,
     );
 }
@@ -555,7 +631,7 @@ pub(crate) trait EffectSink<M> {
 /// Zero-delay timers cascade inside the batch, the rest wait for the merge.
 fn absorb_timers<M>(
     effects: &mut Effects<M>,
-    local: &mut LocalQueue,
+    local: &mut LocalQueue<M>,
     timers: &mut Vec<(Time, Path, u64)>,
 ) {
     for (delay, path, id) in effects.timers.drain(..) {
@@ -576,11 +652,11 @@ struct Batch<'a, M, S> {
     /// One effects buffer for the whole batch, drained after every handler.
     scratch: Effects<M>,
     sink: &'a mut S,
-    local: LocalQueue,
-    core: BatchCore,
+    local: LocalQueue<M>,
+    core: BatchCore<M>,
 }
 
-impl<M: WireEncode + WireDecode + 'static, S: EffectSink<M>> Batch<'_, M, S> {
+impl<M: WireMessage, S: EffectSink<M>> Batch<'_, M, S> {
     fn record(&mut self, event: impl FnOnce() -> TranscriptEvent) {
         if self.env.record {
             self.core.transcript.push(TranscriptEntry {
@@ -620,8 +696,19 @@ impl<M: WireEncode + WireDecode + 'static, S: EffectSink<M>> Batch<'_, M, S> {
         self.record(|| TranscriptEvent::DroppedDeliver { from, path, bits });
     }
 
+    /// Runs the handler of one delivered message, borrowed, after its
+    /// transcript entry.
+    fn deliver(&mut self, from: PartyId, path: &[u32], msg: &M, bits: u64) {
+        self.record(|| TranscriptEvent::Deliver {
+            from,
+            path: Path::from(path),
+            bits,
+        });
+        self.handle(|p, ctx| p.on_message_ref(ctx, from, path, msg));
+    }
+
     /// Processes one event: decode → transcript entry → handler → sink.
-    fn activate(&mut self, ev: EventKind) {
+    fn activate(&mut self, ev: EventKind<M>) {
         self.core.events += 1;
         match ev {
             EventKind::Deliver {
@@ -632,32 +719,23 @@ impl<M: WireEncode + WireDecode + 'static, S: EffectSink<M>> Batch<'_, M, S> {
                 let bits = payload.len() as u64 * 8;
                 match M::decode(&payload) {
                     Err(_) => self.dropped(from, path, bits),
-                    Ok(msg) => {
-                        let path = &path;
-                        self.record(|| TranscriptEvent::Deliver {
-                            from,
-                            path: path.clone(),
-                            bits,
-                        });
-                        self.handle(|p, ctx| p.on_message(ctx, from, path, msg));
-                    }
+                    Ok(msg) => self.deliver(from, &path, &msg, bits),
                 }
             }
-            EventKind::DeliverFrame { from, payload } => match Frame::decode::<M>(&payload) {
-                Err(_) => self.dropped(from, Path::from(&[][..]), payload.len() as u64 * 8),
+            // Every recipient counts its own failure of a shared decode.
+            EventKind::DeliverFrame { from, frame } => match frame.items() {
+                Err(_) => self.dropped(from, Path::from(&[][..]), frame.bytes.len() as u64 * 8),
                 // Effects are drained per item, so a frame's messages behave
                 // exactly like back-to-back single deliveries.
                 Ok(items) => {
                     for item in items {
-                        self.record(|| TranscriptEvent::Deliver {
-                            from,
-                            path: Path::from(&item.path[..]),
-                            bits: item.msg_bits,
-                        });
-                        self.handle(|p, ctx| p.on_message(ctx, from, &item.path, item.msg));
+                        self.deliver(from, &item.path, &item.msg, item.msg_bits);
                     }
                 }
             },
+            EventKind::DeliverOwn { path, msg, bits } => {
+                self.deliver(self.core.party, &path, &msg, bits);
+            }
             EventKind::Timer { path, id } => {
                 self.core.timers_fired += 1;
                 let path = &path;
@@ -672,14 +750,14 @@ impl<M: WireEncode + WireDecode + 'static, S: EffectSink<M>> Batch<'_, M, S> {
 
     /// Runs `init` under the sink and hands back, instead of running them,
     /// the same-tick cascades it queued: they are the tick-0 events.
-    fn init(mut self) -> BatchCore {
+    fn init(mut self) -> BatchCore<M> {
         self.handle(|p, ctx| p.init(ctx));
         self.core.tick0 = Some(std::iter::from_fn(|| self.local.pop()).collect());
         self.core
     }
 
     /// Runs `events` and every same-tick cascade they spawn.
-    fn drain(mut self, events: Vec<EventKind>) -> BatchCore {
+    fn drain(mut self, events: Vec<EventKind<M>>) -> BatchCore<M> {
         self.local.heap.reserve(events.len());
         for kind in events {
             self.local.push(0, kind);
@@ -697,11 +775,11 @@ impl<M: WireEncode + WireDecode + 'static, S: EffectSink<M>> Batch<'_, M, S> {
 /// one batch loop of the crate: it touches nothing but the party's own
 /// state and RNG (plus what the sink owns), which is why per-party batches
 /// commute and `threads = k` is bit-identical to `threads = 1`.
-pub(crate) fn run_batch<M: WireEncode + WireDecode + 'static, S: EffectSink<M>>(
+pub(crate) fn run_batch<M: WireMessage, S: EffectSink<M>>(
     wp: WorkerParty<'_, M>,
     env: SliceEnv,
     sink: &mut S,
-) -> BatchCore {
+) -> BatchCore<M> {
     let WorkerParty {
         party,
         protocol,
@@ -732,13 +810,15 @@ pub(crate) fn run_batch<M: WireEncode + WireDecode + 'static, S: EffectSink<M>>(
 }
 
 /// The honest sink: cross-party traffic is coalesced into a [`FrameSet`],
-/// self-addressed messages are delivered inside the batch and appear here
-/// only as accounting records.
+/// self-addressed messages are delivered inside the batch, from the
+/// message itself, and appear here only as accounting records.
 pub(crate) struct FramedSends {
-    /// Accounting for the sends delivered internally (self-sends and the
-    /// sender's own copy of each broadcast).
+    /// Accounting for the self-sends delivered internally (the sender's own
+    /// copy of each broadcast is accounted from the broadcast frame's).
     pub(crate) self_records: Vec<SendRecord>,
     pub(crate) frames: FrameSet,
+    /// Where a self-send is encoded to measure it, reused.
+    scratch: Vec<u8>,
 }
 
 impl<M: WireEncode> EffectSink<M> for FramedSends {
@@ -748,23 +828,23 @@ impl<M: WireEncode> EffectSink<M> for FramedSends {
         &mut self,
         party: PartyId,
         effects: &mut Effects<M>,
-        local: &mut LocalQueue,
+        local: &mut LocalQueue<M>,
         timers: &mut Vec<(Time, Path, u64)>,
     ) {
         for (to, path, msg) in effects.sends.drain(..) {
             if to == party {
-                let payload = Arc::new(msg.encode());
-                self.self_records
-                    .push((payload.len() as u64 * 8, path.first().copied()));
-                local.cascade_deliver(path, payload);
+                self.scratch.clear();
+                msg.encode_into(&mut self.scratch);
+                let bits = self.scratch.len() as u64 * 8;
+                self.self_records.push((bits, path.first().copied()));
+                local.cascade_own(path, msg, bits);
             } else {
                 self.frames.add_send(to, &path, &msg);
             }
         }
         for (path, msg) in effects.broadcasts.drain(..) {
-            let (bits, self_copy) = self.frames.add_broadcast(&path, &msg);
-            self.self_records.push((bits, path.first().copied()));
-            local.cascade_deliver(path, Arc::new(self_copy));
+            let bits = self.frames.add_broadcast(&path, &msg);
+            local.cascade_own(path, msg, bits);
         }
         absorb_timers(effects, local, timers);
     }
@@ -772,8 +852,8 @@ impl<M: WireEncode> EffectSink<M> for FramedSends {
 
 /// Everything one activation produced: its sink-independent core and the
 /// traffic its sink collected.
-pub(crate) struct Activation {
-    pub(crate) core: BatchCore,
+pub(crate) struct Activation<M> {
+    pub(crate) core: BatchCore<M>,
     pub(crate) traffic: Traffic,
 }
 
@@ -787,13 +867,14 @@ pub(crate) enum Traffic {
 
 /// Executes one honest party's activation. Runs either inline or on a
 /// worker thread — the outcome is identical.
-pub(crate) fn run_party_batch<M: WireEncode + WireDecode + 'static>(
+pub(crate) fn run_party_batch<M: WireMessage>(
     wp: WorkerParty<'_, M>,
     env: SliceEnv,
-) -> Activation {
+) -> Activation<M> {
     let mut sent = FramedSends {
         self_records: Vec::new(),
         frames: FrameSet::new(),
+        scratch: Vec::new(),
     };
     let core = run_batch(wp, env, &mut sent);
     Activation {
@@ -845,14 +926,14 @@ struct StrategySink<'a> {
 }
 
 impl StrategySink<'_> {
-    fn put(
+    fn put<M>(
         &mut self,
         from: PartyId,
         to: PartyId,
         path: &Path,
         payload: &Arc<Vec<u8>>,
         broadcast: bool,
-        local: &mut LocalQueue,
+        local: &mut LocalQueue<M>,
     ) {
         let send = WireSend {
             from,
@@ -890,7 +971,7 @@ impl<M: WireEncode> EffectSink<M> for StrategySink<'_> {
         &mut self,
         party: PartyId,
         effects: &mut Effects<M>,
-        local: &mut LocalQueue,
+        local: &mut LocalQueue<M>,
         timers: &mut Vec<(Time, Path, u64)>,
     ) {
         for (to, path, msg) in effects.sends.drain(..) {
@@ -911,12 +992,12 @@ impl<M: WireEncode> EffectSink<M> for StrategySink<'_> {
 /// first, then their same-tick cascades canonically among themselves. The
 /// shared adversary RNG is therefore drawn party by party, in the order the
 /// medium runs the corrupt parties.
-pub(crate) fn run_corrupt_batch<M: WireEncode + WireDecode + 'static>(
+pub(crate) fn run_corrupt_batch<M: WireMessage>(
     wp: WorkerParty<'_, M>,
     env: SliceEnv,
     strategy: &mut dyn ByzantineStrategy,
     adv_rng: &mut StdRng,
-) -> Activation {
+) -> Activation<M> {
     let mut sink = StrategySink {
         n: env.n,
         strategy,
@@ -941,13 +1022,15 @@ mod tests {
     #[test]
     fn inbox_pops_in_canonical_order() {
         let root = || Path::from(&[][..]);
-        let frame = |from, tag: u8| EventKind::DeliverFrame {
+        let frame = |from, tag: u8| EventKind::<u32>::DeliverFrame {
             from,
-            payload: Arc::new(vec![tag]),
+            frame: Arc::new(SharedFrame::new(Arc::new(vec![tag]))),
         };
-        let label = |ev: &EventKind| match ev {
-            EventKind::DeliverFrame { payload, .. } => format!("d{}", payload[0]),
-            EventKind::Deliver { .. } => unreachable!("only frames are held here"),
+        let label = |ev: &EventKind<u32>| match ev {
+            EventKind::DeliverFrame { frame, .. } => format!("d{}", frame.bytes[0]),
+            EventKind::Deliver { .. } | EventKind::DeliverOwn { .. } => {
+                unreachable!("only frames are held here")
+            }
             EventKind::Timer { id, .. } => format!("t{id}"),
         };
         let mut inbox = Inbox::default();

@@ -26,7 +26,7 @@ use crate::party::{
     Stamp, Wire, Work, WorkerParty,
 };
 use crate::scheduler::{FixedDelay, Scheduler, UniformDelay};
-use crate::wire::{WireDecode, WireEncode};
+use crate::wire::WireMessage;
 
 pub use crate::transport::{PartyId, Time};
 
@@ -191,15 +191,17 @@ const MIN_PARALLEL_EVENTS: usize = 4;
 
 /// The simulator's [`Wire`]: delays drawn from the [`Scheduler`] at merge
 /// time, deliveries pushed straight into the receiver's inbox.
-struct SimWire<'a> {
+struct SimWire<'a, M> {
     me: PartyId,
     scheduler: &'a mut dyn Scheduler,
     rng: &'a mut StdRng,
     faults: &'a FaultPlan,
-    inboxes: &'a mut [Inbox],
+    inboxes: &'a mut [Inbox<M>],
 }
 
-impl Wire for SimWire<'_> {
+impl<M: WireMessage> Wire for SimWire<'_, M> {
+    type Msg = M;
+
     /// The scheduler's delay, clamped to ≥ 1 tick: a message sent at `T`
     /// arrives in `(T, T+Δ]`, never at `T` itself — the property that keeps
     /// every same-tick cascade on the party that spawned it, and with it
@@ -210,10 +212,10 @@ impl Wire for SimWire<'_> {
     fn faults(&self) -> &FaultPlan {
         self.faults
     }
-    fn put(&mut self, to: PartyId, stamp: Stamp, out: Outgoing) {
+    fn put(&mut self, to: PartyId, stamp: Stamp, out: Outgoing<M>) {
         self.inboxes[to].hold(stamp, out.into_event(stamp.from));
     }
-    fn inbox(&mut self) -> &mut Inbox {
+    fn inbox(&mut self) -> &mut Inbox<M> {
         &mut self.inboxes[self.me]
     }
 }
@@ -248,7 +250,7 @@ pub struct Simulation<M> {
     rngs: Vec<StdRng>,
     /// Kept apart from the worker slots so that a merge can push into any
     /// receiver's inbox.
-    inboxes: Vec<Inbox>,
+    inboxes: Vec<Inbox<M>>,
     corruption: CorruptionSet,
     structure: Option<Arc<dyn AdversaryStructure>>,
     strategy: Box<dyn ByzantineStrategy>,
@@ -263,7 +265,7 @@ pub struct Simulation<M> {
     transcript: Option<Vec<TranscriptEntry>>,
 }
 
-impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
+impl<M: WireMessage> Simulation<M> {
     /// Creates a simulation with the default scheduler for the configured
     /// network kind: worst-case `Δ` delays when synchronous, uniform
     /// `[1, 20·Δ]` delays when asynchronous.
@@ -472,9 +474,10 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
         self.now = t;
         let depth = self.inboxes.iter().map(Inbox::pending).sum::<usize>() as u64;
         let before = self.metrics.events_processed;
-        let mut due: Vec<Vec<EventKind>> = self.inboxes.iter_mut().map(|i| i.take_due(t)).collect();
+        let mut due: Vec<Vec<EventKind<M>>> =
+            self.inboxes.iter_mut().map(|i| i.take_due(t)).collect();
         let env = self.slice_env(t);
-        let mut outcomes: Vec<Option<Activation>> = (0..env.n).map(|_| None).collect();
+        let mut outcomes: Vec<Option<Activation<M>>> = (0..env.n).map(|_| None).collect();
         let total: usize = due.iter().map(Vec::len).sum();
         let corruption = &self.corruption;
         let honest_with_work = (0..env.n)
@@ -496,7 +499,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
                     work: Work::Events(std::mem::take(events)),
                 });
             }
-            let results: Vec<Vec<Activation>> = std::thread::scope(|scope| {
+            let results: Vec<Vec<Activation<M>>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = groups
                     .into_iter()
                     .map(|group| {
@@ -534,7 +537,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
 
     /// Runs one party's activation inline through the sink its corruption
     /// status selects.
-    fn run_inline(&mut self, party: PartyId, work: Work, env: SliceEnv) -> Activation {
+    fn run_inline(&mut self, party: PartyId, work: Work<M>, env: SliceEnv) -> Activation<M> {
         let wp = WorkerParty {
             party,
             protocol: &mut self.parties[party],
@@ -549,7 +552,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
     }
 
     /// Settles one activation on the merge path (see [`party::settle`]).
-    fn settle(&mut self, act: Activation, env: SliceEnv) {
+    fn settle(&mut self, act: Activation<M>, env: SliceEnv) {
         let mut wire = SimWire {
             me: act.core.party,
             scheduler: self.scheduler.as_mut(),
@@ -571,7 +574,7 @@ impl<M: WireEncode + WireDecode + 'static> Simulation<M> {
 mod tests {
     use super::*;
     use crate::context::Context;
-    use crate::party::Traffic;
+    use crate::party::{SharedFrame, Traffic};
     use std::any::Any;
 
     /// A toy protocol: party 0 sends "ping" to everyone at init; everyone who
@@ -1100,7 +1103,7 @@ mod tests {
         fn wp<'a>(
             protocol: &'a mut Box<dyn Protocol<Msg>>,
             rng: &'a mut StdRng,
-            kind: &EventKind,
+            kind: &EventKind<Msg>,
         ) -> WorkerParty<'a, Msg> {
             WorkerParty {
                 party: 1,
@@ -1113,7 +1116,7 @@ mod tests {
         let hostile = [
             EventKind::DeliverFrame {
                 from,
-                payload: Arc::clone(&payload),
+                frame: Arc::new(SharedFrame::new(Arc::clone(&payload))),
             },
             EventKind::Deliver {
                 from,

@@ -29,7 +29,7 @@ use crate::adversary::{AdversaryStructure, ByzantineStrategy, CorruptionSet};
 use crate::context::Protocol;
 use crate::metrics::Metrics;
 use crate::simulation::{Simulation, TranscriptEntry};
-use crate::wire::{WireDecode, WireEncode};
+use crate::wire::WireMessage;
 
 /// Identifies one of the `n` parties (their indices are `0..n`).
 pub type PartyId = usize;
@@ -216,7 +216,7 @@ pub trait Transport<M>: PartyView<M> {
     }
 }
 
-impl<M: WireEncode + WireDecode + 'static> PartyView<M> for Simulation<M> {
+impl<M: WireMessage> PartyView<M> for Simulation<M> {
     fn n(&self) -> usize {
         self.config().n
     }
@@ -228,7 +228,7 @@ impl<M: WireEncode + WireDecode + 'static> PartyView<M> for Simulation<M> {
     }
 }
 
-impl<M: WireEncode + WireDecode + 'static> Transport<M> for Simulation<M> {
+impl<M: WireMessage> Transport<M> for Simulation<M> {
     fn backend(&self) -> Backend {
         Backend::Simulator
     }

@@ -74,7 +74,7 @@ use crate::transport::threaded::{
     run_parties, Inbound, Mailbox, Medium, NetSpec, Packet, RealNet, RunState,
 };
 use crate::transport::{Backend, PartyId, Time};
-use crate::wire::{WireDecode, WireEncode};
+use crate::wire::WireMessage;
 
 /// The byte bound of a link's replay buffer: over it, a send waits (up to
 /// [`BACKPRESSURE`]) for acks, and a receiver acks after a quarter of it.
@@ -648,12 +648,7 @@ impl Medium for Sockets {
 
     /// Binds the listeners, runs one thread per party over its
     /// `TcpMailbox`, and folds the supervisor counters in.
-    fn run<M: WireEncode + WireDecode + 'static>(
-        &self,
-        spec: &NetSpec,
-        horizon: Time,
-        state: &mut RunState<M>,
-    ) {
+    fn run<M: WireMessage>(&self, spec: &NetSpec, horizon: Time, state: &mut RunState<M>) {
         // Listeners first: every dial target exists before any thread runs.
         let listeners: Vec<TcpListener> = (0..spec.config.n)
             .map(|_| {

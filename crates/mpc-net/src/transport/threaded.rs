@@ -69,13 +69,13 @@ use crate::context::{Path, Protocol};
 use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
 use crate::party::{
-    run_corrupt_batch, run_party_batch, settle, EventKind, Inbox, Outgoing, SliceEnv, Stamp, Wire,
-    Work, WorkerParty,
+    run_corrupt_batch, run_party_batch, settle, EventKind, Inbox, Outgoing, SharedFrame, SliceEnv,
+    Stamp, Wire, Work, WorkerParty,
 };
 use crate::scheduler::LinkDelays;
 use crate::simulation::{NetConfig, TranscriptEntry};
 use crate::transport::{Backend, PartyId, PartyView, Time, Transport, TransportError};
-use crate::wire::{put_path, WireDecode, WireEncode, WireError, WireReader};
+use crate::wire::{put_path, WireError, WireMessage, WireReader};
 
 /// The default real duration of one logical tick, in microseconds. Larger
 /// ticks give party threads more wall-clock slack per tick (fewer late
@@ -230,7 +230,7 @@ pub(super) struct PartyRuntime<'s, M, B> {
     mailbox: B,
     shared: &'s Shared,
     adv: &'s Mutex<AdvState>,
-    inbox: Inbox,
+    inbox: Inbox<M>,
     metrics: Metrics,
     transcript: Vec<TranscriptEntry>,
     /// Every tick below this has been processed; late packets clamp here.
@@ -268,23 +268,25 @@ pub const fn default_wedge_timeout() -> Duration {
 
 /// The real media's [`Wire`]: link delays from the latency matrix, every
 /// delivery one packet queued on the sender's mailbox.
-struct RealWire<'a, B> {
+struct RealWire<'a, B, M> {
     spec: &'a NetSpec,
     mailbox: &'a mut B,
     shared: &'a Shared,
-    inbox: &'a mut Inbox,
+    inbox: &'a mut Inbox<M>,
 }
 
-impl<B: Mailbox> Wire for RealWire<'_, B> {
+impl<B: Mailbox, M: WireMessage> Wire for RealWire<'_, B, M> {
+    type Msg = M;
+
     fn delay(&mut self, from: PartyId, to: PartyId, _now: Time) -> Time {
         self.spec.links.get(from, to)
     }
     fn faults(&self) -> &FaultPlan {
         &self.spec.faults
     }
-    fn put(&mut self, to: PartyId, stamp: Stamp, out: Outgoing) {
+    fn put(&mut self, to: PartyId, stamp: Stamp, out: Outgoing<M>) {
         let (framed, bytes) = match out {
-            Outgoing::Frame(bytes) => (true, bytes),
+            Outgoing::Frame(frame) => (true, Arc::clone(&frame.bytes)),
             Outgoing::Single(path, payload) => (false, Arc::new(encode_single(&path, &payload))),
         };
         let packet = Packet {
@@ -302,12 +304,12 @@ impl<B: Mailbox> Wire for RealWire<'_, B> {
             self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         }
     }
-    fn inbox(&mut self) -> &mut Inbox {
+    fn inbox(&mut self) -> &mut Inbox<M> {
         self.inbox
     }
 }
 
-impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
+impl<M: WireMessage, B: Mailbox> PartyRuntime<'_, M, B> {
     fn deadline_of(&self, tick: Time) -> Instant {
         let tick_us = self.spec.tick_us;
         // The guard absorbs scheduling jitter between a sender's batch and
@@ -370,7 +372,7 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
         let kind = if p.framed {
             Ok(EventKind::DeliverFrame {
                 from: p.from,
-                payload: p.bytes,
+                frame: Arc::new(SharedFrame::new(p.bytes)),
             })
         } else {
             decode_single(&p.bytes).map(|(path, payload)| EventKind::Deliver {
@@ -399,7 +401,7 @@ impl<M: WireEncode + WireDecode + 'static, B: Mailbox> PartyRuntime<'_, M, B> {
     /// Runs one activation of this party through the shared batch loop at
     /// tick `t` and settles it: traffic onto the links, the rest into the
     /// inbox and the party's accounting.
-    fn activate(&mut self, t: Time, work: Work) {
+    fn activate(&mut self, t: Time, work: Work<M>) {
         let env = SliceEnv {
             t,
             n: self.n,
@@ -597,12 +599,7 @@ pub trait Medium: Default {
     /// Runs the parties of `state` to quiescence, one thread each, over
     /// mailboxes of this medium (see [`run_parties`]).
     #[doc(hidden)]
-    fn run<M: WireEncode + WireDecode + 'static>(
-        &self,
-        spec: &NetSpec,
-        horizon: Time,
-        state: &mut RunState<M>,
-    );
+    fn run<M: WireMessage>(&self, spec: &NetSpec, horizon: Time, state: &mut RunState<M>);
 }
 
 /// The in-memory medium of [`ThreadedNet`]: `mpsc` channels carrying
@@ -612,12 +609,7 @@ pub struct Channels;
 
 impl Medium for Channels {
     const BACKEND: Backend = Backend::Threaded;
-    fn run<M: WireEncode + WireDecode + 'static>(
-        &self,
-        spec: &NetSpec,
-        horizon: Time,
-        state: &mut RunState<M>,
-    ) {
+    fn run<M: WireMessage>(&self, spec: &NetSpec, horizon: Time, state: &mut RunState<M>) {
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..spec.config.n).map(|_| mpsc::channel()).unzip();
         let mailboxes = rxs.into_iter().map(|rx| ChannelMailbox {
             rx,
@@ -676,7 +668,7 @@ pub struct RunState<M> {
 /// per party, in-memory channels between them.
 pub type ThreadedNet<M> = RealNet<M, Channels>;
 
-impl<M: WireEncode + WireDecode + 'static, L: Medium> RealNet<M, L> {
+impl<M: WireMessage, L: Medium> RealNet<M, L> {
     /// Creates a network with the default latency matrix for the configured
     /// network kind ([`LinkDelays::for_kind`]).
     pub fn new(
@@ -816,7 +808,7 @@ pub(super) fn run_parties<M, B>(
     mailboxes: Vec<B>,
     stop: impl FnOnce(),
 ) where
-    M: WireEncode + WireDecode + 'static,
+    M: WireMessage,
     B: Mailbox + Send,
 {
     let (n, tick_us) = (env.config.n, env.tick_us);
@@ -916,7 +908,7 @@ pub(super) fn run_parties<M, B>(
     state.strategy = Some(adv.into_inner().expect("adversary state poisoned").strategy);
 }
 
-impl<M: WireEncode + WireDecode + 'static, L: Medium> PartyView<M> for RealNet<M, L> {
+impl<M: WireMessage, L: Medium> PartyView<M> for RealNet<M, L> {
     fn n(&self) -> usize {
         self.spec.config.n
     }
@@ -930,7 +922,7 @@ impl<M: WireEncode + WireDecode + 'static, L: Medium> PartyView<M> for RealNet<M
     }
 }
 
-impl<M: WireEncode + WireDecode + 'static, L: Medium> Transport<M> for RealNet<M, L> {
+impl<M: WireMessage, L: Medium> Transport<M> for RealNet<M, L> {
     fn backend(&self) -> Backend {
         L::BACKEND
     }

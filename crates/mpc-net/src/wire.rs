@@ -278,6 +278,14 @@ pub trait WireDecode: Sized {
     }
 }
 
+/// A message type the media carry: its canonical codec, `Clone` for the
+/// owned-delivery adapter ([`crate::Protocol::on_message_ref`]'s default),
+/// and `Send + Sync` because the recipients of one frame borrow one decode,
+/// possibly from different worker threads.
+pub trait WireMessage: WireEncode + WireDecode + Clone + Send + Sync + 'static {}
+
+impl<M: WireEncode + WireDecode + Clone + Send + Sync + 'static> WireMessage for M {}
+
 /// Random values of a wire type, for property tests and fuzzing. Every
 /// variant of a [`wire_enum!`](crate::wire_enum) type is equally likely.
 pub trait WireSample {
@@ -593,11 +601,12 @@ pub struct FrameBuilder {
 }
 
 impl FrameBuilder {
-    /// An empty frame under construction.
+    /// An empty frame under construction. It allocates nothing until the
+    /// first message is pushed: most activations leave most of their
+    /// builders empty.
     pub fn new() -> Self {
         FrameBuilder {
-            // Placeholder for the item count, patched by `finish`.
-            buf: vec![0; 4],
+            buf: Vec::new(),
             count: 0,
         }
     }
@@ -613,11 +622,15 @@ impl FrameBuilder {
     }
 
     /// Appends one `(path, message)` item and returns the byte range the
-    /// message's canonical encoding occupies inside the growing frame — its
-    /// length is the message's exact wire size, and the range lets a caller
-    /// extract the standalone encoding (e.g. for a broadcast's self-copy)
-    /// without encoding the message twice.
+    /// message's canonical encoding occupies inside the frame — its length
+    /// is the message's exact wire size.
     pub fn push<M: WireEncode>(&mut self, path: &[u32], msg: &M) -> std::ops::Range<usize> {
+        if self.buf.is_empty() {
+            // Placeholder for the item count, patched by `finish`.
+            self.buf
+                .reserve(8 + 4 * path.len() + msg.encoded_len_hint());
+            self.buf.extend_from_slice(&[0; 4]);
+        }
         self.count += 1;
         put_path(&mut self.buf, path);
         let start = self.buf.len();
@@ -626,14 +639,9 @@ impl FrameBuilder {
         start..self.buf.len()
     }
 
-    /// The bytes of a previously pushed message (range returned by
-    /// [`FrameBuilder::push`]).
-    pub fn message_bytes(&self, range: std::ops::Range<usize>) -> &[u8] {
-        &self.buf[range]
-    }
-
     /// Finalises the frame into its canonical byte encoding.
     pub fn finish(mut self) -> Vec<u8> {
+        self.buf.resize(self.buf.len().max(4), 0);
         self.buf[..4].copy_from_slice(&self.count.to_le_bytes());
         self.buf
     }
@@ -759,8 +767,8 @@ mod tests {
         let r2 = b.push(&[], &true);
         let r3 = b.push(&[9], &vec![3u32, 4]);
         assert_eq!(b.len(), 3);
-        assert_eq!(b.message_bytes(r1.clone()), 7u64.encode().as_slice());
         let bytes = b.finish();
+        assert_eq!(&bytes[r1], 7u64.encode().as_slice());
         let items = Frame::decode::<u64>(&bytes[..]).err();
         assert!(items.is_some(), "mixed types must not decode as one type");
         // Homogeneous frame decodes exactly.

@@ -186,11 +186,11 @@ impl Node for Aba {
         self.try_progress(ctx);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event<'_>) {
         let Event::Message(from, Msg::Aba(am)) = event else {
             return;
         };
-        match am {
+        match *am {
             AbaMsg::Est { round, value } => {
                 self.est_senders
                     .entry((round, value))

@@ -9,9 +9,10 @@
 //! are equal and appear within `2Δ` of each other.
 //!
 //! Every layer of the tower bottoms out here, so an `Echo`/`Ready` delivery
-//! is the unit the whole evaluation's cost is a multiple of. Support is
-//! therefore counted by comparison (the `tally` module): a delivery naming a
-//! known value hashes nothing, clones nothing and allocates nothing. Only a
+//! is the unit the whole evaluation's cost is a multiple of. Messages arrive
+//! borrowed, and support is counted by comparison (the `tally` module): a
+//! delivery naming a known value hashes nothing, clones nothing and
+//! allocates nothing. Only a
 //! party's *first* `Echo` and first `Ready` count — an honest party sends one
 //! of each — so an instance holds at most `2n` candidate values whatever the
 //! corrupt parties send.
@@ -110,7 +111,7 @@ impl Node for Acast {
         }
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event<'_>) {
         let Event::Message(from, Msg::Acast(am)) = event else {
             return;
         };
@@ -118,7 +119,7 @@ impl Node for Acast {
             AcastMsg::Send(v) => {
                 if from == self.sender && !self.sent_echo {
                     self.sent_echo = true;
-                    ctx.broadcast(Msg::Acast(AcastMsg::Echo(v)));
+                    ctx.broadcast(Msg::Acast(AcastMsg::Echo(v.clone())));
                 }
             }
             AcastMsg::Echo(v) => {

@@ -128,7 +128,7 @@ impl Node for Acs {
         ctx.set_timer(self.params.t_vss(), TIMER_START_BAS);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
         match ACS.route(self, ctx, path, event) {
             Routed::Child(..) => self.drive(ctx),
             Routed::Own(Event::Timer(TIMER_START_BAS)) => {

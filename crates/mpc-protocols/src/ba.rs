@@ -130,7 +130,7 @@ impl Node for Ba {
         ctx.set_timer(self.params.t_bc(), TIMER_START_ABA);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
         match BA.route(self, ctx, path, event) {
             Routed::Child(Name::Aba, _) => self.check_output(ctx.now),
             Routed::Own(Event::Timer(TIMER_START_ABA)) => {

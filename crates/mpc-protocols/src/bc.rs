@@ -207,7 +207,7 @@ impl Node for Bc {
         ctx.set_timer(3 * ctx.delta + self.params.t_bgp(), TIMER_REGULAR);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
         match self.kind.route(self, ctx, path, event) {
             Routed::Child(Name::Acast, slot) => {
                 if let Some(state) = self.slots.get_mut(slot) {

@@ -63,7 +63,7 @@ impl Node for EquivocatingAcastSender {
     }
 
     /// Silent after the sends.
-    fn on_event(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: Event) {}
+    fn on_event(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: Event<'_>) {}
 }
 
 /// A corrupt WPS/VSS dealer. It deals the rows itself — of one random
@@ -114,9 +114,9 @@ impl Node for HostileDealer {
         self.inner.init(ctx);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
         match event {
-            Event::Message(from, msg) => self.inner.on_message(ctx, from, path, msg),
+            Event::Message(from, msg) => self.inner.on_message_ref(ctx, from, path, msg),
             Event::Timer(id) => self.inner.on_timer(ctx, path, id),
         }
     }

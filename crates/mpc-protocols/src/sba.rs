@@ -122,12 +122,12 @@ impl Sba {
     /// Round 1 (`round = 0`, every entry `Some`) and round 2 (`round = 1`,
     /// `None` = no candidate for that slot) differ only in the tally they
     /// feed.
-    fn on_round(
+    fn on_round<'m>(
         &mut self,
         from: PartyId,
         phase: u32,
         round: usize,
-        entries: impl ExactSizeIterator<Item = Option<SbaValue>>,
+        entries: impl ExactSizeIterator<Item = Option<&'m SbaValue>>,
     ) {
         let Some(phase) = self.admit(from, phase, round, entries.len()) else {
             return;
@@ -145,12 +145,12 @@ impl Sba {
         }
     }
 
-    fn on_king(&mut self, from: PartyId, phase: u32, values: Vec<SbaValue>) {
+    fn on_king(&mut self, from: PartyId, phase: u32, values: &[SbaValue]) {
         let phase = phase as usize;
         if phase > self.t || from != self.king(phase) || values.len() != self.values.len() {
             return;
         }
-        self.king_values[phase].get_or_insert(values);
+        self.king_values[phase].get_or_insert_with(|| values.to_vec());
     }
 
     /// Applies the end-of-phase update rule to every slot's value.
@@ -264,23 +264,25 @@ impl Node for Sba {
         }
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event<'_>) {
         match event {
             Event::Message(from, Msg::Sba(sm)) => match sm {
                 SbaMsg::Round1 { phase, value } => {
-                    self.on_round(from, phase, 0, std::iter::once(Some(value)))
+                    self.on_round(from, *phase, 0, std::iter::once(Some(value)))
                 }
                 SbaMsg::Round1Slots { phase, values } => {
-                    self.on_round(from, phase, 0, values.into_iter().map(Some))
+                    self.on_round(from, *phase, 0, values.iter().map(Some))
                 }
                 SbaMsg::Round2 { phase, candidate } => {
-                    self.on_round(from, phase, 1, std::iter::once(candidate))
+                    self.on_round(from, *phase, 1, std::iter::once(candidate.as_ref()))
                 }
                 SbaMsg::Round2Slots { phase, candidates } => {
-                    self.on_round(from, phase, 1, candidates.into_iter())
+                    self.on_round(from, *phase, 1, candidates.iter().map(Option::as_ref))
                 }
-                SbaMsg::King { phase, value } => self.on_king(from, phase, vec![value]),
-                SbaMsg::KingSlots { phase, values } => self.on_king(from, phase, values),
+                SbaMsg::King { phase, value } => {
+                    self.on_king(from, *phase, std::slice::from_ref(value))
+                }
+                SbaMsg::KingSlots { phase, values } => self.on_king(from, *phase, values),
             },
             Event::Message(..) => {}
             Event::Timer(id) => self.on_tick(ctx, id),

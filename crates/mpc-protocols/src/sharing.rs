@@ -237,11 +237,11 @@ impl DealerCore {
     /// "on receiving `t_s`-degree polynomials": the first one from the
     /// dealer, exactly `L` rows, each of degree ≤ `t_s`. Anything else is
     /// dropped, which leaves the dealer silent towards this party.
-    pub(crate) fn accept_rows(&mut self, from: PartyId, rows: Vec<Vec<Fp>>) -> bool {
+    pub(crate) fn accept_rows(&mut self, from: PartyId, rows: &[Vec<Fp>]) -> bool {
         if from != self.dealer || self.rows.is_some() || rows.len() != self.l_count {
             return false;
         }
-        let rows: Vec<Polynomial> = rows.into_iter().map(Polynomial::from_coeffs).collect();
+        let rows: Vec<Polynomial> = rows.iter().cloned().map(Polynomial::from_coeffs).collect();
         if rows.iter().any(|r| r.degree() > self.params.ts) {
             return false;
         }
@@ -506,8 +506,9 @@ mod tests {
         (name, index): (Name, usize),
         value: BcValue,
     ) {
+        let ready = Msg::Acast(AcastMsg::Ready(value));
         for from in 0..=2 * core.params.ts {
-            let event = Event::Message(from, Msg::Acast(AcastMsg::Ready(value.clone())));
+            let event = Event::Message(from, &ready);
             let child = core.child(name, index).expect("a declared child");
             child.on_event(ctx, &[], event);
             core.changed(name, index);

@@ -12,15 +12,19 @@
 pub(crate) type Tally<V> = Vec<(V, usize)>;
 
 /// Counts one more supporter of `value` and returns its entry (the stored
-/// candidate and its new support). Allocates only when `value` is new.
-pub(crate) fn tally<V: PartialEq>(tally: &mut Tally<V>, value: V) -> &(V, usize) {
-    let i = match tally.iter().position(|(v, _)| *v == value) {
+/// candidate and its new support). Clones `value`, and allocates, only when
+/// it is new.
+pub(crate) fn tally<'t, V: PartialEq + Clone>(
+    tally: &'t mut Tally<V>,
+    value: &V,
+) -> &'t (V, usize) {
+    let i = match tally.iter().position(|(v, _)| v == value) {
         Some(i) => {
             tally[i].1 += 1;
             i
         }
         None => {
-            tally.push((value, 1));
+            tally.push((value.clone(), 1));
             tally.len() - 1
         }
     };

@@ -199,13 +199,13 @@ impl Kind {
     // This and the three helpers it calls per delivery are `#[inline]`:
     // without it the handler time of `sync-packed-n10` grew by about 40 %.
     #[inline]
-    pub fn route<'p>(
+    pub fn route<'p, 'm>(
         &self,
         node: &mut impl Node,
         ctx: &mut Context<'_, Msg>,
         path: &'p [u32],
-        event: Event,
-    ) -> Routed<'p> {
+        event: Event<'m>,
+    ) -> Routed<'p, 'm> {
         let Some((&seg, below)) = path.split_first() else {
             return Routed::Own(event);
         };
@@ -229,23 +229,26 @@ impl std::fmt::Debug for Kind {
     }
 }
 
-/// What reaches an instance: a message or one of its timers.
-pub enum Event {
+/// What reaches an instance: a message or one of its timers. The message
+/// is borrowed — all recipients of a frame share one decode — so a handler
+/// clones only what it stores.
+#[derive(Clone, Copy)]
+pub enum Event<'m> {
     /// A message from a party.
-    Message(PartyId, Msg),
+    Message(PartyId, &'m Msg),
     /// A timer with its id.
     Timer(u64),
 }
 
 /// Where [`Kind::route`] took an event.
-pub enum Routed<'p> {
+pub enum Routed<'p, 'm> {
     /// Nowhere: the path is empty, so the event is the instance's own.
-    Own(Event),
+    Own(Event<'m>),
     /// To child `index` of family `name`, which has handled it.
     Child(Name, usize),
     /// Nowhere: the path names a declared child that does not exist (yet);
     /// the path below it and the event are handed back.
-    Absent(Name, &'p [u32], Event),
+    Absent(Name, &'p [u32], Event<'m>),
     /// Nowhere: the path names no declared child, or goes on below a leaf.
     Dropped,
 }
@@ -259,7 +262,7 @@ pub trait Node {
     fn init(&mut self, ctx: &mut Context<'_, Msg>);
 
     /// Handles `event`, addressed to `path` below this instance.
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event);
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>);
 
     /// Child `index` of family `name` — one of the instance's declared
     /// families — if it exists. A leaf has none.
@@ -269,8 +272,9 @@ pub trait Node {
 }
 
 /// Implements `Protocol<Msg>` for a [`Node`] (a blanket impl would be an
-/// orphan): `init` is the node's, both handlers hand it their [`Event`],
-/// and the upcasts return `self`.
+/// orphan): `init` is the node's, every handler hands it their [`Event`] —
+/// the owned and the borrowed message entry points alike — and the upcasts
+/// return `self`.
 #[macro_export]
 macro_rules! node_protocol {
     ($node:ty) => {
@@ -286,8 +290,27 @@ macro_rules! node_protocol {
                 path: ::mpc_net::PathSlice<'_>,
                 msg: $crate::Msg,
             ) {
-                let event = $crate::tree::Event::Message(from, msg);
-                $crate::tree::Node::on_event(self, ctx, path, event);
+                $crate::tree::Node::on_event(
+                    self,
+                    ctx,
+                    path,
+                    $crate::tree::Event::Message(from, &msg),
+                );
+            }
+
+            fn on_message_ref(
+                &mut self,
+                ctx: &mut ::mpc_net::Context<'_, $crate::Msg>,
+                from: ::mpc_net::PartyId,
+                path: ::mpc_net::PathSlice<'_>,
+                msg: &$crate::Msg,
+            ) {
+                $crate::tree::Node::on_event(
+                    self,
+                    ctx,
+                    path,
+                    $crate::tree::Event::Message(from, msg),
+                );
             }
 
             fn on_timer(

@@ -370,7 +370,7 @@ mod tests {
         ctx: &mut Context<'_, Msg>,
         from: PartyId,
         idx: usize,
-        msg: Msg,
+        msg: &Msg,
     ) -> bool {
         let acast = board.child(Name::Update, idx).expect("an update A-cast");
         acast.on_event(ctx, &[], Event::Message(from, msg));
@@ -389,7 +389,7 @@ mod tests {
         let idx = sender * board.params.n + counterpart;
         let ready = Msg::Acast(AcastMsg::Ready(value.clone()));
         (0..=2 * board.t)
-            .filter(|&from| to_update(board, ctx, from, idx, ready.clone()))
+            .filter(|&from| to_update(board, ctx, from, idx, &ready))
             .count()
     }
 
@@ -421,7 +421,7 @@ mod tests {
             deliver_update(&mut board, &mut ctx, (sender, counterpart), &value);
         }
         let echo = Msg::Acast(AcastMsg::Echo(BcValue::Bit(true)));
-        to_update(&mut board, &mut ctx, 2, n + 3, echo);
+        to_update(&mut board, &mut ctx, 2, n + 3, &echo);
         assert!(matches!(&board.updates[n + 3], Some(acast) if acast.output.is_none()));
 
         let mut total = 0;

@@ -146,7 +146,7 @@ impl Node for Vss {
         self.core.init(ctx, ctx.delta + self.core.params.t_wps());
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
         match VSS.route(self, ctx, path, event) {
             Routed::Own(Event::Message(from, Msg::RowPolys(rows))) => {
                 if !self.core.accept_rows(from, rows) {

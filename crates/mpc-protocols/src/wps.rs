@@ -141,7 +141,7 @@ impl Node for Wps {
         self.core.init(ctx, 2 * ctx.delta);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
         match WPS.route(self, ctx, path, event) {
             Routed::Own(Event::Message(from, Msg::RowPolys(rows))) => {
                 if !self.core.accept_rows(from, rows) {
@@ -158,7 +158,7 @@ impl Node for Wps {
             Routed::Own(Event::Message(from, Msg::Points(pts)))
                 if pts.len() == self.core.l_count =>
             {
-                self.points_from.entry(from).or_insert(pts);
+                self.points_from.entry(from).or_insert_with(|| pts.clone());
                 self.refresh_votes(ctx);
                 self.check_progress(ctx);
             }
