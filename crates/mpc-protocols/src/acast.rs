@@ -16,6 +16,11 @@
 //! party's *first* `Echo` and first `Ready` count — an honest party sends one
 //! of each — so an instance holds at most `2n` candidate values whatever the
 //! corrupt parties send.
+//!
+//! An instance is sized for an honest run, in which it holds one candidate
+//! per stage: each tally keeps that candidate inline, and the per-sender
+//! admission flags are a bitset held inline up to `n = 64`. Only a corrupt
+//! sender's second value, or `n > 64`, reaches the heap.
 
 use mpc_net::{Context, PartyId, PathSlice, Time};
 
@@ -36,9 +41,8 @@ pub struct Acast {
     sent_send: bool,
     sent_echo: bool,
     sent_ready: bool,
-    /// Whether a party's `Echo` (index `from`) or `Ready` (index `n + from`)
-    /// was already counted.
-    seen: Vec<bool>,
+    /// Whether a party's `Echo` or `Ready` was already counted.
+    seen: Admitted,
     echoes: Tally<BcValue>,
     readies: Tally<BcValue>,
     /// The delivered value, if any.
@@ -59,9 +63,9 @@ impl Acast {
             sent_send: false,
             sent_echo: false,
             sent_ready: false,
-            seen: vec![false; 2 * n],
-            echoes: Tally::new(),
-            readies: Tally::new(),
+            seen: Admitted::new(n),
+            echoes: Tally::default(),
+            readies: Tally::default(),
             output: None,
             output_at: None,
         }
@@ -100,7 +104,52 @@ impl Acast {
     /// stage. Anything else is dropped — a repeat is a duplicate delivery or
     /// a corrupt party's second opinion, and neither may count twice.
     fn admit(&mut self, from: PartyId, stage: usize) -> bool {
-        from < self.n && !std::mem::replace(&mut self.seen[stage * self.n + from], true)
+        from < self.n && self.seen.insert(stage, from)
+    }
+}
+
+/// One flag per (stage, party): stage `s`'s flags fill words
+/// `[s·w, (s + 1)·w)` with `w = ⌈n / 64⌉`. Up to `n = 64` that is two words,
+/// held inline; a larger `n` spills to the heap.
+#[derive(Debug)]
+enum Admitted {
+    Inline([u64; 2]),
+    Spilled(Box<[u64]>),
+}
+
+impl Admitted {
+    fn new(n: usize) -> Self {
+        if n <= 64 {
+            Admitted::Inline([0; 2])
+        } else {
+            Admitted::Spilled(vec![0; 2 * n.div_ceil(64)].into_boxed_slice())
+        }
+    }
+
+    /// Sets the flag of (`stage`, `from`) and returns whether it was clear.
+    /// `from` must be a party (`< n`).
+    fn insert(&mut self, stage: usize, from: PartyId) -> bool {
+        let words = match self {
+            Admitted::Inline(words) => &mut words[..],
+            Admitted::Spilled(words) => words,
+        };
+        let index = stage * (words.len() / 2) + from / 64;
+        let mask = 1u64 << (from % 64);
+        words.get_mut(index).is_some_and(|word| {
+            let clear = *word & mask == 0;
+            *word |= mask;
+            clear
+        })
+    }
+
+    /// The number of flags set.
+    #[cfg(test)]
+    fn count(&self) -> usize {
+        let words: &[u64] = match self {
+            Admitted::Inline(words) => words,
+            Admitted::Spilled(words) => words,
+        };
+        words.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -283,8 +332,8 @@ mod tests {
         }
         // Each corrupt party's first Echo and first Ready, nothing else.
         assert_eq!(stored_candidates(&acast), 2 * t);
-        assert_eq!(acast.seen.len(), 2 * n);
-        assert_eq!(acast.seen.iter().filter(|&&s| s).count(), 2 * t);
+        assert!(matches!(acast.seen, Admitted::Inline(_)));
+        assert_eq!(acast.seen.count(), 2 * t);
         assert!(acast.output.is_none());
 
         // The flood bought no support: the honest parties' value still needs
@@ -323,7 +372,7 @@ mod tests {
                 assert!(feed(&mut acast, from, AcastMsg::Echo(value(5))).is_empty());
             }
         }
-        assert_eq!(acast.echoes, vec![(value(5), 2)]);
+        assert_eq!(*acast.echoes, [(value(5), 2)]);
         let ready = vec![Msg::Acast(AcastMsg::Ready(value(5)))];
         assert_eq!(feed(&mut acast, 2, AcastMsg::Echo(value(5))), ready);
         // Likewise 2t = 2 distinct readies, however often repeated, deliver
@@ -333,7 +382,7 @@ mod tests {
                 assert!(feed(&mut acast, from, AcastMsg::Ready(value(5))).is_empty());
             }
         }
-        assert_eq!(acast.readies, vec![(value(5), 2)]);
+        assert_eq!(*acast.readies, [(value(5), 2)]);
         assert!(acast.output.is_none());
         assert!(feed(&mut acast, 3, AcastMsg::Ready(value(5))).is_empty());
         assert_eq!(acast.output, Some(value(5)));
@@ -342,7 +391,27 @@ mod tests {
             assert!(feed(&mut acast, from, AcastMsg::Ready(value(5))).is_empty());
         }
         // In the end every party was counted exactly once per stage.
-        assert_eq!(acast.echoes, vec![(value(5), n)]);
-        assert_eq!(acast.readies, vec![(value(5), n)]);
+        assert_eq!(*acast.echoes, [(value(5), n)]);
+        assert_eq!(*acast.readies, [(value(5), n)]);
+    }
+
+    #[test]
+    fn admission_past_64_parties_spills_and_still_counts_each_sender_once() {
+        let (n, t) = (70, 23);
+        let mut acast = Acast::new(0, n, t);
+        assert!(matches!(acast.seen, Admitted::Spilled(_)));
+        // The first and last party of each 64-bit word, twice each, then
+        // senders outside the party set (two of them in the second word's
+        // unused bits).
+        let senders = [0, 63, 64, 69];
+        for _ in 0..2 {
+            for from in senders.into_iter().chain([n, 127, 128, usize::MAX]) {
+                assert!(feed(&mut acast, from, AcastMsg::Echo(value(3))).is_empty());
+                assert!(feed(&mut acast, from, AcastMsg::Ready(value(3))).is_empty());
+            }
+        }
+        assert_eq!(*acast.echoes, [(value(3), senders.len())]);
+        assert_eq!(*acast.readies, [(value(3), senders.len())]);
+        assert_eq!(acast.seen.count(), 2 * senders.len());
     }
 }

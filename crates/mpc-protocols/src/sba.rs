@@ -74,8 +74,8 @@ impl Sba {
             n,
             t,
             values: inputs,
-            round1: vec![Tally::new(); (t + 1) * k],
-            round2: vec![Tally::new(); (t + 1) * k],
+            round1: vec![Tally::default(); (t + 1) * k],
+            round2: vec![Tally::default(); (t + 1) * k],
             seen: vec![false; 2 * (t + 1) * n],
             king_values: vec![None; t + 1],
             phase_d: vec![None; k],
@@ -208,7 +208,7 @@ impl Sba {
         let k = self.values.len();
         for (d, slot) in self.phase_d.iter_mut().zip(&self.round2[phase * k..][..k]) {
             *d = None;
-            for (value, support) in slot {
+            for (value, support) in slot.iter() {
                 if *support > self.t && d.as_ref().is_none_or(|(_, best)| support > best) {
                     *d = Some((value.clone(), *support));
                 }
@@ -296,7 +296,7 @@ impl Sba {
     /// proposals (what a flooding sender could hope to grow).
     pub(crate) fn stored_entries(&self) -> usize {
         let tallies = self.round1.iter().chain(&self.round2);
-        tallies.map(Vec::len).sum::<usize>() + self.king_values.iter().flatten().count()
+        tallies.map(|slot| slot.len()).sum::<usize>() + self.king_values.iter().flatten().count()
     }
 }
 
@@ -513,7 +513,7 @@ mod tests {
                 feed(&mut sba, 1, king(x)); // party 1 is the king of phase 1
             }
             assert_eq!(sba.stored_entries(), 2 * k + 1, "k = {k}");
-            assert_eq!(sba.round1[k], vec![(value(5), 1)]);
+            assert_eq!(*sba.round1[k], [(value(5), 1)]);
             assert_eq!(sba.king_values[1], Some(vec![value(5); k]));
         }
     }

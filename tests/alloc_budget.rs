@@ -1,4 +1,5 @@
-//! Allocation budget of the delivery path (DESIGN.md "Delivery path").
+//! Allocation budget and heap footprint of the delivery path (DESIGN.md
+//! "Delivery path").
 //!
 //! One delivered message should cost what its payload costs: the recipients
 //! of a broadcast frame share one decode of its vote vector, and routing a
@@ -7,34 +8,47 @@
 //! this binary counts them: it owns the process's global allocator, which is
 //! why it holds a single test.
 //!
+//! The same allocator keeps the live heap bytes, which weigh what an
+//! instance still holds once its run is quiescent. An evaluation keeps every
+//! instance of its tower to the end, so this footprint, times the instance
+//! count, is a large part of its peak memory (DESIGN.md "Memory").
+//!
 //! The budget is defined for the release profile (`cargo test --test
 //! alloc_budget --release`), the one the ledger measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use bobw_mpc::net::{Context, CorruptionSet, NetConfig, PartyId, PathSlice, Protocol, Simulation};
 use bobw_mpc::protocols::acast::Acast;
 use bobw_mpc::protocols::ba::Ba;
 use bobw_mpc::protocols::{BcValue, Msg, Params, Vote};
 
-/// The system allocator, counting every `alloc` and `realloc` call.
+/// The system allocator, counting every `alloc` and `realloc` call and the
+/// bytes currently allocated.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic that
-// publishes no other data.
+// upholds the `GlobalAlloc` contract; the counters are relaxed statistics
+// that publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` was returned by `System` for this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -43,7 +57,12 @@ unsafe impl GlobalAlloc for Counting {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` was returned by `System` for this `layout`, and the
         // caller guarantees `new_size` is valid for it.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        new
     }
 }
 
@@ -54,9 +73,33 @@ static GLOBAL: Counting = Counting;
 /// VoteBoard → Bc`: seven segments.
 const NEST: [u32; 7] = [2, 5, 1, 6, 40, 3, 0];
 
-/// An A-cast reached through a `NEST`-deep `ctx.scoped` descent, as it is
-/// inside the tower, with the message borrowed all the way down.
-struct Nested(Acast);
+/// A party running `instance` below the instance path `nest`, reached
+/// through a `ctx.scoped` descent per segment as it is inside the tower, with
+/// every message borrowed all the way down. The instance sits in a `Cell` so
+/// that the test can move it out of the finished run ([`take_instances`]).
+struct Held<P> {
+    nest: &'static [u32],
+    instance: Cell<Option<P>>,
+}
+
+impl<P> Held<P> {
+    fn boxed(nest: &'static [u32], instance: P) -> Box<dyn Protocol<Msg>>
+    where
+        P: Protocol<Msg>,
+    {
+        Box::new(Held {
+            nest,
+            instance: Cell::new(Some(instance)),
+        })
+    }
+
+    fn instance(&mut self) -> &mut P {
+        self.instance
+            .get_mut()
+            .as_mut()
+            .expect("taken only after the run")
+    }
+}
 
 /// Runs `f` with `ctx` scoped down the remaining segments `segs`.
 fn descend(ctx: &mut Context<'_, Msg>, segs: &[u32], f: &mut dyn FnMut(&mut Context<'_, Msg>)) {
@@ -66,9 +109,11 @@ fn descend(ctx: &mut Context<'_, Msg>, segs: &[u32], f: &mut dyn FnMut(&mut Cont
     }
 }
 
-impl Protocol<Msg> for Nested {
+impl<P: Protocol<Msg>> Protocol<Msg> for Held<P> {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
-        descend(ctx, &NEST, &mut |ctx| self.0.init(ctx));
+        let nest = self.nest;
+        let instance = self.instance();
+        descend(ctx, nest, &mut |ctx| instance.init(ctx));
     }
 
     fn on_message(
@@ -88,13 +133,24 @@ impl Protocol<Msg> for Nested {
         path: PathSlice<'_>,
         msg: &Msg,
     ) {
-        assert_eq!(path, NEST);
-        descend(ctx, &NEST, &mut |ctx| {
-            self.0.on_message_ref(ctx, from, &[], msg)
+        let nest = self.nest;
+        let rest = path
+            .strip_prefix(nest)
+            .expect("every message is sent below the nest");
+        let instance = self.instance();
+        descend(ctx, nest, &mut |ctx| {
+            instance.on_message_ref(ctx, from, rest, msg)
         });
     }
 
-    fn on_timer(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: u64) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
+        let nest = self.nest;
+        let rest = path
+            .strip_prefix(nest)
+            .expect("every timer is set below the nest");
+        let instance = self.instance();
+        descend(ctx, nest, &mut |ctx| instance.on_timer(ctx, rest, id));
+    }
 
     fn as_any(&self) -> &dyn Any {
         self
@@ -102,6 +158,29 @@ impl Protocol<Msg> for Nested {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// Moves every party's instance out of the finished run `sim`.
+fn take_instances<P: 'static>(sim: &Simulation<Msg>) -> Vec<P> {
+    (0..sim.config().n)
+        .map(|i| {
+            let party = sim.party_as::<Held<P>>(i).expect("a Held party");
+            party.instance.take().expect("taken once")
+        })
+        .collect()
+}
+
+/// Frees `instances` one by one and returns the mean number of heap bytes
+/// each held.
+fn held_bytes<P>(instances: Vec<P>) -> usize {
+    let count = instances.len();
+    let mut freed = 0;
+    for instance in instances {
+        let before = LIVE_BYTES.load(Ordering::Relaxed);
+        drop(instance);
+        freed += before - LIVE_BYTES.load(Ordering::Relaxed);
+    }
+    freed / count
 }
 
 /// Runs `parties` on the synchronous simulator to quiescence and returns it
@@ -127,6 +206,15 @@ fn run_within_budget(
     sim
 }
 
+/// Asserts that `label`'s instances hold at most `budget` heap bytes each.
+fn assert_footprint<P>(label: &str, instances: Vec<P>, budget: usize) {
+    let held = held_bytes(instances);
+    assert!(
+        held <= budget,
+        "{label}: a quiescent instance holds {held} heap bytes, over the budget of {budget}"
+    );
+}
+
 #[test]
 fn one_delivered_message_stays_within_the_allocation_budget() {
     // One A-cast of an n-entry vote vector, seven levels down.
@@ -139,29 +227,37 @@ fn one_delivered_message_stays_within_the_allocation_budget() {
             } else {
                 Acast::new(sender, n, t)
             };
-            Box::new(Nested(acast)) as Box<dyn Protocol<Msg>>
+            Held::boxed(&NEST, acast)
         })
         .collect();
-    // 2.14 measured (4.57 when every recipient decoded its own copy).
-    let sim = run_within_budget("nested A-cast", parties, 2.2);
-    for i in 0..n {
-        let party = sim.party_as::<Nested>(i).expect("a Nested party");
-        assert_eq!(party.0.output, Some(votes.clone()), "party {i}");
-    }
+    // 2.02 measured (2.14 with a `Vec` tally and heap admission flags, 4.57
+    // when every recipient decoded its own copy).
+    let sim = run_within_budget("nested A-cast", parties, 2.05);
     // Send to all (n) + Echo and Ready from all to all (2n²).
     assert_eq!(sim.metrics().honest_messages, (n + 2 * n * n) as u64);
+    let acasts: Vec<Acast> = take_instances(&sim);
+    for (i, acast) in acasts.iter().enumerate() {
+        assert_eq!(acast.output, Some(votes.clone()), "party {i}");
+    }
+    // 600 bytes measured: three 192-byte copies of the value (the output and
+    // the echo and ready candidates), plus the sender's input averaged over
+    // the parties. 1 256 with a `Vec` tally and heap admission flags.
+    assert_footprint("nested A-cast", acasts, 640);
 
     // A stand-alone Π_BA: its input broadcasts reach their A-casts through
     // the instance tree's router (`Kind::route`), beside the SBA and Π_ABA
     // traffic and the timers of a whole agreement.
     let params = Params::new(n, t, 0, NetConfig::DEFAULT_DELTA);
     let parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
-        .map(|_| Box::new(Ba::new(t, params, Some(true))) as Box<dyn Protocol<Msg>>)
+        .map(|_| Held::boxed(&[], Ba::new(t, params, Some(true))))
         .collect();
-    // 1.34 measured.
-    let sim = run_within_budget("stand-alone Π_BA", parties, 1.4);
-    for i in 0..n {
-        let party = sim.party_as::<Ba>(i).expect("a Ba party");
-        assert_eq!(party.output, Some(true), "party {i}");
+    // 1.04 measured (1.34 with a `Vec` tally and heap admission flags).
+    let sim = run_within_budget("stand-alone Π_BA", parties, 1.1);
+    let bas: Vec<Ba> = take_instances(&sim);
+    for (i, ba) in bas.iter().enumerate() {
+        assert_eq!(ba.output, Some(true), "party {i}");
     }
+    // 10 924 bytes measured (27 948 with a `Vec` tally and heap admission
+    // flags).
+    assert_footprint("stand-alone Π_BA", bas, 11_500);
 }
