@@ -18,8 +18,8 @@ use crate::poly::Polynomial;
 
 /// An `(ℓ,ℓ)`-degree symmetric bivariate polynomial over `GF(2^61-1)`.
 ///
-/// Stored as the `(ℓ+1)×(ℓ+1)` coefficient matrix `r_ij` with the invariant
-/// `r_ij = r_ji`.
+/// Stored as the `(ℓ+1)×(ℓ+1)` coefficient matrix `r_ij`, row-major in one
+/// allocation, with the invariant `r_ij = r_ji`.
 ///
 /// ```
 /// use mpc_algebra::{Fp, Polynomial, SymmetricBivariate};
@@ -37,22 +37,22 @@ use crate::poly::Polynomial;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SymmetricBivariate {
     degree: usize,
-    /// coeffs[i][j] multiplies x^i y^j; kept symmetric.
-    coeffs: Vec<Vec<Fp>>,
+    /// `coeffs[i·(ℓ+1) + j]` multiplies `x^i y^j`; kept symmetric.
+    coeffs: Vec<Fp>,
 }
 
 impl SymmetricBivariate {
     /// Samples a uniformly random `(degree, degree)`-degree symmetric
     /// bivariate polynomial.
-    // Index loops: every draw writes the mirrored pair (i,j) and (j,i).
-    #[allow(clippy::needless_range_loop)]
     pub fn random<R: Rng + ?Sized>(rng: &mut R, degree: usize) -> Self {
-        let mut coeffs = vec![vec![Fp::ZERO; degree + 1]; degree + 1];
-        for i in 0..=degree {
-            for j in i..=degree {
+        let width = degree + 1;
+        let mut coeffs = vec![Fp::ZERO; width * width];
+        // Every draw writes the mirrored pair (i, j) and (j, i).
+        for i in 0..width {
+            for j in i..width {
                 let v = Fp::random(rng);
-                coeffs[i][j] = v;
-                coeffs[j][i] = v;
+                coeffs[i * width + j] = v;
+                coeffs[j * width + i] = v;
             }
         }
         SymmetricBivariate { degree, coeffs }
@@ -73,10 +73,11 @@ impl SymmetricBivariate {
         let mut f = Self::random(rng, degree);
         // Overwrite row/column 0 so that F(0, y) = q(y): coefficient of x^0 y^j
         // must equal q_j (and by symmetry coefficient of x^j y^0 too).
-        for j in 0..=degree {
+        let width = degree + 1;
+        for j in 0..width {
             let qj = q.coeffs().get(j).copied().unwrap_or(Fp::ZERO);
-            f.coeffs[0][j] = qj;
-            f.coeffs[j][0] = qj;
+            f.coeffs[j] = qj;
+            f.coeffs[j * width] = qj;
         }
         f
     }
@@ -86,43 +87,40 @@ impl SymmetricBivariate {
         self.degree
     }
 
-    /// Evaluates `F(x, y)`.
+    /// Evaluates `F(x, y)`: the row at `y`, evaluated at `x`.
     pub fn evaluate(&self, x: Fp, y: Fp) -> Fp {
-        // Horner in x of polynomials in y.
-        let mut acc = Fp::ZERO;
-        for i in (0..=self.degree).rev() {
-            let mut row = Fp::ZERO;
-            for j in (0..=self.degree).rev() {
-                row = row * y + self.coeffs[i][j];
-            }
-            acc = acc * x + row;
-        }
-        acc
+        let row = self.row_coeffs(&y.powers(self.degree + 1));
+        Fp::dot(&row, &x.powers(row.len()))
     }
 
     /// The row polynomial `f_i(x) = F(x, α)` handed to the party with
     /// evaluation point `α` (equal to `F(α, y)` by symmetry).
     pub fn row(&self, alpha: Fp) -> Polynomial {
-        // F(x, α) = Σ_i ( Σ_j r_ij α^j ) x^i
-        let mut coeffs = vec![Fp::ZERO; self.degree + 1];
-        for (i, c) in coeffs.iter_mut().enumerate() {
-            let mut acc = Fp::ZERO;
-            for j in (0..=self.degree).rev() {
-                acc = acc * alpha + self.coeffs[i][j];
-            }
-            *c = acc;
+        Polynomial::from_coeffs(self.row_coeffs(&alpha.powers(self.degree + 1)))
+    }
+
+    /// The coefficients of the row polynomial `F(x, α)`, given the powers
+    /// `[1, α, …, α^ℓ]`, trimmed as [`Polynomial::from_coeffs`] trims them:
+    /// `Σ_j r_ij α^j` for each `i`, one [`Fp::dot`] each, in one allocation.
+    /// A dealer computes the powers once per party and reuses them for all
+    /// of that party's rows.
+    pub fn row_coeffs(&self, powers: &[Fp]) -> Vec<Fp> {
+        let r = |r_i: &[Fp]| Fp::dot(r_i, powers);
+        let mut coeffs: Vec<Fp> = self.coeffs.chunks_exact(self.degree + 1).map(r).collect();
+        while coeffs.last().is_some_and(|c| c.is_zero()) {
+            coeffs.pop();
         }
-        Polynomial::from_coeffs(coeffs)
+        coeffs
     }
 
     /// The secret-sharing polynomial `q(y) = F(0, y)` embedded by the dealer.
     pub fn secret_polynomial(&self) -> Polynomial {
-        Polynomial::from_coeffs(self.coeffs[0].clone())
+        Polynomial::from_coeffs(self.coeffs[..=self.degree].to_vec())
     }
 
     /// The secret `F(0, 0)`.
     pub fn secret(&self) -> Fp {
-        self.coeffs[0][0]
+        self.coeffs[0]
     }
 
     /// Reconstructs the unique `(d, d)`-degree symmetric bivariate polynomial
@@ -147,8 +145,9 @@ impl SymmetricBivariate {
         // same d + 1 evaluation points, so the Lagrange basis (master
         // polynomial, barycentric weights) is built exactly once.
         let basis = LagrangeBasis::new(use_rows.iter().map(|&(alpha, _)| alpha).collect());
-        let mut coeffs = vec![vec![Fp::ZERO; d + 1]; d + 1];
-        for (i, out_row) in coeffs.iter_mut().enumerate() {
+        let width = d + 1;
+        let mut coeffs = vec![Fp::ZERO; width * width];
+        for (i, out_row) in coeffs.chunks_exact_mut(width).enumerate() {
             let ys: Vec<Fp> = use_rows
                 .iter()
                 .map(|(_, f)| f.coeffs().get(i).copied().unwrap_or(Fp::ZERO))
@@ -163,9 +162,9 @@ impl SymmetricBivariate {
         }
         let candidate = SymmetricBivariate { degree: d, coeffs };
         // Verify symmetry and consistency with *all* provided rows.
-        for i in 0..=d {
+        for i in 0..width {
             for j in 0..i {
-                if candidate.coeffs[i][j] != candidate.coeffs[j][i] {
+                if candidate.coeffs[i * width + j] != candidate.coeffs[j * width + i] {
                     return None;
                 }
             }
@@ -190,6 +189,7 @@ impl SymmetricBivariate {
 mod tests {
     use super::*;
     use crate::evaluation_points::alpha;
+    use crate::field::MODULUS;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -267,8 +267,63 @@ mod tests {
         assert!(SymmetricBivariate::interpolate_rows(d, &rows).is_none());
     }
 
+    /// The row as computed before the flat kernel: one Horner pass over
+    /// `r_i·` per coefficient, then trimmed by `Polynomial::from_coeffs`.
+    fn horner_row(f: &SymmetricBivariate, alpha: Fp) -> Polynomial {
+        let horner = |r_i: &[Fp]| r_i.iter().rev().fold(Fp::ZERO, |acc, &c| acc * alpha + c);
+        let width = f.degree + 1;
+        Polynomial::from_coeffs(f.coeffs.chunks_exact(width).map(horner).collect())
+    }
+
+    /// A symmetric `(degree, degree)` polynomial whose coefficients vanish
+    /// beyond `x^k y^k` for `k ≥ support`, all `p − 1` below if `extreme`.
+    fn sparse(seed: u64, degree: usize, support: usize, extreme: bool) -> SymmetricBivariate {
+        let mut f = SymmetricBivariate::random(&mut StdRng::seed_from_u64(seed), degree);
+        let width = degree + 1;
+        for (k, c) in f.coeffs.iter_mut().enumerate() {
+            if (k / width).max(k % width) >= support {
+                *c = Fp::ZERO;
+            } else if extreme {
+                *c = -Fp::ONE;
+            }
+        }
+        f
+    }
+
+    #[test]
+    fn rows_are_trimmed_like_from_coeffs() {
+        // Vanishing top coefficients, and α = 0, where the row is column 0.
+        let f = sparse(17, 5, 3, false);
+        for alpha in [Fp::ZERO, Fp::ONE, Fp::from_u64(9), -Fp::ONE] {
+            let row = f.row_coeffs(&alpha.powers(6));
+            assert_eq!(row, horner_row(&f, alpha).coeffs(), "at {alpha}");
+            assert!(row.len() <= 3);
+        }
+        let zero = sparse(18, 4, 0, false);
+        assert!(zero.row_coeffs(&Fp::from_u64(2).powers(5)).is_empty());
+        assert!(zero.row(Fp::from_u64(2)).is_zero());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+        // Degrees 0..=130 cross the kernel's 32- and 64-term boundaries.
+        #[test]
+        fn prop_flat_rows_equal_the_horner_rows(
+            seed in any::<u64>(),
+            degree in 0usize..=130,
+            cut in 0usize..=131,
+            extreme in any::<bool>(),
+            x in prop_oneof![Just(0u64), Just(MODULUS - 1), any::<u64>()],
+        ) {
+            let f = sparse(seed, degree, cut.min(degree + 1), extreme);
+            let alpha = Fp::from_u64(x);
+            let old = horner_row(&f, alpha);
+            // Byte for byte what a dealer sends, trimmed included.
+            prop_assert_eq!(&f.row_coeffs(&alpha.powers(degree + 1))[..], old.coeffs());
+            prop_assert_eq!(&f.row(alpha), &old);
+            prop_assert_eq!(f.evaluate(Fp::from_u64(seed), alpha), old.evaluate(Fp::from_u64(seed)));
+        }
+
         #[test]
         fn prop_symmetry(seed in any::<u64>(), d in 1usize..6, a in any::<u64>(), b in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);

@@ -121,6 +121,34 @@ impl Fp {
         }
     }
 
+    /// `[1, x, x², …, x^{len−1}]` for `x = self`, in one allocation: the
+    /// right-hand side of [`Fp::dot`] when it evaluates coefficients at `x`.
+    pub fn powers(self, len: usize) -> Vec<Fp> {
+        let mut power = Fp::ONE;
+        let next = |_| {
+            let current = power;
+            power *= self;
+            current
+        };
+        (0..len).map(next).collect()
+    }
+
+    /// `Σ a_k·b_k` over the common prefix of `a` and `b`, with lazy
+    /// reduction: products are summed in a `u128` and reduced once per 32
+    /// terms. With `b = x.powers(…)` this evaluates the polynomial with
+    /// coefficients `a` (low to high) at `x`, at any degree.
+    pub fn dot(a: &[Fp], b: &[Fp]) -> Fp {
+        let mut acc = 0;
+        for (a, b) in a.chunks(DOT_CHUNK).zip(b.chunks(DOT_CHUNK)) {
+            let mut wide = u128::from(acc);
+            for (x, y) in a.iter().zip(b) {
+                wide += u128::from(x.0) * u128::from(y.0);
+            }
+            acc = reduce128(wide);
+        }
+        Fp(acc)
+    }
+
     /// Samples a uniformly random field element.
     pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         // Rejection sampling on 61 bits keeps the distribution exactly uniform.
@@ -132,6 +160,11 @@ impl Fp {
         }
     }
 }
+
+/// The terms [`Fp::dot`] sums before it reduces: each product of two
+/// canonical elements is below `2^122`, so 32 of them plus a reduced carry
+/// stay below `2^128`.
+const DOT_CHUNK: usize = 32;
 
 /// Fast reduction of a 128-bit value modulo the Mersenne prime `2^61 - 1`.
 #[inline]
@@ -359,6 +392,23 @@ mod tests {
         assert_eq!(mixed[1], Fp::from_u64(5).inverse().unwrap());
         assert_eq!(mixed[2], Fp::ZERO);
         assert_eq!(mixed[3], Fp::from_u64(9).inverse().unwrap());
+    }
+
+    #[test]
+    fn dot_of_the_largest_products_never_overflows() {
+        // (p − 1)² ≡ 1, so len such products sum to len; each is just under
+        // 2^122, and a chunk of more than 64 of them would overflow a u128.
+        let top = Fp::from_u64(MODULUS - 1);
+        for len in [0, 1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 131] {
+            let v = vec![top; len];
+            assert_eq!(Fp::dot(&v, &v), Fp::from_u64(len as u64), "{len} terms");
+        }
+        let mut rng = StdRng::seed_from_u64(8);
+        let a: Vec<Fp> = (0..100).map(|_| Fp::random(&mut rng)).collect();
+        let b: Vec<Fp> = (0..70).map(|_| Fp::random(&mut rng)).collect();
+        let naive: Fp = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
+        assert_eq!(Fp::dot(&a, &b), naive, "the common prefix");
+        assert_eq!(Fp::dot(&b, &a), naive);
     }
 
     #[test]

@@ -377,6 +377,7 @@ pub(crate) fn horner(coeffs: &[Fp], x: Fp) -> Fp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::MODULUS;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -471,7 +472,49 @@ mod tests {
         assert!(r.is_zero() || r.degree() < b.degree());
     }
 
+    /// A coefficient vector of every degree `0..=130` (so that `Fp::dot`
+    /// crosses its 32-term reduction boundary and the 64-term one), either
+    /// random or all `p − 1`, the largest products the kernel sums.
+    fn arb_coeffs() -> impl Strategy<Value = Vec<Fp>> {
+        let random = proptest::collection::vec(any::<u64>().prop_map(fp), 1..=131);
+        let extreme = (1usize..=131).prop_map(|len| vec![fp(MODULUS - 1); len]);
+        prop_oneof![random, extreme]
+    }
+
+    /// `x` anywhere, and at the edges `0` and `p − 1`.
+    fn arb_x() -> impl Strategy<Value = Fp> {
+        prop_oneof![
+            Just(Fp::ZERO),
+            Just(fp(MODULUS - 1)),
+            any::<u64>().prop_map(fp)
+        ]
+    }
+
+    #[test]
+    fn dot_kernel_evaluates_every_chunk_boundary() {
+        for len in [0, 1, 31, 32, 33, 63, 64, 65, 96, 97, 131] {
+            let coeffs = vec![fp(MODULUS - 1); len];
+            for x in [Fp::ZERO, Fp::ONE, fp(MODULUS - 1), fp(3)] {
+                let horner = Polynomial::from_coeffs(coeffs.clone()).evaluate(x);
+                assert_eq!(
+                    Fp::dot(&coeffs, &x.powers(len)),
+                    horner,
+                    "{len} terms at {x}"
+                );
+            }
+        }
+        assert_eq!(Fp::ZERO.powers(3), [Fp::ONE, Fp::ZERO, Fp::ZERO]);
+    }
+
     proptest! {
+        #[test]
+        fn prop_dot_kernel_equals_horner(coeffs in arb_coeffs(), x in arb_x()) {
+            let horner = Polynomial::from_coeffs(coeffs.clone()).evaluate(x);
+            prop_assert_eq!(Fp::dot(&coeffs, &x.powers(coeffs.len())), horner);
+            // Only the common prefix counts: extra powers change nothing.
+            prop_assert_eq!(Fp::dot(&coeffs, &x.powers(coeffs.len() + 5)), horner);
+        }
+
         #[test]
         fn prop_interpolation_roundtrip(
             coeffs in proptest::collection::vec(any::<u64>(), 1..10),

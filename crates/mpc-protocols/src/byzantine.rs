@@ -102,10 +102,8 @@ impl Node for HostileDealer {
         let sources = [sample(), sample()];
         for i in 0..n {
             let source = &sources[usize::from(self.split && i >= n / 2)];
-            let rows: Vec<Vec<Fp>> = source
-                .iter()
-                .map(|f| f.row(alpha(i)).coeffs().to_vec())
-                .collect();
+            let powers = alpha(i).powers(self.degree + 1);
+            let rows: Vec<Vec<Fp>> = source.iter().map(|f| f.row_coeffs(&powers)).collect();
             ctx.send(i, Msg::RowPolys(rows));
         }
         if let Some((seg, value)) = self.star.clone() {

@@ -25,6 +25,8 @@
 //! runs ahead is tallied on arrival, bounded by what the child keeps per
 //! sender, and there is nothing to buffer or drop.
 
+use std::slice::ChunksExact;
+
 use mpc_algebra::evaluation_points::alpha;
 use mpc_algebra::{Fp, Polynomial, SymmetricBivariate};
 use mpc_net::{Context, PartyId, Time};
@@ -125,8 +127,10 @@ pub(crate) struct DealerCore {
     bivariates: Vec<SymmetricBivariate>,
     /// Dealer only: whether the row polynomials have been distributed.
     dealt: bool,
-    /// This party's row polynomials received from the dealer.
-    rows: Option<Vec<Polynomial>>,
+    /// This party's `L` row polynomials from the dealer as one row-major
+    /// matrix: row `ℓ`'s `t_s + 1` coefficients (low to high, zero-padded)
+    /// start at `ℓ·(t_s + 1)`.
+    rows: Option<Vec<Fp>>,
     votes: VoteBoard,
     /// The dealer's `(W, E, F)` broadcast, `init`-ed at `t₀ + T_BC`.
     wef_bc: Bc,
@@ -194,9 +198,16 @@ impl DealerCore {
         core
     }
 
-    /// This party's accepted row polynomials.
-    pub(crate) fn rows(&self) -> Option<&[Polynomial]> {
-        self.rows.as_deref()
+    /// This party's accepted row polynomials, `t_s + 1` coefficients each.
+    pub(crate) fn rows(&self) -> Option<ChunksExact<'_, Fp>> {
+        Some(self.rows.as_deref()?.chunks_exact(self.params.ts + 1))
+    }
+
+    /// This party's `L` rows evaluated at `x`: the powers of `x` once, then
+    /// one [`Fp::dot`] per row. `None` while the rows are not here.
+    pub(crate) fn rows_at(&self, x: Fp) -> Option<impl Iterator<Item = Fp> + '_> {
+        let powers = x.powers(self.params.ts + 1);
+        Some(self.rows()?.map(move |row| Fp::dot(row, &powers)))
     }
 
     /// Phase I: the dealer embeds each polynomial in a random symmetric
@@ -213,10 +224,8 @@ impl DealerCore {
             .map(|q| SymmetricBivariate::embedding(ctx.rng(), ts, q))
             .collect();
         for i in 0..self.params.n {
-            let rows = self
-                .bivariates
-                .iter()
-                .map(|b| b.row(alpha(i)).coeffs().to_vec());
+            let powers = alpha(i).powers(ts + 1);
+            let rows = self.bivariates.iter().map(|b| b.row_coeffs(&powers));
             ctx.send(i, Msg::RowPolys(rows.collect()));
         }
     }
@@ -236,16 +245,25 @@ impl DealerCore {
     /// Takes the dealer's `RowPolys` if it is what Fig 3/Fig 4 mean by
     /// "on receiving `t_s`-degree polynomials": the first one from the
     /// dealer, exactly `L` rows, each of degree ≤ `t_s`. Anything else is
-    /// dropped, which leaves the dealer silent towards this party.
+    /// dropped, which leaves the dealer silent towards this party. Degree
+    /// `≤ t_s` is read as [`Polynomial::from_coeffs`] trims: zeros beyond the
+    /// first `t_s + 1` coefficients are accepted, anything else there is not.
     pub(crate) fn accept_rows(&mut self, from: PartyId, rows: &[Vec<Fp>]) -> bool {
         if from != self.dealer || self.rows.is_some() || rows.len() != self.l_count {
             return false;
         }
-        let rows: Vec<Polynomial> = rows.iter().cloned().map(Polynomial::from_coeffs).collect();
-        if rows.iter().any(|r| r.degree() > self.params.ts) {
+        let width = self.params.ts + 1;
+        if rows
+            .iter()
+            .any(|r| r.iter().skip(width).any(|c| !c.is_zero()))
+        {
             return false;
         }
-        self.rows = Some(rows);
+        let mut matrix = vec![Fp::ZERO; rows.len() * width];
+        for (slot, row) in matrix.chunks_exact_mut(width).zip(rows) {
+            slot.iter_mut().zip(row).for_each(|(c, &v)| *c = v);
+        }
+        self.rows = Some(matrix);
         true
     }
 
@@ -260,15 +278,16 @@ impl DealerCore {
     /// this party's row `ℓ` at `α_j` for every `ℓ`, else `NOK` with the
     /// first differing row and this party's value. Waits for the rows.
     pub(crate) fn cast_vote(&mut self, ctx: &mut Context<'_, Msg>, j: PartyId, evidence: &[Fp]) {
-        let Some(rows) = self.rows.as_ref().filter(|_| !self.votes.has_voted(j)) else {
+        if self.votes.has_voted(j) {
+            return;
+        }
+        let Some(mine) = self.rows_at(alpha(j)) else {
             return;
         };
-        let differing = rows
-            .iter()
+        let differing = mine
             .zip(evidence)
             .enumerate()
-            .find_map(|(ell, (row, &p))| {
-                let value = row.evaluate(alpha(j));
+            .find_map(|(ell, (value, &p))| {
                 (value != p).then_some(Vote::Nok {
                     ell: ell as u32,
                     value,
@@ -417,8 +436,9 @@ impl DealerCore {
         reconstruct: impl FnOnce(&[PartyId]) -> Option<Vec<Fp>>,
     ) -> Option<Vec<Fp>> {
         let (direct_set, support_set) = self.decided()?;
-        match self.rows.as_ref().filter(|_| direct_set.contains(&me)) {
-            Some(rows) => Some(rows.iter().map(|r| r.constant_term()).collect()),
+        // The rows at zero are their constant terms.
+        match self.rows_at(Fp::ZERO).filter(|_| direct_set.contains(&me)) {
+            Some(shares) => Some(shares.collect()),
             None => reconstruct(&support_set),
         }
     }
@@ -490,6 +510,48 @@ mod tests {
         assert_eq!(decode_star(4, &star(&[0, 4], &[3, 0, 4])), None);
         assert_eq!(decode_star(4, &star(&[0, 2], &[3, 0, 2, 3])), None);
         assert_eq!(decode_star(4, &BcValue::Bit(true)), None);
+    }
+
+    #[test]
+    fn hostile_rows_are_dropped_and_zero_padded_rows_accepted() {
+        let params = Params::new(4, 1, 0, 10); // t_s = 1: two coefficients
+        let fp = Fp::from_u64;
+        let core = || DealerCore::new(0, params, 2, &WPS);
+        let at = |core: &DealerCore, j| core.rows_at(alpha(j)).map(Iterator::collect::<Vec<_>>);
+
+        // Zeros beyond t_s are accepted and evaluate as the trimmed rows;
+        // a short row (here the zero polynomial) is padded.
+        let padded = vec![vec![fp(3), fp(5), Fp::ZERO, Fp::ZERO], Vec::new()];
+        let mut accepted = core();
+        assert!(accepted.accept_rows(0, &padded));
+        for j in 0..params.n {
+            let old = padded
+                .iter()
+                .map(|r| Polynomial::from_coeffs(r.clone()).evaluate(alpha(j)));
+            assert_eq!(at(&accepted, j), Some(old.collect()), "at α_{j}");
+        }
+        assert_eq!(accepted.rows, Some(vec![fp(3), fp(5), Fp::ZERO, Fp::ZERO]));
+
+        // A second RowPolys from the dealer is dropped: the first stays.
+        assert!(!accepted.accept_rows(0, &[vec![fp(1)], vec![fp(2)]]));
+        assert_eq!(accepted.rows, Some(vec![fp(3), fp(5), Fp::ZERO, Fp::ZERO]));
+
+        let hostile: [(PartyId, Vec<Vec<Fp>>); 6] = [
+            // a nonzero coefficient beyond t_s, also behind a zero
+            (0, vec![vec![fp(1), fp(2), fp(3)], vec![]]),
+            (0, vec![vec![fp(1)], vec![fp(1), fp(2), Fp::ZERO, fp(4)]]),
+            // the wrong L
+            (0, vec![vec![fp(1)]]),
+            (0, vec![vec![fp(1)], vec![fp(2)], vec![fp(3)]]),
+            (0, Vec::new()),
+            // a sender that is not the dealer
+            (1, vec![vec![fp(1)], vec![fp(2)]]),
+        ];
+        for (from, rows) in hostile {
+            let mut dropped = core();
+            assert!(!dropped.accept_rows(from, &rows), "{from}: {rows:?}");
+            assert_eq!(dropped.rows, None);
+        }
     }
 
     /// `OK` votes about every party in `about`.

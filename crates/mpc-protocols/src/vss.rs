@@ -132,9 +132,12 @@ impl Vss {
 
     fn deal_own_rows(&mut self, ctx: &mut Context<'_, Msg>) {
         if let (true, Some(rows)) = (self.wps_started, self.core.rows()) {
+            let rows = rows
+                .map(|row| Polynomial::from_coeffs(row.to_vec()))
+                .collect();
             let (me, wps) = (ctx.me, &mut self.wps[ctx.me]);
             VSS.scoped(ctx, Name::Wps, me, |ctx| {
-                wps.provide_dealer_input(ctx, rows.to_vec())
+                wps.provide_dealer_input(ctx, rows)
             });
         }
     }

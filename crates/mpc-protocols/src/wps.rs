@@ -42,7 +42,8 @@ const TIMER_SEND_POINTS: u64 = 10;
 pub struct Wps {
     core: DealerCore,
     /// Points received from counterpart `j` (their evaluation of their row at
-    /// my `α`), i.e. points on my row polynomials: `L` each.
+    /// my `α`), i.e. points on my row polynomials: `L` each, the first per
+    /// sender. Emptied for good once [`Wps::released`].
     points_from: BTreeMap<PartyId, Vec<Fp>>,
     /// The WPS-shares (one per polynomial) once computed.
     pub shares: Option<Vec<Fp>>,
@@ -89,11 +90,34 @@ impl Wps {
     }
 
     fn send_points(&mut self, ctx: &mut Context<'_, Msg>) {
-        let Some(rows) = self.core.rows() else { return };
         for j in 0..self.core.params.n {
-            let pts: Vec<Fp> = rows.iter().map(|r| r.evaluate(alpha(j))).collect();
-            ctx.send(j, Msg::Points(pts));
+            let Some(points) = self.core.rows_at(alpha(j)) else {
+                return;
+            };
+            ctx.send(j, Msg::Points(points.collect()));
         }
+    }
+
+    /// Whether the received points have done all they can: the shares are
+    /// out, so nothing reconstructs from them, and the rows are here, so
+    /// every vote they back has been cast.
+    fn released(&self) -> bool {
+        self.shares.is_some() && self.core.rows().is_some()
+    }
+
+    /// Keeps the first `Points` per sender and votes on it once the rows
+    /// are here; once [`Wps::released`], votes on a sender's first at once
+    /// (the core ignores a repeat) and keeps nothing.
+    fn on_points(&mut self, ctx: &mut Context<'_, Msg>, from: PartyId, points: &[Fp]) {
+        if self.released() {
+            self.core.cast_vote(ctx, from, points);
+        } else {
+            self.points_from
+                .entry(from)
+                .or_insert_with(|| points.to_vec());
+            self.refresh_votes(ctx);
+        }
+        self.check_progress(ctx);
     }
 
     /// Votes on every counterpart whose points have arrived (the core
@@ -133,6 +157,9 @@ impl Wps {
                 .output(ctx.me, |support| self.reconstruct(support));
             self.output_at = self.shares.as_ref().map(|_| ctx.now);
         }
+        if self.released() {
+            self.points_from.clear();
+        }
     }
 }
 
@@ -158,9 +185,7 @@ impl Node for Wps {
             Routed::Own(Event::Message(from, Msg::Points(pts)))
                 if pts.len() == self.core.l_count =>
             {
-                self.points_from.entry(from).or_insert_with(|| pts.clone());
-                self.refresh_votes(ctx);
-                self.check_progress(ctx);
+                self.on_points(ctx, from, pts);
             }
             Routed::Own(Event::Timer(TIMER_SEND_POINTS)) => self.send_points(ctx),
             Routed::Own(Event::Timer(id)) => {
@@ -184,8 +209,10 @@ crate::node_protocol!(Wps);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{AcastMsg, BcValue, Vote};
     use crate::sharing::testkit::{parties, polys, run_and_check, Shell};
-    use mpc_net::{CorruptionSet, NetConfig, NetworkKind, Simulation};
+    use mpc_algebra::SymmetricBivariate;
+    use mpc_net::{CorruptionSet, Effects, NetConfig, NetworkKind, Protocol, Simulation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -283,12 +310,143 @@ mod tests {
         }
     }
 
+    /// Party 1 of a `Π_WPS` with `L = 2` dealt by party 0, driven event by
+    /// event.
+    struct One {
+        wps: Wps,
+        effects: Effects<Msg>,
+        rng: StdRng,
+        rows: Vec<Vec<Fp>>,
+        /// `points[j]`: what party `j` sends party 1, `f_j(α_1)` per row.
+        points: Vec<Vec<Fp>>,
+    }
+
+    impl One {
+        const ME: PartyId = 1;
+
+        fn new(params: Params) -> Self {
+            let mut rng = StdRng::seed_from_u64(5);
+            let bivariates: Vec<_> = (0..2)
+                .map(|_| SymmetricBivariate::random(&mut rng, params.ts))
+                .collect();
+            let powers = alpha(Self::ME).powers(params.ts + 1);
+            let at = |j| {
+                bivariates
+                    .iter()
+                    .map(move |b| b.evaluate(alpha(Self::ME), alpha(j)))
+            };
+            One {
+                wps: Wps::new(0, params, 2),
+                effects: Effects::new(),
+                rng,
+                rows: bivariates.iter().map(|b| b.row_coeffs(&powers)).collect(),
+                points: (0..params.n).map(|j| at(j).collect()).collect(),
+            }
+        }
+
+        /// Delivers `event` and returns the votes it published, as
+        /// `(about, vote)`.
+        fn step(&mut self, event: Result<(PartyId, Msg), u64>) -> Vec<(u32, Vote)> {
+            self.effects = Effects::new();
+            let (n, delta) = (self.wps.core.params.n, self.wps.core.params.delta);
+            let mut ctx = Context::new(Self::ME, n, 0, delta, &mut self.effects, &mut self.rng, 0);
+            match event {
+                Ok((from, msg)) => self.wps.on_message(&mut ctx, from, &[], msg),
+                Err(timer) => self.wps.on_timer(&mut ctx, &[], timer),
+            }
+            let votes = self
+                .effects
+                .broadcasts
+                .iter()
+                .filter_map(|(_, msg)| match msg {
+                    Msg::Acast(AcastMsg::Send(BcValue::Votes(votes))) => Some(votes.clone()),
+                    _ => None,
+                });
+            votes.flatten().collect()
+        }
+
+        /// Delivers party `j`'s honest `Points`.
+        fn points_from(&mut self, j: PartyId) -> Vec<(u32, Vote)> {
+            let points = self.points[j].clone();
+            self.step(Ok((j, Msg::Points(points))))
+        }
+
+        fn rows_arrive(&mut self) -> Vec<(u32, Vote)> {
+            self.step(Ok((0, Msg::RowPolys(self.rows.clone()))))
+        }
+
+        /// Starts the vote board, so that every vote is A-cast as it is cast.
+        fn start_votes(&mut self) {
+            self.step(Err(11));
+        }
+    }
+
+    #[test]
+    fn points_after_the_output_vote_at_once_and_are_not_kept() {
+        let params = Params::new(4, 1, 0, 10);
+        let mut one = One::new(params);
+        assert!(one.rows_arrive().is_empty());
+        one.start_votes();
+        assert_eq!(one.points_from(2), [(2, Vote::Ok)]);
+        assert_eq!(one.wps.points_from.len(), 1, "no output yet");
+
+        one.wps.shares = Some(vec![Fp::ZERO; 2]);
+        let mut wrong = one.points[3].clone();
+        let value = wrong[1];
+        wrong[1] += Fp::ONE;
+        let nok = Vote::Nok { ell: 1, value };
+        let votes = one.step(Ok((3, Msg::Points(wrong))));
+        assert_eq!(votes, [(3, nok)], "exactly one vote");
+        assert!(one.wps.points_from.is_empty(), "released");
+        assert_eq!(one.points_from(3), [], "a repeat casts none");
+        assert_eq!(one.points_from(2), []);
+        assert!(one.wps.points_from.is_empty());
+    }
+
+    #[test]
+    fn an_output_before_the_rows_still_votes_on_every_earlier_points() {
+        // Outside the direct set, party 1 reconstructs its shares from the
+        // support set's points before its own rows arrive.
+        let params = Params::new(4, 1, 0, 10);
+        let mut one = One::new(params);
+        one.start_votes();
+        for j in [3, 0, 2] {
+            assert_eq!(one.points_from(j), [], "no rows, no vote");
+        }
+        one.wps.shares = Some(vec![Fp::ZERO; 2]);
+        assert_eq!(one.points_from(0), []);
+        assert_eq!(one.wps.points_from.len(), 3, "kept for the rows");
+
+        let votes = [(0, Vote::Ok), (2, Vote::Ok), (3, Vote::Ok)];
+        assert_eq!(one.rows_arrive(), votes);
+        assert!(one.wps.points_from.is_empty(), "released");
+    }
+
+    #[test]
+    fn a_quiescent_instance_holds_no_points() {
+        for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
+            let params = Params::new(4, 1, 0, 10);
+            let polys = polys(46, params, &[8, 9]);
+            let cfg = NetConfig::for_kind(params.n, kind).with_seed(4);
+            let mut sim = Simulation::new(
+                cfg,
+                CorruptionSet::none(),
+                parties::<Wps>(params, 1, Some(&polys)),
+            );
+            sim.run_to_quiescence(50_000_000);
+            for i in 0..params.n {
+                let wps = sim.party_as::<Wps>(i).unwrap();
+                assert!(wps.shares.is_some(), "{kind:?}: party {i}");
+                assert!(wps.points_from.is_empty(), "{kind:?}: party {i}");
+            }
+        }
+    }
+
     #[test]
     fn mis_sized_points_into_an_empty_sharing_are_dropped() {
         // Every linear circuit runs ACS #2 with L = 0. A one-element
         // `Points` used to be compared against `rows[0]` of no rows (panic);
         // a wrong length is now dropped at receipt, state untouched.
-        use mpc_net::{Effects, Protocol};
         let params = Params::new(4, 1, 0, 10);
         let mut wps = Wps::new(0, params, 0);
         let mut effects = Effects::new();

@@ -11,7 +11,9 @@
 //! The same allocator keeps the live heap bytes, which weigh what an
 //! instance still holds once its run is quiescent. An evaluation keeps every
 //! instance of its tower to the end, so this footprint, times the instance
-//! count, is a large part of its peak memory (DESIGN.md "Memory").
+//! count, is a large part of its peak memory (DESIGN.md "Memory"). A
+//! stand-alone `Π_VSS` weighs the sharing tower's rows and points the same
+//! way.
 //!
 //! The budget is defined for the release profile (`cargo test --test
 //! alloc_budget --release`), the one the ledger measures.
@@ -21,10 +23,14 @@ use std::any::Any;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+use bobw_mpc::algebra::evaluation_points::alpha;
+use bobw_mpc::algebra::Polynomial;
 use bobw_mpc::net::{Context, CorruptionSet, NetConfig, PartyId, PathSlice, Protocol, Simulation};
 use bobw_mpc::protocols::acast::Acast;
 use bobw_mpc::protocols::ba::Ba;
+use bobw_mpc::protocols::vss::Vss;
 use bobw_mpc::protocols::{BcValue, Msg, Params, Vote};
+use rand::{rngs::StdRng, SeedableRng};
 
 /// The system allocator, counting every `alloc` and `realloc` call and the
 /// bytes currently allocated.
@@ -260,4 +266,29 @@ fn one_delivered_message_stays_within_the_allocation_budget() {
     // 10 924 bytes measured (27 948 with a `Vec` tally and heap admission
     // flags).
     assert_footprint("stand-alone Π_BA", bas, 11_500);
+
+    // A stand-alone Π_VSS of L = 64 degree-t_s polynomials at n = 8
+    // (t_s = 2, t_a = 1): the dealt rows, the points and the n nested Π_WPS
+    // of the dealer-verification core.
+    let params = Params::new(n, t, 1, NetConfig::DEFAULT_DELTA);
+    let mut rng = StdRng::seed_from_u64(64);
+    let polys: Vec<Polynomial> = (0..64).map(|_| Polynomial::random(&mut rng, t)).collect();
+    let parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
+        .map(|i| match i {
+            0 => Held::boxed(&[], Vss::new_dealer(0, params, polys.clone())),
+            _ => Held::boxed(&[], Vss::new(0, params, polys.len())),
+        })
+        .collect();
+    // 1.75 measured (2.02 with a heap `Polynomial` per received row and two
+    // allocations per dealt row).
+    let sim = run_within_budget("stand-alone Π_VSS", parties, 1.84);
+    let vsss: Vec<Vss> = take_instances(&sim);
+    for (i, vss) in vsss.iter().enumerate() {
+        let expected = polys.iter().map(|q| q.evaluate(alpha(i)));
+        assert_eq!(vss.shares, Some(expected.collect()), "party {i}");
+    }
+    // 425 484 bytes measured per party, its n Π_WPS included (480 204 with
+    // a heap `Polynomial` per row, a heap `Vec` per bivariate row and every
+    // Π_WPS keeping its received points to the end).
+    assert_footprint("stand-alone Π_VSS", vsss, 447_000);
 }
