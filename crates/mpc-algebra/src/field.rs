@@ -137,14 +137,24 @@ impl Fp {
     /// reduction: products are summed in a `u128` and reduced once per 32
     /// terms. With `b = x.powers(…)` this evaluates the polynomial with
     /// coefficients `a` (low to high) at `x`, at any degree.
+    ///
+    /// Up to 32 terms — every row of a sharing at `t_s < 32` — take one
+    /// accumulation and one reduction, without the chunk loop.
+    #[inline]
     pub fn dot(a: &[Fp], b: &[Fp]) -> Fp {
+        let wide = |a: &[Fp], b: &[Fp], carry: u64| {
+            let products = a
+                .iter()
+                .zip(b)
+                .map(|(x, y)| u128::from(x.0) * u128::from(y.0));
+            products.fold(u128::from(carry), |sum, product| sum + product)
+        };
+        if a.len().min(b.len()) <= DOT_CHUNK {
+            return Fp(reduce128(wide(a, b, 0)));
+        }
         let mut acc = 0;
         for (a, b) in a.chunks(DOT_CHUNK).zip(b.chunks(DOT_CHUNK)) {
-            let mut wide = u128::from(acc);
-            for (x, y) in a.iter().zip(b) {
-                wide += u128::from(x.0) * u128::from(y.0);
-            }
-            acc = reduce128(wide);
+            acc = reduce128(wide(a, b, acc));
         }
         Fp(acc)
     }

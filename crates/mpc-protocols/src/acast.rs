@@ -15,7 +15,8 @@
 //! allocates nothing. Only a
 //! party's *first* `Echo` and first `Ready` count — an honest party sends one
 //! of each — so an instance holds at most `2n` candidate values whatever the
-//! corrupt parties send.
+//! corrupt parties send. Once it delivers, an instance holds its output and
+//! nothing else.
 //!
 //! An instance is sized for an honest run, in which it holds one candidate
 //! per stage: each tally keeps that candidate inline, and the per-sender
@@ -99,6 +100,20 @@ impl Acast {
         }
     }
 
+    /// Outputs `value` and drops what the instance cannot read again. The
+    /// `Ready` that delivers has made this party send its own (more than `t`
+    /// readies are in), so no later `Echo` or `Ready` could make it send
+    /// anything: both are ignored from here on, and the tallies and the
+    /// sender's input go. A late `Send` is still echoed, for the parties
+    /// that have not delivered.
+    fn deliver(&mut self, value: BcValue, now: Time) {
+        self.output = Some(value);
+        self.output_at = Some(now);
+        self.input = None;
+        self.echoes = Tally::default();
+        self.readies = Tally::default();
+    }
+
     /// Admits `from`'s `Echo` (`stage = 0`) or `Ready` (`stage = 1`): the
     /// sender must be a party and this must be its first message of that
     /// stage. Anything else is dropped — a repeat is a duplicate delivery or
@@ -172,7 +187,7 @@ impl Node for Acast {
                 }
             }
             AcastMsg::Echo(v) => {
-                if !self.admit(from, 0) {
+                if self.output.is_some() || !self.admit(from, 0) {
                     return;
                 }
                 let echo_threshold = self.echo_threshold();
@@ -183,7 +198,7 @@ impl Node for Acast {
                 }
             }
             AcastMsg::Ready(v) => {
-                if !self.admit(from, 1) {
+                if self.output.is_some() || !self.admit(from, 1) {
                     return;
                 }
                 let (value, support) = tally(&mut self.readies, v);
@@ -191,9 +206,9 @@ impl Node for Acast {
                     self.sent_ready = true;
                     ctx.broadcast(Msg::Acast(AcastMsg::Ready(value.clone())));
                 }
-                if *support > 2 * self.t && self.output.is_none() {
-                    self.output = Some(value.clone());
-                    self.output_at = Some(ctx.now);
+                if *support > 2 * self.t {
+                    let value = value.clone();
+                    self.deliver(value, ctx.now);
                 }
             }
         }
@@ -390,9 +405,46 @@ mod tests {
             assert!(feed(&mut acast, from, AcastMsg::Echo(value(5))).is_empty());
             assert!(feed(&mut acast, from, AcastMsg::Ready(value(5))).is_empty());
         }
-        // In the end every party was counted exactly once per stage.
-        assert_eq!(*acast.echoes, [(value(5), n)]);
-        assert_eq!(*acast.readies, [(value(5), n)]);
+        // Delivered, the instance keeps no tally to count them in.
+        assert!(acast.echoes.is_empty(), "empty after delivery");
+        assert!(acast.readies.is_empty(), "empty after delivery");
+    }
+
+    #[test]
+    fn a_delivered_acast_holds_only_its_output_and_still_echoes_a_late_send() {
+        let (n, t) = (4, 1);
+        let ready = |x| AcastMsg::Ready(value(x));
+        // The sender: its input goes at delivery, like the tallies.
+        let mut sender = Acast::new_sender(0, n, t, value(5));
+        for from in 1..=2 * t + 1 {
+            feed(&mut sender, from, ready(5));
+        }
+        assert_eq!(sender.output, Some(value(5)));
+        assert_eq!(sender.input, None);
+
+        // A party that delivers on readies alone, before the sender's Send.
+        let mut acast = Acast::new(0, n, t);
+        assert!(feed(&mut acast, 3, AcastMsg::Echo(value(5))).is_empty());
+        assert!(feed(&mut acast, 0, ready(5)).is_empty());
+        assert_eq!(feed(&mut acast, 2, ready(5)), [Msg::Acast(ready(5))]);
+        assert!(feed(&mut acast, 3, ready(5)).is_empty());
+        assert_eq!(acast.output, Some(value(5)));
+        assert_eq!(stored_candidates(&acast), 0, "only the output is held");
+
+        // Later echoes and readies, a corrupt value among them, are ignored
+        // and stored nowhere: the ready is out and the output fixed.
+        for from in 0..n {
+            assert!(feed(&mut acast, from, AcastMsg::Echo(value(6))).is_empty());
+            assert!(feed(&mut acast, from, ready(6)).is_empty());
+        }
+        assert_eq!(stored_candidates(&acast), 0);
+        assert_eq!(acast.output, Some(value(5)));
+
+        // The sender's late Send is echoed once, as before delivery.
+        let echo = vec![Msg::Acast(AcastMsg::Echo(value(5)))];
+        assert_eq!(feed(&mut acast, 0, AcastMsg::Send(value(5))), echo);
+        assert!(feed(&mut acast, 0, AcastMsg::Send(value(5))).is_empty());
+        assert_eq!(stored_candidates(&acast), 0);
     }
 
     #[test]

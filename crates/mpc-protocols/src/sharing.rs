@@ -273,6 +273,18 @@ impl DealerCore {
         self.rows.is_some() && !self.votes.has_voted(j)
     }
 
+    /// Whether the vote about `P_j` has been cast.
+    pub(crate) fn has_voted(&self, j: PartyId) -> bool {
+        self.votes.has_voted(j)
+    }
+
+    /// Whether the vote about `P_j` is `OK`: the evidence it was cast on
+    /// equals [`DealerCore::rows_at`]`(α_j)`, value for value. Accepted rows
+    /// never change, so that evidence can be recomputed instead of kept.
+    pub(crate) fn vouches_for(&self, j: PartyId) -> bool {
+        self.votes.vouches_for(j)
+    }
+
     /// Casts this party's vote about `P_j`, once: `OK` if `evidence[ℓ]` —
     /// what `P_j` holds of the supposedly common point of row `ℓ` — equals
     /// this party's row `ℓ` at `α_j` for every `ℓ`, else `NOK` with the

@@ -134,6 +134,11 @@ impl VoteBoard {
         self.my_votes.get(counterpart).is_some_and(Option::is_some)
     }
 
+    /// Whether this party's vote about `counterpart` is `OK`.
+    pub fn vouches_for(&self, counterpart: PartyId) -> bool {
+        matches!(self.my_votes.get(counterpart), Some(Some(Vote::Ok)))
+    }
+
     /// Records (and if already started, incrementally A-casts) this party's
     /// vote about `counterpart`. Votes recorded before [`VoteBoard::start`]
     /// ride in the scheduled broadcast. A vote about a non-party is dropped.

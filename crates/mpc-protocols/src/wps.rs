@@ -43,7 +43,10 @@ pub struct Wps {
     core: DealerCore,
     /// Points received from counterpart `j` (their evaluation of their row at
     /// my `α`), i.e. points on my row polynomials: `L` each, the first per
-    /// sender. Emptied for good once [`Wps::released`].
+    /// sender, kept only while no `OK` vote vouches for them — before this
+    /// party's rows are here, or after a `NOK`. An `OK`'d sender's points
+    /// are this party's rows at `α_j`, which [`Wps::reconstruct`]
+    /// recomputes. Emptied for good once [`Wps::released`].
     points_from: BTreeMap<PartyId, Vec<Fp>>,
     /// The WPS-shares (one per polynomial) once computed.
     pub shares: Option<Vec<Fp>>,
@@ -105,46 +108,62 @@ impl Wps {
         self.shares.is_some() && self.core.rows().is_some()
     }
 
-    /// Keeps the first `Points` per sender and votes on it once the rows
-    /// are here; once [`Wps::released`], votes on a sender's first at once
-    /// (the core ignores a repeat) and keeps nothing.
+    /// Votes on a sender's first `Points` (a repeat changes nothing) and
+    /// keeps them only if no `OK` vouches for them and they may still be
+    /// read: the rows are not here yet, or the vote is `NOK` and the shares
+    /// are not out.
     fn on_points(&mut self, ctx: &mut Context<'_, Msg>, from: PartyId, points: &[Fp]) {
-        if self.released() {
+        if !self.core.has_voted(from) && !self.points_from.contains_key(&from) {
             self.core.cast_vote(ctx, from, points);
-        } else {
-            self.points_from
-                .entry(from)
-                .or_insert_with(|| points.to_vec());
-            self.refresh_votes(ctx);
+            if !self.core.vouches_for(from) && !self.released() {
+                self.points_from.insert(from, points.to_vec());
+            }
         }
         self.check_progress(ctx);
     }
 
     /// Votes on every counterpart whose points have arrived (the core
-    /// ignores those already voted on, and waits for this party's rows).
+    /// ignores those already voted on, and waits for this party's rows),
+    /// then drops the points it vouched for.
     fn refresh_votes(&mut self, ctx: &mut Context<'_, Msg>) {
         for (&j, pts) in &self.points_from {
             self.core.cast_vote(ctx, j, pts);
         }
+        let core = &self.core;
+        self.points_from.retain(|&j, _| !core.vouches_for(j));
     }
 
     /// OEC(t_s, t_s, ·) on the common points received from `support_set`:
     /// every contributor sent a full batch, so all `L` values share one
-    /// evaluation-point vector and one fast-path basis. `None` while there
-    /// are not enough consistent points yet.
+    /// evaluation-point vector and one fast-path basis. A member this party
+    /// vouched for contributes its rows at `α_j`, the very values it sent.
+    /// `None` while there are not enough consistent points yet — at once,
+    /// before any column is built, below the `2·t_s + 1` OEC needs.
     fn reconstruct(&self, support_set: &[PartyId]) -> Option<Vec<Fp>> {
         let l_count = self.core.l_count;
         if l_count == 0 {
             return Some(Vec::new()); // nothing shared, nothing to wait for
         }
         let ts = self.core.params.ts;
-        let held = support_set
+        let held: Vec<PartyId> = support_set
             .iter()
-            .filter_map(|&j| Some((alpha(j), self.points_from.get(&j)?)));
-        let (xs, points): (Vec<Fp>, Vec<&Vec<Fp>>) = held.unzip();
-        let columns: Vec<Vec<Fp>> = (0..l_count)
-            .map(|ell| points.iter().map(|pts| pts[ell]).collect())
+            .copied()
+            .filter(|&j| self.core.vouches_for(j) || self.points_from.contains_key(&j))
             .collect();
+        if held.len() < 2 * ts + 1 {
+            return None;
+        }
+        let mut columns = vec![Vec::with_capacity(held.len()); l_count];
+        for &j in &held {
+            let mut push = |points: &mut dyn Iterator<Item = Fp>| {
+                columns.iter_mut().zip(points).for_each(|(c, p)| c.push(p));
+            };
+            match self.points_from.get(&j) {
+                Some(points) => push(&mut points.iter().copied()),
+                None => push(&mut self.core.rows_at(alpha(j))?),
+            }
+        }
+        let xs: Vec<Fp> = held.iter().map(|&j| alpha(j)).collect();
         let polys = rs::oec_decode_batch(ts, ts, &xs, &columns)?;
         Some(polys.iter().map(|p| p.constant_term()).collect())
     }
@@ -213,8 +232,9 @@ mod tests {
     use crate::sharing::testkit::{parties, polys, run_and_check, Shell};
     use mpc_algebra::SymmetricBivariate;
     use mpc_net::{CorruptionSet, Effects, NetConfig, NetworkKind, Protocol, Simulation};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     impl Shell for Wps {
         fn participant(dealer: PartyId, params: Params, l_count: usize) -> Self {
@@ -388,7 +408,7 @@ mod tests {
         assert!(one.rows_arrive().is_empty());
         one.start_votes();
         assert_eq!(one.points_from(2), [(2, Vote::Ok)]);
-        assert_eq!(one.wps.points_from.len(), 1, "no output yet");
+        assert_eq!(one.wps.points_from.len(), 0, "no output yet");
 
         one.wps.shares = Some(vec![Fp::ZERO; 2]);
         let mut wrong = one.points[3].clone();
@@ -401,6 +421,101 @@ mod tests {
         assert_eq!(one.points_from(3), [], "a repeat casts none");
         assert_eq!(one.points_from(2), []);
         assert!(one.wps.points_from.is_empty());
+    }
+
+    #[test]
+    fn an_ok_vote_keeps_no_points_and_a_nok_vote_keeps_them() {
+        let params = Params::new(4, 1, 0, 10);
+        let mut one = One::new(params);
+        one.rows_arrive();
+        one.start_votes();
+        for j in [0, 2] {
+            assert_eq!(one.points_from(j), [(j as u32, Vote::Ok)]);
+        }
+        assert!(one.wps.points_from.is_empty(), "vouched for, not kept");
+
+        let mut wrong = one.points[3].clone();
+        wrong[0] += Fp::ONE;
+        let nok = Vote::Nok {
+            ell: 0,
+            value: one.points[3][0],
+        };
+        assert_eq!(one.step(Ok((3, Msg::Points(wrong.clone())))), [(3, nok)]);
+        assert_eq!(one.points_from(3), [], "a repeat casts none");
+        assert_eq!(one.wps.points_from.get(&3), Some(&wrong), "the first, kept");
+
+        // OEC(1, 1, ·) on three points corrects none: the NOK'd points are
+        // read as sent, and party 1's own vouched points complete a set.
+        let shares: Vec<Fp> = one.wps.core.rows_at(Fp::ZERO).unwrap().collect();
+        assert_eq!(one.wps.reconstruct(&[0, 2, 3]), None);
+        assert_eq!(one.wps.reconstruct(&[0, 2, 1]), None, "1 has not sent");
+        assert_eq!(one.points_from(1), [(1, Vote::Ok)]);
+        assert_eq!(one.wps.reconstruct(&[0, 2, 1]), Some(shares.clone()));
+        assert_eq!(one.wps.reconstruct(&[3, 0, 2, 1]), Some(shares));
+    }
+
+    /// What [`Wps::reconstruct`] returned when every sender's first
+    /// `Points` was kept, vouched for or not.
+    fn reconstruct_from_every_first(
+        ts: usize,
+        first: &BTreeMap<PartyId, Vec<Fp>>,
+        support_set: &[PartyId],
+    ) -> Option<Vec<Fp>> {
+        let held = support_set
+            .iter()
+            .filter_map(|&j| Some((alpha(j), first.get(&j)?)));
+        let (xs, points): (Vec<Fp>, Vec<&Vec<Fp>>) = held.unzip();
+        let columns: Vec<Vec<Fp>> = (0..2)
+            .map(|ell| points.iter().map(|pts| pts[ell]).collect())
+            .collect();
+        let polys = rs::oec_decode_batch(ts, ts, &xs, &columns)?;
+        Some(polys.iter().map(|p| p.constant_term()).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_reconstruct_equals_keeping_every_first_points(seed in any::<u64>()) {
+            // n = 7, t_s = 2: OEC needs 5 points and corrects one error in 6.
+            let params = Params::new(7, 2, 0, 10);
+            let n = params.n;
+            let mut one = One::new(params);
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Random senders, some twice or more, some never; each `Points`
+            // honest or off in one value (a NOK once the rows are here); the
+            // rows arrive before, between or after them, or never.
+            let sends = rng.gen_range(0..3 * n);
+            let rows_at = rng.gen_range(0..sends + 2);
+            let mut first = BTreeMap::new();
+            for step in 0..=sends {
+                if step == rows_at {
+                    one.rows_arrive();
+                }
+                if step == sends {
+                    break;
+                }
+                let j = rng.gen_range(0..n);
+                let mut points = one.points[j].clone();
+                if rng.gen_bool(0.3) {
+                    points[rng.gen_range(0..2)] += Fp::ONE;
+                }
+                first.entry(j).or_insert_with(|| points.clone());
+                one.step(Ok((j, Msg::Points(points))));
+            }
+            for &j in one.wps.points_from.keys() {
+                prop_assert!(!one.wps.core.vouches_for(j), "{} kept though vouched for", j);
+            }
+            for _ in 0..4 {
+                // A random subset in a random order.
+                let mut support: Vec<(u64, PartyId)> =
+                    (0..n).map(|j| (rng.gen::<u64>(), j)).collect();
+                support.sort_unstable();
+                support.truncate(rng.gen_range(2 * params.ts..n + 1));
+                let support: Vec<PartyId> = support.into_iter().map(|(_, j)| j).collect();
+                let expected = reconstruct_from_every_first(params.ts, &first, &support);
+                prop_assert_eq!(one.wps.reconstruct(&support), expected, "support {:?}", support);
+            }
+        }
     }
 
     #[test]

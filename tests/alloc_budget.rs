@@ -245,10 +245,11 @@ fn one_delivered_message_stays_within_the_allocation_budget() {
     for (i, acast) in acasts.iter().enumerate() {
         assert_eq!(acast.output, Some(votes.clone()), "party {i}");
     }
-    // 600 bytes measured: three 192-byte copies of the value (the output and
-    // the echo and ready candidates), plus the sender's input averaged over
-    // the parties. 1 256 with a `Vec` tally and heap admission flags.
-    assert_footprint("nested A-cast", acasts, 640);
+    // 192 bytes measured: the output, the one 192-byte copy of the value a
+    // delivered A-cast keeps. 600 while the echo and ready candidates and the
+    // sender's input outlived delivery; 1 256 with a `Vec` tally and heap
+    // admission flags.
+    assert_footprint("nested A-cast", acasts, 205);
 
     // A stand-alone Π_BA: its input broadcasts reach their A-casts through
     // the instance tree's router (`Kind::route`), beside the SBA and Π_ABA
@@ -287,8 +288,10 @@ fn one_delivered_message_stays_within_the_allocation_budget() {
         let expected = polys.iter().map(|q| q.evaluate(alpha(i)));
         assert_eq!(vss.shares, Some(expected.collect()), "party {i}");
     }
-    // 425 484 bytes measured per party, its n Π_WPS included (480 204 with
-    // a heap `Polynomial` per row, a heap `Vec` per bivariate row and every
-    // Π_WPS keeping its received points to the end).
-    assert_footprint("stand-alone Π_VSS", vsss, 447_000);
+    // 394 272 bytes measured per party, its n Π_WPS included. 425 484 while
+    // every Π_WPS kept the points it vouched for until its shares were out
+    // and every A-cast kept its tallies after delivery; 480 204 with a heap
+    // `Polynomial` per row, a heap `Vec` per bivariate row and every Π_WPS
+    // keeping its received points to the end.
+    assert_footprint("stand-alone Π_VSS", vsss, 414_000);
 }
