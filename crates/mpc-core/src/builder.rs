@@ -49,6 +49,16 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+impl RunError {
+    /// An error with no transport failure behind it.
+    fn plain(message: impl Into<String>) -> Self {
+        RunError {
+            message: message.into(),
+            transport: None,
+        }
+    }
+}
+
 /// The result of a completed MPC run.
 #[derive(Debug, Clone)]
 pub struct MpcRunResult {
@@ -361,35 +371,39 @@ impl MpcBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if `MPC_PACKING` or `MPC_TRANSPORT` is consulted and
-    /// malformed, if the honest parties do not all terminate within the
+    /// Returns an error if the circuit does not have one input per party or
+    /// has no output wire, if `MPC_PACKING` or `MPC_TRANSPORT` is consulted
+    /// and malformed, if the honest parties do not all terminate within the
     /// simulation horizon, or if they terminate with inconsistent outputs
     /// (which would indicate a protocol violation).
     pub fn run(self, circuit: &Circuit) -> Result<MpcRunResult, RunError> {
         let params = self.params;
         let n = params.n;
+        if circuit.n_inputs() != n {
+            let inputs = circuit.n_inputs();
+            return Err(RunError::plain(format!(
+                "the circuit has {inputs} inputs for {n} parties"
+            )));
+        }
+        if !circuit.has_output() {
+            return Err(RunError::plain("the circuit has no output wire"));
+        }
         let corrupt = self.corrupt.clone();
         let wire_level = self.strategy.is_some();
         let packing = self.effective_packing()?;
         let backend = match self.transport {
             Some(backend) => backend,
-            None => Backend::from_env().map_err(|message| RunError {
-                message,
-                transport: None,
-            })?,
+            None => Backend::from_env().map_err(RunError::plain)?,
         };
         let structure: Arc<dyn AdversaryStructure> = self
             .structure
             .clone()
             .unwrap_or_else(|| Arc::new(ThresholdAdversary::new(n, params.ts, params.ta)));
         if !structure.sync_admissible(corrupt.corrupt_parties()) {
-            return Err(RunError {
-                message: format!(
-                    "corrupt set {:?} is not admissible under the adversary structure",
-                    corrupt.corrupt_parties()
-                ),
-                transport: None,
-            });
+            return Err(RunError::plain(format!(
+                "corrupt set {:?} is not admissible under the adversary structure",
+                corrupt.corrupt_parties()
+            )));
         }
         let parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
             .map(|i| {
@@ -494,16 +508,10 @@ impl MpcBuilder {
             .filter_map(|i| outputs[i])
             .collect();
         if honest_outputs.is_empty() {
-            return Err(RunError {
-                message: "no honest party produced an output".to_string(),
-                transport: None,
-            });
+            return Err(RunError::plain("no honest party produced an output"));
         }
         if honest_outputs.windows(2).any(|w| w[0] != w[1]) {
-            return Err(RunError {
-                message: "honest parties disagree on the output".to_string(),
-                transport: None,
-            });
+            return Err(RunError::plain("honest parties disagree on the output"));
         }
         let input_subset = (0..n)
             .find_map(|i| {
@@ -535,10 +543,9 @@ fn packing_knob(value: &str) -> Result<usize, RunError> {
     if value.is_empty() {
         return Ok(0);
     }
-    value.parse().map_err(|e| RunError {
-        message: format!("MPC_PACKING={value:?} is not a packing width: {e}"),
-        transport: None,
-    })
+    value
+        .parse()
+        .map_err(|e| RunError::plain(format!("MPC_PACKING={value:?} is not a packing width: {e}")))
 }
 
 #[cfg(test)]
@@ -671,6 +678,25 @@ mod tests {
             assert!(err.message.contains(&format!("{bad:?}")), "{err}");
             assert!(err.transport.is_none());
         }
+    }
+
+    #[test]
+    fn builder_rejects_a_circuit_without_one_input_per_party() {
+        let c = Circuit::sum_of_inputs(3);
+        let err = MpcBuilder::new(4, 1, 0).inputs(&[1, 2, 3, 4]).run(&c);
+        let err = err.expect_err("a 3-input circuit cannot run with 4 parties");
+        assert!(err.message.contains("3 inputs for 4 parties"), "{err}");
+        assert!(err.transport.is_none());
+    }
+
+    #[test]
+    fn builder_rejects_a_circuit_without_an_output_wire() {
+        let mut c = Circuit::new(4);
+        c.mul(c.input(0), c.input(1));
+        let err = MpcBuilder::new(4, 1, 0).inputs(&[1, 2, 3, 4]).run(&c);
+        let err = err.expect_err("a circuit without an output cannot run");
+        assert!(err.message.contains("no output wire"), "{err}");
+        assert!(err.transport.is_none());
     }
 
     #[test]

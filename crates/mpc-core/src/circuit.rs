@@ -128,6 +128,11 @@ impl Circuit {
         self.output = Some(w);
     }
 
+    /// Whether an output wire is set.
+    pub(crate) fn has_output(&self) -> bool {
+        self.output.is_some()
+    }
+
     /// The output wire.
     ///
     /// # Panics

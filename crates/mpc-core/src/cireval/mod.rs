@@ -1,0 +1,1336 @@
+//! `Π_CirEval` — the best-of-both-worlds circuit-evaluation protocol
+//! (Fig 11, Theorem 7.1), together with the preprocessing phase that feeds it
+//! (`Π_TripSh` / `Π_PreProcessing`, Figs 8 and 10, and `Π_TripTrans` /
+//! `Π_TripExt`, Figs 7 and 9).
+//!
+//! [`CirEval`] is a sequencer: each phase holds the state of the
+//! sub-protocol it runs, and hands its result to the next. One file per
+//! sub-protocol:
+//!
+//! 1. **Input sharing** (this file) — one `Π_ACS` instance in which every
+//!    party `t_s`-shares its private input; parties outside the agreed
+//!    common subset `CS₁` contribute a default sharing of `0`. In a
+//!    synchronous network every honest party's input makes it into `CS₁`.
+//! 2. **Triple sharing** (`tripsh.rs`) — a second `Π_ACS` instance (run in
+//!    parallel) in which every party `t_s`-shares the raw random
+//!    multiplication triples it deals *and* the verification triples it
+//!    will use as a supervisor, in one `TripleLayout`. This is the batched
+//!    equivalent of the per-dealer `Π_VSS`+`Π_ACS` calls of
+//!    `Π_TripSh`/`Π_PreProcessing` (see DESIGN.md).
+//! 3. **Triple transformation and supervised verification**
+//!    (`transform.rs`) — for each dealer of the triple subset `CS₂`, the raw
+//!    triples are transformed (`Π_TripTrans`) and every point is
+//!    re-multiplied under the supervision of each member of `CS₂` with that
+//!    supervisor's verification triple; non-zero differences trigger the
+//!    public opening of the suspected point and, if it is not a
+//!    multiplication triple, the dealer's batch is replaced by the default
+//!    `(0, 0, 0)` sharing — exactly `Π_TripSh`.
+//! 4. **Triple extraction** (`transform.rs`) — `Π_TripExt` is the same
+//!    transformation at degree `d`, over the verified triples of `2d + 1`
+//!    dealers; `d + 1 − t_s` triples that are random to the adversary are
+//!    extracted per batch.
+//! 5. **Shared circuit evaluation** (`layers.rs`) — linear gates locally,
+//!    multiplication gates with Beaver's protocol, one extracted triple per
+//!    gate; or the packed engine (`packed.rs`), which replaces steps 2–4
+//!    with point-to-point deals of slot-positioned triples.
+//! 6. **Output and termination** (this file) — the output wire is publicly
+//!    reconstructed; `(ready, y)` messages à la Bracha ensure every honest
+//!    party terminates with the same output.
+//!
+//! **Openings are batched per wave.** Every set of reconstructions the paper
+//! runs in parallel is ONE `Msg::Open` per party and one OEC batch decode
+//! under one tag of a `Wave`: Transform, Verify, Gamma, Suspect (three
+//! values per non-zero γ — empty, hence off the wire, in every honest run),
+//! Extract, one batch per multiplication layer and the output. A value is
+//! identified by its *position* in the batch, derived from public data only
+//! (`CS₂`, batch count, `t_s`, the opened γ vector), and issue and resolve
+//! walk the same layout. Wrong-length batches and tags outside the run's
+//! waves are ignored ([`crate::openings`]; DESIGN.md, "Phase-batched
+//! openings").
+//!
+//! `CirEval` is `Send` (asserted below): under the simulator's deterministic
+//! parallel engine a whole party — this state machine included — is handed
+//! to a worker thread for the duration of one time slice, and its per-event
+//! behaviour depends only on its own state and RNG, which is what keeps
+//! `threads = k` runs bit-identical to sequential ones.
+
+mod layers;
+mod packed;
+mod transform;
+mod tripsh;
+
+use mpc_algebra::evaluation_points::beta;
+use mpc_algebra::{Fp, Polynomial};
+use mpc_net::{Context, PartyId, PathSlice, Time};
+use mpc_protocols::acs::{Acs, ACS};
+use mpc_protocols::tree::{Card, Event, Family, Kind, Name, Node, Routed};
+use mpc_protocols::{Msg, Params};
+
+use self::layers::Layers;
+use self::packed::{Deals, Packed};
+use self::transform::{Supervision, Transform};
+use self::tripsh::TripleLayout;
+use crate::circuit::Circuit;
+use crate::openings::OpeningManager;
+
+/// The input-sharing `Π_ACS`, then the triple-sharing one (absent in
+/// packed mode until a fallback launches it).
+pub static CIREVAL: Kind = Kind::new(
+    "CirEval",
+    &[
+        Family::new(Name::AcsInput, &ACS, Card::One),
+        Family::new(Name::AcsTriples, &ACS, Card::One),
+    ],
+);
+
+/// The opening waves of `Π_CirEval`, one tag space each: a tag is the
+/// wave's number in its high nibble and a batch index below the wave's
+/// [`Wave::bound`] in the rest. Tags and the legality check both derive
+/// from this one declaration, so an `Open` outside it is dropped unread
+/// instead of letting a corrupt sender grow the opening state by 2³² keys.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Wave {
+    Transform = 1,
+    Verify,
+    Gamma,
+    Suspect,
+    Extract,
+    /// One batch per multiplication layer, or per gate in per-gate mode.
+    Circuit,
+    Output,
+    /// One batch per multiplication layer of the packed engine.
+    Packed,
+    /// One degree probe per packed dealer.
+    Probe,
+}
+
+impl Wave {
+    const ALL: [Wave; 9] = [
+        Wave::Transform,
+        Wave::Verify,
+        Wave::Gamma,
+        Wave::Suspect,
+        Wave::Extract,
+        Wave::Circuit,
+        Wave::Output,
+        Wave::Packed,
+        Wave::Probe,
+    ];
+    /// The tag bits below the wave's number, which hold the batch index.
+    const INDEX_BITS: u32 = 28;
+
+    /// How many batches the wave opens in a run of `n` parties over a
+    /// circuit of multiplicative depth `depth`, whose scalar circuit driver
+    /// opens `steps` batches (`depth`, or one per gate in per-gate mode).
+    const fn bound(self, steps: usize, depth: usize, n: usize) -> usize {
+        match self {
+            Wave::Circuit => steps,
+            Wave::Packed => depth,
+            Wave::Probe => n,
+            _ => 1,
+        }
+    }
+
+    fn tag(self, index: usize) -> u32 {
+        ((self as u32) << Self::INDEX_BITS) + index as u32
+    }
+
+    /// The wave and index `tag` names, if its high bits name a wave.
+    fn parse(tag: u32) -> Option<(Wave, usize)> {
+        let wave = Wave::ALL
+            .into_iter()
+            .find(|&w| w as u32 == tag >> Self::INDEX_BITS)?;
+        Some((wave, (tag & ((1 << Self::INDEX_BITS) - 1)) as usize))
+    }
+}
+
+/// What a phase reaches while it runs: this party's context and the run's
+/// openings, reconstructed at the corruption threshold `t_s`.
+struct Io<'a, 'c> {
+    ctx: &'a mut Context<'c, Msg>,
+    openings: &'a mut OpeningManager,
+    ts: usize,
+}
+
+impl Io<'_, '_> {
+    /// Opens my shares of batch `index` of `wave` (an empty batch sends
+    /// nothing).
+    fn open(&mut self, wave: Wave, index: usize, values: Vec<Fp>) {
+        self.openings.open(self.ctx, wave.tag(index), values);
+    }
+
+    /// The `count` `t_s`-shared secrets of batch `index` of `wave`, once they
+    /// reconstruct.
+    fn opened(&mut self, wave: Wave, index: usize, count: usize) -> Option<&[Fp]> {
+        self.openings
+            .try_reconstruct(wave.tag(index), count, self.ts, self.ts)
+    }
+}
+
+/// Progress of one `Π_CirEval` run, with the state of the sub-protocol each
+/// phase runs. Every phase is driven by message arrival, not timers.
+#[derive(Debug)]
+enum Phase {
+    AwaitAcs,
+    /// Packed mode only: awaiting every assigned dealer's deal.
+    PackedDeal,
+    /// `Π_TripTrans`'s maskings are out.
+    Transform(Box<Supervision>),
+    /// The supervisors' Beaver maskings are out.
+    Verify(Box<Supervision>),
+    /// Every check's `γ` is out.
+    Gamma(Box<Supervision>),
+    /// The suspect points are out.
+    Suspect(Box<Supervision>),
+    /// `Π_TripExt`'s maskings are out.
+    Extract(Transform),
+    Circuit(Layers),
+    PackedCircuit,
+    OpenOutput,
+    Ready,
+    Done,
+}
+
+/// `next(s)` once a stage completed, `waiting(s)` while it waits.
+fn advance<S>(done: bool, s: S, next: fn(S) -> Phase, waiting: fn(S) -> Phase) -> Step {
+    if done {
+        Ok(next(s))
+    } else {
+        Err(waiting(s))
+    }
+}
+
+/// One phase step: `Ok` with the next phase, `Err` with this one while it
+/// waits.
+type Step = Result<Phase, Phase>;
+
+/// One instance of the full best-of-both-worlds MPC protocol.
+///
+/// `Send` by construction, which lets the simulator's parallel engine move
+/// the whole party to a worker thread per time slice.
+#[derive(Debug)]
+pub struct CirEval {
+    params: Params,
+    circuit: Circuit,
+    my_input: Fp,
+    acs_input: Option<Acs>,
+    acs_triples: Option<Acs>,
+    openings: OpeningManager,
+    phase: Phase,
+    /// ACS #2's layout (`Π_TripSh`).
+    layout: TripleLayout,
+    /// The extraction degree `d = ⌊(n − t_s − 1)/2⌋`.
+    d_ext: usize,
+    /// The multiplicative depth `D_M`.
+    depth: usize,
+    /// Reference mode: one opening per multiplication gate. All parties of
+    /// a run must agree on the mode: the same `Circuit` index means "gate
+    /// id" in one mode and "layer" in the other.
+    per_gate_openings: bool,
+    /// My shares of every party's input, once `CS₁` is known.
+    input_shares: Vec<Fp>,
+    /// The packed engine, from [`CirEval::set_packing`] until a fallback.
+    packed: Option<Packed>,
+    /// Each sender's first `(ready, y)`: as in Bracha's broadcast, a sender
+    /// counts once, so a flood of values cannot grow this state.
+    ready: Vec<Option<Fp>>,
+    /// Whether this run abandoned the packed engine for the scalar path
+    /// after a detectably bad packed dealer.
+    pub packed_fell_back: bool,
+    /// Publicly opened value count per multiplication layer (layer-batched
+    /// scalar and packed paths; the per-gate reference path leaves it empty).
+    pub values_opened_by_layer: Vec<u64>,
+    /// The reconstructed circuit output, once the termination condition holds.
+    pub output: Option<Fp>,
+    /// Local time at which the output was fixed.
+    pub output_at: Option<Time>,
+    /// The common subset whose inputs were used (set once known).
+    pub input_subset: Option<Vec<PartyId>>,
+    /// The finished supervised verification, kept for inspection.
+    #[cfg(test)]
+    audit: Option<Box<Supervision>>,
+}
+
+impl CirEval {
+    /// Creates one party's instance of `Π_CirEval`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit does not have exactly `params.n` inputs.
+    pub fn new(params: Params, circuit: Circuit, my_input: Fp) -> Self {
+        assert_eq!(circuit.n_inputs(), params.n, "one input per party");
+        let d_ext = (params.n - params.ts - 1) / 2;
+        let batches = circuit.mult_count().div_ceil(d_ext + 1 - params.ts);
+        CirEval {
+            layout: TripleLayout::new(batches, 2 * params.ts + 1, params.n),
+            d_ext,
+            depth: circuit.mult_depth(),
+            ready: vec![None; params.n],
+            params,
+            circuit,
+            my_input,
+            acs_input: None,
+            acs_triples: None,
+            openings: OpeningManager::new(),
+            phase: Phase::AwaitAcs,
+            per_gate_openings: false,
+            input_shares: Vec::new(),
+            packed: None,
+            packed_fell_back: false,
+            values_opened_by_layer: Vec::new(),
+            output: None,
+            output_at: None,
+            input_subset: None,
+            #[cfg(test)]
+            audit: None,
+        }
+    }
+
+    /// The name of the evaluation phase this party is currently in — a
+    /// stable diagnostic label for stall post-mortems (the sweep harness and
+    /// resilience tests print it when a run fails to terminate).
+    pub fn phase_name(&self) -> &'static str {
+        match self.phase {
+            Phase::AwaitAcs => "await-acs",
+            Phase::PackedDeal => "packed-deal",
+            Phase::Transform(_) => "transform",
+            Phase::Verify(_) => "verify-beaver",
+            Phase::Gamma(_) => "gamma",
+            Phase::Suspect(_) => "suspect",
+            Phase::Extract(_) => "extract",
+            Phase::Circuit(_) | Phase::PackedCircuit => "circuit",
+            Phase::OpenOutput => "open-output",
+            Phase::Ready => "ready",
+            Phase::Done => "done",
+        }
+    }
+
+    /// Selects the circuit-evaluation opening mode: `true` opens every
+    /// multiplication gate under its own tag (the pre-batching reference
+    /// path), `false` (the default) opens one `2·L` batch per multiplication
+    /// layer. Every party of a run must use the same mode — the opening tags
+    /// are part of the implicit protocol agreement.
+    pub fn set_per_gate_openings(&mut self, per_gate: bool) {
+        self.per_gate_openings = per_gate;
+    }
+
+    /// Switches this party to the packed (Franklin–Yung SIMD) evaluation
+    /// engine at width `ell ≥ 1`; `0` keeps the scalar engine. Every party
+    /// of a run must use the same width (the block plan and opening tags are
+    /// part of the implicit protocol agreement), and `ell` must satisfy
+    /// `ell ≤ n − 3·t_s` ([`crate::thresholds::max_packing_width`]) for the
+    /// degree-`t_s + ℓ − 1` packed openings to stay OEC-decodable —
+    /// [`crate::MpcBuilder`] clamps the requested width accordingly.
+    pub fn set_packing(&mut self, ell: usize) {
+        let (n, ts) = (self.params.n, self.params.ts);
+        self.packed = (ell > 0).then(|| {
+            assert!(
+                ell <= crate::thresholds::max_packing_width(n, ts),
+                "packing width exceeds the OEC feasibility bound n - 3*ts"
+            );
+            Packed::new(self.params, &self.circuit, ell)
+        });
+    }
+
+    /// Whether `tag` names a batch of one of this run's waves.
+    fn legal_open_tag(&self, tag: u32) -> bool {
+        let (gates, depth) = (self.circuit.gates().len(), self.depth);
+        let steps = if self.per_gate_openings { gates } else { depth };
+        let bound = |wave: Wave| wave.bound(steps, depth, self.params.n);
+        Wave::parse(tag).is_some_and(|(wave, index)| index < bound(wave))
+    }
+
+    /// Deals this party's triples into ACS #2 (`Π_TripSh`).
+    fn launch_triple_acs(&mut self, ctx: &mut Context<'_, Msg>) {
+        let mut acs2 = Acs::new(self.params, self.layout.deal(ctx, self.params.ts));
+        CIREVAL.scoped(ctx, Name::AcsTriples, 0, |ctx| acs2.init(ctx));
+        self.acs_triples = Some(acs2);
+    }
+
+    /// Runs phases until the current one waits on the network. The openings
+    /// travel in the `Io` meanwhile.
+    fn drive(&mut self, ctx: &mut Context<'_, Msg>) {
+        let mut openings = std::mem::take(&mut self.openings);
+        let ts = self.params.ts;
+        let io = &mut Io {
+            ctx,
+            openings: &mut openings,
+            ts,
+        };
+        loop {
+            let phase = std::mem::replace(&mut self.phase, Phase::Done);
+            match self.step(io, phase) {
+                Ok(next) => self.phase = next,
+                Err(waiting) => {
+                    self.phase = waiting;
+                    break;
+                }
+            }
+        }
+        self.openings = openings;
+    }
+
+    fn step(&mut self, io: &mut Io<'_, '_>, phase: Phase) -> Step {
+        match phase {
+            Phase::AwaitAcs => self.start(io).ok_or(Phase::AwaitAcs),
+            Phase::PackedDeal => match self.packed.as_mut().map(|p| p.check_deals(io)) {
+                Some(Deals::Good) => Ok(Phase::PackedCircuit),
+                Some(Deals::Failed) => {
+                    self.fall_back_to_scalar(io.ctx);
+                    Ok(Phase::AwaitAcs)
+                }
+                _ => Err(Phase::PackedDeal),
+            },
+            Phase::Transform(mut s) => advance(s.verify(io), s, Phase::Verify, Phase::Transform),
+            Phase::Verify(mut s) => advance(s.gamma(io), s, Phase::Gamma, Phase::Verify),
+            Phase::Gamma(mut s) => advance(s.suspect(io), s, Phase::Suspect, Phase::Gamma),
+            Phase::Suspect(mut s) => {
+                let Some(verified) = s.verified(io) else {
+                    return Err(Phase::Suspect(s));
+                };
+                #[cfg(test)]
+                {
+                    self.audit = Some(s);
+                }
+                let extract = Transform::issue(io, Wave::Extract, self.d_ext, verified);
+                Ok(Phase::Extract(extract))
+            }
+            Phase::Extract(mut extract) => {
+                if !extract.resolve(io, Wave::Extract) {
+                    return Err(Phase::Extract(extract));
+                }
+                // d + 1 − t_s fresh triples per batch, at β_0..β_{d−t_s}
+                let (n, extract) = (io.ctx.n, &extract);
+                let fresh = 0..self.d_ext + 1 - io.ts;
+                let batches = 0..self.layout.batches();
+                let pool = batches
+                    .flat_map(|b| fresh.clone().map(move |j| extract.triple_at(b, beta(n, j))));
+                let per_gate = self.per_gate_openings;
+                let layers =
+                    Layers::new(&self.circuit, pool.collect(), &self.input_shares, per_gate);
+                Ok(Phase::Circuit(layers))
+            }
+            Phase::Circuit(mut layers) => {
+                let opened = &mut self.values_opened_by_layer;
+                let share = layers.evaluate(io, &self.circuit, opened);
+                self.open_output(io, share, Phase::Circuit(layers))
+            }
+            Phase::PackedCircuit => {
+                let (circuit, inputs) = (&self.circuit, &self.input_shares);
+                let opened = &mut self.values_opened_by_layer;
+                let packed = self.packed.as_mut();
+                let share = packed.and_then(|p| p.evaluate(io, circuit, inputs, opened));
+                self.open_output(io, share, Phase::PackedCircuit)
+            }
+            Phase::OpenOutput => {
+                let Some(&[y]) = io.opened(Wave::Output, 0, 1) else {
+                    return Err(Phase::OpenOutput);
+                };
+                io.ctx.broadcast(Msg::Ready(vec![y]));
+                Ok(Phase::Ready)
+            }
+            Phase::Ready => self.decide(io.ctx).ok_or(Phase::Ready),
+            Phase::Done => Err(Phase::Done),
+        }
+    }
+
+    /// Leaves `AwaitAcs` once ACS #1 is ready, and in scalar mode ACS #2 too.
+    /// Packed mode runs on ACS #1 alone: its triples arrive as
+    /// slot-positioned point-to-point deals.
+    fn start(&mut self, io: &mut Io<'_, '_>) -> Option<Phase> {
+        let acs1 = self.acs_input.as_ref().filter(|acs| acs.ready())?;
+        let acs2 = self.acs_triples.as_ref().filter(|acs| acs.ready());
+        if self.packed.is_none() && acs2.is_none() {
+            return None;
+        }
+        // `CS₁` is ascending (`Π_ACS` builds it in party order).
+        let cs1 = acs1.common_subset.clone()?;
+        // input shares: default 0-sharing for parties outside CS₁
+        self.input_shares = (0..self.params.n)
+            .map(|j| {
+                acs1.shares_from(j)
+                    .filter(|_| cs1.contains(&j))
+                    .map_or(Fp::ZERO, |s| s[0])
+            })
+            .collect();
+        self.input_subset = Some(cs1.clone());
+        if let Some(packed) = self.packed.as_mut() {
+            packed.deal(io, cs1, self.my_input);
+            return Some(Phase::PackedDeal);
+        }
+        let supervision = Supervision::start(io, acs2?, &self.layout, self.d_ext);
+        supervision.map(Box::new).map(Phase::Transform)
+    }
+
+    /// Abandons the packed engine for the scalar preprocessing path after a
+    /// publicly-reported deal failure: drops all packed state, launches the
+    /// triple ACS that packed mode skipped at `init`, and replays the triple
+    /// ACS traffic buffered meanwhile. Every honest party takes this exit
+    /// (the trigger is `t_s + 1` public reports, which reach everyone), so
+    /// the late-started ACS has its full honest quorum. Reported dealers
+    /// keep participating in the scalar path, where `Π_TripSh`'s supervised
+    /// verification neutralises bad triples without trusting any dealer.
+    fn fall_back_to_scalar(&mut self, ctx: &mut Context<'_, Msg>) {
+        let buffered = self.packed.take().map(|packed| packed.acs2);
+        self.packed_fell_back = true;
+        self.values_opened_by_layer.clear();
+        self.launch_triple_acs(ctx);
+        let Some(acs2) = self.acs_triples.as_mut() else {
+            return;
+        };
+        for (from, path, msg) in buffered.into_iter().flatten() {
+            let event = Event::Message(from, &msg);
+            CIREVAL.scoped(ctx, Name::AcsTriples, 0, |c| acs2.on_event(c, &path, event));
+        }
+    }
+
+    /// Opens my share of the output wire, once there is one.
+    fn open_output(&mut self, io: &mut Io<'_, '_>, share: Option<Fp>, waiting: Phase) -> Step {
+        io.open(Wave::Output, 0, vec![share.ok_or(waiting)?]);
+        Ok(Phase::OpenOutput)
+    }
+
+    /// Bracha's decision: the output is the first value that more than
+    /// `2·t_s` parties sent `(ready, y)` for. A party tallies only after it
+    /// has sent its own, so there is no echo step to take.
+    fn decide(&mut self, ctx: &mut Context<'_, Msg>) -> Option<Phase> {
+        let mut votes: Vec<Fp> = self.ready.iter().flatten().copied().collect();
+        votes.sort_unstable();
+        let mut runs = votes.chunk_by(|a, b| a == b);
+        let y = runs.find(|run| run.len() > 2 * self.params.ts)?[0];
+        self.output = Some(y);
+        self.output_at = Some(ctx.now);
+        Some(Phase::Done)
+    }
+}
+
+impl Node for CirEval {
+    fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+        // ACS #1: share my input
+        let input_poly =
+            Polynomial::random_with_constant_term(ctx.rng(), self.params.ts, self.my_input);
+        let mut acs1 = Acs::new(self.params, vec![input_poly]);
+        CIREVAL.scoped(ctx, Name::AcsInput, 0, |ctx| acs1.init(ctx));
+        self.acs_input = Some(acs1);
+        // Packed mode: triples are dealt point-to-point after CS₁ is known —
+        // no second ACS instance at all.
+        if self.packed.is_none() {
+            self.launch_triple_acs(ctx);
+        }
+    }
+
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
+        match CIREVAL.route(self, ctx, path, event) {
+            // Anything outside the run's waves is dropped unread.
+            Routed::Own(Event::Message(from, Msg::Open { tag, values }))
+                if from < self.params.n && self.legal_open_tag(*tag) =>
+            {
+                self.openings.on_open(from, *tag, values);
+            }
+            Routed::Own(Event::Message(from, Msg::Ready(values))) => {
+                if let (Some(vote), Some(&y)) = (self.ready.get_mut(from), values.first()) {
+                    vote.get_or_insert(y);
+                }
+            }
+            routed => {
+                if let Some(packed) = self.packed.as_mut() {
+                    packed.on_routed(routed);
+                }
+            }
+        }
+        self.drive(ctx);
+    }
+
+    fn child(&mut self, name: Name, _: usize) -> Option<&mut dyn Node> {
+        let acs = match name {
+            Name::AcsInput => &mut self.acs_input,
+            _ => &mut self.acs_triples,
+        };
+        Some(acs.as_mut()?)
+    }
+}
+
+mpc_protocols::node_protocol!(CirEval);
+
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<CirEval>();
+};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpc_net::{
+        Backend, CorruptionSet, LinkDelays, NetConfig, NetworkKind, PartyView, Protocol, Scheduler,
+        Simulation, ThreadedNet, Transport,
+    };
+    use std::any::Any;
+
+    /// Drives a circuit evaluation through the [`Transport`] abstraction; the
+    /// backend follows `MPC_TRANSPORT` so the whole module doubles as a
+    /// threaded-runtime exercise under `MPC_TRANSPORT=threaded`.
+    fn run_circuit(
+        params: Params,
+        circuit: &Circuit,
+        inputs: &[u64],
+        corrupt: CorruptionSet,
+        sync: bool,
+        seed: u64,
+    ) -> (Vec<Option<Fp>>, Time) {
+        let parties: Vec<Box<dyn Protocol<Msg>>> = inputs
+            .iter()
+            .map(|&x| {
+                Box::new(CirEval::new(params, circuit.clone(), Fp::from_u64(x)))
+                    as Box<dyn Protocol<Msg>>
+            })
+            .collect();
+        let cfg = if sync {
+            NetConfig::synchronous(params.n)
+        } else {
+            NetConfig::asynchronous(params.n)
+        }
+        .with_seed(seed);
+        let mut scheduler: Box<dyn Scheduler> = match cfg.kind {
+            mpc_net::NetworkKind::Synchronous => Box::new(mpc_net::FixedDelay(cfg.delta)),
+            mpc_net::NetworkKind::Asynchronous => Box::new(mpc_net::UniformDelay {
+                min: 1,
+                max: cfg.delta * 5,
+            }),
+        };
+        let mut net: Box<dyn Transport<Msg>> = match Backend::from_env().unwrap() {
+            Backend::Simulator => Box::new(Simulation::with_scheduler(
+                cfg.clone(),
+                corrupt.clone(),
+                scheduler,
+                parties,
+            )),
+            Backend::Threaded => {
+                let links = LinkDelays::sampled_from(cfg.n, cfg.seed, scheduler.as_mut());
+                Box::new(ThreadedNet::with_links(
+                    cfg,
+                    corrupt.clone(),
+                    links,
+                    parties,
+                ))
+            }
+            Backend::Tcp => {
+                let links = LinkDelays::sampled_from(cfg.n, cfg.seed, scheduler.as_mut());
+                Box::new(mpc_net::TcpNet::with_links(
+                    cfg,
+                    corrupt.clone(),
+                    links,
+                    parties,
+                ))
+            }
+        };
+        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+        let done = net.run_until_done(horizon, &mut |view| {
+            (0..params.n).filter(|&i| corrupt.is_honest(i)).all(|i| {
+                mpc_net::party_as::<CirEval, Msg>(view, i)
+                    .unwrap()
+                    .output
+                    .is_some()
+            })
+        });
+        assert!(done, "circuit evaluation did not finish before the horizon");
+        let view: &dyn PartyView<Msg> = net.as_ref();
+        let outs = (0..params.n)
+            .map(|i| mpc_net::party_as::<CirEval, Msg>(view, i).unwrap().output)
+            .collect();
+        (outs, view.now())
+    }
+
+    #[test]
+    fn linear_circuit_all_honest_sync() {
+        let params = Params::new(4, 1, 0, 10);
+        let circuit = Circuit::sum_of_inputs(4);
+        let inputs = [3u64, 5, 7, 11];
+        let (outs, _) = run_circuit(params, &circuit, &inputs, CorruptionSet::none(), true, 1);
+        for o in outs {
+            assert_eq!(o.unwrap().as_u64(), 3 + 5 + 7 + 11);
+        }
+    }
+
+    #[test]
+    fn multiplication_circuit_all_honest_sync() {
+        let params = Params::new(4, 1, 0, 10);
+        let mut circuit = Circuit::new(4);
+        let p = circuit.mul(circuit.input(0), circuit.input(1));
+        let q = circuit.add(circuit.input(2), circuit.input(3));
+        let r = circuit.mul(p, q);
+        circuit.set_output(r);
+        let inputs = [3u64, 5, 7, 11];
+        let expected = 3 * 5 * (7 + 11);
+        let (outs, _) = run_circuit(params, &circuit, &inputs, CorruptionSet::none(), true, 2);
+        for o in outs {
+            assert_eq!(o.unwrap().as_u64(), expected);
+        }
+    }
+
+    #[test]
+    fn multiplication_circuit_with_silent_corrupt_party_sync() {
+        // t_s = 1 corruption in a synchronous network: the corrupt party is
+        // silent, its input defaults to 0 only if it is excluded from CS1 —
+        // with a silent party that is exactly what happens.
+        let params = Params::new(4, 1, 0, 10);
+        let circuit = Circuit::product_of_inputs(4);
+        let inputs = [3u64, 5, 7, 2];
+        let parties: Vec<Box<dyn Protocol<Msg>>> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                if i == 3 {
+                    Box::new(mpc_protocols::byzantine::SilentParty) as Box<dyn Protocol<Msg>>
+                } else {
+                    Box::new(CirEval::new(params, circuit.clone(), Fp::from_u64(x)))
+                        as Box<dyn Protocol<Msg>>
+                }
+            })
+            .collect();
+        let corrupt = CorruptionSet::new(vec![3]);
+        let mut sim = Simulation::new(NetConfig::synchronous(params.n), corrupt.clone(), parties);
+        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+        let done = sim.run_until(horizon, |s| {
+            (0..3).all(|i| s.party_as::<CirEval>(i).unwrap().output.is_some())
+        });
+        assert!(
+            done,
+            "honest parties must finish despite a silent corrupt party"
+        );
+        // the silent party's input is replaced by 0 → product is 0
+        for i in 0..3 {
+            let p = sim.party_as::<CirEval>(i).unwrap();
+            assert_eq!(p.output.unwrap().as_u64(), 0);
+            assert!(!p.input_subset.as_ref().unwrap().contains(&3));
+        }
+    }
+
+    /// Like [`run_circuit`] but with every party on the packed engine.
+    fn run_circuit_packed(
+        params: Params,
+        circuit: &Circuit,
+        inputs: &[u64],
+        ell: usize,
+        sync: bool,
+        seed: u64,
+    ) -> Vec<Option<Fp>> {
+        let parties: Vec<Box<dyn Protocol<Msg>>> = inputs
+            .iter()
+            .map(|&x| {
+                let mut p = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                p.set_packing(ell);
+                Box::new(p) as Box<dyn Protocol<Msg>>
+            })
+            .collect();
+        let cfg = if sync {
+            NetConfig::synchronous(params.n)
+        } else {
+            NetConfig::asynchronous(params.n)
+        }
+        .with_seed(seed);
+        let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties);
+        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+        let done = sim.run_until(horizon, |s| {
+            (0..params.n).all(|i| s.party_as::<CirEval>(i).unwrap().output.is_some())
+        });
+        assert!(done, "packed evaluation did not finish before the horizon");
+        (0..params.n)
+            .map(|i| sim.party_as::<CirEval>(i).unwrap().output)
+            .collect()
+    }
+
+    #[test]
+    fn packed_engine_matches_cleartext_two_layers() {
+        // Two multiplication layers, enough gates per layer to exercise both
+        // real and padding slots at ℓ = 2 and ℓ = 4.
+        let params = Params::new(7, 1, 1, 10);
+        let mut circuit = Circuit::new(7);
+        let m: Vec<_> = (0..3)
+            .map(|i| circuit.mul(circuit.input(2 * i), circuit.input(2 * i + 1)))
+            .collect();
+        let s01 = circuit.add(m[0], m[1]);
+        let top = circuit.mul(s01, m[2]);
+        let out = circuit.add(top, circuit.input(6));
+        circuit.set_output(out);
+        let inputs = [3u64, 5, 7, 11, 13, 17, 19];
+        let expected = (3 * 5 + 7 * 11) * (13 * 17) + 19;
+        for ell in [1, 2, 4] {
+            for sync in [true, false] {
+                let outs =
+                    run_circuit_packed(params, &circuit, &inputs, ell, sync, 40 + ell as u64);
+                for o in outs {
+                    assert_eq!(o.unwrap().as_u64(), expected, "ell={ell} sync={sync}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_engine_linear_circuit_and_metrics_fields() {
+        let params = Params::new(7, 1, 1, 10);
+        let circuit = Circuit::sum_of_inputs(7);
+        let inputs = [1u64, 2, 3, 4, 5, 6, 7];
+        let outs = run_circuit_packed(params, &circuit, &inputs, 4, true, 50);
+        for o in outs {
+            assert_eq!(o.unwrap().as_u64(), 28);
+        }
+    }
+
+    #[test]
+    fn packed_engine_opens_fewer_values_per_layer() {
+        // One layer of 8 multiplications: scalar opens 16 values, ℓ = 4
+        // packs them into 2 blocks of 2 opened values each.
+        let params = Params::new(7, 1, 1, 10);
+        let mut circuit = Circuit::new(7);
+        let mut acc = circuit.mul(circuit.input(0), circuit.input(1));
+        for _ in 0..7 {
+            let m = circuit.mul(circuit.input(2), circuit.input(3));
+            let s = circuit.add(acc, m);
+            acc = s;
+        }
+        circuit.set_output(acc);
+        // ^ all 8 muls live in layer 0 (inputs only), then linear gates.
+        let inputs = [2u64, 3, 4, 5, 1, 1, 1];
+        let parties: Vec<Box<dyn Protocol<Msg>>> = inputs
+            .iter()
+            .map(|&x| {
+                let mut p = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                p.set_packing(4);
+                Box::new(p) as Box<dyn Protocol<Msg>>
+            })
+            .collect();
+        let mut sim = Simulation::new(
+            NetConfig::synchronous(params.n).with_seed(60),
+            CorruptionSet::none(),
+            parties,
+        );
+        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+        assert!(sim.run_until(horizon, |s| {
+            (0..params.n).all(|i| s.party_as::<CirEval>(i).unwrap().output.is_some())
+        }));
+        let p = sim.party_as::<CirEval>(0).unwrap();
+        assert_eq!(p.output.unwrap().as_u64(), 2 * 3 + 7 * (4 * 5));
+        assert_eq!(p.values_opened_by_layer, vec![4]); // 2 blocks × [D, E]
+        assert!(!p.packed_fell_back, "honest deals must pass their probes");
+    }
+
+    /// A wire-level dealer that behaves honestly everywhere *except* in its
+    /// packed deals, whose elements it perturbs with fresh per-recipient,
+    /// per-element randomness — the worst uniformly-detectable case: a
+    /// constant or linear perturbation would still be a valid degree-`t_s`
+    /// sharing (of the wrong secret at worst), whereas independent noise
+    /// leaves every probe combination off the polynomial.
+    #[derive(Debug)]
+    struct GarblePackedDeals;
+
+    impl mpc_net::ByzantineStrategy for GarblePackedDeals {
+        fn on_send(
+            &mut self,
+            send: &mpc_net::WireSend<'_>,
+            rng: &mut rand::rngs::StdRng,
+        ) -> mpc_net::WireAction {
+            use mpc_net::{WireDecode, WireEncode};
+            if !send.path.is_empty() {
+                return mpc_net::WireAction::Deliver;
+            }
+            let Ok(Msg::PackedDeal(values)) = Msg::decode(send.bytes) else {
+                return mpc_net::WireAction::Deliver;
+            };
+            let garbled: Vec<Fp> = values.iter().map(|&v| v + Fp::random(rng)).collect();
+            mpc_net::WireAction::Replace(Msg::PackedDeal(garbled).encode())
+        }
+    }
+
+    #[test]
+    fn packed_garbling_dealer_triggers_uniform_scalar_fallback() {
+        // PR 7 hole, closed: a dealer inside CS₁ whose packed deals are
+        // inconsistent used to hang the run forever. Now every honest party
+        // sees the dealer's degree probe fail to reconstruct, reports it
+        // after the deadline, and the t_s + 1 public reports flip everyone
+        // to the scalar preprocessing path, which completes with the
+        // *correct* output (the dealer's ACS-shared input still counts —
+        // only its triples are distrusted, and Π_TripSh re-verifies those).
+        //
+        // The fallback launches ACS #2 when the (t_s + 1)-th report arrives:
+        // on a jittered synchronous schedule that is a different tick at
+        // every party, so a peer's traffic for the timed children of ACS #2
+        // (its `Π_WPS` instances, `(W, E, F)` broadcasts, `Π_BA`s) reaches a
+        // party before its own copies start. Those children exist from
+        // construction and tally it (DESIGN.md); when they were created at
+        // their start tick, seeds 61, 73 and 81 lost that traffic and hung.
+        let params = Params::new(5, 1, 0, 10);
+        let circuit = Circuit::product_of_inputs(5);
+        let inputs = [3u64, 5, 7, 2, 4];
+        for jitter_seed in [None, Some(61), Some(73), Some(81)] {
+            let parties: Vec<Box<dyn Protocol<Msg>>> = inputs
+                .iter()
+                .map(|&x| {
+                    let mut p = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                    p.set_packing(2);
+                    Box::new(p) as Box<dyn Protocol<Msg>>
+                })
+                .collect();
+            let corrupt = CorruptionSet::new(vec![4]);
+            let cfg = NetConfig::synchronous(params.n).with_seed(jitter_seed.unwrap_or(71));
+            let mut sim = match jitter_seed {
+                None => Simulation::new(cfg, corrupt, parties),
+                Some(_) => {
+                    let jitter = mpc_net::UniformDelay { min: 1, max: 10 };
+                    Simulation::with_scheduler(cfg, corrupt, Box::new(jitter), parties)
+                }
+            };
+            sim.set_strategy(Box::new(GarblePackedDeals));
+            let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+            let done = sim.run_until(horizon, |s| {
+                (0..4).all(|i| s.party_as::<CirEval>(i).unwrap().output.is_some())
+            });
+            assert!(done, "{jitter_seed:?}: honest parties must terminate");
+            for i in 0..4 {
+                let p = sim.party_as::<CirEval>(i).unwrap();
+                assert_eq!(p.output.unwrap().as_u64(), 3 * 5 * 7 * 2 * 4);
+                assert!(p.packed_fell_back, "party {i} must have fallen back");
+                assert!(p.packed.is_none(), "party {i} dropped the packed state");
+                assert!(p.input_subset.as_ref().unwrap().contains(&4));
+            }
+        }
+    }
+
+    /// Runs hand-built parties on the synchronous simulator until nothing
+    /// is left to deliver.
+    fn run_sync_to_quiescence(
+        params: Params,
+        circuit: &Circuit,
+        parties: Vec<Box<dyn Protocol<Msg>>>,
+        corrupt: CorruptionSet,
+        seed: u64,
+    ) -> Simulation<Msg> {
+        let cfg = NetConfig::synchronous(params.n).with_seed(seed);
+        let mut sim = Simulation::new(cfg, corrupt, parties);
+        sim.run_to_quiescence(params.horizon_for_depth(circuit.mult_depth()) * 8);
+        sim
+    }
+
+    /// `in_0·in_1 + in_2·in_3`: two multiplications in one layer, i.e. two
+    /// preprocessing batches at (4, 1) and (7, 2).
+    fn two_products(n: usize) -> Circuit {
+        let mut c = Circuit::new(n);
+        let p = c.mul(c.input(0), c.input(1));
+        let q = c.mul(c.input(2), c.input(3));
+        let out = c.add(p, q);
+        c.set_output(out);
+        c
+    }
+
+    #[test]
+    fn bad_dealer_is_suspected_flagged_and_neutralised() {
+        // Party 0 deals every raw triple with c = a·b + 1 and is honest
+        // otherwise. Its transformed Z(·) is then X·Y + 1 everywhere, so
+        // every supervisor's γ is 1: all its checks are opened in the
+        // suspect batch, every one of its batches is flagged and replaced by
+        // the default sharing, and the output is still the cleartext one.
+        for (n, ts, ta) in [(4, 1, 0), (7, 2, 0)] {
+            let params = Params::new(n, ts, ta, 10);
+            let circuit = two_products(n);
+            let inputs: Vec<Fp> = (0..n as u64).map(|i| Fp::from_u64(3 + 2 * i)).collect();
+            let parties = inputs
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    let mut p = CirEval::new(params, circuit.clone(), x);
+                    p.layout.bad_raw = i == 0;
+                    Box::new(p) as Box<dyn Protocol<Msg>>
+                })
+                .collect();
+            let corrupt = CorruptionSet::new(vec![0]);
+            let sim = run_sync_to_quiescence(params, &circuit, parties, corrupt, 80 + n as u64);
+            for i in 1..n {
+                let p = sim.party_as::<CirEval>(i).unwrap();
+                assert_eq!(
+                    p.output,
+                    Some(circuit.evaluate_clear(&inputs)),
+                    "n={n} i={i}"
+                );
+                assert_eq!(p.layout.batches(), 2);
+                let audit = p.audit.as_ref().expect("the verification ran");
+                let (supervisors, suspects, flagged) = audit.outcome();
+                let checks: Vec<_> = (0..2)
+                    .flat_map(|batch| supervisors.iter().map(move |&s| (0, batch, s)))
+                    .collect();
+                assert_eq!(suspects, checks, "n={n} i={i}: every check of 0, no other");
+                assert_eq!(flagged, [(0, 0), (0, 1)], "n={n} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn wave_tags_and_bounds_come_from_one_declaration() {
+        let params = Params::new(7, 2, 0, 10);
+        let mut party = CirEval::new(params, two_products(7), Fp::ZERO);
+        for per_gate in [false, true] {
+            party.set_per_gate_openings(per_gate);
+            for (k, wave) in (1u32..).zip(Wave::ALL) {
+                assert_eq!(wave.tag(0), k << 28, "{wave:?}");
+                let bound = match wave {
+                    Wave::Circuit if per_gate => party.circuit.gates().len(),
+                    Wave::Circuit | Wave::Packed => 1, // D_M
+                    Wave::Probe => 7,
+                    _ => 1,
+                };
+                assert!(party.legal_open_tag(wave.tag(bound - 1)), "{wave:?}");
+                assert!(!party.legal_open_tag(wave.tag(bound)), "{wave:?}");
+                assert_eq!(Wave::parse(wave.tag(bound)), Some((wave, bound)));
+            }
+            for nibble in [0].into_iter().chain(10..16) {
+                assert!(!party.legal_open_tag(nibble << 28), "nibble {nibble}");
+                assert_eq!(Wave::parse(nibble << 28), None);
+            }
+        }
+    }
+
+    /// A corrupt party whose only traffic is a flood of `Open`s: in every
+    /// wave, tags past the run's bound (n = 4, one multiplication layer);
+    /// tags outside every wave; and one wrong-length batch under a legal tag.
+    #[derive(Debug)]
+    struct FloodOpens;
+
+    impl Protocol<Msg> for FloodOpens {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            let junk = |tag| Msg::Open {
+                tag,
+                values: vec![Fp::ONE],
+            };
+            for i in 0..200 {
+                for wave in Wave::ALL {
+                    ctx.broadcast(junk(wave.tag(wave.bound(1, 1, 4) + i)));
+                }
+                ctx.broadcast(junk((10 << 28) + i as u32)); // no such wave
+                ctx.broadcast(junk(i as u32)); // below the first wave
+            }
+            ctx.broadcast(junk(Wave::Verify.tag(0))); // legal tag, wrong length
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: PartyId, _: PathSlice<'_>, _: Msg) {}
+        fn on_timer(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: u64) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn flood_of_illegal_open_tags_is_dropped_without_state_growth() {
+        let params = Params::new(4, 1, 0, 10);
+        let circuit = two_products(4);
+        let run = |flood: bool| {
+            let parties = (0..4u64)
+                .map(|i| match (i, flood) {
+                    (3, true) => Box::new(FloodOpens) as Box<dyn Protocol<Msg>>,
+                    (3, false) => Box::new(mpc_protocols::byzantine::SilentParty) as _,
+                    _ => Box::new(CirEval::new(params, circuit.clone(), Fp::from_u64(2 + i))) as _,
+                })
+                .collect();
+            let corrupt = CorruptionSet::new(vec![3]);
+            run_sync_to_quiescence(params, &circuit, parties, corrupt, 90)
+        };
+        let (flooded, silent) = (run(true), run(false));
+        for i in 0..3 {
+            let (f, s) = (
+                flooded.party_as::<CirEval>(i).unwrap(),
+                silent.party_as::<CirEval>(i).unwrap(),
+            );
+            assert!(s.output.is_some());
+            assert_eq!(f.output, s.output, "party {i}");
+            assert_eq!(f.output_at, s.output_at, "party {i}");
+            assert_eq!(f.input_subset, s.input_subset, "party {i}");
+            // transform, verify, γ, extract, one layer, output — no suspect
+            // batch, and not one tag more under the flood.
+            assert_eq!(s.openings.tracked_tags(), 6, "party {i}");
+            assert_eq!(f.openings.tracked_tags(), 6, "party {i}");
+        }
+    }
+
+    /// A corrupt party whose only traffic is `(ready, y)` for 200 distinct
+    /// values.
+    #[derive(Debug)]
+    struct FloodReady;
+
+    impl Protocol<Msg> for FloodReady {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            for y in 0..200 {
+                ctx.broadcast(Msg::Ready(vec![Fp::from_u64(y)]));
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: PartyId, _: PathSlice<'_>, _: Msg) {}
+        fn on_timer(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: u64) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn hostile_ready_flood_without_state_growth() {
+        let params = Params::new(4, 1, 0, 10);
+        let circuit = two_products(4);
+        let run = |flood: bool| {
+            let parties = (0..4u64)
+                .map(|i| match (i, flood) {
+                    (3, true) => Box::new(FloodReady) as Box<dyn Protocol<Msg>>,
+                    (3, false) => Box::new(mpc_protocols::byzantine::SilentParty) as _,
+                    _ => Box::new(CirEval::new(params, circuit.clone(), Fp::from_u64(2 + i))) as _,
+                })
+                .collect();
+            let corrupt = CorruptionSet::new(vec![3]);
+            run_sync_to_quiescence(params, &circuit, parties, corrupt, 91)
+        };
+        let (flooded, silent) = (run(true), run(false));
+        for i in 0..3 {
+            let (f, s) = (
+                flooded.party_as::<CirEval>(i).unwrap(),
+                silent.party_as::<CirEval>(i).unwrap(),
+            );
+            assert!(s.output.is_some());
+            assert_eq!(f.output, s.output, "party {i}");
+            assert_eq!(f.output_at, s.output_at, "party {i}");
+            // One vote per sender: the flooder's first value, and no other.
+            let votes = |p: &CirEval| p.ready.iter().flatten().count();
+            assert_eq!(votes(s), 3, "party {i}");
+            assert_eq!(votes(f), 4, "party {i}");
+            assert_eq!(f.ready[3], Some(Fp::ZERO), "party {i}");
+        }
+    }
+
+    /// Counts the root-path `Open`s delivered to one honest party.
+    #[derive(Debug)]
+    struct CountOpens {
+        inner: CirEval,
+        opens: usize,
+    }
+
+    impl Protocol<Msg> for CountOpens {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            Protocol::init(&mut self.inner, ctx);
+        }
+        fn on_message(
+            &mut self,
+            ctx: &mut Context<'_, Msg>,
+            from: PartyId,
+            path: PathSlice<'_>,
+            msg: Msg,
+        ) {
+            if path.is_empty() && matches!(msg, Msg::Open { .. }) {
+                self.opens += 1;
+            }
+            self.inner.on_message(ctx, from, path, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
+            self.inner.on_timer(ctx, path, id);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A wrapper that implements only the owned `on_message`, as the
+    /// benchmark ledger's tracing wrapper does: every delivery reaches the
+    /// inner `CirEval` through `on_message_ref`'s cloning default.
+    struct Owned(CirEval);
+
+    impl Protocol<Msg> for Owned {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            Protocol::init(&mut self.0, ctx);
+        }
+        fn on_message(
+            &mut self,
+            ctx: &mut Context<'_, Msg>,
+            from: PartyId,
+            path: PathSlice<'_>,
+            msg: Msg,
+        ) {
+            self.0.on_message(ctx, from, path, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
+            self.0.on_timer(ctx, path, id);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self.0.as_any()
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self.0.as_any_mut()
+        }
+    }
+
+    #[test]
+    fn owned_delivery_adapter_runs_exactly_like_borrowed_delivery() {
+        let params = Params::new(4, 1, 0, 10);
+        let circuit = two_products(4);
+        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+        for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
+            let run = |owned: bool| {
+                let parties = [3u64, 5, 7, 11]
+                    .iter()
+                    .map(|&x| {
+                        let party = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                        if owned {
+                            Box::new(Owned(party)) as Box<dyn Protocol<Msg>>
+                        } else {
+                            Box::new(party) as _
+                        }
+                    })
+                    .collect();
+                let cfg = NetConfig::for_kind(params.n, kind).with_seed(61);
+                let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties);
+                sim.record_transcript();
+                let output = |s: &Simulation<Msg>, i| s.party_as::<CirEval>(i).unwrap().output;
+                let done =
+                    sim.run_until(horizon, |s| (0..params.n).all(|i| output(s, i).is_some()));
+                assert!(done, "{kind:?}: no output before the horizon");
+                let results: Vec<_> = (0..params.n)
+                    .map(|i| {
+                        let p = sim.party_as::<CirEval>(i).unwrap();
+                        (p.output, p.input_subset.clone())
+                    })
+                    .collect();
+                (results, sim.metrics().clone(), sim.transcript().to_vec())
+            };
+            let (borrowed, owned) = (run(false), run(true));
+            assert_eq!(owned.0, borrowed.0, "{kind:?}: outputs and input subsets");
+            assert_eq!(owned.1, borrowed.1, "{kind:?}: metrics");
+            assert!(owned.2 == borrowed.2, "{kind:?}: transcripts differ");
+        }
+    }
+
+    /// Total `Open` deliveries of an honest synchronous run at n = 4.
+    fn opens_delivered(circuit: &Circuit) -> usize {
+        let params = Params::new(4, 1, 0, 10);
+        let parties = [3u64, 5, 7, 11]
+            .iter()
+            .map(|&x| {
+                let inner = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                Box::new(CountOpens { inner, opens: 0 }) as Box<dyn Protocol<Msg>>
+            })
+            .collect();
+        let sim = run_sync_to_quiescence(params, circuit, parties, CorruptionSet::none(), 77);
+        (0..4)
+            .map(|i| {
+                let p = sim.party_as::<CountOpens>(i).unwrap();
+                assert!(p.inner.output.is_some());
+                p.opens
+            })
+            .sum()
+    }
+
+    #[test]
+    fn honest_run_delivers_one_open_per_phase_layer_and_output() {
+        // The `tests/determinism.rs` golden circuit: transform, verify, γ
+        // and extract are each non-empty, D_M = 1, no suspect batch.
+        let mut golden = Circuit::new(4);
+        let prod = golden.mul(golden.input(0), golden.input(1));
+        let sum = golden.add(golden.input(2), golden.input(3));
+        let out = golden.add(prod, sum);
+        golden.set_output(out);
+        assert_eq!(opens_delivered(&golden), 16 * (4 + 1 + 1));
+        // No multiplication ⇒ batches = 0 ⇒ every preprocessing batch is
+        // empty and stays off the wire: the output opening alone.
+        assert_eq!(opens_delivered(&Circuit::sum_of_inputs(4)), 16);
+    }
+
+    #[test]
+    fn multiplication_circuit_async_network() {
+        let params = Params::new(4, 1, 0, 10);
+        let mut circuit = Circuit::new(4);
+        let p = circuit.mul(circuit.input(0), circuit.input(1));
+        let out = circuit.add(p, circuit.input(2));
+        circuit.set_output(out);
+        let inputs = [4u64, 6, 9, 1];
+        let (outs, _) = run_circuit(params, &circuit, &inputs, CorruptionSet::none(), false, 3);
+        for o in outs {
+            assert_eq!(o.unwrap().as_u64(), 4 * 6 + 9);
+        }
+    }
+
+    /// The paths one segment outside the tree, found from `valid_paths`
+    /// alone: below every instance, each segment under the largest of its
+    /// children's that names none of them, and the one past it.
+    fn stray_paths(kind: &Kind, n: usize) -> Vec<Vec<u32>> {
+        let valid = kind.valid_paths(n);
+        let mut stray = Vec::new();
+        for path in &valid {
+            let below = valid.iter().filter(|p| p.len() == path.len() + 1);
+            let segs: Vec<u32> = below
+                .filter(|p| p.starts_with(path))
+                .map(|p| p[path.len()])
+                .collect();
+            let end = segs.iter().max().map_or(0, |&last| last + 1);
+            for seg in (0..=end).filter(|seg| !segs.contains(seg)) {
+                stray.push([&path[..], &[seg]].concat());
+            }
+        }
+        stray
+    }
+
+    /// From the `CirEval` root as from the stand-alone ones: every valid
+    /// path has a name, no path one segment outside the tree has one, and
+    /// a message delivered there leaves the party's state as it was.
+    #[test]
+    fn describe_and_routing_agree_from_the_cireval_root() {
+        use mpc_net::Effects;
+        use mpc_protocols::{AbaMsg, AcastMsg, BcValue, SbaMsg};
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let n = 7;
+        let update = mpc_protocols::wps::WPS.segment(n, Name::Update, n + 4);
+        let name = CIREVAL.describe(n, &[1, 3, 5, update]);
+        assert_eq!(
+            name.as_deref(),
+            Some("CirEval/AcsTriples/Vss[3]/Wps[5]/Update[1→4]/Acast")
+        );
+        assert_eq!(
+            CIREVAL.describe(n, &[0]).as_deref(),
+            Some("CirEval/AcsInput/Acs")
+        );
+        for params in [Params::new(4, 1, 0, 10), Params::new(7, 2, 0, 10)] {
+            let n = params.n;
+            for path in CIREVAL.valid_paths(n) {
+                assert!(CIREVAL.describe(n, &path).is_some(), "{path:?} has no name");
+            }
+            let mut party = CirEval::new(params, Circuit::sum_of_inputs(n), Fp::from_u64(3));
+            let mut effects = Effects::new();
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut ctx = Context::new(1, n, 0, params.delta, &mut effects, &mut rng, 0);
+            Protocol::init(&mut party, &mut ctx);
+            let before = format!("{party:?}");
+            let bit = BcValue::Bit(true);
+            let probes = [
+                Msg::Acast(AcastMsg::Send(bit.clone())),
+                Msg::Acast(AcastMsg::Ready(bit)),
+                Msg::Sba(SbaMsg::Round1 {
+                    phase: 0,
+                    value: None,
+                }),
+                Msg::Aba(AbaMsg::Finish { value: true }),
+                Msg::RowPolys(vec![vec![Fp::from_u64(1), Fp::from_u64(2)]]),
+            ];
+            for path in stray_paths(&CIREVAL, n) {
+                assert_eq!(
+                    CIREVAL.describe(n, &path),
+                    None,
+                    "{path:?} is outside the tree"
+                );
+                for msg in &probes {
+                    party.on_message(&mut ctx, 0, &path, msg.clone());
+                }
+            }
+            assert!(
+                format!("{party:?}") == before,
+                "a stray path reached a handler"
+            );
+        }
+    }
+}

@@ -23,7 +23,7 @@
 //! at an arbitrary public point set (the packed engine reads all `ℓ` slot
 //! values out of one opening). One flavour per tag — the cache is shared.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use mpc_algebra::evaluation_points::alpha;
 use mpc_algebra::{rs, Fp, Polynomial};
@@ -31,15 +31,18 @@ use mpc_net::{Context, PartyId};
 use mpc_protocols::Msg;
 
 /// Tracks concurrent public reconstructions of batches of shared values.
+/// The maps are ordered ones: a run opens under few tags, and an empty
+/// manager then allocates nothing and costs nothing to build (`CirEval`
+/// moves its manager out and back on every activation).
 #[derive(Debug, Default)]
 pub struct OpeningManager {
-    received: HashMap<u32, BTreeMap<PartyId, Vec<Fp>>>,
-    opened: HashMap<u32, Vec<Fp>>,
-    my_batches: HashMap<u32, usize>,
+    received: BTreeMap<u32, BTreeMap<PartyId, Vec<Fp>>>,
+    opened: BTreeMap<u32, Vec<Fp>>,
+    my_batches: BTreeMap<u32, usize>,
     /// Well-formed sender count at the last *failed* decode attempt per tag.
     /// `on_open` only ever adds senders, so an unchanged count means no new
     /// information and the retry is skipped without rebuilding columns.
-    last_attempt: HashMap<u32, usize>,
+    last_attempt: BTreeMap<u32, usize>,
 }
 
 /// Decodes every value of a batch to its full sharing polynomial. All
@@ -65,8 +68,9 @@ impl OpeningManager {
     }
 
     /// Starts the public reconstruction of a batch of values by sending this
-    /// party's shares to everyone under the given tag. An empty batch sends
-    /// nothing (it reconstructs to the empty slice without any message).
+    /// party's shares to everyone under the given tag. Only the first batch
+    /// under a tag is sent. An empty batch sends nothing (it reconstructs to
+    /// the empty slice without any message).
     pub fn open(&mut self, ctx: &mut Context<'_, Msg>, tag: u32, my_shares: Vec<Fp>) {
         if my_shares.is_empty() || self.my_batches.contains_key(&tag) {
             return;

@@ -283,7 +283,7 @@ impl PackedPlan {
     /// for excluded inputs) followed by the sections of `s`'s assigned
     /// blocks, plus one trailing *probe mask* share (a fresh random `t_s`
     /// sharing that blinds the public degree-consistency probe of the deal —
-    /// see `CirEval::parse_deal`). A sender with no inputs or blocks to deal
+    /// see `cireval/packed.rs`). A sender with no inputs or blocks to deal
     /// has expected length 0 and sends nothing (no mask either).
     pub fn expected_deal_len(&self, s: PartyId, cs1: &[PartyId]) -> usize {
         let mut len = 0;

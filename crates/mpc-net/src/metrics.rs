@@ -93,10 +93,12 @@ pub struct Metrics {
     /// tick was clamped forward). A diagnostic for real-time jitter; 0 in a
     /// healthy run. Excluded from `PartialEq`.
     pub late_packets: u64,
-    /// Effective packed-evaluation width `ℓ` of the run (0 = scalar engine).
-    /// Protocol *configuration*, injected post-run by the builder — excluded
-    /// from `PartialEq` so a run's fingerprint stays defined by what went on
-    /// the wire, not by which knob produced it.
+    /// Requested packed-evaluation width `ℓ` of the run (0 = scalar engine),
+    /// as the builder clamped it: a run that fell back to the scalar engine
+    /// after a bad packed deal still reports `ℓ`. Protocol *configuration*,
+    /// injected post-run by the builder — excluded from `PartialEq` so a
+    /// run's fingerprint stays defined by what went on the wire, not by
+    /// which knob produced it.
     pub packed_width: u64,
     /// Publicly opened values per multiplication layer, as reported by the
     /// first honest party (layer-batched scalar and packed engines; empty on
