@@ -249,6 +249,9 @@ pub struct CirEval {
     /// The finished supervised verification, kept for inspection.
     #[cfg(test)]
     audit: Option<Box<Supervision>>,
+    /// How many times [`CirEval::drive`] has run in `AwaitAcs`.
+    #[cfg(test)]
+    await_steps: usize,
 }
 
 impl CirEval {
@@ -283,6 +286,8 @@ impl CirEval {
             input_subset: None,
             #[cfg(test)]
             audit: None,
+            #[cfg(test)]
+            await_steps: 0,
         }
     }
 
@@ -350,6 +355,10 @@ impl CirEval {
     /// Runs phases until the current one waits on the network. The openings
     /// travel in the `Io` meanwhile.
     fn drive(&mut self, ctx: &mut Context<'_, Msg>) {
+        #[cfg(test)]
+        if matches!(self.phase, Phase::AwaitAcs) {
+            self.await_steps += 1;
+        }
         let mut openings = std::mem::take(&mut self.openings);
         let ts = self.params.ts;
         let io = &mut Io {
@@ -519,8 +528,10 @@ impl Node for CirEval {
         }
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
-        match CIREVAL.route(self, ctx, path, event) {
+    /// Drives on its own events and on an ACS's progress; a root, whose
+    /// progress (the output appearing) no parent reads.
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
+        match CIREVAL.route(self, ctx, path, ev) {
             // Anything outside the run's waves is dropped unread.
             Routed::Own(Event::Message(from, Msg::Open { tag, values }))
                 if from < self.params.n && self.legal_open_tag(*tag) =>
@@ -532,13 +543,16 @@ impl Node for CirEval {
                     vote.get_or_insert(y);
                 }
             }
+            Routed::Child(_, _, false) | Routed::Dropped => return false,
             routed => {
                 if let Some(packed) = self.packed.as_mut() {
                     packed.on_routed(routed);
                 }
             }
         }
+        let had_output = self.output.is_some();
         self.drive(ctx);
+        self.output.is_some() != had_output
     }
 
     fn child(&mut self, name: Name, _: usize) -> Option<&mut dyn Node> {
@@ -1103,11 +1117,30 @@ mod tests {
         }
     }
 
-    /// Counts the root-path `Open`s delivered to one honest party.
+    /// Counts the root-path `Open`s delivered to one honest party, and its
+    /// own events (root-path messages and timers) while in `await-acs`.
     #[derive(Debug)]
     struct CountOpens {
         inner: CirEval,
         opens: usize,
+        own_awaiting: usize,
+    }
+
+    impl CountOpens {
+        fn new(params: Params, circuit: &Circuit, input: u64) -> Self {
+            let inner = CirEval::new(params, circuit.clone(), Fp::from_u64(input));
+            CountOpens {
+                inner,
+                opens: 0,
+                own_awaiting: 0,
+            }
+        }
+
+        fn count_own(&mut self, path: PathSlice<'_>) {
+            if path.is_empty() && matches!(self.inner.phase, Phase::AwaitAcs) {
+                self.own_awaiting += 1;
+            }
+        }
     }
 
     impl Protocol<Msg> for CountOpens {
@@ -1124,9 +1157,11 @@ mod tests {
             if path.is_empty() && matches!(msg, Msg::Open { .. }) {
                 self.opens += 1;
             }
+            self.count_own(path);
             self.inner.on_message(ctx, from, path, msg);
         }
         fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
+            self.count_own(path);
             self.inner.on_timer(ctx, path, id);
         }
         fn as_any(&self) -> &dyn Any {
@@ -1211,10 +1246,7 @@ mod tests {
         let params = Params::new(4, 1, 0, 10);
         let parties = [3u64, 5, 7, 11]
             .iter()
-            .map(|&x| {
-                let inner = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
-                Box::new(CountOpens { inner, opens: 0 }) as Box<dyn Protocol<Msg>>
-            })
+            .map(|&x| Box::new(CountOpens::new(params, circuit, x)) as Box<dyn Protocol<Msg>>)
             .collect();
         let sim = run_sync_to_quiescence(params, circuit, parties, CorruptionSet::none(), 77);
         (0..4)
@@ -1239,6 +1271,44 @@ mod tests {
         // No multiplication ⇒ batches = 0 ⇒ every preprocessing batch is
         // empty and stays off the wire: the output opening alone.
         assert_eq!(opens_delivered(&Circuit::sum_of_inputs(4)), 16);
+    }
+
+    /// `CirEval` steps in `await-acs` only on its own events and on an
+    /// ACS's progress, which each ACS reports at most once per share
+    /// vector and once for `CS`.
+    fn await_acs_steps_only_on_progress(cfg: NetConfig) {
+        let params = Params::new(4, 1, 0, 10);
+        let circuit = two_products(4);
+        let parties = [3u64, 5, 7, 11]
+            .iter()
+            .map(|&x| Box::new(CountOpens::new(params, &circuit, x)) as Box<dyn Protocol<Msg>>)
+            .collect();
+        let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties);
+        sim.run_to_quiescence(params.horizon_for_depth(circuit.mult_depth()) * 8);
+        for i in 0..params.n {
+            let p = sim.party_as::<CountOpens>(i).unwrap();
+            assert!(p.inner.output.is_some());
+            let acs = [&p.inner.acs_input, &p.inner.acs_triples];
+            let progress: usize = (acs.iter().copied().flatten())
+                .map(|acs| {
+                    let shares = (0..params.n).filter(|&j| acs.shares_from(j).is_some());
+                    shares.count() + usize::from(acs.common_subset.is_some())
+                })
+                .sum();
+            let bound = progress + p.own_awaiting;
+            let steps = p.inner.await_steps;
+            assert!(steps <= bound, "party {i}: {steps} > {bound}");
+        }
+    }
+
+    #[test]
+    fn await_acs_steps_only_on_progress_sync() {
+        await_acs_steps_only_on_progress(NetConfig::synchronous(4).with_seed(7));
+    }
+
+    #[test]
+    fn await_acs_steps_only_on_progress_async() {
+        await_acs_steps_only_on_progress(NetConfig::asynchronous(4).with_seed(7));
     }
 
     #[test]

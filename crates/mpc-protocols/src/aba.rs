@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::msg::{AbaMsg, Msg};
-use crate::tree::{Event, Kind, Node};
+use crate::tree::{Event, Kind, Node, Routed};
 
 /// A `Π_ABA` in the instance tree: a leaf.
 pub static ABA: Kind = Kind::new("Aba", &[]);
@@ -115,10 +115,11 @@ impl Aba {
         }
     }
 
-    /// Drives the state machine as far as received messages allow.
-    fn try_progress(&mut self, ctx: &mut Context<'_, Msg>) {
+    /// Drives the state machine as far as received messages allow; returns
+    /// whether the output appeared.
+    fn try_progress(&mut self, ctx: &mut Context<'_, Msg>) -> bool {
         if self.output.is_some() {
-            return;
+            return false;
         }
         // termination gadget (independent of rounds)
         for v in [false, true] {
@@ -129,12 +130,12 @@ impl Aba {
             if self.finish_senders[idx].len() > 2 * self.t {
                 self.output = Some(v);
                 self.output_at = Some(ctx.now);
-                return;
+                return true;
             }
         }
         // bounded loop: each iteration either advances the round or stops
         for _ in 0..10_000 {
-            let Some(est) = self.est else { return };
+            let Some(est) = self.est else { return false };
             let r = self.round;
             self.send_est(ctx, r, est);
             // echo amplification and bin_values
@@ -160,7 +161,7 @@ impl Aba {
                 .map(|m| m.values().copied().filter(|&v| bin[v as usize]).collect())
                 .unwrap_or_default();
             if valid_aux.len() < self.n - self.t {
-                return;
+                return false;
             }
             let has_true = valid_aux.iter().any(|&v| v);
             let has_false = valid_aux.iter().any(|&v| !v);
@@ -178,6 +179,7 @@ impl Aba {
             }
             self.round += 1;
         }
+        false
     }
 }
 
@@ -186,9 +188,10 @@ impl Node for Aba {
         self.try_progress(ctx);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event<'_>) {
-        let Event::Message(from, Msg::Aba(am)) = event else {
-            return;
+    /// Progress is the terminated output appearing.
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
+        let Routed::Own(Event::Message(from, Msg::Aba(am))) = ABA.route(self, ctx, path, ev) else {
+            return false;
         };
         match *am {
             AbaMsg::Est { round, value } => {
@@ -208,7 +211,7 @@ impl Node for Aba {
                 self.finish_senders[value as usize].insert(from);
             }
         }
-        self.try_progress(ctx);
+        self.try_progress(ctx)
     }
 }
 

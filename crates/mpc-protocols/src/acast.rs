@@ -27,7 +27,7 @@ use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::msg::{AcastMsg, BcValue, Msg};
 use crate::tally::{tally, Tally};
-use crate::tree::{Event, Kind, Node};
+use crate::tree::{Event, Kind, Node, Routed};
 
 /// An A-cast in the instance tree: a leaf.
 pub static ACAST: Kind = Kind::new("Acast", &[]);
@@ -175,9 +175,11 @@ impl Node for Acast {
         }
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event<'_>) {
-        let Event::Message(from, Msg::Acast(am)) = event else {
-            return;
+    /// Progress is delivery, which happens once.
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
+        let Routed::Own(Event::Message(from, Msg::Acast(am))) = ACAST.route(self, ctx, path, ev)
+        else {
+            return false;
         };
         match am {
             AcastMsg::Send(v) => {
@@ -188,7 +190,7 @@ impl Node for Acast {
             }
             AcastMsg::Echo(v) => {
                 if self.output.is_some() || !self.admit(from, 0) {
-                    return;
+                    return false;
                 }
                 let echo_threshold = self.echo_threshold();
                 let (value, support) = tally(&mut self.echoes, v);
@@ -199,7 +201,7 @@ impl Node for Acast {
             }
             AcastMsg::Ready(v) => {
                 if self.output.is_some() || !self.admit(from, 1) {
-                    return;
+                    return false;
                 }
                 let (value, support) = tally(&mut self.readies, v);
                 if *support > self.t && !self.sent_ready {
@@ -209,9 +211,11 @@ impl Node for Acast {
                 if *support > 2 * self.t {
                     let value = value.clone();
                     self.deliver(value, ctx.now);
+                    return true;
                 }
             }
         }
+        false
     }
 }
 

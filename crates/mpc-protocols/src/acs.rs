@@ -38,11 +38,13 @@ pub struct Acs {
     vss: Vec<Vss>,
     bas: Vec<Ba>,
     bas_started: bool,
-    voted_zero_rest: bool,
     /// The agreed common subset of dealers, once all `n` BA instances decided.
     pub common_subset: Option<Vec<PartyId>>,
     /// Local time at which `CS` was fixed.
     pub output_at: Option<Time>,
+    /// How many times [`Acs::drive`] has run.
+    #[cfg(test)]
+    drives: usize,
 }
 
 impl Acs {
@@ -59,9 +61,10 @@ impl Acs {
                 .map(|_| Ba::new(params.ts, params, None))
                 .collect(),
             bas_started: false,
-            voted_zero_rest: false,
             common_subset: None,
             output_at: None,
+            #[cfg(test)]
+            drives: 0,
         }
     }
 
@@ -80,36 +83,39 @@ impl Acs {
         }
     }
 
-    fn drive(&mut self, ctx: &mut Context<'_, Msg>) {
+    /// The step after the start timer or a child's progress; returns
+    /// whether `CS` was fixed.
+    fn drive(&mut self, ctx: &mut Context<'_, Msg>) -> bool {
+        #[cfg(test)]
+        {
+            self.drives += 1;
+        }
         if !self.bas_started {
-            return;
+            return false;
         }
         // provide input 1 to the BA of every dealer whose VSS has delivered
-        for j in 0..self.params.n {
-            if self.vss[j].shares.is_some() && !self.bas[j].has_input() {
-                let ba = &mut self.bas[j];
+        for (j, (vss, ba)) in self.vss.iter().zip(&mut self.bas).enumerate() {
+            if vss.shares.is_some() && !ba.has_input() {
                 ACS.scoped(ctx, Name::Ba, j, |ctx| ba.provide_input(ctx, true));
             }
         }
         // once n - t_s BA instances output 1, vote 0 in all remaining ones
         let ones = self.bas.iter().filter(|b| b.output == Some(true)).count();
-        if ones >= self.params.n - self.params.ts && !self.voted_zero_rest {
-            self.voted_zero_rest = true;
-            for j in 0..self.params.n {
-                if !self.bas[j].has_input() {
-                    let ba = &mut self.bas[j];
+        if ones >= self.params.n - self.params.ts {
+            for (j, ba) in self.bas.iter_mut().enumerate() {
+                if !ba.has_input() {
                     ACS.scoped(ctx, Name::Ba, j, |ctx| ba.provide_input(ctx, false));
                 }
             }
         }
         // all BAs decided → CS is fixed
-        if self.common_subset.is_none() && self.bas.iter().all(|b| b.output.is_some()) {
-            let cs: Vec<PartyId> = (0..self.params.n)
-                .filter(|&j| self.bas[j].output == Some(true))
-                .collect();
-            self.common_subset = Some(cs);
-            self.output_at = Some(ctx.now);
+        if self.common_subset.is_some() || self.bas.iter().any(|b| b.output.is_none()) {
+            return false;
         }
+        let cs = (0..self.params.n).filter(|&j| self.bas[j].output == Some(true));
+        self.common_subset = Some(cs.collect());
+        self.output_at = Some(ctx.now);
+        true
     }
 }
 
@@ -128,17 +134,18 @@ impl Node for Acs {
         ctx.set_timer(self.params.t_vss(), TIMER_START_BAS);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
-        match ACS.route(self, ctx, path, event) {
-            Routed::Child(..) => self.drive(ctx),
+    /// Progress is `CS` being fixed or a `Π_VSS` delivering its shares.
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
+        match ACS.route(self, ctx, path, ev) {
+            Routed::Child(name, _, true) => self.drive(ctx) || name == Name::Vss,
             Routed::Own(Event::Timer(TIMER_START_BAS)) => {
                 for (j, ba) in self.bas.iter_mut().enumerate() {
                     ACS.scoped(ctx, Name::Ba, j, |ctx| ba.init(ctx));
                 }
                 self.bas_started = true;
-                self.drive(ctx);
+                self.drive(ctx)
             }
-            _ => {}
+            _ => false,
         }
     }
 
@@ -173,6 +180,38 @@ mod tests {
             parties.push(Box::new(Acs::new(params, vec![p])));
         }
         (parties, polys)
+    }
+
+    /// Runs an honest n = 4 `Π_ACS` until every party is ready and checks
+    /// that `drive` ran only on the start timer and on a child's progress:
+    /// each `Π_VSS` reports progress once (its shares), each `Π_BA` once
+    /// (its output).
+    fn drives_only_on_progress(cfg: NetConfig) {
+        let params = Params::new(4, 1, 0, 10);
+        let mut rng = StdRng::seed_from_u64(79);
+        let (parties, _) = make_parties(params, &mut rng);
+        let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties);
+        let done = sim.run_until(200_000_000, |s| {
+            (0..params.n).all(|i| s.party_as::<Acs>(i).unwrap().ready())
+        });
+        assert!(done);
+        for i in 0..params.n {
+            let acs = sim.party_as::<Acs>(i).unwrap();
+            let shares = acs.vss.iter().filter(|v| v.shares.is_some()).count();
+            let outputs = acs.bas.iter().filter(|b| b.output.is_some()).count();
+            let bound = shares + outputs + 1;
+            assert!(acs.drives <= bound, "party {i}: {} > {bound}", acs.drives);
+        }
+    }
+
+    #[test]
+    fn drive_runs_only_on_progress_sync() {
+        drives_only_on_progress(NetConfig::synchronous(4));
+    }
+
+    #[test]
+    fn drive_runs_only_on_progress_async() {
+        drives_only_on_progress(NetConfig::asynchronous(4).with_seed(5));
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub struct Ba {
     aba: Aba,
     r_majority: Option<bool>,
     aba_started: bool,
-    aba_input_given: bool,
     /// The agreed output bit.
     pub output: Option<bool>,
     /// Local time the output was obtained.
@@ -69,7 +68,6 @@ impl Ba {
             aba: Aba::new(params.n, t, None),
             r_majority: None,
             aba_started: false,
-            aba_input_given: false,
             output: None,
             output_at: None,
         }
@@ -83,6 +81,7 @@ impl Ba {
             self.broadcast_input(ctx, input);
         }
         self.maybe_feed_aba(ctx);
+        self.check_output(ctx.now);
     }
 
     fn broadcast_input(&mut self, ctx: &mut Context<'_, Msg>, input: bool) {
@@ -98,25 +97,24 @@ impl Ba {
     }
 
     fn maybe_feed_aba(&mut self, ctx: &mut Context<'_, Msg>) {
-        if !self.aba_started || self.aba_input_given {
+        if !self.aba_started || self.aba.has_input() {
             return;
         }
-        let v_star = self.r_majority.or(self.my_input);
-        if let Some(v) = v_star {
-            self.aba_input_given = true;
+        if let Some(v) = self.r_majority.or(self.my_input) {
             let aba = &mut self.aba;
             BA.scoped(ctx, Name::Aba, 0, |ctx| aba.provide_input(ctx, v));
-            self.check_output(ctx.now);
         }
     }
 
-    fn check_output(&mut self, now: Time) {
-        if self.output.is_none() {
-            if let Some(out) = self.aba.output {
-                self.output = Some(out);
-                self.output_at = Some(now);
-            }
+    /// Takes the `Π_ABA`'s output as this instance's; returns whether it
+    /// appeared now.
+    fn check_output(&mut self, now: Time) -> bool {
+        if self.output.is_some() || self.aba.output.is_none() {
+            return false;
         }
+        self.output = self.aba.output;
+        self.output_at = Some(now);
+        true
     }
 }
 
@@ -130,9 +128,10 @@ impl Node for Ba {
         ctx.set_timer(self.params.t_bc(), TIMER_START_ABA);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
-        match BA.route(self, ctx, path, event) {
-            Routed::Child(Name::Aba, _) => self.check_output(ctx.now),
+    /// Progress is the output appearing.
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
+        match BA.route(self, ctx, path, ev) {
+            Routed::Child(Name::Aba, _, true) => self.check_output(ctx.now),
             Routed::Own(Event::Timer(TIMER_START_ABA)) => {
                 // Determine the set R of senders whose broadcast produced a
                 // bit through regular mode, and the derived ABA input.
@@ -151,9 +150,9 @@ impl Node for Ba {
                 BA.scoped(ctx, Name::Aba, 0, |ctx| aba.init(ctx));
                 self.aba_started = true;
                 self.maybe_feed_aba(ctx);
-                self.check_output(ctx.now);
+                self.check_output(ctx.now)
             }
-            _ => {}
+            _ => false,
         }
     }
 

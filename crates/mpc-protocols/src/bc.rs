@@ -207,18 +207,23 @@ impl Node for Bc {
         ctx.set_timer(3 * ctx.delta + self.params.t_bgp(), TIMER_REGULAR);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
-        match self.kind.route(self, ctx, path, event) {
-            Routed::Child(Name::Acast, slot) => {
+    /// Progress is a slot's output being fixed at `T_BC` or switching to
+    /// the fallback, and any A-cast delivering (its output is the slot's
+    /// input to the SBA and to the fallback rule).
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
+        match self.kind.route(self, ctx, path, ev) {
+            Routed::Child(Name::Acast, slot, true) => {
                 if let Some(state) = self.slots.get_mut(slot) {
                     state.check_fallback(ctx.now);
                 }
+                true
             }
             Routed::Own(Event::Timer(TIMER_START_SBA)) => {
                 let inputs = self.slots.iter().map(|s| s.acast.output.clone()).collect();
                 self.sba.set_inputs(inputs);
                 let (kind, sba) = (self.kind, &mut self.sba);
                 kind.scoped(ctx, Name::Sba, 0, |ctx| sba.init(ctx));
+                false
             }
             Routed::Own(Event::Timer(TIMER_REGULAR)) => {
                 let agreed = self.sba.outputs().unwrap_or(&[]);
@@ -233,8 +238,9 @@ impl Node for Bc {
                     state.output_at = Some(ctx.now);
                     state.check_fallback(ctx.now);
                 }
+                true
             }
-            _ => {}
+            _ => false,
         }
     }
 

@@ -63,7 +63,9 @@ impl Node for EquivocatingAcastSender {
     }
 
     /// Silent after the sends.
-    fn on_event(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: Event<'_>) {}
+    fn on_event(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: Event<'_>) -> bool {
+        false
+    }
 }
 
 /// A corrupt WPS/VSS dealer. It deals the rows itself — of one random
@@ -112,11 +114,13 @@ impl Node for HostileDealer {
         self.inner.init(ctx);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
-        match event {
+    /// A root only: its progress is read by no parent.
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
+        match ev {
             Event::Message(from, msg) => self.inner.on_message_ref(ctx, from, path, msg),
             Event::Timer(id) => self.inner.on_timer(ctx, path, id),
         }
+        false
     }
 }
 

@@ -26,7 +26,7 @@ use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::msg::{Msg, SbaMsg, SbaValue};
 use crate::tally::tally;
-use crate::tree::{Event, Kind, Node};
+use crate::tree::{Event, Kind, Node, Routed};
 
 /// An SBA in the instance tree: a leaf.
 pub static SBA: Kind = Kind::new("Sba", &[]);
@@ -230,10 +230,11 @@ impl Sba {
         }));
     }
 
-    /// Round `id % 3` of phase `id / 3`, or the end of the last phase.
-    fn on_tick(&mut self, ctx: &mut Context<'_, Msg>, id: u64) {
+    /// Round `id % 3` of phase `id / 3`, or the end of the last phase;
+    /// returns whether the outputs were fixed.
+    fn on_tick(&mut self, ctx: &mut Context<'_, Msg>, id: u64) -> bool {
         if id > 3 * (self.t as u64 + 1) || self.output_at.is_some() {
-            return;
+            return false;
         }
         let phase = (id / 3) as usize;
         match id % 3 {
@@ -244,13 +245,14 @@ impl Sba {
                 if phase > self.t {
                     // end of the final phase: the outputs are fixed
                     self.output_at = Some(ctx.now);
-                } else {
-                    self.send_round1(ctx, phase as u32);
+                    return true;
                 }
+                self.send_round1(ctx, phase as u32);
             }
             1 => self.send_round2(ctx, phase),
             _ => self.send_king(ctx, phase),
         }
+        false
     }
 }
 
@@ -264,9 +266,10 @@ impl Node for Sba {
         }
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, _: PathSlice<'_>, event: Event<'_>) {
-        match event {
-            Event::Message(from, Msg::Sba(sm)) => match sm {
+    /// Progress is the outputs being fixed, at the last timer.
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
+        match SBA.route(self, ctx, path, ev) {
+            Routed::Own(Event::Message(from, Msg::Sba(sm))) => match sm {
                 SbaMsg::Round1 { phase, value } => {
                     self.on_round(from, *phase, 0, std::iter::once(Some(value)))
                 }
@@ -284,9 +287,10 @@ impl Node for Sba {
                 }
                 SbaMsg::KingSlots { phase, values } => self.on_king(from, *phase, values),
             },
-            Event::Message(..) => {}
-            Event::Timer(id) => self.on_tick(ctx, id),
+            Routed::Own(Event::Timer(id)) => return self.on_tick(ctx, id),
+            _ => {}
         }
+        false
     }
 }
 

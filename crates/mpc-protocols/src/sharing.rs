@@ -131,7 +131,8 @@ pub(crate) struct DealerCore {
     /// matrix: row `ℓ`'s `t_s + 1` coefficients (low to high, zero-padded)
     /// start at `ℓ·(t_s + 1)`.
     rows: Option<Vec<Fp>>,
-    votes: VoteBoard,
+    /// The vote board, which takes in its children's progress.
+    pub(crate) votes: VoteBoard,
     /// The dealer's `(W, E, F)` broadcast, `init`-ed at `t₀ + T_BC`.
     wef_bc: Bc,
     /// The accept-or-star vote, `init`-ed with its input at `t₀ + 2·T_BC`.
@@ -367,7 +368,8 @@ impl DealerCore {
     /// Once the `Π_BA` chose the star path: the dealer publishes a star as
     /// soon as the eventual graph has one, and every party checks the
     /// A-casted star against its own eventual graph. The shell calls this
-    /// after every event, before asking for [`DealerCore::output`].
+    /// after each of its own events and each child's progress, before
+    /// asking for [`DealerCore::output`].
     ///
     /// `find_star` and `is_star` are deterministic in the graph, and the
     /// graph only grows, so neither is re-run until an edge has been added:
@@ -453,13 +455,6 @@ impl DealerCore {
             Some(shares) => Some(shares.collect()),
             None => reconstruct(&support_set),
         }
-    }
-
-    /// Whether an event handled by child `index` of family `name` may have
-    /// changed what [`DealerCore::progress`] and [`DealerCore::output`]
-    /// read: not if it went to a vote A-cast that did not deliver.
-    pub(crate) fn changed(&mut self, name: Name, index: usize) -> bool {
-        name != Name::Update || self.votes.fold_update(index)
     }
 
     /// Handles the core's phase timers.
@@ -572,8 +567,8 @@ mod tests {
     }
 
     /// Delivers `value` on the core's child A-cast `index` of family
-    /// `name`: `2t_s + 1` `Ready`s, each followed by the shell's after-child
-    /// step.
+    /// `name`: `2t_s + 1` `Ready`s, the delivering one followed by the
+    /// shell's after-child step.
     fn deliver(
         core: &mut DealerCore,
         ctx: &mut Context<'_, Msg>,
@@ -584,8 +579,9 @@ mod tests {
         for from in 0..=2 * core.params.ts {
             let event = Event::Message(from, &ready);
             let child = core.child(name, index).expect("a declared child");
-            child.on_event(ctx, &[], event);
-            core.changed(name, index);
+            if child.on_event(ctx, &[], event) {
+                core.votes.child_progressed(name, index);
+            }
         }
     }
 

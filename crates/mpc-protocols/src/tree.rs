@@ -195,7 +195,8 @@ impl Kind {
 
     /// Delivers `event`, addressed to `path` below `node` (an instance of
     /// this kind), to the child the path's first segment names, scoped to
-    /// that segment; see [`Routed`].
+    /// that segment; see [`Routed`]. A leaf routes its events here too, so
+    /// that a path below it is dropped.
     // This and the three helpers it calls per delivery are `#[inline]`:
     // without it the handler time of `sync-packed-n10` grew by about 40 %.
     #[inline]
@@ -218,8 +219,8 @@ impl Kind {
         let Some(child) = node.child(family.name, index) else {
             return Routed::Absent(family.name, below, event);
         };
-        ctx.scoped(seg, |ctx| child.on_event(ctx, below, event));
-        Routed::Child(family.name, index)
+        let progress = ctx.scoped(seg, |ctx| child.on_event(ctx, below, event));
+        Routed::Child(family.name, index, progress)
     }
 }
 
@@ -244,8 +245,9 @@ pub enum Event<'m> {
 pub enum Routed<'p, 'm> {
     /// Nowhere: the path is empty, so the event is the instance's own.
     Own(Event<'m>),
-    /// To child `index` of family `name`, which has handled it.
-    Child(Name, usize),
+    /// To child `index` of family `name`, which has handled it and reported
+    /// whether it made progress (see [`Node::on_event`]).
+    Child(Name, usize, bool),
     /// Nowhere: the path names a declared child that does not exist (yet);
     /// the path below it and the event are handed back.
     Absent(Name, &'p [u32], Event<'m>),
@@ -261,8 +263,10 @@ pub trait Node {
     /// Called exactly once, at the party's local time of instance creation.
     fn init(&mut self, ctx: &mut Context<'_, Msg>);
 
-    /// Handles `event`, addressed to `path` below this instance.
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>);
+    /// Handles `ev`, addressed to `path` below this instance, and returns
+    /// whether it made progress: whether the instance's observable output
+    /// changed. A parent runs its after-child step only on that.
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool;
 
     /// Child `index` of family `name` — one of the instance's declared
     /// families — if it exists. A leaf has none.
@@ -273,8 +277,9 @@ pub trait Node {
 
 /// Implements `Protocol<Msg>` for a [`Node`] (a blanket impl would be an
 /// orphan): `init` is the node's, every handler hands it their [`Event`] —
-/// the owned and the borrowed message entry points alike — and the upcasts
-/// return `self`.
+/// the owned and the borrowed message entry points alike — and drops the
+/// progress it reports (a root has no parent), and the upcasts return
+/// `self`.
 #[macro_export]
 macro_rules! node_protocol {
     ($node:ty) => {
@@ -342,11 +347,14 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     use super::*;
+    use crate::aba::{Aba, ABA};
+    use crate::acast::{Acast, ACAST};
     use crate::acs::{Acs, ACS};
     use crate::ba::{Ba, BA};
     use crate::bc::{Bc, BC, BC_GROUP};
     use crate::msg::{AbaMsg, AcastMsg, BcValue, SbaMsg};
     use crate::params::Params;
+    use crate::sba::{Sba, SBA};
     use crate::vss::{Vss, VSS};
     use crate::wps::{Wps, WPS};
 
@@ -438,6 +446,9 @@ mod tests {
         for params in [Params::new(4, 1, 0, 10), Params::new(7, 2, 0, 10)] {
             let t = params.ts;
             let poly = Polynomial::from_coeffs(vec![Fp::from_u64(5); t + 1]);
+            assert_tree_agrees(&ACAST, params, Acast::new(0, params.n, t));
+            assert_tree_agrees(&SBA, params, Sba::new(params.n, t, None));
+            assert_tree_agrees(&ABA, params, Aba::new(params.n, t, None));
             assert_tree_agrees(&BC, params, Bc::new(0, t, params));
             assert_tree_agrees(&BC_GROUP, params, Bc::new_group(t, params));
             assert_tree_agrees(&BA, params, Ba::new(t, params, Some(true)));

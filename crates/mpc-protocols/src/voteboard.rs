@@ -57,8 +57,8 @@ pub struct VoteBoard {
     /// in once, when it first appears, therefore yields exactly the graph a
     /// rebuild from every vote visible would.
     eventual: OkGraph,
-    /// The vote vectors in `eventual` already: scheduled slot `j`'s at `j`,
-    /// update A-cast `idx`'s at `n + idx`.
+    /// Whether scheduled slot `j`'s vote vector is in `eventual` already.
+    /// An update A-cast's is folded in when it delivers, which it does once.
     folded: Vec<bool>,
 }
 
@@ -123,7 +123,7 @@ impl VoteBoard {
             started: false,
             updates: Vec::new(),
             eventual: OkGraph::new(params.n),
-            folded: vec![false; params.n * (params.n + 1)],
+            folded: vec![false; params.n],
         }
     }
 
@@ -190,25 +190,14 @@ impl VoteBoard {
         Some(&mut **acast)
     }
 
-    /// Folds update A-cast `idx`'s votes into the eventual graph if it has
-    /// delivered them and they are not in yet; returns whether it did, i.e.
-    /// whether the board may show something new.
-    pub(crate) fn fold_update(&mut self, idx: usize) -> bool {
-        let n = self.params.n;
-        let value = self
-            .updates
-            .get(idx)
-            .and_then(|a| a.as_ref()?.output.as_ref());
-        let Some(value) = value.filter(|_| self.folded.get(n + idx) == Some(&false)) else {
-            return false;
-        };
-        self.folded[n + idx] = true;
-        self.eventual.fold(idx / n, value);
-        true
-    }
-
-    fn scheduled_slot(&self, j: PartyId) -> Option<&BcSlot> {
-        self.scheduled.slot(j)
+    /// Takes in the progress of the child `index` of family `name`: an
+    /// update A-cast's votes join the eventual graph when it delivers them,
+    /// which it does once.
+    pub(crate) fn child_progressed(&mut self, name: Name, index: usize) {
+        let update = self.updates.get(index).filter(|_| name == Name::Update);
+        if let Some(value) = update.and_then(|a| a.as_ref()?.output.as_ref()) {
+            self.eventual.fold(index / self.params.n, value);
+        }
     }
 
     fn votes_in(value: Option<&BcValue>) -> Vec<(PartyId, Vote)> {
@@ -224,7 +213,7 @@ impl VoteBoard {
     /// Votes of party `j` received through the *regular mode* of its scheduled
     /// broadcast (empty until that broadcast's `T_BC`).
     pub fn regular_votes_of(&self, j: PartyId) -> Vec<(PartyId, Vote)> {
-        Self::votes_in(self.scheduled_slot(j).and_then(BcSlot::regular_value))
+        Self::votes_in(self.scheduled.slot(j).and_then(BcSlot::regular_value))
     }
 
     /// The consistency graph built from votes received through regular mode
@@ -232,7 +221,7 @@ impl VoteBoard {
     pub fn graph_regular(&self) -> ConsistencyGraph {
         let mut regular = OkGraph::new(self.params.n);
         for j in 0..self.params.n {
-            if let Some(value) = self.scheduled_slot(j).and_then(BcSlot::regular_value) {
+            if let Some(value) = self.scheduled.slot(j).and_then(BcSlot::regular_value) {
                 regular.fold(j, value);
             }
         }
@@ -246,7 +235,7 @@ impl VoteBoard {
     /// nothing for them. The graph only grows, so its
     /// [`ConsistencyGraph::edge_count`] changes exactly when it does.
     pub fn graph_any(&mut self) -> &ConsistencyGraph {
-        for (j, folded) in self.folded[..self.params.n].iter_mut().enumerate() {
+        for (j, folded) in self.folded.iter_mut().enumerate() {
             if *folded {
                 continue;
             }
@@ -322,7 +311,7 @@ mod tests {
     /// update A-casts in counterpart order.
     fn all_votes_of(board: &VoteBoard, j: PartyId) -> Vec<(PartyId, Vote)> {
         let n = board.params.n;
-        let mut votes = VoteBoard::votes_in(board.scheduled_slot(j).and_then(BcSlot::value));
+        let mut votes = VoteBoard::votes_in(board.scheduled.slot(j).and_then(BcSlot::value));
         // Sender `j`'s updates are one contiguous row of the table.
         let row = board.updates.get(j * n..(j + 1) * n).unwrap_or_default();
         for acast in row.iter().flatten() {
@@ -334,7 +323,7 @@ mod tests {
     /// A scan of every delivered update A-cast, filtered by sender.
     fn all_votes_by_full_scan(board: &VoteBoard, j: PartyId) -> Vec<(PartyId, Vote)> {
         let n = board.params.n;
-        let mut votes = VoteBoard::votes_in(board.scheduled_slot(j).and_then(BcSlot::value));
+        let mut votes = VoteBoard::votes_in(board.scheduled.slot(j).and_then(BcSlot::value));
         for (idx, acast) in board.updates.iter().enumerate() {
             if let Some(acast) = acast.as_ref().filter(|_| idx / n == j) {
                 votes.extend(VoteBoard::votes_in(acast.output.as_ref()));
@@ -367,9 +356,9 @@ mod tests {
         g
     }
 
-    /// Hands `msg` to update A-cast `idx` and folds it, as the shell does
-    /// for a message the router took there; returns whether the board
-    /// reported a change.
+    /// Hands `msg` to update A-cast `idx` and, if it delivered, folds it,
+    /// as the shell does on a child's progress; returns whether it
+    /// delivered.
     fn to_update(
         board: &mut VoteBoard,
         ctx: &mut Context<'_, Msg>,
@@ -378,13 +367,16 @@ mod tests {
         msg: &Msg,
     ) -> bool {
         let acast = board.child(Name::Update, idx).expect("an update A-cast");
-        acast.on_event(ctx, &[], Event::Message(from, msg));
-        board.fold_update(idx)
+        let delivered = acast.on_event(ctx, &[], Event::Message(from, msg));
+        if delivered {
+            board.child_progressed(Name::Update, idx);
+        }
+        delivered
     }
 
     /// Delivers `value` as the output of `sender`'s update A-cast about
     /// `counterpart`, through the message path: `2t + 1` `Ready`s. Returns
-    /// how many of them the board reported as a change.
+    /// how many of them the A-cast reported as progress.
     fn deliver_update(
         board: &mut VoteBoard,
         ctx: &mut Context<'_, Msg>,
@@ -497,7 +489,7 @@ mod tests {
                 } else {
                     // Update A-casts, redelivered (with a different value,
                     // which the A-cast ignores) now and then. Only the
-                    // message that delivers one reports a change.
+                    // message that delivers one reports progress.
                     let counterpart = rng.gen_range(0..n);
                     let entry = board.updates.get(j * n + counterpart).and_then(Option::as_ref);
                     let fresh = entry.is_none_or(|acast| acast.output.is_none());

@@ -78,8 +78,8 @@ impl Vss {
     /// Votes on every party `j` still owed a vote whose `Π_WPS^{(j)}` has
     /// delivered this party's WPS-share.
     fn refresh_votes(&mut self, ctx: &mut Context<'_, Msg>) {
-        // Hot path: runs after every event of the instance. The core's flat
-        // record comes first, as each `Π_WPS` is a large struct.
+        // The core's flat record comes first, as each `Π_WPS` is a large
+        // struct.
         for (j, wps) in self.wps.iter().enumerate() {
             if !self.core.owes_vote(j) {
                 continue;
@@ -109,14 +109,17 @@ impl Vss {
         Some((0..self.core.l_count).map(share).collect())
     }
 
-    fn check_progress(&mut self, ctx: &mut Context<'_, Msg>) {
+    /// The step after an own event or a child's progress; returns whether
+    /// the shares appeared.
+    fn check_progress(&mut self, ctx: &mut Context<'_, Msg>) -> bool {
         self.refresh_votes(ctx);
         self.core.progress(ctx);
-        if self.shares.is_none() {
+        self.shares.is_none() && {
             self.shares = self
                 .core
                 .output(ctx.me, |support| self.reconstruct(support));
             self.output_at = self.shares.as_ref().map(|_| ctx.now);
+            self.shares.is_some()
         }
     }
 
@@ -149,29 +152,22 @@ impl Node for Vss {
         self.core.init(ctx, ctx.delta + self.core.params.t_wps());
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
-        match VSS.route(self, ctx, path, event) {
+    /// Runs the step on its own events and on a child's progress; progress
+    /// is the shares appearing.
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
+        match VSS.route(self, ctx, path, ev) {
             Routed::Own(Event::Message(from, Msg::RowPolys(rows))) => {
                 if !self.core.accept_rows(from, rows) {
-                    return;
+                    return false;
                 }
                 self.deal_own_rows(ctx);
-                self.check_progress(ctx);
             }
             Routed::Own(Event::Timer(TIMER_START_WPS)) => self.start_wps(ctx),
-            Routed::Own(Event::Timer(id)) => {
-                self.core.on_phase_timer(ctx, id);
-                self.check_progress(ctx);
-            }
-            // `check_progress` reads a `Π_WPS` only through its shares: skip
-            // it unless they appeared at this tick (a second run in the same
-            // tick changes nothing).
-            Routed::Child(Name::Wps, j) if self.wps[j].output_at != Some(ctx.now) => {}
-            Routed::Child(name, index) if self.core.changed(name, index) => {
-                self.check_progress(ctx);
-            }
-            _ => {}
+            Routed::Own(Event::Timer(id)) => self.core.on_phase_timer(ctx, id),
+            Routed::Child(name, index, true) => self.core.votes.child_progressed(name, index),
+            _ => return false,
         }
+        self.check_progress(ctx)
     }
 
     fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {

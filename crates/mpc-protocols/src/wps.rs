@@ -119,7 +119,6 @@ impl Wps {
                 self.points_from.insert(from, points.to_vec());
             }
         }
-        self.check_progress(ctx);
     }
 
     /// Votes on every counterpart whose points have arrived (the core
@@ -168,17 +167,21 @@ impl Wps {
         Some(polys.iter().map(|p| p.constant_term()).collect())
     }
 
-    fn check_progress(&mut self, ctx: &mut Context<'_, Msg>) {
+    /// The step after an own event or a child's progress; returns whether
+    /// the shares appeared.
+    fn check_progress(&mut self, ctx: &mut Context<'_, Msg>) -> bool {
         self.core.progress(ctx);
-        if self.shares.is_none() {
+        let appeared = self.shares.is_none() && {
             self.shares = self
                 .core
                 .output(ctx.me, |support| self.reconstruct(support));
             self.output_at = self.shares.as_ref().map(|_| ctx.now);
-        }
+            self.shares.is_some()
+        };
         if self.released() {
             self.points_from.clear();
         }
+        appeared
     }
 }
 
@@ -187,18 +190,19 @@ impl Node for Wps {
         self.core.init(ctx, 2 * ctx.delta);
     }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, event: Event<'_>) {
-        match WPS.route(self, ctx, path, event) {
+    /// Runs the step on its own events and on a child's progress; progress
+    /// is the shares appearing.
+    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
+        match WPS.route(self, ctx, path, ev) {
             Routed::Own(Event::Message(from, Msg::RowPolys(rows))) => {
                 if !self.core.accept_rows(from, rows) {
-                    return;
+                    return false;
                 }
                 // the points go out at the next Δ-boundary
                 let rem = ctx.now % ctx.delta;
                 let delay = if rem == 0 { 0 } else { ctx.delta - rem };
                 ctx.set_timer(delay, TIMER_SEND_POINTS);
                 self.refresh_votes(ctx);
-                self.check_progress(ctx);
             }
             // wrong length = silent, like a wrong-length opening
             Routed::Own(Event::Message(from, Msg::Points(pts)))
@@ -207,15 +211,11 @@ impl Node for Wps {
                 self.on_points(ctx, from, pts);
             }
             Routed::Own(Event::Timer(TIMER_SEND_POINTS)) => self.send_points(ctx),
-            Routed::Own(Event::Timer(id)) => {
-                self.core.on_phase_timer(ctx, id);
-                self.check_progress(ctx);
-            }
-            Routed::Child(name, index) if self.core.changed(name, index) => {
-                self.check_progress(ctx);
-            }
-            _ => {}
+            Routed::Own(Event::Timer(id)) => self.core.on_phase_timer(ctx, id),
+            Routed::Child(name, index, true) => self.core.votes.child_progressed(name, index),
+            _ => return false,
         }
+        self.check_progress(ctx)
     }
 
     fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
