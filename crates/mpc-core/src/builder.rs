@@ -288,8 +288,7 @@ impl MpcBuilder {
 
     /// Switches `Π_CirEval` to the per-gate opening reference path (one
     /// public reconstruction per multiplication gate instead of one batch per
-    /// multiplication layer). Used by equivalence tests and the e12
-    /// benchmark baseline.
+    /// multiplication layer). Used by equivalence tests.
     pub fn per_gate_openings(mut self, per_gate: bool) -> Self {
         self.per_gate_openings = per_gate;
         self

@@ -123,8 +123,7 @@ impl Layers {
         }
     }
 
-    /// The per-gate reference driver, kept for equivalence tests and as the
-    /// e12 benchmark baseline.
+    /// The per-gate reference driver, kept for equivalence tests.
     fn evaluate_per_gate(&mut self, io: &mut Io<'_, '_>, circuit: &Circuit) -> Option<Fp> {
         let mut progress = true;
         while progress {

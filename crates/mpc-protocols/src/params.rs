@@ -121,7 +121,10 @@ impl Params {
     }
 
     /// A generous simulation horizon for full circuit evaluations of
-    /// multiplicative depth `depth` — used by tests/benches to bound runs.
+    /// multiplicative depth `depth` — the builder's default bound on a run,
+    /// also used by tests and the ledger. It bounds, it does not predict: an
+    /// honest synchronous run ends at `(65 + 21·t_s)·Δ + (9 + depth)·δ`
+    /// (DESIGN.md "Deadlines").
     pub fn horizon_for_depth(&self, depth: usize) -> Time {
         (self.t_tripgen() + self.t_acs()) * 4 + (depth as Time + 8) * 4 * self.delta
     }

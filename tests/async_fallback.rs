@@ -43,7 +43,10 @@ fn fast_async_network_is_responsive() {
     // With an actual delay δ much smaller than Δ, the asynchronous run
     // completes earlier (in simulated time) than the worst-case synchronous
     // run of the very same circuit — the responsiveness argument from the
-    // paper's introduction.
+    // paper's introduction. Only the message-driven part, (9 + D_M) hops,
+    // runs at network speed: the (65 + 21·t_s)·Δ of time-outs before the
+    // ACS agreements elapse at any δ (tests/scaling.rs pins the tick,
+    // DESIGN.md "Deadlines").
     let n = 4;
     let circuit = Circuit::sum_of_inputs(n);
     let inputs = [1u64, 2, 3, 4];

@@ -1,10 +1,16 @@
-//! Communication-scaling sanity checks backing the complexity claims of
-//! experiments E5–E7 (they are also printed as full series by the benchmark
-//! harness; here we assert the monotonicity/shape properties that must hold
-//! on every machine).
+//! The paper's cost and deadline claims, checked on honest runs.
+//!
+//! The communication tests assert the shape of Thms 4.8 and 4.16
+//! (experiments E5–E7). Two identities are exact: the preprocessing bits of
+//! Thm 6.5 are affine in `c_M` with a pinned slope (E8), and a synchronous
+//! `Π_CirEval` completes at `(65 + 21·t_s)·Δ + (9 + D_M)·δ` (E9 and E10's
+//! responsiveness; DESIGN.md "Deadlines").
 
 use bobw_mpc::algebra::{Fp, Polynomial};
-use bobw_mpc::net::{CorruptionSet, NetConfig, Protocol, Simulation};
+use bobw_mpc::core::{Circuit, MpcBuilder, MpcRunResult};
+use bobw_mpc::net::{
+    Backend, CorruptionSet, FixedDelay, NetConfig, NetworkKind, Protocol, Simulation, Time,
+};
 use bobw_mpc::protocols::vss::Vss;
 use bobw_mpc::protocols::wps::Wps;
 use bobw_mpc::protocols::{Msg, Params};
@@ -101,4 +107,97 @@ fn communication_grows_with_n() {
     // More parties → strictly more honest communication for the same task.
     assert!(wps_bits(7, 1) > wps_bits(4, 1));
     assert!(vss_bits(5, 1) > vss_bits(4, 1));
+}
+
+/// An honest `Π_CirEval` run of `circuit` on the simulator's scalar engine
+/// (pinned, so the `MPC_TRANSPORT` and `MPC_PACKING` test lanes run the same
+/// protocol), with every message delayed by `delay` ticks, or by the network
+/// kind's default schedule when `delay` is `None`.
+fn cireval(
+    (n, ts, ta): (usize, usize, usize),
+    circuit: &Circuit,
+    delta: Time,
+    kind: NetworkKind,
+    delay: Option<Time>,
+) -> MpcRunResult {
+    let inputs: Vec<u64> = (2..n as u64 + 2).collect();
+    let mut builder = MpcBuilder::new(n, ts, ta)
+        .delta(delta)
+        .network(kind)
+        .packing(0)
+        .transport(Backend::Simulator)
+        .inputs(&inputs);
+    if let Some(delay) = delay {
+        builder = builder.scheduler(Box::new(FixedDelay(delay)));
+    }
+    let result = builder.run(circuit).expect("honest run completes");
+    let clear: Vec<Fp> = inputs.into_iter().map(Fp::from_u64).collect();
+    assert_eq!(result.output, circuit.evaluate_clear(&clear));
+    result
+}
+
+#[test]
+fn synchronous_completion_tick_is_an_identity() {
+    // Every honest run whose messages take δ ≤ Δ ends at
+    // (65 + 21·t_s)·Δ + (9 + D_M)·δ: the time-outs up to the ACS agreements
+    // cost Δ each, the message-driven rest δ each (DESIGN.md "Deadlines").
+    // Theorem 7.1 bounds the same tick by (120n + D_M + 6k − 20)·Δ; n has
+    // no term here because the phase-king SBA runs t_s + 1 phases. A `None`
+    // delay is the synchronous network's own schedule, the δ = Δ case.
+    use NetworkKind::{Asynchronous, Synchronous};
+    let grid = [
+        ((4, 1, 0), 1, 10, Synchronous, None),
+        ((4, 1, 0), 1, 10, Synchronous, Some(1)),
+        ((4, 1, 0), 3, 5, Synchronous, Some(2)),
+        ((4, 1, 0), 3, 20, Synchronous, Some(3)),
+        ((4, 1, 0), 2, 20, Synchronous, Some(20)),
+        ((4, 1, 0), 2, 10, Asynchronous, Some(2)),
+        ((5, 1, 1), 1, 20, Synchronous, Some(1)),
+        ((5, 1, 1), 3, 10, Synchronous, None),
+        ((7, 1, 1), 2, 10, Synchronous, Some(2)),
+        ((7, 2, 0), 1, 5, Synchronous, Some(2)),
+        ((7, 2, 0), 3, 10, Synchronous, None),
+        ((8, 2, 1), 1, 10, Synchronous, Some(3)),
+        ((10, 3, 0), 1, 10, Synchronous, Some(1)),
+    ];
+    for ((n, ts, ta), depth, delta, kind, delay) in grid {
+        let circuit = Circuit::layered(n, 2, depth);
+        let finished_at = cireval((n, ts, ta), &circuit, delta, kind, delay).finished_at;
+        let delay_or_delta = delay.unwrap_or(delta);
+        let (ts, depth) = (ts as Time, depth as Time);
+        assert_eq!(
+            finished_at,
+            (65 + 21 * ts) * delta + (9 + depth) * delay_or_delta,
+            "(n, t_s, t_a) = ({n}, {ts}, {ta}), D_M = {depth}, Δ = {delta}, \
+             {kind:?}, delay {delay:?}"
+        );
+    }
+}
+
+#[test]
+fn preprocessing_bits_are_affine_in_the_multiplication_count() {
+    // Theorem 6.5: a circuit-independent setup plus a fixed cost per
+    // multiplication gate. `layered(n, w, 1)` has c_M = w. The message count
+    // does not move with c_M at all: the triples ride in one `Π_ACS`, and
+    // every wave opens its batch in one message per party. The bits grow by
+    // exactly one slope per gate.
+    let cases = [
+        // ((n, t_s, t_a), honest messages, bits at c_M = 1, bits per gate)
+        ((4, 1, 0), 28_464, 8_037_760, 659_968),
+        ((5, 1, 1), 71_675, 23_849_000, 1_624_000),
+    ];
+    for ((n, ts, ta), messages, base, slope) in cases {
+        for c_m in [1usize, 2, 3, 8] {
+            let circuit = Circuit::layered(n, c_m, 1);
+            assert_eq!(circuit.mult_count(), c_m);
+            let metrics =
+                cireval((n, ts, ta), &circuit, 10, NetworkKind::Synchronous, None).metrics;
+            assert_eq!(metrics.honest_messages, messages, "n = {n}, c_M = {c_m}");
+            assert_eq!(
+                metrics.honest_bits,
+                base + (c_m as u64 - 1) * slope,
+                "n = {n}, c_M = {c_m}"
+            );
+        }
+    }
 }
