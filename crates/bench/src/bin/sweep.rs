@@ -10,7 +10,8 @@
 //!
 //! * `SWEEP_BACKENDS` — `sim`, `threaded`, `tcp`, `both` (sim + threaded,
 //!   the default) or `all` (every backend). The tcp matrix adds one
-//!   socket-chaos cell per chaos preset (sever / stall / dup-bytes).
+//!   socket-chaos cell per chaos preset (sever / stall / dup-bytes). Any
+//!   other value is refused (exit 2) with a message naming it.
 //! * `SWEEP_SEED` — base RNG seed of every cell (default `1`).
 //! * `SWEEP_FILTER` — substring filter on the cell label (e.g. a fault
 //!   preset name or `slow-sender`); empty runs everything.
@@ -37,13 +38,30 @@ fn env(name: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
-fn main() -> ExitCode {
-    let backends: Vec<Backend> = match env("SWEEP_BACKENDS", "both").as_str() {
+/// The backends a `SWEEP_BACKENDS` value names; an unknown value is an error
+/// naming the variable and the value, never a silent default.
+fn parse_backends(value: &str) -> Result<Vec<Backend>, String> {
+    Ok(match value {
         "sim" | "simulator" => vec![Backend::Simulator],
         "threaded" => vec![Backend::Threaded],
         "tcp" => vec![Backend::Tcp],
+        "both" => vec![Backend::Simulator, Backend::Threaded],
         "all" => vec![Backend::Simulator, Backend::Threaded, Backend::Tcp],
-        _ => vec![Backend::Simulator, Backend::Threaded],
+        _ => {
+            return Err(format!(
+                "SWEEP_BACKENDS={value:?}: unknown backend set (expected sim|threaded|tcp|both|all)"
+            ))
+        }
+    })
+}
+
+fn main() -> ExitCode {
+    let backends = match parse_backends(&env("SWEEP_BACKENDS", "both")) {
+        Ok(backends) => backends,
+        Err(e) => {
+            eprintln!("sweep: {e}");
+            return ExitCode::from(2);
+        }
     };
     let seed: u64 = env("SWEEP_SEED", "1")
         .parse()
@@ -136,5 +154,26 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backend_sets_parse_and_a_typo_is_an_error_naming_variable_and_value() {
+        let (sim, threaded, tcp) = (Backend::Simulator, Backend::Threaded, Backend::Tcp);
+        assert_eq!(parse_backends("sim"), Ok(vec![sim]));
+        assert_eq!(parse_backends("simulator"), Ok(vec![sim]));
+        assert_eq!(parse_backends("threaded"), Ok(vec![threaded]));
+        assert_eq!(parse_backends("tcp"), Ok(vec![tcp]));
+        assert_eq!(parse_backends("both"), Ok(vec![sim, threaded]));
+        assert_eq!(parse_backends("all"), Ok(vec![sim, threaded, tcp]));
+        for bad in ["thraeded", "tpc", "sim,tcp"] {
+            let err = parse_backends(bad).expect_err(bad);
+            assert!(err.contains("SWEEP_BACKENDS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 }

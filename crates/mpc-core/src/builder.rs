@@ -7,14 +7,14 @@
 //! plus the run's communication metrics and completion time. The backend —
 //! the deterministic discrete-event simulator, the real threaded runtime, or
 //! the supervised TCP socket runtime — is picked with
-//! [`MpcBuilder::transport`] (default: the `MPC_TRANSPORT` environment
-//! variable via [`Backend::from_env`]).
+//! [`MpcBuilder::transport`] (default: the simulator).
 
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
 use mpc_algebra::Fp;
+use mpc_net::transport::threaded::{Medium, RealNet};
 use mpc_net::{
     AdversaryStructure, Backend, ByzantineStrategy, CorruptionSet, FaultPlan, LinkDelays, Metrics,
     NetConfig, NetworkKind, PartyId, PartyView, Protocol, Scheduler, Simulation, TcpNet,
@@ -91,8 +91,8 @@ pub struct MpcBuilder {
     horizon_factor: u64,
     threads: usize,
     per_gate_openings: bool,
-    packing: Option<usize>,
-    transport: Option<Backend>,
+    packing: usize,
+    transport: Backend,
     link_delays: Option<LinkDelays>,
     tick_micros: Option<u64>,
     drain: bool,
@@ -136,8 +136,8 @@ impl MpcBuilder {
             horizon_factor: 8,
             threads: 1,
             per_gate_openings: false,
-            packing: None,
-            transport: None,
+            packing: 0,
+            transport: Backend::Simulator,
             link_delays: None,
             tick_micros: None,
             drain: false,
@@ -299,39 +299,16 @@ impl MpcBuilder {
     /// Beaver opening. `0` (the default) keeps the scalar engine and the
     /// run's transcript bit-identical to previous versions. Widths above the
     /// feasibility bound `n − 3·t_s`
-    /// ([`crate::thresholds::max_packing_width`]) are clamped to it. When
-    /// unset, the `MPC_PACKING` environment variable applies.
+    /// ([`crate::thresholds::max_packing_width`]) are clamped to it.
     pub fn packing(mut self, ell: usize) -> Self {
-        self.packing = Some(ell);
+        self.packing = ell;
         self
     }
 
-    /// The effective packing width this builder will run with: the explicit
-    /// [`MpcBuilder::packing`] setting, else the `MPC_PACKING` environment
-    /// variable (the one place it is read), else 0 (scalar), clamped to
-    /// [`crate::thresholds::max_packing_width`].
-    ///
-    /// # Errors
-    ///
-    /// A set `MPC_PACKING` that is not an unsigned integer is an error naming
-    /// the variable and the value, never a silent fallback to scalar.
-    pub fn effective_packing(&self) -> Result<usize, RunError> {
-        let requested = match self.packing {
-            Some(ell) => ell,
-            None => packing_knob(&std::env::var("MPC_PACKING").unwrap_or_default())?,
-        };
-        Ok(requested.min(crate::thresholds::max_packing_width(
-            self.params.n,
-            self.params.ts,
-        )))
-    }
-
     /// Selects the backend the run executes on: the deterministic simulator
-    /// or the real threaded runtime. Defaults to the `MPC_TRANSPORT`
-    /// environment variable (see [`Backend::from_env`]), i.e. the simulator
-    /// unless `MPC_TRANSPORT` names `threaded` or `tcp`.
+    /// (the default), the real threaded runtime or the TCP socket runtime.
     pub fn transport(mut self, backend: Backend) -> Self {
-        self.transport = Some(backend);
+        self.transport = backend;
         self
     }
 
@@ -365,17 +342,37 @@ impl MpcBuilder {
         self.params
     }
 
+    /// A real-media net of `parties` with this builder's corrupt set, tick,
+    /// wedge deadline and fault plan. Real media need frozen per-link
+    /// latencies: an explicit matrix wins, then a sampled snapshot of a
+    /// custom scheduler, then the network kind's default matrix.
+    fn real_net<L: Medium>(
+        &mut self,
+        cfg: NetConfig,
+        parties: Vec<Box<dyn Protocol<Msg>>>,
+    ) -> RealNet<Msg, L> {
+        let links = match (self.link_delays.take(), self.scheduler.take()) {
+            (Some(links), _) => links,
+            (None, Some(mut s)) => LinkDelays::sampled_from(cfg.n, cfg.seed, s.as_mut()),
+            (None, None) => LinkDelays::for_kind(cfg.n, cfg.kind, cfg.delta, cfg.seed),
+        };
+        let mut net = RealNet::with_links(cfg, self.corrupt.clone(), links, parties)
+            .with_tick_micros(self.tick_micros.unwrap_or(0))
+            .with_wedge_millis(self.wedge_millis.unwrap_or(0));
+        net.set_fault_plan(self.fault_plan.clone());
+        net
+    }
+
     /// Runs the protocol on `circuit` and returns the honest parties' common
     /// output.
     ///
     /// # Errors
     ///
     /// Returns an error if the circuit does not have one input per party or
-    /// has no output wire, if `MPC_PACKING` or `MPC_TRANSPORT` is consulted
-    /// and malformed, if the honest parties do not all terminate within the
-    /// simulation horizon, or if they terminate with inconsistent outputs
+    /// has no output wire, if the honest parties do not all terminate within
+    /// the simulation horizon, or if they terminate with inconsistent outputs
     /// (which would indicate a protocol violation).
-    pub fn run(self, circuit: &Circuit) -> Result<MpcRunResult, RunError> {
+    pub fn run(mut self, circuit: &Circuit) -> Result<MpcRunResult, RunError> {
         let params = self.params;
         let n = params.n;
         if circuit.n_inputs() != n {
@@ -389,11 +386,9 @@ impl MpcBuilder {
         }
         let corrupt = self.corrupt.clone();
         let wire_level = self.strategy.is_some();
-        let packing = self.effective_packing()?;
-        let backend = match self.transport {
-            Some(backend) => backend,
-            None => Backend::from_env().map_err(RunError::plain)?,
-        };
+        let packing = self
+            .packing
+            .min(crate::thresholds::max_packing_width(n, params.ts));
         let structure: Arc<dyn AdversaryStructure> = self
             .structure
             .clone()
@@ -420,54 +415,27 @@ impl MpcBuilder {
             .with_delta(self.delta)
             .with_seed(self.seed)
             .with_threads(self.threads);
-        let mut scheduler = self.scheduler;
-        let mut net: Box<dyn Transport<Msg>> = match backend {
+        let mut net: Box<dyn Transport<Msg>> = match self.transport {
             Backend::Simulator => {
-                let mut sim = match scheduler.take() {
+                let mut sim = match self.scheduler.take() {
                     Some(s) => Simulation::with_scheduler(cfg, corrupt.clone(), s, parties),
                     None => Simulation::new(cfg, corrupt.clone(), parties),
                 };
                 sim.set_fault_plan(self.fault_plan.clone());
                 Box::new(sim)
             }
-            Backend::Threaded | Backend::Tcp => {
-                // The thread-per-party backends need frozen per-link
-                // latencies: an explicit matrix wins, then a sampled snapshot
-                // of a custom scheduler, then the network kind's default
-                // matrix.
-                let links = match self.link_delays {
-                    Some(links) => links,
-                    None => match scheduler.take() {
-                        Some(mut s) => LinkDelays::sampled_from(n, cfg.seed, s.as_mut()),
-                        None => LinkDelays::for_kind(n, cfg.kind, cfg.delta, cfg.seed),
-                    },
-                };
-                if backend == Backend::Threaded {
-                    let mut th = ThreadedNet::with_links(cfg, corrupt.clone(), links, parties);
-                    if let Some(micros) = self.tick_micros {
-                        th = th.with_tick_micros(micros);
-                    }
-                    if let Some(millis) = self.wedge_millis {
-                        th = th.with_wedge_millis(millis);
-                    }
-                    th.set_fault_plan(self.fault_plan.clone());
-                    Box::new(th)
-                } else {
-                    let mut th = TcpNet::with_links(cfg, corrupt.clone(), links, parties);
-                    if let Some(micros) = self.tick_micros {
-                        th = th.with_tick_micros(micros);
-                    }
-                    if let Some(millis) = self.wedge_millis {
-                        th = th.with_wedge_millis(millis);
-                    }
-                    th.set_fault_plan(self.fault_plan.clone());
-                    th.set_chaos_plan(self.chaos_plan);
-                    Box::new(th)
-                }
+            Backend::Threaded => {
+                let net: ThreadedNet<Msg> = self.real_net(cfg, parties);
+                Box::new(net)
+            }
+            Backend::Tcp => {
+                let mut net: TcpNet<Msg> = self.real_net(cfg, parties);
+                net.set_chaos_plan(self.chaos_plan);
+                Box::new(net)
             }
         };
         net.set_adversary_structure(Arc::clone(&structure));
-        if let Some(strategy) = self.strategy {
+        if let Some(strategy) = self.strategy.take() {
             net.set_strategy(strategy);
         }
         let horizon = params.horizon_for_depth(circuit.mult_depth()) * self.horizon_factor;
@@ -533,18 +501,6 @@ impl MpcBuilder {
             metrics,
         })
     }
-}
-
-/// [`MpcBuilder::effective_packing`]'s parse of an `MPC_PACKING` value:
-/// blank reads as 0 (scalar).
-fn packing_knob(value: &str) -> Result<usize, RunError> {
-    let value = value.trim();
-    if value.is_empty() {
-        return Ok(0);
-    }
-    value
-        .parse()
-        .map_err(|e| RunError::plain(format!("MPC_PACKING={value:?} is not a packing width: {e}")))
 }
 
 #[cfg(test)]
@@ -640,9 +596,9 @@ mod tests {
     #[test]
     fn builder_fault_plan_duplicate_burst_is_tolerated() {
         // Duplicated deliveries must never change the honest output or the
-        // agreed input subset, on either backend and in either network kind.
-        // The packing width is left to `MPC_PACKING`, so the packed lane runs
-        // this on the packed engine.
+        // agreed input subset, on the simulator or a real medium and in
+        // either network kind. The plan acts in the per-party core that both
+        // real media share, so the threaded runtime stands for the socket one.
         let c = Circuit::product_of_inputs(4);
         let delta = NetConfig::DEFAULT_DELTA;
         let dup_burst = FaultPlan::preset("dup-burst", 4, delta).expect("named preset");
@@ -664,18 +620,6 @@ mod tests {
                 assert_eq!(baseline.input_subset, dup.input_subset, "{label} subset");
                 assert!(dup.metrics.fault_duplicates > 0, "{label} duplicates");
             }
-        }
-    }
-
-    #[test]
-    fn malformed_packing_knob_is_an_error_naming_variable_and_value() {
-        assert_eq!(packing_knob(" ").unwrap(), 0);
-        assert_eq!(packing_knob(" 4 ").unwrap(), 4);
-        for bad in ["four", "-2", "thraeded"] {
-            let err = packing_knob(bad).expect_err(bad);
-            assert!(err.message.contains("MPC_PACKING"), "{err}");
-            assert!(err.message.contains(&format!("{bad:?}")), "{err}");
-            assert!(err.transport.is_none());
         }
     }
 

@@ -574,15 +574,13 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_net::{
-        Backend, CorruptionSet, LinkDelays, NetConfig, NetworkKind, PartyView, Protocol, Scheduler,
-        Simulation, ThreadedNet, Transport,
-    };
+    use mpc_net::{CorruptionSet, NetConfig, NetworkKind, Protocol, Scheduler, Simulation};
     use std::any::Any;
 
-    /// Drives a circuit evaluation through the [`Transport`] abstraction; the
-    /// backend follows `MPC_TRANSPORT` so the whole module doubles as a
-    /// threaded-runtime exercise under `MPC_TRANSPORT=threaded`.
+    /// Drives a circuit evaluation on the simulator, with fixed-Δ delivery in
+    /// a synchronous network and uniform delays up to 5Δ in an asynchronous
+    /// one. Real media are held to the simulator by
+    /// `tests/transport_conformance.rs`.
     fn run_circuit(
         params: Params,
         circuit: &Circuit,
@@ -604,54 +602,25 @@ mod tests {
             NetConfig::asynchronous(params.n)
         }
         .with_seed(seed);
-        let mut scheduler: Box<dyn Scheduler> = match cfg.kind {
+        let scheduler: Box<dyn Scheduler> = match cfg.kind {
             mpc_net::NetworkKind::Synchronous => Box::new(mpc_net::FixedDelay(cfg.delta)),
             mpc_net::NetworkKind::Asynchronous => Box::new(mpc_net::UniformDelay {
                 min: 1,
                 max: cfg.delta * 5,
             }),
         };
-        let mut net: Box<dyn Transport<Msg>> = match Backend::from_env().unwrap() {
-            Backend::Simulator => Box::new(Simulation::with_scheduler(
-                cfg.clone(),
-                corrupt.clone(),
-                scheduler,
-                parties,
-            )),
-            Backend::Threaded => {
-                let links = LinkDelays::sampled_from(cfg.n, cfg.seed, scheduler.as_mut());
-                Box::new(ThreadedNet::with_links(
-                    cfg,
-                    corrupt.clone(),
-                    links,
-                    parties,
-                ))
-            }
-            Backend::Tcp => {
-                let links = LinkDelays::sampled_from(cfg.n, cfg.seed, scheduler.as_mut());
-                Box::new(mpc_net::TcpNet::with_links(
-                    cfg,
-                    corrupt.clone(),
-                    links,
-                    parties,
-                ))
-            }
-        };
+        let mut sim = Simulation::with_scheduler(cfg, corrupt.clone(), scheduler, parties);
         let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
-        let done = net.run_until_done(horizon, &mut |view| {
-            (0..params.n).filter(|&i| corrupt.is_honest(i)).all(|i| {
-                mpc_net::party_as::<CirEval, Msg>(view, i)
-                    .unwrap()
-                    .output
-                    .is_some()
-            })
+        let done = sim.run_until(horizon, |sim| {
+            (0..params.n)
+                .filter(|&i| corrupt.is_honest(i))
+                .all(|i| sim.party_as::<CirEval>(i).unwrap().output.is_some())
         });
         assert!(done, "circuit evaluation did not finish before the horizon");
-        let view: &dyn PartyView<Msg> = net.as_ref();
         let outs = (0..params.n)
-            .map(|i| mpc_net::party_as::<CirEval, Msg>(view, i).unwrap().output)
+            .map(|i| sim.party_as::<CirEval>(i).unwrap().output)
             .collect();
-        (outs, view.now())
+        (outs, sim.now())
     }
 
     #[test]

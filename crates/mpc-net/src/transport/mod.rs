@@ -58,45 +58,6 @@ pub enum Backend {
     Tcp,
 }
 
-impl Backend {
-    /// Parses a backend name: `"sim"`/`"simulator"`, `"threaded"`, or
-    /// `"tcp"` (ASCII case-insensitive). `None` on anything else.
-    pub fn parse(name: &str) -> Option<Backend> {
-        let name = name.trim();
-        if name.eq_ignore_ascii_case("sim") || name.eq_ignore_ascii_case("simulator") {
-            Some(Backend::Simulator)
-        } else if name.eq_ignore_ascii_case("threaded") {
-            Some(Backend::Threaded)
-        } else if name.eq_ignore_ascii_case("tcp") {
-            Some(Backend::Tcp)
-        } else {
-            None
-        }
-    }
-
-    /// Resolves the backend from the `MPC_TRANSPORT` environment variable,
-    /// the one place that variable is read. Unset or blank selects
-    /// [`Backend::Simulator`].
-    ///
-    /// # Errors
-    ///
-    /// A set value that [`Backend::parse`] rejects is an error naming the
-    /// variable and the value, never a silent fallback to the simulator.
-    pub fn from_env() -> Result<Backend, String> {
-        Backend::from_knob(&std::env::var("MPC_TRANSPORT").unwrap_or_default())
-    }
-
-    /// [`Backend::from_env`] on an explicit `MPC_TRANSPORT` value.
-    fn from_knob(value: &str) -> Result<Backend, String> {
-        if value.trim().is_empty() {
-            return Ok(Backend::Simulator);
-        }
-        Backend::parse(value).ok_or_else(|| {
-            format!("MPC_TRANSPORT={value:?}: unknown backend (expected sim|threaded|tcp)")
-        })
-    }
-}
-
 /// A typed, non-fatal failure a transport diagnosed during a run. Kept out
 /// of the run methods' signatures (which stay `()`/`bool` for
 /// object-safety and API stability) and surfaced post-run through
@@ -262,43 +223,5 @@ impl<M: WireMessage> Transport<M> for Simulation<M> {
     }
     fn adversary_structure(&self) -> Option<&Arc<dyn AdversaryStructure>> {
         Simulation::adversary_structure(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backend_env_resolution_defaults_to_simulator() {
-        // Can't mutate the process environment safely in a threaded test
-        // runner; assert the pure parsing contract instead.
-        match std::env::var("MPC_TRANSPORT") {
-            Ok(v) if !v.trim().is_empty() => {
-                assert_eq!(Backend::from_env(), Ok(Backend::parse(&v).unwrap()))
-            }
-            _ => assert_eq!(Backend::from_env(), Ok(Backend::Simulator)),
-        }
-        assert_eq!(Backend::from_knob(""), Ok(Backend::Simulator));
-        assert_eq!(Backend::from_knob(" tcp "), Ok(Backend::Tcp));
-    }
-
-    #[test]
-    fn malformed_transport_knob_is_an_error_naming_variable_and_value() {
-        for bad in ["thraeded", "four", "-2"] {
-            let err = Backend::from_knob(bad).expect_err(bad);
-            assert!(err.contains("MPC_TRANSPORT"), "{err}");
-            assert!(err.contains(&format!("{bad:?}")), "{err}");
-        }
-    }
-
-    #[test]
-    fn backend_parse_accepts_all_names_and_rejects_typos() {
-        assert_eq!(Backend::parse("sim"), Some(Backend::Simulator));
-        assert_eq!(Backend::parse("Simulator"), Some(Backend::Simulator));
-        assert_eq!(Backend::parse("THREADED"), Some(Backend::Threaded));
-        assert_eq!(Backend::parse(" tcp "), Some(Backend::Tcp));
-        assert_eq!(Backend::parse("tpc"), None);
-        assert_eq!(Backend::parse(""), None);
     }
 }

@@ -220,7 +220,7 @@ crate::node_protocol!(Aba);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_net::{party_as, CorruptionSet, NetConfig, NetworkKind, PartyView, Protocol};
+    use mpc_net::{CorruptionSet, NetConfig, NetworkKind, Protocol, Simulation};
 
     fn run(
         n: usize,
@@ -239,19 +239,18 @@ mod tests {
             NetworkKind::Asynchronous => NetConfig::asynchronous(n),
         }
         .with_seed(seed);
-        let mut net = crate::testnet::transport_for(cfg, corrupt.clone(), parties).unwrap();
-        let done = net.run_until_done(10_000_000, &mut |view| {
+        let mut sim = Simulation::new(cfg, corrupt.clone(), parties);
+        let done = sim.run_until(10_000_000, |sim| {
             (0..n)
                 .filter(|&i| corrupt.is_honest(i))
-                .all(|i| party_as::<Aba, Msg>(view, i).unwrap().output.is_some())
+                .all(|i| sim.party_as::<Aba>(i).unwrap().output.is_some())
         });
         assert!(done, "ABA did not terminate");
-        let view: &dyn PartyView<Msg> = net.as_ref();
         let outs = (0..n)
             .filter(|&i| corrupt.is_honest(i))
-            .map(|i| party_as::<Aba, Msg>(view, i).unwrap().output.unwrap())
+            .map(|i| sim.party_as::<Aba>(i).unwrap().output.unwrap())
             .collect();
-        (outs, view.now())
+        (outs, sim.now())
     }
 
     #[test]

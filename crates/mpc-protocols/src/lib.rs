@@ -40,8 +40,6 @@ pub mod sba;
 pub(crate) mod sharing;
 pub mod star;
 pub(crate) mod tally;
-#[cfg(test)]
-pub(crate) mod testnet;
 pub mod tree;
 pub mod voteboard;
 pub mod vss;

@@ -310,7 +310,7 @@ mod tests {
     use crate::byzantine::SilentParty;
     use crate::msg::BcValue;
     use mpc_algebra::Fp;
-    use mpc_net::{party_as, CorruptionSet, Effects, NetConfig, PartyView, Protocol, Simulation};
+    use mpc_net::{CorruptionSet, Effects, NetConfig, Protocol, Simulation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::any::Any;
@@ -331,15 +331,14 @@ mod tests {
             .map(|v| Box::new(Sba::new(n, t, v)) as Box<dyn Protocol<Msg>>)
             .collect();
         let cfg = NetConfig::synchronous(n).with_seed(seed);
-        let mut net = crate::testnet::transport_for(cfg, corrupt.clone(), parties).unwrap();
-        let done = net.run_until_done(100_000, &mut |view| {
-            (0..n).all(|i| party_as::<Sba, Msg>(view, i).unwrap().outputs().is_some())
+        let mut sim = Simulation::new(cfg, corrupt.clone(), parties);
+        let done = sim.run_until(100_000, |sim| {
+            (0..n).all(|i| sim.party_as::<Sba>(i).unwrap().outputs().is_some())
         });
         assert!(done, "SBA must have guaranteed liveness");
-        let view: &dyn PartyView<Msg> = net.as_ref();
         (0..n)
             .filter(|&i| corrupt.is_honest(i))
-            .map(|i| party_as::<Sba, Msg>(view, i).unwrap().outputs().unwrap()[0].clone())
+            .map(|i| sim.party_as::<Sba>(i).unwrap().outputs().unwrap()[0].clone())
             .collect()
     }
 

@@ -8,13 +8,13 @@
 //! totals — to the `threads = 1` run for every seed, network kind and
 //! Byzantine strategy. The goldens below run at `threads ∈ {1, 4}` and a
 //! proptest draws random thread counts, so this file is the worker-thread
-//! check: no test lane exports a thread count.
+//! check.
 
 use bobw_mpc::algebra::{Fp, Polynomial};
 use bobw_mpc::core::{Circuit, MpcBuilder};
 use bobw_mpc::net::{
-    Backend, ByzantineStrategy, CorruptionSet, Crash, EquivocateBroadcast, GarbleBytes, Metrics,
-    NetConfig, NetworkKind, Passive, Protocol, Simulation, Time, TranscriptEntry, TranscriptEvent,
+    ByzantineStrategy, CorruptionSet, Crash, EquivocateBroadcast, GarbleBytes, Metrics, NetConfig,
+    NetworkKind, Passive, Protocol, Simulation, Time, TranscriptEntry, TranscriptEvent,
     UniformDelay, WireEncode,
 };
 use bobw_mpc::protocols::bc::Bc;
@@ -359,9 +359,10 @@ fn golden_circuit() -> Circuit {
     c
 }
 
-/// Golden fingerprint of the default engine (layer-batched openings) on a
-/// full-MPC run at seed 77: (kind, output, finished_at, honest_bits,
-/// honest_messages, events, frames, engine counters).
+/// Golden fingerprint of the default engine (layer-batched openings, scalar
+/// sharing, on the simulator) on a full-MPC run at seed 77: (kind, output,
+/// finished_at, honest_bits, honest_messages, events, frames, engine
+/// counters).
 ///
 /// Re-pinned for lock-step broadcast groups (DESIGN.md): the n same-tick
 /// `Π_BC` instances of every `Π_BA` and vote board share ONE slot-wise SBA,
@@ -410,16 +411,6 @@ fn full_mpc_metrics_golden_batched() {
                 .seed(77)
                 .inputs(&[3, 5, 7, 11])
                 .threads(threads)
-                // Golden fingerprints pin the scalar engine explicitly: the
-                // packed test lane exports MPC_PACKING, and the packed engine
-                // is a different (equally correct) protocol with its own
-                // wire transcript.
-                .packing(0)
-                // The golden pins the simulator's exact completion tick and
-                // event count, so the backend is explicit: under the
-                // threaded and tcp lanes' MPC_TRANSPORT the run would stop
-                // at a different (equally correct) quiescence tick.
-                .transport(Backend::Simulator)
                 .run(&c)
                 .expect("run completes");
             let label = format!("batched {kind:?} threads={threads}");

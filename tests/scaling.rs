@@ -9,7 +9,7 @@
 use bobw_mpc::algebra::{Fp, Polynomial};
 use bobw_mpc::core::{Circuit, MpcBuilder, MpcRunResult};
 use bobw_mpc::net::{
-    Backend, CorruptionSet, FixedDelay, NetConfig, NetworkKind, Protocol, Simulation, Time,
+    CorruptionSet, FixedDelay, NetConfig, NetworkKind, Protocol, Simulation, Time,
 };
 use bobw_mpc::protocols::vss::Vss;
 use bobw_mpc::protocols::wps::Wps;
@@ -110,9 +110,8 @@ fn communication_grows_with_n() {
 }
 
 /// An honest `Π_CirEval` run of `circuit` on the simulator's scalar engine
-/// (pinned, so the `MPC_TRANSPORT` and `MPC_PACKING` test lanes run the same
-/// protocol), with every message delayed by `delay` ticks, or by the network
-/// kind's default schedule when `delay` is `None`.
+/// (the builder's defaults), with every message delayed by `delay` ticks, or
+/// by the network kind's default schedule when `delay` is `None`.
 fn cireval(
     (n, ts, ta): (usize, usize, usize),
     circuit: &Circuit,
@@ -124,8 +123,6 @@ fn cireval(
     let mut builder = MpcBuilder::new(n, ts, ta)
         .delta(delta)
         .network(kind)
-        .packing(0)
-        .transport(Backend::Simulator)
         .inputs(&inputs);
     if let Some(delay) = delay {
         builder = builder.scheduler(Box::new(FixedDelay(delay)));
