@@ -1324,12 +1324,9 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
 
         let n = 7;
-        let update = mpc_protocols::wps::WPS.segment(n, Name::Update, n + 4);
-        let name = CIREVAL.describe(n, &[1, 3, 5, update]);
-        assert_eq!(
-            name.as_deref(),
-            Some("CirEval/AcsTriples/Vss[3]/Wps[5]/Update[1→4]/Acast")
-        );
+        let batch = mpc_protocols::acs::ACS.segment(n, Name::Batch, n + 4);
+        let name = CIREVAL.describe(n, &[1, batch]);
+        assert_eq!(name.as_deref(), Some("CirEval/AcsTriples/Batch[4#1]/Acast"));
         assert_eq!(
             CIREVAL.describe(n, &[0]).as_deref(),
             Some("CirEval/AcsInput/Acs")

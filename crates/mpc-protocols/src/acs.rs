@@ -16,14 +16,18 @@ use crate::ba::{Ba, BA};
 use crate::msg::Msg;
 use crate::params::Params;
 use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
+use crate::voteboard::{deliver_batch, LateVotes, TIMER_FLUSH};
 use crate::vss::{Vss, VSS};
 
-/// Dealer `j`'s `Π_VSS`, then the `Π_BA` deciding whether `j` is in `CS`.
+/// Dealer `j`'s `Π_VSS`, then the `Π_BA` deciding whether `j` is in `CS`,
+/// then the late-vote batches of the `n · (n + 1)` vote boards of the
+/// `Π_VSS`s.
 pub static ACS: Kind = Kind::new(
     "Acs",
     &[
         Family::new(Name::Vss, &VSS, Card::N),
         Family::new(Name::Ba, &BA, Card::N),
+        Family::new(Name::Batch, &crate::acast::ACAST, Card::Batch([0, 1, 1])),
     ],
 );
 
@@ -38,6 +42,8 @@ pub struct Acs {
     vss: Vec<Vss>,
     bas: Vec<Ba>,
     bas_started: bool,
+    /// The late-vote channel of every `Π_VSS` and `Π_WPS` below.
+    late: LateVotes,
     /// The agreed common subset of dealers, once all `n` BA instances decided.
     pub common_subset: Option<Vec<PartyId>>,
     /// Local time at which `CS` was fixed.
@@ -61,6 +67,7 @@ impl Acs {
                 .map(|_| Ba::new(params.ts, params, None))
                 .collect(),
             bas_started: false,
+            late: LateVotes::default(),
             common_subset: None,
             output_at: None,
             #[cfg(test)]
@@ -128,6 +135,7 @@ impl Node for Acs {
             } else {
                 Vss::new(j, self.params, self.l_count)
             };
+            v.core.votes.late.nested = true;
             ACS.scoped(ctx, Name::Vss, j, |ctx| v.init(ctx));
             self.vss.push(v);
         }
@@ -136,7 +144,14 @@ impl Node for Acs {
 
     /// Progress is `CS` being fixed or a `Π_VSS` delivering its shares.
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
-        match ACS.route(self, ctx, path, ev) {
+        let routed = ACS.route(self, ctx, path, ev);
+        if let Routed::Child(Name::Vss, j, _) = routed {
+            // The boards: `n + 1` per `Π_VSS`, its own and its `Π_WPS`s'.
+            let outbox = std::mem::take(&mut self.vss[j].core.votes.late.pending);
+            self.late.post(ctx, outbox, j * (ctx.n + 1));
+        }
+        match routed {
+            Routed::Child(Name::Batch, i, true) => deliver_batch(self, (&ACS, |s| &s.late), ctx, i),
             Routed::Child(name, _, true) => self.drive(ctx) || name == Name::Vss,
             Routed::Own(Event::Timer(TIMER_START_BAS)) => {
                 for (j, ba) in self.bas.iter_mut().enumerate() {
@@ -145,6 +160,10 @@ impl Node for Acs {
                 self.bas_started = true;
                 self.drive(ctx)
             }
+            Routed::Own(Event::Timer(TIMER_FLUSH)) => {
+                self.late.flush(ctx, &ACS, self.params.ts);
+                false
+            }
             _ => false,
         }
     }
@@ -152,6 +171,7 @@ impl Node for Acs {
     fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
         match name {
             Name::Vss => Some(self.vss.get_mut(index)?),
+            Name::Batch => Some(self.late.slot(self.params.n, self.params.ts, index)?),
             _ => Some(self.bas.get_mut(index)?),
         }
     }
@@ -162,8 +182,9 @@ crate::node_protocol!(Acs);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{AcastMsg, BcValue, Vote};
     use mpc_algebra::evaluation_points::alpha;
-    use mpc_net::{CorruptionSet, NetConfig, Protocol, Simulation};
+    use mpc_net::{CorruptionSet, Effects, NetConfig, Protocol, Simulation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -212,6 +233,81 @@ mod tests {
     #[test]
     fn drive_runs_only_on_progress_async() {
         drives_only_on_progress(NetConfig::asynchronous(4).with_seed(5));
+    }
+
+    /// Party 1's `Π_ACS` (n = 4) after `init`, and sender 3's batch slot
+    /// `k` there: `2t_s + 1` `Ready`s of `value`.
+    fn deliver_batch_at(acs: &mut Acs, k: usize, value: BcValue) {
+        let (n, ts, delta) = (acs.params.n, acs.params.ts, acs.params.delta);
+        let mut effects = Effects::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(1, n, 0, delta, &mut effects, &mut rng, 0);
+        let seg = ACS.segment(n, Name::Batch, k * n + 3);
+        let ready = Msg::Acast(AcastMsg::Ready(value));
+        for from in 0..=2 * ts {
+            acs.on_event(&mut ctx, &[seg], Event::Message(from, &ready));
+        }
+    }
+
+    /// A corrupt sender's batches change no board and grow no state but
+    /// the slot table, whose size is fixed by the family.
+    #[test]
+    fn hostile_vote_batch_without_state_growth() {
+        let params = Params::new(4, 1, 0, 10);
+        let n = params.n;
+        let mut rng = StdRng::seed_from_u64(80);
+        let poly = Polynomial::random_with_constant_term(&mut rng, params.ts, Fp::from_u64(1));
+        let mut acs = Acs::new(params, vec![poly]);
+        let mut effects = Effects::new();
+        let mut ctx = Context::new(1, n, 0, params.delta, &mut effects, &mut rng, 0);
+        Node::init(&mut acs, &mut ctx);
+        let slots = ACS.size(n, Name::Batch);
+        let late_votes = slots / n; // n · (n² + n): n per board
+        assert_eq!(late_votes, 80);
+        // Boards: `Π_VSS` j's at j·(n + 1), its `Π_WPS` k's at j·(n + 1) + 1 + k.
+        let (vss1, vss0_wps2, vss2) = (n + 1, 3, 2 * (n + 1));
+        let wps = |k| VSS.segment(n, Name::Wps, k);
+        assert_eq!(ACS.board_path(n, vss0_wps2), Some(vec![0, wps(2)]));
+        let ok = |board: usize, k: usize| (board * n + k) as u32;
+        let boards = |acs: &Acs| format!("{:?}", acs.vss);
+
+        let before = boards(&acs);
+        let honest = vec![ok(vss1, 2), ok(vss0_wps2, 2)];
+        deliver_batch_at(&mut acs, 0, BcValue::VoteBatch(honest));
+        let folded = boards(&acs);
+        assert_ne!(folded, before, "a batch that counts is folded");
+
+        // A vote is `board · n + counterpart`: a counterpart ≥ n has no
+        // encoding, and a board past the last takes the values from
+        // `boards · n` up.
+        let unknown = (ACS.boards(n) * n) as u32;
+        let hostile = [
+            vec![unknown, unknown + 5, u32::MAX],
+            // Repeats, within the batch and of the batch before.
+            vec![ok(vss1, 2), ok(vss1, 2)],
+            // One vote longer than a party's late votes, its first new.
+            [vec![ok(vss2, 0)], vec![ok(vss1, 2); late_votes]].concat(),
+        ];
+        let mut k = 1;
+        for batch in hostile {
+            deliver_batch_at(&mut acs, k, BcValue::VoteBatch(batch));
+            assert_eq!(boards(&acs), folded, "batch {k}");
+            k += 1;
+        }
+        // Values that are no vote batch, in the batch family.
+        for value in [BcValue::Votes(vec![(0, Vote::Ok)]), BcValue::Bit(true)] {
+            deliver_batch_at(&mut acs, k, value);
+            assert_eq!(boards(&acs), folded, "batch {k}");
+            k += 1;
+        }
+        let table = acs.late.table_len();
+        assert_eq!(table, (k - 1) * n + 4, "sender 3's slots 0..k");
+        // A slot past the family's end is a stray path: dropped by routing.
+        let fresh = BcValue::VoteBatch(vec![ok(vss2, 0)]);
+        deliver_batch_at(&mut acs, late_votes, fresh);
+        assert_eq!(boards(&acs), folded);
+        assert_eq!(acs.late.table_len(), table, "no slot past the family");
+        assert!(table <= slots);
     }
 
     #[test]

@@ -119,6 +119,7 @@ impl Node for HostileDealer {
         match ev {
             Event::Message(from, msg) => self.inner.on_message_ref(ctx, from, path, msg),
             Event::Timer(id) => self.inner.on_timer(ctx, path, id),
+            Event::LateOk(..) => {}
         }
         false
     }

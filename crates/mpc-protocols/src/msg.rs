@@ -58,6 +58,11 @@ mpc_net::wire_enum! {
         } = 3,
         /// An opaque vector of field elements (generic payload, used by tests).
         Value(Vec<Fp>) = 4,
+        /// Late `OK` votes of one party, cast after its scheduled vote
+        /// broadcast: each `board · n + counterpart`, the board named by its
+        /// depth-first index among the vote boards below the sharing
+        /// instance that A-casts the batch (`tree::Kind::board_path`).
+        VoteBatch(Vec<u32>) = 5,
     }
 }
 

@@ -13,8 +13,9 @@
 //! ([`DealerCore::cast_vote`]) and the reconstruction [`DealerCore::output`]
 //! falls back on outside the direct set.
 //!
-//! Children: [`CORE`], declared once for both shells (DESIGN.md "Instance
-//! tree"). Timer ids 11–13 at the instance's own path are the core's.
+//! Children: [`layout`], declared once for both shells (DESIGN.md "Instance
+//! tree"). Timer ids 11–13 at the instance's own path are the core's
+//! phases, 14 the late-vote channel's flush.
 //!
 //! Two rules hold at the single place input enters (DESIGN.md "`Π_WPS`/
 //! `Π_VSS`: one dealer-verification core"): dealt rows count only if they
@@ -37,24 +38,33 @@ use crate::bc::{Bc, BC, BC_GROUP};
 use crate::msg::{BcValue, Msg, Vote};
 use crate::params::Params;
 use crate::tree::{Card, Family, Kind, Name, Node};
-use crate::voteboard::VoteBoard;
+use crate::voteboard::{VoteBoard, TIMER_FLUSH};
 
 /// The core's children, in the order both shells lay them out: the
-/// `(W, E, F)` broadcast, the `Π_BA`, the star A-cast, the scheduled vote
-/// broadcasts and the incremental vote A-casts.
-pub(crate) const CORE: [Family; 5] = [
+/// `(W, E, F)` broadcast, the `Π_BA`, the star A-cast and the scheduled
+/// vote broadcasts.
+const CORE: [Family; 4] = [
     Family::new(Name::Wef, &BC, Card::One),
     Family::new(Name::Ba, &BA, Card::One),
     Family::new(Name::Star, &ACAST, Card::One),
     Family::new(Name::Votes, &BC_GROUP, Card::One),
-    Family::new(Name::Update, &ACAST, Card::NSquared),
 ];
 
+/// The layout of a shell with no family of its own: the core's children,
+/// then the late-vote batches of the `boards` vote boards of its tree
+/// ([`Card::Batch`]), which it A-casts when it is the outermost sharing
+/// instance.
+pub(crate) const fn layout(boards: [u32; 3]) -> [Family; 5] {
+    let [wef, ba, star, votes] = CORE;
+    let batch = Family::new(Name::Batch, &ACAST, Card::Batch(boards));
+    [wef, ba, star, votes, batch]
+}
+
 /// The layout of a shell with one family of children of its own: that
-/// family, then the core's.
-pub(crate) const fn after(first: Family) -> [Family; 6] {
-    let [wef, ba, star, votes, update] = CORE;
-    [first, wef, ba, star, votes, update]
+/// family, then the [`layout`].
+pub(crate) const fn after(first: Family, boards: [u32; 3]) -> [Family; 6] {
+    let [wef, ba, star, votes, batch] = layout(boards);
+    [first, wef, ba, star, votes, batch]
 }
 
 const TIMER_VOTES: u64 = 11;
@@ -461,6 +471,7 @@ impl DealerCore {
     pub(crate) fn on_phase_timer(&mut self, ctx: &mut Context<'_, Msg>, id: u64) {
         match id {
             TIMER_VOTES => self.votes.start(ctx),
+            TIMER_FLUSH => self.votes.late.flush(ctx, self.kind, self.params.ts),
             TIMER_WEF => {
                 let bc = &mut self.wef_bc;
                 self.kind.scoped(ctx, Name::Wef, 0, |ctx| bc.init(ctx));
@@ -566,28 +577,22 @@ mod tests {
         BcValue::Votes(about.iter().map(|&k| (k as u32, Vote::Ok)).collect())
     }
 
-    /// Delivers `value` on the core's child A-cast `index` of family
-    /// `name`: `2t_s + 1` `Ready`s, the delivering one followed by the
-    /// shell's after-child step.
-    fn deliver(
-        core: &mut DealerCore,
-        ctx: &mut Context<'_, Msg>,
-        (name, index): (Name, usize),
-        value: BcValue,
-    ) {
+    /// Delivers `value` on the dealer's star A-cast: `2t_s + 1` `Ready`s.
+    fn deliver_star(core: &mut DealerCore, ctx: &mut Context<'_, Msg>, value: BcValue) {
         let ready = Msg::Acast(AcastMsg::Ready(value));
         for from in 0..=2 * core.params.ts {
             let event = Event::Message(from, &ready);
-            let child = core.child(name, index).expect("a declared child");
-            if child.on_event(ctx, &[], event) {
-                core.votes.child_progressed(name, index);
-            }
+            let child = core.child(Name::Star, 0).expect("a declared child");
+            child.on_event(ctx, &[], event);
         }
     }
 
-    /// `sender`'s update A-cast about `counterpart`.
-    fn update(params: Params, sender: PartyId, counterpart: PartyId) -> (Name, usize) {
-        (Name::Update, sender * params.n + counterpart)
+    /// Folds `sender`'s late `OK`s about every party in `about`, as a
+    /// delivered batch hands them to the board.
+    fn late(core: &mut DealerCore, sender: PartyId, about: &[PartyId]) {
+        for &k in about {
+            assert!(core.votes.eventual.add_ok(sender, k));
+        }
     }
 
     #[test]
@@ -609,10 +614,10 @@ mod tests {
         assert_eq!(core.star_searches, 1, "no edge, no second search");
 
         // One direction of an edge is no edge; both directions are.
-        deliver(&mut core, &mut ctx, update(params, 1, 2), oks(&[2]));
+        late(&mut core, 1, &[2]);
         core.progress(&mut ctx);
         assert_eq!(core.star_searches, 1);
-        deliver(&mut core, &mut ctx, update(params, 2, 1), oks(&[1]));
+        late(&mut core, 2, &[1]);
         core.progress(&mut ctx);
         core.progress(&mut ctx);
         assert_eq!(core.star_searches, 2);
@@ -642,19 +647,18 @@ mod tests {
         let mut ctx = Context::new(1, params.n, 0, params.delta, &mut effects, &mut rng, 0);
         core.ba.output = Some(true);
         // Parties 0–2 are a clique; party 3's scheduled broadcast was ⊥ and
-        // its OKs about 0 and 1 came by update A-cast, so (2, 3) is missing.
+        // its OKs about 0 and 1 came late, so (2, 3) is missing.
         for j in 0..3 {
             let slot = core.votes.scheduled_slot_mut(j).unwrap();
             slot.output = Some(Some(oks(&[0, 1, 2, 3])));
         }
         core.votes.scheduled_slot_mut(3).unwrap().output = Some(None);
-        deliver(&mut core, &mut ctx, update(params, 3, 0), oks(&[0]));
-        deliver(&mut core, &mut ctx, update(params, 3, 1), oks(&[1]));
+        late(&mut core, 3, &[0, 1]);
         let star = BcValue::Star {
             e: vec![0, 1, 2, 3],
             f: vec![0, 1, 2, 3],
         };
-        deliver(&mut core, &mut ctx, (Name::Star, 0), star);
+        deliver_star(&mut core, &mut ctx, star);
         core.progress(&mut ctx);
         assert_eq!(core.decided(), None, "(2, 3) is not an edge yet");
         assert_eq!(core.star_checked_at, Some(5));

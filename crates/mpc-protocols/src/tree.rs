@@ -23,8 +23,10 @@ pub enum Card {
     One,
     /// One child per party.
     N,
-    /// One child per ordered pair of parties, `sender · n + counterpart`.
-    NSquared,
+    /// One child per (sender, `k`), at `k · n + sender`, with `k` below the
+    /// late votes a party can cast: `n` on each of the `b₀ + b₁·n + b₂·n²`
+    /// vote boards of the instance's tree.
+    Batch([u32; 3]),
 }
 
 impl Card {
@@ -33,7 +35,7 @@ impl Card {
         match self {
             Card::One => 1,
             Card::N => n,
-            Card::NSquared => n * n,
+            Card::Batch([b0, b1, b2]) => n * n * (b0 + n * (b1 + n * b2)),
         }
     }
 }
@@ -58,8 +60,8 @@ pub enum Name {
     Star,
     /// The scheduled vote broadcasts, one slot per party.
     Votes,
-    /// The incremental vote A-casts, one per (sender, counterpart).
-    Update,
+    /// The late-vote batch A-casts of the outermost sharing instance.
+    Batch,
     /// The `Π_WPS` instances of a `Π_VSS`.
     Wps,
     /// The `Π_VSS` instances of a `Π_ACS`.
@@ -143,6 +145,36 @@ impl Kind {
             .map_or(u32::MAX, |(_, start, _)| start + index as u32)
     }
 
+    /// The vote boards in the tree of an instance of this kind: one for
+    /// each instance that declares a `Votes` family.
+    pub fn boards(&self, n: usize) -> usize {
+        let boards = |(family, _, size): (&Family, u32, u32)| size as usize * family.kind.boards(n);
+        self.own_board() + self.spans(n).map(boards).sum::<usize>()
+    }
+
+    /// 1 if an instance of this kind has a vote board of its own, else 0.
+    fn own_board(&self) -> usize {
+        usize::from(self.families.iter().any(|f| f.name == Name::Votes))
+    }
+
+    /// The path of vote board `index` below an instance of this kind: the
+    /// boards are numbered depth first, each instance's own before its
+    /// children's. `None` past the last board.
+    pub fn board_path(&self, n: usize, index: usize) -> Option<Vec<u32>> {
+        let Some(mut index) = index.checked_sub(self.own_board()) else {
+            return Some(Vec::new());
+        };
+        for (family, start, size) in self.spans(n) {
+            let per = family.kind.boards(n);
+            if index < size as usize * per {
+                let below = family.kind.board_path(n, index % per)?;
+                return Some([&[start + (index / per) as u32][..], &below].concat());
+            }
+            index -= size as usize * per;
+        }
+        None
+    }
+
     /// Runs `f` with `ctx` scoped to child `index` of family `name`.
     pub fn scoped<R>(
         &self,
@@ -155,7 +187,7 @@ impl Kind {
     }
 
     /// The name of the instance at `path` below an instance of this kind,
-    /// e.g. `Acs/Vss[3]/Wps[5]/Update[1→4]/Acast`: the root's kind, one
+    /// e.g. `Acs/Vss[3]/Wps[5]/Votes/Acast[4]`: the root's kind, one
     /// `Family[index]` per segment (no index in a family of one), and the
     /// addressed instance's kind if its family is named otherwise. `None`
     /// if the path names no instance.
@@ -169,7 +201,7 @@ impl Kind {
             text += &match family.card {
                 Card::One => format!("/{name}"),
                 Card::N => format!("/{name}[{index}]"),
-                Card::NSquared => format!("/{name}[{}→{}]", index / n, index % n),
+                Card::Batch(_) => format!("/{name}[{}#{}]", index % n, index / n),
             };
             kind = family.kind;
             family_name = Some(name);
@@ -239,6 +271,10 @@ pub enum Event<'m> {
     Message(PartyId, &'m Msg),
     /// A timer with its id.
     Timer(u64),
+    /// A late `OK` vote `(sender, counterpart)` for the vote board of the
+    /// instance it is addressed to, handed down by the late-vote channel
+    /// that delivered it (`voteboard::LateVotes`).
+    LateOk(PartyId, PartyId),
 }
 
 /// Where [`Kind::route`] took an event.
@@ -336,6 +372,17 @@ macro_rules! node_protocol {
             }
         }
     };
+}
+
+#[cfg(test)]
+impl Kind {
+    /// How many children family `name` holds; 0 if it is not declared.
+    pub(crate) fn size(&self, n: usize, name: Name) -> usize {
+        let mut spans = self.spans(n);
+        spans
+            .find(|(family, ..)| family.name == name)
+            .map_or(0, |(.., size)| size as usize)
+    }
 }
 
 #[cfg(test)]
@@ -461,10 +508,16 @@ mod tests {
     #[test]
     fn describe_names_families_indices_and_the_leaf_kind() {
         let n = 7;
-        let update = WPS.segment(n, Name::Update, n + 4);
+        let votes = WPS.segment(n, Name::Votes, 0);
         assert_eq!(
-            ACS.describe(n, &[3, 5, update]).as_deref(),
-            Some("Acs/Vss[3]/Wps[5]/Update[1→4]/Acast")
+            ACS.describe(n, &[3, 5, votes, 4]).as_deref(),
+            Some("Acs/Vss[3]/Wps[5]/Votes/Acast[4]")
+        );
+        let batch = ACS.segment(n, Name::Batch, 2 * n + 4);
+        assert_eq!(
+            ACS.describe(n, &[batch]).as_deref(),
+            Some("Acs/Batch[4#2]/Acast"),
+            "sender 4's third batch"
         );
         assert_eq!(ACS.describe(n, &[]).as_deref(), Some("Acs"));
         let aba = BA.segment(n, Name::Aba, 0);
@@ -499,18 +552,67 @@ mod tests {
             assert_eq!(shell.segment(n, Name::Ba, 0), base + 1);
             assert_eq!(shell.segment(n, Name::Star, 0), base + 2);
             assert_eq!(shell.segment(n, Name::Votes, 0), base + 3);
-            let (sender, counterpart) = (2, 4);
-            let update = shell.segment(n, Name::Update, sender * n + counterpart);
-            assert_eq!(update, base + 4 + (sender * n + counterpart) as u32);
+            // The late-vote batches start where the update A-casts did.
+            assert_eq!(shell.segment(n, Name::Batch, 0), base + 4);
         }
         assert_eq!(VSS.segment(n, Name::Wps, 4), 4);
         assert_eq!(ACS.segment(n, Name::Vss, 2), 2);
         assert_eq!(ACS.segment(n, Name::Ba, 2), m + 2);
+        assert_eq!(ACS.segment(n, Name::Batch, 3), 2 * m + 3, "after Ba");
         assert_eq!(
-            ACS.segment(n, Name::Update, 0),
+            ACS.segment(n, Name::Votes, 0),
             u32::MAX,
             "not an ACS family"
         );
+    }
+
+    /// A sender casts at most `n` late votes per board, one per batch at
+    /// worst, so each `Batch` family holds `n` senders × `n · boards` slots:
+    /// as many as the `n²` update A-casts of every board it replaces.
+    #[test]
+    fn each_batch_family_has_a_slot_per_sender_and_late_vote() {
+        for n in [4, 5, 8] {
+            assert_eq!(WPS.boards(n), 1);
+            assert_eq!(VSS.boards(n), n + 1);
+            assert_eq!(ACS.boards(n), n * (n + 1));
+            for kind in [&WPS, &VSS, &ACS] {
+                let size = kind.size(n, Name::Batch);
+                assert_eq!(size, n * n * kind.boards(n), "{kind:?}");
+            }
+        }
+        assert_eq!(ACS.size(8, Name::Batch), 8 * 8 * (8 * 8 + 8));
+    }
+
+    /// Boards are numbered depth first, each instance's own first: every
+    /// index below the count names a distinct instance that has a board.
+    #[test]
+    fn board_paths_name_each_board_once_depth_first() {
+        let n = 4;
+        let (vss, wps) = (
+            |j| ACS.segment(n, Name::Vss, j),
+            |k| VSS.segment(n, Name::Wps, k),
+        );
+        assert_eq!(ACS.board_path(n, 0), Some(vec![vss(0)]));
+        assert_eq!(ACS.board_path(n, 1), Some(vec![vss(0), wps(0)]));
+        assert_eq!(ACS.board_path(n, n + 1), Some(vec![vss(1)]));
+        assert_eq!(ACS.board_path(n, 2 * n + 1), Some(vec![vss(1), wps(n - 1)]));
+        assert_eq!(VSS.board_path(n, 0), Some(Vec::new()));
+        assert_eq!(WPS.board_path(n, 0), Some(Vec::new()));
+        for kind in [&WPS, &VSS, &ACS] {
+            let boards = kind.boards(n);
+            let mut paths: Vec<Vec<u32>> = (0..boards)
+                .map(|index| kind.board_path(n, index).expect("a board"))
+                .collect();
+            for path in &paths {
+                let name = kind.describe(n, path).expect("an instance");
+                let last = name.rsplit('/').next().unwrap_or_default();
+                assert!(last.starts_with("Wps") || last.starts_with("Vss"), "{name}");
+            }
+            paths.sort();
+            paths.dedup();
+            assert_eq!(paths.len(), boards, "{kind:?}");
+            assert_eq!(kind.board_path(n, boards), None, "{kind:?}");
+        }
     }
 
     /// Delivers `msg` from party 0 at `path` to `root` (party 1, after

@@ -14,15 +14,20 @@
 //!   only `init`-ed there — the tower's one rule for timed children
 //!   (DESIGN.md "Timed children exist from construction") — so votes of a
 //!   peer whose clock runs ahead are tallied on arrival, not lost;
-//! * **incremental A-casts** for votes a party only establishes later (slow
-//!   counterparts in an asynchronous network) — these only feed the
-//!   *eventual* consistency graph used by the `(n, t_a)`-star fallback path.
-//!   A-cast provides exactly the consistency and eventual-delivery guarantees
-//!   those paths need (the fallback mode of `Π_BC` is itself just the
-//!   sender's A-cast), see DESIGN.md.
+//! * **late-vote batches** for the `OK` votes a party only establishes
+//!   later (slow counterparts in an asynchronous network) — these only feed
+//!   the *eventual* consistency graph used by the `(n, t_a)`-star fallback
+//!   path. A board posts each to the `LateVotes` channel of the outermost
+//!   sharing instance, which A-casts everything posted in one tick as one
+//!   [`BcValue::VoteBatch`]. A-cast provides exactly the consistency and
+//!   eventual-delivery guarantees those paths need (the fallback mode of
+//!   `Π_BC` is itself just the sender's A-cast), and an A-cast of a vector
+//!   gives them to each of its elements; a late `NOK` is never read, so it is
+//!   not sent. See DESIGN.md.
 //!
-//! The board's children are the `Votes` and `Update` families of its
-//! shell's layout (DESIGN.md "Instance tree").
+//! The board's children are the `Votes` family of its shell's layout and,
+//! in the outermost sharing instance, the `Batch` family (DESIGN.md
+//! "Instance tree").
 
 use mpc_net::{Context, PartyId};
 
@@ -31,7 +36,7 @@ use crate::bc::{Bc, BcSlot};
 use crate::msg::{BcValue, Msg, Vote};
 use crate::params::Params;
 use crate::star::ConsistencyGraph;
-use crate::tree::{Kind, Name, Node};
+use crate::tree::{Event, Kind, Name, Node};
 
 /// Vote dissemination and consistency-graph bookkeeping shared by
 /// `Π_WPS`/`Π_VSS`.
@@ -39,7 +44,6 @@ use crate::tree::{Kind, Name, Node};
 pub struct VoteBoard {
     /// The shell's layout, which places the board's children.
     kind: &'static Kind,
-    t: usize,
     params: Params,
     /// This party's vote about each party.
     my_votes: Vec<Option<Vote>>,
@@ -47,25 +51,24 @@ pub struct VoteBoard {
     scheduled: Bc,
     /// Whether [`VoteBoard::start`] has run.
     started: bool,
-    /// The update table, allocated with its first entry.
-    updates: Updates,
+    /// Where this party's late votes go: the shell's channel or outbox.
+    pub(crate) late: LateVotes,
     /// The eventual consistency graph, kept up to date as votes are
     /// delivered. It only ever grows: a scheduled slot's value goes
-    /// `None → ⊥ → v` and then never changes, an A-cast's output is set
-    /// once, and an edge needs an `OK` each way — a later vote, `NOK`
-    /// included, can add an `OK` but never take one back. Folding each value
-    /// in once, when it first appears, therefore yields exactly the graph a
-    /// rebuild from every vote visible would.
-    eventual: OkGraph,
+    /// `None → ⊥ → v` and then never changes, a late `OK` is added once,
+    /// and an edge needs an `OK` each way — a later vote, `NOK` included,
+    /// can add an `OK` but never take one back. Folding each value in once,
+    /// when it first appears, therefore yields exactly the graph a rebuild
+    /// from every vote visible would, in whatever order they arrive.
+    pub(crate) eventual: OkGraph,
     /// Whether scheduled slot `j`'s vote vector is in `eventual` already.
-    /// An update A-cast's is folded in when it delivers, which it does once.
     folded: Vec<bool>,
 }
 
-/// A consistency graph grown one published vote vector at a time: an edge
-/// joins `P_j` and `P_k` once each has published an `OK` about the other.
+/// A consistency graph grown one published `OK` at a time: an edge joins
+/// `P_j` and `P_k` once each has published an `OK` about the other.
 #[derive(Debug)]
-struct OkGraph {
+pub(crate) struct OkGraph {
     /// `ok[j · n + k]`: party `j` has published an `OK` about party `k`.
     ok: Vec<bool>,
     graph: ConsistencyGraph,
@@ -79,49 +82,39 @@ impl OkGraph {
         }
     }
 
+    /// Adds party `j`'s `OK` about party `k`; returns whether it is new (a
+    /// repeat, or a `k` that is not a party, is not). `j` must be a party.
+    pub(crate) fn add_ok(&mut self, j: PartyId, k: PartyId) -> bool {
+        let n = self.graph.n();
+        if k >= n || std::mem::replace(&mut self.ok[j * n + k], true) {
+            return false;
+        }
+        if self.ok[k * n + j] {
+            self.graph.add_edge(j, k);
+        }
+        true
+    }
+
     /// Folds the votes `value` carries as party `j`'s into the graph.
     fn fold(&mut self, j: PartyId, value: &BcValue) {
         let BcValue::Votes(votes) = value else { return };
-        let n = self.graph.n();
-        for (k, vote) in votes {
-            let k = *k as PartyId;
-            if k >= n
-                || !matches!(vote, Vote::Ok)
-                || std::mem::replace(&mut self.ok[j * n + k], true)
-            {
-                continue;
-            }
-            if self.ok[k * n + j] {
-                self.graph.add_edge(j, k);
-            }
+        for (k, _) in votes.iter().filter(|(_, vote)| *vote == Vote::Ok) {
+            self.add_ok(j, *k as PartyId);
         }
     }
 }
 
-/// The incremental vote A-casts, `sender · n + counterpart`, each boxed on
-/// its first message.
-type Updates = Vec<Option<Box<Acast>>>;
-
-/// The entry of `table` at `idx`, sizing the table to `n²` entries first.
-fn table_entry(table: &mut Updates, n: usize, idx: usize) -> Option<&mut Option<Box<Acast>>> {
-    if table.is_empty() {
-        table.resize_with(n * n, || None);
-    }
-    table.get_mut(idx)
-}
-
 impl VoteBoard {
     /// Creates a vote board whose children sit where the shell's layout
-    /// `kind` places its `Votes` and `Update` families.
+    /// `kind` places its `Votes` and `Batch` families.
     pub fn new(kind: &'static Kind, t: usize, params: Params) -> Self {
         VoteBoard {
             kind,
-            t,
             params,
             my_votes: vec![None; params.n],
             scheduled: Bc::new_group(t, params),
             started: false,
-            updates: Vec::new(),
+            late: LateVotes::default(),
             eventual: OkGraph::new(params.n),
             folded: vec![false; params.n],
         }
@@ -139,24 +132,18 @@ impl VoteBoard {
         matches!(self.my_votes.get(counterpart), Some(Some(Vote::Ok)))
     }
 
-    /// Records (and if already started, incrementally A-casts) this party's
-    /// vote about `counterpart`. Votes recorded before [`VoteBoard::start`]
-    /// ride in the scheduled broadcast. A vote about a non-party is dropped.
+    /// Records this party's vote about `counterpart`. Votes recorded before
+    /// [`VoteBoard::start`] ride in the scheduled broadcast; a later `OK` is
+    /// posted to the shell's late-vote channel, as board 0 of its tree. A
+    /// vote about a non-party is dropped.
     pub fn add_vote(&mut self, ctx: &mut Context<'_, Msg>, counterpart: PartyId, vote: Vote) {
         let Some(mine @ None) = self.my_votes.get_mut(counterpart) else {
             return;
         };
-        *mine = Some(vote.clone());
-        if !self.started {
-            return;
+        if self.started && vote == Vote::Ok {
+            self.late.post(ctx, vec![counterpart as u32], 0);
         }
-        let (n, kind) = (self.params.n, self.kind);
-        let idx = ctx.me * n + counterpart;
-        if let Some(entry) = table_entry(&mut self.updates, n, idx) {
-            let payload = BcValue::Votes(vec![(counterpart as u32, vote)]);
-            let acast = entry.insert(Box::new(Acast::new_sender(ctx.me, n, self.t, payload)));
-            kind.scoped(ctx, Name::Update, idx, |ctx| acast.init(ctx));
-        }
+        *mine = Some(vote);
     }
 
     /// Starts the scheduled per-party vote broadcasts (called by the parent at
@@ -165,12 +152,8 @@ impl VoteBoard {
         if std::mem::replace(&mut self.started, true) {
             return;
         }
-        let votes: Vec<(u32, Vote)> = self
-            .my_votes
-            .iter()
-            .enumerate()
-            .filter_map(|(k, v)| Some((k as u32, v.clone()?)))
-            .collect();
+        let cast = |(k, v): (usize, &Option<Vote>)| Some((k as u32, v.clone()?));
+        let votes = self.my_votes.iter().enumerate().filter_map(cast).collect();
         let bcs = &mut self.scheduled;
         self.kind.scoped(ctx, Name::Votes, 0, |ctx| {
             bcs.init(ctx);
@@ -179,41 +162,23 @@ impl VoteBoard {
     }
 
     /// The board's child `index` of family `name`: the scheduled group, or
-    /// an update A-cast, made on first demand.
+    /// a slot of a live late-vote channel, made on first demand.
     pub(crate) fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
-        if name == Name::Votes {
-            return Some(&mut self.scheduled);
-        }
-        let (n, t) = (self.params.n, self.t);
-        let entry = table_entry(&mut self.updates, n, index)?;
-        let acast = entry.get_or_insert_with(|| Box::new(Acast::new(index / n, n, t)));
-        Some(&mut **acast)
-    }
-
-    /// Takes in the progress of the child `index` of family `name`: an
-    /// update A-cast's votes join the eventual graph when it delivers them,
-    /// which it does once.
-    pub(crate) fn child_progressed(&mut self, name: Name, index: usize) {
-        let update = self.updates.get(index).filter(|_| name == Name::Update);
-        if let Some(value) = update.and_then(|a| a.as_ref()?.output.as_ref()) {
-            self.eventual.fold(index / self.params.n, value);
-        }
-    }
-
-    fn votes_in(value: Option<&BcValue>) -> Vec<(PartyId, Vote)> {
-        match value {
-            Some(BcValue::Votes(v)) => v
-                .iter()
-                .map(|(k, vote)| (*k as PartyId, vote.clone()))
-                .collect(),
-            _ => Vec::new(),
+        match name {
+            Name::Votes => Some(&mut self.scheduled),
+            _ => Some(self.late.slot(self.params.n, self.params.ts, index)?),
         }
     }
 
     /// Votes of party `j` received through the *regular mode* of its scheduled
     /// broadcast (empty until that broadcast's `T_BC`).
     pub fn regular_votes_of(&self, j: PartyId) -> Vec<(PartyId, Vote)> {
-        Self::votes_in(self.scheduled.slot(j).and_then(BcSlot::regular_value))
+        let value = self.scheduled.slot(j).and_then(BcSlot::regular_value);
+        let Some(BcValue::Votes(votes)) = value else {
+            return Vec::new();
+        };
+        let to_party = |(k, vote): &(u32, Vote)| (*k as PartyId, vote.clone());
+        votes.iter().map(to_party).collect()
     }
 
     /// The consistency graph built from votes received through regular mode
@@ -230,15 +195,12 @@ impl VoteBoard {
 
     /// The consistency graph of every vote visible so far, through any mode
     /// (what the dealer's star search and the receivers' star check
-    /// inspect). Update A-casts are in it from delivery; scheduled-slot
-    /// values are folded in here, on demand, so a run that never asks pays
-    /// nothing for them. The graph only grows, so its
+    /// inspect). Late votes are in it from delivery; scheduled-slot values
+    /// are folded in here, on demand, so a run that never asks pays nothing
+    /// for them. The graph only grows, so its
     /// [`ConsistencyGraph::edge_count`] changes exactly when it does.
     pub fn graph_any(&mut self) -> &ConsistencyGraph {
-        for (j, folded) in self.folded.iter_mut().enumerate() {
-            if *folded {
-                continue;
-            }
+        for (j, folded) in self.folded.iter_mut().enumerate().filter(|(_, f)| !**f) {
             if let Some(value) = self.scheduled.slot(j).and_then(BcSlot::value) {
                 *folded = true;
                 self.eventual.fold(j, value);
@@ -248,7 +210,8 @@ impl VoteBoard {
     }
 
     /// The NOK votes of party `j` received through regular mode, as
-    /// `(counterpart, polynomial index, claimed value)` triples.
+    /// `(counterpart, polynomial index, claimed value)` triples. The only
+    /// reader of `NOK`s: a late one is never read, and never sent.
     pub fn regular_noks_of(&self, j: PartyId) -> Vec<(PartyId, u32, mpc_algebra::Fp)> {
         self.regular_votes_of(j)
             .into_iter()
@@ -263,26 +226,116 @@ impl VoteBoard {
     /// `w`, based on regular-mode votes: a pair `P_j, P_k ∈ W` that NOK'd each
     /// other on the same polynomial index with different claimed values.
     pub fn has_conflicting_noks(&self, w: &[PartyId]) -> bool {
-        let noks: Vec<_> = w.iter().map(|&j| self.regular_noks_of(j)).collect();
-        for (&j, noks_j) in w.iter().zip(&noks) {
-            for (&k, noks_k) in w.iter().zip(&noks) {
-                if j >= k {
-                    continue;
-                }
-                for &(kj, ell_j, v_j) in noks_j {
-                    if kj != k {
-                        continue;
-                    }
-                    for &(jk, ell_k, v_k) in noks_k {
-                        if jk == j && ell_j == ell_k && v_j != v_k {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        false
+        let noks: Vec<_> = w.iter().map(|&j| (j, self.regular_noks_of(j))).collect();
+        let of = |k| noks.iter().filter(move |p| p.0 == k).flat_map(|p| &p.1);
+        // `P_j`'s NOK about `P_k`, `j < k`, and one of `P_k`'s about `P_j`.
+        let conflict = |j, &(k, ell, v): &(PartyId, u32, mpc_algebra::Fp)| {
+            j < k && of(k).any(|&(x, e, u)| x == j && e == ell && u != v)
+        };
+        let mut all = noks.iter().flat_map(|p| p.1.iter().map(|nok| (p.0, nok)));
+        all.any(|(j, nok)| conflict(j, nok))
     }
+}
+
+/// The timer id of a live channel's flush, at its instance's own path
+/// (the shells' own steps use 10, the dealer core's phases 11–13).
+pub(crate) const TIMER_FLUSH: u64 = 14;
+
+/// This party's late `OK` votes, on their way from the vote boards of a
+/// sharing tree to the A-casts that carry them (DESIGN.md "`Π_WPS`/`Π_VSS`:
+/// one dealer-verification core").
+///
+/// Every `Π_WPS`, `Π_VSS` and `Π_ACS` holds one, and a vote in it is one
+/// `u32`, `board · n + counterpart`, its board numbered among the holder's
+/// ([`Kind::board_path`]). The outermost sharing instance's is the live
+/// channel: the first vote posted to it arms a zero-delay timer at the
+/// instance, which fires after every delivery and every deeper timer of the
+/// tick, and [`LateVotes::flush`] then A-casts everything posted since as
+/// one [`BcValue::VoteBatch`] in this party's next slot of the instance's
+/// `Batch` family. A nested instance's is an outbox that its parent empties
+/// ([`LateVotes::post`]) after routing an event to it.
+#[derive(Debug, Default)]
+pub(crate) struct LateVotes {
+    /// Whether this is a nested instance's outbox.
+    pub(crate) nested: bool,
+    /// Posted and not yet A-cast (live) or taken by the parent (nested).
+    pub(crate) pending: Vec<u32>,
+    /// How many batches this party has A-cast.
+    sent: usize,
+    /// The batch A-casts, slot `k · n + sender`, each boxed on its first
+    /// message. Routing bounds a slot by the family's `n · n · boards`, and
+    /// this party's own `k` stays below `n · boards`, as each board posts a
+    /// counterpart once: the table grows to the highest slot seen, at most
+    /// the family's size.
+    slots: Vec<Option<Box<Acast>>>,
+}
+
+impl LateVotes {
+    /// Posts `votes`, whose boards are numbered from `first` among the
+    /// holder's; the live channel arms its flush with the first since the
+    /// last flush. A parent posts a nested instance's outbox here after
+    /// routing an event to it.
+    pub(crate) fn post(&mut self, ctx: &mut Context<'_, Msg>, votes: Vec<u32>, first: usize) {
+        let was_empty = self.pending.is_empty();
+        let shift = (first * ctx.n) as u32;
+        self.pending.extend(votes.iter().map(|vote| vote + shift));
+        if !self.nested && was_empty && !self.pending.is_empty() {
+            ctx.set_timer(0, TIMER_FLUSH);
+        }
+    }
+
+    /// A-casts what was posted since the last flush as one batch, in this
+    /// party's next slot of the `Batch` family of `kind`, the holder's
+    /// layout, at threshold `t`.
+    pub(crate) fn flush(&mut self, ctx: &mut Context<'_, Msg>, kind: &Kind, t: usize) {
+        let i = self.sent * ctx.n + ctx.me;
+        self.sent += 1;
+        let batch = BcValue::VoteBatch(std::mem::take(&mut self.pending));
+        if let Some(acast) = self.slot(ctx.n, t, i) {
+            kind.scoped(ctx, Name::Batch, i, |ctx| acast.provide_input(ctx, batch));
+        }
+    }
+
+    /// Slot `index` of the live channel, made on first demand.
+    pub(crate) fn slot(&mut self, n: usize, t: usize, index: usize) -> Option<&mut Acast> {
+        if self.nested {
+            return None;
+        }
+        let len = self.slots.len().max(index + 1);
+        self.slots.resize_with(len, || None);
+        Some(self.slots[index].get_or_insert_with(|| Box::new(Acast::new(index % n, n, t))))
+    }
+}
+
+/// Hands each vote of the batch delivered in slot `index` of the channel
+/// `late` of `owner`, laid out as `kind`, to its board: as an
+/// [`Event::LateOk`] routed to the board's shell like any event, so that
+/// the shell folds it and runs its step, and every instance on the way its
+/// after-child step. A value that is no vote batch, or one longer than a
+/// party's late votes, is dropped, and so is a vote that names no board.
+/// Returns whether `owner` made progress.
+pub(crate) fn deliver_batch<N: Node>(
+    owner: &mut N,
+    (kind, late): (&Kind, fn(&N) -> &LateVotes),
+    ctx: &mut Context<'_, Msg>,
+    index: usize,
+) -> bool {
+    let (n, sender) = (ctx.n, index % ctx.n);
+    let slot = late(owner).slots.get(index);
+    let output = slot.and_then(|acast| acast.as_ref()?.output.as_ref());
+    let Some(BcValue::VoteBatch(votes)) = output else {
+        return false;
+    };
+    if votes.len() > n * kind.boards(n) {
+        return false;
+    }
+    let event = |&vote: &u32| {
+        let board = kind.board_path(n, vote as usize / n)?;
+        Some((board, Event::LateOk(sender, vote as usize % n)))
+    };
+    let events: Vec<_> = votes.iter().filter_map(event).collect();
+    let deliver = |progress, (board, ev): (Vec<u32>, _)| owner.on_event(ctx, &board, ev) | progress;
+    events.into_iter().fold(false, deliver)
 }
 
 #[cfg(test)]
@@ -291,51 +344,102 @@ impl VoteBoard {
     pub(crate) fn scheduled_slot_mut(&mut self, j: PartyId) -> Option<&mut BcSlot> {
         self.scheduled.slot_mut(j)
     }
+
+    /// This party's vote about `counterpart`, if cast.
+    pub(crate) fn vote_about(&self, counterpart: PartyId) -> Option<&Vote> {
+        self.my_votes.get(counterpart)?.as_ref()
+    }
+}
+
+#[cfg(test)]
+impl LateVotes {
+    /// How many slots the table holds, boxed or not.
+    pub(crate) fn table_len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The value slot `index` delivered, if it has.
+    pub(crate) fn output(&self, index: usize) -> Option<&BcValue> {
+        self.slots.get(index)?.as_ref()?.output.as_ref()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::AcastMsg;
-    use crate::tree::Event;
-    use crate::vss::VSS;
-    use crate::wps::WPS;
+    use crate::wps::{Wps, WPS};
     use mpc_algebra::Fp;
     use mpc_net::Effects;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// All votes of party `j` visible so far, through any mode: its
-    /// scheduled broadcast's regular or fallback output, then its delivered
-    /// update A-casts in counterpart order.
-    fn all_votes_of(board: &VoteBoard, j: PartyId) -> Vec<(PartyId, Vote)> {
-        let n = board.params.n;
-        let mut votes = VoteBoard::votes_in(board.scheduled.slot(j).and_then(BcSlot::value));
-        // Sender `j`'s updates are one contiguous row of the table.
-        let row = board.updates.get(j * n..(j + 1) * n).unwrap_or_default();
-        for acast in row.iter().flatten() {
-            votes.extend(VoteBoard::votes_in(acast.output.as_ref()));
-        }
-        votes
+    /// Party 0 of a stand-alone `Π_WPS`, whose live channel receives the
+    /// batches: a delivered batch reaches the board through the shell.
+    struct Receiver {
+        wps: Wps,
+        params: Params,
+        effects: Effects<Msg>,
+        rng: StdRng,
     }
 
-    /// A scan of every delivered update A-cast, filtered by sender.
-    fn all_votes_by_full_scan(board: &VoteBoard, j: PartyId) -> Vec<(PartyId, Vote)> {
-        let n = board.params.n;
-        let mut votes = VoteBoard::votes_in(board.scheduled.slot(j).and_then(BcSlot::value));
-        for (idx, acast) in board.updates.iter().enumerate() {
-            if let Some(acast) = acast.as_ref().filter(|_| idx / n == j) {
-                votes.extend(VoteBoard::votes_in(acast.output.as_ref()));
+    impl Receiver {
+        fn new(params: Params) -> Self {
+            Receiver {
+                wps: Wps::new(1, params, 1),
+                params,
+                effects: Effects::new(),
+                rng: StdRng::seed_from_u64(0),
             }
         }
-        votes
+
+        fn board(&mut self) -> &mut VoteBoard {
+            self.wps.votes_mut()
+        }
+
+        /// Delivers `value` in batch slot `index` through the message path:
+        /// `2t + 1` `Ready`s.
+        fn deliver(&mut self, index: usize, value: &BcValue) {
+            let Params { n, ts, delta, .. } = self.params;
+            let seg = WPS.segment(n, Name::Batch, index);
+            let ready = Msg::Acast(AcastMsg::Ready(value.clone()));
+            let mut ctx = Context::new(0, n, 0, delta, &mut self.effects, &mut self.rng, 0);
+            for from in 0..=2 * ts {
+                self.wps
+                    .on_event(&mut ctx, &[seg], Event::Message(from, &ready));
+            }
+        }
+
+        /// All votes of party `j` visible so far, through any mode: its
+        /// scheduled broadcast's regular or fallback output, then the `OK`s
+        /// on this board of its delivered vote batches, slot by slot.
+        fn all_votes_of(&mut self, j: PartyId) -> Vec<(PartyId, Vote)> {
+            let n = self.params.n;
+            let board = self.board();
+            let mut votes = match board.scheduled.slot(j).and_then(BcSlot::value) {
+                Some(BcValue::Votes(v)) => {
+                    v.iter().map(|(k, v)| (*k as PartyId, v.clone())).collect()
+                }
+                _ => Vec::new(),
+            };
+            for index in (j..board.late.table_len()).step_by(n) {
+                // Board 0 is the instance's own, the only one it has.
+                if let Some(BcValue::VoteBatch(batch)) = board.late.output(index) {
+                    let here = batch
+                        .iter()
+                        .filter(|&&vote| vote < n as u32 && batch.len() <= n);
+                    votes.extend(here.map(|&k| (k as PartyId, Vote::Ok)));
+                }
+            }
+            votes
+        }
     }
 
     /// The consistency graph rebuilt from scratch out of each party's votes.
     fn rebuilt_graph(
         n: usize,
-        votes_of: impl Fn(PartyId) -> Vec<(PartyId, Vote)>,
+        mut votes_of: impl FnMut(PartyId) -> Vec<(PartyId, Vote)>,
     ) -> ConsistencyGraph {
         let mut ok = vec![vec![false; n]; n];
         for (j, row) in ok.iter_mut().enumerate() {
@@ -356,88 +460,9 @@ mod tests {
         g
     }
 
-    /// Hands `msg` to update A-cast `idx` and, if it delivered, folds it,
-    /// as the shell does on a child's progress; returns whether it
-    /// delivered.
-    fn to_update(
-        board: &mut VoteBoard,
-        ctx: &mut Context<'_, Msg>,
-        from: PartyId,
-        idx: usize,
-        msg: &Msg,
-    ) -> bool {
-        let acast = board.child(Name::Update, idx).expect("an update A-cast");
-        let delivered = acast.on_event(ctx, &[], Event::Message(from, msg));
-        if delivered {
-            board.child_progressed(Name::Update, idx);
-        }
-        delivered
-    }
-
-    /// Delivers `value` as the output of `sender`'s update A-cast about
-    /// `counterpart`, through the message path: `2t + 1` `Ready`s. Returns
-    /// how many of them the A-cast reported as progress.
-    fn deliver_update(
-        board: &mut VoteBoard,
-        ctx: &mut Context<'_, Msg>,
-        (sender, counterpart): (PartyId, PartyId),
-        value: &BcValue,
-    ) -> usize {
-        let idx = sender * board.params.n + counterpart;
-        let ready = Msg::Acast(AcastMsg::Ready(value.clone()));
-        (0..=2 * board.t)
-            .filter(|&from| to_update(board, ctx, from, idx, &ready))
-            .count()
-    }
-
-    #[test]
-    fn all_votes_of_reads_exactly_the_senders_segment_range() {
-        let params = Params::new(5, 1, 1, 10);
-        let n = params.n;
-        let mut board = VoteBoard::new(&VSS, 1, params);
-        let mut effects = Effects::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = Context::new(0, n, 0, params.delta, &mut effects, &mut rng, 0);
-        // Delivered updates from several senders — including the first and
-        // last entry of a sender's row and the table's last entry — plus one
-        // that has not delivered yet.
-        let nok = Vote::Nok {
-            ell: 2,
-            value: Fp::from_u64(77),
-        };
-        let delivered = [
-            (0, 0, Vote::Ok),
-            (0, n - 1, nok.clone()),
-            (1, 0, Vote::Ok),
-            (3, 2, nok),
-            (3, 1, Vote::Ok),
-            (n - 1, n - 1, Vote::Ok),
-        ];
-        for (sender, counterpart, vote) in delivered.clone() {
-            let value = BcValue::Votes(vec![(counterpart as u32, vote)]);
-            deliver_update(&mut board, &mut ctx, (sender, counterpart), &value);
-        }
-        let echo = Msg::Acast(AcastMsg::Echo(BcValue::Bit(true)));
-        to_update(&mut board, &mut ctx, 2, n + 3, &echo);
-        assert!(matches!(&board.updates[n + 3], Some(acast) if acast.output.is_none()));
-
-        let mut total = 0;
-        for j in 0..n {
-            let votes = all_votes_of(&board, j);
-            assert_eq!(votes, all_votes_by_full_scan(&board, j), "sender {j}");
-            total += votes.len();
-        }
-        assert_eq!(total, delivered.len());
-        assert_eq!(
-            all_votes_of(&board, 3),
-            vec![(1, Vote::Ok), (2, delivered[3].2.clone())],
-            "in counterpart order"
-        );
-    }
-
-    /// A random vote payload, hostile ones included: counterparts `≥ n`,
-    /// several votes, `OK` and `NOK` about the same party, self-votes, and
-    /// now and then no vote vector at all.
+    /// A random scheduled vote payload, hostile ones included: counterparts
+    /// `≥ n`, several votes, `OK` and `NOK` about the same party,
+    /// self-votes, and now and then no vote vector at all.
     fn random_payload(rng: &mut StdRng, n: usize) -> BcValue {
         if rng.gen_range(0..10) == 0 {
             return BcValue::Bit(true);
@@ -456,6 +481,19 @@ mod tests {
         BcValue::Votes(votes.collect())
     }
 
+    /// A random late-vote batch, hostile ones included: repeats,
+    /// self-votes, boards a stand-alone `Π_WPS` does not have, and now and
+    /// then a value that is no vote batch.
+    fn random_batch(rng: &mut StdRng, n: usize) -> BcValue {
+        if rng.gen_range(0..10) == 0 {
+            return random_payload(rng, n);
+        }
+        let board = |rng: &mut StdRng| rng.gen_range(0..8usize).saturating_sub(6);
+        let votes =
+            (0..rng.gen_range(0..4usize)).map(|_| (board(rng) * n + rng.gen_range(0..n)) as u32);
+        BcValue::VoteBatch(votes.collect())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
@@ -465,19 +503,16 @@ mod tests {
         ) {
             let t = (n - 1) / 3;
             let params = Params::new(n, t, 0, 10);
-            let mut board = VoteBoard::new(&WPS, t, params);
-            let mut effects = Effects::new();
+            let mut one = Receiver::new(params);
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut net_rng = StdRng::seed_from_u64(0);
-            let mut ctx = Context::new(0, n, 0, params.delta, &mut effects, &mut net_rng, 0);
             for step in 0..6 * n {
                 let j = rng.gen_range(0..n);
-                let payload = random_payload(&mut rng, n);
                 if rng.gen_bool(0.5) {
                     // A scheduled slot steps along None → ⊥ → v; once it
                     // holds a value, a repeated output is the same value.
                     // Its first output is its regular-mode one.
-                    let slot = board.scheduled_slot_mut(j).unwrap();
+                    let payload = random_payload(&mut rng, n);
+                    let slot = one.board().scheduled_slot_mut(j).unwrap();
                     slot.output = match slot.output.take() {
                         None if rng.gen_bool(0.3) => Some(None),
                         None | Some(None) => Some(Some(payload)),
@@ -487,20 +522,98 @@ mod tests {
                         slot.regular_output = slot.output.clone();
                     }
                 } else {
-                    // Update A-casts, redelivered (with a different value,
-                    // which the A-cast ignores) now and then. Only the
-                    // message that delivers one reports progress.
-                    let counterpart = rng.gen_range(0..n);
-                    let entry = board.updates.get(j * n + counterpart).and_then(Option::as_ref);
-                    let fresh = entry.is_none_or(|acast| acast.output.is_none());
-                    let changes = deliver_update(&mut board, &mut ctx, (j, counterpart), &payload);
-                    prop_assert_eq!(changes, usize::from(fresh));
+                    // One of party j's first three batch slots, delivered
+                    // again (with a different value, which the A-cast
+                    // ignores) now and then.
+                    let index = rng.gen_range(0..3) * n + j;
+                    one.deliver(index, &random_batch(&mut rng, n));
                 }
-                let rebuilt = rebuilt_graph(n, |j| all_votes_of(&board, j));
-                prop_assert_eq!(board.graph_any(), &rebuilt, "step {}", step);
-                let rebuilt = rebuilt_graph(n, |j| board.regular_votes_of(j));
-                prop_assert_eq!(board.graph_regular(), rebuilt, "step {}", step);
+                let rebuilt = rebuilt_graph(n, |j| one.all_votes_of(j));
+                prop_assert_eq!(one.board().graph_any(), &rebuilt, "step {}", step);
+                let rebuilt = rebuilt_graph(n, |j| one.board().regular_votes_of(j));
+                prop_assert_eq!(one.board().graph_regular(), rebuilt, "step {}", step);
             }
+
+            // A second receiver gets every slot's delivered value in another
+            // order, the scheduled outputs at a random point among them: the
+            // fold is a union, so its graph is the first one's.
+            let mut other = Receiver::new(params);
+            let mut held: Vec<(usize, BcValue)> = Vec::new();
+            for index in 0..one.board().late.table_len() {
+                if let Some(value) = one.board().late.output(index) {
+                    held.push((index, value.clone()));
+                }
+            }
+            for i in (1..held.len()).rev() {
+                held.swap(i, rng.gen_range(0..i + 1));
+            }
+            let scheduled_at = rng.gen_range(0..held.len() + 1);
+            for (at, (index, value)) in held.iter().enumerate() {
+                if at == scheduled_at {
+                    copy_scheduled(&mut one, &mut other);
+                }
+                other.deliver(*index, value);
+            }
+            if scheduled_at == held.len() {
+                copy_scheduled(&mut one, &mut other);
+            }
+            let graph = one.board().graph_any().clone();
+            prop_assert_eq!(other.board().graph_any(), &graph);
+        }
+    }
+
+    /// The paper's "conflicting NOK" condition read off its definition: a
+    /// pair `P_j, P_k ∈ W`, `j < k`, that NOK'd each other on the same
+    /// polynomial with different values.
+    fn conflicting_by_definition(board: &VoteBoard, w: &[PartyId]) -> bool {
+        let noks = |j| board.regular_noks_of(j);
+        w.iter().any(|&j| {
+            w.iter().filter(|&&k| j < k).any(|&k| {
+                let (of_j, of_k) = (noks(j), noks(k));
+                of_j.iter().any(|&(to, ell, v)| {
+                    to == k && of_k.iter().any(|&(x, e, u)| x == j && e == ell && u != v)
+                })
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn conflicting_noks_match_their_definition(seed in any::<u64>()) {
+            let params = Params::new(5, 1, 1, 10);
+            let mut one = Receiver::new(params);
+            // Parties 0 and 1 NOK each other on polynomial 0, with 1 and 2.
+            for (j, k, x) in [(0, 1, 1), (1, 0, 2)] {
+                let nok = Vote::Nok { ell: 0, value: Fp::from_u64(x) };
+                let slot = one.board().scheduled_slot_mut(j).unwrap();
+                slot.regular_output = Some(Some(BcValue::Votes(vec![(k, nok)])));
+            }
+            prop_assert!(one.board().has_conflicting_noks(&[1, 2, 0]));
+            prop_assert!(!one.board().has_conflicting_noks(&[1, 2]));
+            let mut rng = StdRng::seed_from_u64(seed);
+            for j in 0..params.n {
+                let payload = random_payload(&mut rng, params.n);
+                let slot = one.board().scheduled_slot_mut(j).unwrap();
+                slot.regular_output = Some(Some(payload));
+            }
+            for _ in 0..8 {
+                let mut w: Vec<PartyId> = (0..params.n).filter(|_| rng.gen_bool(0.7)).collect();
+                w.reverse();
+                let board = one.board();
+                let expected = conflicting_by_definition(board, &w);
+                prop_assert_eq!(board.has_conflicting_noks(&w), expected, "w {:?}", w);
+            }
+        }
+    }
+
+    /// Gives `to`'s scheduled slots `from`'s outputs.
+    fn copy_scheduled(from: &mut Receiver, to: &mut Receiver) {
+        for j in 0..from.params.n {
+            let slot = from.board().scheduled_slot_mut(j).unwrap();
+            let (output, regular) = (slot.output.clone(), slot.regular_output.clone());
+            let slot = to.board().scheduled_slot_mut(j).unwrap();
+            (slot.output, slot.regular_output) = (output, regular);
         }
     }
 }

@@ -24,17 +24,26 @@ use crate::msg::Msg;
 use crate::params::Params;
 use crate::sharing::{after, DealerCore};
 use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
+use crate::voteboard::deliver_batch;
 use crate::wps::{Wps, WPS};
 
-/// `Π_WPS^{(j)}` for every party `j`, then the core's children.
-pub static VSS: Kind = Kind::new("Vss", &after(Family::new(Name::Wps, &WPS, Card::N)));
+/// `Π_WPS^{(j)}` for every party `j`, then the core's children and the
+/// late-vote batches of `1 + n` vote boards: its own and its `Π_WPS`s'.
+pub static VSS: Kind = Kind::new("Vss", &LAYOUT);
+const LAYOUT: [Family; 6] = after(Family::new(Name::Wps, &WPS, Card::N), [1, 1, 0]);
 
 const TIMER_START_WPS: u64 = 10;
+
+/// `wps` inside a `Π_VSS`, whose channel carries its late votes.
+fn nested(mut wps: Wps) -> Wps {
+    wps.core.votes.late.nested = true;
+    wps
+}
 
 /// One instance of `Π_VSS` for `L` polynomials.
 #[derive(Debug)]
 pub struct Vss {
-    core: DealerCore,
+    pub(crate) core: DealerCore,
     /// `Π_WPS^{(j)}` for every party `j`.
     wps: Vec<Wps>,
     /// Whether the `Π_WPS` instances have started (they all do, at `Δ`).
@@ -51,7 +60,7 @@ impl Vss {
         Vss {
             core,
             wps: (0..params.n)
-                .map(|j| Wps::new(j, params, l_count))
+                .map(|j| nested(Wps::new(j, params, l_count)))
                 .collect(),
             wps_started: false,
             shares: None,
@@ -155,7 +164,13 @@ impl Node for Vss {
     /// Runs the step on its own events and on a child's progress; progress
     /// is the shares appearing.
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
-        match VSS.route(self, ctx, path, ev) {
+        let routed = VSS.route(self, ctx, path, ev);
+        if let Routed::Child(Name::Wps, k, _) = routed {
+            // The boards: this instance's, then each `Π_WPS`'s one.
+            let outbox = std::mem::take(&mut self.wps[k].core.votes.late.pending);
+            self.core.votes.late.post(ctx, outbox, 1 + k);
+        }
+        match routed {
             Routed::Own(Event::Message(from, Msg::RowPolys(rows))) => {
                 if !self.core.accept_rows(from, rows) {
                     return false;
@@ -164,7 +179,12 @@ impl Node for Vss {
             }
             Routed::Own(Event::Timer(TIMER_START_WPS)) => self.start_wps(ctx),
             Routed::Own(Event::Timer(id)) => self.core.on_phase_timer(ctx, id),
-            Routed::Child(name, index, true) => self.core.votes.child_progressed(name, index),
+            // A late vote from the channel, if it is new.
+            Routed::Own(Event::LateOk(j, k)) if self.core.votes.eventual.add_ok(j, k) => {}
+            Routed::Child(Name::Batch, i, true) => {
+                return deliver_batch(self, (&VSS, |s| &s.core.votes.late), ctx, i);
+            }
+            Routed::Child(_, _, true) => {}
             _ => return false,
         }
         self.check_progress(ctx)

@@ -29,18 +29,20 @@ use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::msg::Msg;
 use crate::params::Params;
-use crate::sharing::{DealerCore, CORE};
+use crate::sharing::{layout, DealerCore};
 use crate::tree::{Event, Kind, Name, Node, Routed};
+use crate::voteboard::deliver_batch;
 
-/// The core's children, from segment 0.
-pub static WPS: Kind = Kind::new("Wps", &CORE);
+/// The core's children, from segment 0, then the late-vote batches of one
+/// vote board.
+pub static WPS: Kind = Kind::new("Wps", &layout([1, 0, 0]));
 
 const TIMER_SEND_POINTS: u64 = 10;
 
 /// One instance of `Π_WPS` for `L` polynomials.
 #[derive(Debug)]
 pub struct Wps {
-    core: DealerCore,
+    pub(crate) core: DealerCore,
     /// Points received from counterpart `j` (their evaluation of their row at
     /// my `α`), i.e. points on my row polynomials: `L` each, the first per
     /// sender, kept only while no `OK` vote vouches for them — before this
@@ -212,7 +214,12 @@ impl Node for Wps {
             }
             Routed::Own(Event::Timer(TIMER_SEND_POINTS)) => self.send_points(ctx),
             Routed::Own(Event::Timer(id)) => self.core.on_phase_timer(ctx, id),
-            Routed::Child(name, index, true) => self.core.votes.child_progressed(name, index),
+            // A late vote from the channel, if it is new.
+            Routed::Own(Event::LateOk(j, k)) if self.core.votes.eventual.add_ok(j, k) => {}
+            Routed::Child(Name::Batch, i, true) => {
+                return deliver_batch(self, (&WPS, |s| &s.core.votes.late), ctx, i);
+            }
+            Routed::Child(_, _, true) => {}
             _ => return false,
         }
         self.check_progress(ctx)
@@ -226,10 +233,19 @@ impl Node for Wps {
 crate::node_protocol!(Wps);
 
 #[cfg(test)]
+impl Wps {
+    /// The vote board, for tests that read or set it directly.
+    pub(crate) fn votes_mut(&mut self) -> &mut crate::voteboard::VoteBoard {
+        &mut self.core.votes
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::{AcastMsg, BcValue, Vote};
     use crate::sharing::testkit::{parties, polys, run_and_check, Shell};
+    use crate::voteboard::TIMER_FLUSH;
     use mpc_algebra::SymmetricBivariate;
     use mpc_net::{CorruptionSet, Effects, NetConfig, NetworkKind, Protocol, Simulation};
     use proptest::prelude::*;
@@ -339,6 +355,8 @@ mod tests {
         rows: Vec<Vec<Fp>>,
         /// `points[j]`: what party `j` sends party 1, `f_j(α_1)` per row.
         points: Vec<Vec<Fp>>,
+        /// Whether the vote board has started.
+        started: bool,
     }
 
     impl One {
@@ -361,28 +379,53 @@ mod tests {
                 rng,
                 rows: bivariates.iter().map(|b| b.row_coeffs(&powers)).collect(),
                 points: (0..params.n).map(|j| at(j).collect()).collect(),
+                started: false,
             }
         }
 
-        /// Delivers `event` and returns the votes it published, as
-        /// `(about, vote)`.
+        /// Delivers `event`, then the late-vote flush it arms, and returns
+        /// the votes it cast, as `(about, vote)`. The late `OK`s among them
+        /// go out as one batch A-cast; a late `NOK` is not sent.
         fn step(&mut self, event: Result<(PartyId, Msg), u64>) -> Vec<(u32, Vote)> {
             self.effects = Effects::new();
             let (n, delta) = (self.wps.core.params.n, self.wps.core.params.delta);
+            let before: Vec<bool> = (0..n).map(|j| self.wps.core.has_voted(j)).collect();
             let mut ctx = Context::new(Self::ME, n, 0, delta, &mut self.effects, &mut self.rng, 0);
             match event {
                 Ok((from, msg)) => self.wps.on_message(&mut ctx, from, &[], msg),
                 Err(timer) => self.wps.on_timer(&mut ctx, &[], timer),
             }
-            let votes = self
+            if self
+                .effects
+                .timers
+                .iter()
+                .any(|&(_, _, id)| id == TIMER_FLUSH)
+            {
+                let mut ctx =
+                    Context::new(Self::ME, n, 0, delta, &mut self.effects, &mut self.rng, 0);
+                self.wps.on_timer(&mut ctx, &[], TIMER_FLUSH);
+            }
+            let board = &self.wps.core.votes;
+            let cast = (0..n).filter(|&j| !before[j]).filter_map(|j| {
+                let vote = board.vote_about(j)?.clone();
+                Some((j as u32, vote))
+            });
+            let cast: Vec<(u32, Vote)> = cast.collect();
+            let sent: Vec<u32> = self
                 .effects
                 .broadcasts
                 .iter()
                 .filter_map(|(_, msg)| match msg {
-                    Msg::Acast(AcastMsg::Send(BcValue::Votes(votes))) => Some(votes.clone()),
+                    Msg::Acast(AcastMsg::Send(BcValue::VoteBatch(votes))) => Some(votes.clone()),
                     _ => None,
-                });
-            votes.flatten().collect()
+                })
+                .flatten()
+                .inspect(|&vote| assert!(vote < n as u32, "the instance's own board"))
+                .collect();
+            let late_oks = cast.iter().filter(|(_, vote)| *vote == Vote::Ok);
+            let late_oks = late_oks.map(|&(k, _)| k).filter(|_| self.started);
+            assert_eq!(sent, late_oks.collect::<Vec<_>>());
+            cast
         }
 
         /// Delivers party `j`'s honest `Points`.
@@ -395,9 +438,11 @@ mod tests {
             self.step(Ok((0, Msg::RowPolys(self.rows.clone()))))
         }
 
-        /// Starts the vote board, so that every vote is A-cast as it is cast.
+        /// Starts the vote board, so that every later `OK` is A-cast in the
+        /// tick it is cast.
         fn start_votes(&mut self) {
             self.step(Err(11));
+            self.started = true;
         }
     }
 
