@@ -4,13 +4,20 @@
 //! (`n = 4`, `t_s = 1`, seed 77, scalar engine) in both network kinds and
 //! buckets every delivery by the instance it reached, named by
 //! `CIREVAL.describe` with the indices stripped
-//! (`CirEval/AcsInput/Vss[3]/Wps[1]/Update[1→2]/Acast` counts for
-//! `CirEval/AcsInput/Vss/Wps/Update/Acast`). Each family's count is pinned:
+//! (`CirEval/AcsInput/Vss[3]/Wps[1]/Votes/Acast[2]` counts for
+//! `CirEval/AcsInput/Vss/Wps/Votes/Acast`). Each family's count is pinned:
 //! a change that moves messages between families, or adds or removes some,
 //! shows here by name, where the golden's one `honest_messages` total cannot
 //! say where. That total is checked as well, so the census is of the golden
 //! run; the asynchronous run stops at its last output with two of its
-//! 49 560 messages still undelivered.
+//! 43 800 messages still undelivered.
+//!
+//! The asynchronous table was re-pinned when late votes moved from one
+//! A-cast per vote to one batch per `Π_ACS` per tick: the
+//! `…/Vss/Update/Acast` (2 304) and `…/Vss/Wps/Update/Acast` (8 892) rows of
+//! each ACS became one `…/Batch/Acast` row of 8 316 = 231 batches ×
+//! (n + 2n²) = 231 × 36 deliveries, and `honest_messages` went from 49 560
+//! to 43 800. Every other row, and the synchronous table, did not move.
 //!
 //! `cargo test --test delivery_census -- --nocapture` prints the table.
 
@@ -146,18 +153,18 @@ fn golden_circuit_deliveries_by_family_sync() {
 fn golden_circuit_deliveries_by_family_async() {
     check(
         NetworkKind::Asynchronous,
-        49_560,
+        43_800,
         &[
             ("CirEval", 110),
             ("CirEval/AcsInput/Ba/Aba", 248),
             ("CirEval/AcsInput/Ba/Bc/Acast", 576),
             ("CirEval/AcsInput/Ba/Bc/Sba", 288),
+            ("CirEval/AcsInput/Batch/Acast", 8_316),
             ("CirEval/AcsInput/Vss", 16),
             ("CirEval/AcsInput/Vss/Ba/Aba", 256),
             ("CirEval/AcsInput/Vss/Ba/Bc/Acast", 576),
             ("CirEval/AcsInput/Vss/Ba/Bc/Sba", 288),
             ("CirEval/AcsInput/Vss/Star/Acast", 144),
-            ("CirEval/AcsInput/Vss/Update/Acast", 2_304),
             ("CirEval/AcsInput/Vss/Votes/Acast", 576),
             ("CirEval/AcsInput/Vss/Votes/Sba", 288),
             ("CirEval/AcsInput/Vss/Wef/Sba", 288),
@@ -166,19 +173,18 @@ fn golden_circuit_deliveries_by_family_async() {
             ("CirEval/AcsInput/Vss/Wps/Ba/Bc/Acast", 2_304),
             ("CirEval/AcsInput/Vss/Wps/Ba/Bc/Sba", 1_152),
             ("CirEval/AcsInput/Vss/Wps/Star/Acast", 576),
-            ("CirEval/AcsInput/Vss/Wps/Update/Acast", 8_892),
             ("CirEval/AcsInput/Vss/Wps/Votes/Acast", 2_304),
             ("CirEval/AcsInput/Vss/Wps/Votes/Sba", 1_152),
             ("CirEval/AcsInput/Vss/Wps/Wef/Sba", 1_152),
             ("CirEval/AcsTriples/Ba/Aba", 248),
             ("CirEval/AcsTriples/Ba/Bc/Acast", 576),
             ("CirEval/AcsTriples/Ba/Bc/Sba", 288),
+            ("CirEval/AcsTriples/Batch/Acast", 8_316),
             ("CirEval/AcsTriples/Vss", 16),
             ("CirEval/AcsTriples/Vss/Ba/Aba", 256),
             ("CirEval/AcsTriples/Vss/Ba/Bc/Acast", 576),
             ("CirEval/AcsTriples/Vss/Ba/Bc/Sba", 288),
             ("CirEval/AcsTriples/Vss/Star/Acast", 144),
-            ("CirEval/AcsTriples/Vss/Update/Acast", 2_304),
             ("CirEval/AcsTriples/Vss/Votes/Acast", 576),
             ("CirEval/AcsTriples/Vss/Votes/Sba", 288),
             ("CirEval/AcsTriples/Vss/Wef/Sba", 288),
@@ -187,7 +193,6 @@ fn golden_circuit_deliveries_by_family_async() {
             ("CirEval/AcsTriples/Vss/Wps/Ba/Bc/Acast", 2_304),
             ("CirEval/AcsTriples/Vss/Wps/Ba/Bc/Sba", 1_152),
             ("CirEval/AcsTriples/Vss/Wps/Star/Acast", 576),
-            ("CirEval/AcsTriples/Vss/Wps/Update/Acast", 8_892),
             ("CirEval/AcsTriples/Vss/Wps/Votes/Acast", 2_304),
             ("CirEval/AcsTriples/Vss/Wps/Votes/Sba", 1_152),
             ("CirEval/AcsTriples/Vss/Wps/Wef/Sba", 1_152),

@@ -293,6 +293,17 @@ fn check_sharing_golden<P: Protocol<Msg> + 'static>(
 
 /// Golden fingerprints of stand-alone `Π_WPS` and `Π_VSS`, pinned before the
 /// two were rebuilt over one dealer-verification core (DESIGN.md).
+///
+/// The asynchronous rows were re-pinned when late votes moved from one
+/// A-cast per vote to one batch per instance per tick (DESIGN.md "Late votes
+/// travel in one batch per `Π_ACS` per tick"). `Π_WPS`: transcript 2 545 →
+/// 2 569 entries (the flush timers), hash `0x595e_401f_83bf_cafd` →
+/// `0x333c_fb98_c8b8_9885`, bits 215 400 → 204 840, messages 2 385 (a lone
+/// board posts one vote per tick here), events 2 177 → 2 201. `Π_VSS`:
+/// transcript 15 520 → 14 773, hash `0x15c0_81e5_b737_4f28` →
+/// `0x8873_ea19_af74_ea80`, bits 1 296 560 → 1 181 720, messages 14 560 →
+/// 13 680, events 9 332 → 9 289. Every `output_at` and both synchronous rows
+/// did not move.
 #[test]
 fn wps_and_vss_transcript_and_metrics_golden() {
     let (sync, asyn) = (NetworkKind::Synchronous, NetworkKind::Asynchronous);
@@ -308,11 +319,11 @@ fn wps_and_vss_transcript_and_metrics_golden() {
         ),
         (
             asyn,
-            2545,
-            0x595e_401f_83bf_cafd,
-            215_400,
+            2569,
+            0x333c_fb98_c8b8_9885,
+            204_840,
             2385,
-            2177,
+            2201,
             [859, 867, 853, 862, 917],
         ),
     ];
@@ -334,11 +345,11 @@ fn wps_and_vss_transcript_and_metrics_golden() {
         ),
         (
             asyn,
-            15520,
-            0x15c0_81e5_b737_4f28,
-            1_296_560,
-            14560,
-            9332,
+            14773,
+            0x8873_ea19_af74_ea80,
+            1_181_720,
+            13680,
+            9289,
             [1650, 1576, 1586, 1624, 1677],
         ),
     ];
@@ -379,6 +390,16 @@ fn golden_circuit() -> Circuit {
 /// 13 566 → 13 470; async bits 4 993 600 → 4 965 952, messages 49 944 →
 /// 49 560, events 23 095 → 22 999. Output, both completion ticks (960 /
 /// 2956) and both frame counts did not move.
+///
+/// Re-pinned for late-vote batches (DESIGN.md "Late votes travel in one
+/// batch per `Π_ACS` per tick"): the asynchronous run's 622 single-vote
+/// update A-casts became 462 batch A-casts, 36 deliveries each at n = 4.
+/// Old → new, async only: bits 4 965 952 → 4 464 256, messages 49 560 →
+/// 43 800, events 22 999 → 22 021, `batch_width_hist` [358, 317, 384, 305,
+/// 169, 63, 36, 9, 14, 2] → [358, 319, 385, 345, 138, 55, 32, 9, 14, 2],
+/// `timeouts_fired` 5 448 → 5 910 (one flush timer per batch). Output,
+/// completion tick 2956, frames 5 163 and `max_queue_depth` 1 646 did not
+/// move, nor did anything synchronous.
 #[test]
 fn full_mpc_metrics_golden_batched() {
     let golden = [
@@ -396,11 +417,11 @@ fn full_mpc_metrics_golden_batched() {
             NetworkKind::Asynchronous,
             33,
             2956,
-            4_965_952,
-            49_560,
-            22_999,
+            4_464_256,
+            43_800,
+            22_021,
             5_163,
-            (1646, &[358, 317, 384, 305, 169, 63, 36, 9, 14, 2], 5448),
+            (1646, &[358, 319, 385, 345, 138, 55, 32, 9, 14, 2], 5910),
         ),
     ];
     let c = golden_circuit();
