@@ -12,7 +12,8 @@
 //!   the default) or `all` (every backend). The tcp matrix adds one
 //!   socket-chaos cell per chaos preset (sever / stall / dup-bytes). Any
 //!   other value is refused (exit 2) with a message naming it.
-//! * `SWEEP_SEED` — base RNG seed of every cell (default `1`).
+//! * `SWEEP_SEED` — base RNG seed of every cell (default `1`). A value that
+//!   is not a `u64` is refused (exit 2) with a message naming it.
 //! * `SWEEP_FILTER` — substring filter on the cell label (e.g. a fault
 //!   preset name or `slow-sender`); empty runs everything.
 //! * `SWEEP_SMOKE` — non-empty restricts the matrix to the garble strategy
@@ -55,17 +56,23 @@ fn parse_backends(value: &str) -> Result<Vec<Backend>, String> {
     })
 }
 
+/// The base seed a `SWEEP_SEED` value names; anything but a `u64` is an
+/// error naming the variable and the value.
+fn parse_seed(value: &str) -> Result<u64, String> {
+    value
+        .parse()
+        .map_err(|_| format!("SWEEP_SEED={value:?}: not a seed (expected a u64)"))
+}
+
 fn main() -> ExitCode {
-    let backends = match parse_backends(&env("SWEEP_BACKENDS", "both")) {
-        Ok(backends) => backends,
-        Err(e) => {
+    let backends = parse_backends(&env("SWEEP_BACKENDS", "both"));
+    let (backends, seed) = match (backends, parse_seed(&env("SWEEP_SEED", "1"))) {
+        (Ok(backends), Ok(seed)) => (backends, seed),
+        (Err(e), _) | (_, Err(e)) => {
             eprintln!("sweep: {e}");
             return ExitCode::from(2);
         }
     };
-    let seed: u64 = env("SWEEP_SEED", "1")
-        .parse()
-        .expect("SWEEP_SEED must be a u64");
     let filter = env("SWEEP_FILTER", "");
     let smoke = !env("SWEEP_SMOKE", "").is_empty();
     let artifacts = env("SWEEP_ARTIFACTS", "sweep_failures.jsonl");
@@ -173,6 +180,17 @@ mod tests {
         for bad in ["thraeded", "tpc", "sim,tcp"] {
             let err = parse_backends(bad).expect_err(bad);
             assert!(err.contains("SWEEP_BACKENDS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_seed_parses_and_a_non_number_is_an_error_naming_variable_and_value() {
+        assert_eq!(parse_seed("1"), Ok(1));
+        assert_eq!(parse_seed("18446744073709551615"), Ok(u64::MAX));
+        for bad in ["abc", "-1", "1.5", "18446744073709551616", " 7"] {
+            let err = parse_seed(bad).expect_err(bad);
+            assert!(err.contains("SWEEP_SEED"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
     }
