@@ -1,14 +1,18 @@
 //! `Π_BC` — synchronous broadcast with asynchronous guarantees (Fig 1,
 //! Theorem 3.5).
 //!
-//! The sender A-casts its value; at local time `3Δ` every party feeds the
-//! value it has (or `⊥`) into an SBA instance; at local time
-//! `T_BC = 3Δ + T_BGP` the *regular-mode* output is fixed: the value `m⋆` if
-//! it was both received from the sender's A-cast and agreed by the SBA,
-//! otherwise `⊥`. Parties keep participating afterwards; a party whose
-//! regular-mode output was `⊥` switches to `m⋆` if the A-cast later delivers
-//! it (*fallback mode*), which is what gives the protocol its asynchronous
-//! validity/consistency guarantees.
+//! The sender A-casts its value; at local time `3Δ` every party feeds an SBA
+//! instance one bit: `Bit(true)` if the sender's A-cast has delivered to it,
+//! else `⊥`. At local time `T_BC = 3Δ + T_BGP` the *regular-mode* output is
+//! fixed: the A-cast's value `m⋆` if it has delivered and the SBA agreed on
+//! `Bit(true)`, otherwise `⊥` (whatever else the SBA agreed on). Fig 1 has the
+//! SBA agree on the value itself; agreeing on "delivered" is enough because an
+//! A-cast that one honest party delivers by `3Δ` delivers the same value to
+//! every honest party by `5Δ < T_BC` (Lemma 2.4), and it keeps `ℓ` out of the
+//! SBA (DESIGN.md "Substitution S2"). Parties keep participating
+//! afterwards; a party whose regular-mode output was `⊥` switches to `m⋆` if
+//! the A-cast later delivers it (*fallback mode*), which is what gives the
+//! protocol its asynchronous validity/consistency guarantees.
 //!
 //! A [`Bc`] runs `k ≥ 1` such broadcasts **in lock-step**: `k` broadcasts
 //! that every party starts at the same local time hit `3Δ` and `T_BC`
@@ -25,7 +29,7 @@
 use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::acast::{Acast, ACAST};
-use crate::msg::{BcValue, Msg};
+use crate::msg::{BcValue, Msg, SbaValue};
 use crate::params::Params;
 use crate::sba::{Sba, SBA};
 use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
@@ -51,6 +55,10 @@ pub static BC_GROUP: Kind = Kind::new(
 
 const TIMER_START_SBA: u64 = 1;
 const TIMER_REGULAR: u64 = 2;
+
+/// A slot's SBA input and agreed value meaning "the A-cast has delivered"
+/// (DESIGN.md "Substitution S2"); `⊥` and any other value mean it has not.
+const DELIVERED: SbaValue = Some(BcValue::Bit(true));
 
 /// How a `Π_BC` output was obtained.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,8 +227,9 @@ impl Node for Bc {
                 true
             }
             Routed::Own(Event::Timer(TIMER_START_SBA)) => {
-                let inputs = self.slots.iter().map(|s| s.acast.output.clone()).collect();
-                self.sba.set_inputs(inputs);
+                let delivered = |s: &BcSlot| s.acast.output.as_ref().and(DELIVERED);
+                self.sba
+                    .set_inputs(self.slots.iter().map(delivered).collect());
                 let (kind, sba) = (self.kind, &mut self.sba);
                 kind.scoped(ctx, Name::Sba, 0, |ctx| sba.init(ctx));
                 false
@@ -228,10 +237,8 @@ impl Node for Bc {
             Routed::Own(Event::Timer(TIMER_REGULAR)) => {
                 let agreed = self.sba.outputs().unwrap_or(&[]);
                 for (slot, state) in self.slots.iter_mut().enumerate() {
-                    let regular = match (&state.acast.output, agreed.get(slot)) {
-                        (Some(a), Some(Some(s))) if a == s => Some(a.clone()),
-                        _ => None,
-                    };
+                    let agreed_delivered = agreed.get(slot) == Some(&DELIVERED);
+                    let regular = state.acast.output.clone().filter(|_| agreed_delivered);
                     state.regular_output = Some(regular.clone());
                     state.output = Some(regular);
                     state.mode = Some(BcMode::Regular);
