@@ -184,14 +184,24 @@ fn transcript_hash(entries: &[TranscriptEntry]) -> u64 {
 /// count — plus the engine's observability counters, which `Metrics`
 /// equality skips: queue depth at slice boundaries, slice-width histogram
 /// and timer expiries (the simulator never holds packets).
+///
+/// Re-pinned when `Π_BC`'s SBA began to agree on whether the A-cast
+/// delivered instead of on its value (DESIGN.md "Substitution S2"): the
+/// synchronous run's SBA rounds carry `Bit(true)` instead of the broadcast
+/// value. Old → new, synchronous only: transcript hash
+/// `0xa3ad_658f_642a_92c3` → `0xbf7e_bacb_f62e_4743`, bits 23 008 → 12 064.
+/// The transcript length, messages, events, frames, completion time and
+/// engine counters did not move, nor did the asynchronous row (the SBA starts
+/// before any A-cast delivers there, so every input is `⊥` both before and
+/// after).
 #[test]
 fn bc_transcript_and_metrics_golden_framed() {
     let golden = [
         (
             NetworkKind::Synchronous,
             144usize,
-            0xa3ad_658f_642a_92c3u64,
-            23008u64,
+            0xbf7e_bacb_f62e_4743u64,
+            12064u64,
             108u64,
             144u64,
             81u64,
@@ -304,6 +314,14 @@ fn check_sharing_golden<P: Protocol<Msg> + 'static>(
 /// `0x8873_ea19_af74_ea80`, bits 1 296 560 → 1 181 720, messages 14 560 →
 /// 13 680, events 9 332 → 9 289. Every `output_at` and both synchronous rows
 /// did not move.
+///
+/// The synchronous rows were re-pinned when `Π_BC`'s SBA began to agree on
+/// whether the A-cast delivered instead of on its value (DESIGN.md
+/// "Substitution S2"). `Π_WPS`: hash `0xdf10_5d88_3f38_d1e6` →
+/// `0xd756_b48d_143e_7986`, bits 367 800 → 182 120. `Π_VSS`: hash
+/// `0x2a0a_52a8_68d0_1fd3` → `0x68de_3b0e_8353_8593`, bits 2 202 600 →
+/// 1 088 520. Transcript lengths, messages, events, every `output_at` and
+/// both asynchronous rows did not move.
 #[test]
 fn wps_and_vss_transcript_and_metrics_golden() {
     let (sync, asyn) = (NetworkKind::Synchronous, NetworkKind::Asynchronous);
@@ -311,8 +329,8 @@ fn wps_and_vss_transcript_and_metrics_golden() {
         (
             sync,
             1275,
-            0xdf10_5d88_3f38_d1e6,
-            367_800,
+            0xd756_b48d_143e_7986,
+            182_120,
             1115,
             931,
             [340; 5],
@@ -337,8 +355,8 @@ fn wps_and_vss_transcript_and_metrics_golden() {
         (
             sync,
             7625,
-            0x2a0a_52a8_68d0_1fd3,
-            2_202_600,
+            0x68de_3b0e_8353_8593,
+            1_088_520,
             6665,
             3405,
             [720; 5],
@@ -400,6 +418,11 @@ fn golden_circuit() -> Circuit {
 /// `timeouts_fired` 5 448 → 5 910 (one flush timer per batch). Output,
 /// completion tick 2956, frames 5 163 and `max_queue_depth` 1 646 did not
 /// move, nor did anything synchronous.
+///
+/// Re-pinned when `Π_BC`'s SBA began to agree on whether the A-cast
+/// delivered instead of on its value (DESIGN.md "Substitution S2"). Old →
+/// new, synchronous only: bits 8 037 760 → 4 558 720. Every other count of
+/// both rows, the output and both completion ticks did not move.
 #[test]
 fn full_mpc_metrics_golden_batched() {
     let golden = [
@@ -407,7 +430,7 @@ fn full_mpc_metrics_golden_batched() {
             NetworkKind::Synchronous,
             33u64,
             960u64,
-            8_037_760u64,
+            4_558_720u64,
             28_464u64,
             13_470u64,
             906u64,
