@@ -400,6 +400,208 @@ mod tests {
         );
     }
 
+    /// Theorem 3.5 prices `Π_BC` at `O(n²ℓ + n³)`: the `n³` is the SBA's and
+    /// carries no `ℓ`. In an honest synchronous run, what a longer value
+    /// adds is exactly the A-cast's `n + 2n²` copies of the extra bytes (the
+    /// `Send` to every party, then every party's `Echo` and `Ready` to every
+    /// party); the SBA only says whether the A-cast delivered.
+    #[test]
+    fn a_longer_value_costs_only_the_acast_copies() {
+        use mpc_net::wire::WireEncode;
+        for n in [4usize, 7, 10] {
+            let params = Params::max_thresholds(n, 10);
+            let bits = |len: u64| {
+                let v = BcValue::Value((0..len).map(Fp::from_u64).collect());
+                let mut sim = Simulation::new(
+                    NetConfig::synchronous(n),
+                    CorruptionSet::none(),
+                    make_parties(params, 0, Some(v.clone())),
+                );
+                sim.run_to_quiescence(params.t_bc() * 3);
+                for i in 0..n {
+                    let slot = sim.party_as::<Bc>(i).unwrap().slot(0).unwrap();
+                    assert_eq!(slot.regular_value(), Some(&v), "n = {n}, party {i}");
+                }
+                (sim.metrics().honest_bits, v.encoded_bits())
+            };
+            let (base, base_value) = bits(1);
+            for len in [2, 16, 256] {
+                let (total, value) = bits(len);
+                let copies = (n + 2 * n * n) as u64;
+                assert_eq!(
+                    total - base,
+                    copies * (value - base_value),
+                    "n = {n}, ℓ = {len}"
+                );
+            }
+        }
+    }
+
+    /// A synchronous schedule in which every message to a party of `fast`
+    /// takes one tick and every other message the whole `Δ`.
+    struct FastTo {
+        fast: Vec<PartyId>,
+        delta: Time,
+    }
+
+    impl mpc_net::Scheduler for FastTo {
+        fn delay(&mut self, _: PartyId, to: PartyId, _: Time, _: &mut rand::rngs::StdRng) -> Time {
+            if self.fast.contains(&to) {
+                1
+            } else {
+                self.delta
+            }
+        }
+    }
+
+    /// A lone `Π_BC` participant that records each sender's first phase-0
+    /// round-1 SBA value, which is that sender's SBA input. As the sender
+    /// it starts its A-cast only at local time `late.0`.
+    struct Tap {
+        bc: Bc,
+        late: Option<(Time, BcValue)>,
+        sba_inputs: std::collections::BTreeMap<PartyId, crate::msg::SbaValue>,
+    }
+
+    const TIMER_LATE_INPUT: u64 = 99;
+
+    impl Protocol<Msg> for Tap {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            if let Some((at, _)) = self.late {
+                ctx.set_timer(at, TIMER_LATE_INPUT);
+            }
+            Protocol::init(&mut self.bc, ctx);
+        }
+        fn on_message(
+            &mut self,
+            ctx: &mut Context<'_, Msg>,
+            from: PartyId,
+            path: PathSlice<'_>,
+            msg: Msg,
+        ) {
+            if let Msg::Sba(crate::msg::SbaMsg::Round1 { phase: 0, value }) = &msg {
+                self.sba_inputs.entry(from).or_insert_with(|| value.clone());
+            }
+            self.bc.on_message(ctx, from, path, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
+            match (path, id, self.late.take()) {
+                ([], TIMER_LATE_INPUT, Some((_, input))) => self.bc.provide_input(ctx, input),
+                (_, _, late) => {
+                    self.late = late;
+                    self.bc.on_timer(ctx, path, id);
+                }
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// What one honest party of [`split_run`] saw: its SBA input, whether
+    /// its A-cast had delivered by `5Δ`, its regular output and its final
+    /// output.
+    type Seen = (crate::msg::SbaValue, bool, Option<BcValue>, Option<BcValue>);
+
+    /// A lone `Π_BC` at `n = 4`, `t = 1`, whose corrupt sender 0 follows the
+    /// protocol but starts its A-cast of `value(9)` only at local time
+    /// `late`, on the synchronous schedule [`FastTo`] `fast`.
+    fn split_run(late: Time, fast: Vec<PartyId>) -> Vec<Seen> {
+        let params = Params::new(4, 1, 0, 10);
+        let parties = (0..params.n)
+            .map(|i| {
+                Box::new(Tap {
+                    bc: Bc::new(0, params.ts, params),
+                    late: (i == 0).then(|| (late, value(9))),
+                    sba_inputs: Default::default(),
+                }) as Box<dyn Protocol<Msg>>
+            })
+            .collect();
+        let delta = params.delta;
+        let mut sim = Simulation::with_scheduler(
+            NetConfig::synchronous(params.n),
+            CorruptionSet::new(vec![0]),
+            Box::new(FastTo { fast, delta }),
+            parties,
+        );
+        sim.run_to_quiescence(5 * delta);
+        let honest = 1..params.n;
+        let by_5_delta: Vec<bool> = honest
+            .clone()
+            .map(|i| {
+                sim.party_as::<Tap>(i).unwrap().bc.slots[0]
+                    .acast
+                    .output
+                    .is_some()
+            })
+            .collect();
+        sim.run_to_quiescence(params.t_bc() * 3);
+        let observer = sim.party_as::<Tap>(1).unwrap();
+        honest
+            .zip(by_5_delta)
+            .map(|(i, delivered)| {
+                let slot = &sim.party_as::<Tap>(i).unwrap().bc.slots[0];
+                let regular = slot.regular_output.clone().flatten();
+                (
+                    observer.sba_inputs[&i].clone(),
+                    delivered,
+                    regular,
+                    slot.value().cloned(),
+                )
+            })
+            .collect()
+    }
+
+    /// A corrupt sender's A-cast that reaches one honest party by `3Δ` and
+    /// the others only after `3Δ` (but, by Lemma 2.4, by `5Δ`) splits the
+    /// honest SBA inputs between `Bit(true)` and `⊥`. Whichever way the SBA
+    /// decides, every honest party fixes the same regular output at `T_BC`.
+    /// Sender 0 starts at `1.5Δ`; messages to party 1 take one tick and all
+    /// others `Δ`, so party 1 delivers at `2.7Δ` and parties 2 and 3 at
+    /// `3.6Δ`. If the sender is fast too, it delivers by `3Δ`, inputs
+    /// `Bit(true)` and, as the king of phase 0, gets it adopted: all output
+    /// the value. Otherwise `⊥` is the only input `n − t` parties share and
+    /// all output `⊥`, then fall back to the value.
+    #[test]
+    fn split_delivery_at_3_delta_still_agrees() {
+        let delivered = Some(BcValue::Bit(true));
+        for (fast, regular) in [(vec![0, 1], Some(value(9))), (vec![1], None)] {
+            let seen = split_run(15, fast.clone());
+            let inputs: Vec<_> = seen.iter().map(|s| s.0.clone()).collect();
+            assert_eq!(
+                inputs,
+                [delivered.clone(), None, None],
+                "fast {fast:?}: the split"
+            );
+            for (i, (_, by_5_delta, reg, out)) in seen.into_iter().enumerate() {
+                assert!(by_5_delta, "fast {fast:?}, party {}: Lemma 2.4", i + 1);
+                assert_eq!(reg, regular, "fast {fast:?}, party {}", i + 1);
+                assert_eq!(out, Some(value(9)), "fast {fast:?}, party {}", i + 1);
+            }
+        }
+    }
+
+    /// The same sender starting at `2.5Δ`: no honest party has delivered by
+    /// `3Δ`, so every honest input is `⊥` and every regular output `⊥`; all
+    /// deliver by `5Δ` and fall back to the value.
+    #[test]
+    fn no_delivery_by_3_delta_agrees_on_bottom() {
+        for fast in [vec![0, 1], vec![1]] {
+            for (i, (input, by_5_delta, regular, out)) in
+                split_run(25, fast.clone()).into_iter().enumerate()
+            {
+                let label = format!("fast {fast:?}, party {}", i + 1);
+                assert_eq!(input, None, "{label}");
+                assert!(by_5_delta, "{label}");
+                assert_eq!(regular, None, "{label}");
+                assert_eq!(out, Some(value(9)), "{label}");
+            }
+        }
+    }
+
     /// SBA traffic that arrives before the local `3Δ` start used to pile up
     /// in an unbounded replay buffer. It is now tallied on arrival, where a
     /// sender gets one round-1 and one round-2 entry per slot and phase

@@ -1,15 +1,21 @@
 //! Lock-step broadcast groups (DESIGN.md): a `k`-slot SBA is, slot for slot,
-//! `k` one-slot SBAs — and the protocols that broadcast in lock-step really
-//! do run one SBA per group.
+//! `k` one-slot SBAs; a group's slots stay consistent whatever values
+//! corrupt parties put into its SBA; and the protocols that broadcast in
+//! lock-step really do run one SBA per group.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use mpc_algebra::Polynomial;
-use mpc_net::{Context, CorruptionSet, NetConfig, PartyId, PathSlice, Protocol, Simulation};
+use mpc_algebra::{Fp, Polynomial};
+use mpc_net::{
+    Context, CorruptionSet, NetConfig, PartyId, PathSlice, Protocol, Simulation, Time, UniformDelay,
+};
+use mpc_protocols::acast::Acast;
 use mpc_protocols::ba::Ba;
+use mpc_protocols::bc::{Bc, BC_GROUP};
 use mpc_protocols::msg::SbaValue;
 use mpc_protocols::sba::Sba;
+use mpc_protocols::tree::Name;
 use mpc_protocols::vss::Vss;
 use mpc_protocols::{BcValue, Msg, Params, SbaMsg};
 use proptest::prelude::*;
@@ -69,8 +75,15 @@ fn arb_slot_inputs(rng: &mut StdRng, n: usize) -> Vec<SbaValue> {
 
 /// A `k`-slot script for one corrupt party: every round, towards every
 /// recipient, silence or an envelope with an independent entry per slot
-/// (so it equivocates both across recipients and across slots).
-fn arb_script(rng: &mut StdRng, n: usize, t: usize, k: usize) -> Vec<Vec<Option<SbaMsg>>> {
+/// (so it equivocates both across recipients and across slots), each entry
+/// drawn by `value`.
+fn arb_script(
+    rng: &mut StdRng,
+    n: usize,
+    t: usize,
+    k: usize,
+    value: fn(&mut StdRng) -> SbaValue,
+) -> Vec<Vec<Option<SbaMsg>>> {
     (0..3 * (t + 1))
         .map(|id| {
             let phase = (id / 3) as u32;
@@ -82,17 +95,17 @@ fn arb_script(rng: &mut StdRng, n: usize, t: usize, k: usize) -> Vec<Vec<Option<
                     Some(match id % 3 {
                         0 => SbaMsg::Round1Slots {
                             phase,
-                            values: (0..k).map(|_| arb_value(rng)).collect(),
+                            values: (0..k).map(|_| value(rng)).collect(),
                         },
                         1 => SbaMsg::Round2Slots {
                             phase,
                             candidates: (0..k)
-                                .map(|_| (rng.gen_range(0..3u8) > 0).then(|| arb_value(rng)))
+                                .map(|_| (rng.gen_range(0..3u8) > 0).then(|| value(rng)))
                                 .collect(),
                         },
                         _ => SbaMsg::KingSlots {
                             phase,
-                            values: (0..k).map(|_| arb_value(rng)).collect(),
+                            values: (0..k).map(|_| value(rng)).collect(),
                         },
                     })
                 })
@@ -171,7 +184,7 @@ proptest! {
         let mut scripts = BTreeMap::new();
         for _ in 0..rng.gen_range(0..=t) {
             let party = rng.gen_range(0..n);
-            scripts.insert(party, arb_script(&mut rng, n, t, k));
+            scripts.insert(party, arb_script(&mut rng, n, t, k, arb_value));
         }
         let honest: Vec<PartyId> = (0..n).filter(|i| !scripts.contains_key(i)).collect();
 
@@ -201,6 +214,178 @@ proptest! {
             let first = &inputs[honest[0]][slot];
             if honest.iter().all(|&i| &inputs[i][slot] == first) {
                 prop_assert_eq!(&grouped[0].0[slot], first, "validity of slot {}", slot);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile SBA values in a lock-step broadcast group
+// ---------------------------------------------------------------------------
+
+/// An SBA entry a corrupt party may send into a `Π_BC` group, whose honest
+/// parties only ever send `Bit(true)` (the slot's A-cast has delivered) or
+/// `⊥`: those two, `Bit(false)`, and values from the broadcast domain,
+/// some equal to a slot's A-cast value.
+fn arb_hostile_value(rng: &mut StdRng) -> SbaValue {
+    match rng.gen_range(0..5u8) {
+        0 => None,
+        1 => Some(BcValue::Bit(false)),
+        2 => Some(BcValue::Bit(true)),
+        3 => Some(slot_value(rng.gen_range(0..8))),
+        _ => Some(BcValue::Votes(Vec::new())),
+    }
+}
+
+/// The value slot `j`'s sender A-casts: `j` for an honest sender, `100 + j`
+/// for a corrupt one.
+fn slot_value(x: u64) -> BcValue {
+    BcValue::Value(vec![Fp::from_u64(x)])
+}
+
+/// An honest member of a lock-step `Π_BC` group that broadcasts `input`.
+struct Member {
+    bc: Bc,
+    input: BcValue,
+}
+
+impl Protocol<Msg> for Member {
+    fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.bc.init(ctx);
+        self.bc.provide_input(ctx, self.input.clone());
+    }
+    fn on_message(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        from: PartyId,
+        path: PathSlice<'_>,
+        msg: Msg,
+    ) {
+        self.bc.on_message(ctx, from, path, msg);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
+        self.bc.on_timer(ctx, path, id);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+const TIMER_ACAST: u64 = 1;
+const TIMER_SBA: u64 = 2;
+
+/// A corrupt member of a lock-step `Π_BC` group: it A-casts its own slot's
+/// value by the protocol but only from local time `late`, so the A-cast may
+/// deliver to some honest parties by `3Δ` (or `T_BC`) and to others after
+/// it; it takes no part in the other slots' A-casts; and from `3Δ` on it
+/// speaks the SBA by `sba`'s script.
+struct CorruptMember {
+    acast: Acast,
+    acast_seg: u32,
+    late: Time,
+    sba: Scripted,
+    sba_seg: u32,
+}
+
+impl Protocol<Msg> for CorruptMember {
+    fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+        ctx.set_timer(self.late, TIMER_ACAST);
+        ctx.set_timer(3 * ctx.delta, TIMER_SBA);
+    }
+    fn on_message(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        from: PartyId,
+        path: PathSlice<'_>,
+        msg: Msg,
+    ) {
+        if let [seg, rest @ ..] = path {
+            if *seg == self.acast_seg {
+                ctx.scoped(*seg, |ctx| self.acast.on_message(ctx, from, rest, msg));
+            }
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
+        let (acast, sba) = (&mut self.acast, &mut self.sba);
+        match (path, id) {
+            ([], TIMER_ACAST) => ctx.scoped(self.acast_seg, |ctx| acast.init(ctx)),
+            ([], TIMER_SBA) => ctx.scoped(self.sba_seg, |ctx| sba.init(ctx)),
+            (_, id) => ctx.scoped(self.sba_seg, |ctx| sba.on_timer(ctx, &[], id)),
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Corrupt parties fill a lock-step `Π_BC` group's SBA with values no
+    /// honest party sends (`Bit(false)`, broadcast values, a slot's own
+    /// A-cast value) and A-cast their own slots so late that they deliver
+    /// around `3Δ` or around `T_BC`, on random synchronous delays. At `T_BC` every slot's regular output is
+    /// the same at every honest party; it is the slot's A-cast value or `⊥`;
+    /// and an honest sender's slot outputs its value.
+    #[test]
+    fn hostile_sba_values_leave_every_slot_consistent(seed in any::<u64>()) {
+        let params = Params::new(7, 2, 0, 10);
+        let (n, t) = (params.n, params.ts);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut corrupt = BTreeMap::new();
+        for _ in 0..rng.gen_range(1..=t) {
+            let party = rng.gen_range(0..n);
+            // around the two deadlines: delivery straddles 3Δ or T_BC
+            let (delta, t_bc) = (params.delta, params.t_bc());
+            let late = match rng.gen() {
+                true => rng.gen_range(0..3 * delta),
+                false => rng.gen_range(t_bc - 3 * delta..t_bc),
+            };
+            corrupt.insert(party, (late, arb_script(&mut rng, n, t, n, arb_hostile_value)));
+        }
+        let slot_values: Vec<BcValue> = (0..n)
+            .map(|j| slot_value(j as u64 + if corrupt.contains_key(&j) { 100 } else { 0 }))
+            .collect();
+        let parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
+            .map(|i| match corrupt.remove(&i) {
+                Some((late, script)) => Box::new(CorruptMember {
+                    acast: Acast::new_sender(i, n, t, slot_values[i].clone()),
+                    acast_seg: BC_GROUP.segment(n, Name::Acast, i),
+                    late,
+                    sba: Scripted { script },
+                    sba_seg: BC_GROUP.segment(n, Name::Sba, 0),
+                }) as Box<dyn Protocol<Msg>>,
+                None => Box::new(Member {
+                    bc: Bc::new_group(t, params),
+                    input: slot_values[i].clone(),
+                }),
+            })
+            .collect();
+        let honest: Vec<PartyId> =
+            (0..n).filter(|&i| parties[i].as_any().is::<Member>()).collect();
+        let corrupt = CorruptionSet::new((0..n).filter(|i| !honest.contains(i)).collect());
+        let scheduler = Box::new(UniformDelay { min: 1, max: params.delta });
+        let cfg = NetConfig::synchronous(n).with_seed(seed);
+        let mut sim = Simulation::with_scheduler(cfg, corrupt.clone(), scheduler, parties);
+        sim.run_to_quiescence(params.t_bc() + 1);
+        let regular = |i: PartyId, j: usize| {
+            let member = sim.party_as::<Member>(i).unwrap();
+            member.bc.slot(j).unwrap().regular_output.clone().expect("fixed at T_BC")
+        };
+        for (j, value) in slot_values.into_iter().enumerate() {
+            let first = regular(honest[0], j);
+            for &i in &honest {
+                prop_assert_eq!(&regular(i, j), &first, "slot {}: party {}", j, i);
+            }
+            if corrupt.is_honest(j) {
+                prop_assert_eq!(first, Some(value), "honest slot {}", j);
+            } else {
+                prop_assert!(first.is_none() || first == Some(value), "slot {}", j);
             }
         }
     }
