@@ -21,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bobw_mpc::algebra::evaluation_points::alpha;
 use bobw_mpc::algebra::Polynomial;
@@ -32,11 +32,16 @@ use bobw_mpc::protocols::vss::Vss;
 use bobw_mpc::protocols::{BcValue, Msg, Params, Vote};
 use rand::{rngs::StdRng, SeedableRng};
 
-/// The system allocator, counting every `alloc` and `realloc` call and the
-/// bytes currently allocated.
+/// The system allocator, counting every `alloc` and `realloc` call per
+/// thread and the bytes currently allocated.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// The `alloc` and `realloc` calls of this thread. A run is measured on
+    /// the thread that drives it, so what the test harness's own threads
+    /// allocate meanwhile is not charged to it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -44,7 +49,7 @@ static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 // that publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|count| count.set(count.get() + 1));
         // SAFETY: the caller's `layout` is passed through as received.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
@@ -60,7 +65,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|count| count.set(count.get() + 1));
         // SAFETY: `ptr` was returned by `System` for this `layout`, and the
         // caller guarantees `new_size` is valid for it.
         let new = unsafe { System.realloc(ptr, layout, new_size) };
@@ -198,10 +203,10 @@ fn run_within_budget(
     budget: f64,
 ) -> Simulation<Msg> {
     let config = NetConfig::synchronous(parties.len());
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let mut sim = Simulation::new(config, CorruptionSet::none(), parties);
     sim.run_to_quiescence(10_000);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
     let delivered = sim.metrics().honest_messages;
     let per_message = allocations as f64 / delivered as f64;
     assert!(
