@@ -228,8 +228,8 @@ impl Node for Bc {
             }
             Routed::Own(Event::Timer(TIMER_START_SBA)) => {
                 let delivered = |s: &BcSlot| s.acast.output.as_ref().and(DELIVERED);
-                self.sba
-                    .set_inputs(self.slots.iter().map(delivered).collect());
+                let inputs = self.slots.iter().map(delivered).collect();
+                self.sba.set_inputs(inputs);
                 let (kind, sba) = (self.kind, &mut self.sba);
                 kind.scoped(ctx, Name::Sba, 0, |ctx| sba.init(ctx));
                 false
@@ -485,12 +485,12 @@ mod tests {
             self.bc.on_message(ctx, from, path, msg);
         }
         fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
-            match (path, id, self.late.take()) {
-                ([], TIMER_LATE_INPUT, Some((_, input))) => self.bc.provide_input(ctx, input),
-                (_, _, late) => {
-                    self.late = late;
-                    self.bc.on_timer(ctx, path, id);
+            match (path, id) {
+                ([], TIMER_LATE_INPUT) => {
+                    let (_, input) = self.late.take().expect("set only by a late sender");
+                    self.bc.provide_input(ctx, input);
                 }
+                _ => self.bc.on_timer(ctx, path, id),
             }
         }
         fn as_any(&self) -> &dyn std::any::Any {
