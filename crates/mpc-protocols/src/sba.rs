@@ -2,9 +2,12 @@
 //!
 //! We implement the classic phase-king protocol (Berman–Garay–Perry) for
 //! `t < n/3`: `t + 1` phases of three `Δ`-rounds each, over an arbitrary
-//! value domain (here [`SbaValue`] — a broadcast value or `⊥`). See DESIGN.md
-//! substitution S2 for how this differs from the recursive variant the paper
-//! cites (\[16\]) and why every property `Π_BC` needs is preserved:
+//! value domain (here [`SbaValue`] — a broadcast value or `⊥`). `Π_BC` feeds
+//! it only `Bit(true)` ("my A-cast has delivered") or `⊥`, but corrupt
+//! parties may send any value, so the protocol and its tests stay generic.
+//! See DESIGN.md substitution S2 for how this differs from the recursive
+//! variant the paper cites (\[16\]) and why every property `Π_BC` needs is
+//! preserved:
 //!
 //! * in a synchronous network it is a `t`-perfectly-secure SBA with all
 //!   honest parties holding their output at time `T_BGP = 3(t+1)Δ`;
