@@ -337,7 +337,7 @@ proptest! {
         let params = Params::new(7, 2, 0, 10);
         let (n, t) = (params.n, params.ts);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut corrupt = BTreeMap::new();
+        let mut scripts = BTreeMap::new();
         for _ in 0..rng.gen_range(1..=t) {
             let party = rng.gen_range(0..n);
             // around the two deadlines: delivery straddles 3Δ or T_BC
@@ -346,13 +346,15 @@ proptest! {
                 true => rng.gen_range(0..3 * delta),
                 false => rng.gen_range(t_bc - 3 * delta..t_bc),
             };
-            corrupt.insert(party, (late, arb_script(&mut rng, n, t, n, arb_hostile_value)));
+            scripts.insert(party, (late, arb_script(&mut rng, n, t, n, arb_hostile_value)));
         }
+        let corrupt = CorruptionSet::new(scripts.keys().copied().collect());
+        let honest: Vec<PartyId> = (0..n).filter(|&i| corrupt.is_honest(i)).collect();
         let slot_values: Vec<BcValue> = (0..n)
-            .map(|j| slot_value(j as u64 + if corrupt.contains_key(&j) { 100 } else { 0 }))
+            .map(|j| slot_value(j as u64 + if corrupt.is_honest(j) { 0 } else { 100 }))
             .collect();
         let parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
-            .map(|i| match corrupt.remove(&i) {
+            .map(|i| match scripts.remove(&i) {
                 Some((late, script)) => Box::new(CorruptMember {
                     acast: Acast::new_sender(i, n, t, slot_values[i].clone()),
                     acast_seg: BC_GROUP.segment(n, Name::Acast, i),
@@ -366,9 +368,6 @@ proptest! {
                 }),
             })
             .collect();
-        let honest: Vec<PartyId> =
-            (0..n).filter(|&i| parties[i].as_any().is::<Member>()).collect();
-        let corrupt = CorruptionSet::new((0..n).filter(|i| !honest.contains(i)).collect());
         let scheduler = Box::new(UniformDelay { min: 1, max: params.delta });
         let cfg = NetConfig::synchronous(n).with_seed(seed);
         let mut sim = Simulation::with_scheduler(cfg, corrupt.clone(), scheduler, parties);
