@@ -326,12 +326,13 @@ impl Protocol<Msg> for CorruptMember {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Corrupt parties fill a lock-step `Π_BC` group's SBA with values no
-    /// honest party sends (`Bit(false)`, broadcast values, a slot's own
-    /// A-cast value) and A-cast their own slots so late that they deliver
-    /// around `3Δ` or around `T_BC`, on random synchronous delays. At `T_BC` every slot's regular output is
-    /// the same at every honest party; it is the slot's A-cast value or `⊥`;
-    /// and an honest sender's slot outputs its value.
+    /// Corrupt parties mix values no honest party sends (`Bit(false)`,
+    /// broadcast values, a slot's own A-cast value) into a lock-step `Π_BC`
+    /// group's SBA, and start their own slots' A-casts so that they deliver
+    /// around `3Δ` or around `T_BC`, on random synchronous delays. At `T_BC`
+    /// every slot's regular output is the same at every honest party; it is
+    /// the slot's A-cast value or `⊥`; and an honest sender's slot outputs
+    /// its value.
     #[test]
     fn hostile_sba_values_leave_every_slot_consistent(seed in any::<u64>()) {
         let params = Params::new(7, 2, 0, 10);
