@@ -111,8 +111,8 @@ impl Polynomial {
     /// master polynomial `M(x) = ∏(x − x_i)` is built once, each numerator
     /// `∏_{j≠i}(x − x_j)` is peeled off by synthetic division, and the
     /// denominators `M′(x_i) = ∏_{j≠i}(x_i − x_j)` are inverted together via
-    /// [`Fp::batch_inverse`]. (The textbook `O(n³)` form is retained as
-    /// [`Polynomial::interpolate_reference`] for equivalence tests.)
+    /// [`Fp::batch_inverse`]. (`tests/algebra_equivalence.rs` pins it to the
+    /// textbook `O(n³)` form.)
     ///
     /// # Panics
     ///
@@ -134,51 +134,6 @@ impl Polynomial {
             let scale = yi * dinv;
             for (r, &q) in result.iter_mut().zip(row) {
                 *r += q * scale;
-            }
-        }
-        Polynomial::from_coeffs(result)
-    }
-
-    /// The textbook `O(n³)` Lagrange interpolation (one inversion per point,
-    /// numerator polynomial rebuilt from scratch for each point).
-    ///
-    /// Kept as the executable reference semantics for
-    /// [`Polynomial::interpolate`]: the proptest equivalence suite pins the
-    /// fast path against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Polynomial::interpolate`].
-    pub fn interpolate_reference(points: &[(Fp, Fp)]) -> Self {
-        assert!(!points.is_empty(), "cannot interpolate zero points");
-        let n = points.len();
-        let mut result = vec![Fp::ZERO; n];
-        for (i, &(xi, yi)) in points.iter().enumerate() {
-            // numerator polynomial: prod_{j != i} (x - x_j)
-            let mut num = vec![Fp::ZERO; n];
-            num[0] = Fp::ONE;
-            let mut num_deg = 0usize;
-            let mut denom = Fp::ONE;
-            for (j, &(xj, _)) in points.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                assert_ne!(xi, xj, "duplicate x coordinate in interpolation");
-                denom *= xi - xj;
-                // multiply num by (x - xj)
-                num_deg += 1;
-                for k in (1..=num_deg).rev() {
-                    let lower = num[k - 1];
-                    num[k] = num[k] * (-xj) + lower;
-                }
-                num[0] *= -xj;
-            }
-            let scale = yi
-                * denom
-                    .inverse()
-                    .expect("distinct points imply nonzero denom");
-            for k in 0..n {
-                result[k] += num[k] * scale;
             }
         }
         Polynomial::from_coeffs(result)

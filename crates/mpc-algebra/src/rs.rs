@@ -245,30 +245,6 @@ pub fn oec_decode(d: usize, t: usize, points: &[(Fp, Fp)]) -> Option<Polynomial>
     None
 }
 
-/// The pre-optimisation OEC loop (fresh Berlekamp–Welch system per error
-/// bound, agreement re-counted after the `e = 0` full verification).
-///
-/// Retained as the executable reference semantics for [`oec_decode`]: the
-/// proptest equivalence suite pins the incremental implementation against it
-/// on random corruption patterns.
-#[doc(hidden)]
-pub fn oec_decode_reference(d: usize, t: usize, points: &[(Fp, Fp)]) -> Option<Polynomial> {
-    let k = points.len();
-    if k < d + t + 1 {
-        return None;
-    }
-    let max_errors = (k - (d + t + 1)).min(t);
-    for e in 0..=max_errors {
-        if let Some(f) = berlekamp_welch(d, e, points) {
-            let agree = points.iter().filter(|&&(x, y)| f.evaluate(x) == y).count();
-            if agree > d + t {
-                return Some(f);
-            }
-        }
-    }
-    None
-}
-
 /// Batched OEC over many values that share one `x`-coordinate vector (the
 /// common case for [`Π_WPS` support sets and batched public
 /// openings](crate::shamir)): the interpolate-and-verify fast path shares a
@@ -416,7 +392,6 @@ mod tests {
             (alpha(3), fp(9)),
         ];
         assert_eq!(oec_decode(0, 1, &pts), None);
-        assert_eq!(oec_decode_reference(0, 1, &pts), None);
         let columns = vec![pts.iter().map(|&(_, y)| y).collect::<Vec<_>>()];
         let xs: Vec<Fp> = pts.iter().map(|&(x, _)| x).collect();
         assert_eq!(oec_decode_batch(0, 1, &xs, &columns), None);

@@ -1,13 +1,13 @@
 //! [`MpcBuilder`] — the one-call API for running a full best-of-both-worlds
 //! MPC evaluation on any [`Transport`] backend.
 //!
-//! This is what the examples, the integration tests and the experiment
-//! harness use: configure `n`, `(t_s, t_a)`, the network kind and the inputs,
-//! then [`MpcBuilder::run`] a circuit and get every honest party's output
-//! plus the run's communication metrics and completion time. The backend —
-//! the deterministic discrete-event simulator, the real threaded runtime, or
-//! the supervised TCP socket runtime — is picked with
-//! [`MpcBuilder::transport`] (default: the simulator).
+//! This is what the examples and the integration tests use: configure `n`,
+//! `(t_s, t_a)`, the network kind and the inputs, then [`MpcBuilder::run`] a
+//! circuit and get every honest party's output plus the run's communication
+//! metrics and completion time. The backend — the deterministic
+//! discrete-event simulator, the real threaded runtime, or the supervised
+//! TCP socket runtime — is picked with [`MpcBuilder::transport`] (default:
+//! the simulator).
 
 use std::fmt;
 use std::sync::Arc;
@@ -193,7 +193,7 @@ impl MpcBuilder {
     /// ([`Params::from_structure`]); at [`MpcBuilder::run`] time the
     /// [`MpcBuilder::corrupt`] set is validated to be synchronously
     /// admissible under the structure, and the structure is exposed to the
-    /// transport (e.g. for sweep harness classification).
+    /// transport.
     ///
     /// # Panics
     ///
@@ -381,7 +381,7 @@ impl MpcBuilder {
                 "the circuit has {inputs} inputs for {n} parties"
             )));
         }
-        if !circuit.has_output() {
+        if circuit.output().is_none() {
             return Err(RunError::plain("the circuit has no output wire"));
         }
         let corrupt = self.corrupt.clone();

@@ -128,17 +128,9 @@ impl Circuit {
         self.output = Some(w);
     }
 
-    /// Whether an output wire is set.
-    pub(crate) fn has_output(&self) -> bool {
-        self.output.is_some()
-    }
-
-    /// The output wire.
-    ///
-    /// # Panics
-    /// Panics if no output has been set.
-    pub fn output(&self) -> Wire {
-        self.output.expect("circuit output not set")
+    /// The output wire, once [`Circuit::set_output`] has declared one.
+    pub fn output(&self) -> Option<Wire> {
+        self.output
     }
 
     /// All gates in topological order (wires only ever reference earlier
@@ -202,8 +194,11 @@ impl Circuit {
     /// Evaluates the circuit in the clear (reference semantics for tests and
     /// experiments).
     ///
+    /// A circuit without an output wire, which [`crate::MpcBuilder::run`]
+    /// refuses, evaluates to zero.
+    ///
     /// # Panics
-    /// Panics if `inputs.len() != n_inputs` or the output is not set.
+    /// Panics if `inputs.len() != n_inputs`.
     pub fn evaluate_clear(&self, inputs: &[Fp]) -> Fp {
         assert_eq!(inputs.len(), self.n_inputs, "wrong number of inputs");
         let mut values = Vec::with_capacity(self.gates.len());
@@ -219,7 +214,7 @@ impl Circuit {
             };
             values.push(v);
         }
-        values[self.output().0]
+        self.output.map_or(Fp::ZERO, |w| values[w.0])
     }
 
     /// A convenience circuit: the sum of all inputs (no multiplications).

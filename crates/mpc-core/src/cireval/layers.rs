@@ -95,7 +95,7 @@ impl Layers {
                     self.wires[g] = self.local(circuit, g);
                 }
             }
-            if let Some(share) = self.wires[circuit.output().0] {
+            if let Some(share) = self.wires[circuit.output()?.0] {
                 return Some(share);
             }
             let gates = self.layers.get(self.next)?;
@@ -153,6 +153,6 @@ impl Layers {
                 }
             }
         }
-        self.wires[circuit.output().0]
+        self.wires[circuit.output()?.0]
     }
 }

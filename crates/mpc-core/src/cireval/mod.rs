@@ -292,8 +292,8 @@ impl CirEval {
     }
 
     /// The name of the evaluation phase this party is currently in — a
-    /// stable diagnostic label for stall post-mortems (the sweep harness and
-    /// resilience tests print it when a run fails to terminate).
+    /// stable diagnostic label for stall post-mortems and the ledger's phase
+    /// trace.
     pub fn phase_name(&self) -> &'static str {
         match self.phase {
             Phase::AwaitAcs => "await-acs",

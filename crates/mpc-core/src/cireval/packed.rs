@@ -302,7 +302,7 @@ impl Packed {
         let (ts, ell) = (self.params.ts, self.plan.ell);
         loop {
             let Some(blocks) = self.plan.layers.get(self.layer) else {
-                let output = &self.plan.wire_combos[circuit.output().0];
+                let output = &self.plan.wire_combos[circuit.output()?.0];
                 return Some(self.combo_share_at(output, Pos::Zero, inputs));
             };
             let tag = Wave::Packed.tag(self.layer);

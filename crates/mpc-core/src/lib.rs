@@ -13,10 +13,10 @@
 //!   evaluation path: width-`ℓ` gate blocks, slot-position sets and the
 //!   canonical deal layout.
 //! * [`builder`] — [`MpcBuilder`], the one-call API used by the examples and
-//!   experiments.
-//! * [`sweeps`] — the guarantee-checking sweep harness: corruption placement
-//!   × Byzantine strategy × fault plan × network kind × backend, with every
-//!   cell checked against the paper's guarantee matrix.
+//!   the tests.
+//!
+//! The paper's guarantee matrix is checked cell by cell through that API by
+//! the workspace's `tests/resilience.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +26,6 @@ pub mod circuit;
 pub mod cireval;
 pub mod openings;
 pub mod packing;
-pub mod sweeps;
 pub mod thresholds;
 pub mod triples;
 
@@ -34,8 +33,3 @@ pub use builder::{MpcBuilder, MpcRunResult};
 pub use circuit::{Circuit, Gate, Wire};
 pub use cireval::CirEval;
 pub use packing::PackedPlan;
-pub use sweeps::{
-    cell_guarantee, check_cell, check_cell_against, default_matrix, default_workload,
-    negative_control, run_sweep, CellReport, CellSpec, Guarantee, StrategyKind, SweepOutcome,
-    Verdict,
-};

@@ -216,9 +216,8 @@ impl PackedPlan {
             for blk in layer {
                 for k in 0..ell {
                     pos_sets[blk.index][k].insert(Pos::Slot(k));
-                    let Some(g) = blk.slots[k] else { continue };
-                    let Gate::Mul(a, b) = gates[g] else {
-                        unreachable!("mult layers only contain Mul gates")
+                    let Some(Gate::Mul(a, b)) = blk.slots[k].map(|g| gates[g]) else {
+                        continue;
                     };
                     for w in [a.0, b.0] {
                         for &elem in wire_combos[w].terms.keys() {
@@ -236,7 +235,8 @@ impl PackedPlan {
                 }
             }
         }
-        for &elem in wire_combos[circuit.output().0].terms.keys() {
+        let output_terms = circuit.output().map(|w| wire_combos[w.0].terms.keys());
+        for &elem in output_terms.into_iter().flatten() {
             if let BasisElem::MulOut(g) = elem {
                 let (b2, k2) = gate_slot[&g];
                 pos_sets[b2][k2].insert(Pos::Zero);
@@ -321,7 +321,7 @@ mod tests {
         let c = two_layer_circuit();
         let plan = PackedPlan::new(&c, 2);
         // Output = MulOut(m2) + Input(3).
-        let out = &plan.wire_combos[c.output().0];
+        let out = &plan.wire_combos[c.output().unwrap().0];
         assert_eq!(out.constant, Fp::ZERO);
         assert_eq!(out.terms.len(), 2);
         assert!(out.terms.keys().any(|e| matches!(e, BasisElem::MulOut(_))));

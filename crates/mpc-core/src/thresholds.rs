@@ -1,5 +1,4 @@
-//! Resilience-threshold helpers for experiment E1 (the paper's feasibility
-//! landscape, Section 1).
+//! Resilience thresholds (the paper's feasibility landscape, Section 1).
 //!
 //! * synchronous-only perfectly-secure MPC: `t_s < n/3` \[BGW88\];
 //! * asynchronous-only perfectly-secure MPC: `t_a < n/4` \[BCG93\];
@@ -9,22 +8,6 @@ pub use mpc_net::adversary::{
     feasible_threshold_pairs, thresholds_feasible, AdversaryStructure, GeneralAdversary,
     ThresholdAdversary,
 };
-
-/// One row of the resilience-landscape table of experiment E1.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ResilienceRow {
-    /// Number of parties.
-    pub n: usize,
-    /// Maximum corruptions of a purely synchronous protocol (`⌈n/3⌉ − 1`).
-    pub smpc_ts: usize,
-    /// Maximum corruptions of a purely asynchronous protocol (`⌈n/4⌉ − 1`),
-    /// which is also what the `t_s = t_a` baseline tolerates in *both*
-    /// networks.
-    pub ampc_ta: usize,
-    /// The best-of-both-worlds operating point `(t_s, t_a)` with maximal
-    /// `t_s` and then maximal `t_a` subject to `3·t_s + t_a < n`.
-    pub bobw: (usize, usize),
-}
 
 /// Maximum packed-sharing width `ℓ` supported at `(n, t_s)`.
 ///
@@ -39,39 +22,35 @@ pub fn max_packing_width(n: usize, ts: usize) -> usize {
     n.saturating_sub(3 * ts)
 }
 
-/// Builds the resilience landscape for `n` in `[n_min, n_max]`.
-pub fn resilience_table(n_min: usize, n_max: usize) -> Vec<ResilienceRow> {
-    (n_min..=n_max)
-        .map(|n| {
-            let smpc_ts = (n - 1) / 3;
-            let ampc_ta = (n - 1) / 4;
-            let bobw = feasible_threshold_pairs(n)
-                .into_iter()
-                .max_by_key(|&(ts, ta)| (ts, ta))
-                .unwrap_or((0, 0));
-            ResilienceRow {
-                n,
-                smpc_ts,
-                ampc_ta,
-                bobw,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Maximum corruptions of a purely synchronous protocol (`⌈n/3⌉ − 1`).
+    fn smpc_ts(n: usize) -> usize {
+        (n - 1) / 3
+    }
+
+    /// Maximum corruptions of a purely asynchronous protocol (`⌈n/4⌉ − 1`),
+    /// also what the `t_s = t_a` baseline tolerates in both networks.
+    fn ampc_ta(n: usize) -> usize {
+        (n - 1) / 4
+    }
+
+    /// The best-of-both-worlds operating point: maximal `t_s`, then maximal
+    /// `t_a`.
+    fn bobw(n: usize) -> (usize, usize) {
+        feasible_threshold_pairs(n).into_iter().max().unwrap()
+    }
 
     #[test]
     fn paper_example_n8() {
         // Section 1: for n = 8, SMPC tolerates 2, AMPC tolerates 1, and the
         // best-of-both-worlds protocol tolerates 2 synchronously and 1
         // asynchronously.
-        let row = &resilience_table(8, 8)[0];
-        assert_eq!(row.smpc_ts, 2);
-        assert_eq!(row.ampc_ta, 1);
-        assert_eq!(row.bobw, (2, 1));
+        assert_eq!(smpc_ts(8), 2);
+        assert_eq!(ampc_ta(8), 1);
+        assert_eq!(bobw(8), (2, 1));
     }
 
     #[test]
@@ -93,11 +72,11 @@ mod tests {
 
     #[test]
     fn bobw_never_exceeds_single_network_optima() {
-        for row in resilience_table(4, 40) {
-            let (ts, ta) = row.bobw;
-            assert!(ts <= row.smpc_ts);
-            assert!(ta <= row.ampc_ta);
-            assert!(thresholds_feasible(row.n, ts, ta));
+        for n in 4..=40 {
+            let (ts, ta) = bobw(n);
+            assert!(ts <= smpc_ts(n));
+            assert!(ta <= ampc_ta(n));
+            assert!(thresholds_feasible(n, ts, ta));
         }
     }
 
@@ -108,14 +87,10 @@ mod tests {
         // must also survive asynchrony with the same threshold (t_s = t_a <
         // n/4), whenever n ≥ 5 and n is not a multiple where the bounds
         // coincide.
-        for row in resilience_table(5, 40) {
-            assert!(row.bobw.0 >= row.ampc_ta);
+        for n in 5..=40 {
+            assert!(bobw(n).0 >= ampc_ta(n));
         }
-        let better: Vec<usize> = resilience_table(5, 40)
-            .iter()
-            .filter(|r| r.bobw.0 > r.ampc_ta)
-            .map(|r| r.n)
-            .collect();
+        let better: Vec<usize> = (5..=40).filter(|&n| bobw(n).0 > ampc_ta(n)).collect();
         assert!(better.contains(&8));
         assert!(better.len() > 20, "BoBW strictly better for most n");
     }

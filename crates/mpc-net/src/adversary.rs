@@ -281,14 +281,13 @@ pub fn thresholds_feasible(n: usize, ts: usize, ta: usize) -> bool {
 /// line to arbitrary monotone structures (arXiv:2208.06223), where feasibility
 /// becomes the `Q^(3,1)(P, Z_s, Z_a)` condition: no union of three
 /// sync-admissible sets and one async-admissible set covers the whole party
-/// set. This trait abstracts both so the builder, the transports, and the
-/// sweep harness can validate corruption placements against either.
+/// set. This trait abstracts both so the builder and the transports can
+/// validate corruption placements against either.
 ///
 /// The share-based protocols themselves still run at the structure's
 /// *threshold hull* [`AdversaryStructure::threshold_projection`] — a general
-/// structure refines **which** sets are admissible (tightening what the sweep
-/// harness enumerates), while the Shamir degrees come from the hull, which
-/// must itself satisfy [`thresholds_feasible`].
+/// structure refines **which** sets are admissible, while the Shamir degrees
+/// come from the hull, which must itself satisfy [`thresholds_feasible`].
 pub trait AdversaryStructure: Send + Sync + std::fmt::Debug {
     /// Number of parties the structure is defined over.
     fn n(&self) -> usize;
@@ -313,9 +312,9 @@ pub trait AdversaryStructure: Send + Sync + std::fmt::Debug {
     /// sync-admissible.
     fn feasible(&self) -> bool;
 
-    /// The maximal sync-admissible sets, each sorted. Used by the sweep
-    /// harness to enumerate worst-case corruption placements; intended for
-    /// small `n` (the threshold instance enumerates `C(n, t_s)` sets).
+    /// The maximal sync-admissible sets, each sorted: the worst-case
+    /// corruption placements. Intended for small `n` (the threshold instance
+    /// enumerates `C(n, t_s)` sets).
     fn maximal_sync_sets(&self) -> Vec<Vec<PartyId>>;
 
     /// The maximal async-admissible sets, each sorted.
@@ -366,8 +365,8 @@ pub struct ThresholdAdversary {
 
 impl ThresholdAdversary {
     /// A threshold structure over `n` parties. Feasibility is *reported* by
-    /// [`AdversaryStructure::feasible`], not asserted here, so the sweep
-    /// harness can also describe infeasible corners.
+    /// [`AdversaryStructure::feasible`], not asserted here, so a caller can
+    /// also describe infeasible corners.
     pub fn new(n: usize, ts: usize, ta: usize) -> Self {
         ThresholdAdversary { n, ts, ta }
     }
@@ -409,7 +408,7 @@ fn distinct_len(set: &[PartyId]) -> usize {
 /// maximal sets: a corruption set is admissible iff it is a subset of one of
 /// them. This is the second [`AdversaryStructure`] instance — small by
 /// construction (maximal sets are listed explicitly), matching the
-/// general-adversary model of arXiv:2208.06223 at the scale our sweeps run.
+/// general-adversary model of arXiv:2208.06223 at the scale the tests run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GeneralAdversary {
     n: usize,

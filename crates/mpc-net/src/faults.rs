@@ -6,7 +6,8 @@
 //! function of the message coordinates `(from, to, send_tick,
 //! deliver_tick)`. No randomness is drawn at query time, so the *same* plan
 //! produces the *same* per-message decisions on the simulator and the
-//! threaded backend: every failure a sweep finds is a one-seed repro.
+//! threaded backend: every failing cell of the guarantee matrix is a
+//! one-seed repro.
 //!
 //! Determinism contract:
 //!
@@ -326,7 +327,7 @@ impl FaultPlan {
         }
     }
 
-    /// Named plans for the adversarial sweeps and the tests, parameterized
+    /// Named plans for the guarantee matrix and the other tests, parameterized
     /// on the run's `n` and `Δ` so windows land inside the protocol's active
     /// period. Crash/partition targets pick high party ids (the default
     /// corruption helpers corrupt low ids, so the fault usually lands on an

@@ -79,8 +79,8 @@ pub struct Metrics {
     /// threaded backend and the simulator.
     pub honest_bits_by_party: Vec<u64>,
     /// Timer expiries processed, same-tick zero-delay expiries included,
-    /// letting the sweep harness assert timeout-driven fallback on any
-    /// backend. On the real media every other expiry is a *real* wall-clock
+    /// letting the guarantee-matrix test assert timeout-driven fallback on
+    /// any backend. On the real media every other expiry is a *real* wall-clock
     /// timeout (a `recv_timeout` deadline), so the count is kept out of
     /// `PartialEq`.
     pub timeouts_fired: u64,

@@ -157,8 +157,8 @@ pub trait Transport<M>: PartyView<M> {
     fn corruption(&self) -> &CorruptionSet;
 
     /// Attaches the [`AdversaryStructure`] the run's corruption set was
-    /// validated against, so post-run analysis (the sweep harness) can ask
-    /// which guarantee regime a placement falls under. Purely descriptive —
+    /// validated against, so post-run analysis can ask which guarantee
+    /// regime a placement falls under. Purely descriptive —
     /// the wire behaviour is fixed by the corruption set and strategy.
     fn set_adversary_structure(&mut self, structure: Arc<dyn AdversaryStructure>) {
         let _ = structure;

@@ -1,17 +1,11 @@
-//! Adversarial party implementations used by tests and experiments.
-//!
-//! The simulator's corruption model is *behavioural*: a corrupt party simply
-//! runs a different root protocol. This module collects the misbehaviours the
-//! test-suite and the experiments inject.
+//! Behavioural corruption: a corrupt party simply runs a different root
+//! protocol. The builder runs [`SilentParty`] for a corrupt party that has
+//! no wire-level strategy; this module's tests script the equivocating
+//! senders and hostile dealers the protocols must survive.
 
 use std::any::Any;
 
-use mpc_algebra::evaluation_points::alpha;
-use mpc_algebra::{Fp, SymmetricBivariate};
 use mpc_net::{Context, PartyId, PathSlice, Protocol};
-
-use crate::msg::{AcastMsg, BcValue, Msg};
-use crate::tree::{Event, Node};
 
 /// A crashed party: never sends anything, ignores everything.
 #[derive(Debug, Default)]
@@ -36,105 +30,112 @@ impl<M: 'static> Protocol<M> for SilentParty {
     }
 }
 
-/// An A-cast sender that equivocates: it sends `value_a` to the first half of
-/// the parties and `value_b` to the rest, then goes silent. Bracha's protocol
-/// must prevent two honest parties from delivering different values.
-#[derive(Debug)]
-pub struct EquivocatingAcastSender {
-    /// Value sent to the lower-indexed half.
-    pub value_a: BcValue,
-    /// Value sent to the higher-indexed half.
-    pub value_b: BcValue,
-}
-
-crate::node_protocol!(EquivocatingAcastSender);
-
-impl Node for EquivocatingAcastSender {
-    fn init(&mut self, ctx: &mut Context<'_, Msg>) {
-        let n = ctx.n;
-        for i in 0..n {
-            let v = if i < n / 2 {
-                self.value_a.clone()
-            } else {
-                self.value_b.clone()
-            };
-            ctx.send(i, Msg::Acast(AcastMsg::Send(v)));
-        }
-    }
-
-    /// Silent after the sends.
-    fn on_event(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: Event<'_>) -> bool {
-        false
-    }
-}
-
-/// A corrupt WPS/VSS dealer. It deals the rows itself — of one random
-/// symmetric bivariate polynomial of degree `degree` per shared polynomial,
-/// or with `split` of *two different* ones (one half of the parties gets rows
-/// of the first, the other half rows of the second) — A-casts `star`, if
-/// any, as the value of the dealer's star A-cast at child segment `.0`, and
-/// otherwise takes part as `inner` does: [`SilentParty`] to stay silent, or
-/// an honest *participant* instance naming this party as dealer, which
-/// exchanges points, votes and runs the `Π_BA` but never publishes a
-/// `(W, E, F)` (it did not deal). Honest parties must either produce no
-/// output at all or outputs that lie on a single degree-`t_s` polynomial.
-pub struct HostileDealer {
-    /// Degree of the bivariate polynomials (`t_s` for an honest dealer).
-    pub degree: usize,
-    /// Number of polynomials to pretend to share.
-    pub l_count: usize,
-    /// Whether the two halves of the parties get unrelated rows.
-    pub split: bool,
-    /// `(child segment, value)` A-cast by this party at the start.
-    pub star: Option<(u32, BcValue)>,
-    /// What the dealer does besides.
-    pub inner: Box<dyn Protocol<Msg>>,
-}
-
-crate::node_protocol!(HostileDealer);
-
-impl Node for HostileDealer {
-    fn init(&mut self, ctx: &mut Context<'_, Msg>) {
-        let n = ctx.n;
-        let mut sample = || -> Vec<SymmetricBivariate> {
-            (0..self.l_count)
-                .map(|_| SymmetricBivariate::random(ctx.rng(), self.degree))
-                .collect()
-        };
-        let sources = [sample(), sample()];
-        for i in 0..n {
-            let source = &sources[usize::from(self.split && i >= n / 2)];
-            let powers = alpha(i).powers(self.degree + 1);
-            let rows: Vec<Vec<Fp>> = source.iter().map(|f| f.row_coeffs(&powers)).collect();
-            ctx.send(i, Msg::RowPolys(rows));
-        }
-        if let Some((seg, value)) = self.star.clone() {
-            ctx.scoped(seg, |ctx| ctx.broadcast(Msg::Acast(AcastMsg::Send(value))));
-        }
-        self.inner.init(ctx);
-    }
-
-    /// A root only: its progress is read by no parent.
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
-        match ev {
-            Event::Message(from, msg) => self.inner.on_message_ref(ctx, from, path, msg),
-            Event::Timer(id) => self.inner.on_timer(ctx, path, id),
-            Event::LateOk(..) => {}
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::acast::Acast;
+    use crate::msg::{AcastMsg, BcValue, Msg};
     use crate::params::Params;
-    use crate::tree::{Kind, Name};
+    use crate::tree::{Event, Kind, Name, Node};
     use crate::vss::{Vss, VSS};
     use crate::wps::{Wps, WPS};
-    use mpc_algebra::Polynomial;
+    use mpc_algebra::evaluation_points::alpha;
+    use mpc_algebra::{Fp, Polynomial, SymmetricBivariate};
     use mpc_net::{CorruptionSet, NetConfig, Simulation};
+
+    /// An A-cast sender that equivocates: it sends `value_a` to the first half of
+    /// the parties and `value_b` to the rest, then goes silent. Bracha's protocol
+    /// must prevent two honest parties from delivering different values.
+    #[derive(Debug)]
+    struct EquivocatingAcastSender {
+        /// Value sent to the lower-indexed half.
+        value_a: BcValue,
+        /// Value sent to the higher-indexed half.
+        value_b: BcValue,
+    }
+
+    crate::node_protocol!(EquivocatingAcastSender);
+
+    impl Node for EquivocatingAcastSender {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            let n = ctx.n;
+            for i in 0..n {
+                let v = if i < n / 2 {
+                    self.value_a.clone()
+                } else {
+                    self.value_b.clone()
+                };
+                ctx.send(i, Msg::Acast(AcastMsg::Send(v)));
+            }
+        }
+
+        /// Silent after the sends.
+        fn on_event(&mut self, _: &mut Context<'_, Msg>, _: PathSlice<'_>, _: Event<'_>) -> bool {
+            false
+        }
+    }
+
+    /// A corrupt WPS/VSS dealer. It deals the rows itself — of one random
+    /// symmetric bivariate polynomial of degree `degree` per shared polynomial,
+    /// or with `split` of *two different* ones (one half of the parties gets rows
+    /// of the first, the other half rows of the second) — A-casts `star`, if
+    /// any, as the value of the dealer's star A-cast at child segment `.0`, and
+    /// otherwise takes part as `inner` does: [`SilentParty`] to stay silent, or
+    /// an honest *participant* instance naming this party as dealer, which
+    /// exchanges points, votes and runs the `Π_BA` but never publishes a
+    /// `(W, E, F)` (it did not deal). Honest parties must either produce no
+    /// output at all or outputs that lie on a single degree-`t_s` polynomial.
+    struct HostileDealer {
+        /// Degree of the bivariate polynomials (`t_s` for an honest dealer).
+        degree: usize,
+        /// Number of polynomials to pretend to share.
+        l_count: usize,
+        /// Whether the two halves of the parties get unrelated rows.
+        split: bool,
+        /// `(child segment, value)` A-cast by this party at the start.
+        star: Option<(u32, BcValue)>,
+        /// What the dealer does besides.
+        inner: Box<dyn Protocol<Msg>>,
+    }
+
+    crate::node_protocol!(HostileDealer);
+
+    impl Node for HostileDealer {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            let n = ctx.n;
+            let mut sample = || -> Vec<SymmetricBivariate> {
+                (0..self.l_count)
+                    .map(|_| SymmetricBivariate::random(ctx.rng(), self.degree))
+                    .collect()
+            };
+            let sources = [sample(), sample()];
+            for i in 0..n {
+                let source = &sources[usize::from(self.split && i >= n / 2)];
+                let powers = alpha(i).powers(self.degree + 1);
+                let rows: Vec<Vec<Fp>> = source.iter().map(|f| f.row_coeffs(&powers)).collect();
+                ctx.send(i, Msg::RowPolys(rows));
+            }
+            if let Some((seg, value)) = self.star.clone() {
+                ctx.scoped(seg, |ctx| ctx.broadcast(Msg::Acast(AcastMsg::Send(value))));
+            }
+            self.inner.init(ctx);
+        }
+
+        /// A root only: its progress is read by no parent.
+        fn on_event(
+            &mut self,
+            ctx: &mut Context<'_, Msg>,
+            path: PathSlice<'_>,
+            ev: Event<'_>,
+        ) -> bool {
+            match ev {
+                Event::Message(from, msg) => self.inner.on_message_ref(ctx, from, path, msg),
+                Event::Timer(id) => self.inner.on_timer(ctx, path, id),
+                Event::LateOk(..) => {}
+            }
+            false
+        }
+    }
 
     #[test]
     fn equivocating_acast_sender_cannot_split_honest_parties() {

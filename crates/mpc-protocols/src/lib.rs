@@ -17,8 +17,8 @@
 //!   [`vss`] — the verifiable secret sharing protocol `Π_VSS` (Fig 4): two
 //!   thin shells over one crate-private dealer-verification core.
 //! * [`acs`] — agreement on a common subset `Π_ACS` (Fig 5).
-//! * [`byzantine`] — adversarial protocol implementations used by tests and
-//!   experiments.
+//! * [`byzantine`] — [`byzantine::SilentParty`], the crashed party a corrupt
+//!   party without a wire-level strategy runs.
 //! * [`tree`] — the instance tree: each composite's declared children, and
 //!   the routing, segments, names and paths derived from them.
 //!

@@ -6,9 +6,8 @@
 //! the domain-cached `λ` vectors and the incremental OEC — must be an
 //! *observationally pure* speedup: on every input the fast path returns
 //! exactly what the textbook implementation returned. The textbook versions
-//! are retained as `Polynomial::interpolate_reference` and
-//! `rs::oec_decode_reference` precisely so this file can say so with
-//! proptest rather than by inspection.
+//! live here, as `interpolate_reference` and `oec_decode_reference`, so this
+//! file can say so with proptest rather than by inspection.
 
 use bobw_mpc::algebra::evaluation_points::{alpha, slot};
 use bobw_mpc::algebra::{rs, shamir, EvalDomain, Fp, LagrangeBasis, PackedDomain, Polynomial};
@@ -33,6 +32,64 @@ fn distinct_xs(seed: u64, k: usize) -> Vec<Fp> {
     xs
 }
 
+/// The textbook `O(n³)` Lagrange interpolation (one inversion per point,
+/// numerator polynomial rebuilt from scratch for each point): the reference
+/// semantics of `Polynomial::interpolate`.
+fn interpolate_reference(points: &[(Fp, Fp)]) -> Polynomial {
+    assert!(!points.is_empty(), "cannot interpolate zero points");
+    let n = points.len();
+    let mut result = vec![Fp::ZERO; n];
+    for (i, &(xi, yi)) in points.iter().enumerate() {
+        // numerator polynomial: prod_{j != i} (x - x_j)
+        let mut num = vec![Fp::ZERO; n];
+        num[0] = Fp::ONE;
+        let mut num_deg = 0usize;
+        let mut denom = Fp::ONE;
+        for (j, &(xj, _)) in points.iter().enumerate() {
+            if i == j {
+                continue;
+            }
+            assert_ne!(xi, xj, "duplicate x coordinate in interpolation");
+            denom *= xi - xj;
+            // multiply num by (x - xj)
+            num_deg += 1;
+            for k in (1..=num_deg).rev() {
+                let lower = num[k - 1];
+                num[k] = num[k] * (-xj) + lower;
+            }
+            num[0] *= -xj;
+        }
+        let scale = yi
+            * denom
+                .inverse()
+                .expect("distinct points imply nonzero denom");
+        for k in 0..n {
+            result[k] += num[k] * scale;
+        }
+    }
+    Polynomial::from_coeffs(result)
+}
+
+/// The pre-optimisation OEC loop (a fresh Berlekamp–Welch system per error
+/// bound, agreement re-counted after the `e = 0` full verification): the
+/// reference semantics of `rs::oec_decode`.
+fn oec_decode_reference(d: usize, t: usize, points: &[(Fp, Fp)]) -> Option<Polynomial> {
+    let k = points.len();
+    if k < d + t + 1 {
+        return None;
+    }
+    let max_errors = (k - (d + t + 1)).min(t);
+    for e in 0..=max_errors {
+        if let Some(f) = rs::berlekamp_welch(d, e, points) {
+            let agree = points.iter().filter(|&&(x, y)| f.evaluate(x) == y).count();
+            if agree > d + t {
+                return Some(f);
+            }
+        }
+    }
+    None
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -50,7 +107,7 @@ proptest! {
             .collect();
         prop_assert_eq!(
             Polynomial::interpolate(&points),
-            Polynomial::interpolate_reference(&points)
+            interpolate_reference(&points)
         );
     }
 
@@ -173,7 +230,7 @@ proptest! {
             pts[i].1 += Fp::from_u64(rng.gen_range(1..1_000_000));
         }
         let fast = rs::oec_decode(d, t, &pts);
-        let reference = rs::oec_decode_reference(d, t, &pts);
+        let reference = oec_decode_reference(d, t, &pts);
         prop_assert_eq!(&fast, &reference);
         // Whenever the corruption stays within what the OEC bound may
         // ignore, the unique codeword must come back out.
@@ -333,4 +390,19 @@ fn full_domain_dot_product_matches_robust_reconstruction() {
         bobw_mpc::algebra::shamir::reconstruct_robust(t, t, &indexed),
         Some(fp(424_242))
     );
+}
+
+/// The case where the fast path must fail safe: d = 0, t = 1 and four points
+/// of which two disagree with the first. The constant 5 agrees with
+/// 2 > d + t points, but accepting it would ignore 2 > max_errors = 1
+/// points, so the reference loop returns `None`, and so must the fast path.
+#[test]
+fn oec_decode_matches_reference_beyond_the_corruption_model() {
+    let pts: Vec<(Fp, Fp)> = [5, 5, 7, 9]
+        .into_iter()
+        .enumerate()
+        .map(|(i, y)| (alpha(i), fp(y)))
+        .collect();
+    assert_eq!(oec_decode_reference(0, 1, &pts), None);
+    assert_eq!(rs::oec_decode(0, 1, &pts), None);
 }

@@ -1,9 +1,63 @@
-//! Experiment E1 as an integration test: behaviour at the resilience
-//! boundary `3·t_s + t_a < n`, with crashed (silent Byzantine) parties.
+//! The paper's guarantee matrix as an integration test (experiment E1),
+//! run cell by cell through the public `MpcBuilder`.
+//!
+//! With `3·t_s + t_a < n` the paper promises, per cell:
+//!
+//! * **synchronous network, at most `t_s` effective faults**: every honest
+//!   party terminates with the correct output (full security);
+//! * **asynchronous network, or a fault that breaks the `Δ` bound, at most
+//!   `t_a` effective faults**: the same (the fallback guarantee);
+//! * **beyond those bounds**: no termination promise, but an honest output
+//!   that does appear is correct and agreed.
+//!
+//! `cell_guarantee` encodes that matrix and `check_cell` runs one cell and
+//! judges it. A cell is a complete run description, so the `Debug` of a
+//! failing cell, which every assertion below prints, reproduces it
+//! bit-identically on the simulator. The default matrix runs in full on the
+//! simulator and as its smoke slice on the threaded and the TCP runtime; the
+//! over-threshold column covers the third row, and the negative control
+//! shows that the checker trips on a wrong output.
 
-use bobw_mpc::core::thresholds::{resilience_table, thresholds_feasible};
+use bobw_mpc::algebra::Fp;
+use bobw_mpc::core::builder::{MpcRunResult, RunError};
+use bobw_mpc::core::thresholds::{feasible_threshold_pairs, thresholds_feasible};
 use bobw_mpc::core::{Circuit, MpcBuilder};
-use bobw_mpc::net::NetworkKind;
+use bobw_mpc::net::{
+    Backend, ByzantineStrategy, ChannelDeterministic, Crash, EquivocateBroadcast, FaultPlan,
+    GarbleBytes, LinkDelays, NetworkKind, PartyId, Passive, SkewedAsyncScheduler, Time, WireEncode,
+};
+use bobw_mpc::protocols::{AcastMsg, BcValue, Msg};
+use std::collections::BTreeSet;
+
+/// One row of the resilience landscape.
+struct ResilienceRow {
+    n: usize,
+    /// Maximum corruptions of a purely synchronous protocol (`⌈n/3⌉ − 1`).
+    smpc_ts: usize,
+    /// Maximum corruptions of a purely asynchronous protocol (`⌈n/4⌉ − 1`),
+    /// which is also what the `t_s = t_a` baseline tolerates in both
+    /// networks.
+    ampc_ta: usize,
+    /// The best-of-both-worlds operating point `(t_s, t_a)`: maximal `t_s`,
+    /// then maximal `t_a`, subject to `3·t_s + t_a < n`.
+    bobw: (usize, usize),
+}
+
+/// The resilience landscape for `n` in `[n_min, n_max]` (the paper's
+/// Section 1).
+fn resilience_table(n_min: usize, n_max: usize) -> Vec<ResilienceRow> {
+    (n_min..=n_max)
+        .map(|n| ResilienceRow {
+            n,
+            smpc_ts: (n - 1) / 3,
+            ampc_ta: (n - 1) / 4,
+            bobw: feasible_threshold_pairs(n)
+                .into_iter()
+                .max()
+                .unwrap_or_default(),
+        })
+        .collect()
+}
 
 #[test]
 fn feasibility_table_matches_paper_bounds() {
@@ -63,68 +117,605 @@ fn builder_refuses_thresholds_outside_the_feasible_region() {
 }
 
 // ---------------------------------------------------------------------------
-// Pinned one-seed fault-injection repros: each test nails one cell of the
-// paper's guarantee matrix under an injected fault schedule, on both party
-// runtimes. The specs are exactly what the sweep harness (`core::sweeps`)
-// explores at scale; pinning them here keeps the three canonical schedules —
-// crash-at-tick, crash-then-recover, partition-then-heal — from regressing
-// without waiting for a full sweep.
+// The cell, the guarantee matrix and the checker.
 // ---------------------------------------------------------------------------
 
-use bobw_mpc::core::sweeps::{
-    cell_guarantee, check_cell, default_workload, CellSpec, Guarantee, StrategyKind, Verdict,
-};
-use bobw_mpc::net::Backend;
+/// The behavioural strategy a cell's corrupt parties follow on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum StrategyKind {
+    /// Corrupt parties run the honest protocol unmodified.
+    Passive,
+    /// Every message of a corrupt sender is dropped (fail-silent).
+    Crash,
+    /// Payload bytes are randomly flipped, channel-deterministically, so the
+    /// strategy behaves identically on every runtime.
+    Garble,
+    /// Broadcasts equivocate: the upper half of the id space receives an
+    /// alternative well-formed encoding instead of the real payload.
+    Equivocate,
+}
 
-/// A pinned matrix cell at the smallest both-thresholds-positive operating
-/// point `n = 5`, `(t_s, t_a) = (1, 1)`.
+impl StrategyKind {
+    const ALL: [StrategyKind; 4] = [
+        StrategyKind::Passive,
+        StrategyKind::Crash,
+        StrategyKind::Garble,
+        StrategyKind::Equivocate,
+    ];
+
+    /// The wire-level strategy for one run; `seed` keys the
+    /// channel-deterministic wrapper so a randomized strategy replays exactly.
+    fn instantiate(self, seed: u64) -> Box<dyn ByzantineStrategy> {
+        match self {
+            StrategyKind::Passive => Box::new(Passive),
+            StrategyKind::Crash => Box::new(Crash),
+            StrategyKind::Garble => Box::new(ChannelDeterministic::new(GarbleBytes, seed)),
+            StrategyKind::Equivocate => Box::new(EquivocateBroadcast {
+                // A well-formed alternative encoding, an A-cast of the wrong
+                // bit, so decoders see the equivocation instead of dropping
+                // garbage at the wire boundary.
+                alt: Msg::Acast(AcastMsg::Send(BcValue::Bit(true))).encode(),
+            }),
+        }
+    }
+}
+
+/// One cell of the matrix: everything needed to reproduce a run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct CellSpec {
+    n: usize,
+    ts: usize,
+    ta: usize,
+    /// Synchronous delivery bound `Δ` in ticks.
+    delta: Time,
+    network: NetworkKind,
+    backend: Backend,
+    /// Byzantine-corrupt parties: they run the honest code behind
+    /// `strategy`'s wire filter.
+    corrupt: Vec<PartyId>,
+    strategy: StrategyKind,
+    /// A named `FaultPlan::preset`, injected at the transport seam.
+    fault_preset: &'static str,
+    /// A named `FaultPlan::chaos_preset`, played at the socket layer by the
+    /// TCP runtime's connection supervisors and ignored elsewhere. Chaos
+    /// never changes the guarantee: the supervisors must absorb it.
+    chaos_preset: &'static str,
+    /// One party's outgoing links lag far beyond `Δ` (the classic attack on
+    /// the synchronous path), so its timeouts expire and the asynchronous
+    /// fallback carries the run.
+    slow_sender: bool,
+    /// Seed of the run and of a randomized strategy.
+    seed: u64,
+}
+
+impl CellSpec {
+    /// A clean cell at `n = 5`, `(t_s, t_a) = (1, 1)`, `Δ = 10`: the smallest
+    /// best-of-both-worlds operating point with both thresholds positive.
+    fn new(backend: Backend, network: NetworkKind, seed: u64) -> CellSpec {
+        CellSpec {
+            n: 5,
+            ts: 1,
+            ta: 1,
+            delta: 10,
+            network,
+            backend,
+            corrupt: vec![],
+            strategy: StrategyKind::Passive,
+            fault_preset: "none",
+            chaos_preset: "none",
+            slow_sender: false,
+            seed,
+        }
+    }
+
+    /// True when the cell plays socket chaos: a chaos preset on TCP.
+    fn has_chaos(&self) -> bool {
+        self.backend == Backend::Tcp && self.chaos_preset != "none"
+    }
+}
+
+/// What the guarantee matrix promises for one cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Guarantee {
+    /// Every honest party must terminate with the correct output.
+    MustTerminate,
+    /// More effective faults than the threshold: the run may end without
+    /// output, but an output it produces must still be correct.
+    MayAbort,
+}
+
+/// The effect of a named fault preset on the matrix: `(the parties it makes
+/// faulty, whether it keeps the synchronous Δ bound)`.
+///
+/// Crashes and inbound omission bursts make their target (party `n − 1`)
+/// indistinguishable from a corrupt party, so it joins the effective fault
+/// set. Partitions and delay bursts deliver everything eventually but break
+/// the `Δ` bound, which demotes a synchronous run to the asynchronous row.
+/// Duplication changes neither.
+fn preset_effects(preset: &str, n: usize) -> (Vec<PartyId>, bool) {
+    match preset {
+        "none" | "dup-burst" => (vec![], true),
+        "crash" | "crash-recover" | "drop-burst" => (vec![n - 1], true),
+        "partition-heal" | "delay-burst" => (vec![], false),
+        other => panic!("unknown fault preset {other:?}"),
+    }
+}
+
+/// True when the synchronous row governs the cell: a synchronous network, a
+/// `Δ`-preserving fault preset and no slow sender.
+fn is_sync_model(spec: &CellSpec) -> bool {
+    let (_, sync_preserving) = preset_effects(spec.fault_preset, spec.n);
+    spec.network == NetworkKind::Synchronous && sync_preserving && !spec.slow_sender
+}
+
+/// The guarantee matrix: the effective faults (the corrupt set and the
+/// preset's targets) against `t_s` under the synchronous model, else `t_a`.
+fn cell_guarantee(spec: &CellSpec) -> Guarantee {
+    let (targets, _) = preset_effects(spec.fault_preset, spec.n);
+    let faulty: BTreeSet<PartyId> = spec.corrupt.iter().copied().chain(targets).collect();
+    let bound = if is_sync_model(spec) {
+        spec.ts
+    } else {
+        spec.ta
+    };
+    if faulty.len() <= bound {
+        Guarantee::MustTerminate
+    } else {
+        Guarantee::MayAbort
+    }
+}
+
+/// How one cell ended, judged against its guarantee.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Verdict {
+    /// Every honest party terminated with the correct, common output, and
+    /// the cell's attack demonstrably engaged.
+    Correct,
+    /// The run ended without every honest output, and the cell was beyond
+    /// the thresholds; the payload is the builder's error.
+    AdmissibleAbort(String),
+    /// A guarantee was broken; the payload says which.
+    Violation(String),
+}
+
+/// One checked cell: what ran, what was promised and what happened.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct CellReport {
+    spec: CellSpec,
+    guarantee: Guarantee,
+    verdict: Verdict,
+    /// Protocol timers that expired (every runtime counts them alike).
+    timeouts_fired: u64,
+    /// Connections the TCP supervisors re-established (0 elsewhere).
+    reconnects: u64,
+}
+
+impl CellReport {
+    fn is_violation(&self) -> bool {
+        matches!(self.verdict, Verdict::Violation(_))
+    }
+}
+
+/// The workload of every cell: a layered circuit with two multiplication
+/// layers over all `n` inputs, and fixed distinct inputs.
+fn workload(n: usize) -> (Circuit, Vec<u64>) {
+    let inputs = (0..n as u64).map(|i| 3 * i + 2).collect();
+    (Circuit::layered(n, n, 2), inputs)
+}
+
+/// Runs `spec` on `circuit` and judges it. The expected output is the
+/// clear evaluation over the run's agreed input subset `CS` (a party outside
+/// `CS` contributes 0, as in `Π_CirEval`), shifted by `tamper`: a non-zero
+/// `tamper` is the negative control, every real cell passes `Fp::ZERO`.
+fn check_cell_against(
+    spec: &CellSpec,
+    circuit: &Circuit,
+    inputs: &[u64],
+    tamper: Fp,
+) -> CellReport {
+    let plan = FaultPlan::preset(spec.fault_preset, spec.n, spec.delta).expect("fault preset");
+    let mut b = MpcBuilder::new(spec.n, spec.ts, spec.ta)
+        .network(spec.network)
+        .delta(spec.delta)
+        .seed(spec.seed)
+        .inputs(inputs)
+        .corrupt(&spec.corrupt)
+        .transport(spec.backend)
+        .fault_plan(plan);
+    if !spec.corrupt.is_empty() {
+        b = b.byzantine_strategy(spec.strategy.instantiate(spec.seed));
+    }
+    if spec.has_chaos() {
+        let chaos = FaultPlan::chaos_preset(spec.chaos_preset, spec.n, spec.delta);
+        b = b.chaos_plan(chaos.expect("chaos preset"));
+    }
+    if spec.slow_sender {
+        // The simulator plays the attack as an adversarial scheduler; the
+        // real runtimes freeze the same shape into a latency matrix.
+        b = match spec.backend {
+            Backend::Simulator => b.scheduler(Box::new(SkewedAsyncScheduler {
+                slowed_senders: vec![spec.seed as usize % spec.n],
+                lag: 20 * spec.delta,
+                fast: spec.delta,
+            })),
+            Backend::Threaded | Backend::Tcp => {
+                b.link_delays(LinkDelays::asynchronous(spec.n, spec.delta, spec.seed))
+            }
+        };
+    }
+    if spec.backend != Backend::Simulator {
+        // A short real-time tick keeps cells that wait out long fault
+        // windows, or the whole horizon, within a wall-clock budget.
+        b = b.tick_micros(100);
+    }
+    let guarantee = cell_guarantee(spec);
+    let mut report = CellReport {
+        spec: spec.clone(),
+        guarantee,
+        verdict: Verdict::Correct,
+        timeouts_fired: 0,
+        reconnects: 0,
+    };
+    match b.run(circuit) {
+        Ok(result) => {
+            report.verdict = judge_outputs(spec, circuit, inputs, tamper, &result);
+            report.timeouts_fired = result.metrics.timeouts_fired;
+            report.reconnects = result.metrics.reconnects;
+        }
+        Err(e) => report.verdict = judge_abort(guarantee, &e),
+    }
+    // A cell must show that its attack engaged, not only that the run
+    // survived: a slow sender forces the synchronous path's timeouts, and a
+    // severed connection is re-established by the supervisors.
+    if report.verdict == Verdict::Correct {
+        if spec.slow_sender && report.timeouts_fired == 0 {
+            report.verdict = Verdict::Violation("slow-sender cell fired no timeouts".into());
+        } else if spec.has_chaos() && spec.chaos_preset == "sever" && report.reconnects == 0 {
+            report.verdict = Verdict::Violation("sever cell recorded no reconnects".into());
+        }
+    }
+    report
+}
+
+/// Runs `spec` on `circuit` and judges it against the clear evaluation.
+fn check_cell(spec: &CellSpec, circuit: &Circuit, inputs: &[u64]) -> CellReport {
+    check_cell_against(spec, circuit, inputs, Fp::ZERO)
+}
+
+/// The verdict on a run that produced an output.
+fn judge_outputs(
+    spec: &CellSpec,
+    circuit: &Circuit,
+    inputs: &[u64],
+    tamper: Fp,
+    result: &MpcRunResult,
+) -> Verdict {
+    let cs = &result.input_subset;
+    let masked: Vec<Fp> = (0..spec.n)
+        .map(|i| Fp::from_u64(if cs.contains(&i) { inputs[i] } else { 0 }))
+        .collect();
+    let expected = circuit.evaluate_clear(&masked) + tamper;
+    let (plan_faulty, _) = preset_effects(spec.fault_preset, spec.n);
+    let honest = |i: &PartyId| !spec.corrupt.contains(i);
+    // Π_ACS guarantees |CS| ≥ n − t_s in either model…
+    if cs.len() < spec.n - spec.ts {
+        return Verdict::Violation(format!("input subset {cs:?} smaller than n - t_s"));
+    }
+    // …and under the synchronous model every honest party that the fault
+    // plan leaves alive gets its input in.
+    if is_sync_model(spec) {
+        let alive = |i: &PartyId| honest(i) && !plan_faulty.contains(i);
+        if let Some(i) = (0..spec.n).filter(alive).find(|i| !cs.contains(i)) {
+            return Verdict::Violation(format!(
+                "synchronous run excluded honest party {i}'s input"
+            ));
+        }
+    }
+    for i in (0..spec.n).filter(honest) {
+        match result.outputs[i] {
+            Some(y) if y == expected => {}
+            Some(y) => {
+                let (y, expected) = (y.as_u64(), expected.as_u64());
+                return Verdict::Violation(format!("honest party {i} output {y} != {expected}"));
+            }
+            // A plan-crashed party is one of the tolerated faults: it is owed
+            // no output, but one it produces is held to the same value.
+            None if plan_faulty.contains(&i) => {}
+            None => return Verdict::Violation(format!("honest party {i} has no output")),
+        }
+    }
+    Verdict::Correct
+}
+
+/// The verdict on a run the builder failed. Only a cell beyond the
+/// thresholds may end without every honest output; every other error is a
+/// violation, above all honest parties that disagree on the output, which
+/// the builder reports as an error too.
+fn judge_abort(guarantee: Guarantee, e: &RunError) -> Verdict {
+    let unfinished = e.message.starts_with("honest parties did not terminate");
+    if guarantee == Guarantee::MayAbort && unfinished {
+        Verdict::AdmissibleAbort(e.to_string())
+    } else {
+        Verdict::Violation(format!("{guarantee:?} cell failed: {e}"))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The matrix.
+// ---------------------------------------------------------------------------
+
+/// The seed every matrix cell runs at.
+const SEED: u64 = 1;
+
+/// The default matrix on one runtime: {sync, async} × three fault presets ×
+/// every strategy, one slow-sender cell and one honest-party-crash cell,
+/// and on TCP one clean cell per socket-chaos preset. The corrupt party sits
+/// on the preset's target where it has one, so every cell is within the
+/// thresholds and must terminate with the correct output, not merely abort
+/// gracefully.
+fn default_matrix(backend: Backend, seed: u64) -> Vec<CellSpec> {
+    let base = CellSpec::new(backend, NetworkKind::Synchronous, seed);
+    let mut cells = Vec::new();
+    for network in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
+        for fault_preset in ["crash", "partition-heal", "dup-burst"] {
+            let (targets, _) = preset_effects(fault_preset, base.n);
+            let corrupt = if targets.is_empty() { vec![0] } else { targets };
+            for strategy in StrategyKind::ALL {
+                cells.push(CellSpec {
+                    network,
+                    corrupt: corrupt.clone(),
+                    strategy,
+                    fault_preset,
+                    ..base.clone()
+                });
+            }
+        }
+    }
+    cells.push(CellSpec {
+        network: NetworkKind::Asynchronous,
+        slow_sender: true,
+        ..base.clone()
+    });
+    // An honest party crashing mid-run spends the t_s budget by itself and
+    // is owed no output, but every surviving party must terminate. This
+    // cell once hung: the builder's completion predicate waited for the
+    // crashed party's output.
+    cells.push(CellSpec {
+        fault_preset: "crash",
+        ..base.clone()
+    });
+    if backend == Backend::Tcp {
+        for chaos_preset in ["sever", "stall", "dup-bytes"] {
+            cells.push(CellSpec {
+                chaos_preset,
+                ..base.clone()
+            });
+        }
+    }
+    cells
+}
+
+/// The smoke slice of the default matrix run on the real runtimes: the
+/// garble strategy and every cell without corruption.
+fn is_smoke(cell: &CellSpec) -> bool {
+    cell.strategy == StrategyKind::Garble || cell.corrupt.is_empty()
+}
+
+/// The matrix's third row on the simulator: party 0 corrupt and the
+/// preset's target, party 4, a second effective fault, one more than
+/// `t_s = t_a = 1` allow, in both network kinds.
+fn over_threshold_column(seed: u64) -> Vec<CellSpec> {
+    let mut cells = Vec::new();
+    for network in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
+        for fault_preset in ["crash", "crash-recover", "drop-burst"] {
+            for strategy in [StrategyKind::Garble, StrategyKind::Passive] {
+                cells.push(CellSpec {
+                    corrupt: vec![0],
+                    strategy,
+                    fault_preset,
+                    ..CellSpec::new(Backend::Simulator, network, seed)
+                });
+            }
+        }
+    }
+    cells
+}
+
+/// Checks every cell and fails with the report of each violating one.
+fn assert_no_violations(cells: &[CellSpec]) {
+    let (circuit, inputs) = workload(5);
+    let violations: Vec<CellReport> = cells
+        .iter()
+        .map(|cell| check_cell(cell, &circuit, &inputs))
+        .filter(CellReport::is_violation)
+        .collect();
+    assert!(violations.is_empty(), "violations: {violations:#?}");
+}
+
+#[test]
+fn guarantee_matrix_logic() {
+    let base = CellSpec {
+        corrupt: vec![0],
+        ..CellSpec::new(Backend::Simulator, NetworkKind::Synchronous, 1)
+    };
+    assert_eq!(cell_guarantee(&base), Guarantee::MustTerminate);
+
+    // A crash preset on top of a *different* corrupt party: two effective
+    // faults > t_s, no promise…
+    let mut two_faults = CellSpec {
+        fault_preset: "crash",
+        ..base.clone()
+    };
+    assert_eq!(cell_guarantee(&two_faults), Guarantee::MayAbort);
+    // …but co-located with the corruption it stays guaranteed.
+    two_faults.corrupt = vec![4];
+    assert_eq!(cell_guarantee(&two_faults), Guarantee::MustTerminate);
+
+    // A partition breaks the Δ bound: the sync run drops to the t_a row
+    // (still guaranteed here because t_a = 1).
+    let mut partitioned = CellSpec {
+        fault_preset: "partition-heal",
+        ..base.clone()
+    };
+    assert_eq!(cell_guarantee(&partitioned), Guarantee::MustTerminate);
+    // With t_a = 0 the same cell loses its guarantee while the plain sync
+    // cell keeps it.
+    partitioned.ta = 0;
+    assert_eq!(cell_guarantee(&partitioned), Guarantee::MayAbort);
+    let sync_ta0 = CellSpec {
+        ta: 0,
+        ..base.clone()
+    };
+    assert_eq!(cell_guarantee(&sync_ta0), Guarantee::MustTerminate);
+
+    // A slow sender likewise demotes to the asynchronous row.
+    let mut slow = CellSpec {
+        slow_sender: true,
+        corrupt: vec![],
+        ..base
+    };
+    assert_eq!(cell_guarantee(&slow), Guarantee::MustTerminate);
+    slow.corrupt = vec![0, 1];
+    assert_eq!(cell_guarantee(&slow), Guarantee::MayAbort);
+}
+
+#[test]
+fn disagreeing_honest_outputs_are_never_an_admissible_abort() {
+    let error = |message: &str| RunError {
+        message: message.to_string(),
+        transport: None,
+    };
+    let unfinished = error("honest parties did not terminate within horizon 900");
+    let abort = judge_abort(Guarantee::MayAbort, &unfinished);
+    assert!(matches!(abort, Verdict::AdmissibleAbort(_)), "{abort:?}");
+    let abort = judge_abort(Guarantee::MustTerminate, &unfinished);
+    assert!(matches!(abort, Verdict::Violation(_)), "{abort:?}");
+    let split = error("honest parties disagree on the output");
+    for guarantee in [Guarantee::MayAbort, Guarantee::MustTerminate] {
+        let verdict = judge_abort(guarantee, &split);
+        assert!(matches!(verdict, Verdict::Violation(_)), "{verdict:?}");
+    }
+}
+
+#[test]
+fn default_matrix_shape_and_guarantees() {
+    for backend in [Backend::Simulator, Backend::Threaded, Backend::Tcp] {
+        let cells = default_matrix(backend, SEED);
+        let chaos = if backend == Backend::Tcp { 3 } else { 0 };
+        // {sync, async} × 3 presets × 4 strategies, the slow-sender and the
+        // honest-crash cell, and the socket-chaos cells on TCP.
+        assert_eq!(cells.len(), 2 * 3 * 4 + 2 + chaos);
+        assert_eq!(cells.iter().filter(|c| c.has_chaos()).count(), chaos);
+        assert_eq!(cells.iter().filter(|c| is_smoke(c)).count(), 8 + chaos);
+        for cell in &cells {
+            let guarantee = cell_guarantee(cell);
+            assert_eq!(guarantee, Guarantee::MustTerminate, "{cell:?}");
+        }
+    }
+    for cell in over_threshold_column(SEED) {
+        assert_eq!(cell_guarantee(&cell), Guarantee::MayAbort, "{cell:?}");
+    }
+}
+
+#[test]
+fn simulator_default_matrix_has_zero_violations() {
+    assert_no_violations(&default_matrix(Backend::Simulator, SEED));
+}
+
+#[test]
+fn threaded_smoke_slice_has_zero_violations() {
+    let cells: Vec<CellSpec> = default_matrix(Backend::Threaded, SEED)
+        .into_iter()
+        .filter(is_smoke)
+        .collect();
+    assert_no_violations(&cells);
+}
+
+#[test]
+fn tcp_smoke_slice_and_socket_chaos_have_zero_violations() {
+    let cells: Vec<CellSpec> = default_matrix(Backend::Tcp, SEED)
+        .into_iter()
+        .filter(is_smoke)
+        .collect();
+    assert_no_violations(&cells);
+}
+
+#[test]
+fn over_threshold_cells_abort_or_output_correctly() {
+    assert_no_violations(&over_threshold_column(SEED));
+}
+
+#[test]
+fn negative_control_reproduces_bit_identically() {
+    // The checker checks itself: a shifted expected output must trip it,
+    // and the failing report must replay exactly from its cell.
+    let (circuit, inputs) = workload(5);
+    let spec = CellSpec {
+        corrupt: vec![0],
+        fault_preset: "dup-burst",
+        ..CellSpec::new(Backend::Simulator, NetworkKind::Synchronous, SEED)
+    };
+    let first = check_cell_against(&spec, &circuit, &inputs, Fp::ONE);
+    assert!(first.is_violation(), "{first:?}");
+    let second = check_cell_against(&spec, &circuit, &inputs, Fp::ONE);
+    assert_eq!(first, second, "an injected violation must replay exactly");
+}
+
+#[test]
+fn one_threaded_cell_checks_out() {
+    let (circuit, inputs) = workload(5);
+    let spec = CellSpec {
+        corrupt: vec![4],
+        strategy: StrategyKind::Equivocate,
+        fault_preset: "crash",
+        ..CellSpec::new(Backend::Threaded, NetworkKind::Synchronous, 13)
+    };
+    let report = check_cell(&spec, &circuit, &inputs);
+    assert_eq!(report.verdict, Verdict::Correct, "{report:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Pinned one-seed fault-injection repros: each test nails one cell of the
+// matrix under an injected fault schedule, on both party runtimes, so the
+// canonical schedules (crash-at-tick, crash-then-recover,
+// partition-then-heal, honest-party crash) are pinned at more seeds than
+// the matrix's one.
+// ---------------------------------------------------------------------------
+
+/// A pinned cell under the passive strategy.
 fn pinned_cell(
     backend: Backend,
     network: NetworkKind,
-    preset: &str,
+    fault_preset: &'static str,
     corrupt: Vec<usize>,
     seed: u64,
 ) -> CellSpec {
     CellSpec {
-        n: 5,
-        ts: 1,
-        ta: 1,
-        delta: 10,
-        network,
-        backend,
         corrupt,
-        strategy: StrategyKind::Passive,
-        fault_preset: preset.to_string(),
-        chaos_preset: "none".to_string(),
-        slow_sender: false,
-        packing: 0,
-        seed,
+        fault_preset,
+        ..CellSpec::new(backend, network, seed)
     }
 }
 
-/// A pinned TCP-backend cell with a clean logical schedule and a named
-/// socket-chaos preset roughening the wire.
-fn pinned_chaos_cell(chaos: &str, seed: u64) -> CellSpec {
-    let mut spec = pinned_cell(Backend::Tcp, NetworkKind::Synchronous, "none", vec![], seed);
-    spec.chaos_preset = chaos.to_string();
-    spec
+/// A pinned TCP cell with a clean logical schedule and a named socket-chaos
+/// preset roughening the wire.
+fn pinned_chaos_cell(chaos_preset: &'static str, seed: u64) -> CellSpec {
+    CellSpec {
+        chaos_preset,
+        ..CellSpec::new(Backend::Tcp, NetworkKind::Synchronous, seed)
+    }
 }
 
-fn assert_cell_correct(spec: CellSpec) {
+fn assert_cell_correct(spec: CellSpec) -> CellReport {
     assert_eq!(
         cell_guarantee(&spec),
         Guarantee::MustTerminate,
-        "repro cells must sit in the guaranteed region: {}",
-        spec.label()
+        "repro cells must sit in the guaranteed region: {spec:?}"
     );
-    let (circuit, inputs) = default_workload(spec.n);
+    let (circuit, inputs) = workload(spec.n);
     let report = check_cell(&spec, &circuit, &inputs);
-    assert_eq!(
-        report.verdict,
-        Verdict::Correct,
-        "pinned repro failed — reproduce from this artifact: {}",
-        report.artifact_json()
-    );
+    assert_eq!(report.verdict, Verdict::Correct, "{report:?}");
+    report
 }
 
 #[test]
@@ -244,24 +835,11 @@ fn honest_party_crash_pinned_repro_threaded() {
 fn tcp_sever_mid_frame_pinned_repro() {
     // Every data record out of party 4 is severed mid-record on its first
     // transmission, across every protocol phase of the run. The supervisors
-    // must reconnect and replay each time; `check_cell` additionally turns
+    // must reconnect and replay each time; `check_cell` turns
     // `reconnects == 0` into a violation for sever cells, so this repro
     // proves the chaos engaged, not merely that the run survived.
-    let spec = pinned_chaos_cell("sever", 41);
-    assert_eq!(
-        cell_guarantee(&spec),
-        Guarantee::MustTerminate,
-        "socket chaos must not move the cell out of the guaranteed region"
-    );
-    let (circuit, inputs) = default_workload(spec.n);
-    let report = check_cell(&spec, &circuit, &inputs);
-    assert_eq!(
-        report.verdict,
-        Verdict::Correct,
-        "pinned repro failed — reproduce from this artifact: {}",
-        report.artifact_json()
-    );
-    assert!(report.reconnects > 0, "{}", report.artifact_json());
+    let report = assert_cell_correct(pinned_chaos_cell("sever", 41));
+    assert!(report.reconnects > 0, "{report:?}");
 }
 
 #[test]
@@ -269,16 +847,8 @@ fn tcp_dup_bytes_pinned_repro() {
     // Duplicated byte runs after every data record out of party 4: the
     // receiver's checksum rejects the garbled tail, abandons the buffered
     // bytes and resyncs by teardown — delivery continues via replay.
-    let spec = pinned_chaos_cell("dup-bytes", 43);
-    let (circuit, inputs) = default_workload(spec.n);
-    let report = check_cell(&spec, &circuit, &inputs);
-    assert_eq!(
-        report.verdict,
-        Verdict::Correct,
-        "pinned repro failed — reproduce from this artifact: {}",
-        report.artifact_json()
-    );
-    assert!(report.reconnects > 0, "{}", report.artifact_json());
+    let report = assert_cell_correct(pinned_chaos_cell("dup-bytes", 43));
+    assert!(report.reconnects > 0, "{report:?}");
 }
 
 #[test]
@@ -287,8 +857,7 @@ fn tcp_reconnect_and_replay_pinned_repro() {
     // supervisor counters directly: severed connections were re-established
     // and the lost records were retransmitted from the replay buffer (the
     // receiver-side dedup keeps the at-least-once stream exactly-once).
-    use bobw_mpc::net::FaultPlan;
-    let (circuit, inputs) = bobw_mpc::core::sweeps::default_workload(5);
+    let (circuit, inputs) = workload(5);
     let result = MpcBuilder::new(5, 1, 1)
         .network(NetworkKind::Synchronous)
         .seed(41)
@@ -331,8 +900,8 @@ fn tcp_stall_past_wedge_surfaces_diagnosis_not_hang() {
     // wedge diagnosis (surfaced as `TransportError::Wedged` if the run
     // aborts, or as `Metrics::wedges > 0` when the run still completes
     // after the capped stall) and releases.
-    use bobw_mpc::net::{FaultPlan, TransportError};
-    let (circuit, inputs) = bobw_mpc::core::sweeps::default_workload(5);
+    use bobw_mpc::net::TransportError;
+    let (circuit, inputs) = workload(5);
     let run = MpcBuilder::new(5, 1, 1)
         .network(NetworkKind::Synchronous)
         .seed(47)
@@ -364,8 +933,7 @@ fn tcp_stall_wedges_the_stalled_link_only() {
     // slept through its stall would starve party 1 as well — a second wedge
     // against the same peer.
     use bobw_mpc::net::{
-        Context, CorruptionSet, FaultPlan, LinkDelays, NetConfig, PartyId, PathSlice, Protocol,
-        TcpNet, Transport, TransportError,
+        Context, CorruptionSet, NetConfig, PathSlice, Protocol, TcpNet, Transport, TransportError,
     };
     use bobw_mpc::protocols::{AbaMsg, Msg};
     use std::time::Instant;

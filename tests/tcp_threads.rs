@@ -12,8 +12,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bobw_mpc::algebra::Fp;
-use bobw_mpc::core::sweeps::default_workload;
-use bobw_mpc::core::CirEval;
+use bobw_mpc::core::{CirEval, Circuit};
 use bobw_mpc::net::{
     party_as, Context, CorruptionSet, LinkDelays, NetConfig, PartyId, PathSlice, Protocol, TcpNet,
     Transport,
@@ -80,7 +79,8 @@ impl Protocol<Msg> for Census {
 #[test]
 fn tcp_evaluation_runs_on_one_thread_per_party() {
     let n = 5;
-    let (circuit, inputs) = default_workload(n);
+    let circuit = Circuit::layered(n, n, 2);
+    let inputs: Vec<u64> = (0..n as u64).map(|i| 3 * i + 2).collect();
     let params = Params::new(n, 1, 1, NetConfig::DEFAULT_DELTA);
     let parties = inputs
         .iter()
