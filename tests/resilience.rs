@@ -617,13 +617,27 @@ fn default_matrix_shape_and_guarantees() {
     }
 }
 
-#[test]
-fn simulator_default_matrix_has_zero_violations() {
-    assert_no_violations(&default_matrix(Backend::Simulator, SEED));
+/// The default matrix on the simulator, in full, split by network kind so
+/// that the two halves run on parallel test threads.
+fn simulator_cells(network: NetworkKind) -> Vec<CellSpec> {
+    default_matrix(Backend::Simulator, SEED)
+        .into_iter()
+        .filter(|c| c.network == network)
+        .collect()
 }
 
 #[test]
-fn threaded_smoke_slice_has_zero_violations() {
+fn default_matrix_simulator_synchronous_has_zero_violations() {
+    assert_no_violations(&simulator_cells(NetworkKind::Synchronous));
+}
+
+#[test]
+fn default_matrix_simulator_asynchronous_has_zero_violations() {
+    assert_no_violations(&simulator_cells(NetworkKind::Asynchronous));
+}
+
+#[test]
+fn default_matrix_threaded_smoke_slice_has_zero_violations() {
     let cells: Vec<CellSpec> = default_matrix(Backend::Threaded, SEED)
         .into_iter()
         .filter(is_smoke)
@@ -632,7 +646,7 @@ fn threaded_smoke_slice_has_zero_violations() {
 }
 
 #[test]
-fn tcp_smoke_slice_and_socket_chaos_have_zero_violations() {
+fn default_matrix_tcp_smoke_slice_and_socket_chaos_have_zero_violations() {
     let cells: Vec<CellSpec> = default_matrix(Backend::Tcp, SEED)
         .into_iter()
         .filter(is_smoke)
