@@ -33,7 +33,7 @@ fn distinct_xs(seed: u64, k: usize) -> Vec<Fp> {
 }
 
 /// The textbook `O(n³)` Lagrange interpolation (one inversion per point,
-/// numerator polynomial rebuilt from scratch for each point): the reference
+/// numerator polynomial rebuilt anew for each point): the reference
 /// semantics of `Polynomial::interpolate`.
 fn interpolate_reference(points: &[(Fp, Fp)]) -> Polynomial {
     assert!(!points.is_empty(), "cannot interpolate zero points");
