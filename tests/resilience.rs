@@ -688,6 +688,24 @@ fn one_threaded_cell_checks_out() {
     assert_eq!(report.verdict, Verdict::Correct, "{report:?}");
 }
 
+#[test]
+fn one_tcp_sever_chaos_cell_checks_out() {
+    // A clean protocol run over a wire where every data record out of
+    // party 4 is torn mid-record on its first transmission: the
+    // supervisors must reconnect and replay through every protocol phase,
+    // and the cell verdict additionally requires reconnects > 0.
+    let (circuit, inputs) = workload(5);
+    let spec = CellSpec {
+        chaos_preset: "sever",
+        ..CellSpec::new(Backend::Tcp, NetworkKind::Synchronous, 17)
+    };
+    assert!(spec.has_chaos(), "{spec:?}");
+    let report = check_cell(&spec, &circuit, &inputs);
+    assert_eq!(report.verdict, Verdict::Correct, "{report:?}");
+    assert!(report.reconnects > 0, "{report:?}");
+    assert_eq!(report.spec.chaos_preset, "sever", "{report:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Pinned one-seed fault-injection repros: each test nails one cell of the
 // matrix under an injected fault schedule, on both party runtimes, so the
