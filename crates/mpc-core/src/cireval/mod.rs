@@ -64,7 +64,7 @@ use mpc_algebra::{Fp, Polynomial};
 use mpc_net::{Context, PartyId, PathSlice, Time};
 use mpc_protocols::acs::{Acs, ACS};
 use mpc_protocols::tree::{Card, Event, Family, Kind, Name, Node, Routed};
-use mpc_protocols::{Msg, Params};
+use mpc_protocols::{acast::ACAST, voteboard, Msg, Params};
 
 use self::layers::Layers;
 use self::packed::{Deals, Packed};
@@ -74,12 +74,14 @@ use crate::circuit::Circuit;
 use crate::openings::OpeningManager;
 
 /// The input-sharing `Π_ACS`, then the triple-sharing one (absent in
-/// packed mode until a fallback launches it).
+/// packed mode until a fallback launches it), then the late-vote batches of
+/// the `2n(n + 1)` vote boards of both.
 pub static CIREVAL: Kind = Kind::new(
     "CirEval",
     &[
         Family::new(Name::AcsInput, &ACS, Card::One),
         Family::new(Name::AcsTriples, &ACS, Card::One),
+        Family::new(Name::Batch, &ACAST, Card::Batch([0, 2, 2])),
     ],
 );
 
@@ -137,9 +139,7 @@ impl Wave {
 
     /// The wave and index `tag` names, if its high bits name a wave.
     fn parse(tag: u32) -> Option<(Wave, usize)> {
-        let wave = Wave::ALL
-            .into_iter()
-            .find(|&w| w as u32 == tag >> Self::INDEX_BITS)?;
+        let wave = *Wave::ALL.get((tag >> Self::INDEX_BITS).checked_sub(1)? as usize)?;
         Some((wave, (tag & ((1 << Self::INDEX_BITS) - 1)) as usize))
     }
 }
@@ -215,6 +215,8 @@ pub struct CirEval {
     my_input: Fp,
     acs_input: Option<Acs>,
     acs_triples: Option<Acs>,
+    /// The late-vote channel of both `Π_ACS`.
+    late: voteboard::LateVotes,
     openings: OpeningManager,
     phase: Phase,
     /// ACS #2's layout (`Π_TripSh`).
@@ -274,6 +276,7 @@ impl CirEval {
             my_input,
             acs_input: None,
             acs_triples: None,
+            late: voteboard::LateVotes::new(params.ts),
             openings: OpeningManager::new(),
             phase: Phase::AwaitAcs,
             per_gate_openings: false,
@@ -531,7 +534,7 @@ impl Node for CirEval {
     /// Drives on its own events and on an ACS's progress; a root, whose
     /// progress (the output appearing) no parent reads.
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
-        match CIREVAL.route(self, ctx, path, ev) {
+        match voteboard::route(self, &CIREVAL, ctx, path, ev) {
             // Anything outside the run's waves is dropped unread.
             Routed::Own(Event::Message(from, Msg::Open { tag, values }))
                 if from < self.params.n && self.legal_open_tag(*tag) =>
@@ -562,6 +565,10 @@ impl Node for CirEval {
         };
         Some(acs.as_mut()?)
     }
+
+    fn late(&mut self) -> Option<&mut voteboard::LateVotes> {
+        Some(&mut self.late)
+    }
 }
 
 mpc_protocols::node_protocol!(CirEval);
@@ -575,6 +582,7 @@ const _: () = {
 mod tests {
     use super::*;
     use mpc_net::{CorruptionSet, NetConfig, NetworkKind, Protocol, Scheduler, Simulation};
+    use mpc_protocols::BcValue;
     use std::any::Any;
 
     /// Drives a circuit evaluation on the simulator, with fixed-Δ delivery in
@@ -1324,9 +1332,9 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
 
         let n = 7;
-        let batch = mpc_protocols::acs::ACS.segment(n, Name::Batch, n + 4);
-        let name = CIREVAL.describe(n, &[1, batch]);
-        assert_eq!(name.as_deref(), Some("CirEval/AcsTriples/Batch[4#1]/Acast"));
+        let batch = CIREVAL.segment(n, Name::Batch, n + 4);
+        let name = CIREVAL.describe(n, &[batch]);
+        assert_eq!(name.as_deref(), Some("CirEval/Batch[4#1]/Acast"));
         assert_eq!(
             CIREVAL.describe(n, &[0]).as_deref(),
             Some("CirEval/AcsInput/Acs")
@@ -1368,5 +1376,187 @@ mod tests {
                 "a stray path reached a handler"
             );
         }
+    }
+
+    /// The `Batch` family of the root: `n` senders × `n` late votes per
+    /// board, over the boards of both `Π_ACS`, declared last so that no
+    /// other segment moved; and its boards, named once each, depth first.
+    #[test]
+    fn the_root_batch_family_covers_the_boards_of_both_acs() {
+        for n in [4, 5, 8] {
+            let boards = CIREVAL.boards(n);
+            assert_eq!(boards, 2 * ACS.boards(n));
+            assert_eq!(boards, 2 * n * (n + 1));
+            // The family's size, read off the names: its last slot has one
+            // and the segment after it none.
+            let (first, size) = (CIREVAL.segment(n, Name::Batch, 0), n * n * boards);
+            assert_eq!(first, 2, "after AcsInput and AcsTriples");
+            let last = first + size as u32 - 1;
+            assert!(CIREVAL.describe(n, &[last]).is_some(), "n = {n}");
+            assert_eq!(CIREVAL.describe(n, &[last + 1]), None, "n = {n}");
+            let mut paths: Vec<Vec<u32>> = (0..boards)
+                .map(|index| CIREVAL.board_path(n, index).expect("a board"))
+                .collect();
+            assert_eq!(paths[0], vec![0, ACS.segment(n, Name::Vss, 0)]);
+            let triples = ACS.boards(n);
+            assert_eq!(paths[triples], vec![1, ACS.segment(n, Name::Vss, 0)]);
+            for path in &paths {
+                let name = CIREVAL.describe(n, path).expect("an instance");
+                let last = name.rsplit('/').next().unwrap_or_default();
+                assert!(last.starts_with("Wps") || last.starts_with("Vss"), "{name}");
+            }
+            paths.sort();
+            paths.dedup();
+            assert_eq!(paths.len(), boards, "n = {n}");
+            assert_eq!(CIREVAL.board_path(n, boards), None);
+        }
+    }
+
+    /// An asynchronous evaluation A-casts each party's late votes in at most
+    /// one batch per tick, and every batch in the root's `Batch` family:
+    /// neither `Π_ACS` below the root A-casts one. A batch's `Send` reaches
+    /// its own sender in the tick it leaves, so the first delivery of one of
+    /// a party's own slots (slot `k · n + sender`) to it gives the tick.
+    #[test]
+    fn late_votes_leave_in_one_root_batch_per_party_and_tick() {
+        use mpc_net::TranscriptEvent;
+        use std::collections::BTreeMap;
+
+        let params = Params::new(4, 1, 0, NetConfig::DEFAULT_DELTA);
+        let circuit = Circuit::product_of_inputs(4);
+        let parties: Vec<Box<dyn Protocol<Msg>>> = [3u64, 5, 7, 11]
+            .iter()
+            .map(|&x| {
+                Box::new(CirEval::new(params, circuit.clone(), Fp::from_u64(x)))
+                    as Box<dyn Protocol<Msg>>
+            })
+            .collect();
+        let cfg = NetConfig::asynchronous(params.n).with_seed(77);
+        let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties);
+        sim.record_transcript();
+        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+        let done = sim.run_until(horizon, |s| {
+            (0..params.n).all(|i| s.party_as::<CirEval>(i).is_some_and(|p| p.output.is_some()))
+        });
+        assert!(done, "no output before the horizon");
+        let mut sent_at = BTreeMap::new();
+        for entry in sim.transcript() {
+            let TranscriptEvent::Deliver { from, path, .. } = &entry.event else {
+                continue;
+            };
+            let name = CIREVAL.describe(params.n, path).expect("an instance");
+            if !name.contains("/Batch[") {
+                continue;
+            }
+            assert!(
+                name.starts_with("CirEval/Batch["),
+                "{name} is not the root's"
+            );
+            let (first, n) = (CIREVAL.segment(params.n, Name::Batch, 0), params.n);
+            let sender = (path[0] - first) as usize % n;
+            if *from == entry.party && sender == entry.party {
+                sent_at
+                    .entry((entry.party, path.to_vec()))
+                    .or_insert(entry.at);
+            }
+        }
+        assert!(!sent_at.is_empty(), "the run casts late votes");
+        let mut per_tick: BTreeMap<_, usize> = BTreeMap::new();
+        for (&(party, _), &at) in &sent_at {
+            *per_tick.entry((party, at)).or_default() += 1;
+        }
+        for ((party, at), batches) in per_tick {
+            assert_eq!(
+                batches, 1,
+                "party {party} A-cast {batches} batches at tick {at}"
+            );
+        }
+    }
+
+    /// Party 1's evaluation (n = 4) after `init`, given sender 3's batch
+    /// slot `k` of the root's channel: `2t_s + 1` `Ready`s of `value`, at
+    /// `prefix` followed by the slot's segment in `kind`'s `Batch` family.
+    fn deliver_batch_at(
+        party: &mut CirEval,
+        (prefix, kind): (&[u32], &Kind),
+        k: usize,
+        value: BcValue,
+    ) {
+        use mpc_net::Effects;
+        use mpc_protocols::AcastMsg;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let Params { n, ts, delta, .. } = party.params;
+        let mut effects = Effects::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(1, n, 0, delta, &mut effects, &mut rng, 0);
+        let path = [prefix, &[kind.segment(n, Name::Batch, k * n + 3)]].concat();
+        let ready = Msg::Acast(AcastMsg::Ready(value));
+        for from in 0..=2 * ts {
+            party.on_message(&mut ctx, from, &path, ready.clone());
+        }
+    }
+
+    /// A corrupt sender's batches at the root change no board and grow no
+    /// state but the slots they came in: an over-long batch, values that are
+    /// no vote batch, votes that name no board, a slot past the family, and
+    /// a batch addressed to a `Π_ACS` below the root are all dropped.
+    #[test]
+    fn hostile_vote_batches_at_the_root_are_dropped() {
+        use mpc_net::Effects;
+        use mpc_protocols::Vote;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let params = Params::new(4, 1, 0, 10);
+        let n = params.n;
+        let mut party = CirEval::new(params, Circuit::product_of_inputs(n), Fp::from_u64(3));
+        let mut effects = Effects::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(1, n, 0, params.delta, &mut effects, &mut rng, 0);
+        Protocol::init(&mut party, &mut ctx);
+        let root = (&[][..], &CIREVAL);
+        let late_votes = n * CIREVAL.boards(n); // per sender: n per board
+        assert_eq!(late_votes, 160);
+        let boards = |p: &CirEval| format!("{:?} {:?}", p.acs_input, p.acs_triples);
+        let slots = |p: &CirEval| format!("{:?}", p.late).matches("Some(Acast").count();
+        let ok = |board: usize, k: usize| (board * n + k) as u32;
+        // Boards 0..20 are `AcsInput`'s, 20..40 `AcsTriples`'; board 21 is
+        // `AcsTriples/Vss[0]/Wps[0]`'s.
+        let (input_vss1, triples_wps) = (n + 1, ACS.boards(n) + 1);
+
+        let before = boards(&party);
+        let honest = BcValue::VoteBatch(vec![ok(input_vss1, 2), ok(triples_wps, 2)]);
+        deliver_batch_at(&mut party, root, 0, honest);
+        let folded = boards(&party);
+        assert_ne!(folded, before, "a batch that counts is folded");
+        assert_eq!(slots(&party), 1);
+
+        let unknown = late_votes as u32; // board `boards`: past the last
+        let hostile = [
+            // Longer than a party's late votes, its first vote new.
+            BcValue::VoteBatch(
+                [
+                    vec![ok(triples_wps, 0)],
+                    vec![ok(input_vss1, 2); late_votes],
+                ]
+                .concat(),
+            ),
+            BcValue::Votes(vec![(0, Vote::Ok)]),
+            BcValue::Bit(true),
+            BcValue::VoteBatch(vec![unknown, unknown + 5, u32::MAX]),
+        ];
+        for (k, value) in (1..).zip(hostile) {
+            deliver_batch_at(&mut party, root, k, value);
+            assert_eq!(boards(&party), folded, "batch {k}");
+            assert_eq!(slots(&party), k + 1, "batch {k}: its own slot only");
+        }
+        let table = format!("{:?}", party.late);
+        let fresh = BcValue::VoteBatch(vec![ok(triples_wps, 0)]);
+        // A slot past the family's end is a stray path: dropped by routing.
+        deliver_batch_at(&mut party, root, late_votes, fresh.clone());
+        // So is a batch addressed to the channel of a `Π_ACS` below the root.
+        deliver_batch_at(&mut party, (&[1], &ACS), 0, fresh);
+        assert_eq!(boards(&party), folded);
+        assert_eq!(format!("{:?}", party.late), table, "no slot grew");
     }
 }

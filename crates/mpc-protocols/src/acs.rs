@@ -7,7 +7,9 @@
 //! the polynomials of every party in `CS`. Children: [`ACS`] (DESIGN.md
 //! "Instance tree"). The `Π_BA` instances exist from construction and are
 //! `init`-ed at `T_VSS` (DESIGN.md "Timed children exist from
-//! construction").
+//! construction"). The late votes of its `Π_VSS`s go to the root's
+//! late-vote channel: its own when it is the root, its parent's otherwise
+//! (`voteboard::LateVotes`).
 
 use mpc_algebra::{Fp, Polynomial};
 use mpc_net::{Context, PartyId, PathSlice, Time};
@@ -16,12 +18,12 @@ use crate::ba::{Ba, BA};
 use crate::msg::Msg;
 use crate::params::Params;
 use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
-use crate::voteboard::{deliver_batch, LateVotes, TIMER_FLUSH};
+use crate::voteboard::{self, LateVotes};
 use crate::vss::{Vss, VSS};
 
 /// Dealer `j`'s `Π_VSS`, then the `Π_BA` deciding whether `j` is in `CS`,
 /// then the late-vote batches of the `n · (n + 1)` vote boards of the
-/// `Π_VSS`s.
+/// `Π_VSS`s, which only a root `Π_ACS` holds.
 pub static ACS: Kind = Kind::new(
     "Acs",
     &[
@@ -37,12 +39,12 @@ const TIMER_START_BAS: u64 = 10;
 #[derive(Debug)]
 pub struct Acs {
     params: Params,
-    l_count: usize,
     my_polys: Vec<Polynomial>,
     vss: Vec<Vss>,
     bas: Vec<Ba>,
     bas_started: bool,
-    /// The late-vote channel of every `Π_VSS` and `Π_WPS` below.
+    /// The late votes of every `Π_VSS` and `Π_WPS` below: the channel at
+    /// the root, else an outbox.
     late: LateVotes,
     /// The agreed common subset of dealers, once all `n` BA instances decided.
     pub common_subset: Option<Vec<PartyId>>,
@@ -57,17 +59,15 @@ impl Acs {
     /// Creates an instance with this party's own input polynomials (each of
     /// degree ≤ `t_s`).
     pub fn new(params: Params, my_polys: Vec<Polynomial>) -> Self {
-        let l_count = my_polys.len();
         Acs {
             params,
-            l_count,
             my_polys,
             vss: Vec::new(),
             bas: (0..params.n)
                 .map(|_| Ba::new(params.ts, params, None))
                 .collect(),
             bas_started: false,
-            late: LateVotes::default(),
+            late: LateVotes::new(params.ts),
             common_subset: None,
             output_at: None,
             #[cfg(test)]
@@ -133,9 +133,8 @@ impl Node for Acs {
             let mut v = if j == me {
                 Vss::new_dealer(j, self.params, self.my_polys.clone())
             } else {
-                Vss::new(j, self.params, self.l_count)
+                Vss::new(j, self.params, self.my_polys.len())
             };
-            v.core.votes.late.nested = true;
             ACS.scoped(ctx, Name::Vss, j, |ctx| v.init(ctx));
             self.vss.push(v);
         }
@@ -144,14 +143,7 @@ impl Node for Acs {
 
     /// Progress is `CS` being fixed or a `Π_VSS` delivering its shares.
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
-        let routed = ACS.route(self, ctx, path, ev);
-        if let Routed::Child(Name::Vss, j, _) = routed {
-            // The boards: `n + 1` per `Π_VSS`, its own and its `Π_WPS`s'.
-            let outbox = std::mem::take(&mut self.vss[j].core.votes.late.pending);
-            self.late.post(ctx, outbox, j * (ctx.n + 1));
-        }
-        match routed {
-            Routed::Child(Name::Batch, i, true) => deliver_batch(self, (&ACS, |s| &s.late), ctx, i),
+        match voteboard::route(self, &ACS, ctx, path, ev) {
             Routed::Child(name, _, true) => self.drive(ctx) || name == Name::Vss,
             Routed::Own(Event::Timer(TIMER_START_BAS)) => {
                 for (j, ba) in self.bas.iter_mut().enumerate() {
@@ -160,10 +152,6 @@ impl Node for Acs {
                 self.bas_started = true;
                 self.drive(ctx)
             }
-            Routed::Own(Event::Timer(TIMER_FLUSH)) => {
-                self.late.flush(ctx, &ACS, self.params.ts);
-                false
-            }
             _ => false,
         }
     }
@@ -171,9 +159,12 @@ impl Node for Acs {
     fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
         match name {
             Name::Vss => Some(self.vss.get_mut(index)?),
-            Name::Batch => Some(self.late.slot(self.params.n, self.params.ts, index)?),
             _ => Some(self.bas.get_mut(index)?),
         }
+    }
+
+    fn late(&mut self) -> Option<&mut LateVotes> {
+        Some(&mut self.late)
     }
 }
 

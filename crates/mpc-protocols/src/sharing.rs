@@ -15,7 +15,8 @@
 //!
 //! Children: [`layout`], declared once for both shells (DESIGN.md "Instance
 //! tree"). Timer ids 11–13 at the instance's own path are the core's
-//! phases, 14 the late-vote channel's flush.
+//! phases, 14 the late-vote flush when the shell is the root
+//! (`voteboard::route`).
 //!
 //! Two rules hold at the single place input enters (DESIGN.md "`Π_WPS`/
 //! `Π_VSS`: one dealer-verification core"): dealt rows count only if they
@@ -38,7 +39,7 @@ use crate::bc::{Bc, BC, BC_GROUP};
 use crate::msg::{BcValue, Msg, Vote};
 use crate::params::Params;
 use crate::tree::{Card, Family, Kind, Name, Node};
-use crate::voteboard::{VoteBoard, TIMER_FLUSH};
+use crate::voteboard::VoteBoard;
 
 /// The core's children, in the order both shells lay them out: the
 /// `(W, E, F)` broadcast, the `Π_BA`, the star A-cast and the scheduled
@@ -52,8 +53,8 @@ const CORE: [Family; 4] = [
 
 /// The layout of a shell with no family of its own: the core's children,
 /// then the late-vote batches of the `boards` vote boards of its tree
-/// ([`Card::Batch`]), which it A-casts when it is the outermost sharing
-/// instance.
+/// ([`Card::Batch`]), which it A-casts when it is the root of the instance
+/// tree.
 pub(crate) const fn layout(boards: [u32; 3]) -> [Family; 5] {
     let [wef, ba, star, votes] = CORE;
     let batch = Family::new(Name::Batch, &ACAST, Card::Batch(boards));
@@ -182,7 +183,7 @@ impl DealerCore {
             bivariates: Vec::new(),
             dealt: false,
             rows: None,
-            votes: VoteBoard::new(kind, params.ts, params),
+            votes: VoteBoard::new(params.ts, params),
             wef_bc: Bc::new(dealer, params.ts, params),
             ba: Ba::new(params.ts, params, None),
             star_acast: Acast::new(dealer, params.n, params.ts),
@@ -470,8 +471,7 @@ impl DealerCore {
     /// Handles the core's phase timers.
     pub(crate) fn on_phase_timer(&mut self, ctx: &mut Context<'_, Msg>, id: u64) {
         match id {
-            TIMER_VOTES => self.votes.start(ctx),
-            TIMER_FLUSH => self.votes.late.flush(ctx, self.kind, self.params.ts),
+            TIMER_VOTES => self.votes.start(ctx, self.kind),
             TIMER_WEF => {
                 let bc = &mut self.wef_bc;
                 self.kind.scoped(ctx, Name::Wef, 0, |ctx| bc.init(ctx));
@@ -496,14 +496,14 @@ impl DealerCore {
 }
 
 impl DealerCore {
-    /// The core's child `index` of family `name`, for its shell's
+    /// The core's child of family `name` (each holds one), for its shell's
     /// [`Node::child`].
-    pub(crate) fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
+    pub(crate) fn child(&mut self, name: Name) -> Option<&mut dyn Node> {
         match name {
             Name::Wef => Some(&mut self.wef_bc),
             Name::Ba => Some(&mut self.ba),
             Name::Star => Some(&mut self.star_acast),
-            _ => self.votes.child(name, index),
+            _ => Some(&mut self.votes.scheduled),
         }
     }
 }
@@ -582,7 +582,7 @@ mod tests {
         let ready = Msg::Acast(AcastMsg::Ready(value));
         for from in 0..=2 * core.params.ts {
             let event = Event::Message(from, &ready);
-            let child = core.child(Name::Star, 0).expect("a declared child");
+            let child = core.child(Name::Star).expect("a declared child");
             child.on_event(ctx, &[], event);
         }
     }

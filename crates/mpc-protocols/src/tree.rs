@@ -9,7 +9,8 @@
 //! child ([`Kind::segment`]), the routing of an event to the child its path
 //! names ([`Kind::route`]), a name for every path ([`Kind::describe`]) and the
 //! paths that exist ([`Kind::valid_paths`]). A path that names no declared
-//! child, or that goes on below a leaf, is dropped. DESIGN.md "Instance
+//! child, that goes on below a leaf, or that names a late-vote batch below
+//! the root (the root owns the channel) is dropped. DESIGN.md "Instance
 //! tree" has the tower's layout.
 
 use mpc_net::{Context, PartyId, PathSlice};
@@ -60,7 +61,7 @@ pub enum Name {
     Star,
     /// The scheduled vote broadcasts, one slot per party.
     Votes,
-    /// The late-vote batch A-casts of the outermost sharing instance.
+    /// The late-vote batch A-casts of the root (`voteboard::LateVotes`).
     Batch,
     /// The `Π_WPS` instances of a `Π_VSS`.
     Wps,
@@ -148,20 +149,25 @@ impl Kind {
     /// The vote boards in the tree of an instance of this kind: one for
     /// each instance that declares a `Votes` family.
     pub fn boards(&self, n: usize) -> usize {
-        let boards = |(family, _, size): (&Family, u32, u32)| size as usize * family.kind.boards(n);
-        self.own_board() + self.spans(n).map(boards).sum::<usize>()
+        self.first_board(n, u32::MAX)
     }
 
-    /// 1 if an instance of this kind has a vote board of its own, else 0.
-    fn own_board(&self) -> usize {
-        usize::from(self.families.iter().any(|f| f.name == Name::Votes))
+    /// The number, among the boards of an instance of this kind, of the
+    /// first board below the child at segment `seg` (or past it): the
+    /// instance's own comes first, so segment 0 gives the count of those.
+    pub(crate) fn first_board(&self, n: usize, seg: u32) -> usize {
+        let own = usize::from(self.families.iter().any(|f| f.name == Name::Votes));
+        let before = |(family, start, size): (&Family, u32, u32)| {
+            seg.saturating_sub(start).min(size) as usize * family.kind.boards(n)
+        };
+        own + self.spans(n).map(before).sum::<usize>()
     }
 
     /// The path of vote board `index` below an instance of this kind: the
     /// boards are numbered depth first, each instance's own before its
     /// children's. `None` past the last board.
     pub fn board_path(&self, n: usize, index: usize) -> Option<Vec<u32>> {
-        let Some(mut index) = index.checked_sub(self.own_board()) else {
+        let Some(mut index) = index.checked_sub(self.first_board(n, 0)) else {
             return Some(Vec::new());
         };
         for (family, start, size) in self.spans(n) {
@@ -228,7 +234,8 @@ impl Kind {
     /// Delivers `event`, addressed to `path` below `node` (an instance of
     /// this kind), to the child the path's first segment names, scoped to
     /// that segment; see [`Routed`]. A leaf routes its events here too, so
-    /// that a path below it is dropped.
+    /// that a path below it is dropped. An instance that holds late votes
+    /// routes through `voteboard::route`, which calls this.
     // This and the three helpers it calls per delivery are `#[inline]`:
     // without it the handler time of `sync-packed-n10` grew by about 40 %.
     #[inline]
@@ -248,7 +255,13 @@ impl Kind {
         if family.kind.families.is_empty() && !below.is_empty() {
             return Routed::Dropped;
         }
-        let Some(child) = node.child(family.name, index) else {
+        let child = match family.name {
+            Name::Batch if ctx.path().is_empty() => node.late().map(|l| l.slot(ctx.n, index) as _),
+            // The late-vote batches are the root's alone.
+            Name::Batch => return Routed::Dropped,
+            name => node.child(name, index),
+        };
+        let Some(child) = child else {
             return Routed::Absent(family.name, below, event);
         };
         let progress = ctx.scoped(seg, |ctx| child.on_event(ctx, below, event));
@@ -287,7 +300,8 @@ pub enum Routed<'p, 'm> {
     /// Nowhere: the path names a declared child that does not exist (yet);
     /// the path below it and the event are handed back.
     Absent(Name, &'p [u32], Event<'m>),
-    /// Nowhere: the path names no declared child, or goes on below a leaf.
+    /// Nowhere: the path names no declared child, goes on below a leaf, or
+    /// names a `Batch` child below the root.
     Dropped,
 }
 
@@ -305,8 +319,15 @@ pub trait Node {
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool;
 
     /// Child `index` of family `name` — one of the instance's declared
-    /// families — if it exists. A leaf has none.
+    /// families but `Batch` ([`Node::late`] holds those) — if it exists. A
+    /// leaf has none.
     fn child(&mut self, _: Name, _: usize) -> Option<&mut dyn Node> {
+        None
+    }
+
+    /// The instance's late-vote channel, if it holds one: live at the root,
+    /// an outbox below it.
+    fn late(&mut self) -> Option<&mut crate::voteboard::LateVotes> {
         None
     }
 }

@@ -17,17 +17,17 @@
 //! * **late-vote batches** for the `OK` votes a party only establishes
 //!   later (slow counterparts in an asynchronous network) — these only feed
 //!   the *eventual* consistency graph used by the `(n, t_a)`-star fallback
-//!   path. A board posts each to the `LateVotes` channel of the outermost
-//!   sharing instance, which A-casts everything posted in one tick as one
-//!   [`BcValue::VoteBatch`]. A-cast provides exactly the consistency and
+//!   path. A board posts each to the `LateVotes` channel of the root of the
+//!   instance tree, which A-casts everything posted in one tick as one
+//!   [`BcValue::VoteBatch`]: one batch per party per tick. A-cast provides exactly the consistency and
 //!   eventual-delivery guarantees those paths need (the fallback mode of
 //!   `Π_BC` is itself just the sender's A-cast), and an A-cast of a vector
 //!   gives them to each of its elements; a late `NOK` is never read, so it is
 //!   not sent. See DESIGN.md.
 //!
-//! The board's children are the `Votes` family of its shell's layout and,
-//! in the outermost sharing instance, the `Batch` family (DESIGN.md
-//! "Instance tree").
+//! The board's child is the `Votes` family of its shell's layout; the
+//! root's `Batch` family holds the batch A-casts (DESIGN.md "Instance
+//! tree").
 
 use mpc_net::{Context, PartyId};
 
@@ -36,19 +36,16 @@ use crate::bc::{Bc, BcSlot};
 use crate::msg::{BcValue, Msg, Vote};
 use crate::params::Params;
 use crate::star::ConsistencyGraph;
-use crate::tree::{Event, Kind, Name, Node};
+use crate::tree::{Event, Kind, Name, Node, Routed};
 
 /// Vote dissemination and consistency-graph bookkeeping shared by
 /// `Π_WPS`/`Π_VSS`.
 #[derive(Debug)]
 pub struct VoteBoard {
-    /// The shell's layout, which places the board's children.
-    kind: &'static Kind,
-    params: Params,
     /// This party's vote about each party.
     my_votes: Vec<Option<Vote>>,
-    /// The scheduled broadcasts (slot `j` = party `j`).
-    scheduled: Bc,
+    /// The scheduled broadcasts (slot `j` = party `j`), the board's child.
+    pub(crate) scheduled: Bc,
     /// Whether [`VoteBoard::start`] has run.
     started: bool,
     /// Where this party's late votes go: the shell's channel or outbox.
@@ -105,16 +102,14 @@ impl OkGraph {
 }
 
 impl VoteBoard {
-    /// Creates a vote board whose children sit where the shell's layout
-    /// `kind` places its `Votes` and `Batch` families.
-    pub fn new(kind: &'static Kind, t: usize, params: Params) -> Self {
+    /// Creates a vote board whose broadcasts and late-vote batches run at
+    /// threshold `t`.
+    pub fn new(t: usize, params: Params) -> Self {
         VoteBoard {
-            kind,
-            params,
             my_votes: vec![None; params.n],
             scheduled: Bc::new_group(t, params),
             started: false,
-            late: LateVotes::default(),
+            late: LateVotes::new(t),
             eventual: OkGraph::new(params.n),
             folded: vec![false; params.n],
         }
@@ -141,33 +136,25 @@ impl VoteBoard {
             return;
         };
         if self.started && vote == Vote::Ok {
-            self.late.post(ctx, vec![counterpart as u32], 0);
+            self.late.post(ctx, &[counterpart as u32], 0);
         }
         *mine = Some(vote);
     }
 
-    /// Starts the scheduled per-party vote broadcasts (called by the parent at
-    /// the phase time it fixes, e.g. `2Δ` for `Π_WPS`).
-    pub fn start(&mut self, ctx: &mut Context<'_, Msg>) {
+    /// Starts the scheduled per-party vote broadcasts where the shell's
+    /// layout `kind` places its `Votes` family (called by the parent at the
+    /// phase time it fixes, e.g. `2Δ` for `Π_WPS`).
+    pub fn start(&mut self, ctx: &mut Context<'_, Msg>, kind: &Kind) {
         if std::mem::replace(&mut self.started, true) {
             return;
         }
         let cast = |(k, v): (usize, &Option<Vote>)| Some((k as u32, v.clone()?));
         let votes = self.my_votes.iter().enumerate().filter_map(cast).collect();
         let bcs = &mut self.scheduled;
-        self.kind.scoped(ctx, Name::Votes, 0, |ctx| {
+        kind.scoped(ctx, Name::Votes, 0, |ctx| {
             bcs.init(ctx);
             bcs.provide_input(ctx, BcValue::Votes(votes));
         });
-    }
-
-    /// The board's child `index` of family `name`: the scheduled group, or
-    /// a slot of a live late-vote channel, made on first demand.
-    pub(crate) fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
-        match name {
-            Name::Votes => Some(&mut self.scheduled),
-            _ => Some(self.late.slot(self.params.n, self.params.ts, index)?),
-        }
     }
 
     /// Votes of party `j` received through the *regular mode* of its scheduled
@@ -184,8 +171,9 @@ impl VoteBoard {
     /// The consistency graph built from votes received through regular mode
     /// only (what the timed `(W, E, F)` acceptance check inspects).
     pub fn graph_regular(&self) -> ConsistencyGraph {
-        let mut regular = OkGraph::new(self.params.n);
-        for j in 0..self.params.n {
+        let n = self.my_votes.len();
+        let mut regular = OkGraph::new(n);
+        for j in 0..n {
             if let Some(value) = self.scheduled.slot(j).and_then(BcSlot::regular_value) {
                 regular.fold(j, value);
             }
@@ -237,30 +225,32 @@ impl VoteBoard {
     }
 }
 
-/// The timer id of a live channel's flush, at its instance's own path
-/// (the shells' own steps use 10, the dealer core's phases 11–13).
+/// The timer id of the root's flush, at the root's own path (the shells'
+/// own steps use 10, the dealer core's phases 11–13).
 pub(crate) const TIMER_FLUSH: u64 = 14;
 
-/// This party's late `OK` votes, on their way from the vote boards of a
-/// sharing tree to the A-casts that carry them (DESIGN.md "`Π_WPS`/`Π_VSS`:
+/// This party's late `OK` votes, on their way from the vote boards of an
+/// instance tree to the A-casts that carry them (DESIGN.md "`Π_WPS`/`Π_VSS`:
 /// one dealer-verification core").
 ///
-/// Every `Π_WPS`, `Π_VSS` and `Π_ACS` holds one, and a vote in it is one
-/// `u32`, `board · n + counterpart`, its board numbered among the holder's
-/// ([`Kind::board_path`]). The outermost sharing instance's is the live
-/// channel: the first vote posted to it arms a zero-delay timer at the
-/// instance, which fires after every delivery and every deeper timer of the
-/// tick, and [`LateVotes::flush`] then A-casts everything posted since as
-/// one [`BcValue::VoteBatch`] in this party's next slot of the instance's
-/// `Batch` family. A nested instance's is an outbox that its parent empties
-/// ([`LateVotes::post`]) after routing an event to it.
+/// Every `Π_WPS`, `Π_VSS`, `Π_ACS` and `Π_CirEval` holds one ([`Node::late`])
+/// and routes its events through [`route`]. A vote in it is one `u32`,
+/// `board · n + counterpart`, its board numbered among the holder's
+/// ([`Kind::board_path`]). The root's is the live channel: the first vote
+/// posted to it arms a zero-delay timer at the root, which fires after every
+/// delivery and every deeper timer of the tick, and [`route`] then A-casts
+/// everything posted since as one [`BcValue::VoteBatch`] in this party's
+/// next slot of the root's `Batch` family. So each party A-casts at most one
+/// batch per tick, whatever the root's kind. Any other holder's is an
+/// outbox, which [`route`] empties into its parent's after routing an event
+/// to it; [`Kind::route`] drops a batch addressed below the root.
 #[derive(Debug, Default)]
-pub(crate) struct LateVotes {
-    /// Whether this is a nested instance's outbox.
-    pub(crate) nested: bool,
-    /// Posted and not yet A-cast (live) or taken by the parent (nested).
-    pub(crate) pending: Vec<u32>,
-    /// How many batches this party has A-cast.
+pub struct LateVotes {
+    /// The threshold of the batch A-casts.
+    t: usize,
+    /// Posted and not yet A-cast (root) or taken by the parent (outbox).
+    pending: Vec<u32>,
+    /// `n` times the number of batches this party has A-cast.
     sent: usize,
     /// The batch A-casts, slot `k · n + sender`, each boxed on its first
     /// message. Routing bounds a slot by the family's `n · n · boards`, and
@@ -271,71 +261,90 @@ pub(crate) struct LateVotes {
 }
 
 impl LateVotes {
+    /// An empty channel whose batches are A-cast at threshold `t`.
+    pub fn new(t: usize) -> Self {
+        let empty = LateVotes::default();
+        LateVotes { t, ..empty }
+    }
+
     /// Posts `votes`, whose boards are numbered from `first` among the
-    /// holder's; the live channel arms its flush with the first since the
-    /// last flush. A parent posts a nested instance's outbox here after
-    /// routing an event to it.
-    pub(crate) fn post(&mut self, ctx: &mut Context<'_, Msg>, votes: Vec<u32>, first: usize) {
-        let was_empty = self.pending.is_empty();
-        let shift = (first * ctx.n) as u32;
-        self.pending.extend(votes.iter().map(|vote| vote + shift));
-        if !self.nested && was_empty && !self.pending.is_empty() {
+    /// holder's; at the root, the first since the last flush arms the flush.
+    fn post(&mut self, ctx: &mut Context<'_, Msg>, votes: &[u32], first: usize) {
+        if self.pending.is_empty() && ctx.path().is_empty() {
             ctx.set_timer(0, TIMER_FLUSH);
         }
+        self.pending
+            .extend(votes.iter().map(|vote| vote + (first * ctx.n) as u32));
     }
 
-    /// A-casts what was posted since the last flush as one batch, in this
-    /// party's next slot of the `Batch` family of `kind`, the holder's
-    /// layout, at threshold `t`.
-    pub(crate) fn flush(&mut self, ctx: &mut Context<'_, Msg>, kind: &Kind, t: usize) {
-        let i = self.sent * ctx.n + ctx.me;
-        self.sent += 1;
-        let batch = BcValue::VoteBatch(std::mem::take(&mut self.pending));
-        if let Some(acast) = self.slot(ctx.n, t, i) {
-            kind.scoped(ctx, Name::Batch, i, |ctx| acast.provide_input(ctx, batch));
-        }
-    }
-
-    /// Slot `index` of the live channel, made on first demand.
-    pub(crate) fn slot(&mut self, n: usize, t: usize, index: usize) -> Option<&mut Acast> {
-        if self.nested {
-            return None;
-        }
-        let len = self.slots.len().max(index + 1);
-        self.slots.resize_with(len, || None);
-        Some(self.slots[index].get_or_insert_with(|| Box::new(Acast::new(index % n, n, t))))
+    /// Slot `index` of the channel, made on first demand.
+    pub(crate) fn slot(&mut self, n: usize, index: usize) -> &mut Acast {
+        self.slots
+            .resize_with(self.slots.len().max(index + 1), || None);
+        self.slots[index].get_or_insert_with(|| Box::new(Acast::new(index % n, n, self.t)))
     }
 }
 
-/// Hands each vote of the batch delivered in slot `index` of the channel
-/// `late` of `owner`, laid out as `kind`, to its board: as an
-/// [`Event::LateOk`] routed to the board's shell like any event, so that
-/// the shell folds it and runs its step, and every instance on the way its
-/// after-child step. A value that is no vote batch, or one longer than a
-/// party's late votes, is dropped, and so is a vote that names no board.
-/// Returns whether `owner` made progress.
-pub(crate) fn deliver_batch<N: Node>(
-    owner: &mut N,
-    (kind, late): (&Kind, fn(&N) -> &LateVotes),
+/// [`Kind::route`] for `node`, an instance of `kind` that holds late votes
+/// ([`Node::late`]), then the late-vote step: the one owner path of every
+/// holder kind.
+///
+/// - After an event at a child that holds late votes, the child's posts move
+///   into `node`'s, numbered past the boards before that child
+///   (`Kind::first_board`). An empty outbox is left as it is.
+/// - At the root, the flush timer A-casts what was posted since the last
+///   flush as one batch, in this party's next slot.
+/// - At the root, a delivered batch goes to its boards: each vote as an
+///   [`Event::LateOk`] routed to the board's shell like any event, so that
+///   the shell folds it and runs its step, and every instance on the way its
+///   after-child step. A value that is no vote batch, or one longer than a
+///   party's late votes, is dropped, and so is a vote that names no board.
+///
+/// Returns what is left for `node`'s own step: [`Routed::Dropped`] if the
+/// channel took the event.
+pub fn route<'p, 'm>(
+    node: &mut impl Node,
+    kind: &Kind,
     ctx: &mut Context<'_, Msg>,
-    index: usize,
-) -> bool {
-    let (n, sender) = (ctx.n, index % ctx.n);
-    let slot = late(owner).slots.get(index);
-    let output = slot.and_then(|acast| acast.as_ref()?.output.as_ref());
-    let Some(BcValue::VoteBatch(votes)) = output else {
-        return false;
+    path: &'p [u32],
+    event: Event<'m>,
+) -> Routed<'p, 'm> {
+    let (n, routed) = (ctx.n, kind.route(node, ctx, path, event));
+    let index = match routed {
+        Routed::Own(Event::Timer(TIMER_FLUSH)) => {
+            if let Some(late) = node.late() {
+                late.sent += n;
+                let i = late.sent - n + ctx.me;
+                let batch = BcValue::VoteBatch(std::mem::take(&mut late.pending));
+                let acast = late.slot(n, i);
+                kind.scoped(ctx, Name::Batch, i, |ctx| acast.provide_input(ctx, batch));
+            }
+            return Routed::Dropped;
+        }
+        Routed::Child(Name::Batch, index, true) => index,
+        Routed::Child(name @ (Name::Wps | Name::Vss | Name::AcsInput | Name::AcsTriples), i, _) => {
+            let outbox = node.child(name, i).and_then(|child| child.late());
+            let votes = outbox.map(|outbox| std::mem::take(&mut outbox.pending));
+            if let (Some(votes), Some(late)) = (votes.filter(|v| !v.is_empty()), node.late()) {
+                late.post(ctx, &votes, kind.first_board(n, kind.segment(n, name, i)));
+            }
+            return routed;
+        }
+        _ => return routed,
     };
-    if votes.len() > n * kind.boards(n) {
-        return false;
-    }
+    let slot = node.late().and_then(|late| late.slots.get(index)?.as_ref());
+    let votes = match slot.and_then(|acast| acast.output.as_ref()) {
+        Some(BcValue::VoteBatch(votes)) if votes.len() <= n * kind.boards(n) => votes,
+        _ => return Routed::Dropped,
+    };
     let event = |&vote: &u32| {
         let board = kind.board_path(n, vote as usize / n)?;
-        Some((board, Event::LateOk(sender, vote as usize % n)))
+        Some((board, Event::LateOk(index % n, vote as usize % n)))
     };
-    let events: Vec<_> = votes.iter().filter_map(event).collect();
-    let deliver = |progress, (board, ev): (Vec<u32>, _)| owner.on_event(ctx, &board, ev) | progress;
-    events.into_iter().fold(false, deliver)
+    for (board, ev) in votes.iter().filter_map(event).collect::<Vec<_>>() {
+        node.on_event(ctx, &board, ev);
+    }
+    Routed::Dropped
 }
 
 #[cfg(test)]

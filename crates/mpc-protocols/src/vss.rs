@@ -24,7 +24,7 @@ use crate::msg::Msg;
 use crate::params::Params;
 use crate::sharing::{after, DealerCore};
 use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
-use crate::voteboard::deliver_batch;
+use crate::voteboard::{self, LateVotes};
 use crate::wps::{Wps, WPS};
 
 /// `Π_WPS^{(j)}` for every party `j`, then the core's children and the
@@ -33,12 +33,6 @@ pub static VSS: Kind = Kind::new("Vss", &LAYOUT);
 const LAYOUT: [Family; 6] = after(Family::new(Name::Wps, &WPS, Card::N), [1, 1, 0]);
 
 const TIMER_START_WPS: u64 = 10;
-
-/// `wps` inside a `Π_VSS`, whose channel carries its late votes.
-fn nested(mut wps: Wps) -> Wps {
-    wps.core.votes.late.nested = true;
-    wps
-}
 
 /// One instance of `Π_VSS` for `L` polynomials.
 #[derive(Debug)]
@@ -60,7 +54,7 @@ impl Vss {
         Vss {
             core,
             wps: (0..params.n)
-                .map(|j| nested(Wps::new(j, params, l_count)))
+                .map(|j| Wps::new(j, params, l_count))
                 .collect(),
             wps_started: false,
             shares: None,
@@ -164,13 +158,7 @@ impl Node for Vss {
     /// Runs the step on its own events and on a child's progress; progress
     /// is the shares appearing.
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
-        let routed = VSS.route(self, ctx, path, ev);
-        if let Routed::Child(Name::Wps, k, _) = routed {
-            // The boards: this instance's, then each `Π_WPS`'s one.
-            let outbox = std::mem::take(&mut self.wps[k].core.votes.late.pending);
-            self.core.votes.late.post(ctx, outbox, 1 + k);
-        }
-        match routed {
+        match voteboard::route(self, &VSS, ctx, path, ev) {
             Routed::Own(Event::Message(from, Msg::RowPolys(rows))) => {
                 if !self.core.accept_rows(from, rows) {
                     return false;
@@ -181,9 +169,6 @@ impl Node for Vss {
             Routed::Own(Event::Timer(id)) => self.core.on_phase_timer(ctx, id),
             // A late vote from the channel, if it is new.
             Routed::Own(Event::LateOk(j, k)) if self.core.votes.eventual.add_ok(j, k) => {}
-            Routed::Child(Name::Batch, i, true) => {
-                return deliver_batch(self, (&VSS, |s| &s.core.votes.late), ctx, i);
-            }
             Routed::Child(_, _, true) => {}
             _ => return false,
         }
@@ -193,8 +178,12 @@ impl Node for Vss {
     fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
         match name {
             Name::Wps => Some(self.wps.get_mut(index)?),
-            _ => self.core.child(name, index),
+            _ => self.core.child(name),
         }
+    }
+
+    fn late(&mut self) -> Option<&mut LateVotes> {
+        Some(&mut self.core.votes.late)
     }
 }
 

@@ -31,7 +31,7 @@ use crate::msg::Msg;
 use crate::params::Params;
 use crate::sharing::{layout, DealerCore};
 use crate::tree::{Event, Kind, Name, Node, Routed};
-use crate::voteboard::deliver_batch;
+use crate::voteboard::{self, LateVotes};
 
 /// The core's children, from segment 0, then the late-vote batches of one
 /// vote board.
@@ -195,7 +195,7 @@ impl Node for Wps {
     /// Runs the step on its own events and on a child's progress; progress
     /// is the shares appearing.
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
-        match WPS.route(self, ctx, path, ev) {
+        match voteboard::route(self, &WPS, ctx, path, ev) {
             Routed::Own(Event::Message(from, Msg::RowPolys(rows))) => {
                 if !self.core.accept_rows(from, rows) {
                     return false;
@@ -216,17 +216,18 @@ impl Node for Wps {
             Routed::Own(Event::Timer(id)) => self.core.on_phase_timer(ctx, id),
             // A late vote from the channel, if it is new.
             Routed::Own(Event::LateOk(j, k)) if self.core.votes.eventual.add_ok(j, k) => {}
-            Routed::Child(Name::Batch, i, true) => {
-                return deliver_batch(self, (&WPS, |s| &s.core.votes.late), ctx, i);
-            }
             Routed::Child(_, _, true) => {}
             _ => return false,
         }
         self.check_progress(ctx)
     }
 
-    fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
-        self.core.child(name, index)
+    fn child(&mut self, name: Name, _: usize) -> Option<&mut dyn Node> {
+        self.core.child(name)
+    }
+
+    fn late(&mut self) -> Option<&mut LateVotes> {
+        Some(&mut self.core.votes.late)
     }
 }
 
