@@ -29,6 +29,8 @@ use crate::cireval::CirEval;
 /// Error returned when a protocol run does not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunError {
+    /// What kept the run from an output; callers match on this.
+    pub kind: RunErrorKind,
     /// Human-readable description.
     pub message: String,
     /// The transport-layer failure behind this error, when one was detected
@@ -49,10 +51,25 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-impl RunError {
-    /// An error with no transport failure behind it.
-    fn plain(message: impl Into<String>) -> Self {
+/// What kept a run from an output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunErrorKind {
+    /// The run did not start: the circuit does not fit the parties, or the
+    /// corrupt set is not admissible.
+    Setup,
+    /// Some honest party did not terminate within the horizon.
+    Unfinished,
+    /// No honest party produced an output.
+    NoOutput,
+    /// Honest parties disagree on the output.
+    Disagreement,
+}
+
+impl RunErrorKind {
+    /// An error of this kind with no transport failure behind it.
+    fn error(self, message: impl Into<String>) -> RunError {
         RunError {
+            kind: self,
             message: message.into(),
             transport: None,
         }
@@ -168,13 +185,6 @@ impl MpcBuilder {
     pub fn inputs(mut self, inputs: &[u64]) -> Self {
         assert_eq!(inputs.len(), self.params.n, "one input per party");
         self.inputs = inputs.iter().map(|&x| Fp::from_u64(x)).collect();
-        self
-    }
-
-    /// Sets the parties' private inputs as field elements.
-    pub fn field_inputs(mut self, inputs: &[Fp]) -> Self {
-        assert_eq!(inputs.len(), self.params.n, "one input per party");
-        self.inputs = inputs.to_vec();
         self
     }
 
@@ -377,12 +387,11 @@ impl MpcBuilder {
         let n = params.n;
         if circuit.n_inputs() != n {
             let inputs = circuit.n_inputs();
-            return Err(RunError::plain(format!(
-                "the circuit has {inputs} inputs for {n} parties"
-            )));
+            return Err(RunErrorKind::Setup
+                .error(format!("the circuit has {inputs} inputs for {n} parties")));
         }
         if circuit.output().is_none() {
-            return Err(RunError::plain("the circuit has no output wire"));
+            return Err(RunErrorKind::Setup.error("the circuit has no output wire"));
         }
         let corrupt = self.corrupt.clone();
         let wire_level = self.strategy.is_some();
@@ -394,7 +403,7 @@ impl MpcBuilder {
             .clone()
             .unwrap_or_else(|| Arc::new(ThresholdAdversary::new(n, params.ts, params.ta)));
         if !structure.sync_admissible(corrupt.corrupt_parties()) {
-            return Err(RunError::plain(format!(
+            return Err(RunErrorKind::Setup.error(format!(
                 "corrupt set {:?} is not admissible under the adversary structure",
                 corrupt.corrupt_parties()
             )));
@@ -434,7 +443,6 @@ impl MpcBuilder {
                 Box::new(net)
             }
         };
-        net.set_adversary_structure(Arc::clone(&structure));
         if let Some(strategy) = self.strategy.take() {
             net.set_strategy(strategy);
         }
@@ -462,6 +470,7 @@ impl MpcBuilder {
         };
         if !done {
             return Err(RunError {
+                kind: RunErrorKind::Unfinished,
                 message: format!("honest parties did not terminate within horizon {horizon}"),
                 transport: net.last_error().cloned(),
             });
@@ -475,10 +484,10 @@ impl MpcBuilder {
             .filter_map(|i| outputs[i])
             .collect();
         if honest_outputs.is_empty() {
-            return Err(RunError::plain("no honest party produced an output"));
+            return Err(RunErrorKind::NoOutput.error("no honest party produced an output"));
         }
         if honest_outputs.windows(2).any(|w| w[0] != w[1]) {
-            return Err(RunError::plain("honest parties disagree on the output"));
+            return Err(RunErrorKind::Disagreement.error("honest parties disagree on the output"));
         }
         let input_subset = (0..n)
             .find_map(|i| {
@@ -628,6 +637,7 @@ mod tests {
         let c = Circuit::sum_of_inputs(3);
         let err = MpcBuilder::new(4, 1, 0).inputs(&[1, 2, 3, 4]).run(&c);
         let err = err.expect_err("a 3-input circuit cannot run with 4 parties");
+        assert_eq!(err.kind, RunErrorKind::Setup);
         assert!(err.message.contains("3 inputs for 4 parties"), "{err}");
         assert!(err.transport.is_none());
     }
@@ -638,6 +648,7 @@ mod tests {
         c.mul(c.input(0), c.input(1));
         let err = MpcBuilder::new(4, 1, 0).inputs(&[1, 2, 3, 4]).run(&c);
         let err = err.expect_err("a circuit without an output cannot run");
+        assert_eq!(err.kind, RunErrorKind::Setup);
         assert!(err.message.contains("no output wire"), "{err}");
         assert!(err.transport.is_none());
     }

@@ -311,44 +311,6 @@ pub trait AdversaryStructure: Send + Sync + std::fmt::Debug {
     /// case: `Q^(3,1)` plus every async-admissible set being
     /// sync-admissible.
     fn feasible(&self) -> bool;
-
-    /// The maximal sync-admissible sets, each sorted: the worst-case
-    /// corruption placements. Intended for small `n` (the threshold instance
-    /// enumerates `C(n, t_s)` sets).
-    fn maximal_sync_sets(&self) -> Vec<Vec<PartyId>>;
-
-    /// The maximal async-admissible sets, each sorted.
-    fn maximal_async_sets(&self) -> Vec<Vec<PartyId>>;
-}
-
-/// All `k`-subsets of `0..n`, each sorted, in lexicographic order.
-fn k_subsets(n: usize, k: usize) -> Vec<Vec<PartyId>> {
-    if k > n {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut cur: Vec<PartyId> = (0..k).collect();
-    loop {
-        out.push(cur.clone());
-        // advance to the next combination
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if cur[i] != i + n - k {
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
-        }
-        cur[i] += 1;
-        for j in i + 1..k {
-            cur[j] = cur[j - 1] + 1;
-        }
-    }
 }
 
 /// The paper's own threshold structure: any set of at most `t_s` parties
@@ -387,12 +349,6 @@ impl AdversaryStructure for ThresholdAdversary {
     }
     fn feasible(&self) -> bool {
         thresholds_feasible(self.n, self.ts, self.ta)
-    }
-    fn maximal_sync_sets(&self) -> Vec<Vec<PartyId>> {
-        k_subsets(self.n, self.ts)
-    }
-    fn maximal_async_sets(&self) -> Vec<Vec<PartyId>> {
-        k_subsets(self.n, self.ta)
     }
 }
 
@@ -523,12 +479,6 @@ impl AdversaryStructure for GeneralAdversary {
         }
         true
     }
-    fn maximal_sync_sets(&self) -> Vec<Vec<PartyId>> {
-        self.sync_max.clone()
-    }
-    fn maximal_async_sets(&self) -> Vec<Vec<PartyId>> {
-        self.async_max.clone()
-    }
 }
 
 /// The largest feasible `(t_s, t_a)` pairs for a given `n`: for every `t_s`
@@ -550,6 +500,52 @@ pub fn feasible_threshold_pairs(n: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// All `k`-subsets of `0..n`, each sorted, in lexicographic order.
+    fn k_subsets(n: usize, k: usize) -> Vec<Vec<PartyId>> {
+        if k > n {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        let mut cur: Vec<PartyId> = (0..k).collect();
+        loop {
+            out.push(cur.clone());
+            // advance to the next combination
+            let mut i = k;
+            loop {
+                if i == 0 {
+                    return out;
+                }
+                i -= 1;
+                if cur[i] != i + n - k {
+                    break;
+                }
+                if i == 0 {
+                    return out;
+                }
+            }
+            cur[i] += 1;
+            for j in i + 1..k {
+                cur[j] = cur[j - 1] + 1;
+            }
+        }
+    }
+
+    /// The maximal sets among the subsets of `0..n` that `admissible`
+    /// accepts, each sorted, in lexicographic order: the worst-case
+    /// corruption placements, found by brute force.
+    fn maximal_sets(n: usize, admissible: impl Fn(&[PartyId]) -> bool) -> Vec<Vec<PartyId>> {
+        let subset = |mask: u32| (0..n).filter(|&p| mask >> p & 1 == 1).collect::<Vec<_>>();
+        let ok: Vec<Vec<PartyId>> = (0..1 << n).map(subset).filter(|z| admissible(z)).collect();
+        let inside = |z: &Vec<PartyId>, y: &Vec<PartyId>| z.iter().all(|p| y.contains(p));
+        let mut max: Vec<Vec<PartyId>> = ok
+            .iter()
+            .filter(|z| !ok.iter().any(|y| y.len() > z.len() && inside(z, y)))
+            .cloned()
+            .collect();
+        max.sort();
+        max
+    }
 
     #[test]
     fn corruption_set_membership() {
@@ -672,8 +668,9 @@ mod tests {
         assert!(!s.sync_admissible(&[8]), "out-of-range id is inadmissible");
         // duplicated ids count once
         assert!(s.sync_admissible(&[5, 5]));
-        assert_eq!(s.maximal_sync_sets().len(), 28); // C(8,2)
-        assert_eq!(s.maximal_async_sets().len(), 8); // C(8,1)
+        // The worst-case placements are the C(8,2) pairs and the C(8,1) singletons.
+        assert_eq!(maximal_sets(8, |z| s.sync_admissible(z)), k_subsets(8, 2));
+        assert_eq!(maximal_sets(8, |z| s.async_admissible(z)), k_subsets(8, 1));
         assert!(!ThresholdAdversary::new(8, 2, 2).feasible());
     }
 
@@ -737,7 +734,8 @@ mod tests {
             Vec::new(),
         );
         // {1} is dominated by {1,2}; duplicates collapse.
-        assert_eq!(s.maximal_sync_sets(), vec![vec![1, 2], vec![4]]);
+        assert_eq!(s.sync_max, vec![vec![1, 2], vec![4]]);
+        assert_eq!(maximal_sets(5, |z| s.sync_admissible(z)), s.sync_max);
     }
 
     #[test]

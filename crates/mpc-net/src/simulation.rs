@@ -12,12 +12,10 @@
 //! count. See the "Deterministic parallel execution" section of DESIGN.md
 //! for the correctness argument.
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::adversary::{AdversaryStructure, ByzantineStrategy, CorruptionSet, Passive};
+use crate::adversary::{ByzantineStrategy, CorruptionSet, Passive};
 use crate::context::{Path, Protocol};
 use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
@@ -252,7 +250,6 @@ pub struct Simulation<M> {
     /// receiver's inbox.
     inboxes: Vec<Inbox<M>>,
     corruption: CorruptionSet,
-    structure: Option<Arc<dyn AdversaryStructure>>,
     strategy: Box<dyn ByzantineStrategy>,
     scheduler: Box<dyn Scheduler>,
     faults: FaultPlan,
@@ -311,7 +308,6 @@ impl<M: WireMessage> Simulation<M> {
             rngs,
             inboxes: (0..config.n).map(|_| Inbox::default()).collect(),
             corruption,
-            structure: None,
             strategy: Box::new(Passive),
             scheduler,
             faults: FaultPlan::none(),
@@ -343,17 +339,6 @@ impl<M: WireMessage> Simulation<M> {
     /// The injected fault plan.
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
-    }
-
-    /// Attaches the [`AdversaryStructure`] the corruption set was validated
-    /// against (descriptive only — see `Transport::set_adversary_structure`).
-    pub fn set_adversary_structure(&mut self, structure: Arc<dyn AdversaryStructure>) {
-        self.structure = Some(structure);
-    }
-
-    /// The attached adversary structure, if any.
-    pub fn adversary_structure(&self) -> Option<&Arc<dyn AdversaryStructure>> {
-        self.structure.as_ref()
     }
 
     /// Starts recording every processed event; call before running. Off by
@@ -576,6 +561,7 @@ mod tests {
     use crate::context::Context;
     use crate::party::{SharedFrame, Traffic};
     use std::any::Any;
+    use std::sync::Arc;
 
     /// A toy protocol: party 0 sends "ping" to everyone at init; everyone who
     /// receives a ping replies "pong" to the sender; party 0 counts pongs.

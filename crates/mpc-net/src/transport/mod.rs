@@ -156,17 +156,11 @@ pub trait Transport<M>: PartyView<M> {
     /// The corruption set.
     fn corruption(&self) -> &CorruptionSet;
 
-    /// Attaches the [`AdversaryStructure`] the run's corruption set was
-    /// validated against, so post-run analysis can ask which guarantee
-    /// regime a placement falls under. Purely descriptive —
-    /// the wire behaviour is fixed by the corruption set and strategy.
+    /// Takes the [`AdversaryStructure`] the run's corruption set was
+    /// validated against, and ignores it: the wire behaviour is fixed by the
+    /// corruption set and strategy, and no backend reads the structure.
     fn set_adversary_structure(&mut self, structure: Arc<dyn AdversaryStructure>) {
         let _ = structure;
-    }
-
-    /// The attached adversary structure, if any.
-    fn adversary_structure(&self) -> Option<&Arc<dyn AdversaryStructure>> {
-        None
     }
 
     /// The first typed failure the backend diagnosed during the run, if any
@@ -217,11 +211,5 @@ impl<M: WireMessage> Transport<M> for Simulation<M> {
     }
     fn corruption(&self) -> &CorruptionSet {
         Simulation::corruption(self)
-    }
-    fn set_adversary_structure(&mut self, structure: Arc<dyn AdversaryStructure>) {
-        Simulation::set_adversary_structure(self, structure)
-    }
-    fn adversary_structure(&self) -> Option<&Arc<dyn AdversaryStructure>> {
-        Simulation::adversary_structure(self)
     }
 }

@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::adversary::{AdversaryStructure, ByzantineStrategy, CorruptionSet, Passive};
+use crate::adversary::{ByzantineStrategy, CorruptionSet, Passive};
 use crate::context::{Path, Protocol};
 use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
@@ -632,7 +632,6 @@ impl Medium for Channels {
 /// the simulator oracle), then drive it through the [`Transport`] trait.
 pub struct RealNet<M, L> {
     spec: NetSpec,
-    structure: Option<Arc<dyn AdversaryStructure>>,
     pub(super) medium: L,
     /// Party states and accounting: initial until the run, its result after.
     state: RunState<M>,
@@ -711,7 +710,6 @@ impl<M: WireMessage, L: Medium> RealNet<M, L> {
                 faults: FaultPlan::none(),
                 record: false,
             },
-            structure: None,
             medium: L::default(),
             state: RunState {
                 parties: parties.into_iter().map(Some).collect(),
@@ -951,12 +949,6 @@ impl<M: WireMessage, L: Medium> Transport<M> for RealNet<M, L> {
     }
     fn corruption(&self) -> &CorruptionSet {
         &self.spec.corruption
-    }
-    fn set_adversary_structure(&mut self, structure: Arc<dyn AdversaryStructure>) {
-        self.structure = Some(structure);
-    }
-    fn adversary_structure(&self) -> Option<&Arc<dyn AdversaryStructure>> {
-        self.structure.as_ref()
     }
     fn last_error(&self) -> Option<&TransportError> {
         self.state.wedged.as_ref()

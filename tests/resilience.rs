@@ -19,7 +19,7 @@
 //! shows that the checker trips on a wrong output.
 
 use bobw_mpc::algebra::Fp;
-use bobw_mpc::core::builder::{MpcRunResult, RunError};
+use bobw_mpc::core::builder::{MpcRunResult, RunError, RunErrorKind};
 use bobw_mpc::core::thresholds::{feasible_threshold_pairs, thresholds_feasible};
 use bobw_mpc::core::{Circuit, MpcBuilder};
 use bobw_mpc::net::{
@@ -432,8 +432,7 @@ fn judge_outputs(
 /// violation, above all honest parties that disagree on the output, which
 /// the builder reports as an error too.
 fn judge_abort(guarantee: Guarantee, e: &RunError) -> Verdict {
-    let unfinished = e.message.starts_with("honest parties did not terminate");
-    if guarantee == Guarantee::MayAbort && unfinished {
+    if guarantee == Guarantee::MayAbort && e.kind == RunErrorKind::Unfinished {
         Verdict::AdmissibleAbort(e.to_string())
     } else {
         Verdict::Violation(format!("{guarantee:?} cell failed: {e}"))
@@ -581,19 +580,34 @@ fn guarantee_matrix_logic() {
 
 #[test]
 fn disagreeing_honest_outputs_are_never_an_admissible_abort() {
-    let error = |message: &str| RunError {
+    let error = |kind, message: &str| RunError {
+        kind,
         message: message.to_string(),
         transport: None,
     };
-    let unfinished = error("honest parties did not terminate within horizon 900");
+    let unfinished = error(
+        RunErrorKind::Unfinished,
+        "honest parties did not terminate within horizon 900",
+    );
     let abort = judge_abort(Guarantee::MayAbort, &unfinished);
     assert!(matches!(abort, Verdict::AdmissibleAbort(_)), "{abort:?}");
     let abort = judge_abort(Guarantee::MustTerminate, &unfinished);
     assert!(matches!(abort, Verdict::Violation(_)), "{abort:?}");
-    let split = error("honest parties disagree on the output");
+    // Only the kind decides: a disagreement is a violation even when its
+    // message reads like a time-out.
+    let split = error(
+        RunErrorKind::Disagreement,
+        "honest parties disagree on the output",
+    );
+    let disguised = error(
+        RunErrorKind::Disagreement,
+        "honest parties did not terminate",
+    );
     for guarantee in [Guarantee::MayAbort, Guarantee::MustTerminate] {
-        let verdict = judge_abort(guarantee, &split);
-        assert!(matches!(verdict, Verdict::Violation(_)), "{verdict:?}");
+        for error in [&split, &disguised] {
+            let verdict = judge_abort(guarantee, error);
+            assert!(matches!(verdict, Verdict::Violation(_)), "{verdict:?}");
+        }
     }
 }
 
