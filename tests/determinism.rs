@@ -423,6 +423,17 @@ fn golden_circuit() -> Circuit {
 /// delivered instead of on its value (DESIGN.md "Substitution S2"). Old →
 /// new, synchronous only: bits 8 037 760 → 4 558 720. Every other count of
 /// both rows, the output and both completion ticks did not move.
+///
+/// Re-pinned when the root of the instance tree became the late-vote
+/// channel's owner (DESIGN.md "Late votes travel in one batch per party per
+/// tick"): the asynchronous run's 462 batch A-casts, two per (party, tick),
+/// became 231, one per (party, tick). Old → new, async only: bits
+/// 4 464 256 → 3 998 560, messages 43 800 → 35 484, events 22 021 →
+/// 19 711, `batch_width_hist` [358, 319, 385, 345, 138, 55, 32, 9, 14, 2] →
+/// [358, 379, 456, 294, 63, 53, 29, 9, 14, 2], `timeouts_fired` 5 910 →
+/// 5 679 (one flush timer per batch). Output, completion tick 2956, frames
+/// 5 163 and `max_queue_depth` 1 646 did not move, nor did anything
+/// synchronous.
 #[test]
 fn full_mpc_metrics_golden_batched() {
     let golden = [
@@ -440,11 +451,11 @@ fn full_mpc_metrics_golden_batched() {
             NetworkKind::Asynchronous,
             33,
             2956,
-            4_464_256,
-            43_800,
-            22_021,
+            3_998_560,
+            35_484,
+            19_711,
             5_163,
-            (1646, &[358, 319, 385, 345, 138, 55, 32, 9, 14, 2], 5910),
+            (1646, &[358, 379, 456, 294, 63, 53, 29, 9, 14, 2], 5679),
         ),
     ];
     let c = golden_circuit();
