@@ -147,9 +147,13 @@ impl Kind {
     }
 
     /// The vote boards in the tree of an instance of this kind: one for
-    /// each instance that declares a `Votes` family.
+    /// each instance that declares a `Votes` family. Every kind whose tree
+    /// holds one declares a `Batch` family sized by them ([`Card::Batch`]),
+    /// and the count is read off it: no walk of the tree on a late vote's
+    /// path.
     pub fn boards(&self, n: usize) -> usize {
-        self.first_board(n, u32::MAX)
+        let batch = self.families.iter().find(|f| f.name == Name::Batch);
+        batch.map_or(0, |f| f.card.of(n as u32) as usize / (n * n))
     }
 
     /// The number, among the boards of an instance of this kind, of the
@@ -590,6 +594,15 @@ mod tests {
     /// A sender casts at most `n` late votes per board, one per batch at
     /// worst, so each `Batch` family holds `n` senders × `n · boards` slots:
     /// as many as the `n²` update A-casts of every board it replaces.
+    /// The vote boards of an instance of `kind`'s tree, counted: one per
+    /// instance that declares a `Votes` family.
+    fn count_boards(kind: &Kind, n: usize) -> usize {
+        let own = usize::from(kind.families.iter().any(|f| f.name == Name::Votes));
+        let below =
+            |(family, _, size): (&Family, u32, u32)| size as usize * count_boards(family.kind, n);
+        own + kind.spans(n).map(below).sum::<usize>()
+    }
+
     #[test]
     fn each_batch_family_has_a_slot_per_sender_and_late_vote() {
         for n in [4, 5, 8] {
@@ -598,7 +611,10 @@ mod tests {
             assert_eq!(ACS.boards(n), n * (n + 1));
             for kind in [&WPS, &VSS, &ACS] {
                 let size = kind.size(n, Name::Batch);
-                assert_eq!(size, n * n * kind.boards(n), "{kind:?}");
+                assert_eq!(size, n * n * count_boards(kind, n), "{kind:?}");
+            }
+            for kind in [&ACAST, &SBA, &ABA, &BC, &BC_GROUP, &BA, &WPS, &VSS, &ACS] {
+                assert_eq!(kind.boards(n), count_boards(kind, n), "{kind:?}");
             }
         }
         assert_eq!(ACS.size(8, Name::Batch), 8 * 8 * (8 * 8 + 8));
