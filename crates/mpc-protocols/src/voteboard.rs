@@ -276,9 +276,8 @@ impl LateVotes {
     }
 
     /// Slot `index` of the channel, made on first demand.
-    // Kept out of `Kind::route`, which every delivery runs: inlined there,
-    // it made the ledger's `sync-packed-n10` about 15 % slower on a 2-core
-    // x86-64 host.
+    // Not inlined: `Kind::route`, which every delivery runs, needs it only
+    // for the root's batch traffic.
     #[inline(never)]
     pub(crate) fn slot(&mut self, n: usize, index: usize) -> &mut Acast {
         let len = self.slots.len().max(index + 1);
