@@ -241,7 +241,8 @@ pub(crate) const TIMER_FLUSH: u64 = 14;
 /// next slot of the root's `Batch` family. So each party A-casts at most one
 /// batch per tick, whatever the root's kind. Any other holder's is an
 /// outbox, which [`route`] empties into its parent's after routing an event
-/// to it; [`Kind::route`] drops a batch addressed below the root.
+/// to it; [`Kind::route`] drops a batch addressed below the root. Build it
+/// with [`LateVotes::new`]: its `Default` has threshold 0.
 #[derive(Debug, Default)]
 pub struct LateVotes {
     /// The threshold of the batch A-casts.
