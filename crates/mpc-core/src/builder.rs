@@ -188,6 +188,13 @@ impl MpcBuilder {
         self
     }
 
+    /// Sets the parties' private inputs as field elements.
+    pub fn field_inputs(mut self, inputs: &[Fp]) -> Self {
+        assert_eq!(inputs.len(), self.params.n, "one input per party");
+        self.inputs = inputs.to_vec();
+        self
+    }
+
     /// Marks the listed parties as corrupt. Without a
     /// [`MpcBuilder::byzantine_strategy`] they run a crashed (silent) party
     /// instead of the protocol; richer behavioural misbehaviours can be

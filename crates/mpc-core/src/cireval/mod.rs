@@ -139,7 +139,9 @@ impl Wave {
 
     /// The wave and index `tag` names, if its high bits name a wave.
     fn parse(tag: u32) -> Option<(Wave, usize)> {
-        let wave = *Wave::ALL.get((tag >> Self::INDEX_BITS).checked_sub(1)? as usize)?;
+        let wave = Wave::ALL
+            .into_iter()
+            .find(|&w| w as u32 == tag >> Self::INDEX_BITS)?;
         Some((wave, (tag & ((1 << Self::INDEX_BITS) - 1)) as usize))
     }
 }
@@ -477,22 +479,25 @@ impl CirEval {
     /// Abandons the packed engine for the scalar preprocessing path after a
     /// publicly-reported deal failure: drops all packed state, launches the
     /// triple ACS that packed mode skipped at `init`, and replays the triple
-    /// ACS traffic buffered meanwhile. Every honest party takes this exit
-    /// (the trigger is `t_s + 1` public reports, which reach everyone), so
-    /// the late-started ACS has its full honest quorum. Reported dealers
-    /// keep participating in the scalar path, where `Π_TripSh`'s supervised
-    /// verification neutralises bad triples without trusting any dealer.
+    /// ACS traffic and late votes buffered meanwhile, through the root so
+    /// that the late votes they make reach its channel. Every honest party
+    /// takes this exit (the trigger is `t_s + 1` public reports, which reach
+    /// everyone), so the late-started ACS has its full honest quorum.
+    /// Reported dealers keep participating in the scalar path, where
+    /// `Π_TripSh`'s supervised verification neutralises bad triples without
+    /// trusting any dealer.
     fn fall_back_to_scalar(&mut self, ctx: &mut Context<'_, Msg>) {
         let buffered = self.packed.take().map(|packed| packed.acs2);
         self.packed_fell_back = true;
         self.values_opened_by_layer.clear();
         self.launch_triple_acs(ctx);
-        let Some(acs2) = self.acs_triples.as_mut() else {
-            return;
-        };
-        for (from, path, msg) in buffered.into_iter().flatten() {
-            let event = Event::Message(from, &msg);
-            CIREVAL.scoped(ctx, Name::AcsTriples, 0, |c| acs2.on_event(c, &path, event));
+        let seg = CIREVAL.segment(ctx.n, Name::AcsTriples, 0);
+        for (from, below, held) in buffered.into_iter().flatten() {
+            let path = [&[seg][..], &below].concat();
+            let event = held
+                .as_ref()
+                .map_or_else(|&k| Event::LateOk(from, k), |msg| Event::Message(from, msg));
+            voteboard::route(self, &CIREVAL, ctx, &path, event);
         }
     }
 
@@ -832,6 +837,45 @@ mod tests {
         }
     }
 
+    /// Runs five parties on the packed engine at width 2 under `cfg`, with
+    /// `scheduler` if one is given; party 4 garbles its deals. The four
+    /// honest parties must all fall back to the scalar path and output the
+    /// product of the inputs, party 4's included.
+    fn check_garbled_deals_fall_back(
+        params: Params,
+        cfg: NetConfig,
+        scheduler: Option<Box<dyn Scheduler>>,
+    ) {
+        let circuit = Circuit::product_of_inputs(5);
+        let inputs = [3u64, 5, 7, 2, 4];
+        let parties: Vec<Box<dyn Protocol<Msg>>> = inputs
+            .iter()
+            .map(|&x| {
+                let mut p = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                p.set_packing(2);
+                Box::new(p) as Box<dyn Protocol<Msg>>
+            })
+            .collect();
+        let (corrupt, label) = (CorruptionSet::new(vec![4]), format!("{cfg:?}"));
+        let mut sim = match scheduler {
+            None => Simulation::new(cfg, corrupt, parties),
+            Some(scheduler) => Simulation::with_scheduler(cfg, corrupt, scheduler, parties),
+        };
+        sim.set_strategy(Box::new(GarblePackedDeals));
+        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+        let done = sim.run_until(horizon, |s| {
+            (0..4).all(|i| s.party_as::<CirEval>(i).unwrap().output.is_some())
+        });
+        assert!(done, "{label}: honest parties must terminate");
+        for i in 0..4 {
+            let p = sim.party_as::<CirEval>(i).unwrap();
+            assert_eq!(p.output.unwrap().as_u64(), 3 * 5 * 7 * 2 * 4);
+            assert!(p.packed_fell_back, "party {i} must have fallen back");
+            assert!(p.packed.is_none(), "party {i} dropped the packed state");
+            assert!(p.input_subset.as_ref().unwrap().contains(&4));
+        }
+    }
+
     #[test]
     fn packed_garbling_dealer_triggers_uniform_scalar_fallback() {
         // PR 7 hole, closed: a dealer inside CS₁ whose packed deals are
@@ -850,39 +894,23 @@ mod tests {
         // construction and tally it (DESIGN.md); when they were created at
         // their start tick, seeds 61, 73 and 81 lost that traffic and hung.
         let params = Params::new(5, 1, 0, 10);
-        let circuit = Circuit::product_of_inputs(5);
-        let inputs = [3u64, 5, 7, 2, 4];
         for jitter_seed in [None, Some(61), Some(73), Some(81)] {
-            let parties: Vec<Box<dyn Protocol<Msg>>> = inputs
-                .iter()
-                .map(|&x| {
-                    let mut p = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
-                    p.set_packing(2);
-                    Box::new(p) as Box<dyn Protocol<Msg>>
-                })
-                .collect();
-            let corrupt = CorruptionSet::new(vec![4]);
             let cfg = NetConfig::synchronous(params.n).with_seed(jitter_seed.unwrap_or(71));
-            let mut sim = match jitter_seed {
-                None => Simulation::new(cfg, corrupt, parties),
-                Some(_) => {
-                    let jitter = mpc_net::UniformDelay { min: 1, max: 10 };
-                    Simulation::with_scheduler(cfg, corrupt, Box::new(jitter), parties)
-                }
-            };
-            sim.set_strategy(Box::new(GarblePackedDeals));
-            let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
-            let done = sim.run_until(horizon, |s| {
-                (0..4).all(|i| s.party_as::<CirEval>(i).unwrap().output.is_some())
-            });
-            assert!(done, "{jitter_seed:?}: honest parties must terminate");
-            for i in 0..4 {
-                let p = sim.party_as::<CirEval>(i).unwrap();
-                assert_eq!(p.output.unwrap().as_u64(), 3 * 5 * 7 * 2 * 4);
-                assert!(p.packed_fell_back, "party {i} must have fallen back");
-                assert!(p.packed.is_none(), "party {i} dropped the packed state");
-                assert!(p.input_subset.as_ref().unwrap().contains(&4));
-            }
+            let jitter = mpc_net::UniformDelay { min: 1, max: 10 };
+            let scheduler = jitter_seed.map(|_| Box::new(jitter) as Box<dyn Scheduler>);
+            check_garbled_deals_fall_back(params, cfg, scheduler);
+        }
+    }
+
+    /// The same fallback on an asynchronous network, where the reports
+    /// reach each party at its own time, and so do the late votes of the
+    /// parties that launched ACS #2 first.
+    #[test]
+    fn packed_garbling_dealer_falls_back_on_an_asynchronous_network() {
+        let params = Params::new(5, 1, 1, 10);
+        for seed in [1, 2] {
+            let cfg = NetConfig::asynchronous(params.n).with_seed(seed);
+            check_garbled_deals_fall_back(params, cfg, None);
         }
     }
 
@@ -1558,5 +1586,48 @@ mod tests {
         deliver_batch_at(&mut party, (&[1], &ACS), 0, fresh);
         assert_eq!(boards(&party), folded);
         assert_eq!(format!("{:?}", party.late), table, "no slot grew");
+    }
+
+    /// In packed mode ACS #2 is absent until a fallback launches it, and a
+    /// late `OK` that the root's channel delivers to one of its boards
+    /// meanwhile is not delivered again: the packed engine holds it with
+    /// ACS #2's traffic, and the fallback replays it. A party whose batch
+    /// came before its fallback ends with the ACS #2 of one whose batch came
+    /// after, and not with that of one that got no batch.
+    #[test]
+    fn a_late_vote_for_acs2_before_a_packed_fallback_is_replayed() {
+        use mpc_net::Effects;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let params = Params::new(4, 1, 0, 10);
+        let n = params.n;
+        // Sender 3's `OK` about party 2 on board `ACS.boards(n) + 1`,
+        // `AcsTriples/Vss[0]/Wps[0]`'s.
+        let batch = BcValue::VoteBatch(vec![((ACS.boards(n) + 1) * n + 2) as u32]);
+        let run = |batch_first: Option<bool>| {
+            let circuit = Circuit::product_of_inputs(n);
+            let mut party = CirEval::new(params, circuit, Fp::from_u64(3));
+            party.set_packing(1);
+            let mut effects = Effects::new();
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut ctx = Context::new(1, n, 0, params.delta, &mut effects, &mut rng, 0);
+            Protocol::init(&mut party, &mut ctx);
+            assert!(
+                party.acs_triples.is_none(),
+                "packed mode starts without ACS #2"
+            );
+            let deliver = |party: &mut CirEval, now: bool| {
+                if batch_first == Some(now) {
+                    deliver_batch_at(party, (&[], &CIREVAL), 0, batch.clone());
+                }
+            };
+            deliver(&mut party, true);
+            party.fall_back_to_scalar(&mut ctx);
+            deliver(&mut party, false);
+            format!("{:?}", party.acs_triples)
+        };
+        let (held, direct, none) = (run(Some(true)), run(Some(false)), run(None));
+        assert_ne!(direct, none, "the vote changes the board");
+        assert_eq!(held, direct, "the held vote is replayed");
     }
 }

@@ -59,8 +59,10 @@ pub(super) struct Packed {
     /// reports. `t_s + 1` of them, at least one honest, are public proof of
     /// a deal failure.
     reports: BTreeMap<PartyId, HashSet<PartyId>>,
-    /// Triple-ACS traffic, replayed if the scalar fallback launches ACS #2.
-    pub(super) acs2: Vec<(PartyId, Vec<u32>, Msg)>,
+    /// Triple-ACS traffic, replayed if the scalar fallback launches ACS #2:
+    /// each sender's messages, and (`Err(k)`) its late `OK`s about party
+    /// `k` that the root's channel delivered, once, to a board of ACS #2.
+    pub(super) acs2: Vec<(PartyId, Vec<u32>, Result<Msg, PartyId>)>,
     /// My slot-positioned shares of party `j`'s input, by position.
     input_forms: Vec<BTreeMap<Pos, Fp>>,
     /// My shares of block/slot triples, at `block · ℓ + slot`.
@@ -121,7 +123,8 @@ impl Packed {
 
     /// Takes the packed engine's traffic: buffers a deal, counts a report
     /// against a dealer, notes the deadline, and keeps the triple-ACS
-    /// traffic for the scalar fallback, which launches ACS #2 late.
+    /// traffic and late votes for the scalar fallback, which launches ACS #2
+    /// late.
     pub(super) fn on_routed(&mut self, routed: Routed<'_, '_>) {
         match routed {
             Routed::Own(Event::Message(from, Msg::PackedDeal(values))) => {
@@ -138,7 +141,10 @@ impl Packed {
             // Sticky: harmless if the phase already completed.
             Routed::Own(Event::Timer(DEADLINE)) => self.deadline = true,
             Routed::Absent(Name::AcsTriples, below, Event::Message(from, msg)) => {
-                self.acs2.push((from, below.to_vec(), msg.clone()));
+                self.acs2.push((from, below.to_vec(), Ok(msg.clone())));
+            }
+            Routed::Absent(Name::AcsTriples, below, Event::LateOk(j, k)) => {
+                self.acs2.push((j, below.to_vec(), Err(k)));
             }
             _ => {}
         }

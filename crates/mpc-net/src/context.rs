@@ -129,6 +129,12 @@ pub struct Context<'a, M> {
     pub now: Time,
     /// The publicly known synchronous delay bound `Δ`.
     pub delta: Time,
+    /// Set by an instance that, while this event is handled, leaves
+    /// something in its own state for the instances it is nested in to
+    /// collect (the protocol tower's late votes). They look for it only
+    /// when this is set, so an event that leaves nothing costs them a test.
+    /// A context lives for one event, and so does the mark.
+    pub collect: bool,
     path: InlinePath,
     /// Interned `Arc` of the current `path`, built lazily on the first
     /// effect and reused until [`Context::scoped`] changes the path — a
@@ -157,6 +163,7 @@ impl<'a, M> Context<'a, M> {
             n,
             now,
             delta,
+            collect: false,
             path: InlinePath::new(),
             path_arc: None,
             effects,

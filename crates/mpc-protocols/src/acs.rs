@@ -84,8 +84,10 @@ impl Acs {
     /// `true` once `CS` is agreed *and* this party holds shares from every
     /// member of `CS`.
     pub fn ready(&self) -> bool {
-        let cs = self.common_subset.as_ref();
-        cs.is_some_and(|cs| cs.iter().all(|&j| self.shares_from(j).is_some()))
+        match &self.common_subset {
+            Some(cs) => cs.iter().all(|&j| self.shares_from(j).is_some()),
+            None => false,
+        }
     }
 
     /// The step after the start timer or a child's progress; returns

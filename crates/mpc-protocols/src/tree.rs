@@ -591,9 +591,6 @@ mod tests {
         );
     }
 
-    /// A sender casts at most `n` late votes per board, one per batch at
-    /// worst, so each `Batch` family holds `n` senders × `n · boards` slots:
-    /// as many as the `n²` update A-casts of every board it replaces.
     /// The vote boards of an instance of `kind`'s tree, counted: one per
     /// instance that declares a `Votes` family.
     fn count_boards(kind: &Kind, n: usize) -> usize {
@@ -603,6 +600,9 @@ mod tests {
         own + kind.spans(n).map(below).sum::<usize>()
     }
 
+    /// A sender casts at most `n` late votes per board, one per batch at
+    /// worst, so each `Batch` family holds `n` senders × `n · boards` slots:
+    /// as many as the `n²` update A-casts of every board it replaces.
     #[test]
     fn each_batch_family_has_a_slot_per_sender_and_late_vote() {
         for n in [4, 5, 8] {

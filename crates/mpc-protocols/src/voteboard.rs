@@ -73,8 +73,10 @@ pub(crate) struct OkGraph {
 
 impl OkGraph {
     fn new(n: usize) -> Self {
-        let (ok, graph) = (vec![false; n * n], ConsistencyGraph::new(n));
-        OkGraph { ok, graph }
+        OkGraph {
+            ok: vec![false; n * n],
+            graph: ConsistencyGraph::new(n),
+        }
     }
 
     /// Adds party `j`'s `OK` about party `k`; returns whether it is new (a
@@ -241,9 +243,8 @@ pub(crate) const TIMER_FLUSH: u64 = 14;
 /// next slot of the root's `Batch` family. So each party A-casts at most one
 /// batch per tick, whatever the root's kind. Any other holder's is an
 /// outbox, which [`route`] empties into its parent's after routing an event
-/// to it; [`Kind::route`] drops a batch addressed below the root. Build it
-/// with [`LateVotes::new`]: its `Default` has threshold 0.
-#[derive(Debug, Default)]
+/// to it; [`Kind::route`] drops a batch addressed below the root.
+#[derive(Debug)]
 pub struct LateVotes {
     /// The threshold of the batch A-casts.
     t: usize,
@@ -262,16 +263,23 @@ pub struct LateVotes {
 impl LateVotes {
     /// An empty channel whose batches are A-cast at threshold `t`.
     pub fn new(t: usize) -> Self {
-        let empty = LateVotes::default();
-        LateVotes { t, ..empty }
+        LateVotes {
+            t,
+            pending: Vec::new(),
+            sent: 0,
+            slots: Vec::new(),
+        }
     }
 
     /// Posts `votes`, whose boards are numbered from `first` among the
-    /// holder's; at the root, the first since the last flush arms the flush.
+    /// holder's, and marks the event for the holders above
+    /// ([`Context::collect`]); at the root, the first since the last flush
+    /// arms the flush.
     fn post(&mut self, ctx: &mut Context<'_, Msg>, votes: &[u32], first: usize) {
         if self.pending.is_empty() && ctx.path().is_empty() {
             ctx.set_timer(0, TIMER_FLUSH);
         }
+        ctx.collect = true;
         let shift = (first * ctx.n) as u32;
         self.pending.extend(votes.iter().map(|vote| vote + shift));
     }
@@ -291,10 +299,10 @@ impl LateVotes {
 /// ([`Node::late`]), then the late-vote step: the one owner path of every
 /// holder kind.
 ///
-/// - After an event at a child that holds late votes, the child's posts move
-///   into `node`'s, numbered past the boards before that child
-///   (`Kind::first_board`). Taking an empty outbox moves and allocates
-///   nothing, so a synchronous run, which casts no late vote, pays a check.
+/// - After an event at a child that holds late votes, if the event posted
+///   one ([`Context::collect`]), the child's posts move into `node`'s,
+///   numbered past the boards before that child (`Kind::first_board`). An
+///   event that posted none, as in every synchronous run, pays that test.
 /// - At the root, the flush timer A-casts what was posted since the last
 ///   flush as one batch, in this party's next slot.
 /// - At the root, a delivered batch goes to its boards: each vote as an
@@ -327,7 +335,9 @@ pub fn route<'p, 'm>(
             return Routed::Dropped;
         }
         Routed::Child(Name::Batch, index, true) => index,
-        Routed::Child(name @ (Name::Wps | Name::Vss | Name::AcsInput | Name::AcsTriples), i, _) => {
+        Routed::Child(name @ (Name::Wps | Name::Vss | Name::AcsInput | Name::AcsTriples), i, _)
+            if ctx.collect =>
+        {
             let outbox = node.child(name, i).and_then(|child| child.late());
             let votes = outbox.map(|outbox| std::mem::take(&mut outbox.pending));
             if let (Some(votes), Some(late)) = (votes.filter(|v| !v.is_empty()), node.late()) {
