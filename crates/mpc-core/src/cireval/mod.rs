@@ -840,7 +840,7 @@ mod tests {
     /// Runs five parties on the packed engine at width 2 under `cfg`, with
     /// `scheduler` if one is given; party 4 garbles its deals. The four
     /// honest parties must all fall back to the scalar path and output the
-    /// product of the inputs, party 4's included.
+    /// product of the inputs of `CS₁`, which holds party 4's.
     fn check_garbled_deals_fall_back(
         params: Params,
         cfg: NetConfig,
@@ -856,7 +856,8 @@ mod tests {
                 Box::new(p) as Box<dyn Protocol<Msg>>
             })
             .collect();
-        let (corrupt, label) = (CorruptionSet::new(vec![4]), format!("{cfg:?}"));
+        let label = format!("{cfg:?}, own scheduler: {}", scheduler.is_some());
+        let corrupt = CorruptionSet::new(vec![4]);
         let mut sim = match scheduler {
             None => Simulation::new(cfg, corrupt, parties),
             Some(scheduler) => Simulation::with_scheduler(cfg, corrupt, scheduler, parties),
@@ -869,7 +870,10 @@ mod tests {
         assert!(done, "{label}: honest parties must terminate");
         for i in 0..4 {
             let p = sim.party_as::<CirEval>(i).unwrap();
-            assert_eq!(p.output.unwrap().as_u64(), 3 * 5 * 7 * 2 * 4);
+            let cs1 = p.input_subset.as_ref().unwrap();
+            let counted = |(j, &x): (usize, &u64)| if cs1.contains(&j) { x } else { 0 };
+            let product: u64 = inputs.iter().enumerate().map(counted).product();
+            assert_eq!(p.output.unwrap().as_u64(), product, "{label}: party {i}");
             assert!(p.packed_fell_back, "party {i} must have fallen back");
             assert!(p.packed.is_none(), "party {i} dropped the packed state");
             assert!(p.input_subset.as_ref().unwrap().contains(&4));
@@ -902,15 +906,53 @@ mod tests {
         }
     }
 
-    /// The same fallback on an asynchronous network, where the reports
-    /// reach each party at its own time, and so do the late votes of the
-    /// parties that launched ACS #2 first.
+    /// An asynchronous schedule on which party 0 hears nothing sent to it
+    /// before tick `until` until `hold` ticks after it.
+    struct LateToParty0 {
+        until: Time,
+        hold: Time,
+        inner: mpc_net::UniformDelay,
+    }
+
+    impl Scheduler for LateToParty0 {
+        fn delay(
+            &mut self,
+            from: PartyId,
+            to: PartyId,
+            now: Time,
+            rng: &mut rand::rngs::StdRng,
+        ) -> Time {
+            let delay = self.inner.delay(from, to, now, rng);
+            if to == 0 && from != 0 && now < self.until {
+                delay + self.until + self.hold - now
+            } else {
+                delay
+            }
+        }
+    }
+
+    /// The same fallback on an asynchronous network. Under [`LateToParty0`]
+    /// the others fall back (near tick 2 100 at these seeds), run ACS #2
+    /// and A-cast late votes for its boards while party 0 is still in
+    /// packed mode: its engine holds them, and without the hold party 0
+    /// never terminates. Party 0 is left out of `CS₁` there, so its input
+    /// counts as 0.
     #[test]
     fn packed_garbling_dealer_falls_back_on_an_asynchronous_network() {
         let params = Params::new(5, 1, 1, 10);
+        let inner = mpc_net::UniformDelay {
+            min: 1,
+            max: 5 * params.delta,
+        };
         for seed in [1, 2] {
             let cfg = NetConfig::asynchronous(params.n).with_seed(seed);
-            check_garbled_deals_fall_back(params, cfg, None);
+            check_garbled_deals_fall_back(params, cfg.clone(), None);
+            let late = LateToParty0 {
+                until: 2_200,
+                hold: 5_000,
+                inner: inner.clone(),
+            };
+            check_garbled_deals_fall_back(params, cfg, Some(Box::new(late)));
         }
     }
 
