@@ -64,7 +64,7 @@ use mpc_algebra::{Fp, Polynomial};
 use mpc_net::{Context, PartyId, PathSlice, Time};
 use mpc_protocols::acs::{Acs, ACS};
 use mpc_protocols::tree::{Card, Event, Family, Kind, Name, Node, Routed};
-use mpc_protocols::{acast::ACAST, voteboard, Msg, Params};
+use mpc_protocols::{acast::ACAST, sba::SBA, voteboard, Msg, Params};
 
 use self::layers::Layers;
 use self::packed::{Deals, Packed};
@@ -75,13 +75,15 @@ use crate::openings::OpeningManager;
 
 /// The input-sharing `Π_ACS`, then the triple-sharing one (absent in
 /// packed mode until a fallback launches it), then the late-vote batches of
-/// the `2n(n + 1)` vote boards of both.
+/// the `2n(n + 1)` vote boards of both and the SBA clusters of their
+/// `8n + 6n²` `Π_BC`s.
 pub static CIREVAL: Kind = Kind::new(
     "CirEval",
     &[
         Family::new(Name::AcsInput, &ACS, Card::One),
         Family::new(Name::AcsTriples, &ACS, Card::One),
         Family::new(Name::Batch, &ACAST, Card::Batch([0, 2, 2])),
+        Family::new(Name::Sba, &SBA, Card::Clusters([0, 8, 6])),
     ],
 );
 
@@ -217,8 +219,8 @@ pub struct CirEval {
     my_input: Fp,
     acs_input: Option<Acs>,
     acs_triples: Option<Acs>,
-    /// The late-vote channel of both `Π_ACS`.
-    late: voteboard::LateVotes,
+    /// The late-vote channel of both `Π_ACS` and the SBA clusters.
+    side: voteboard::Side,
     openings: OpeningManager,
     phase: Phase,
     /// ACS #2's layout (`Π_TripSh`).
@@ -278,7 +280,7 @@ impl CirEval {
             my_input,
             acs_input: None,
             acs_triples: None,
-            late: voteboard::LateVotes::new(params.ts),
+            side: voteboard::Side::new(params.ts),
             openings: OpeningManager::new(),
             phase: Phase::AwaitAcs,
             per_gate_openings: false,
@@ -551,7 +553,10 @@ impl Node for CirEval {
                     vote.get_or_insert(y);
                 }
             }
-            Routed::Child(_, _, false) | Routed::Dropped => return false,
+            // A round message for an SBA cluster that is not live is dropped.
+            Routed::Child(_, _, false) | Routed::Dropped | Routed::Absent(Name::Sba, ..) => {
+                return false
+            }
             routed => {
                 if let Some(packed) = self.packed.as_mut() {
                     packed.on_routed(routed);
@@ -571,8 +576,8 @@ impl Node for CirEval {
         Some(acs.as_mut()?)
     }
 
-    fn late(&mut self) -> Option<&mut voteboard::LateVotes> {
-        Some(&mut self.late)
+    fn side(&mut self) -> Option<&mut voteboard::Side> {
+        Some(&mut self.side)
     }
 }
 
@@ -1449,8 +1454,10 @@ mod tests {
     }
 
     /// The `Batch` family of the root: `n` senders × `n` late votes per
-    /// board, over the boards of both `Π_ACS`, declared last so that no
-    /// other segment moved; and its boards, named once each, depth first.
+    /// board, over the boards of both `Π_ACS`, declared after them so that
+    /// no other segment moved; and its boards, named once each, depth first.
+    /// The SBA clusters come after it, one per `Π_BC` of both `Π_ACS` at
+    /// most.
     #[test]
     fn the_root_batch_family_covers_the_boards_of_both_acs() {
         for n in [4, 5, 8] {
@@ -1463,7 +1470,12 @@ mod tests {
             assert_eq!(first, 2, "after AcsInput and AcsTriples");
             let last = first + size as u32 - 1;
             assert!(CIREVAL.describe(n, &[last]).is_some(), "n = {n}");
-            assert_eq!(CIREVAL.describe(n, &[last + 1]), None, "n = {n}");
+            let cluster = |k: u32| CIREVAL.describe(n, &[last + 1 + k]);
+            assert_eq!(cluster(0).as_deref(), Some("CirEval/Sba[0]"), "n = {n}");
+            let clusters = (8 * n + 6 * n * n) as u32;
+            let name = format!("CirEval/Sba[{}]", clusters - 1);
+            assert_eq!(cluster(clusters - 1), Some(name), "n = {n}");
+            assert_eq!(cluster(clusters), None, "n = {n}");
             let mut paths: Vec<Vec<u32>> = (0..boards)
                 .map(|index| CIREVAL.board_path(n, index).expect("a board"))
                 .collect();
@@ -1479,6 +1491,204 @@ mod tests {
             paths.dedup();
             assert_eq!(paths.len(), boards, "n = {n}");
             assert_eq!(CIREVAL.board_path(n, boards), None);
+        }
+    }
+
+    /// An honest n = 4 evaluation runs exactly 7 SBA clusters at every
+    /// party, on both network kinds: one per start tick of its `Π_BC`s,
+    /// each shared by both `Π_ACS`. Every SBA message goes to a cluster at
+    /// the root; none is addressed below a `Π_BC`.
+    #[test]
+    fn an_evaluation_runs_one_sba_cluster_per_start_tick() {
+        use mpc_net::TranscriptEvent;
+        use std::collections::BTreeSet;
+
+        let params = Params::new(4, 1, 0, NetConfig::DEFAULT_DELTA);
+        let circuit = Circuit::product_of_inputs(4);
+        let expected: BTreeSet<String> = (0..7).map(|k| format!("CirEval/Sba[{k}]")).collect();
+        for kind in [NetworkKind::Synchronous, NetworkKind::Asynchronous] {
+            let parties = [3u64, 5, 7, 11]
+                .iter()
+                .map(|&x| {
+                    let party = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                    Box::new(party) as Box<dyn Protocol<Msg>>
+                })
+                .collect();
+            let cfg = NetConfig::for_kind(params.n, kind).with_seed(77);
+            let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties);
+            sim.record_transcript();
+            let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+            let output = |s: &Simulation<Msg>, i| s.party_as::<CirEval>(i).unwrap().output;
+            let done = sim.run_until(horizon, |s| (0..params.n).all(|i| output(s, i).is_some()));
+            assert!(done, "{kind:?}: no output before the horizon");
+            let mut clusters = vec![BTreeSet::new(); params.n];
+            for entry in sim.transcript() {
+                let TranscriptEvent::Deliver { path, .. } = &entry.event else {
+                    continue;
+                };
+                let name = CIREVAL.describe(params.n, path).expect("an instance");
+                if name.contains("Sba") {
+                    assert!(name.starts_with("CirEval/Sba["), "{kind:?}: {name}");
+                    clusters[entry.party].insert(name);
+                }
+            }
+            for (party, names) in clusters.iter().enumerate() {
+                assert_eq!(names, &expected, "{kind:?}: party {party}");
+            }
+        }
+    }
+
+    /// The id of [`ClusterFlood`]'s timers, which its evaluation never sees.
+    const TIMER_FLOOD: u64 = 0x46_4c_44;
+
+    /// Messages with the paths they are delivered at.
+    type Flood = Vec<(Vec<u32>, Msg)>;
+
+    /// Party 1 of an honest n = 4 evaluation, fed each flood of SBA-cluster
+    /// traffic from party 3 at its tick. It records, per flood, whether the
+    /// evaluation's side channels, its `Π_ACS` or its `await-acs` steps
+    /// changed.
+    struct ClusterFlood {
+        inner: CirEval,
+        floods: Vec<(Time, Flood)>,
+        changed: Vec<bool>,
+    }
+
+    impl Protocol<Msg> for ClusterFlood {
+        fn init(&mut self, ctx: &mut Context<'_, Msg>) {
+            for &(at, _) in &self.floods {
+                ctx.set_timer(at, TIMER_FLOOD);
+            }
+            Protocol::init(&mut self.inner, ctx);
+        }
+        fn on_message(
+            &mut self,
+            ctx: &mut Context<'_, Msg>,
+            from: PartyId,
+            path: PathSlice<'_>,
+            msg: Msg,
+        ) {
+            self.inner.on_message(ctx, from, path, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, id: u64) {
+            if !path.is_empty() || id != TIMER_FLOOD {
+                return self.inner.on_timer(ctx, path, id);
+            }
+            let state = |p: &CirEval| {
+                let acs = (&p.acs_input, &p.acs_triples, p.await_steps);
+                format!("{:?} {acs:?}", p.side)
+            };
+            let before = state(&self.inner);
+            let flood = self.floods[self.changed.len()].1.clone();
+            for (path, msg) in flood {
+                self.inner.on_message(ctx, 3, &path, msg);
+            }
+            self.changed.push(state(&self.inner) != before);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Round messages for an SBA cluster that does not exist, has not
+    /// started or has finished, for a far-future cluster, below a cluster,
+    /// or of the wrong length or phase for a live one, are all dropped at
+    /// the root: no panic, no state, no evaluation step. A well-formed one
+    /// for a live cluster is tallied, and the evaluation still ends with
+    /// the right output.
+    #[test]
+    fn hostile_cluster_traffic_at_the_root_is_dropped() {
+        use mpc_protocols::{BcValue, SbaMsg};
+
+        let params = Params::new(4, 1, 0, NetConfig::DEFAULT_DELTA);
+        let (n, t, delta) = (params.n, params.ts as u32, params.delta);
+        // Cluster 0 is the vote round of every `Π_WPS`: started at 3Δ, its
+        // round 1 at 6Δ, its last phase over at 6Δ + T_BGP; its slots are
+        // the n votes of the n² `Π_WPS` of both `Π_ACS`. Cluster 1 starts
+        // at 3Δ + T_BC.
+        let (live, done) = (7 * delta, 7 * delta + params.t_bgp());
+        let k = 2 * n * n * n;
+        let cluster = |ordinal: usize| vec![CIREVAL.segment(n, Name::Sba, ordinal)];
+        let round1 = |phase: u32, len: usize| {
+            let values = vec![Some(BcValue::Bit(true)); len];
+            Msg::Sba(SbaMsg::Round1Slots { phase, values })
+        };
+        let clusters = 8 * n + 6 * n * n;
+        let mut hostile = Vec::new();
+        for path in [cluster(1), cluster(clusters - 1), cluster(clusters)] {
+            hostile.push((path, round1(1, k)));
+        }
+        hostile.push((vec![u32::MAX], round1(1, k)));
+        hostile.push(([cluster(0), vec![7]].concat(), round1(1, k)));
+        for len in [0, 1, k - 1, k + 1] {
+            hostile.push((cluster(0), round1(1, len)));
+            let candidates = vec![Some(Some(BcValue::Bit(true))); len];
+            let round2 = SbaMsg::Round2Slots {
+                phase: 1,
+                candidates,
+            };
+            hostile.push((cluster(0), Msg::Sba(round2)));
+        }
+        for phase in [t + 1, u32::MAX] {
+            hostile.push((cluster(0), round1(phase, k)));
+        }
+        let scalar = SbaMsg::Round1 {
+            phase: 1,
+            value: Some(BcValue::Bit(true)),
+        };
+        hostile.push((cluster(0), Msg::Sba(scalar)));
+        // Party 3 is no king of phase 0 or 1.
+        let king = SbaMsg::KingSlots {
+            phase: 1,
+            values: vec![Some(BcValue::Bit(true)); k],
+        };
+        hostile.push((cluster(0), Msg::Sba(king)));
+        // Party 3's own round-1 entries of phase 1, early: tallied.
+        let well_formed = vec![(cluster(0), round1(1, k))];
+        let finished = vec![(cluster(0), round1(0, k)), (cluster(0), round1(1, k))];
+
+        let circuit = Circuit::product_of_inputs(n);
+        let inputs = [3u64, 5, 7, 11];
+        let parties = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let party = CirEval::new(params, circuit.clone(), Fp::from_u64(x));
+                if i != 1 {
+                    return Box::new(party) as Box<dyn Protocol<Msg>>;
+                }
+                let floods = [(live, hostile.clone()), (live, well_formed.clone())];
+                Box::new(ClusterFlood {
+                    inner: party,
+                    floods: [&floods[..], &[(done, finished.clone())]].concat(),
+                    changed: Vec::new(),
+                })
+            })
+            .collect();
+        let cfg = NetConfig::synchronous(n);
+        let mut sim = Simulation::new(cfg, CorruptionSet::none(), parties);
+        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+        let output = |s: &Simulation<Msg>, i| match i {
+            1 => s.party_as::<ClusterFlood>(i).unwrap().inner.output,
+            _ => s.party_as::<CirEval>(i).unwrap().output,
+        };
+        let done = sim.run_until(horizon, |s| (0..n).all(|i| output(s, i).is_some()));
+        assert!(done, "no output before the horizon");
+        let flood = sim.party_as::<ClusterFlood>(1).unwrap();
+        assert_eq!(
+            flood.changed,
+            [false, true, false],
+            "hostile, tallied, finished"
+        );
+        for i in 0..n {
+            assert_eq!(
+                output(&sim, i),
+                Some(Fp::from_u64(3 * 5 * 7 * 11)),
+                "party {i}"
+            );
         }
     }
 
@@ -1588,7 +1798,7 @@ mod tests {
         let late_votes = n * CIREVAL.boards(n); // per sender: n per board
         assert_eq!(late_votes, 160);
         let boards = |p: &CirEval| format!("{:?} {:?}", p.acs_input, p.acs_triples);
-        let slots = |p: &CirEval| format!("{:?}", p.late).matches("Some(Acast").count();
+        let slots = |p: &CirEval| format!("{:?}", p.side).matches("Some(Acast").count();
         let ok = |board: usize, k: usize| (board * n + k) as u32;
         // Boards 0..20 are `AcsInput`'s, 20..40 `AcsTriples`'; board 21 is
         // `AcsTriples/Vss[0]/Wps[0]`'s.
@@ -1620,14 +1830,14 @@ mod tests {
             assert_eq!(boards(&party), folded, "batch {k}");
             assert_eq!(slots(&party), k + 1, "batch {k}: its own slot only");
         }
-        let table = format!("{:?}", party.late);
+        let table = format!("{:?}", party.side);
         let fresh = BcValue::VoteBatch(vec![ok(triples_wps, 0)]);
         // A slot past the family's end is a stray path: dropped by routing.
         deliver_batch_at(&mut party, root, late_votes, fresh.clone());
         // So is a batch addressed to the channel of a `Π_ACS` below the root.
         deliver_batch_at(&mut party, (&[1], &ACS), 0, fresh);
         assert_eq!(boards(&party), folded);
-        assert_eq!(format!("{:?}", party.late), table, "no slot grew");
+        assert_eq!(format!("{:?}", party.side), table, "no slot grew");
     }
 
     /// In packed mode ACS #2 is absent until a fallback launches it, and a

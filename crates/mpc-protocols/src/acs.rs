@@ -9,7 +9,7 @@
 //! `init`-ed at `T_VSS` (DESIGN.md "Timed children exist from
 //! construction"). The late votes of its `Π_VSS`s go to the root's
 //! late-vote channel: its own when it is the root, its parent's otherwise
-//! (`voteboard::LateVotes`).
+//! (`voteboard::Side`).
 
 use mpc_algebra::{Fp, Polynomial};
 use mpc_net::{Context, PartyId, PathSlice, Time};
@@ -17,19 +17,22 @@ use mpc_net::{Context, PartyId, PathSlice, Time};
 use crate::ba::{Ba, BA};
 use crate::msg::Msg;
 use crate::params::Params;
+use crate::sba::SBA;
 use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
-use crate::voteboard::{self, LateVotes};
+use crate::voteboard::{self, Side};
 use crate::vss::{Vss, VSS};
 
 /// Dealer `j`'s `Π_VSS`, then the `Π_BA` deciding whether `j` is in `CS`,
 /// then the late-vote batches of the `n · (n + 1)` vote boards of the
-/// `Π_VSS`s, which only a root `Π_ACS` holds.
+/// `Π_VSS`s and the SBA clusters of the `4n + 3n²` `Π_BC`s below, which
+/// only a root `Π_ACS` holds.
 pub static ACS: Kind = Kind::new(
     "Acs",
     &[
         Family::new(Name::Vss, &VSS, Card::N),
         Family::new(Name::Ba, &BA, Card::N),
         Family::new(Name::Batch, &crate::acast::ACAST, Card::Batch([0, 1, 1])),
+        Family::new(Name::Sba, &SBA, Card::Clusters([0, 4, 3])),
     ],
 );
 
@@ -43,9 +46,9 @@ pub struct Acs {
     vss: Vec<Vss>,
     bas: Vec<Ba>,
     bas_started: bool,
-    /// The late votes of every `Π_VSS` and `Π_WPS` below: the channel at
-    /// the root, else an outbox.
-    late: LateVotes,
+    /// The late votes of every `Π_VSS` and `Π_WPS` below (the channel at
+    /// the root, else an outbox) and the root's SBA clusters.
+    side: Side,
     /// The agreed common subset of dealers, once all `n` BA instances decided.
     pub common_subset: Option<Vec<PartyId>>,
     /// Local time at which `CS` was fixed.
@@ -67,7 +70,7 @@ impl Acs {
                 .map(|_| Ba::new(params.ts, params, None))
                 .collect(),
             bas_started: false,
-            late: LateVotes::new(params.ts),
+            side: Side::new(params.ts),
             common_subset: None,
             output_at: None,
             #[cfg(test)]
@@ -163,8 +166,8 @@ impl Node for Acs {
         }
     }
 
-    fn late(&mut self) -> Option<&mut LateVotes> {
-        Some(&mut self.late)
+    fn side(&mut self) -> Option<&mut Side> {
+        Some(&mut self.side)
     }
 }
 
@@ -291,13 +294,13 @@ mod tests {
             assert_eq!(boards(&acs), folded, "batch {k}");
             k += 1;
         }
-        let table = acs.late.table_len();
+        let table = acs.side.table_len();
         assert_eq!(table, (k - 1) * n + 4, "sender 3's slots 0..k");
         // A slot past the family's end is a stray path: dropped by routing.
         let fresh = BcValue::VoteBatch(vec![ok(vss2, 0)]);
         deliver_batch_at(&mut acs, late_votes, fresh);
         assert_eq!(boards(&acs), folded);
-        assert_eq!(acs.late.table_len(), table, "no slot past the family");
+        assert_eq!(acs.side.table_len(), table, "no slot past the family");
         assert!(table <= slots);
     }
 

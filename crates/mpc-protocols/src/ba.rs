@@ -8,7 +8,8 @@
 //! a synchronous network and a perfectly-secure ABA in an asynchronous one.
 //!
 //! The `n` broadcasts all start in [`Ba::init`], so they run as one
-//! lock-step [`Bc`] group: `n` A-casts, one `n`-slot SBA.
+//! lock-step [`Bc`] group: `n` A-casts, whose `n` slots take part in one
+//! SBA cluster of the root.
 //!
 //! Children: [`BA`] (DESIGN.md "Instance tree"). Both exist from
 //! construction; the `Π_ABA` is `init`-ed at `T_BC` and tallies what arrives
@@ -17,22 +18,25 @@
 use mpc_net::{Context, PathSlice, Time};
 
 use crate::aba::{Aba, ABA};
-use crate::bc::{Bc, BC_GROUP};
+use crate::bc::{Bc, BC};
 use crate::msg::{BcValue, Msg};
 use crate::params::Params;
+use crate::sba::SBA;
 use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
+use crate::voteboard::{self, Side};
 
 /// The input broadcast group, then the `Π_ABA` at segment `n` (where it was
 /// when the broadcasts occupied `0..n`: the common coin is derived from the
-/// instance path).
+/// instance path), then the SBA clusters, which only a root `Π_BA` holds.
 pub static BA: Kind = Kind::new(
     "Ba",
     &[
-        Family::new(Name::Bc, &BC_GROUP, Card::One),
+        Family::new(Name::Bc, &BC, Card::One),
         Family {
             at: Some(Card::N),
             ..Family::new(Name::Aba, &ABA, Card::One)
         },
+        Family::new(Name::Sba, &SBA, Card::Clusters([1, 0, 0])),
     ],
 );
 
@@ -54,6 +58,8 @@ pub struct Ba {
     pub output: Option<bool>,
     /// Local time the output was obtained.
     pub output_at: Option<Time>,
+    /// The side channels, live when this instance is the root.
+    side: Side,
 }
 
 impl Ba {
@@ -70,6 +76,7 @@ impl Ba {
             aba_started: false,
             output: None,
             output_at: None,
+            side: Side::new(params.ts),
         }
     }
 
@@ -130,7 +137,7 @@ impl Node for Ba {
 
     /// Progress is the output appearing.
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
-        match BA.route(self, ctx, path, ev) {
+        match voteboard::route(self, &BA, ctx, path, ev) {
             Routed::Child(Name::Aba, _, true) => self.check_output(ctx.now),
             Routed::Own(Event::Timer(TIMER_START_ABA)) => {
                 // Determine the set R of senders whose broadcast produced a
@@ -161,6 +168,10 @@ impl Node for Ba {
             Name::Bc => Some(&mut self.bcs),
             _ => Some(&mut self.aba),
         }
+    }
+
+    fn side(&mut self) -> Option<&mut Side> {
+        Some(&mut self.side)
     }
 }
 

@@ -17,43 +17,44 @@
 //! A [`Bc`] runs `k ≥ 1` such broadcasts **in lock-step**: `k` broadcasts
 //! that every party starts at the same local time hit `3Δ` and `T_BC`
 //! together, so they keep one A-cast each (slot `s` = the A-cast of the
-//! `s`-th sender) but share ONE slot-wise [`Sba`] and one pair of timers.
-//! The regular/fallback rule above is applied per slot. `k = 1` is the lone
-//! broadcast of a dealer's `(W, E, F)`; `k = n` (every party a sender) is
-//! the input round of `Π_BA` and the vote round of `Π_WPS`/`Π_VSS`. See
-//! DESIGN.md "Lock-step broadcast groups".
+//! `s`-th sender) and share one pair of timers. The regular/fallback rule
+//! above is applied per slot. `k = 1` is the lone broadcast of a dealer's
+//! `(W, E, F)`; `k = n` (every party a sender) is the input round of `Π_BA`
+//! and the vote round of `Π_WPS`/`Π_VSS`.
 //!
-//! Children: [`BC`] (a lone broadcast) and [`BC_GROUP`] (DESIGN.md
-//! "Instance tree").
+//! A `Bc` runs no SBA of its own. Its slots are slots of the SBA cluster the
+//! root of the instance tree runs for every `Π_BC` started at the same tick
+//! (`sba::Clusters`): at `3Δ` the root reads its slots' inputs
+//! ([`Bc::sba_inputs`]), and by its `T_BC` timer the root hands down their
+//! agreed values as an [`Event::Agreed`]. See DESIGN.md "Lock-step broadcast
+//! groups".
+//!
+//! Children: [`BC`] (DESIGN.md "Instance tree").
 
 use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::acast::{Acast, ACAST};
 use crate::msg::{BcValue, Msg, SbaValue};
 use crate::params::Params;
-use crate::sba::{Sba, SBA};
+use crate::sba::SBA;
 use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
+use crate::voteboard::{self, Side};
 
-/// A lone broadcast: its A-cast, then the SBA.
+/// The broadcasts' A-casts in slot order (a lone broadcast is slot 0), then
+/// the SBA clusters, which only a root `Π_BC` holds.
 pub static BC: Kind = Kind::new(
     "Bc",
     &[
-        Family::new(Name::Acast, &ACAST, Card::One),
-        Family::new(Name::Sba, &SBA, Card::One),
-    ],
-);
-
-/// A lock-step group of `n` broadcasts: the A-casts in slot order, then the
-/// one SBA they share.
-pub static BC_GROUP: Kind = Kind::new(
-    "Bc",
-    &[
         Family::new(Name::Acast, &ACAST, Card::N),
-        Family::new(Name::Sba, &SBA, Card::One),
+        Family::new(Name::Sba, &SBA, Card::Clusters([1, 0, 0])),
     ],
 );
 
-const TIMER_START_SBA: u64 = 1;
+/// At `3Δ`: the root starts the SBA cluster and reads the slots' inputs.
+/// No other instance uses this id, so that the root's step does not walk the
+/// tree on other timers.
+pub(crate) const TIMER_START_SBA: u64 = 0x53_42_41;
+/// At `T_BC`: the root has handed down the agreed values by the end of it.
 const TIMER_REGULAR: u64 = 2;
 
 /// A slot's SBA input and agreed value meaning "the A-cast has delivered"
@@ -124,45 +125,41 @@ impl BcSlot {
 /// module docs); slot `s` is the broadcast of party `first_sender + s`.
 #[derive(Debug)]
 pub struct Bc {
-    /// [`BC`] or [`BC_GROUP`].
-    kind: &'static Kind,
     first_sender: PartyId,
     params: Params,
     slots: Vec<BcSlot>,
-    /// Created up front so that round messages of peers that started earlier
-    /// are tallied on arrival: what it keeps is bounded by construction (one
-    /// message per sender, phase and round), unlike a replay buffer.
-    sba: Sba,
+    /// The local time of `3Δ`, from `init` on: the tick of round 1 of the
+    /// root's SBA cluster this instance belongs to.
+    pub(crate) round1: Option<Time>,
+    /// The side channels, live when this instance is the root.
+    side: Side,
 }
 
 impl Bc {
     fn with_acasts(
-        kind: &'static Kind,
         first_sender: PartyId,
-        t: usize,
         params: Params,
         acasts: impl Iterator<Item = Acast>,
     ) -> Self {
-        let slots: Vec<BcSlot> = acasts.map(BcSlot::new).collect();
         Bc {
-            kind,
             first_sender,
             params,
-            sba: Sba::with_slots(params.n, t, vec![None; slots.len()]),
-            slots,
+            slots: acasts.map(BcSlot::new).collect(),
+            round1: None,
+            side: Side::new(params.ts),
         }
     }
 
     /// Creates a participant instance of a lone broadcast by `sender`.
     pub fn new(sender: PartyId, t: usize, params: Params) -> Self {
         let acast = Acast::new(sender, params.n, t);
-        Self::with_acasts(&BC, sender, t, params, std::iter::once(acast))
+        Self::with_acasts(sender, params, std::iter::once(acast))
     }
 
     /// Creates the sender-side instance of a lone broadcast with its input.
     pub fn new_sender(sender: PartyId, t: usize, params: Params, input: BcValue) -> Self {
         let acast = Acast::new_sender(sender, params.n, t, input);
-        Self::with_acasts(&BC, sender, t, params, std::iter::once(acast))
+        Self::with_acasts(sender, params, std::iter::once(acast))
     }
 
     /// Creates a lock-step group in which every party broadcasts (slot `j` =
@@ -170,7 +167,7 @@ impl Bc {
     /// [`Bc::provide_input`].
     pub fn new_group(t: usize, params: Params) -> Self {
         let acasts = (0..params.n).map(|j| Acast::new(j, params.n, t));
-        Self::with_acasts(&BC_GROUP, 0, t, params, acasts)
+        Self::with_acasts(0, params, acasts)
     }
 
     /// Supplies this party's input after creation (a late sender misses the
@@ -180,9 +177,8 @@ impl Bc {
         let Some(slot) = ctx.me.checked_sub(self.first_sender) else {
             return;
         };
-        let kind = self.kind;
         if let Some(state) = self.slots.get_mut(slot) {
-            kind.scoped(ctx, Name::Acast, slot, |ctx| {
+            BC.scoped(ctx, Name::Acast, slot, |ctx| {
                 state.acast.provide_input(ctx, input)
             });
         }
@@ -203,14 +199,21 @@ impl Bc {
     pub fn regular_value(&self) -> Option<&BcValue> {
         self.slots[0].regular_value()
     }
+
+    /// This party's SBA input per slot: "delivered" if the slot's A-cast has
+    /// delivered, else `⊥`. The root's cluster reads it at `3Δ`.
+    pub(crate) fn sba_inputs(&self) -> impl ExactSizeIterator<Item = SbaValue> + '_ {
+        let delivered = |s: &BcSlot| s.acast.output.as_ref().and(DELIVERED);
+        self.slots.iter().map(delivered)
+    }
 }
 
 impl Node for Bc {
     fn init(&mut self, ctx: &mut Context<'_, Msg>) {
-        let kind = self.kind;
         for (slot, state) in self.slots.iter_mut().enumerate() {
-            kind.scoped(ctx, Name::Acast, slot, |ctx| state.acast.init(ctx));
+            BC.scoped(ctx, Name::Acast, slot, |ctx| state.acast.init(ctx));
         }
+        self.round1 = Some(ctx.now + 3 * ctx.delta);
         ctx.set_timer(3 * ctx.delta, TIMER_START_SBA);
         ctx.set_timer(3 * ctx.delta + self.params.t_bgp(), TIMER_REGULAR);
     }
@@ -219,23 +222,14 @@ impl Node for Bc {
     /// the fallback, and any A-cast delivering (its output is the slot's
     /// input to the SBA and to the fallback rule).
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool {
-        match self.kind.route(self, ctx, path, ev) {
+        match voteboard::route(self, &BC, ctx, path, ev) {
             Routed::Child(Name::Acast, slot, true) => {
                 if let Some(state) = self.slots.get_mut(slot) {
                     state.check_fallback(ctx.now);
                 }
                 true
             }
-            Routed::Own(Event::Timer(TIMER_START_SBA)) => {
-                let delivered = |s: &BcSlot| s.acast.output.as_ref().and(DELIVERED);
-                let inputs = self.slots.iter().map(delivered).collect();
-                self.sba.set_inputs(inputs);
-                let (kind, sba) = (self.kind, &mut self.sba);
-                kind.scoped(ctx, Name::Sba, 0, |ctx| sba.init(ctx));
-                false
-            }
-            Routed::Own(Event::Timer(TIMER_REGULAR)) => {
-                let agreed = self.sba.outputs().unwrap_or(&[]);
+            Routed::Own(Event::Agreed(agreed)) => {
                 for (slot, state) in self.slots.iter_mut().enumerate() {
                     let agreed_delivered = agreed.get(slot) == Some(&DELIVERED);
                     let regular = state.acast.output.clone().filter(|_| agreed_delivered);
@@ -251,11 +245,16 @@ impl Node for Bc {
         }
     }
 
-    fn child(&mut self, name: Name, index: usize) -> Option<&mut dyn Node> {
-        match name {
-            Name::Acast => Some(&mut self.slots.get_mut(index)?.acast),
-            _ => Some(&mut self.sba),
-        }
+    fn child(&mut self, _: Name, index: usize) -> Option<&mut dyn Node> {
+        Some(&mut self.slots.get_mut(index)?.acast)
+    }
+
+    fn side(&mut self) -> Option<&mut Side> {
+        Some(&mut self.side)
+    }
+
+    fn bc(&mut self) -> Option<&mut Bc> {
+        Some(self)
     }
 }
 
@@ -599,56 +598,6 @@ mod tests {
                 assert_eq!(regular, None, "{label}");
                 assert_eq!(out, Some(value(9)), "{label}");
             }
-        }
-    }
-
-    /// SBA traffic that arrives before the local `3Δ` start used to pile up
-    /// in an unbounded replay buffer. It is now tallied on arrival, where a
-    /// sender gets one round-1 and one round-2 entry per slot and phase
-    /// `≤ t` (plus one proposal per phase it is king of), however much it
-    /// sends.
-    #[test]
-    fn early_sba_flood_is_bounded_per_sender() {
-        use crate::msg::SbaMsg;
-        use mpc_net::Effects;
-        use rand::{rngs::StdRng, SeedableRng};
-
-        let params = Params::new(7, 2, 0, 10);
-        let t = params.ts;
-        for mut bc in [Bc::new(0, t, params), Bc::new_group(t, params)] {
-            let k = bc.slots.len();
-            let sba_seg = bc.kind.segment(params.n, Name::Sba, 0);
-            let mut effects = Effects::new();
-            let mut rng = StdRng::seed_from_u64(0);
-            let mut ctx = Context::new(1, params.n, 0, params.delta, &mut effects, &mut rng, 0);
-            Node::init(&mut bc, &mut ctx);
-            let flooder = 2; // the king of phase 2
-            for i in 0..20_000u32 {
-                let value = |x: u32| Some(value(x as u64));
-                let phase = i % 7; // phases 3..7 do not exist
-                let msgs = [
-                    SbaMsg::Round1 {
-                        phase,
-                        value: value(i),
-                    },
-                    SbaMsg::Round1Slots {
-                        phase,
-                        values: vec![value(i); k],
-                    },
-                    SbaMsg::Round2Slots {
-                        phase,
-                        candidates: vec![Some(value(i)); k],
-                    },
-                    SbaMsg::KingSlots {
-                        phase,
-                        values: vec![value(i); k],
-                    },
-                ];
-                for msg in msgs {
-                    bc.on_message(&mut ctx, flooder, &[sba_seg], Msg::Sba(msg));
-                }
-            }
-            assert_eq!(bc.sba.stored_entries(), 2 * (t + 1) * k + 1, "k = {k}");
         }
     }
 }

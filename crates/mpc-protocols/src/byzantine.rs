@@ -131,7 +131,7 @@ mod tests {
             match ev {
                 Event::Message(from, msg) => self.inner.on_message_ref(ctx, from, path, msg),
                 Event::Timer(id) => self.inner.on_timer(ctx, path, id),
-                Event::LateOk(..) => {}
+                Event::LateOk(..) | Event::Agreed(_) => {}
             }
             false
         }

@@ -21,15 +21,18 @@
 //! and its own king adoption, so its output is exactly that of a one-slot
 //! instance fed the same per-slot messages (running phase-king on the vector
 //! as a single value would let one disputed slot void validity for the other
-//! `k − 1`). `k = 1` is the SBA of a lone `Π_BC` and speaks the scalar
-//! [`SbaMsg`] forms; `k > 1` is the SBA of a lock-step broadcast group (see
-//! DESIGN.md "Lock-step broadcast groups").
+//! `k − 1`). `k = 1` speaks the scalar [`SbaMsg`] forms.
+//!
+//! No `Π_BC` runs an SBA of its own: the root of the instance tree runs one
+//! **cluster** per start tick ([`Clusters`]), whose slots are those of every
+//! `Π_BC` below it that started at that tick, in path order (DESIGN.md
+//! "Lock-step broadcast groups").
 
 use mpc_net::{Context, PartyId, PathSlice, Time};
 
 use crate::msg::{Msg, SbaMsg, SbaValue};
 use crate::tally::tally;
-use crate::tree::{Event, Kind, Node, Routed};
+use crate::tree::{Event, Kind, Name, Node, Routed};
 
 /// An SBA in the instance tree: a leaf.
 pub static SBA: Kind = Kind::new("Sba", &[]);
@@ -84,14 +87,6 @@ impl Sba {
             phase_d: vec![None; k],
             output_at: None,
         }
-    }
-
-    /// Replaces the party's inputs. Meant for a parent that creates the
-    /// instance early so that round messages of faster peers are tallied as
-    /// they arrive, and learns its own inputs only when the protocol starts.
-    pub fn set_inputs(&mut self, inputs: Vec<SbaValue>) {
-        assert_eq!(inputs.len(), self.values.len(), "slot count is fixed");
-        self.values = inputs;
     }
 
     /// Total running time of the protocol: `3(t+1)Δ`.
@@ -235,7 +230,7 @@ impl Sba {
 
     /// Round `id % 3` of phase `id / 3`, or the end of the last phase;
     /// returns whether the outputs were fixed.
-    fn on_tick(&mut self, ctx: &mut Context<'_, Msg>, id: u64) -> bool {
+    pub(crate) fn on_tick(&mut self, ctx: &mut Context<'_, Msg>, id: u64) -> bool {
         if id > 3 * (self.t as u64 + 1) || self.output_at.is_some() {
             return false;
         }
@@ -294,6 +289,73 @@ impl Node for Sba {
             _ => {}
         }
         false
+    }
+}
+
+/// The SBA clusters of the root of an instance tree: one slot-wise [`Sba`]
+/// per start tick for every `Π_BC` below the root (DESIGN.md "Lock-step
+/// broadcast groups"). A cluster is child `ordinal` of the root's `Sba`
+/// family, where `ordinal` counts the clusters this root has started. Its
+/// slots are those of every `Π_BC` that started at its tick, in path order.
+/// The root's side-channel step (`voteboard::route`) starts it at its
+/// members' `3Δ` and finishes and frees it at their `T_BC`. A round message
+/// for a cluster that has not started or has been freed finds no child and
+/// is dropped.
+#[derive(Debug)]
+pub struct Clusters {
+    t: usize,
+    /// How many clusters this party has started: the next one's ordinal.
+    started: usize,
+    /// The clusters not yet finished, oldest first, each with the tick of
+    /// its round 1 (its members' `3Δ`). They hold the last ordinals, and all
+    /// run for `T_BGP`, so the oldest finishes first.
+    live: Vec<(Time, Sba)>,
+}
+
+impl Clusters {
+    /// No clusters yet; their SBAs run at threshold `t`.
+    pub fn new(t: usize) -> Self {
+        Clusters {
+            t,
+            started: 0,
+            live: Vec::new(),
+        }
+    }
+
+    /// The SBA of live cluster `ordinal`.
+    pub(crate) fn sba(&mut self, ordinal: usize) -> Option<&mut Sba> {
+        let oldest = self.started - self.live.len();
+        Some(&mut self.live.get_mut(ordinal.checked_sub(oldest)?)?.1)
+    }
+
+    /// Whether a cluster's round 1 is at `now`.
+    pub(crate) fn started_at(&self, now: Time) -> bool {
+        self.live.last().is_some_and(|(round1, _)| *round1 == now)
+    }
+
+    /// Starts a cluster over `inputs`, its members' inputs in path order,
+    /// at the root of an instance of `kind`: its round 1 goes out now.
+    pub(crate) fn start(&mut self, ctx: &mut Context<'_, Msg>, kind: &Kind, inputs: Vec<SbaValue>) {
+        if inputs.is_empty() {
+            return;
+        }
+        let mut sba = Sba::with_slots(ctx.n, self.t, inputs);
+        kind.scoped(ctx, Name::Sba, self.started, |ctx| sba.init(ctx));
+        self.live.push((ctx.now, sba));
+        self.started += 1;
+    }
+
+    /// Frees the oldest cluster if its last phase ends now, after finishing
+    /// that phase (which its own timer may have done), and returns its
+    /// round-1 tick and its agreed values.
+    pub(crate) fn finish(&mut self, ctx: &mut Context<'_, Msg>) -> Option<(Time, Vec<SbaValue>)> {
+        let end = self.live.first()?.0 + Sba::duration(self.t, ctx.delta);
+        if end != ctx.now {
+            return None;
+        }
+        let (round1, mut sba) = self.live.remove(0);
+        sba.on_tick(ctx, 3 * (self.t as u64 + 1));
+        Some((round1, sba.values))
     }
 }
 

@@ -35,9 +35,10 @@ use mpc_net::{Context, PartyId, Time};
 
 use crate::acast::{Acast, ACAST};
 use crate::ba::{Ba, BA};
-use crate::bc::{Bc, BC, BC_GROUP};
+use crate::bc::{Bc, BC};
 use crate::msg::{BcValue, Msg, Vote};
 use crate::params::Params;
+use crate::sba::SBA;
 use crate::tree::{Card, Family, Kind, Name, Node};
 use crate::voteboard::VoteBoard;
 
@@ -48,24 +49,26 @@ const CORE: [Family; 4] = [
     Family::new(Name::Wef, &BC, Card::One),
     Family::new(Name::Ba, &BA, Card::One),
     Family::new(Name::Star, &ACAST, Card::One),
-    Family::new(Name::Votes, &BC_GROUP, Card::One),
+    Family::new(Name::Votes, &BC, Card::One),
 ];
 
 /// The layout of a shell with no family of its own: the core's children,
 /// then the late-vote batches of the `boards` vote boards of its tree
-/// ([`Card::Batch`]), which it A-casts when it is the root of the instance
+/// ([`Card::Batch`]) and the SBA clusters of its `bcs` `Π_BC`s
+/// ([`Card::Clusters`]), which it holds when it is the root of the instance
 /// tree.
-pub(crate) const fn layout(boards: [u32; 3]) -> [Family; 5] {
+pub(crate) const fn layout(boards: [u32; 3], bcs: [u32; 3]) -> [Family; 6] {
     let [wef, ba, star, votes] = CORE;
     let batch = Family::new(Name::Batch, &ACAST, Card::Batch(boards));
-    [wef, ba, star, votes, batch]
+    let clusters = Family::new(Name::Sba, &SBA, Card::Clusters(bcs));
+    [wef, ba, star, votes, batch, clusters]
 }
 
 /// The layout of a shell with one family of children of its own: that
 /// family, then the [`layout`].
-pub(crate) const fn after(first: Family, boards: [u32; 3]) -> [Family; 6] {
-    let [wef, ba, star, votes, batch] = layout(boards);
-    [first, wef, ba, star, votes, batch]
+pub(crate) const fn after(first: Family, boards: [u32; 3], bcs: [u32; 3]) -> [Family; 7] {
+    let [wef, ba, star, votes, batch, clusters] = layout(boards, bcs);
+    [first, wef, ba, star, votes, batch, clusters]
 }
 
 const TIMER_VOTES: u64 = 11;

@@ -9,13 +9,15 @@
 //! child ([`Kind::segment`]), the routing of an event to the child its path
 //! names ([`Kind::route`]), a name for every path ([`Kind::describe`]) and the
 //! paths that exist ([`Kind::valid_paths`]). A path that names no declared
-//! child, that goes on below a leaf, or that names a late-vote batch below
-//! the root (the root owns the channel) is dropped. DESIGN.md "Instance
-//! tree" has the tower's layout.
+//! child, that goes on below a leaf, or that names a root-only family below
+//! the root (the late-vote batches and the SBA clusters, the root's side
+//! channels) is dropped; `describe` and `valid_paths` name a root-only
+//! family at the root only. DESIGN.md "Instance tree" has the tower's
+//! layout.
 
 use mpc_net::{Context, PartyId, PathSlice};
 
-use crate::msg::Msg;
+use crate::msg::{Msg, SbaValue};
 
 /// How many children a family holds, counted in the party count `n`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,6 +30,10 @@ pub enum Card {
     /// late votes a party can cast: `n` on each of the `b₀ + b₁·n + b₂·n²`
     /// vote boards of the instance's tree.
     Batch([u32; 3]),
+    /// One child per `Π_BC` of the instance's tree, `b₀ + b₁·n + b₂·n²` of
+    /// them: the most SBA clusters its root can start, one per start tick
+    /// (`sba::Clusters`).
+    Clusters([u32; 3]),
 }
 
 impl Card {
@@ -37,6 +43,7 @@ impl Card {
             Card::One => 1,
             Card::N => n,
             Card::Batch([b0, b1, b2]) => n * n * (b0 + n * (b1 + n * b2)),
+            Card::Clusters([b0, b1, b2]) => b0 + n * (b1 + n * b2),
         }
     }
 }
@@ -47,7 +54,7 @@ impl Card {
 pub enum Name {
     /// The A-casts of a `Π_BC` group, one per slot.
     Acast,
-    /// The slot-wise SBA of a `Π_BC` group.
+    /// The SBA clusters of the root (`sba::Clusters`), one per start tick.
     Sba,
     /// The input broadcasts of a `Π_BA`.
     Bc,
@@ -61,7 +68,7 @@ pub enum Name {
     Star,
     /// The scheduled vote broadcasts, one slot per party.
     Votes,
-    /// The late-vote batch A-casts of the root (`voteboard::LateVotes`).
+    /// The late-vote batch A-casts of the root (`voteboard::Side`).
     Batch,
     /// The `Π_WPS` instances of a `Π_VSS`.
     Wps,
@@ -97,6 +104,13 @@ impl Family {
             card,
             at: None,
         }
+    }
+
+    /// Whether only the root holds children here: the late-vote batches
+    /// and the SBA clusters are the root's side channels.
+    #[inline]
+    fn root_only(&self) -> bool {
+        matches!(self.card, Card::Batch(_) | Card::Clusters(_))
     }
 }
 
@@ -185,6 +199,30 @@ impl Kind {
         None
     }
 
+    /// Calls `f` on every `Π_BC` below `node`, an instance of this kind at
+    /// `path` (itself included), with its path, in path order. The
+    /// root-only families hold none.
+    pub(crate) fn each_bc(
+        &self,
+        node: &mut dyn Node,
+        n: usize,
+        path: &mut Vec<u32>,
+        f: &mut impl FnMut(&[u32], &mut crate::bc::Bc),
+    ) {
+        if let Some(bc) = node.bc() {
+            return f(path, bc);
+        }
+        for (family, start, size) in self.spans(n).filter(|(f, ..)| !f.root_only()) {
+            for index in 0..size {
+                if let Some(child) = node.child(family.name, index as usize) {
+                    path.push(start + index);
+                    family.kind.each_bc(child, n, path, f);
+                    path.pop();
+                }
+            }
+        }
+    }
+
     /// Runs `f` with `ctx` scoped to child `index` of family `name`.
     pub fn scoped<R>(
         &self,
@@ -205,12 +243,13 @@ impl Kind {
         let mut text = self.name.to_string();
         let mut kind = self;
         let mut family_name = None;
-        for &seg in path {
-            let (family, index) = kind.locate(n, seg)?;
+        for (depth, &seg) in path.iter().enumerate() {
+            let located = kind.locate(n, seg);
+            let (family, index) = located.filter(|(f, _)| depth == 0 || !f.root_only())?;
             let name = format!("{:?}", family.name);
             text += &match family.card {
                 Card::One => format!("/{name}"),
-                Card::N => format!("/{name}[{index}]"),
+                Card::N | Card::Clusters(_) => format!("/{name}[{index}]"),
                 Card::Batch(_) => format!("/{name}[{}#{}]", index % n, index / n),
             };
             kind = family.kind;
@@ -223,11 +262,16 @@ impl Kind {
     }
 
     /// The path of every instance in the tree below (and including) an
-    /// instance of this kind, depth first.
+    /// instance of this kind, depth first, when it is the root.
     pub fn valid_paths(&self, n: usize) -> Vec<Vec<u32>> {
+        self.paths(n, true)
+    }
+
+    /// [`Kind::valid_paths`], with the root-only families only if `root`.
+    fn paths(&self, n: usize, root: bool) -> Vec<Vec<u32>> {
         let mut paths = vec![Vec::new()];
-        for (family, start, size) in self.spans(n) {
-            let below = family.kind.valid_paths(n);
+        for (family, start, size) in self.spans(n).filter(|(f, ..)| root || !f.root_only()) {
+            let below = family.kind.paths(n, false);
             for seg in start..start + size {
                 paths.extend(below.iter().map(|path| [&[seg], &path[..]].concat()));
             }
@@ -253,16 +297,23 @@ impl Kind {
         let Some((&seg, below)) = path.split_first() else {
             return Routed::Own(event);
         };
-        let Some((family, index)) = self.locate(ctx.n, seg) else {
+        // A leaf has nothing below it, and the root-only families are the
+        // root's alone.
+        let root = ctx.path().is_empty();
+        let routable = |(family, _): &(&Family, usize)| {
+            (below.is_empty() || !family.kind.families.is_empty()) && (root || !family.root_only())
+        };
+        let Some((family, index)) = self.locate(ctx.n, seg).filter(routable) else {
+            #[cfg(test)]
+            tests::DROPPED.with(|dropped| dropped.set(dropped.get() + 1));
             return Routed::Dropped;
         };
-        if family.kind.families.is_empty() && !below.is_empty() {
-            return Routed::Dropped;
-        }
         let child = match family.name {
-            Name::Batch if ctx.path().is_empty() => node.late().map(|l| l.slot(ctx.n, index) as _),
-            // The late-vote batches are the root's alone.
-            Name::Batch => return Routed::Dropped,
+            Name::Batch => node.side().map(|side| side.slot(ctx.n, index) as _),
+            Name::Sba => node
+                .side()
+                .and_then(|side| side.clusters.sba(index))
+                .map(|s| s as _),
             name => node.child(name, index),
         };
         let Some(child) = child else {
@@ -290,8 +341,11 @@ pub enum Event<'m> {
     Timer(u64),
     /// A late `OK` vote `(sender, counterpart)` for the vote board of the
     /// instance it is addressed to, handed down by the late-vote channel
-    /// that delivered it (`voteboard::LateVotes`).
+    /// that delivered it (`voteboard::Side`).
     LateOk(PartyId, PartyId),
+    /// The agreed values of a `Π_BC`'s slots, handed down at its `T_BC` by
+    /// the root's SBA cluster it belongs to (`sba::Clusters`).
+    Agreed(&'m [SbaValue]),
 }
 
 /// Where [`Kind::route`] took an event.
@@ -305,7 +359,7 @@ pub enum Routed<'p, 'm> {
     /// the path below it and the event are handed back.
     Absent(Name, &'p [u32], Event<'m>),
     /// Nowhere: the path names no declared child, goes on below a leaf, or
-    /// names a `Batch` child below the root.
+    /// names a child of a root-only family below the root.
     Dropped,
 }
 
@@ -323,15 +377,21 @@ pub trait Node {
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, path: PathSlice<'_>, ev: Event<'_>) -> bool;
 
     /// Child `index` of family `name` — one of the instance's declared
-    /// families but `Batch` ([`Node::late`] holds those) — if it exists. A
-    /// leaf has none.
+    /// families but the root-only ones ([`Node::side`] holds those) — if it
+    /// exists. A leaf has none.
     fn child(&mut self, _: Name, _: usize) -> Option<&mut dyn Node> {
         None
     }
 
-    /// The instance's late-vote channel, if it holds one: live at the root,
-    /// an outbox below it.
-    fn late(&mut self) -> Option<&mut crate::voteboard::LateVotes> {
+    /// The instance's side channels, if its kind can be a root that has
+    /// them: live at the root, an outbox of late votes below it.
+    fn side(&mut self) -> Option<&mut crate::voteboard::Side> {
+        None
+    }
+
+    /// The instance as a `Π_BC`, if it is one: the root's SBA clusters read
+    /// its inputs ([`crate::bc::Bc::sba_inputs`]).
+    fn bc(&mut self) -> Option<&mut crate::bc::Bc> {
         None
     }
 }
@@ -412,6 +472,7 @@ impl Kind {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
     use std::fmt::Debug;
 
     use mpc_algebra::{Fp, Polynomial};
@@ -423,12 +484,17 @@ mod tests {
     use crate::acast::{Acast, ACAST};
     use crate::acs::{Acs, ACS};
     use crate::ba::{Ba, BA};
-    use crate::bc::{Bc, BC, BC_GROUP};
+    use crate::bc::{Bc, BC};
     use crate::msg::{AbaMsg, AcastMsg, BcValue, SbaMsg};
     use crate::params::Params;
     use crate::sba::{Sba, SBA};
     use crate::vss::{Vss, VSS};
     use crate::wps::{Wps, WPS};
+
+    thread_local! {
+        /// How many events [`Kind::route`] has dropped on this thread.
+        pub(super) static DROPPED: Cell<usize> = const { Cell::new(0) };
+    }
 
     /// The paths one segment outside the tree, found from `valid_paths`
     /// alone: below every instance, each segment under the largest of its
@@ -487,18 +553,28 @@ mod tests {
     }
 
     /// `describe` and routing agree on `root`, an instance of `kind` as
-    /// party 1 sees it after `init`: every valid path has a name, no path
-    /// one segment outside the tree has one, and a message delivered there
-    /// changes nothing.
+    /// party 1 sees it after `init`: every valid path has a name, and no
+    /// routing step drops a message delivered there; no path one segment
+    /// outside the tree has a name, and a message delivered there changes
+    /// nothing.
     fn assert_tree_agrees<P: Protocol<Msg> + Debug>(kind: &Kind, params: Params, mut root: P) {
         let n = params.n;
-        for path in kind.valid_paths(n) {
-            assert!(kind.describe(n, &path).is_some(), "{path:?} has no name");
+        let valid = kind.valid_paths(n);
+        for path in &valid {
+            assert!(kind.describe(n, path).is_some(), "{path:?} has no name");
         }
         let stray = stray_paths(kind, n);
         assert!(!stray.is_empty());
         with_ctx(params, |ctx| {
             root.init(ctx);
+            for path in &valid {
+                let before = DROPPED.with(Cell::get);
+                for msg in probes() {
+                    root.on_message(ctx, 0, path, msg);
+                }
+                let name = kind.describe(n, path);
+                assert_eq!(DROPPED.with(Cell::get), before, "{name:?} is dropped");
+            }
             let before = format!("{root:?}");
             for path in &stray {
                 assert_eq!(kind.describe(n, path), None, "{path:?} is outside the tree");
@@ -522,7 +598,7 @@ mod tests {
             assert_tree_agrees(&SBA, params, Sba::new(params.n, t, None));
             assert_tree_agrees(&ABA, params, Aba::new(params.n, t, None));
             assert_tree_agrees(&BC, params, Bc::new(0, t, params));
-            assert_tree_agrees(&BC_GROUP, params, Bc::new_group(t, params));
+            assert_tree_agrees(&BC, params, Bc::new_group(t, params));
             assert_tree_agrees(&BA, params, Ba::new(t, params, Some(true)));
             assert_tree_agrees(&WPS, params, Wps::new(0, params, 1));
             assert_tree_agrees(&VSS, params, Vss::new(0, params, 1));
@@ -558,6 +634,18 @@ mod tests {
             None,
             "segments 1..n of a Π_BA are unused"
         );
+        let cluster = ACS.segment(n, Name::Sba, 5);
+        assert_eq!(ACS.describe(n, &[cluster]).as_deref(), Some("Acs/Sba[5]"));
+        // The root-only families are named at the root only.
+        let (vss, wps) = (ACS.segment(n, Name::Vss, 3), VSS.segment(n, Name::Wps, 5));
+        for (kind, name) in [(&WPS, Name::Batch), (&WPS, Name::Sba)] {
+            let path = [vss, wps, kind.segment(n, name, 0)];
+            assert_eq!(ACS.describe(n, &path), None, "{name:?} below the root");
+            assert!(
+                WPS.describe(n, &path[2..]).is_some(),
+                "{name:?} at the root"
+            );
+        }
     }
 
     /// The segments every composite used before its layout was declared:
@@ -566,12 +654,14 @@ mod tests {
     fn declared_layouts_keep_the_historical_segments() {
         let n = 5;
         let m = n as u32;
+        // A lone broadcast is slot 0 of a group's layout; the root's SBA
+        // clusters start where a group's own SBA was.
         assert_eq!(BC.segment(n, Name::Acast, 0), 0);
-        assert_eq!(BC.segment(n, Name::Sba, 0), 1);
-        assert_eq!(BC_GROUP.segment(n, Name::Acast, 3), 3);
-        assert_eq!(BC_GROUP.segment(n, Name::Sba, 0), m);
+        assert_eq!(BC.segment(n, Name::Acast, 3), 3);
+        assert_eq!(BC.segment(n, Name::Sba, 0), m);
         assert_eq!(BA.segment(n, Name::Bc, 0), 0);
         assert_eq!(BA.segment(n, Name::Aba, 0), m);
+        assert_eq!(BA.segment(n, Name::Sba, 0), m + 1, "after Aba");
         for (shell, base) in [(&WPS, 0), (&VSS, m)] {
             assert_eq!(shell.segment(n, Name::Wef, 0), base);
             assert_eq!(shell.segment(n, Name::Ba, 0), base + 1);
@@ -579,11 +669,15 @@ mod tests {
             assert_eq!(shell.segment(n, Name::Votes, 0), base + 3);
             // The late-vote batches start where the update A-casts did.
             assert_eq!(shell.segment(n, Name::Batch, 0), base + 4);
+            let clusters = base + 4 + shell.size(n, Name::Batch) as u32;
+            assert_eq!(shell.segment(n, Name::Sba, 0), clusters, "after Batch");
         }
         assert_eq!(VSS.segment(n, Name::Wps, 4), 4);
         assert_eq!(ACS.segment(n, Name::Vss, 2), 2);
         assert_eq!(ACS.segment(n, Name::Ba, 2), m + 2);
         assert_eq!(ACS.segment(n, Name::Batch, 3), 2 * m + 3, "after Ba");
+        let clusters = 2 * m + ACS.size(n, Name::Batch) as u32;
+        assert_eq!(ACS.segment(n, Name::Sba, 0), clusters, "after Batch");
         assert_eq!(
             ACS.segment(n, Name::Votes, 0),
             u32::MAX,
@@ -613,11 +707,32 @@ mod tests {
                 let size = kind.size(n, Name::Batch);
                 assert_eq!(size, n * n * count_boards(kind, n), "{kind:?}");
             }
-            for kind in [&ACAST, &SBA, &ABA, &BC, &BC_GROUP, &BA, &WPS, &VSS, &ACS] {
+            for kind in [&ACAST, &SBA, &ABA, &BC, &BA, &WPS, &VSS, &ACS] {
                 assert_eq!(kind.boards(n), count_boards(kind, n), "{kind:?}");
             }
         }
         assert_eq!(ACS.size(8, Name::Batch), 8 * 8 * (8 * 8 + 8));
+    }
+
+    /// The `Π_BC`s of an instance of `kind`'s tree, counted.
+    fn count_bcs(kind: &Kind, n: usize) -> usize {
+        let below = kind.spans(n).filter(|(family, ..)| !family.root_only());
+        let below = below.map(|(family, _, size)| size as usize * count_bcs(family.kind, n));
+        usize::from(std::ptr::eq(kind, &BC)) + below.sum::<usize>()
+    }
+
+    /// A root starts at most one SBA cluster per `Π_BC` of its tree (one per
+    /// start tick, and every `Π_BC` has one), so each `Sba` family holds as
+    /// many.
+    #[test]
+    fn each_cluster_family_has_a_slot_per_broadcast() {
+        for n in [4, 5, 8] {
+            for kind in [&BC, &BA, &WPS, &VSS, &ACS] {
+                let size = kind.size(n, Name::Sba);
+                assert_eq!(size, count_bcs(kind, n), "{kind:?}");
+            }
+            assert_eq!(ACS.size(n, Name::Sba), 4 * n + 3 * n * n);
+        }
     }
 
     /// Boards are numbered depth first, each instance's own first: every
@@ -684,18 +799,36 @@ mod tests {
         assert!(!changes(N4, bc(), &[acast, 7], send()));
     }
 
+    /// A stand-alone `Π_BC` (party 1), its SBA cluster started: run to its
+    /// `3Δ` timer.
+    fn started_bc() -> Bc {
+        let mut bc = Bc::new(0, N4.ts, N4);
+        with_ctx(N4, |ctx| {
+            Protocol::init(&mut bc, ctx);
+            ctx.now = 3 * N4.delta;
+            bc.on_timer(ctx, &[], crate::bc::TIMER_START_SBA);
+        });
+        bc
+    }
+
     #[test]
-    fn a_path_below_an_sba_is_dropped() {
+    fn a_path_below_an_sba_cluster_is_dropped() {
         let round1 = || {
             Msg::Sba(SbaMsg::Round1 {
                 phase: 0,
                 value: Some(BcValue::Bit(true)),
             })
         };
-        let bc = || Bc::new(0, N4.ts, N4);
         let sba = BC.segment(N4.n, Name::Sba, 0);
-        assert!(changes(N4, bc(), &[sba], round1()), "the SBA takes it");
-        assert!(!changes(N4, bc(), &[sba, 7], round1()));
+        let changes = |path: &[u32]| {
+            let mut bc = started_bc();
+            let before = format!("{bc:?}");
+            with_ctx(N4, |ctx| bc.on_message(ctx, 0, path, round1()));
+            format!("{bc:?}") != before
+        };
+        assert!(changes(&[sba]), "the cluster takes it");
+        assert!(!changes(&[sba, 7]));
+        assert!(!changes(&[sba + 1]), "cluster 1 has not started");
     }
 
     #[test]

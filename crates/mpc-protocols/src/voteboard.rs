@@ -17,7 +17,7 @@
 //! * **late-vote batches** for the `OK` votes a party only establishes
 //!   later (slow counterparts in an asynchronous network) — these only feed
 //!   the *eventual* consistency graph used by the `(n, t_a)`-star fallback
-//!   path. A board posts each to the `LateVotes` channel of the root of the
+//!   path. A board posts each to the late-vote channel of the root of the
 //!   instance tree, which A-casts everything posted in one tick as one
 //!   [`BcValue::VoteBatch`]: one batch per party per tick. A-cast provides
 //!   exactly the consistency and eventual-delivery guarantees those paths
@@ -27,14 +27,17 @@
 //!
 //! The board's child is the `Votes` family of its shell's layout; the
 //! root's `Batch` family holds the batch A-casts (DESIGN.md "Instance
-//! tree").
+//! tree"). The late-vote channel is one of the root's side channels
+//! ([`Side`]); the other is the root's SBA clusters, and [`route`] runs
+//! both.
 
 use mpc_net::{Context, PartyId};
 
 use crate::acast::Acast;
-use crate::bc::{Bc, BcSlot};
+use crate::bc::{Bc, BcSlot, TIMER_START_SBA};
 use crate::msg::{BcValue, Msg, Vote};
 use crate::params::Params;
+use crate::sba::Clusters;
 use crate::star::ConsistencyGraph;
 use crate::tree::{Event, Kind, Name, Node, Routed};
 
@@ -48,8 +51,8 @@ pub struct VoteBoard {
     pub(crate) scheduled: Bc,
     /// Whether [`VoteBoard::start`] has run.
     started: bool,
-    /// Where this party's late votes go: the shell's channel or outbox.
-    pub(crate) late: LateVotes,
+    /// The shell's side channels, where this party's late votes go.
+    pub(crate) side: Side,
     /// The eventual consistency graph, kept up to date as votes are
     /// delivered. It only ever grows: a scheduled slot's value goes
     /// `None → ⊥ → v` and then never changes, a late `OK` is added once,
@@ -109,7 +112,7 @@ impl VoteBoard {
             my_votes: vec![None; params.n],
             scheduled: Bc::new_group(t, params),
             started: false,
-            late: LateVotes::new(t),
+            side: Side::new(t),
             eventual: OkGraph::new(params.n),
             folded: vec![false; params.n],
         }
@@ -136,7 +139,7 @@ impl VoteBoard {
             return;
         };
         if self.started && vote == Vote::Ok {
-            self.late.post(ctx, &[counterpart as u32], 0);
+            self.side.post(ctx, &[counterpart as u32], 0);
         }
         *mine = Some(vote);
     }
@@ -229,13 +232,16 @@ impl VoteBoard {
 /// own steps use 10, the dealer core's phases 11–13).
 pub(crate) const TIMER_FLUSH: u64 = 14;
 
-/// This party's late `OK` votes, on their way from the vote boards of an
-/// instance tree to the A-casts that carry them (DESIGN.md "`Π_WPS`/`Π_VSS`:
-/// one dealer-verification core").
+/// The side channels of the root of an instance tree: this party's late
+/// `OK` votes, on their way from the vote boards of the tree to the A-casts
+/// that carry them (DESIGN.md "`Π_WPS`/`Π_VSS`: one dealer-verification
+/// core"), and the SBA clusters of the tree's `Π_BC`s ([`Clusters`]).
 ///
-/// Every `Π_WPS`, `Π_VSS`, `Π_ACS` and `Π_CirEval` holds one ([`Node::late`])
-/// and routes its events through [`route`]. A vote in it is one `u32`,
-/// `board · n + counterpart`, its board numbered among the holder's
+/// Every kind that can be a root and has a `Π_BC` below it — `Π_BC`,
+/// `Π_BA`, `Π_WPS`, `Π_VSS`, `Π_ACS` and `Π_CirEval` — holds one
+/// ([`Node::side`]) and routes its events through [`route`]. A late vote
+/// in it is one `u32`, `board · n + counterpart`, its board numbered among
+/// the holder's
 /// ([`Kind::board_path`]). The root's is the live channel: the first vote
 /// posted to it arms a zero-delay timer at the root, which fires after every
 /// delivery and every deeper timer of the tick, and [`route`] then A-casts
@@ -243,9 +249,10 @@ pub(crate) const TIMER_FLUSH: u64 = 14;
 /// next slot of the root's `Batch` family. So each party A-casts at most one
 /// batch per tick, whatever the root's kind. Any other holder's is an
 /// outbox, which [`route`] empties into its parent's after routing an event
-/// to it; [`Kind::route`] drops a batch addressed below the root.
+/// to it; [`Kind::route`] drops a batch addressed below the root. Only the
+/// root's clusters are used.
 #[derive(Debug)]
-pub struct LateVotes {
+pub struct Side {
     /// The threshold of the batch A-casts.
     t: usize,
     /// Posted and not yet A-cast (root) or taken by the parent (outbox).
@@ -258,16 +265,20 @@ pub struct LateVotes {
     /// counterpart once: the table grows to the highest slot seen, at most
     /// the family's size.
     slots: Vec<Option<Box<Acast>>>,
+    /// The SBA clusters.
+    pub(crate) clusters: Clusters,
 }
 
-impl LateVotes {
-    /// An empty channel whose batches are A-cast at threshold `t`.
+impl Side {
+    /// Empty channels whose batch A-casts and cluster SBAs run at threshold
+    /// `t`.
     pub fn new(t: usize) -> Self {
-        LateVotes {
+        Side {
             t,
             pending: Vec::new(),
             sent: 0,
             slots: Vec::new(),
+            clusters: Clusters::new(t),
         }
     }
 
@@ -295,8 +306,8 @@ impl LateVotes {
     }
 }
 
-/// [`Kind::route`] for `node`, an instance of `kind` that holds late votes
-/// ([`Node::late`]), then the late-vote step: the one owner path of every
+/// [`Kind::route`] for `node`, an instance of `kind` that holds side
+/// channels ([`Node::side`]), then their step: the one owner path of every
 /// holder kind.
 ///
 /// - After an event at a child that holds late votes, if the event posted
@@ -310,6 +321,8 @@ impl LateVotes {
 ///   the shell folds it and runs its step, and every instance on the way its
 ///   after-child step. A value that is no vote batch, or one longer than a
 ///   party's late votes, is dropped, and so is a vote that names no board.
+/// - At the root, after a timer event, the step of the SBA clusters
+///   ([`clusters_step`]).
 ///
 /// Returns what is left for `node`'s own step: [`Routed::Dropped`] if the
 /// channel took the event.
@@ -323,13 +336,16 @@ pub fn route<'p, 'm>(
     event: Event<'m>,
 ) -> Routed<'p, 'm> {
     let (n, routed) = (ctx.n, kind.route(node, ctx, path, event));
+    if let (Event::Timer(id), true) = (event, ctx.path().is_empty()) {
+        clusters_step(node, kind, ctx, id);
+    }
     let index = match routed {
         Routed::Own(Event::Timer(TIMER_FLUSH)) => {
-            if let Some(late) = node.late() {
-                late.sent += n;
-                let i = late.sent - n + ctx.me;
-                let batch = BcValue::VoteBatch(std::mem::take(&mut late.pending));
-                let acast = late.slot(n, i);
+            if let Some(side) = node.side() {
+                side.sent += n;
+                let i = side.sent - n + ctx.me;
+                let batch = BcValue::VoteBatch(std::mem::take(&mut side.pending));
+                let acast = side.slot(n, i);
                 kind.scoped(ctx, Name::Batch, i, |ctx| acast.provide_input(ctx, batch));
             }
             return Routed::Dropped;
@@ -338,16 +354,16 @@ pub fn route<'p, 'm>(
         Routed::Child(name @ (Name::Wps | Name::Vss | Name::AcsInput | Name::AcsTriples), i, _)
             if ctx.collect =>
         {
-            let outbox = node.child(name, i).and_then(|child| child.late());
+            let outbox = node.child(name, i).and_then(|child| child.side());
             let votes = outbox.map(|outbox| std::mem::take(&mut outbox.pending));
-            if let (Some(votes), Some(late)) = (votes.filter(|v| !v.is_empty()), node.late()) {
-                late.post(ctx, &votes, kind.first_board(n, kind.segment(n, name, i)));
+            if let (Some(votes), Some(side)) = (votes.filter(|v| !v.is_empty()), node.side()) {
+                side.post(ctx, &votes, kind.first_board(n, kind.segment(n, name, i)));
             }
             return routed;
         }
         _ => return routed,
     };
-    let slot = node.late().and_then(|late| late.slots.get(index)?.as_ref());
+    let slot = node.side().and_then(|side| side.slots.get(index)?.as_ref());
     let votes = match slot.and_then(|acast| acast.output.as_ref()) {
         Some(BcValue::VoteBatch(votes)) if votes.len() <= n * kind.boards(n) => votes,
         _ => return Routed::Dropped,
@@ -360,6 +376,45 @@ pub fn route<'p, 'm>(
         node.on_event(ctx, &board, ev);
     }
     Routed::Dropped
+}
+
+/// The root's step of its SBA clusters ([`Clusters`]) after a timer event
+/// `id`. The first timer event of a cluster's `T_BC` tick finishes the
+/// cluster and hands each member its slots' agreed values as an
+/// [`Event::Agreed`]: it comes after every delivery of the tick, and no
+/// later than the members' own `T_BC` timers, which fire before those of
+/// the instances above them that read the regular outputs. The first `3Δ`
+/// timer of a `Π_BC` in a tick starts the cluster of every `Π_BC` whose
+/// `3Δ` it is.
+fn clusters_step(node: &mut impl Node, kind: &Kind, ctx: &mut Context<'_, Msg>, id: u64) {
+    let (n, now) = (ctx.n, ctx.now);
+    let Some(side) = node.side() else { return };
+    let fresh = id == TIMER_START_SBA && !side.clusters.started_at(now);
+    if let Some((round1, agreed)) = side.clusters.finish(ctx) {
+        let mut members = Vec::new();
+        kind.each_bc(node, n, &mut Vec::new(), &mut |path, bc| {
+            if bc.round1 == Some(round1) {
+                members.push((path.to_vec(), bc.sba_inputs().len()));
+            }
+        });
+        let mut agreed = &agreed[..];
+        for (path, slots) in members {
+            let (mine, rest) = agreed.split_at(slots.min(agreed.len()));
+            node.on_event(ctx, &path, Event::Agreed(mine));
+            agreed = rest;
+        }
+    }
+    if fresh {
+        let mut inputs = Vec::new();
+        kind.each_bc(node, n, &mut Vec::new(), &mut |_, bc| {
+            if bc.round1 == Some(now) {
+                inputs.extend(bc.sba_inputs());
+            }
+        });
+        if let Some(side) = node.side() {
+            side.clusters.start(ctx, kind, inputs);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -376,7 +431,7 @@ impl VoteBoard {
 }
 
 #[cfg(test)]
-impl LateVotes {
+impl Side {
     /// How many slots the table holds, boxed or not.
     pub(crate) fn table_len(&self) -> usize {
         self.slots.len()
@@ -447,9 +502,9 @@ mod tests {
                 }
                 _ => Vec::new(),
             };
-            for index in (j..board.late.table_len()).step_by(n) {
+            for index in (j..board.side.table_len()).step_by(n) {
                 // Board 0 is the instance's own, the only one it has.
-                if let Some(BcValue::VoteBatch(batch)) = board.late.output(index) {
+                if let Some(BcValue::VoteBatch(batch)) = board.side.output(index) {
                     let here = batch
                         .iter()
                         .filter(|&&vote| vote < n as u32 && batch.len() <= n);
@@ -563,8 +618,8 @@ mod tests {
             // fold is a union, so its graph is the first one's.
             let mut other = Receiver::new(params);
             let mut held: Vec<(usize, BcValue)> = Vec::new();
-            for index in 0..one.board().late.table_len() {
-                if let Some(value) = one.board().late.output(index) {
+            for index in 0..one.board().side.table_len() {
+                if let Some(value) = one.board().side.output(index) {
                     held.push((index, value.clone()));
                 }
             }

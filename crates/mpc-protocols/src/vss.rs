@@ -24,13 +24,14 @@ use crate::msg::Msg;
 use crate::params::Params;
 use crate::sharing::{after, DealerCore};
 use crate::tree::{Card, Event, Family, Kind, Name, Node, Routed};
-use crate::voteboard::{self, LateVotes};
+use crate::voteboard::{self, Side};
 use crate::wps::{Wps, WPS};
 
-/// `Π_WPS^{(j)}` for every party `j`, then the core's children and the
-/// late-vote batches of `1 + n` vote boards: its own and its `Π_WPS`s'.
+/// `Π_WPS^{(j)}` for every party `j`, then the core's children, the
+/// late-vote batches of `1 + n` vote boards (its own and its `Π_WPS`s') and
+/// the SBA clusters of `3 + 3n` `Π_BC`s.
 pub static VSS: Kind = Kind::new("Vss", &LAYOUT);
-const LAYOUT: [Family; 6] = after(Family::new(Name::Wps, &WPS, Card::N), [1, 1, 0]);
+const LAYOUT: [Family; 7] = after(Family::new(Name::Wps, &WPS, Card::N), [1, 1, 0], [3, 3, 0]);
 
 const TIMER_START_WPS: u64 = 10;
 
@@ -182,8 +183,8 @@ impl Node for Vss {
         }
     }
 
-    fn late(&mut self) -> Option<&mut LateVotes> {
-        Some(&mut self.core.votes.late)
+    fn side(&mut self) -> Option<&mut Side> {
+        Some(&mut self.core.votes.side)
     }
 }
 

@@ -31,11 +31,11 @@ use crate::msg::Msg;
 use crate::params::Params;
 use crate::sharing::{layout, DealerCore};
 use crate::tree::{Event, Kind, Name, Node, Routed};
-use crate::voteboard::{self, LateVotes};
+use crate::voteboard::{self, Side};
 
 /// The core's children, from segment 0, then the late-vote batches of one
-/// vote board.
-pub static WPS: Kind = Kind::new("Wps", &layout([1, 0, 0]));
+/// vote board and the SBA clusters of three `Π_BC`s.
+pub static WPS: Kind = Kind::new("Wps", &layout([1, 0, 0], [3, 0, 0]));
 
 const TIMER_SEND_POINTS: u64 = 10;
 
@@ -226,8 +226,8 @@ impl Node for Wps {
         self.core.child(name)
     }
 
-    fn late(&mut self) -> Option<&mut LateVotes> {
-        Some(&mut self.core.votes.late)
+    fn side(&mut self) -> Option<&mut Side> {
+        Some(&mut self.core.votes.side)
     }
 }
 

@@ -1,7 +1,8 @@
-//! Lock-step broadcast groups (DESIGN.md): a `k`-slot SBA is, slot for slot,
-//! `k` one-slot SBAs; a group's slots stay consistent whatever values
-//! corrupt parties put into its SBA; and the protocols that broadcast in
-//! lock-step really do run one SBA per group.
+//! Lock-step broadcast groups and SBA clusters (DESIGN.md): a `k`-slot SBA
+//! is, slot for slot, `k` one-slot SBAs; a group's slots stay consistent
+//! whatever values corrupt parties put into the SBA cluster they take part
+//! in; and a root really does run one SBA cluster per start tick of its
+//! broadcasts.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -12,7 +13,7 @@ use mpc_net::{
 };
 use mpc_protocols::acast::Acast;
 use mpc_protocols::ba::Ba;
-use mpc_protocols::bc::{Bc, BC_GROUP};
+use mpc_protocols::bc::{Bc, BC};
 use mpc_protocols::msg::SbaValue;
 use mpc_protocols::sba::Sba;
 use mpc_protocols::tree::Name;
@@ -281,7 +282,7 @@ const TIMER_SBA: u64 = 2;
 /// value by the protocol but only from local time `late`, so the A-cast may
 /// deliver to some honest parties by `3Δ` (or `T_BC`) and to others after
 /// it; it takes no part in the other slots' A-casts; and from `3Δ` on it
-/// speaks the SBA by `sba`'s script.
+/// speaks the group's SBA cluster by `sba`'s script.
 struct CorruptMember {
     acast: Acast,
     acast_seg: u32,
@@ -327,8 +328,8 @@ impl Protocol<Msg> for CorruptMember {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Corrupt parties mix values no honest party sends (`Bit(false)`,
-    /// broadcast values, a slot's own A-cast value) into a lock-step `Π_BC`
-    /// group's SBA, and start their own slots' A-casts so that they deliver
+    /// broadcast values, a slot's own A-cast value) into the SBA cluster of
+    /// a lock-step `Π_BC` group, and start their own slots' A-casts so that they deliver
     /// around `3Δ` or around `T_BC`, on random synchronous delays. At `T_BC`
     /// every slot's regular output is the same at every honest party; it is
     /// the slot's A-cast value or `⊥`; and an honest sender's slot outputs
@@ -358,10 +359,11 @@ proptest! {
             .map(|i| match scripts.remove(&i) {
                 Some((late, script)) => Box::new(CorruptMember {
                     acast: Acast::new_sender(i, n, t, slot_values[i].clone()),
-                    acast_seg: BC_GROUP.segment(n, Name::Acast, i),
+                    acast_seg: BC.segment(n, Name::Acast, i),
                     late,
                     sba: Scripted { script },
-                    sba_seg: BC_GROUP.segment(n, Name::Sba, 0),
+                    // The stand-alone group's one cluster.
+                    sba_seg: BC.segment(n, Name::Sba, 0),
                 }) as Box<dyn Protocol<Msg>>,
                 None => Box::new(Member {
                     bc: Bc::new_group(t, params),
@@ -392,7 +394,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Structure: how many SBAs a protocol really runs
+// Structure: how many SBA clusters a root really runs
 // ---------------------------------------------------------------------------
 
 /// Wraps a root protocol and counts, per instance path, the `Msg::Sba`
@@ -444,9 +446,9 @@ impl<P: Protocol<Msg>> Protocol<Msg> for CountSba<P> {
 
 /// Runs `make(i)` for every party on a fault-free synchronous network and
 /// asserts that each party took part in exactly `sba_instances` SBAs: that
-/// many instance paths with SBA traffic, `(2n+1)(t+1)` deliveries on each
-/// (n round-1, n round-2 and one king message per phase) and `3(t+1)+1`
-/// timers on each.
+/// many instance paths with SBA traffic, each a cluster at the root,
+/// `(2n+1)(t+1)` deliveries on each (n round-1, n round-2 and one king
+/// message per phase) and `3(t+1)+1` timers on each.
 fn assert_sba_instances<P: Protocol<Msg>>(
     params: Params,
     horizon: u64,
@@ -464,6 +466,7 @@ fn assert_sba_instances<P: Protocol<Msg>>(
         let counts = sim.party_as::<CountSba<P>>(i).unwrap();
         assert_eq!(counts.sba_messages.len(), sba_instances, "party {i}");
         for (path, &messages) in &counts.sba_messages {
+            assert_eq!(path.len(), 1, "party {i} path {path:?}: a root's cluster");
             assert_eq!(messages, (2 * n + 1) * (t + 1), "party {i} path {path:?}");
             assert_eq!(
                 counts.timers[path],
@@ -477,7 +480,7 @@ fn assert_sba_instances<P: Protocol<Msg>>(
 }
 
 #[test]
-fn standalone_ba_runs_one_sba() {
+fn standalone_ba_runs_one_cluster() {
     let params = Params::new(7, 2, 0, 10);
     assert_sba_instances(params, params.t_ba() * 4, 1, |i| {
         Ba::new(params.ts, params, Some(i % 2 == 0))
@@ -485,15 +488,15 @@ fn standalone_ba_runs_one_sba() {
 }
 
 #[test]
-fn standalone_vss_runs_two_group_sbas_per_sharing_plus_one_single() {
+fn standalone_vss_runs_one_cluster_per_start_tick() {
     // Π_VSS = n Π_WPS + its own round: n + 1 sharings, each with a vote
     // board (group), a Π_BA (group) and the dealer's (W, E, F) broadcast
-    // (single): 2n + 2 group SBAs + n + 1 single ones.
+    // (single), 3n + 3 Π_BC in all. The n Π_WPS start theirs at the same
+    // three ticks, and Π_VSS its own at three later ones: 6 clusters.
     let params = Params::new(7, 2, 0, 10);
-    let n = params.n;
     let mut rng = StdRng::seed_from_u64(5);
     let secret = Polynomial::random(&mut rng, params.ts);
-    assert_sba_instances(params, params.t_vss() * 4, (2 * n + 2) + (n + 1), |i| {
+    assert_sba_instances(params, params.t_vss() * 4, 6, |i| {
         if i == 0 {
             Vss::new_dealer(0, params, vec![secret.clone()])
         } else {

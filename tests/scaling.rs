@@ -1,15 +1,17 @@
 //! The paper's cost and deadline claims, checked on honest runs.
 //!
 //! The communication tests assert the shape of Thms 4.8 and 4.16
-//! (experiments E5–E7). Two identities are exact: the preprocessing bits of
-//! Thm 6.5 are affine in `c_M` with a pinned slope (E8), and a synchronous
+//! (experiments E5–E7). Three identities are exact: the preprocessing bits
+//! of Thm 6.5 are affine in `c_M` with a pinned slope (E8), a synchronous
 //! `Π_CirEval` completes at `(65 + 21·t_s)·Δ + (9 + D_M)·δ` (E9 and E10's
-//! responsiveness; DESIGN.md "Deadlines").
+//! responsiveness; DESIGN.md "Deadlines"), and its SBA deliveries are
+//! `7·(2n + 1)(t_s + 1)·n` (DESIGN.md "Lock-step broadcast groups").
 
 use bobw_mpc::algebra::{Fp, Polynomial};
-use bobw_mpc::core::{Circuit, MpcBuilder, MpcRunResult};
+use bobw_mpc::core::cireval::CIREVAL;
+use bobw_mpc::core::{CirEval, Circuit, MpcBuilder, MpcRunResult};
 use bobw_mpc::net::{
-    CorruptionSet, FixedDelay, NetConfig, NetworkKind, Protocol, Simulation, Time,
+    CorruptionSet, FixedDelay, NetConfig, NetworkKind, Protocol, Simulation, Time, TranscriptEvent,
 };
 use bobw_mpc::protocols::vss::Vss;
 use bobw_mpc::protocols::wps::Wps;
@@ -199,5 +201,40 @@ fn preprocessing_bits_are_affine_in_the_multiplication_count() {
                 "n = {n}, c_M = {c_m}"
             );
         }
+    }
+}
+
+#[test]
+fn synchronous_sba_deliveries_are_seven_clusters() {
+    // The Π_BCs of an evaluation start at seven ticks (the three of every
+    // Π_WPS, the three of every Π_VSS and the Π_BAs of both Π_ACS), and the
+    // root runs one SBA cluster per tick: per phase, every party sends a
+    // round-1 and a round-2 envelope to all, and the king one more.
+    for (n, ts, ta) in [(4, 1, 0), (5, 1, 1), (7, 2, 0), (8, 2, 1)] {
+        let params = Params::new(n, ts, ta, NetConfig::DEFAULT_DELTA);
+        let circuit = Circuit::layered(n, 1, 1);
+        let parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
+            .map(|i| {
+                let party = CirEval::new(params, circuit.clone(), Fp::from_u64(i as u64 + 2));
+                Box::new(party) as Box<dyn Protocol<Msg>>
+            })
+            .collect();
+        let mut sim = Simulation::new(NetConfig::synchronous(n), CorruptionSet::none(), parties);
+        sim.record_transcript();
+        let horizon = params.horizon_for_depth(circuit.mult_depth()) * 8;
+        let output = |s: &Simulation<Msg>, i| s.party_as::<CirEval>(i).unwrap().output;
+        assert!(sim.run_until(horizon, |s| (0..n).all(|i| output(s, i).is_some())));
+        let sba = sim.transcript().iter().filter(|entry| {
+            let TranscriptEvent::Deliver { path, .. } = &entry.event else {
+                return false;
+            };
+            let name = CIREVAL.describe(n, path).expect("an instance");
+            name.starts_with("CirEval/Sba[")
+        });
+        assert_eq!(
+            sba.count(),
+            7 * (2 * n + 1) * (ts + 1) * n,
+            "(n, t_s, t_a) = ({n}, {ts}, {ta})"
+        );
     }
 }
