@@ -306,11 +306,14 @@ pub struct Clusters {
     t: usize,
     /// How many clusters this party has started: the next one's ordinal.
     started: usize,
-    /// The clusters not yet finished, oldest first, each with the tick of
-    /// its round 1 (its members' `3Δ`). They hold the last ordinals, and all
-    /// run for `T_BGP`, so the oldest finishes first.
-    live: Vec<(Time, Sba)>,
+    /// The clusters not yet finished, oldest first: the tick of each one's
+    /// round 1 (its members' `3Δ`), its members and its SBA. They hold the
+    /// last ordinals, and all run for `T_BGP`, so the oldest finishes first.
+    live: Vec<(Time, Members, Sba)>,
 }
+
+/// The members of a cluster, in path order: each one's path and slot count.
+pub(crate) type Members = Vec<(Vec<u32>, usize)>;
 
 impl Clusters {
     /// No clusters yet; their SBAs run at threshold `t`.
@@ -325,37 +328,46 @@ impl Clusters {
     /// The SBA of live cluster `ordinal`.
     pub(crate) fn sba(&mut self, ordinal: usize) -> Option<&mut Sba> {
         let oldest = self.started - self.live.len();
-        Some(&mut self.live.get_mut(ordinal.checked_sub(oldest)?)?.1)
+        Some(&mut self.live.get_mut(ordinal.checked_sub(oldest)?)?.2)
     }
 
     /// Whether a cluster's round 1 is at `now`.
     pub(crate) fn started_at(&self, now: Time) -> bool {
-        self.live.last().is_some_and(|(round1, _)| *round1 == now)
+        self.live.last().is_some_and(|(round1, ..)| *round1 == now)
     }
 
-    /// Starts a cluster over `inputs`, its members' inputs in path order,
+    /// Starts a cluster of `members` over `inputs`, theirs in path order,
     /// at the root of an instance of `kind`: its round 1 goes out now.
-    pub(crate) fn start(&mut self, ctx: &mut Context<'_, Msg>, kind: &Kind, inputs: Vec<SbaValue>) {
+    pub(crate) fn start(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        kind: &Kind,
+        members: Members,
+        inputs: Vec<SbaValue>,
+    ) {
         if inputs.is_empty() {
             return;
         }
         let mut sba = Sba::with_slots(ctx.n, self.t, inputs);
         kind.scoped(ctx, Name::Sba, self.started, |ctx| sba.init(ctx));
-        self.live.push((ctx.now, sba));
+        self.live.push((ctx.now, members, sba));
         self.started += 1;
     }
 
     /// Frees the oldest cluster if its last phase ends now, after finishing
     /// that phase (which its own timer may have done), and returns its
-    /// round-1 tick and its agreed values.
-    pub(crate) fn finish(&mut self, ctx: &mut Context<'_, Msg>) -> Option<(Time, Vec<SbaValue>)> {
+    /// members and its agreed values.
+    pub(crate) fn finish(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+    ) -> Option<(Members, Vec<SbaValue>)> {
         let end = self.live.first()?.0 + Sba::duration(self.t, ctx.delta);
         if end != ctx.now {
             return None;
         }
-        let (round1, mut sba) = self.live.remove(0);
+        let (_, members, mut sba) = self.live.remove(0);
         sba.on_tick(ctx, 3 * (self.t as u64 + 1));
-        Some((round1, sba.values))
+        Some((members, sba.values))
     }
 }
 

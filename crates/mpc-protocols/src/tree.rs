@@ -812,7 +812,7 @@ mod tests {
     }
 
     #[test]
-    fn a_path_below_an_sba_cluster_is_dropped() {
+    fn a_path_below_an_sba_is_dropped() {
         let round1 = || {
             Msg::Sba(SbaMsg::Round1 {
                 phase: 0,

@@ -385,18 +385,13 @@ pub fn route<'p, 'm>(
 /// later than the members' own `T_BC` timers, which fire before those of
 /// the instances above them that read the regular outputs. The first `3Δ`
 /// timer of a `Π_BC` in a tick starts the cluster of every `Π_BC` whose
-/// `3Δ` it is.
+/// `3Δ` it is, found by a walk of the tree in path order, over their
+/// inputs as they stand then (no timer of the tick delivers an A-cast).
 fn clusters_step(node: &mut impl Node, kind: &Kind, ctx: &mut Context<'_, Msg>, id: u64) {
     let (n, now) = (ctx.n, ctx.now);
     let Some(side) = node.side() else { return };
     let fresh = id == TIMER_START_SBA && !side.clusters.started_at(now);
-    if let Some((round1, agreed)) = side.clusters.finish(ctx) {
-        let mut members = Vec::new();
-        kind.each_bc(node, n, &mut Vec::new(), &mut |path, bc| {
-            if bc.round1 == Some(round1) {
-                members.push((path.to_vec(), bc.sba_inputs().len()));
-            }
-        });
+    if let Some((members, agreed)) = side.clusters.finish(ctx) {
         let mut agreed = &agreed[..];
         for (path, slots) in members {
             let (mine, rest) = agreed.split_at(slots.min(agreed.len()));
@@ -405,14 +400,15 @@ fn clusters_step(node: &mut impl Node, kind: &Kind, ctx: &mut Context<'_, Msg>, 
         }
     }
     if fresh {
-        let mut inputs = Vec::new();
-        kind.each_bc(node, n, &mut Vec::new(), &mut |_, bc| {
+        let (mut members, mut inputs) = (Vec::new(), Vec::new());
+        kind.each_bc(node, n, &mut Vec::new(), &mut |path, bc| {
             if bc.round1 == Some(now) {
+                members.push((path.to_vec(), bc.sba_inputs().len()));
                 inputs.extend(bc.sba_inputs());
             }
         });
         if let Some(side) = node.side() {
-            side.clusters.start(ctx, kind, inputs);
+            side.clusters.start(ctx, kind, members, inputs);
         }
     }
 }

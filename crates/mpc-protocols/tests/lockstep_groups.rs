@@ -480,7 +480,7 @@ fn assert_sba_instances<P: Protocol<Msg>>(
 }
 
 #[test]
-fn standalone_ba_runs_one_cluster() {
+fn standalone_ba_runs_one_sba() {
     let params = Params::new(7, 2, 0, 10);
     assert_sba_instances(params, params.t_ba() * 4, 1, |i| {
         Ba::new(params.ts, params, Some(i % 2 == 0))
