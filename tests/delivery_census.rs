@@ -10,7 +10,7 @@
 //! shows here by name, where the golden's one `honest_messages` total cannot
 //! say where. That total is checked as well, so the census is of the golden
 //! run; the asynchronous run stops at its last output with two of its
-//! 35 484 messages still undelivered.
+//! 26 772 messages still undelivered.
 //!
 //! The asynchronous table was re-pinned when late votes moved from one
 //! A-cast per vote to one batch per `Π_ACS` per tick: the
@@ -26,6 +26,13 @@
 //! became one `CirEval/Batch/Acast` row of 8 316, and `honest_messages`
 //! went from 43 800 to 35 484. Every other row, and the synchronous table,
 //! did not move.
+//!
+//! It was re-pinned a third time when the root began to run one SBA cluster
+//! per start tick for every `Π_BC` below it: the 14 `…/Sba` rows of each
+//! table (7 per `Π_ACS`, 9 216 deliveries: 128 instances × 72) became one
+//! `CirEval/Sba` row of 504 = 7 clusters × (2n + 1)(t_s + 1)·n = 7 × 72, and
+//! `honest_messages` went from 28 464 to 19 752 (synchronous) and from
+//! 35 484 to 26 772 (asynchronous). Every other row did not move.
 //!
 //! `cargo test --test delivery_census -- --nocapture` prints the table.
 
@@ -112,47 +119,34 @@ fn check(kind: NetworkKind, honest_messages: u64, pinned: &[(&str, u64)]) {
 fn golden_circuit_deliveries_by_family_sync() {
     check(
         NetworkKind::Synchronous,
-        28_464,
+        19_752,
         &[
             ("CirEval", 112),
             ("CirEval/AcsInput/Ba/Aba", 256),
             ("CirEval/AcsInput/Ba/Bc/Acast", 576),
-            ("CirEval/AcsInput/Ba/Bc/Sba", 288),
             ("CirEval/AcsInput/Vss", 16),
             ("CirEval/AcsInput/Vss/Ba/Aba", 384),
             ("CirEval/AcsInput/Vss/Ba/Bc/Acast", 576),
-            ("CirEval/AcsInput/Vss/Ba/Bc/Sba", 288),
             ("CirEval/AcsInput/Vss/Votes/Acast", 576),
-            ("CirEval/AcsInput/Vss/Votes/Sba", 288),
             ("CirEval/AcsInput/Vss/Wef/Acast", 144),
-            ("CirEval/AcsInput/Vss/Wef/Sba", 288),
             ("CirEval/AcsInput/Vss/Wps", 320),
             ("CirEval/AcsInput/Vss/Wps/Ba/Aba", 1_536),
             ("CirEval/AcsInput/Vss/Wps/Ba/Bc/Acast", 2_304),
-            ("CirEval/AcsInput/Vss/Wps/Ba/Bc/Sba", 1_152),
             ("CirEval/AcsInput/Vss/Wps/Votes/Acast", 2_304),
-            ("CirEval/AcsInput/Vss/Wps/Votes/Sba", 1_152),
             ("CirEval/AcsInput/Vss/Wps/Wef/Acast", 576),
-            ("CirEval/AcsInput/Vss/Wps/Wef/Sba", 1_152),
             ("CirEval/AcsTriples/Ba/Aba", 256),
             ("CirEval/AcsTriples/Ba/Bc/Acast", 576),
-            ("CirEval/AcsTriples/Ba/Bc/Sba", 288),
             ("CirEval/AcsTriples/Vss", 16),
             ("CirEval/AcsTriples/Vss/Ba/Aba", 384),
             ("CirEval/AcsTriples/Vss/Ba/Bc/Acast", 576),
-            ("CirEval/AcsTriples/Vss/Ba/Bc/Sba", 288),
             ("CirEval/AcsTriples/Vss/Votes/Acast", 576),
-            ("CirEval/AcsTriples/Vss/Votes/Sba", 288),
             ("CirEval/AcsTriples/Vss/Wef/Acast", 144),
-            ("CirEval/AcsTriples/Vss/Wef/Sba", 288),
             ("CirEval/AcsTriples/Vss/Wps", 320),
             ("CirEval/AcsTriples/Vss/Wps/Ba/Aba", 1_536),
             ("CirEval/AcsTriples/Vss/Wps/Ba/Bc/Acast", 2_304),
-            ("CirEval/AcsTriples/Vss/Wps/Ba/Bc/Sba", 1_152),
             ("CirEval/AcsTriples/Vss/Wps/Votes/Acast", 2_304),
-            ("CirEval/AcsTriples/Vss/Wps/Votes/Sba", 1_152),
             ("CirEval/AcsTriples/Vss/Wps/Wef/Acast", 576),
-            ("CirEval/AcsTriples/Vss/Wps/Wef/Sba", 1_152),
+            ("CirEval/Sba", 504),
         ],
     );
 }
@@ -161,48 +155,35 @@ fn golden_circuit_deliveries_by_family_sync() {
 fn golden_circuit_deliveries_by_family_async() {
     check(
         NetworkKind::Asynchronous,
-        35_484,
+        26_772,
         &[
             ("CirEval", 110),
             ("CirEval/AcsInput/Ba/Aba", 248),
             ("CirEval/AcsInput/Ba/Bc/Acast", 576),
-            ("CirEval/AcsInput/Ba/Bc/Sba", 288),
             ("CirEval/AcsInput/Vss", 16),
             ("CirEval/AcsInput/Vss/Ba/Aba", 256),
             ("CirEval/AcsInput/Vss/Ba/Bc/Acast", 576),
-            ("CirEval/AcsInput/Vss/Ba/Bc/Sba", 288),
             ("CirEval/AcsInput/Vss/Star/Acast", 144),
             ("CirEval/AcsInput/Vss/Votes/Acast", 576),
-            ("CirEval/AcsInput/Vss/Votes/Sba", 288),
-            ("CirEval/AcsInput/Vss/Wef/Sba", 288),
             ("CirEval/AcsInput/Vss/Wps", 320),
             ("CirEval/AcsInput/Vss/Wps/Ba/Aba", 1_024),
             ("CirEval/AcsInput/Vss/Wps/Ba/Bc/Acast", 2_304),
-            ("CirEval/AcsInput/Vss/Wps/Ba/Bc/Sba", 1_152),
             ("CirEval/AcsInput/Vss/Wps/Star/Acast", 576),
             ("CirEval/AcsInput/Vss/Wps/Votes/Acast", 2_304),
-            ("CirEval/AcsInput/Vss/Wps/Votes/Sba", 1_152),
-            ("CirEval/AcsInput/Vss/Wps/Wef/Sba", 1_152),
             ("CirEval/AcsTriples/Ba/Aba", 248),
             ("CirEval/AcsTriples/Ba/Bc/Acast", 576),
-            ("CirEval/AcsTriples/Ba/Bc/Sba", 288),
             ("CirEval/AcsTriples/Vss", 16),
             ("CirEval/AcsTriples/Vss/Ba/Aba", 256),
             ("CirEval/AcsTriples/Vss/Ba/Bc/Acast", 576),
-            ("CirEval/AcsTriples/Vss/Ba/Bc/Sba", 288),
             ("CirEval/AcsTriples/Vss/Star/Acast", 144),
             ("CirEval/AcsTriples/Vss/Votes/Acast", 576),
-            ("CirEval/AcsTriples/Vss/Votes/Sba", 288),
-            ("CirEval/AcsTriples/Vss/Wef/Sba", 288),
             ("CirEval/AcsTriples/Vss/Wps", 320),
             ("CirEval/AcsTriples/Vss/Wps/Ba/Aba", 1_024),
             ("CirEval/AcsTriples/Vss/Wps/Ba/Bc/Acast", 2_304),
-            ("CirEval/AcsTriples/Vss/Wps/Ba/Bc/Sba", 1_152),
             ("CirEval/AcsTriples/Vss/Wps/Star/Acast", 576),
             ("CirEval/AcsTriples/Vss/Wps/Votes/Acast", 2_304),
-            ("CirEval/AcsTriples/Vss/Wps/Votes/Sba", 1_152),
-            ("CirEval/AcsTriples/Vss/Wps/Wef/Sba", 1_152),
             ("CirEval/Batch/Acast", 8_316),
+            ("CirEval/Sba", 504),
         ],
     );
 }

@@ -194,13 +194,22 @@ fn transcript_hash(entries: &[TranscriptEntry]) -> u64 {
 /// engine counters did not move, nor did the asynchronous row (the SBA starts
 /// before any A-cast delivers there, so every input is `⊥` both before and
 /// after).
+///
+/// Re-pinned when the SBA moved from the `Π_BC` to the root's cluster for
+/// its start tick (DESIGN.md "Lock-step broadcast groups"): a stand-alone
+/// `Π_BC` is the root and its cluster's one member, so the SBA messages go
+/// to cluster 0 at segment n instead of to the broadcast's own SBA at
+/// segment 1. Old → new: transcript hashes `0xbf7e_bacb_f62e_4743` →
+/// `0x6471_babf_5d16_45ef` (synchronous) and `0xcd2e_9356_0a03_b960` →
+/// `0xbdd8_55ea_fb8b_5e7a` (asynchronous). Every other count of both rows did
+/// not move.
 #[test]
 fn bc_transcript_and_metrics_golden_framed() {
     let golden = [
         (
             NetworkKind::Synchronous,
             144usize,
-            0xbf7e_bacb_f62e_4743u64,
+            0x6471_babf_5d16_45efu64,
             12064u64,
             108u64,
             144u64,
@@ -211,7 +220,7 @@ fn bc_transcript_and_metrics_golden_framed() {
         (
             NetworkKind::Asynchronous,
             138,
-            0xcd2e_9356_0a03_b960,
+            0xbdd8_55ea_fb8b_5e7a,
             10656,
             108,
             138,
@@ -322,6 +331,20 @@ fn check_sharing_golden<P: Protocol<Msg> + 'static>(
 /// `0x2a0a_52a8_68d0_1fd3` → `0x68de_3b0e_8353_8593`, bits 2 202 600 →
 /// 1 088 520. Transcript lengths, messages, events, every `output_at` and
 /// both asynchronous rows did not move.
+///
+/// All four rows were re-pinned when the root began to run one SBA cluster
+/// per start tick for every `Π_BC` below it (DESIGN.md "Lock-step broadcast
+/// groups"). `Π_WPS` starts its three `Π_BC`s at three ticks, so it still
+/// runs three SBAs, now at the root: only the hashes moved, sync
+/// `0xd756_b48d_143e_7986` → `0x1eda_7abd_43da_e9cb`, async
+/// `0x333c_fb98_c8b8_9885` → `0x090c_c3c0_1a48_b004`. `Π_VSS` ran
+/// `3n + 3 = 18` SBAs on six ticks and now runs six clusters, 12 × 110
+/// deliveries fewer. Sync: transcript 7 625 → 5 885 entries, hash
+/// `0x68de_3b0e_8353_8593` → `0x043a_b640_73cf_0b97`, bits 1 088 520 →
+/// 1 000 520, messages 6 665 → 5 345, events 3 405 → 2 721. Async:
+/// transcript 14 773 → 13 033, hash `0x8873_ea19_af74_ea80` →
+/// `0x26fc_07a9_10cb_0e70`, bits 1 181 720 → 1 093 720, messages 13 680 →
+/// 12 360, events 9 289 → 8 605. Every `output_at` did not move.
 #[test]
 fn wps_and_vss_transcript_and_metrics_golden() {
     let (sync, asyn) = (NetworkKind::Synchronous, NetworkKind::Asynchronous);
@@ -329,7 +352,7 @@ fn wps_and_vss_transcript_and_metrics_golden() {
         (
             sync,
             1275,
-            0xd756_b48d_143e_7986,
+            0x1eda_7abd_43da_e9cb,
             182_120,
             1115,
             931,
@@ -338,7 +361,7 @@ fn wps_and_vss_transcript_and_metrics_golden() {
         (
             asyn,
             2569,
-            0x333c_fb98_c8b8_9885,
+            0x090c_c3c0_1a48_b004,
             204_840,
             2385,
             2201,
@@ -354,20 +377,20 @@ fn wps_and_vss_transcript_and_metrics_golden() {
     let golden = [
         (
             sync,
-            7625,
-            0x68de_3b0e_8353_8593,
-            1_088_520,
-            6665,
-            3405,
+            5885,
+            0x043a_b640_73cf_0b97,
+            1_000_520,
+            5345,
+            2721,
             [720; 5],
         ),
         (
             asyn,
-            14773,
-            0x8873_ea19_af74_ea80,
-            1_181_720,
-            13680,
-            9289,
+            13033,
+            0x26fc_07a9_10cb_0e70,
+            1_093_720,
+            12360,
+            8605,
             [1650, 1576, 1586, 1624, 1677],
         ),
     ];
@@ -434,6 +457,19 @@ fn golden_circuit() -> Circuit {
 /// 5 679 (one flush timer per batch). Output, completion tick 2956, frames
 /// 5 163 and `max_queue_depth` 1 646 did not move, nor did anything
 /// synchronous.
+///
+/// Re-pinned when the root began to run one SBA cluster per start tick for
+/// every `Π_BC` below it (DESIGN.md "Lock-step broadcast groups"): 128 SBA
+/// instances per party became 7 clusters, 121 × 72 = 8 712 deliveries
+/// fewer. Old → new, sync: bits 4 558 720 → 3 953 920, messages 28 464 →
+/// 19 752, events 13 470 → 7 904, `max_queue_depth` 1 268 → 628,
+/// `batch_width_hist` [0, 0, 0, 4, 7, 14, 25, 18, 17, 4] → [0, 0, 0, 11, 35,
+/// 10, 11, 13, 6, 3], `timeouts_fired` 5 448 → 2 060. Async: bits 3 998 560
+/// → 3 393 760, messages 35 484 → 26 772, events 19 711 → 14 145,
+/// `max_queue_depth` 1 646 → 997, `batch_width_hist` [358, 379, 456, 294,
+/// 63, 53, 29, 9, 14, 2] → [358, 379, 456, 308, 81, 51, 16, 4, 3, 1],
+/// `timeouts_fired` 5 679 → 2 291. The output, both completion ticks (960 /
+/// 2956) and both frame counts (906 / 5 163) did not move.
 #[test]
 fn full_mpc_metrics_golden_batched() {
     let golden = [
@@ -441,21 +477,21 @@ fn full_mpc_metrics_golden_batched() {
             NetworkKind::Synchronous,
             33u64,
             960u64,
-            4_558_720u64,
-            28_464u64,
-            13_470u64,
+            3_953_920u64,
+            19_752u64,
+            7_904u64,
             906u64,
-            (1268u64, &[0u64, 0, 0, 4, 7, 14, 25, 18, 17, 4][..], 5448u64),
+            (628u64, &[0u64, 0, 0, 11, 35, 10, 11, 13, 6, 3][..], 2060u64),
         ),
         (
             NetworkKind::Asynchronous,
             33,
             2956,
-            3_998_560,
-            35_484,
-            19_711,
+            3_393_760,
+            26_772,
+            14_145,
             5_163,
-            (1646, &[358, 379, 456, 294, 63, 53, 29, 9, 14, 2], 5679),
+            (997, &[358, 379, 456, 308, 81, 51, 16, 4, 3, 1], 2291),
         ),
     ];
     let c = golden_circuit();

@@ -182,11 +182,15 @@ fn preprocessing_bits_are_affine_in_the_multiplication_count() {
     // exactly one slope per gate. The bases moved (n = 4: 8 037 760 →
     // 4 558 720; n = 5: 23 849 000 → 12 708 200) when `Π_BC`'s SBA began to
     // agree on "delivered" instead of on the value (DESIGN.md "Substitution
-    // S2"); the slopes and message counts did not.
+    // S2"); the slopes and message counts did not. The bases and message
+    // counts moved again (n = 4: 4 558 720 → 3 953 920 bits, 28 464 →
+    // 19 752 messages; n = 5: 12 708 200 → 11 309 000 bits, 71 675 → 51 545
+    // messages) when the root began to run one SBA cluster per start tick
+    // (DESIGN.md "Lock-step broadcast groups"); the slopes did not.
     let cases = [
         // ((n, t_s, t_a), honest messages, bits at c_M = 1, bits per gate)
-        ((4, 1, 0), 28_464, 4_558_720, 659_968),
-        ((5, 1, 1), 71_675, 12_708_200, 1_624_000),
+        ((4, 1, 0), 19_752, 3_953_920, 659_968),
+        ((5, 1, 1), 51_545, 11_309_000, 1_624_000),
     ];
     for ((n, ts, ta), messages, base, slope) in cases {
         for c_m in [1usize, 2, 3, 8] {
