@@ -98,7 +98,9 @@ impl<M> EventKind<M> {
     /// The event's `(rank, depth)` ordering components within one batch:
     /// deliveries before timers, then deeper instance paths first, so that a
     /// parent's deadline observes the state its sub-protocols finalise at
-    /// that same instant (e.g. `Π_BC` reading the SBA output at `T_BC`).
+    /// that same instant (e.g. `Π_BA` reading its broadcasts' regular
+    /// outputs at `T_BC`: the root's SBA cluster hands them down at the
+    /// broadcasts' own, deeper `T_BC` timer).
     fn rank_depth(&self) -> (u8, usize) {
         match self {
             EventKind::Deliver { path, .. } | EventKind::DeliverOwn { path, .. } => (0, path.len()),

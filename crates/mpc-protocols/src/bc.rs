@@ -25,7 +25,7 @@
 //! A `Bc` runs no SBA of its own. Its slots are slots of the SBA cluster the
 //! root of the instance tree runs for every `Π_BC` started at the same tick
 //! (`sba::Clusters`): at `3Δ` the root reads its slots' inputs
-//! ([`Bc::sba_inputs`]), and by its `T_BC` timer the root hands down their
+//! (`Bc::sba_inputs`), and by its `T_BC` timer the root hands down their
 //! agreed values as an [`Event::Agreed`]. See DESIGN.md "Lock-step broadcast
 //! groups".
 //!

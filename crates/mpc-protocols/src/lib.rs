@@ -2,17 +2,22 @@
 //!
 //! * [`acast`] — Bracha's asynchronous reliable broadcast `Π_ACast`.
 //! * [`sba`] — the synchronous phase-king Byzantine agreement used as
-//!   `Π_BGP` (DESIGN.md substitution S2), slot-wise over `k ≥ 1` values.
+//!   `Π_BGP` (DESIGN.md substitution S2), slot-wise over `k ≥ 1` values,
+//!   and the root's SBA clusters: one per start tick for every `Π_BC` below
+//!   the root.
 //! * [`aba`] — asynchronous Byzantine agreement with an ideal common coin
 //!   (DESIGN.md substitution S1), providing the `Π_ABA` interface of
 //!   Lemma 3.3.
 //! * [`bc`] — the synchronous broadcast with asynchronous guarantees `Π_BC`
 //!   (Fig 1), with regular and fallback output modes; one instance runs a
-//!   lone broadcast or a lock-step group of `n` sharing one SBA.
+//!   lone broadcast or a lock-step group of `n`, whose slots take part in
+//!   the root's SBA cluster of their start tick.
 //! * [`ba`] — the best-of-both-worlds Byzantine agreement `Π_BA` (Fig 2).
 //! * [`star`] — the `(n,t)`-star finding algorithm `AlgStar` of \[13\].
 //! * [`voteboard`] — reliable dissemination of the OK/NOK pairwise
-//!   consistency votes that build the consistency graphs of `Π_WPS`/`Π_VSS`.
+//!   consistency votes that build the consistency graphs of `Π_WPS`/`Π_VSS`,
+//!   and the root's side channels (late votes, SBA clusters) with their one
+//!   owner path, `voteboard::route`.
 //! * [`wps`] — the weak polynomial sharing protocol `Π_WPS` (Fig 3) and
 //!   [`vss`] — the verifiable secret sharing protocol `Π_VSS` (Fig 4): two
 //!   thin shells over one crate-private dealer-verification core.

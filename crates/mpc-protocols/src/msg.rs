@@ -86,9 +86,11 @@ pub type SbaValue = Option<BcValue>;
 mpc_net::wire_enum! {
     /// Phase-king SBA messages (one phase = three rounds).
     ///
-    /// The scalar forms are what a one-slot instance (the SBA of a lone `Π_BC`)
-    /// sends; the `…Slots` forms are the same three round messages of a `k`-slot
-    /// instance (a lock-step broadcast group), one entry per slot in slot order.
+    /// The scalar forms are what a one-slot instance (the SBA cluster of a
+    /// stand-alone lone `Π_BC`) sends; the `…Slots` forms are the same three
+    /// round messages of a `k`-slot instance (a root's SBA cluster, over the
+    /// slots of every `Π_BC` started at one tick), one entry per slot in slot
+    /// order.
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     pub enum SbaMsg {
         /// Round 1 of a phase: every party sends its current value.

@@ -282,9 +282,9 @@ impl Kind {
     /// Delivers `event`, addressed to `path` below `node` (an instance of
     /// this kind), to the child the path's first segment names, scoped to
     /// that segment; see [`Routed`]. A leaf routes its events here too, so
-    /// that a path below it is dropped. An instance that holds late votes
-    /// routes through `voteboard::route`, which calls this.
-    // This and the three helpers it calls per delivery are `#[inline]`:
+    /// that a path below it is dropped. An instance that holds side channels
+    /// ([`Node::side`]) routes through `voteboard::route`, which calls this.
+    // This and the helpers it calls per delivery are `#[inline]`:
     // without it the handler time of `sync-packed-n10` grew by about 40 %.
     #[inline]
     pub fn route<'p, 'm>(
@@ -390,7 +390,7 @@ pub trait Node {
     }
 
     /// The instance as a `Π_BC`, if it is one: the root's SBA clusters read
-    /// its inputs ([`crate::bc::Bc::sba_inputs`]).
+    /// its inputs (`Bc::sba_inputs`).
     fn bc(&mut self) -> Option<&mut crate::bc::Bc> {
         None
     }

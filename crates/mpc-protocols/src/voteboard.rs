@@ -10,7 +10,8 @@
 //!   parent protocol — its *regular-mode* output is what the timed
 //!   `(W, E, F)` acceptance checks look at. All `n` start in
 //!   [`VoteBoard::start`], so they run as one lock-step [`Bc`] group (`n`
-//!   A-casts, one `n`-slot SBA). The group exists from construction and is
+//!   A-casts, `n` slots of the root's SBA cluster for that tick). The group
+//!   exists from construction and is
 //!   only `init`-ed there — the tower's one rule for timed children
 //!   (DESIGN.md "Timed children exist from construction") — so votes of a
 //!   peer whose clock runs ahead are tallied on arrival, not lost;
@@ -322,7 +323,7 @@ impl Side {
 ///   after-child step. A value that is no vote batch, or one longer than a
 ///   party's late votes, is dropped, and so is a vote that names no board.
 /// - At the root, after a timer event, the step of the SBA clusters
-///   ([`clusters_step`]).
+///   (`clusters_step`).
 ///
 /// Returns what is left for `node`'s own step: [`Routed::Dropped`] if the
 /// channel took the event.
