@@ -257,21 +257,24 @@ fn one_delivered_message_stays_within_the_allocation_budget() {
     assert_footprint("nested A-cast", acasts, 205);
 
     // A stand-alone Π_BA: its input broadcasts reach their A-casts through
-    // the instance tree's router (`Kind::route`), beside the SBA and Π_ABA
-    // traffic and the timers of a whole agreement.
+    // the instance tree's router (`Kind::route`), beside the traffic of its
+    // one SBA cluster and of the Π_ABA, and the timers of a whole agreement.
     let params = Params::new(n, t, 0, NetConfig::DEFAULT_DELTA);
     let parties: Vec<Box<dyn Protocol<Msg>>> = (0..n)
         .map(|_| Held::boxed(&[], Ba::new(t, params, Some(true))))
         .collect();
-    // 1.04 measured (1.34 with a `Vec` tally and heap admission flags).
+    // 1.08 measured since the root's SBA cluster is built at its round 1
+    // (1.04 while each `Π_BC` built its own SBA before the run; 1.34 with a
+    // `Vec` tally and heap admission flags).
     let sim = run_within_budget("stand-alone Π_BA", parties, 1.1);
     let bas: Vec<Ba> = take_instances(&sim);
     for (i, ba) in bas.iter().enumerate() {
         assert_eq!(ba.output, Some(true), "party {i}");
     }
-    // 10 924 bytes measured (27 948 with a `Vec` tally and heap admission
-    // flags).
-    assert_footprint("stand-alone Π_BA", bas, 11_500);
+    // 6 580 bytes measured: the cluster is freed at its hand-down (10 924
+    // while the `Π_BC` kept its own SBA, 27 948 with a `Vec` tally and heap
+    // admission flags).
+    assert_footprint("stand-alone Π_BA", bas, 6_900);
 
     // A stand-alone Π_VSS of L = 64 degree-t_s polynomials at n = 8
     // (t_s = 2, t_a = 1): the dealt rows, the points and the n nested Π_WPS
@@ -285,18 +288,20 @@ fn one_delivered_message_stays_within_the_allocation_budget() {
             _ => Held::boxed(&[], Vss::new(0, params, polys.len())),
         })
         .collect();
-    // 1.75 measured (2.02 with a heap `Polynomial` per received row and two
-    // allocations per dealt row).
-    let sim = run_within_budget("stand-alone Π_VSS", parties, 1.84);
+    // 1.40 measured since its 3n + 3 `Π_BC`s share six SBA clusters (1.75
+    // with an SBA each, 2.02 with a heap `Polynomial` per received row and
+    // two allocations per dealt row).
+    let sim = run_within_budget("stand-alone Π_VSS", parties, 1.47);
     let vsss: Vec<Vss> = take_instances(&sim);
     for (i, vss) in vsss.iter().enumerate() {
         let expected = polys.iter().map(|q| q.evaluate(alpha(i)));
         assert_eq!(vss.shares, Some(expected.collect()), "party {i}");
     }
-    // 394 272 bytes measured per party, its n Π_WPS included. 425 484 while
-    // every Π_WPS kept the points it vouched for until its shares were out
-    // and every A-cast kept its tallies after delivery; 480 204 with a heap
+    // 191 328 bytes measured per party, its n Π_WPS included, since no
+    // `Π_BC` keeps an SBA. 394 272 while each did; 425 484 while every Π_WPS
+    // kept the points it vouched for until its shares were out and every
+    // A-cast kept its tallies after delivery; 480 204 with a heap
     // `Polynomial` per row, a heap `Vec` per bivariate row and every Π_WPS
     // keeping its received points to the end.
-    assert_footprint("stand-alone Π_VSS", vsss, 414_000);
+    assert_footprint("stand-alone Π_VSS", vsss, 201_000);
 }
