@@ -24,7 +24,7 @@
 //! `k − 1`). `k = 1` speaks the scalar [`SbaMsg`] forms.
 //!
 //! No `Π_BC` runs an SBA of its own: the root of the instance tree runs one
-//! **cluster** per start tick ([`Clusters`]), whose slots are those of every
+//! **cluster** per start tick (`Clusters`), whose slots are those of every
 //! `Π_BC` below it that started at that tick, in path order (DESIGN.md
 //! "Lock-step broadcast groups").
 
@@ -302,7 +302,7 @@ impl Node for Sba {
 /// for a cluster that has not started or has been freed finds no child and
 /// is dropped.
 #[derive(Debug)]
-pub struct Clusters {
+pub(crate) struct Clusters {
     t: usize,
     /// How many clusters this party has started: the next one's ordinal.
     started: usize,
@@ -317,7 +317,7 @@ pub(crate) type Members = Vec<(Vec<u32>, usize)>;
 
 impl Clusters {
     /// No clusters yet; their SBAs run at threshold `t`.
-    pub fn new(t: usize) -> Self {
+    pub(crate) fn new(t: usize) -> Self {
         Clusters {
             t,
             started: 0,

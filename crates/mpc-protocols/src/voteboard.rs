@@ -236,7 +236,7 @@ pub(crate) const TIMER_FLUSH: u64 = 14;
 /// The side channels of the root of an instance tree: this party's late
 /// `OK` votes, on their way from the vote boards of the tree to the A-casts
 /// that carry them (DESIGN.md "`Π_WPS`/`Π_VSS`: one dealer-verification
-/// core"), and the SBA clusters of the tree's `Π_BC`s ([`Clusters`]).
+/// core"), and the SBA clusters of the tree's `Π_BC`s (`sba::Clusters`).
 ///
 /// Every kind that can be a root and has a `Π_BC` below it — `Π_BC`,
 /// `Π_BA`, `Π_WPS`, `Π_VSS`, `Π_ACS` and `Π_CirEval` — holds one
