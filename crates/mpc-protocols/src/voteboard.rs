@@ -10,11 +10,11 @@
 //!   parent protocol — its *regular-mode* output is what the timed
 //!   `(W, E, F)` acceptance checks look at. All `n` start in
 //!   [`VoteBoard::start`], so they run as one lock-step [`Bc`] group (`n`
-//!   A-casts, `n` slots of the root's SBA cluster for that tick). The group
-//!   exists from construction and is
-//!   only `init`-ed there — the tower's one rule for timed children
-//!   (DESIGN.md "Timed children exist from construction") — so votes of a
-//!   peer whose clock runs ahead are tallied on arrival, not lost;
+//!   A-casts, `n` slots of the root's SBA cluster for that tick). The
+//!   group exists from construction and is only `init`-ed there — the
+//!   tower's one rule for timed children (DESIGN.md "Timed children exist
+//!   from construction") — so votes of a peer whose clock runs ahead are
+//!   tallied on arrival, not lost;
 //! * **late-vote batches** for the `OK` votes a party only establishes
 //!   later (slow counterparts in an asynchronous network) — these only feed
 //!   the *eventual* consistency graph used by the `(n, t_a)`-star fallback
@@ -242,16 +242,15 @@ pub(crate) const TIMER_FLUSH: u64 = 14;
 /// `Π_BA`, `Π_WPS`, `Π_VSS`, `Π_ACS` and `Π_CirEval` — holds one
 /// ([`Node::side`]) and routes its events through [`route`]. A late vote
 /// in it is one `u32`, `board · n + counterpart`, its board numbered among
-/// the holder's
-/// ([`Kind::board_path`]). The root's is the live channel: the first vote
-/// posted to it arms a zero-delay timer at the root, which fires after every
-/// delivery and every deeper timer of the tick, and [`route`] then A-casts
-/// everything posted since as one [`BcValue::VoteBatch`] in this party's
-/// next slot of the root's `Batch` family. So each party A-casts at most one
-/// batch per tick, whatever the root's kind. Any other holder's is an
-/// outbox, which [`route`] empties into its parent's after routing an event
-/// to it; [`Kind::route`] drops a batch addressed below the root. Only the
-/// root's clusters are used.
+/// the holder's ([`Kind::board_path`]). The root's is the live channel: the
+/// first vote posted to it arms a zero-delay timer at the root, which fires
+/// after every delivery and every deeper timer of the tick, and [`route`]
+/// then A-casts everything posted since as one [`BcValue::VoteBatch`] in
+/// this party's next slot of the root's `Batch` family. So each party
+/// A-casts at most one batch per tick, whatever the root's kind. Any other
+/// holder's is an outbox, which [`route`] empties into its parent's after
+/// routing an event to it; [`Kind::route`] drops a batch addressed below the
+/// root. Only the root's clusters are used.
 #[derive(Debug)]
 pub struct Side {
     /// The threshold of the batch A-casts.
