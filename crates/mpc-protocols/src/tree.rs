@@ -638,8 +638,8 @@ mod tests {
         assert_eq!(ACS.describe(n, &[cluster]).as_deref(), Some("Acs/Sba[5]"));
         // The root-only families are named at the root only.
         let (vss, wps) = (ACS.segment(n, Name::Vss, 3), VSS.segment(n, Name::Wps, 5));
-        for (kind, name) in [(&WPS, Name::Batch), (&WPS, Name::Sba)] {
-            let path = [vss, wps, kind.segment(n, name, 0)];
+        for name in [Name::Batch, Name::Sba] {
+            let path = [vss, wps, WPS.segment(n, name, 0)];
             assert_eq!(ACS.describe(n, &path), None, "{name:?} below the root");
             assert!(
                 WPS.describe(n, &path[2..]).is_some(),
