@@ -54,7 +54,9 @@ pub static BC: Kind = Kind::new(
 /// No other instance uses this id, so that the root's step does not walk the
 /// tree on other timers.
 pub(crate) const TIMER_START_SBA: u64 = 0x53_42_41;
-/// At `T_BC`: the root has handed down the agreed values by the end of it.
+/// At `T_BC`. Its handler does nothing: it is a timer event of that tick,
+/// deeper than every instance that reads the regular outputs, and the root
+/// hands the agreed values down at the tick's first timer event.
 const TIMER_REGULAR: u64 = 2;
 
 /// A slot's SBA input and agreed value meaning "the A-cast has delivered"
